@@ -341,7 +341,7 @@ func benchChurnOps(seed uint64) ([]benchOp, error) {
 	}
 	var ops []benchOp
 	for _, nShards := range []int{1, 2, 4} {
-		pool, err := inventory.NewSharded(list, inventory.Options{MinSlotLength: 1, Shards: nShards})
+		pool, err := inventory.NewPool(list, inventory.Options{MinSlotLength: 1, Shards: nShards})
 		if err != nil {
 			return nil, err
 		}

@@ -102,6 +102,7 @@ func Slotserve(args []string, stdout, stderr io.Writer) int {
 		MinSlotLength: *minLen,
 		DefaultTTL:    *ttl,
 		Collector:     col,
+		Shards:        *shards,
 	}
 	srvOpts := server.Options{
 		MaxInflight:    *workers,
@@ -219,13 +220,7 @@ func Slotserve(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "slotserve:", err)
 			return 1
 		}
-		if *shards > 1 {
-			so := invOpts
-			so.Shards = *shards
-			inv, err = inventory.NewSharded(list, so)
-		} else {
-			inv, err = inventory.New(list, invOpts)
-		}
+		inv, err = inventory.NewPool(list, invOpts)
 		if err != nil {
 			fmt.Fprintln(stderr, "slotserve:", err)
 			return 1

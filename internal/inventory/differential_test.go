@@ -3,6 +3,7 @@ package inventory
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -183,5 +184,48 @@ func TestReplayRejectsTamperedJournal(t *testing.T) {
 	}
 	if _, err := Replay(events, Options{MinSlotLength: 1}); err == nil {
 		t.Fatal("replay accepted a tampered journal")
+	}
+}
+
+// TestApplyEventRejectsDivergence provokes every recorded-outcome check of
+// the replay path: an event whose recorded outcome is not the one its
+// transition has on the current state must be refused with an error naming
+// the event, before anything changed.
+func TestApplyEventRejectsDivergence(t *testing.T) {
+	inv, err := New(twoNodeList(), Options{MinSlotLength: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := mustReserve(t, inv, smallReq(1), time.Hour) // takes [0,20) on node 1
+	free := core.NewWindow(100, []core.Candidate{{Slot: inv.Snapshot().Slots[0], Exec: 20, Cost: 20}})
+	cases := []struct {
+		name string
+		ev   Event
+	}{
+		{"reserve recorded OK on a window that no longer fits", Event{Op: OpReserve, ID: "r00000009", Window: held.Window, OK: true}},
+		{"reserve recorded refused on a window that fits", Event{Op: OpReserve, Window: free}},
+		{"reserve accepted without an ID", Event{Op: OpReserve, Window: free, OK: true}},
+		{"commit recorded found on an unknown hold", Event{Op: OpCommit, ID: "r00000009", OK: true}},
+		{"commit recorded unknown on a live hold", Event{Op: OpCommit, ID: held.ID}},
+		{"release recorded found on an unknown hold", Event{Op: OpRelease, ID: "r00000009", OK: true}},
+		{"release recorded unknown on a live hold", Event{Op: OpRelease, ID: held.ID}},
+		{"expire of an unknown hold", Event{Op: OpExpire, ID: "r00000009", OK: true}},
+		{"withdraw recorded known on an unknown node", Event{Op: OpWithdraw, Node: 77, OK: true}},
+		{"withdraw recorded unknown on a known node", Event{Op: OpWithdraw, Node: 1}},
+		{"unknown op", Event{Op: Op(99), OK: true}},
+	}
+	for i, tc := range cases {
+		tc.ev.Seq = uint64(40 + i)
+		before := inv.ExportState()
+		err := inv.ApplyEvent(tc.ev)
+		if err == nil {
+			t.Fatalf("%s: ApplyEvent accepted the event", tc.name)
+		}
+		if want := fmt.Sprintf("seq %d (%s)", tc.ev.Seq, tc.ev.Op); !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not name %q", tc.name, err, want)
+		}
+		if after := inv.ExportState(); !reflect.DeepEqual(before, after) {
+			t.Errorf("%s: refused event changed the state\nbefore: %+v\nafter:  %+v", tc.name, before, after)
+		}
 	}
 }

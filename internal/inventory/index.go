@@ -33,7 +33,7 @@ import (
 // changed. An empty range (Lo > Hi) means the publication changed no
 // free capacity (e.g. an Add that merged into existing spans) — the
 // version still advances. A full-range change (±Inf) marks a rebuild
-// with no diff available (construction, Restore, follower resync).
+// with no diff available (Restore, follower resync).
 type Change struct {
 	// Version is the snapshot version this change produced.
 	Version uint64
@@ -209,44 +209,35 @@ func slotBefore(a, b *slots.Slot) bool {
 // mutation may have altered (duplicates fine); only those nodes are
 // re-cut, and the new global list is spliced from the previous
 // snapshot's untouched slots (shared, immutable) plus the re-cut ones —
-// O(touched·cut + |slots|) with no global sort. touched == nil forces a
-// full rebuild with a full-range invalidation (construction, restore).
+// O(touched·cut + |slots|) with no global sort. (A whole-pool rebuild is
+// resetLocked's job, not a publication.)
 func (inv *Inventory) publishLocked(touched []int) {
 	prev := inv.snap.Load()
 	version := prev.Version + 1
-	var list slots.List
-	var lo, hi float64
-	if touched == nil {
-		inv.free = make(map[int]slots.List, len(inv.base))
-		list = inv.rebuildAllLocked()
-		lo, hi = math.Inf(-1), math.Inf(1)
-	} else {
-		lo, hi = math.Inf(1), math.Inf(-1) // empty range until a diff lands
-		touchedSet := make(map[int]bool, len(touched))
-		var fresh slots.List
-		for _, nid := range touched {
-			if touchedSet[nid] {
-				continue
-			}
-			touchedSet[nid] = true
-			old := inv.free[nid]
-			cur := inv.cutNodeLocked(nid)
-			if dlo, dhi, changed := diffRange(old, cur); changed {
-				lo, hi = math.Min(lo, dlo), math.Max(hi, dhi)
-			}
-			if len(cur) == 0 {
-				delete(inv.free, nid)
-			} else {
-				inv.free[nid] = cur
-			}
-			fresh = append(fresh, cur...)
+	lo, hi := math.Inf(1), math.Inf(-1) // empty range until a diff lands
+	touchedSet := make(map[int]bool, len(touched))
+	var fresh slots.List
+	for _, nid := range touched {
+		if touchedSet[nid] {
+			continue
 		}
-		fresh.SortByStart()
-		list = spliceSlots(prev.Slots, touchedSet, fresh)
+		touchedSet[nid] = true
+		old := inv.free[nid]
+		cur := inv.cutNodeLocked(nid)
+		if dlo, dhi, changed := diffRange(old, cur); changed {
+			lo, hi = math.Min(lo, dlo), math.Max(hi, dhi)
+		}
+		if len(cur) == 0 {
+			delete(inv.free, nid)
+		} else {
+			inv.free[nid] = cur
+		}
+		fresh = append(fresh, cur...)
 	}
+	fresh.SortByStart()
 	c := Change{Version: version, Lo: lo, Hi: hi}
 	inv.inval.append(c)
-	inv.snap.Store(&Snapshot{Version: version, Slots: list})
+	inv.snap.Store(&Snapshot{Version: version, Slots: spliceSlots(prev.Slots, touchedSet, fresh)})
 	inv.pending = append(inv.pending, c)
 }
 

@@ -45,6 +45,7 @@ package inventory
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -116,10 +117,11 @@ type Options struct {
 	// nil = time.Now.
 	Clock func() time.Time
 
-	// Shards partitions the pool (NewSharded): slots are routed to shards by
-	// a stable hash of their node ID, each shard an independent Inventory
-	// with its own mutex, snapshot, journal and sweeper. 0 means GOMAXPROCS;
-	// 1 is today's single-pool behavior byte-for-byte. Ignored by New.
+	// Shards partitions the pool (NewPool, NewSharded): slots are routed to
+	// shards by a stable hash of their node ID, each shard an independent
+	// Inventory with its own mutex, snapshot, journal and sweeper. 0 means
+	// GOMAXPROCS. There is no 1-shard router: below 2 shards NewPool returns
+	// a plain Inventory and NewSharded refuses. Ignored by New.
 	Shards int
 
 	// SeqStamp, when non-nil, stamps every journaled event with a global
@@ -130,8 +132,8 @@ type Options struct {
 	SeqStamp func() uint64
 
 	// ShardSink, when non-nil, supplies the durable journal sink for each
-	// shard of a Sharded pool (per-shard WAL directories). Used instead of
-	// Sink when Shards > 1; ignored by New.
+	// shard of a Sharded pool (per-shard WAL directories), which rejects a
+	// shared Sink; ignored by New.
 	ShardSink func(shard int) JournalSink
 }
 
@@ -241,19 +243,25 @@ type Inventory struct {
 	wait func() error
 }
 
+// withDefaults fills the zero-value defaults every pool constructor
+// shares: the hold TTL and the time source.
+func (o Options) withDefaults() Options {
+	if o.DefaultTTL <= 0 {
+		o.DefaultTTL = DefaultTTL
+	}
+	if o.Clock == nil {
+		o.Clock = time.Now
+	}
+	return o
+}
+
 // newEmpty builds the bare pre-construction inventory: empty maps and a
 // version-0 snapshot. Version 0 is the state before any journaled event —
 // the base replay and recovery build on, so that "version after event N"
 // is identical between a live run and any replayed reconstruction of it.
 func newEmpty(opts Options) *Inventory {
-	if opts.DefaultTTL <= 0 {
-		opts.DefaultTTL = DefaultTTL
-	}
-	if opts.Clock == nil {
-		opts.Clock = time.Now
-	}
 	inv := &Inventory{
-		opts:      opts,
+		opts:      opts.withDefaults(),
 		nodes:     make(map[int]*nodes.Node),
 		base:      make(map[int][]slots.Interval),
 		alloc:     make(map[int][]slots.Interval),
@@ -272,20 +280,30 @@ func newEmpty(opts Options) *Inventory {
 // possibly with an empty list) and publishes snapshot version 1.
 func New(list slots.List, opts Options) (*Inventory, error) {
 	inv := newEmpty(opts)
-	inv.mu.Lock()
-	touched, err := inv.addLocked(list)
-	if err != nil {
-		inv.mu.Unlock()
-		return nil, err
-	}
-	inv.publishLocked(touched)
-	wait := inv.takeWaitLocked()
-	inv.mu.Unlock()
-	inv.flushChanges()
-	if err := awaitDurable(wait); err != nil {
+	if err := inv.add(list); err != nil {
 		return nil, err
 	}
 	return inv, nil
+}
+
+// NewPool builds the pool opts.Shards asks for: the sharded router at two
+// or more shards, a single Inventory below that (0 means GOMAXPROCS).
+func NewPool(list slots.List, opts Options) (Pool, error) {
+	if opts.Shards == 0 {
+		opts.Shards = runtime.GOMAXPROCS(0)
+	}
+	if opts.Shards < 2 {
+		inv, err := New(list, opts)
+		if err != nil {
+			return nil, err
+		}
+		return inv, nil
+	}
+	s, err := NewSharded(list, opts)
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // AttachSink installs the durable journal sink after construction — the
@@ -346,162 +364,98 @@ func (inv *Inventory) Snapshot() *Snapshot {
 // before ErrConflict is surfaced to the caller.
 const reserveRetries = 3
 
-// Reserve searches the current snapshot with the given algorithm and places
-// a hold on the winning window. ttl<=0 means Options.DefaultTTL. Returns
-// core.ErrNoWindow when no feasible window exists on the snapshot and
-// ErrConflict when the found window lost a race to concurrent allocations
-// on every retry. One scanner backs all retries of one call, so the
-// re-validation loop allocates only for the detached result window.
-func (inv *Inventory) Reserve(req *job.Request, alg core.Algorithm, ttl time.Duration) (*Reservation, error) {
+// query is one reservation search: an AEP algorithm, or (alg == nil) a CSA
+// alternative search reduced to its extreme by crit.
+type query struct {
+	req     *job.Request
+	alg     core.Algorithm
+	crit    csa.Criterion
+	maxAlts int
+}
+
+// find runs the query over one free list and returns a caller-owned window.
+func (q query) find(sc *core.Scanner, list slots.List, opts *Options) (*core.Window, error) {
+	if q.alg != nil {
+		w, err := core.FindObservedScanner(sc, q.alg, list, q.req, opts.Collector)
+		if err != nil {
+			return nil, err
+		}
+		// Detach: the hold table and the journal retain the window beyond
+		// the scanner's reuse horizon. The placements keep referencing the
+		// snapshot's slots.
+		return w.Detach(), nil
+	}
+	alts, err := csa.SearchScanner(sc, list, q.req, csa.Options{
+		MaxAlternatives: q.maxAlts,
+		MinSlotLength:   opts.MinSlotLength,
+	}, opts.Collector)
+	if err != nil {
+		return nil, err
+	}
+	return csa.Best(alts, q.crit), nil // alternatives are caller-owned copies already
+}
+
+// searchPool is what the reservation loop needs of either pool type.
+type searchPool interface {
+	Pool
+	countNoWindow()
+}
+
+// reserveFound is the optimistic reservation loop, written once for both
+// kernels and both pool types: search the pool's current snapshot, place a
+// hold on the winner, and search again when the snapshot was stale
+// (ErrConflict) — on one scanner, so the retries allocate only the
+// detached result windows.
+func reserveFound(p searchPool, opts *Options, q query, ttl time.Duration) (*Reservation, error) {
 	sc := core.AcquireScanner()
 	defer core.ReleaseScanner(sc)
-	for attempt := 0; ; attempt++ {
-		snap := inv.Snapshot()
-		w, err := core.FindObservedScanner(sc, alg, snap.Slots, req, inv.opts.Collector)
+	for attempt := 1; ; attempt++ {
+		w, err := q.find(sc, p.Snapshot().Slots, opts)
 		if err != nil {
 			if errors.Is(err, core.ErrNoWindow) {
-				inv.countNoWindow()
+				p.countNoWindow()
 			}
 			return nil, err
 		}
-		// Detach: ReserveWindow retains the window in the hold table and the
-		// journal, beyond the scanner's reuse horizon. The placements keep
-		// referencing the snapshot's slots, exactly as before.
-		res, err := inv.ReserveWindow(w.Detach(), ttl)
-		if errors.Is(err, ErrConflict) && attempt+1 < reserveRetries {
+		res, err := p.ReserveWindow(w, ttl)
+		if errors.Is(err, ErrConflict) && attempt < reserveRetries {
 			continue // stale snapshot lost the race; search the fresh one
 		}
 		return res, err
 	}
 }
 
+// Reserve searches the current snapshot with the given algorithm and places
+// a hold on the winning window. ttl<=0 means Options.DefaultTTL. Returns
+// core.ErrNoWindow when no feasible window exists on the snapshot and
+// ErrConflict when the found window lost a race to concurrent allocations
+// on every retry.
+func (inv *Inventory) Reserve(req *job.Request, alg core.Algorithm, ttl time.Duration) (*Reservation, error) {
+	return reserveFound(inv, &inv.opts, query{req: req, alg: alg}, ttl)
+}
+
 // ReserveBest runs a CSA alternative search against the current snapshot,
 // picks the alternative extreme by crit and places a hold on it. maxAlts
-// bounds the search (0 = until exhaustion). Conflicts retry like Reserve,
-// on one shared scanner.
+// bounds the search (0 = until exhaustion). Conflicts retry like Reserve.
 func (inv *Inventory) ReserveBest(req *job.Request, crit csa.Criterion, maxAlts int, ttl time.Duration) (*Reservation, error) {
-	sc := core.AcquireScanner()
-	defer core.ReleaseScanner(sc)
-	for attempt := 0; ; attempt++ {
-		snap := inv.Snapshot()
-		alts, err := csa.SearchScanner(sc, snap.Slots, req, csa.Options{
-			MaxAlternatives: maxAlts,
-			MinSlotLength:   inv.opts.MinSlotLength,
-		}, inv.opts.Collector)
-		if err != nil {
-			if errors.Is(err, core.ErrNoWindow) {
-				inv.countNoWindow()
-			}
-			return nil, err
-		}
-		// CSA alternatives are already detached (caller-owned) copies.
-		res, err := inv.ReserveWindow(csa.Best(alts, crit), ttl)
-		if errors.Is(err, ErrConflict) && attempt+1 < reserveRetries {
-			continue
-		}
-		return res, err
-	}
+	return reserveFound(inv, &inv.opts, query{req: req, crit: crit, maxAlts: maxAlts}, ttl)
 }
+
+var errEmptyWindow = errors.New("inventory: cannot reserve an empty window")
 
 // ReserveWindow places a hold on an externally found window after
 // validating it against the current state (the optimistic re-validation
-// step: stale-snapshot windows pass iff they still fit). This is also the
-// replay primitive: the journal records the window, not the search.
+// step: stale-snapshot windows pass iff they still fit).
 func (inv *Inventory) ReserveWindow(w *core.Window, ttl time.Duration) (*Reservation, error) {
 	if w == nil || len(w.Placements) == 0 {
-		return nil, fmt.Errorf("inventory: cannot reserve an empty window")
+		return nil, errEmptyWindow
 	}
-	if ttl <= 0 {
-		ttl = inv.opts.DefaultTTL
-	}
-	var begin time.Duration
-	if inv.opts.Collector != nil {
-		begin = obs.Now()
-	}
-	inv.mu.Lock()
-	inv.sweepLocked()
-	ok := inv.fitsLocked(w)
-	var id string
-	var expires time.Time
-	if ok {
-		inv.nextID++
-		id = fmt.Sprintf("r%08d", inv.nextID)
-		expires = inv.opts.Clock().Add(ttl)
-	}
-	inv.recordLocked(Event{Op: OpReserve, ID: id, Window: w, OK: ok, Expires: expires})
-	var res *Reservation
-	if ok {
-		inv.holds[id] = &hold{window: w, expires: expires}
-		inv.allocateLocked(w)
-		inv.counters.Reserves++
-		inv.publishLocked(windowNodes(w))
-		inv.spanLocked("inventory.Reserve", begin, id)
-		res = &Reservation{ID: id, Window: w, Version: inv.snap.Load().Version, Expires: expires}
-	} else {
-		inv.counters.Conflicts++
-		inv.spanLocked("inventory.Reserve", begin, "conflict")
-	}
-	wait := inv.takeWaitLocked()
-	inv.mu.Unlock()
-	inv.flushChanges()
-	if err := awaitDurable(wait); err != nil {
+	begin := inv.enter()
+	res := inv.reserveLocked("", w, ttl, time.Time{}, begin)
+	if err := inv.leave(); err != nil {
 		return nil, err
 	}
-	if !ok {
-		return nil, ErrConflict
-	}
-	return res, nil
-}
-
-// ReserveWindowID places a hold under a caller-minted ID with an absolute
-// expiry — the sharded router's two-phase prepare primitive: the router
-// mints one ID, then prepares a sub-hold on every touched shard in shard
-// order under that ID, so commit/release/rollback address the same name
-// everywhere. The event journals as a normal OpReserve (a conflict journals
-// with an empty ID, exactly like ReserveWindow), so per-shard replay is
-// unchanged. The shard's own ID counter advances past numeric caller IDs,
-// keeping locally minted IDs collision-free.
-func (inv *Inventory) ReserveWindowID(id string, w *core.Window, expires time.Time) (*Reservation, error) {
-	if w == nil || len(w.Placements) == 0 {
-		return nil, fmt.Errorf("inventory: cannot reserve an empty window")
-	}
-	if id == "" {
-		return nil, fmt.Errorf("inventory: reservation needs an ID")
-	}
-	var begin time.Duration
-	if inv.opts.Collector != nil {
-		begin = obs.Now()
-	}
-	inv.mu.Lock()
-	inv.sweepLocked()
-	ok := inv.holds[id] == nil && inv.committed[id] == nil && inv.fitsLocked(w)
-	evID := ""
-	if ok {
-		evID = id
-	}
-	inv.recordLocked(Event{Op: OpReserve, ID: evID, Window: w, OK: ok, Expires: expires})
-	var res *Reservation
-	if ok {
-		inv.holds[id] = &hold{window: w, expires: expires}
-		inv.allocateLocked(w)
-		inv.counters.Reserves++
-		if n, err := strconv.ParseUint(strings.TrimPrefix(id, "r"), 10, 64); err == nil && n > inv.nextID {
-			inv.nextID = n
-		}
-		inv.publishLocked(windowNodes(w))
-		inv.spanLocked("inventory.Reserve", begin, id)
-		res = &Reservation{ID: id, Window: w, Version: inv.snap.Load().Version, Expires: expires}
-	} else {
-		inv.counters.Conflicts++
-		inv.spanLocked("inventory.Reserve", begin, "conflict")
-	}
-	wait := inv.takeWaitLocked()
-	inv.mu.Unlock()
-	inv.flushChanges()
-	if err := awaitDurable(wait); err != nil {
-		return nil, err
-	}
-	if !ok {
+	if res == nil {
 		return nil, ErrConflict
 	}
 	return res, nil
@@ -510,59 +464,25 @@ func (inv *Inventory) ReserveWindowID(id string, w *core.Window, expires time.Ti
 // Commit makes the hold permanent: the window's spans stay allocated and
 // the reservation can no longer expire or be released.
 func (inv *Inventory) Commit(id string) (*core.Window, error) {
-	var begin time.Duration
-	if inv.opts.Collector != nil {
-		begin = obs.Now()
-	}
-	inv.mu.Lock()
-	inv.sweepLocked()
-	h := inv.holds[id]
-	inv.recordLocked(Event{Op: OpCommit, ID: id, OK: h != nil})
-	if h != nil {
-		delete(inv.holds, id)
-		inv.committed[id] = h.window
-		inv.counters.Commits++
-		inv.spanLocked("inventory.Commit", begin, id)
-	}
-	wait := inv.takeWaitLocked()
-	inv.mu.Unlock()
-	inv.flushChanges() // the entry sweep may have published expiries
-	if err := awaitDurable(wait); err != nil {
-		return nil, err
-	}
-	if h == nil {
-		return nil, ErrUnknownReservation
-	}
-	return h.window, nil
+	return inv.settle(OpCommit, id)
 }
 
 // Release cancels a live hold and returns its spans to the free pool.
 func (inv *Inventory) Release(id string) error {
-	var begin time.Duration
-	if inv.opts.Collector != nil {
-		begin = obs.Now()
+	_, err := inv.settle(OpRelease, id)
+	return err
+}
+
+func (inv *Inventory) settle(op Op, id string) (*core.Window, error) {
+	begin := inv.enter()
+	w := inv.settleLocked(op, id, begin)
+	if err := inv.leave(); err != nil {
+		return nil, err
 	}
-	inv.mu.Lock()
-	inv.sweepLocked()
-	h := inv.holds[id]
-	inv.recordLocked(Event{Op: OpRelease, ID: id, OK: h != nil})
-	if h != nil {
-		touched := windowNodes(h.window)
-		inv.dropHoldLocked(id)
-		inv.counters.Releases++
-		inv.publishLocked(touched)
-		inv.spanLocked("inventory.Release", begin, id)
+	if w == nil {
+		return nil, ErrUnknownReservation
 	}
-	wait := inv.takeWaitLocked()
-	inv.mu.Unlock()
-	inv.flushChanges()
-	if err := awaitDurable(wait); err != nil {
-		return err
-	}
-	if h == nil {
-		return ErrUnknownReservation
-	}
-	return nil
+	return w, nil
 }
 
 // Add publishes additional capacity: new nodes, or further spans on known
@@ -572,23 +492,21 @@ func (inv *Inventory) Add(list slots.List) error {
 	if len(list) == 0 {
 		return nil
 	}
-	inv.mu.Lock()
-	inv.sweepLocked()
-	touched, err := inv.addLocked(list)
-	if err != nil {
-		wait := inv.takeWaitLocked() // sweeps may have journaled
-		inv.mu.Unlock()
-		inv.flushChanges()
-		if derr := awaitDurable(wait); derr != nil {
-			return derr
-		}
-		return err
+	return inv.add(list)
+}
+
+// add also journals an empty list: the construction event of an inventory
+// that starts without capacity (Add filters empties, so only New does).
+func (inv *Inventory) add(list slots.List) error {
+	inv.enter()
+	err := inv.addLocked(list)
+	if err == nil {
+		inv.recordLocked(Event{Op: OpAdd, Slots: list.Clone(), OK: true})
 	}
-	inv.publishLocked(touched)
-	wait := inv.takeWaitLocked()
-	inv.mu.Unlock()
-	inv.flushChanges()
-	return awaitDurable(wait)
+	if derr := inv.leave(); derr != nil { // the entry sweep may have journaled
+		return derr
+	}
+	return err
 }
 
 // Withdraw removes a node's base capacity mid-flight (a non-dedicated
@@ -596,21 +514,12 @@ func (inv *Inventory) Add(list slots.List) error {
 // their spans, on every node, return to the pool — and their IDs returned.
 // Committed allocations stay recorded: their spans remain blocked should
 // the node's capacity ever return.
-func (inv *Inventory) Withdraw(nodeID int) (cancelled []string, err error) {
-	inv.mu.Lock()
-	inv.sweepLocked()
-	_, known := inv.base[nodeID]
+func (inv *Inventory) Withdraw(nodeID int) ([]string, error) {
+	inv.enter()
+	cancelled, known := inv.withdrawLocked(nodeID)
 	inv.recordLocked(Event{Op: OpWithdraw, Node: nodeID, OK: known})
-	if known {
-		var touched []int
-		cancelled, touched = inv.withdrawLocked(nodeID)
-		inv.publishLocked(touched)
-	}
-	wait := inv.takeWaitLocked()
-	inv.mu.Unlock()
-	inv.flushChanges()
-	if derr := awaitDurable(wait); derr != nil {
-		return nil, derr
+	if err := inv.leave(); err != nil {
+		return nil, err
 	}
 	if !known {
 		return nil, ErrUnknownNode
@@ -624,13 +533,10 @@ func (inv *Inventory) Withdraw(nodeID int) (cancelled []string, err error) {
 func (inv *Inventory) Sweep() int {
 	inv.mu.Lock()
 	n := inv.sweepLocked()
-	wait := inv.takeWaitLocked()
-	inv.mu.Unlock()
-	inv.flushChanges()
 	// A failed fsync of expiry events cannot be surfaced here (the sweep
 	// already happened); the sink latches the error and the next mutation
 	// reports it.
-	_ = awaitDurable(wait)
+	_ = inv.leave()
 	return n
 }
 
@@ -675,12 +581,43 @@ func (inv *Inventory) Holds() []string {
 	return ids
 }
 
-// ---- internals (all require inv.mu held) ----
-
 func (inv *Inventory) countNoWindow() {
 	inv.mu.Lock()
 	inv.counters.NoWindow++
 	inv.mu.Unlock()
+}
+
+// ---- the mutation envelope ----
+//
+// Every mutation runs between enter and leave. The sharded router opens
+// the same envelope on several shards at once (ascending shard order) and
+// runs the journaled transitions below under all their mutexes.
+
+// enter opens a mutation's critical section: stamp the span clock, take
+// the mutex and expire the holds that lapsed since the last mutation.
+func (inv *Inventory) enter() (begin time.Duration) {
+	if inv.opts.Collector != nil {
+		begin = obs.Now()
+	}
+	inv.mu.Lock()
+	inv.sweepLocked()
+	return begin
+}
+
+// unlock ends the critical section and hands back its durability wait.
+func (inv *Inventory) unlock() (wait func() error) {
+	wait = inv.takeWaitLocked()
+	inv.mu.Unlock()
+	return wait
+}
+
+// leave closes the envelope: unlock, deliver the change notifications of
+// the section's publications, then block until its journal writes are
+// durable.
+func (inv *Inventory) leave() error {
+	wait := inv.unlock()
+	inv.flushChanges()
+	return awaitDurable(wait)
 }
 
 func (inv *Inventory) spanLocked(name string, begin time.Duration, arg string) {
@@ -689,14 +626,154 @@ func (inv *Inventory) spanLocked(name string, begin time.Duration, arg string) {
 	}
 }
 
-// addLocked validates and merges a slot list into the base capacity,
-// recording the journal event on success and returning the touched node
-// IDs for the publication. An empty list is recorded too (the
-// construction event of an inventory that starts without capacity); Add
-// filters empties so only New takes that path.
-func (inv *Inventory) addLocked(list slots.List) ([]int, error) {
+// ---- journaled transitions (inv.mu held, between enter and leave) ----
+
+// reserveLocked runs the hold transition and journals its outcome; nil
+// means the window was refused. The arguments are holdLocked's.
+func (inv *Inventory) reserveLocked(id string, w *core.Window, ttl time.Duration, expires time.Time, begin time.Duration) *Reservation {
+	id, expires, ok := inv.holdLocked(id, w, ttl, expires)
+	inv.recordLocked(Event{Op: OpReserve, ID: id, Window: w, OK: ok, Expires: expires})
+	if !ok {
+		inv.spanLocked("inventory.Reserve", begin, "conflict")
+		return nil
+	}
+	inv.spanLocked("inventory.Reserve", begin, id)
+	return &Reservation{ID: id, Window: w, Version: inv.snap.Load().Version, Expires: expires}
+}
+
+// settleLocked runs the commit or release transition on a hold and
+// journals its outcome; it returns the hold's window, nil when id is not a
+// live hold.
+func (inv *Inventory) settleLocked(op Op, id string, begin time.Duration) *core.Window {
+	var w *core.Window
+	name := "inventory.Commit"
+	if op == OpCommit {
+		w = inv.commitLocked(id)
+	} else {
+		name = "inventory.Release"
+		w = inv.releaseLocked(id, &inv.counters.Releases)
+	}
+	inv.recordLocked(Event{Op: op, ID: id, OK: w != nil})
+	if w != nil {
+		inv.spanLocked(name, begin, id)
+	}
+	return w
+}
+
+// sweepLocked expires lapsed holds in deterministic (sorted-ID) order,
+// journaling and republishing each expiry individually. One publication
+// per OpExpire event keeps the snapshot version an exact function of the
+// journal — replaying N events always lands on the same version the live
+// run had after its Nth event, which is what lets a WAL follower serve
+// reads labelled with the leader's snapshot_version.
+func (inv *Inventory) sweepLocked() int {
+	now := inv.opts.Clock()
+	var expired []string
+	for id, h := range inv.holds {
+		if !h.expires.After(now) {
+			expired = append(expired, id)
+		}
+	}
+	sort.Strings(expired)
+	for _, id := range expired {
+		inv.releaseLocked(id, &inv.counters.Expiries)
+		inv.recordLocked(Event{Op: OpExpire, ID: id, OK: true})
+	}
+	return len(expired)
+}
+
+// ---- transitions (inv.mu held) ----
+//
+// The functions below are the lifecycle's state machine and the only
+// writers of holds, committed, alloc, base and counters (resetLocked loads
+// a whole State instead of moving through it). Live mutations, the
+// router's multi-shard operations and journal replay (apply) all run these
+// same functions, so the three cannot drift apart. Each publishes the
+// snapshot it changed; none journals.
+
+// admitsLocked is the reserve transition's guard: the ID is unused ("" =
+// to be minted) and the window fits the current state.
+func (inv *Inventory) admitsLocked(id string, w *core.Window) bool {
+	return inv.holds[id] == nil && inv.committed[id] == nil && inv.fitsLocked(w)
+}
+
+// holdLocked is the reserve transition: place a hold on w if admitsLocked.
+// An empty id mints the next local one; a given ID (the router's, a
+// replayed event's) advances the mint past it so later local IDs cannot
+// collide. A zero expires means ttl from now (ttl<=0: Options.DefaultTTL).
+func (inv *Inventory) holdLocked(id string, w *core.Window, ttl time.Duration, expires time.Time) (string, time.Time, bool) {
+	if !inv.admitsLocked(id, w) {
+		inv.counters.Conflicts++
+		return "", time.Time{}, false
+	}
+	if id == "" {
+		inv.nextID++
+		id = fmt.Sprintf("r%08d", inv.nextID)
+	} else if n, err := strconv.ParseUint(strings.TrimPrefix(id, "r"), 10, 64); err == nil && n > inv.nextID {
+		inv.nextID = n
+	}
+	if expires.IsZero() {
+		if ttl <= 0 {
+			ttl = inv.opts.DefaultTTL
+		}
+		expires = inv.opts.Clock().Add(ttl)
+	}
+	inv.holds[id] = &hold{window: w, expires: expires}
+	inv.allocateLocked(w)
+	inv.counters.Reserves++
+	inv.publishLocked(windowNodes(w))
+	return id, expires, true
+}
+
+// commitLocked is the commit transition: the hold becomes a permanent
+// allocation (nothing is republished — the spans were already taken).
+func (inv *Inventory) commitLocked(id string) *core.Window {
+	h := inv.holds[id]
+	if h == nil {
+		return nil
+	}
+	delete(inv.holds, id)
+	inv.committed[id] = h.window
+	inv.counters.Commits++
+	return h.window
+}
+
+// dropLocked is the drop-hold transition behind release, expiry and
+// cancel-on-withdraw: the hold and its allocation spans go, *count (the
+// lifecycle counter of the reason) advances, and the touched nodes are
+// returned for the caller's publication. nil when id is not a live hold.
+func (inv *Inventory) dropLocked(id string, count *uint64) (*core.Window, []int) {
+	h := inv.holds[id]
+	if h == nil {
+		return nil, nil
+	}
+	var touched []int
+	for nid, ivs := range h.window.UsedIntervals() {
+		touched = append(touched, nid)
+		inv.alloc[nid] = removeIntervals(inv.alloc[nid], ivs)
+		if len(inv.alloc[nid]) == 0 {
+			delete(inv.alloc, nid)
+		}
+	}
+	delete(inv.holds, id)
+	*count++
+	return h.window, touched
+}
+
+// releaseLocked drops one hold and publishes its spans back to the pool.
+func (inv *Inventory) releaseLocked(id string, count *uint64) *core.Window {
+	w, touched := inv.dropLocked(id, count)
+	if w != nil {
+		inv.publishLocked(touched)
+	}
+	return w
+}
+
+// addLocked is the add-capacity transition: validate and merge a slot
+// list into the base capacity.
+func (inv *Inventory) addLocked(list slots.List) error {
 	if err := list.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	byNode := make(map[int][]slots.Interval)
 	for _, s := range list {
@@ -711,8 +788,34 @@ func (inv *Inventory) addLocked(list slots.List) ([]int, error) {
 		touched = append(touched, nid)
 	}
 	inv.counters.Adds++
-	inv.recordLocked(Event{Op: OpAdd, Slots: list.Clone(), OK: true})
-	return touched, nil
+	inv.publishLocked(touched)
+	return nil
+}
+
+// withdrawLocked is the withdraw transition: remove the node and cancel
+// every hold that uses it, in one publication (the withdrawn node plus
+// every node a cancelled hold spanned — their allocation spans return to
+// the pool too). It reports the cancelled IDs and whether the node was
+// known.
+func (inv *Inventory) withdrawLocked(nodeID int) (cancelled []string, known bool) {
+	if _, known = inv.base[nodeID]; !known {
+		return nil, false
+	}
+	delete(inv.base, nodeID)
+	for id, h := range inv.holds {
+		if _, uses := h.window.UsedIntervals()[nodeID]; uses {
+			cancelled = append(cancelled, id)
+		}
+	}
+	sort.Strings(cancelled)
+	touched := []int{nodeID}
+	for _, id := range cancelled {
+		_, spanned := inv.dropLocked(id, &inv.counters.Cancelled)
+		touched = append(touched, spanned...)
+	}
+	inv.counters.Withdrawals++
+	inv.publishLocked(touched)
+	return cancelled, true
 }
 
 // freeLocked recomputes the free list from scratch: base minus
@@ -740,8 +843,12 @@ func (inv *Inventory) freeLocked() slots.List {
 // fitsLocked is the conflict check: every placement span must lie inside
 // the node's base capacity and overlap no live allocation — and the
 // window's own spans must not overlap each other. Intervals are half-open,
-// so a span ending exactly where another starts does not conflict.
+// so a span ending exactly where another starts does not conflict. A nil
+// or empty window fits nothing.
 func (inv *Inventory) fitsLocked(w *core.Window) bool {
+	if w == nil || len(w.Placements) == 0 {
+		return false
+	}
 	for nid, ivs := range w.UsedIntervals() {
 		for i, iv := range ivs {
 			if iv.Length() <= 0 {
@@ -763,73 +870,12 @@ func (inv *Inventory) fitsLocked(w *core.Window) bool {
 	return true
 }
 
+// allocateLocked adds a window's spans to the live allocations (holdLocked
+// and the State load in resetLocked).
 func (inv *Inventory) allocateLocked(w *core.Window) {
 	for nid, ivs := range w.UsedIntervals() {
 		inv.alloc[nid] = insertIntervals(inv.alloc[nid], ivs)
 	}
-}
-
-// dropHoldLocked removes a hold and its allocation spans. The caller
-// publishes afterwards.
-func (inv *Inventory) dropHoldLocked(id string) {
-	h := inv.holds[id]
-	for nid, ivs := range h.window.UsedIntervals() {
-		inv.alloc[nid] = removeIntervals(inv.alloc[nid], ivs)
-		if len(inv.alloc[nid]) == 0 {
-			delete(inv.alloc, nid)
-		}
-	}
-	delete(inv.holds, id)
-}
-
-// sweepLocked expires lapsed holds in deterministic (sorted-ID) order,
-// journaling and republishing each expiry individually. One publication
-// per OpExpire event keeps the snapshot version an exact function of the
-// journal — replaying N events always lands on the same version the live
-// run had after its Nth event, which is what lets a WAL follower serve
-// reads labelled with the leader's snapshot_version.
-func (inv *Inventory) sweepLocked() int {
-	now := inv.opts.Clock()
-	var expired []string
-	for id, h := range inv.holds {
-		if !h.expires.After(now) {
-			expired = append(expired, id)
-		}
-	}
-	if len(expired) == 0 {
-		return 0
-	}
-	sort.Strings(expired)
-	for _, id := range expired {
-		touched := windowNodes(inv.holds[id].window)
-		inv.dropHoldLocked(id)
-		inv.counters.Expiries++
-		inv.recordLocked(Event{Op: OpExpire, ID: id, OK: true})
-		inv.publishLocked(touched)
-	}
-	return len(expired)
-}
-
-// withdrawLocked removes the node and cancels every hold that uses it,
-// returning the cancelled IDs and the touched node set of the
-// publication (the withdrawn node plus every node a cancelled hold
-// spanned — their allocation spans return to the pool too).
-func (inv *Inventory) withdrawLocked(nodeID int) (cancelled []string, touched []int) {
-	delete(inv.base, nodeID)
-	touched = append(touched, nodeID)
-	for id, h := range inv.holds {
-		if _, uses := h.window.UsedIntervals()[nodeID]; uses {
-			cancelled = append(cancelled, id)
-		}
-	}
-	sort.Strings(cancelled)
-	for _, id := range cancelled {
-		touched = append(touched, windowNodes(inv.holds[id].window)...)
-		inv.dropHoldLocked(id)
-		inv.counters.Cancelled++
-	}
-	inv.counters.Withdrawals++
-	return cancelled, touched
 }
 
 // ---- interval helpers ----

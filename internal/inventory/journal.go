@@ -2,8 +2,6 @@ package inventory
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
 	"slotsel/internal/core"
@@ -204,92 +202,53 @@ func (inv *Inventory) ApplyEvent(ev Event) error {
 	return nil
 }
 
-// apply re-executes one journaled operation and checks the outcome.
+// apply re-executes one journaled operation: predict the outcome its
+// transition will have on the current state, refuse the event if that is
+// not the recorded one (before anything changed), then run the very
+// transition the live path ran.
 func (inv *Inventory) apply(ev Event) error {
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
+	var ok bool
+	switch ev.Op {
+	case OpAdd:
+		ok = true
+	case OpReserve:
+		ok = inv.admitsLocked(ev.ID, ev.Window)
+	case OpCommit, OpRelease, OpExpire:
+		ok = inv.holds[ev.ID] != nil
+	case OpWithdraw:
+		_, ok = inv.base[ev.Node]
+	default:
+		return fmt.Errorf("unknown op %v", ev.Op)
+	}
+	if ok != ev.OK {
+		return fmt.Errorf("outcome ok=%v, recorded %v", ok, ev.OK)
+	}
+	if ev.Op == OpReserve && ok && ev.ID == "" {
+		return fmt.Errorf("accepted reserve without an ID")
+	}
+	switch ev.Op {
+	case OpAdd:
+		if err := inv.addLocked(ev.Slots); err != nil {
+			return err
+		}
+	case OpReserve:
+		inv.holdLocked(ev.ID, ev.Window, 0, ev.Expires)
+	case OpCommit:
+		inv.commitLocked(ev.ID)
+	case OpRelease:
+		inv.releaseLocked(ev.ID, &inv.counters.Releases)
+	case OpExpire:
+		inv.releaseLocked(ev.ID, &inv.counters.Expiries)
+	case OpWithdraw:
+		inv.withdrawLocked(ev.Node)
+	}
 	if ev.Seq > inv.seq {
 		inv.seq = ev.Seq
 	}
 	if ev.GSeq > inv.gseqHigh {
 		inv.gseqHigh = ev.GSeq
-	}
-	switch ev.Op {
-	case OpAdd:
-		touched, err := inv.addLocked(ev.Slots)
-		if err != nil {
-			return err
-		}
-		inv.publishLocked(touched)
-	case OpReserve:
-		ok := ev.Window != nil && len(ev.Window.Placements) > 0 && inv.fitsLocked(ev.Window)
-		if ok != ev.OK {
-			return fmt.Errorf("reserve fit=%v, recorded %v", ok, ev.OK)
-		}
-		if !ok {
-			inv.counters.Conflicts++
-			return nil
-		}
-		if ev.ID == "" {
-			return fmt.Errorf("accepted reserve without an ID")
-		}
-		expires := ev.Expires
-		if expires.IsZero() {
-			expires = inv.opts.Clock().Add(inv.opts.DefaultTTL)
-		}
-		inv.holds[ev.ID] = &hold{window: ev.Window, expires: expires}
-		inv.allocateLocked(ev.Window)
-		inv.counters.Reserves++
-		// Track the ID counter through replayed reserves, so IDs minted
-		// after a recovery never collide with replayed ones.
-		if n, err := strconv.ParseUint(strings.TrimPrefix(ev.ID, "r"), 10, 64); err == nil && n > inv.nextID {
-			inv.nextID = n
-		}
-		inv.publishLocked(windowNodes(ev.Window))
-	case OpCommit:
-		h := inv.holds[ev.ID]
-		if (h != nil) != ev.OK {
-			return fmt.Errorf("commit found=%v, recorded %v", h != nil, ev.OK)
-		}
-		if h == nil {
-			return nil
-		}
-		delete(inv.holds, ev.ID)
-		inv.committed[ev.ID] = h.window
-		inv.counters.Commits++
-	case OpRelease:
-		h := inv.holds[ev.ID]
-		if (h != nil) != ev.OK {
-			return fmt.Errorf("release found=%v, recorded %v", h != nil, ev.OK)
-		}
-		if h == nil {
-			return nil
-		}
-		touched := windowNodes(h.window)
-		inv.dropHoldLocked(ev.ID)
-		inv.counters.Releases++
-		inv.publishLocked(touched)
-	case OpExpire:
-		h := inv.holds[ev.ID]
-		if h == nil {
-			return fmt.Errorf("expire of unknown hold %q", ev.ID)
-		}
-		touched := windowNodes(h.window)
-		inv.dropHoldLocked(ev.ID)
-		inv.counters.Expiries++
-		inv.publishLocked(touched)
-	case OpWithdraw:
-		_, known := inv.base[ev.Node]
-		if known != ev.OK {
-			return fmt.Errorf("withdraw known=%v, recorded %v", known, ev.OK)
-		}
-		if !known {
-			return nil
-		}
-		_, touched := inv.withdrawLocked(ev.Node)
-		inv.publishLocked(touched)
-	default:
-		return fmt.Errorf("unknown op %v", ev.Op)
 	}
 	return nil
 }

@@ -12,11 +12,13 @@
 //     the unsharded scan. The merged snapshot is cached and revalidated by
 //     per-shard versions, so quiet pools pay nothing.
 //
-//   - Cross-shard windows reserve via a two-phase hold: the router mints
-//     one ID, prepares a sub-hold on every touched shard in ascending
-//     shard order, and rolls the prepared ones back if any shard refuses.
-//     Zero double-booking is preserved because every span is guarded by
-//     exactly one shard's fitsLocked check.
+//   - A window is held under the mutexes of every shard it touches, taken
+//     in ascending shard order: the router checks every part fits before
+//     it places any, under one router-minted ID, and settles (commit /
+//     release) all parts the same way under the same locks — all or
+//     nothing, so no shard ever holds a part its siblings lost. Zero
+//     double-booking is preserved because every span is guarded by exactly
+//     one shard's fit check.
 //
 //   - Every event is stamped with a global sequence number (Event.GSeq)
 //     from a counter shared by all shards; sorting the union of the shard
@@ -24,12 +26,11 @@
 //     are each shard's local journal, so global replay = ordered merge of
 //     the per-shard replays.
 //
-// With one shard every method delegates straight to the single Inventory:
-// Shards=1 is today's behavior byte-for-byte.
+// There is no 1-shard router: a pool of one shard is a plain Inventory
+// (NewPool picks).
 package inventory
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -45,7 +46,8 @@ import (
 
 // Pool is the interface shared by a standalone *Inventory and the sharded
 // router (*Sharded): everything the HTTP front end, the find cache and the
-// benchmarks need from a slot pool. A single Inventory is a 1-shard Pool.
+// benchmarks need from a slot pool. NewPool builds whichever Options.Shards
+// asks for.
 type Pool interface {
 	Snapshot() *Snapshot
 	Reserve(req *job.Request, alg core.Algorithm, ttl time.Duration) (*Reservation, error)
@@ -102,12 +104,16 @@ func ShardOf(nodeID, n int) int {
 	return int((uint64(int64(nodeID)) * 0x9E3779B97F4A7C15) % uint64(n))
 }
 
-// crossShardGrace pads the shard-level TTL of a cross-shard hold past its
-// client-visible expiry: the router is the authority on when a two-phase
-// hold lapses (Commit rejects at the client deadline), and the grace keeps
-// the independent shard sweepers from racing a commit fan-out that started
-// just before the deadline. After expiry+grace the shard sweepers reclaim
-// the sub-holds on their own even if the router never sweeps.
+// crossShardGrace pads the shard-level deadline of a cross-shard hold past
+// its client-visible expiry. The router is the authority on when such a
+// hold lapses (a commit at or past the client deadline is refused and the
+// parts released), and settling is all-or-nothing whatever the shard
+// sweepers do, so the grace is not what keeps a commit whole. It keeps the
+// lapse whole: each shard's entry sweep expires only its own part, as
+// unrelated mutations pass through, and the pad gives the router's Sweep —
+// which releases every part under all their locks — time to get there
+// first. After expiry+grace the shard sweepers reclaim the parts on their
+// own even if the router never sweeps.
 const crossShardGrace = 2 * time.Second
 
 // liveRes is the router's routing record for one reservation: which
@@ -192,29 +198,24 @@ type Sharded struct {
 }
 
 // NewSharded builds a partitioned pool over the initial slot list.
-// opts.Shards picks the partition count (0 = GOMAXPROCS); every shard is
-// constructed even when its partition is empty, so a durable layout always
-// journals a construction event per shard directory. opts.ShardSink, when
-// set, supplies each shard's journal sink; opts.Sink is rejected for n>1
-// (shards cannot share one sequence-checked sink).
+// opts.Shards picks the partition count (0 = GOMAXPROCS) and must come to
+// at least 2 — a single pool is New's (NewPool chooses between the two).
+// Every shard is constructed even when its partition is empty, so a durable
+// layout always journals a construction event per shard directory.
+// opts.ShardSink, when set, supplies each shard's journal sink; opts.Sink
+// is rejected (shards cannot share one sequence-checked sink).
 func NewSharded(list slots.List, opts Options) (*Sharded, error) {
 	n := opts.Shards
 	if n == 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	if n < 1 {
-		return nil, fmt.Errorf("inventory: invalid shard count %d", n)
+	if n < 2 {
+		return nil, fmt.Errorf("inventory: a sharded pool needs at least 2 shards, got %d (use New for a single pool)", n)
 	}
-	if n > 1 && opts.Sink != nil {
+	if opts.Sink != nil {
 		return nil, fmt.Errorf("inventory: a sharded pool needs per-shard sinks (Options.ShardSink), not one shared Sink")
 	}
-	if opts.DefaultTTL <= 0 {
-		opts.DefaultTTL = DefaultTTL
-	}
-	if opts.Clock == nil {
-		opts.Clock = time.Now
-	}
-	if n > 1 && opts.SeqStamp == nil {
+	if opts.SeqStamp == nil {
 		seq := &ShardSeq{}
 		opts.SeqStamp = seq.Next
 	}
@@ -227,9 +228,6 @@ func NewSharded(list slots.List, opts Options) (*Sharded, error) {
 	for i := range shards {
 		so := opts
 		so.Shards, so.ShardSink = 0, nil
-		if n == 1 {
-			so.SeqStamp = nil // single pool: byte-for-byte today's behavior
-		}
 		if opts.ShardSink != nil {
 			so.Sink = opts.ShardSink(i)
 		}
@@ -242,28 +240,19 @@ func NewSharded(list slots.List, opts Options) (*Sharded, error) {
 	return newRouter(shards, opts), nil
 }
 
-// NewShardedFrom assembles a router over already-built shards — the
-// recovery path (wal.OpenSharded): each shard was restored from its own
-// snapshot + log tail, and the router rebuilds its routing table from the
-// recovered holds. A recovered cross-shard hold is recognized by its ID
-// appearing on several shards; its client deadline is the shard deadline
-// minus the grace, and its placements are regrouped in shard order (the
-// discovery order did not survive the crash — the aggregates are
+// NewShardedFrom assembles a router over already-built shards (at least
+// 2) — the recovery path (wal.OpenSharded): each shard was restored from
+// its own snapshot + log tail, and the router rebuilds its routing table
+// from the recovered holds. A recovered cross-shard hold is recognized by
+// its ID appearing on several shards; its client deadline is the shard
+// deadline minus the grace, and its placements are regrouped in shard order
+// (the discovery order did not survive the crash — the aggregates are
 // recomputed, the spans are exact).
 func NewShardedFrom(shards []*Inventory, opts Options) (*Sharded, error) {
-	if len(shards) == 0 {
-		return nil, fmt.Errorf("inventory: sharded pool needs at least one shard")
-	}
-	if opts.DefaultTTL <= 0 {
-		opts.DefaultTTL = DefaultTTL
-	}
-	if opts.Clock == nil {
-		opts.Clock = time.Now
+	if len(shards) < 2 {
+		return nil, fmt.Errorf("inventory: a sharded pool needs at least 2 shards, got %d", len(shards))
 	}
 	s := newRouter(shards, opts)
-	if len(shards) == 1 {
-		return s, nil
-	}
 	type part struct {
 		shard int
 		h     HoldRecord
@@ -294,24 +283,21 @@ func NewShardedFrom(shards []*Inventory, opts Options) (*Sharded, error) {
 			}
 			e.window = mergeWindowParts(wins)
 		}
-		st := s.stripe(id)
-		st.m[id] = e
+		s.stripe(id).m[id] = e
 	}
 	return s, nil
 }
 
 func newRouter(shards []*Inventory, opts Options) *Sharded {
-	s := &Sharded{opts: opts, shards: shards}
+	s := &Sharded{opts: opts.withDefaults(), shards: shards}
 	s.stripes = make([]liveStripe, len(shards))
 	for i := range s.stripes {
 		s.stripes[i].m = make(map[string]*liveRes)
 		s.stripes[i].committed = make(map[string]*core.Window)
 	}
-	if len(shards) > 1 {
-		s.mergeMu.Lock()
-		s.cur.Store(s.assembleLocked())
-		s.mergeMu.Unlock()
-	}
+	s.mergeMu.Lock()
+	s.cur.Store(s.assembleLocked())
+	s.mergeMu.Unlock()
 	return s
 }
 
@@ -345,10 +331,9 @@ func (s *Sharded) GSeq() uint64 {
 
 // ---- merged snapshot ----
 
-// Snapshot returns the merged global free list. With one shard this is the
-// shard's own snapshot; otherwise the cached assembly is revalidated
-// against the live per-shard versions (n atomic loads, no allocation) and
-// reassembled only when some shard has published since.
+// Snapshot returns the merged global free list: the cached assembly is
+// revalidated against the live per-shard versions (n atomic loads, no
+// allocation) and reassembled only when some shard has published since.
 //
 // The merged list is in the same canonical (start, node, end) order the
 // single-pool snapshot uses — shards partition the node space, so the
@@ -356,9 +341,6 @@ func (s *Sharded) GSeq() uint64 {
 // sorted list, and any search over it sees the byte-identical candidate
 // stream the unsharded scan would see.
 func (s *Sharded) Snapshot() *Snapshot {
-	if len(s.shards) == 1 {
-		return s.shards[0].Snapshot()
-	}
 	c := s.cur.Load()
 	if s.fresh(c) {
 		return c.snap
@@ -423,9 +405,6 @@ func (s *Sharded) assembleLocked() *combined {
 // version vectors of both are looked up and each shard's own invalidation
 // ring is consulted. Vectors that fell off the ring answer conservatively.
 func (s *Sharded) InvalidatedSince(since, now uint64, lo, hi float64) bool {
-	if len(s.shards) == 1 {
-		return s.shards[0].InvalidatedSince(since, now, lo, hi)
-	}
 	if since == now {
 		return false
 	}
@@ -457,122 +436,108 @@ func (s *Sharded) AddChangeListener(fn func(Change)) {
 
 // ---- reserve path ----
 
+func (s *Sharded) countNoWindow() { s.noWindow.Add(1) }
+
 // Reserve searches the merged snapshot and places a hold on the winning
-// window, routing it through the two-phase path when it spans shards.
-// Retries on conflict against a fresh merge, like the single pool.
+// window. Retries on conflict against a fresh merge, like the single pool.
 func (s *Sharded) Reserve(req *job.Request, alg core.Algorithm, ttl time.Duration) (*Reservation, error) {
-	if len(s.shards) == 1 {
-		return s.shards[0].Reserve(req, alg, ttl)
-	}
-	sc := core.AcquireScanner()
-	defer core.ReleaseScanner(sc)
-	for attempt := 0; ; attempt++ {
-		snap := s.Snapshot()
-		w, err := core.FindObservedScanner(sc, alg, snap.Slots, req, s.opts.Collector)
-		if err != nil {
-			if errors.Is(err, core.ErrNoWindow) {
-				s.noWindow.Add(1)
-			}
-			return nil, err
-		}
-		res, err := s.ReserveWindow(w.Detach(), ttl)
-		if errors.Is(err, ErrConflict) && attempt+1 < reserveRetries {
-			continue
-		}
-		return res, err
-	}
+	return reserveFound(s, &s.opts, query{req: req, alg: alg}, ttl)
 }
 
 // ReserveBest runs the CSA alternative search over the merged snapshot and
 // holds the extreme-by-criterion alternative, with the same conflict
 // retry.
 func (s *Sharded) ReserveBest(req *job.Request, crit csa.Criterion, maxAlts int, ttl time.Duration) (*Reservation, error) {
-	if len(s.shards) == 1 {
-		return s.shards[0].ReserveBest(req, crit, maxAlts, ttl)
-	}
-	sc := core.AcquireScanner()
-	defer core.ReleaseScanner(sc)
-	for attempt := 0; ; attempt++ {
-		snap := s.Snapshot()
-		alts, err := csa.SearchScanner(sc, snap.Slots, req, csa.Options{
-			MaxAlternatives: maxAlts,
-			MinSlotLength:   s.opts.MinSlotLength,
-		}, s.opts.Collector)
-		if err != nil {
-			if errors.Is(err, core.ErrNoWindow) {
-				s.noWindow.Add(1)
-			}
-			return nil, err
-		}
-		res, err := s.ReserveWindow(csa.Best(alts, crit), ttl)
-		if errors.Is(err, ErrConflict) && attempt+1 < reserveRetries {
-			continue
-		}
-		return res, err
-	}
+	return reserveFound(s, &s.opts, query{req: req, crit: crit, maxAlts: maxAlts}, ttl)
 }
 
-// ReserveWindow places a hold on an externally found window. A window
-// whose placements all hash to one shard takes the fast path (one shard
-// mutation, exact TTL). A cross-shard window runs the two-phase hold:
-// prepare a sub-hold on every touched shard in ascending shard order under
-// one router-minted ID (shard TTL = client TTL + grace), and on any
-// refusal release the already-prepared sub-holds and report ErrConflict.
-// The prepare order is total, so two concurrent cross-shard reserves
-// cannot deadlock or double-book: whichever reaches a contended shard
-// first wins that span's fitsLocked check.
-func (s *Sharded) ReserveWindow(w *core.Window, ttl time.Duration) (*Reservation, error) {
-	if len(s.shards) == 1 {
-		return s.shards[0].ReserveWindow(w, ttl)
+// enter opens one mutation envelope across the given shards, locking in
+// ascending shard order — the one order every multi-shard operation uses,
+// so two of them cannot deadlock.
+func (s *Sharded) enter(shards []int) (begin time.Duration) {
+	for i, si := range shards {
+		if b := s.shards[si].enter(); i == 0 {
+			begin = b
+		}
 	}
+	return begin
+}
+
+// leave closes it: every mutex is released before any durability wait, so
+// the shards' fsyncs overlap and no lock is held across one.
+func (s *Sharded) leave(shards []int) (err error) {
+	waits := make([]func() error, len(shards))
+	for i, si := range shards {
+		waits[i] = s.shards[si].unlock()
+	}
+	for i, si := range shards {
+		s.shards[si].flushChanges()
+		if derr := awaitDurable(waits[i]); err == nil {
+			err = derr
+		}
+	}
+	return err
+}
+
+// ReserveWindow places a hold on an externally found window under the
+// mutexes of every shard it touches: each part is checked against its
+// shard, and only when all fit are they placed — under one router-minted
+// ID, a cross-shard hold's parts with shard deadline = client deadline +
+// grace — and the routing record written, all before any lock is
+// released. A Withdraw therefore sees the hold whole or not at all, and
+// whichever of two contending reserves locks a shared shard first wins the
+// span. A refusal journals one conflict, on the first shard that refused,
+// and consumes no ID.
+func (s *Sharded) ReserveWindow(w *core.Window, ttl time.Duration) (*Reservation, error) {
 	if w == nil || len(w.Placements) == 0 {
-		return nil, fmt.Errorf("inventory: cannot reserve an empty window")
+		return nil, errEmptyWindow
 	}
 	if ttl <= 0 {
 		ttl = s.opts.DefaultTTL
 	}
-	expires := s.opts.Clock().Add(ttl)
 	order, parts := splitWindowByShard(w, len(s.shards))
-	claimed := s.nextID.Add(1)
-	id := fmt.Sprintf("r%08d", claimed)
-
-	if len(order) == 1 {
-		res, err := s.shards[order[0]].ReserveWindowID(id, w, expires)
-		if err != nil {
-			// Conflicts consume no ID when uncontended (parity with the
-			// single pool); a concurrent mint keeps the gap, which is fine.
-			s.nextID.CompareAndSwap(claimed, claimed-1)
-			return nil, err
-		}
-		s.track(id, order, expires, w)
-		return res, nil
+	begin := s.enter(order)
+	expires := s.opts.Clock().Add(ttl)
+	shardExpires := expires
+	if len(order) > 1 {
+		shardExpires = expires.Add(crossShardGrace)
 	}
-
-	shardExpires := expires.Add(crossShardGrace)
-	for i, si := range order {
-		if _, err := s.shards[si].ReserveWindowID(id, parts[si], shardExpires); err != nil {
-			for _, pi := range order[:i] {
-				_ = s.shards[pi].Release(id) // roll back prepared sub-holds
-			}
-			s.nextID.CompareAndSwap(claimed, claimed-1)
-			return nil, err
+	refused := -1
+	for _, si := range order {
+		if !s.shards[si].admitsLocked("", parts[si]) {
+			refused = si
+			break
 		}
 	}
-	s.track(id, order, expires, w)
-	return &Reservation{ID: id, Window: w, Version: s.cur.Load().version, Expires: expires}, nil
-}
-
-func (s *Sharded) track(id string, order []int, expires time.Time, w *core.Window) {
-	e := &liveRes{shards: append([]int(nil), order...), expires: expires, window: w}
-	st := s.stripe(id)
-	st.mu.Lock()
-	st.m[id] = e
-	st.mu.Unlock()
+	var res *Reservation
+	if refused >= 0 {
+		s.shards[refused].reserveLocked("", parts[refused], 0, shardExpires, begin)
+	} else {
+		id := fmt.Sprintf("r%08d", s.nextID.Add(1))
+		for _, si := range order {
+			res = s.shards[si].reserveLocked(id, parts[si], 0, shardExpires, begin)
+		}
+		if len(order) > 1 {
+			res = &Reservation{ID: id, Window: w, Version: s.cur.Load().version, Expires: expires}
+		}
+		st := s.stripe(id)
+		st.mu.Lock()
+		st.m[id] = &liveRes{shards: order, expires: expires, window: w}
+		st.mu.Unlock()
+	}
+	if err := s.leave(order); err != nil {
+		return nil, err
+	}
+	if res == nil {
+		return nil, ErrConflict
+	}
+	return res, nil
 }
 
 // claim atomically removes and returns the routing record for id. Exactly
-// one of a racing Commit / Release / router sweep wins the claim; the
-// losers see nil and report ErrUnknownReservation, like the single pool.
+// one of a racing Commit / Release / Withdraw / router sweep wins the
+// claim; the losers see nil and report ErrUnknownReservation, like the
+// single pool.
 func (s *Sharded) claim(id string) *liveRes {
 	st := s.stripe(id)
 	st.mu.Lock()
@@ -585,8 +550,8 @@ func (s *Sharded) claim(id string) *liveRes {
 // splitWindowByShard groups a window's placements by owning shard,
 // preserving their order within each group, and recomputes each part's
 // aggregates with the same accumulation NewWindow uses. Returns the
-// touched shards in ascending order (the two-phase prepare order) and the
-// per-shard sub-windows.
+// touched shards in ascending order (the lock order) and the per-shard
+// sub-windows; a window on one shard is its own part.
 func splitWindowByShard(w *core.Window, n int) (order []int, parts map[int]*core.Window) {
 	parts = make(map[int]*core.Window)
 	for _, p := range w.Placements {
@@ -603,6 +568,9 @@ func splitWindowByShard(w *core.Window, n int) (order []int, parts map[int]*core
 		}
 		part.Cost += p.Cost
 		part.ProcTime += p.Exec
+	}
+	if len(order) == 1 {
+		parts[order[0]] = w
 	}
 	sort.Ints(order)
 	return order, parts
@@ -632,73 +600,61 @@ func mergeWindowParts(wins []*core.Window) *core.Window {
 
 // ---- settle path ----
 
-// Commit makes a hold permanent. For a cross-shard hold the router is the
-// expiry authority: a commit at or past the client deadline releases the
-// prepared sub-holds and reports ErrUnknownReservation, exactly as if the
-// hold had been swept (the shard-level grace exists so the sweepers cannot
-// race a fan-out that started in time). The fan-out commits in ascending
-// shard order; the committed window returned is the original (discovery
-// order), not the per-shard regrouping.
-func (s *Sharded) Commit(id string) (*core.Window, error) {
-	if len(s.shards) == 1 {
-		return s.shards[0].Commit(id)
-	}
+// settle claims a hold and moves every part of it the same way under all
+// its shards' mutexes. A commit goes through only when every part is still
+// live and the client deadline has not passed (the router is the expiry
+// authority of a cross-shard hold); otherwise — a part was cancelled by a
+// Withdraw, released on its shard or swept — the parts that remain are
+// released and the commit is refused, so no window is ever half-committed.
+// live reports how many parts were still held.
+func (s *Sharded) settle(id string, commit bool) (w *core.Window, live int, err error) {
 	e := s.claim(id)
 	if e == nil {
-		return nil, ErrUnknownReservation
+		return nil, 0, nil
 	}
-	if len(e.shards) > 1 && !e.expires.After(s.opts.Clock()) {
-		for _, si := range e.shards {
-			_ = s.shards[si].Release(id)
-		}
-		return nil, ErrUnknownReservation
-	}
-	ok := false
+	begin := s.enter(e.shards)
 	for _, si := range e.shards {
-		_, err := s.shards[si].Commit(id)
-		switch {
-		case err == nil:
-			ok = true
-		case errors.Is(err, ErrUnknownReservation):
-			// This shard's sub-hold lapsed (single-part: the whole hold).
-		default:
-			return nil, err // durability failure: latched, surface it
+		if s.shards[si].holds[id] != nil {
+			live++
 		}
 	}
-	if !ok {
+	op := OpRelease
+	if commit && live == len(e.shards) && e.expires.After(s.opts.Clock()) {
+		op, w = OpCommit, e.window
+		st := s.stripe(id)
+		st.mu.Lock()
+		st.committed[id] = e.window
+		st.mu.Unlock()
+	}
+	for _, si := range e.shards {
+		if sh := s.shards[si]; sh.holds[id] != nil {
+			sh.settleLocked(op, id, begin)
+		}
+	}
+	return w, live, s.leave(e.shards)
+}
+
+// Commit makes a hold permanent on every shard that has a part of it, or
+// on none. The committed window returned is the original (discovery
+// order), not the per-shard regrouping.
+func (s *Sharded) Commit(id string) (*core.Window, error) {
+	w, _, err := s.settle(id, true)
+	if err != nil {
+		return nil, err
+	}
+	if w == nil {
 		return nil, ErrUnknownReservation
 	}
-	st := s.stripe(id)
-	st.mu.Lock()
-	st.committed[id] = e.window
-	st.mu.Unlock()
-	return e.window, nil
+	return w, nil
 }
 
 // Release cancels a live hold on every shard that still has a part of it.
 func (s *Sharded) Release(id string) error {
-	if len(s.shards) == 1 {
-		return s.shards[0].Release(id)
+	_, live, err := s.settle(id, false)
+	if err == nil && live == 0 {
+		err = ErrUnknownReservation
 	}
-	e := s.claim(id)
-	if e == nil {
-		return ErrUnknownReservation
-	}
-	ok := false
-	for _, si := range e.shards {
-		err := s.shards[si].Release(id)
-		switch {
-		case err == nil:
-			ok = true
-		case errors.Is(err, ErrUnknownReservation):
-		default:
-			return err
-		}
-	}
-	if !ok {
-		return ErrUnknownReservation
-	}
-	return nil
+	return err
 }
 
 // Sweep reclaims lapsed holds: cross-shard holds past their client
@@ -708,35 +664,27 @@ func (s *Sharded) Release(id string) error {
 // shard mutation, exactly like the single pool; only the cross-shard
 // deadline needs the router's sweep (or the expiry+grace backstop).
 func (s *Sharded) Sweep() int {
-	if len(s.shards) == 1 {
-		return s.shards[0].Sweep()
-	}
 	now := s.opts.Clock()
-	type dead struct {
-		id string
-		e  *liveRes
-	}
-	var due []dead
+	var due []string
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
 		for id, e := range st.m {
-			if !e.expires.After(now) {
-				due = append(due, dead{id, e})
-				delete(st.m, id)
+			if e.expires.After(now) {
+				continue
+			}
+			if len(e.shards) > 1 {
+				due = append(due, id)
+			} else {
+				delete(st.m, id) // the shard's own sweeper expires it (OpExpire)
 			}
 		}
 		st.mu.Unlock()
 	}
 	n := 0
-	for _, d := range due {
-		if len(d.e.shards) == 1 {
-			continue // the shard's own sweeper expires it (OpExpire)
-		}
-		for _, si := range d.e.shards {
-			if err := s.shards[si].Release(d.id); err == nil {
-				n++
-			}
+	for _, id := range due {
+		if _, live, _ := s.settle(id, false); live > 0 {
+			n++
 		}
 	}
 	for _, sh := range s.shards {
@@ -750,9 +698,6 @@ func (s *Sharded) Sweep() int {
 // Add publishes additional capacity, partitioned to the owning shards.
 // The whole list is validated first, so a bad list mutates nothing.
 func (s *Sharded) Add(list slots.List) error {
-	if len(s.shards) == 1 {
-		return s.shards[0].Add(list)
-	}
 	if len(list) == 0 {
 		return nil
 	}
@@ -778,29 +723,16 @@ func (s *Sharded) Add(list slots.List) error {
 }
 
 // Withdraw removes a node's capacity from its owning shard. Cancelled
-// holds that span other shards have their sibling sub-holds released
-// there, so all their spans return to the pool, like the single pool.
+// holds that span other shards have their sibling parts released there, so
+// all their spans return to the pool, like the single pool.
 func (s *Sharded) Withdraw(nodeID int) ([]string, error) {
-	if len(s.shards) == 1 {
-		return s.shards[0].Withdraw(nodeID)
-	}
-	owner := ShardOf(nodeID, len(s.shards))
-	cancelled, err := s.shards[owner].Withdraw(nodeID)
-	if err != nil {
-		return nil, err
-	}
+	cancelled, err := s.shards[ShardOf(nodeID, len(s.shards))].Withdraw(nodeID)
 	for _, id := range cancelled {
-		e := s.claim(id)
-		if e == nil {
-			continue
-		}
-		for _, si := range e.shards {
-			if si != owner {
-				_ = s.shards[si].Release(id)
-			}
+		if _, _, serr := s.settle(id, false); err == nil {
+			err = serr
 		}
 	}
-	return cancelled, nil
+	return cancelled, err
 }
 
 // ---- aggregation ----
@@ -831,9 +763,6 @@ func AggregateCounters(cs ...Counters) Counters {
 // counts once), and the version/free figures come from the merged
 // snapshot.
 func (s *Sharded) Status() Status {
-	if len(s.shards) == 1 {
-		return s.shards[0].Status()
-	}
 	snap := s.Snapshot()
 	st := Status{
 		Version:   snap.Version,
@@ -865,9 +794,6 @@ func (s *Sharded) ShardStatuses() []Status {
 
 // Holds returns the distinct live hold IDs across all shards, sorted.
 func (s *Sharded) Holds() []string {
-	if len(s.shards) == 1 {
-		return s.shards[0].Holds()
-	}
 	seen := make(map[string]bool)
 	var ids []string
 	for _, sh := range s.shards {
@@ -887,9 +813,6 @@ func (s *Sharded) Holds() []string {
 // discovery order; one recovered from per-shard state is regrouped in
 // shard order with recomputed aggregates (the spans are exact either way).
 func (s *Sharded) Committed() map[string]*core.Window {
-	if len(s.shards) == 1 {
-		return s.shards[0].Committed()
-	}
 	type group struct {
 		shards []int
 		wins   []*core.Window

@@ -274,13 +274,13 @@ func driveShardedDiff(t *testing.T, seed uint64, nShards int) {
 	}
 }
 
-// TestShardedDifferential is the tentpole's conformance gate: 60+ seeds,
-// each driven at shard counts 1, 2, 4 and 8 against the unsharded oracle.
+// TestShardedDifferential is the router's conformance gate: 60 seeds, each
+// driven at shard counts 2, 4 and 8 against the unsharded oracle.
 // Byte-identical Find/Reserve/ReserveBest outcomes, IDs, deadlines, free
 // lists, hold sets and committed maps at every step.
 func TestShardedDifferential(t *testing.T) {
 	const seeds = 60
-	for _, nShards := range []int{1, 2, 4, 8} {
+	for _, nShards := range []int{2, 4, 8} {
 		nShards := nShards
 		t.Run(fmt.Sprintf("shards=%d", nShards), func(t *testing.T) {
 			for seed := uint64(1); seed <= seeds; seed++ {
@@ -483,6 +483,152 @@ func TestCrossShardWithdrawReleasesSiblings(t *testing.T) {
 	// Node 1's span (the sibling shard) must be free again.
 	if _, err := pool.ReserveWindow(spanWindow(s1), time.Hour); err != nil {
 		t.Fatalf("sibling span not released: %v", err)
+	}
+}
+
+// TestCrossShardCommitAllOrNothing: a commit that finds one part of its
+// hold gone (here released on its shard behind the router's back — what a
+// Withdraw racing the commit does) must refuse, commit nothing anywhere and
+// return the surviving parts to the pool.
+func TestCrossShardCommitAllOrNothing(t *testing.T) {
+	clk := newManualClock()
+	pool, s0, s1 := twoShardFixture(t, clk)
+	res, err := pool.ReserveWindow(spanWindow(s0, s1), time.Hour)
+	if err != nil {
+		t.Fatalf("reserve: %v", err)
+	}
+	if err := pool.Shard(1).Release(res.ID); err != nil {
+		t.Fatalf("releasing one part: %v", err)
+	}
+	if _, err := pool.Commit(res.ID); !errors.Is(err, ErrUnknownReservation) {
+		t.Fatalf("commit with a lost part: err = %v, want ErrUnknownReservation", err)
+	}
+	for i := 0; i < pool.Shards(); i++ {
+		if got := pool.Shard(i).Committed(); len(got) != 0 {
+			t.Fatalf("shard %d committed a part of a refused commit: %v", i, got)
+		}
+		if got := pool.Shard(i).Holds(); len(got) != 0 {
+			t.Fatalf("shard %d still holds a part of a refused commit: %v", i, got)
+		}
+	}
+	if got := pool.Committed(); len(got) != 0 {
+		t.Fatalf("pool reports a refused commit as committed: %v", got)
+	}
+	if _, err := pool.ReserveWindow(spanWindow(s0, s1), time.Hour); err != nil {
+		t.Fatalf("spans not free after the refused commit: %v", err)
+	}
+}
+
+// TestCrossShardCommitVsOwnerChurn runs reserve→commit clients against
+// owners withdrawing and re-adding their nodes, with nothing serializing
+// the two. Whatever the interleaving, a window the client was told is
+// committed must be committed in full on its shards, and no two committed
+// windows may share a span.
+func TestCrossShardCommitVsOwnerChurn(t *testing.T) {
+	const (
+		nodeCount = 12
+		clients   = 6
+		churners  = 3
+		bookings  = 60
+	)
+	var list slots.List
+	perNode := make(map[int]slots.List)
+	for id := 0; id < nodeCount; id++ {
+		n := testkit.Node(id, 4, 1)
+		for k := 0; k < 40; k++ {
+			sl := testkit.Slot(n, float64(k*100), float64(k*100+90))
+			list = append(list, sl)
+			perNode[id] = append(perNode[id], sl)
+		}
+	}
+	pool, err := NewSharded(list, Options{MinSlotLength: 1, DefaultTTL: time.Hour, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var churn, book sync.WaitGroup
+	for c := 0; c < churners; c++ {
+		churn.Add(1)
+		go func(c int) {
+			defer churn.Done()
+			for nid := c; ; nid = (nid + churners) % nodeCount {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := pool.Withdraw(nid); err != nil {
+					t.Errorf("withdraw(%d): %v", nid, err)
+				}
+				if err := pool.Add(perNode[nid]); err != nil {
+					t.Errorf("add(%d): %v", nid, err)
+				}
+			}
+		}(c)
+	}
+	var mu sync.Mutex
+	acked := make(map[string]*core.Window)
+	for c := 0; c < clients; c++ {
+		book.Add(1)
+		go func(c int) {
+			defer book.Done()
+			rng := randx.New(uint64(100 + c))
+			for i := 0; i < bookings; i++ {
+				req := job.Request{TaskCount: rng.IntRange(2, 4), Volume: rng.FloatRange(20, 80), MaxCost: 1e6}
+				res, err := pool.Reserve(&req, core.AMP{}, time.Hour)
+				if err != nil {
+					continue // conflict or no window: fine under churn
+				}
+				w, err := pool.Commit(res.ID)
+				if errors.Is(err, ErrUnknownReservation) {
+					continue // cancelled by a withdraw before the commit
+				}
+				if err != nil {
+					t.Errorf("commit(%s): %v", res.ID, err)
+					continue
+				}
+				mu.Lock()
+				acked[res.ID] = w
+				mu.Unlock()
+			}
+		}(c)
+	}
+	book.Wait()
+	close(stop)
+	churn.Wait()
+
+	committed := pool.Committed()
+	if len(committed) != len(acked) {
+		t.Errorf("pool reports %d committed windows, clients were acked %d", len(committed), len(acked))
+	}
+	used := make(map[int][]slots.Interval)
+	for id, w := range acked {
+		got := committed[id]
+		if got == nil {
+			t.Errorf("%s was acked but is not committed", id)
+			continue
+		}
+		onShards := 0
+		for i := 0; i < pool.Shards(); i++ {
+			if part := pool.Shard(i).Committed()[id]; part != nil {
+				onShards += len(part.Placements)
+			}
+		}
+		if len(got.Placements) != len(w.Placements) || onShards != len(w.Placements) {
+			t.Errorf("%s: acked %d placements, pool reports %d, shards hold %d",
+				id, len(w.Placements), len(got.Placements), onShards)
+		}
+		for nid, ivs := range w.UsedIntervals() {
+			for _, iv := range ivs {
+				for _, other := range used[nid] {
+					if iv.Overlaps(other) {
+						t.Errorf("double booking on node %d: %s takes %v, already committed %v", nid, id, iv, other)
+					}
+				}
+				used[nid] = append(used[nid], iv)
+			}
+		}
 	}
 }
 

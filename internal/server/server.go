@@ -852,29 +852,9 @@ func (s *Server) decodeSearch(w http.ResponseWriter, r *http.Request) (*searchBo
 		writeError(w, http.StatusBadRequest, err.Error())
 		return nil, nil, false
 	}
-	in := &searchInputs{req: req}
-	if body.CSA != "" {
-		crit, ok := criterionByName(body.CSA)
-		if !ok {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown CSA criterion %q", body.CSA))
-			return nil, nil, false
-		}
-		in.useCSA, in.crit = true, crit
-		in.key = inventory.NewCacheKey(req, "csa:"+crit.String())
-		annotateAlg(r.Context(), "csa:"+crit.String())
-	} else {
-		name := body.Alg
-		if name == "" {
-			name = "amp"
-		}
-		alg, err := slotsel.AlgorithmByName(name, 1)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return nil, nil, false
-		}
-		in.alg = alg
-		in.key = inventory.NewCacheKey(req, alg.Name())
-		annotateAlg(r.Context(), name)
+	in, ok := resolveSearch(w, r, req, body.Alg, body.CSA)
+	if !ok {
+		return nil, nil, false
 	}
 	if body.TTLSeconds < 0 {
 		writeError(w, http.StatusBadRequest, "ttl_seconds must be >= 0")
@@ -882,6 +862,37 @@ func (s *Server) decodeSearch(w http.ResponseWriter, r *http.Request) (*searchBo
 	}
 	in.ttl = time.Duration(body.TTLSeconds * float64(time.Second))
 	return &body, in, true
+}
+
+// resolveSearch names the search of a decoded request — a CSA criterion
+// when csaName is set, else the algorithm algName (default "amp") — and
+// keys it for the find cache. Shared by the /v1/find and /v1/reserve body
+// and the /v1/watch query string.
+func resolveSearch(w http.ResponseWriter, r *http.Request, req *slotsel.Request, algName, csaName string) (*searchInputs, bool) {
+	in := &searchInputs{req: req}
+	if csaName != "" {
+		crit, ok := criterionByName(csaName)
+		if !ok {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown CSA criterion %q", csaName))
+			return nil, false
+		}
+		in.useCSA, in.crit = true, crit
+		in.key = inventory.NewCacheKey(req, "csa:"+crit.String())
+		annotateAlg(r.Context(), "csa:"+crit.String())
+		return in, true
+	}
+	if algName == "" {
+		algName = "amp"
+	}
+	alg, err := slotsel.AlgorithmByName(algName, 1)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return nil, false
+	}
+	in.alg = alg
+	in.key = inventory.NewCacheKey(req, alg.Name())
+	annotateAlg(r.Context(), algName)
+	return in, true
 }
 
 type searchInputs struct {

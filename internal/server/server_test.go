@@ -36,20 +36,11 @@ func testShards() int {
 // matrix knob asks for it.
 func testPool(t *testing.T, list slots.List) inventory.Pool {
 	t.Helper()
-	opts := inventory.Options{MinSlotLength: 1}
-	if n := testShards(); n > 1 {
-		opts.Shards = n
-		pool, err := inventory.NewSharded(list, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pool
-	}
-	inv, err := inventory.New(list, opts)
+	pool, err := inventory.NewPool(list, inventory.Options{MinSlotLength: 1, Shards: testShards()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return inv
+	return pool
 }
 
 func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server, inventory.Pool) {

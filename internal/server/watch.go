@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
@@ -11,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"slotsel"
 	"slotsel/internal/core"
 	"slotsel/internal/inventory"
 	"slotsel/internal/persist"
@@ -139,31 +137,7 @@ func (s *Server) decodeWatch(w http.ResponseWriter, r *http.Request) (*searchInp
 		writeError(w, http.StatusBadRequest, err.Error())
 		return nil, false
 	}
-	in := &searchInputs{req: req}
-	if name := q.Get("csa"); name != "" {
-		crit, ok := criterionByName(name)
-		if !ok {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown CSA criterion %q", name))
-			return nil, false
-		}
-		in.useCSA, in.crit = true, crit
-		in.key = inventory.NewCacheKey(req, "csa:"+crit.String())
-		annotateAlg(r.Context(), "csa:"+crit.String())
-	} else {
-		name := q.Get("alg")
-		if name == "" {
-			name = "amp"
-		}
-		alg, err := slotsel.AlgorithmByName(name, 1)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return nil, false
-		}
-		in.alg = alg
-		in.key = inventory.NewCacheKey(req, alg.Name())
-		annotateAlg(r.Context(), name)
-	}
-	return in, true
+	return resolveSearch(w, r, req, q.Get("alg"), q.Get("csa"))
 }
 
 // handleWatch is the long-poll: search now, and if no window exists, park

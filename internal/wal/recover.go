@@ -205,13 +205,11 @@ func rebuild(res *RecoverResult, invOpts inventory.Options) (*inventory.Inventor
 	frozen := time.Unix(0, 0)
 	invOpts.Clock = func() time.Time { return frozen }
 
-	var inv *inventory.Inventory
-	var err error
-	if res.State != nil {
-		inv, err = inventory.Restore(res.State, invOpts)
-	} else {
-		inv, err = inventory.Replay(nil, invOpts)
+	st := res.State
+	if st == nil {
+		st = &inventory.State{} // log only: the empty pre-construction base
 	}
+	inv, err := inventory.Restore(st, invOpts)
 	if err != nil {
 		return nil, err
 	}

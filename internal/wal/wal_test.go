@@ -14,6 +14,7 @@ import (
 	"slotsel/internal/core"
 	"slotsel/internal/inventory"
 	"slotsel/internal/job"
+	"slotsel/internal/obs"
 	"slotsel/internal/randx"
 	"slotsel/internal/testkit"
 )
@@ -308,6 +309,47 @@ func TestGroupCommitUnderConcurrency(t *testing.T) {
 	defer store2.Close()
 	if got, want := stateSig(rec), stateSig(inv); got != want {
 		t.Fatalf("concurrent run recovery differs:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestLogOnlyRecoveryKeepsCallerOptions: a directory holding a log but no
+// snapshot must recover under the caller's options like one with a
+// snapshot does — searches reach the Collector and a default-TTL hold
+// lapses after Options.DefaultTTL.
+func TestLogOnlyRecoveryKeepsCallerOptions(t *testing.T) {
+	dir := t.TempDir()
+	_, store := churnLeader(t, dir, 5, 20, Options{NoSync: true})
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if snaps, _ := listSnapshots(dir); len(snaps) != 0 {
+		t.Fatalf("fixture broken: %d snapshots in a log-only directory", len(snaps))
+	}
+	stats, trace := &obs.Stats{}, obs.NewTrace(16)
+	now := time.Unix(1_900_000_000, 0)
+	rec, store2, _, err := Open(dir, inventory.Options{
+		MinSlotLength: 1,
+		DefaultTTL:    5 * time.Second,
+		Collector:     obs.Combine(stats, trace),
+		Clock:         func() time.Time { return now },
+	}, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store2.Close()
+	res, err := rec.Reserve(&job.Request{TaskCount: 1, Volume: 20, MaxCost: 5000}, core.AMP{}, 0)
+	if err != nil {
+		t.Fatalf("reserve on the recovered pool: %v", err)
+	}
+	if want := now.Add(5 * time.Second); !res.Expires.Equal(want) {
+		t.Errorf("default-TTL hold expires %v, want %v", res.Expires, want)
+	}
+	if got := stats.Snapshot().Selects["AMP"].Searches; got != 1 {
+		t.Errorf("collector saw %d AMP searches, want 1", got)
+	}
+	spans := trace.Spans()
+	if len(spans) == 0 || spans[len(spans)-1].Name != "inventory.Reserve" {
+		t.Errorf("collector saw spans %v, want a final inventory.Reserve", spans)
 	}
 }
 
