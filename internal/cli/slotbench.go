@@ -53,6 +53,10 @@ type benchResult struct {
 	Shards  int `json:"shards,omitempty"`
 	Workers int `json:"workers,omitempty"`
 
+	// Horizon is the scheduling interval of the reserve_release bench's
+	// pool (1024 nodes; Slots grows with it). Zero for the other benches.
+	Horizon int `json:"horizon,omitempty"`
+
 	// NsPerOp is the minimum wall time of one operation over Iters timed
 	// repetitions.
 	NsPerOp int64 `json:"ns_per_op"`
@@ -66,11 +70,18 @@ type benchResult struct {
 	BytesPerOp  float64 `json:"bytes_per_op"`
 }
 
-// benchFile is the overall BENCH_5.json shape.
+// benchFile is the overall BENCH_<issue>.json shape. The machine header
+// (ROADMAP aim 1) says what the numbers were measured on. Before, when
+// present, holds rows of the same names measured on the parent commit with
+// the same harness — the file of a PR that claims a gain carries both.
 type benchFile struct {
-	Issue   int           `json:"issue"`
-	Seed    uint64        `json:"seed"`
-	Results []benchResult `json:"results"`
+	Issue      int           `json:"issue"`
+	Seed       uint64        `json:"seed"`
+	Go         string        `json:"go,omitempty"`
+	GOMAXPROCS int           `json:"gomaxprocs,omitempty"`
+	NProc      int           `json:"nproc,omitempty"`
+	Results    []benchResult `json:"results"`
+	Before     []benchResult `json:"before,omitempty"`
 }
 
 // Slotbench is the reproducible benchmark harness of the incremental
@@ -141,7 +152,7 @@ func Slotbench(args []string, stdout, stderr io.Writer) int {
 	if *outPath == "" {
 		*outPath = fmt.Sprintf("BENCH_%d.json", *issue)
 	}
-	file := benchFile{Issue: *issue, Seed: *seed}
+	file := benchFile{Issue: *issue, Seed: *seed, Go: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0), NProc: runtime.NumCPU()}
 	for _, bo := range ops {
 		times := benchTimes(*iters, bo.op)
 		allocs, bytes := benchAlloc(bo.allocRounds, bo.op)
@@ -308,7 +319,54 @@ func benchOpsGrid(seed uint64, nodeCounts, taskCounts []int) ([]benchOp, error) 
 	if err != nil {
 		return nil, err
 	}
-	return append(ops, churn...), nil
+	deep, err := benchReserveReleaseOps()
+	if err != nil {
+		return nil, err
+	}
+	return append(append(ops, churn...), deep...), nil
+}
+
+// benchReserveReleaseOps is the flat-in-m gate: one search + hold + release
+// cycle on the repository benchmark's book_deep pool (testkit.DeepPool) at
+// about 6 k, 48 k and 380 k free slots — the inventory package's
+// BenchmarkReserveReleaseChurn rows, under the same names. Publication
+// edits the leaves a hold touches, so the three rows are meant to cost the
+// same; a mutation that walks the pool again shows up as the deep rows
+// regressing against the baseline while the shallow one does not.
+func benchReserveReleaseOps() ([]benchOp, error) {
+	var ops []benchOp
+	for _, horizon := range []int{600, 6000, 48000} {
+		list, req := testkit.DeepPool(float64(horizon))
+		inv, err := inventory.New(list, inventory.Options{})
+		if err != nil {
+			return nil, err
+		}
+		// One checked cycle: the timed op below ignores errors, and a reserve
+		// that fails (a broken path, an exhausted pool) would record a very
+		// fast row that measures nothing. A released hold leaves the pool as
+		// it was, so a cycle that works once works every time.
+		res, err := inv.Reserve(&req, core.AMP{}, time.Hour)
+		if err == nil {
+			err = inv.Release(res.ID)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("reserve_release at horizon %d: %w", horizon, err)
+		}
+		meta := benchResult{Bench: "reserve_release", Nodes: 1024, Slots: len(list), Tasks: req.TaskCount, Horizon: horizon}
+		ops = append(ops, benchOp{
+			name:        benchName(meta),
+			meta:        meta,
+			allocRounds: churnAllocRounds,
+			op: func() {
+				res, err := inv.Reserve(&req, core.AMP{}, time.Hour)
+				if err != nil {
+					return
+				}
+				_ = inv.Release(res.ID)
+			},
+		})
+	}
+	return ops, nil
 }
 
 // benchChurnOps is the shard-sweep: the identical Reserve→Release churn
@@ -317,15 +375,15 @@ func benchOpsGrid(seed uint64, nodeCounts, taskCounts []int) ([]benchOp, error) 
 // windows (found once against the initial snapshot; a released window is
 // immediately reservable again, so the pool returns to its starting state
 // every op), which isolates the mutation path the sharding tentpole
-// targets: per-shard locking and the O(slots/shard) snapshot
-// republication, with no search time mixed in. One op is a full pass —
-// every window reserved and released once — so ns_per_op at equal work
-// divides out directly into the cross-shard speedup.
+// targeted: per-shard locking and publication (O(slots/shard) per
+// mutation when these rows were added, O(touched) since publication became
+// an edit of a persistent sequence), with no search time mixed in. One op
+// is a full pass — every window reserved and released once — so ns_per_op
+// at equal work divides out directly into the cross-shard speedup.
 func benchChurnOps(seed uint64) ([]benchOp, error) {
 	// A dense instance — many slots per node — so the cost under
-	// measurement is the one sharding divides: the O(slots/shard)
-	// republication splice behind every mutation. Slots are laid out with
-	// gaps so interval merging cannot collapse them.
+	// measurement is the publication behind every mutation. Slots are laid
+	// out with gaps so interval merging cannot collapse them.
 	const (
 		churnNodes        = 64
 		churnSlotsPerNode = 48

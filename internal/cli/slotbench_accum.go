@@ -50,6 +50,8 @@ func benchName(r benchResult) string {
 		return fmt.Sprintf("BenchmarkBatch/nodes=%d/jobs=%d", r.Nodes, r.Jobs)
 	case "churn":
 		return fmt.Sprintf("BenchmarkChurn/shards=%d/workers=%d/nodes=%d", r.Shards, r.Workers, r.Nodes)
+	case "reserve_release":
+		return fmt.Sprintf("BenchmarkReserveReleaseChurn/nodes=%d/horizon=%d", r.Nodes, r.Horizon)
 	}
 	return "Benchmark" + r.Bench
 }

@@ -35,9 +35,10 @@ func TestSlotbenchBenchfmt(t *testing.T) {
 		t.Fatalf("output not parseable: %v", err)
 	}
 	// 9 algorithms x 2 kernels + cached/uncached service find + 1 CSA +
-	// 1 batch + churn at shards {1,2,4} x workers {1,4} = 28 benchmarks.
-	if len(set.Benchmarks) != 28 {
-		t.Errorf("parsed %d benchmarks, want 28", len(set.Benchmarks))
+	// 1 batch + churn at shards {1,2,4} x workers {1,4} + the deep
+	// reserve/release cycle at 3 horizons = 31 benchmarks.
+	if len(set.Benchmarks) != 31 {
+		t.Errorf("parsed %d benchmarks, want 31", len(set.Benchmarks))
 	}
 	sawCached := false
 	for name, units := range set.Benchmarks {

@@ -50,11 +50,20 @@ func FindObserved(alg Algorithm, list slots.List, req *job.Request, col obs.Coll
 // window is scanner-owned — valid until sc's next search — and must be
 // Detached if kept.
 func FindObservedScanner(sc *Scanner, alg Algorithm, list slots.List, req *job.Request, col obs.Collector) (*Window, error) {
+	return FindCursor(sc, alg, list.Cursor(), req, col)
+}
+
+// FindCursor is FindObservedScanner over whatever the cursor walks: for a
+// published sequence (seq.Cursor()) the same scan loop goes leaf by leaf,
+// without the per-search order check a List needs (a Seq's leaves were
+// verified when built) and without flattening. Same window, same ScanStats
+// as a search over seq.Flatten().
+func FindCursor(sc *Scanner, alg Algorithm, cur slots.Cursor, req *job.Request, col obs.Collector) (*Window, error) {
 	if col == nil {
-		return sc.FindObserved(alg, list, req, nil)
+		return sc.find(alg, cur, req, nil)
 	}
 	begin := obs.Now()
-	w, err := sc.FindObserved(alg, list, req, col)
+	w, err := sc.find(alg, cur, req, col)
 	elapsed := obs.Now() - begin
 	col.SelectDone(obs.SelectStats{Alg: alg.Name(), Found: w != nil, Elapsed: elapsed})
 	col.Span(obs.Span{Name: alg.Name(), Cat: "select", Start: begin, Dur: elapsed})

@@ -95,7 +95,7 @@ func ScanObserved(list slots.List, req *job.Request, visit VisitFunc, col obs.Co
 	}
 	sc := AcquireScanner()
 	defer ReleaseScanner(sc)
-	return scanLoop(list, req, col, false, &sc.win, func(start float64, ix *WindowIndex) bool {
+	return scanLoop(list.Cursor(), req, col, false, &sc.win, func(start float64, ix *WindowIndex) bool {
 		return visit(start, ix.cands)
 	})
 }
@@ -112,7 +112,7 @@ func ScanIndexed(list slots.List, req *job.Request, visit IndexedVisitFunc, col 
 	}
 	sc := AcquireScanner()
 	defer ReleaseScanner(sc)
-	return scanLoop(list, req, col, true, &sc.win, visit)
+	return scanLoop(list.Cursor(), req, col, true, &sc.win, visit)
 }
 
 // scanLoop is the single shared scan implementation. Slots sharing a start
@@ -122,17 +122,23 @@ func ScanIndexed(list slots.List, req *job.Request, visit IndexedVisitFunc, col 
 // of a partially built window, and the other algorithms pay one selection
 // call per distinct start rather than one per tied slot.
 //
+// The slots arrive through a cursor, leaf by leaf: a caller's slots.List is
+// one leaf, a published slots.Seq many, and a run of equal starts carries
+// on across a leaf boundary exactly as it does inside a leaf. Only a
+// wrapped List is order-checked here (in full, every call); the leaves of a
+// Seq were verified when they were built.
+//
 // win is caller-provided recycled state (a Scanner's index): the loop
 // resets it and reuses its capacity, so a warmed-up scan allocates nothing
 // for window maintenance. Its size is bounded by the node count (per node,
 // free slots are disjoint, and every retained slot contains the current
 // start), which is what makes the per-step maintenance cost O(nodes) and
 // the whole scan O(m x nodes).
-func scanLoop(list slots.List, req *job.Request, col obs.Collector, indexed bool, win *WindowIndex, visit IndexedVisitFunc) error {
+func scanLoop(cur slots.Cursor, req *job.Request, col obs.Collector, indexed bool, win *WindowIndex, visit IndexedVisitFunc) error {
 	if err := req.Validate(); err != nil {
 		return err
 	}
-	if !list.IsSortedByStart() {
+	if !cur.Ordered() {
 		return fmt.Errorf("core: slot list is not ordered by start time")
 	}
 	var begin time.Duration
@@ -144,13 +150,16 @@ func scanLoop(list slots.List, req *job.Request, col obs.Collector, indexed bool
 	win.reset()
 	win.mirror = indexed
 
-	for i := 0; i < len(list); {
-		start := list[i].Start
+	for leaf, i := cur.Next(), 0; leaf != nil; {
+		start := leaf[i].Start
 		added := false
 		// Coalesce: admit every suitable slot sharing this start time
 		// before filtering and visiting once.
-		for ; i < len(list) && list[i].Start == start; i++ {
-			s := list[i]
+		for leaf != nil && leaf[i].Start == start {
+			s := leaf[i]
+			if i++; i == len(leaf) {
+				leaf, i = cur.Next(), 0
+			}
 			st.Slots++
 			if !req.Matches(s.Node) {
 				continue // the slot does not meet the requirements

@@ -143,6 +143,12 @@ func WarmScanners(n int) {
 // allocation-free visitor; unknown third-party algorithms fall back to
 // their own Find/FindObserved.
 func (sc *Scanner) FindObserved(alg Algorithm, list slots.List, req *job.Request, col obs.Collector) (*Window, error) {
+	return sc.find(alg, list.Cursor(), req, col)
+}
+
+// find is the search behind every scanner entry: over a caller's list
+// (FindObserved) or a published sequence (FindCursor), through the same cursor.
+func (sc *Scanner) find(alg Algorithm, cur slots.Cursor, req *job.Request, col obs.Collector) (*Window, error) {
 	v := &sc.vis
 	v.reset(req)
 	indexed := true
@@ -183,9 +189,9 @@ func (sc *Scanner) FindObserved(alg Algorithm, list slots.List, req *job.Request
 		// result is already caller-owned, which Detach treats as a plain
 		// copy, so the calling convention stays uniform.
 		if of, ok := alg.(ObservedFinder); ok {
-			return of.FindObserved(list, req, col)
+			return of.FindObserved(cur.List(), req, col)
 		}
-		return alg.Find(list, req)
+		return alg.Find(cur.List(), req)
 	}
 
 	var err error
@@ -194,14 +200,14 @@ func (sc *Scanner) FindObserved(alg Algorithm, list slots.List, req *job.Request
 		if indexWrap != nil {
 			fn = indexWrap(fn)
 		}
-		err = scanLoop(list, req, col, true, &sc.win, fn)
+		err = scanLoop(cur, req, col, true, &sc.win, fn)
 	} else {
 		fn := sc.plainIxFn
 		if visitWrap != nil {
 			wrapped := visitWrap(sc.plainFn)
 			fn = func(start float64, win *WindowIndex) bool { return wrapped(start, win.cands) }
 		}
-		err = scanLoop(list, req, col, false, &sc.win, fn)
+		err = scanLoop(cur, req, col, false, &sc.win, fn)
 	}
 	if err != nil {
 		return nil, err
@@ -402,21 +408,6 @@ func (sc *Scanner) selectRandomScratch(cands []Candidate, n int, budget float64)
 
 // ---- CSA working-copy machinery ----
 
-// slotLess is the SortByStart comparator as a predicate: (start, node ID,
-// end). Per-node slots are disjoint, so no two slots of a valid list share
-// (start, node ID) and the order is total — which is what lets the cutting
-// edits below maintain sortedness incrementally with the exact same
-// resulting sequence a full re-sort would produce.
-func slotLess(a, b *slots.Slot) bool {
-	if a.Start != b.Start {
-		return a.Start < b.Start
-	}
-	if a.Node.ID != b.Node.ID {
-		return a.Node.ID < b.Node.ID
-	}
-	return a.End < b.End
-}
-
 // BeginWork loads a mutable working copy of the list into the scanner:
 // slot values are copied into arena-recycled structs (the input list and
 // its slots are never touched), so repeated CutWindow calls edit
@@ -458,7 +449,9 @@ func (sc *Scanner) newSlot() *slots.Slot {
 // pairwise distinct nodes, so every cut touches exactly one working slot —
 // shrink it, split it, or drop it — and remainders shorter than minLength
 // are suppressed exactly as slots.Subtract would. Sort order is maintained
-// by in-place edits (see slotLess), so no re-sort is needed.
+// by in-place edits — slots.Before is a total order on a valid list, so
+// they leave exactly the sequence a full re-sort would — and no re-sort is
+// needed.
 //
 // The window's placements must reference slots of the current working copy
 // (i.e. a window returned by FindObserved over Work()). Detach any
@@ -503,12 +496,12 @@ func (sc *Scanner) cutSlot(s *slots.Slot, cutStart, cutEnd, minLength float64) {
 // workIndex locates a working slot by binary search on (start, node, end),
 // confirming by identity.
 func (sc *Scanner) workIndex(s *slots.Slot) int {
-	i := sort.Search(len(sc.work), func(j int) bool { return !slotLess(sc.work[j], s) })
+	i := sort.Search(len(sc.work), func(j int) bool { return !slots.Before(sc.work[j], s) })
 	for ; i < len(sc.work); i++ {
 		if sc.work[i] == s {
 			return i
 		}
-		if slotLess(s, sc.work[i]) {
+		if slots.Before(s, sc.work[i]) {
 			break
 		}
 	}
@@ -516,7 +509,7 @@ func (sc *Scanner) workIndex(s *slots.Slot) int {
 }
 
 func (sc *Scanner) insertWork(s *slots.Slot) {
-	pos := sort.Search(len(sc.work), func(j int) bool { return slotLess(s, sc.work[j]) })
+	pos := sort.Search(len(sc.work), func(j int) bool { return slots.Before(s, sc.work[j]) })
 	sc.work = append(sc.work, nil)
 	copy(sc.work[pos+1:], sc.work[pos:])
 	sc.work[pos] = s

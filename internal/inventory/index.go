@@ -1,7 +1,10 @@
 package inventory
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"sync"
 
 	"slotsel/internal/core"
@@ -11,8 +14,10 @@ import (
 // This file is the event-driven half of the inventory: instead of
 // rebuilding the whole free list on every mutation (freeLocked — retained
 // as the differential oracle), the inventory maintains a persistent
-// per-node index of free slots and re-cuts only the nodes a mutation
-// touched. Each publication also records a conservative time-range
+// per-node index of free slots, re-cuts only the nodes a mutation touched
+// and publishes the difference as an edit of a persistent sequence
+// (slots.Seq), so a mutation costs what it touched, not the pool. Each
+// publication also records a conservative time-range
 // invalidation — the contract consumed by the Find cache and the
 // /v1/watch subscription hub: "free capacity overlapping [Lo, Hi) may
 // have changed at version V; everything outside is bit-identical to the
@@ -53,30 +58,54 @@ func (c Change) Overlaps(lo, hi float64) bool {
 // headroom is far beyond any realistic cache-entry staleness.
 const maxInvalRetained = 1024
 
-// invalRing is the version-indexed history of published changes. Versions
-// are consecutive (every publication appends exactly one entry), so entry
-// i covers version base+i.
+// versionRing retains the last maxInvalRetained values of a series with
+// consecutive versions. The buffer grows by append until full and is then
+// overwritten in place, indexed modulo its size — no entry ever moves.
+type versionRing[T any] struct {
+	start uint64 // version stored in buf[0] when the ring last (re)started
+	base  uint64 // oldest retained version; 0 = ring empty
+	buf   []T
+}
+
+// put records the value of version. A version that does not follow the last
+// one (the first ever, or a discontinuity: Restore/ResetTo set the version
+// directly) restarts the ring there.
+func (r *versionRing[T]) put(version uint64, v T) {
+	switch {
+	case r.base == 0 || version != r.end():
+		r.start, r.base = version, version
+		r.buf = append(r.buf[:0], v)
+	case len(r.buf) < maxInvalRetained:
+		r.buf = append(r.buf, v)
+	default:
+		r.buf[(version-r.start)%maxInvalRetained] = v
+		r.base++
+	}
+}
+
+// end is the version after the newest retained one.
+func (r *versionRing[T]) end() uint64 { return r.base + uint64(len(r.buf)) }
+
+// holds reports whether version is retained.
+func (r *versionRing[T]) holds(version uint64) bool {
+	return r.base != 0 && version >= r.base && version < r.end()
+}
+
+// at returns the value of a retained version.
+func (r *versionRing[T]) at(version uint64) T {
+	return r.buf[(version-r.start)%maxInvalRetained]
+}
+
+// invalRing is the version-indexed history of published changes: every
+// publication appends exactly one entry.
 type invalRing struct {
-	mu      sync.RWMutex
-	base    uint64 // version of entries[0]; 0 = ring empty
-	entries []Change
+	mu   sync.RWMutex
+	ring versionRing[Change]
 }
 
 func (r *invalRing) append(c Change) {
 	r.mu.Lock()
-	if r.base == 0 || c.Version != r.base+uint64(len(r.entries)) {
-		// First entry, or a version discontinuity (Restore/ResetTo set the
-		// version directly): restart the ring at this version.
-		r.base = c.Version
-		r.entries = append(r.entries[:0], c)
-	} else {
-		r.entries = append(r.entries, c)
-		if len(r.entries) > maxInvalRetained {
-			drop := len(r.entries) - maxInvalRetained
-			r.base += uint64(drop)
-			r.entries = append(r.entries[:0], r.entries[drop:]...)
-		}
-	}
+	r.ring.put(c.Version, c)
 	r.mu.Unlock()
 }
 
@@ -93,15 +122,13 @@ func (r *invalRing) invalidatedSince(since, now uint64, lo, hi float64) bool {
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if r.base == 0 || since+1 < r.base {
-		return true // history evicted or never recorded
-	}
-	last := r.base + uint64(len(r.entries)) - 1
-	if now > last {
-		return true // ring has not seen `now` (foreign snapshot): be conservative
+	// Unknown history: evicted or never recorded (since+1), or a version
+	// the ring has not seen (now: a foreign snapshot).
+	if !r.ring.holds(since+1) || !r.ring.holds(now) {
+		return true
 	}
 	for v := since + 1; v <= now; v++ {
-		if r.entries[v-r.base].Overlaps(lo, hi) {
+		if r.ring.at(v).Overlaps(lo, hi) {
 			return true
 		}
 	}
@@ -146,151 +173,151 @@ func (inv *Inventory) flushChanges() {
 	}
 }
 
-// cutNodeLocked recomputes one node's free slot list: base spans minus
-// live allocations, fragments under MinSlotLength suppressed — the same
-// slot calculus freeLocked applies globally, restricted to one node.
-func (inv *Inventory) cutNodeLocked(nid int) slots.List {
-	base := inv.base[nid]
-	if len(base) == 0 {
-		return nil
-	}
+// cutLocked returns the free slots of some of a node's base spans: the
+// spans minus the node's live allocations, fragments under MinSlotLength
+// suppressed — slots.Cut, the slot calculus freeLocked applies globally,
+// restricted to those spans.
+func (inv *Inventory) cutLocked(nid int, spans []slots.Interval) slots.List {
 	n := inv.nodes[nid]
-	l := make(slots.List, 0, len(base))
-	for _, iv := range base {
-		l = append(l, &slots.Slot{Node: n, Interval: iv})
+	l := make(slots.List, len(spans))
+	for i, iv := range spans {
+		l[i] = &slots.Slot{Node: n, Interval: iv}
 	}
 	return slots.Cut(l, inv.alloc, inv.opts.MinSlotLength)
 }
 
-// diffRange bounds the time range where two sorted same-node free lists
-// differ. Equal intervals are trimmed from both ends; the union of what
-// remains on either side is the changed range. Sound because both lists
-// are sorted and pairwise disjoint: every interval present in one but
-// not the other lies in the untrimmed middle.
-func diffRange(old, cur slots.List) (lo, hi float64, changed bool) {
-	i := 0
-	for i < len(old) && i < len(cur) && old[i].Interval == cur[i].Interval {
-		i++
-	}
-	jo, jc := len(old), len(cur)
-	for jo > i && jc > i && old[jo-1].Interval == cur[jc-1].Interval {
-		jo, jc = jo-1, jc-1
-	}
-	if i >= jo && i >= jc {
-		return 0, 0, false
-	}
-	lo, hi = math.Inf(1), math.Inf(-1)
-	for _, s := range old[i:jo] {
-		lo, hi = math.Min(lo, s.Start), math.Max(hi, s.End)
-	}
-	for _, s := range cur[i:jc] {
-		lo, hi = math.Min(lo, s.Start), math.Max(hi, s.End)
-	}
-	return lo, hi, true
+// firstEndingAfter indexes the first of the sorted, disjoint spans that
+// ends after t — the first one an interval starting at t can overlap.
+func firstEndingAfter(spans []slots.Interval, t float64) int {
+	return sort.Search(len(spans), func(i int) bool { return spans[i].End > t })
 }
 
-// slotBefore is the (start, nodeID, end) order SortByStart establishes —
-// the global free list is always published in this order, whether built
-// by freeLocked or spliced incrementally.
-func slotBefore(a, b *slots.Slot) bool {
-	if a.Start != b.Start {
-		return a.Start < b.Start
+// recutLocked re-cuts a run of consecutive base spans of a node and splices
+// the result into the node's index in place. Equal intervals are trimmed
+// from both ends and keep their *Slot; of what remains, the old slots are
+// appended to del and the new ones to ins. Sound because old and new are
+// sorted and pairwise disjoint: every interval present in one but not the
+// other lies in the untrimmed middle.
+func (inv *Inventory) recutLocked(nid int, spans []slots.Interval, del, ins *slots.List) {
+	free := inv.free[nid]
+	a := sort.Search(len(free), func(i int) bool { return free[i].Start >= spans[0].Start })
+	b := a
+	for b < len(free) && free[b].Start < spans[len(spans)-1].End {
+		b++
 	}
-	if a.Node.ID != b.Node.ID {
-		return a.Node.ID < b.Node.ID
+	old, cur := free[a:b], inv.cutLocked(nid, spans)
+	for len(old) > 0 && len(cur) > 0 && old[0].Interval == cur[0].Interval {
+		old, cur, a = old[1:], cur[1:], a+1
 	}
-	return a.End < b.End
+	for len(old) > 0 && len(cur) > 0 && old[len(old)-1].Interval == cur[len(cur)-1].Interval {
+		old, cur = old[:len(old)-1], cur[:len(cur)-1]
+	}
+	if len(old) == 0 && len(cur) == 0 {
+		return
+	}
+	*del = append(*del, old...)
+	*ins = append(*ins, cur...)
+	inv.free[nid] = slices.Replace(free, a, a+len(old), cur...)
 }
 
-// publishLocked publishes a fresh immutable snapshot with the next
-// version and records the publication's invalidation range.
+// published is one version of the free pool: the persistent sequence every
+// mutation edits and every reservation searches, plus the flat Snapshot
+// the Pool interface promises, built at most once — by the first
+// Snapshot() call that observes this version — and reachable from nowhere
+// else. A version nobody reads (the reserve half of a booking, every
+// release and expiry under write load) is superseded without ever being
+// flattened.
+type published struct {
+	version uint64
+	seq     *slots.Seq
+
+	once sync.Once
+	snap *Snapshot
+}
+
+func (p *published) snapshot() *Snapshot {
+	p.once.Do(func() {
+		p.snap = &Snapshot{Version: p.version, Slots: p.seq.Flatten()}
+	})
+	return p.snap
+}
+
+// publishLocked publishes the next version of the free pool and records
+// the publication's invalidation range.
 //
-// touched lists the node IDs whose allocations or base capacity the
-// mutation may have altered (duplicates fine); only those nodes are
-// re-cut, and the new global list is spliced from the previous
-// snapshot's untouched slots (shared, immutable) plus the re-cut ones —
-// O(touched·cut + |slots|) with no global sort. (A whole-pool rebuild is
-// resetLocked's job, not a publication.)
-func (inv *Inventory) publishLocked(touched []int) {
-	prev := inv.snap.Load()
-	version := prev.Version + 1
-	lo, hi := math.Inf(1), math.Inf(-1) // empty range until a diff lands
-	touchedSet := make(map[int]bool, len(touched))
-	var fresh slots.List
-	for _, nid := range touched {
-		if touchedSet[nid] {
+// dirty maps each node the mutation touched to the intervals where its
+// allocations or base capacity may have changed (a hold's used intervals,
+// the spans an Add brought). Only the base spans those intervals fall in
+// are re-cut, and what changed there becomes one Edit of the previous
+// sequence — O(touched) for the index plus O(touched·leaf + m/leaf) for the
+// sequence, with no pass over the pool or even over a whole node. (A
+// whole-pool rebuild is resetLocked's job, not a publication.)
+func (inv *Inventory) publishLocked(dirty map[int][]slots.Interval) {
+	prev := inv.pub.Load()
+	var del, ins slots.List
+	for nid, ivs := range dirty {
+		base := inv.base[nid]
+		if len(base) == 0 { // the node left the pool, and all its slots with it
+			del = append(del, inv.free[nid]...)
+			delete(inv.free, nid)
 			continue
 		}
-		touchedSet[nid] = true
-		old := inv.free[nid]
-		cur := inv.cutNodeLocked(nid)
-		if dlo, dhi, changed := diffRange(old, cur); changed {
-			lo, hi = math.Min(lo, dlo), math.Max(hi, dhi)
+		for _, iv := range ivs {
+			k := firstEndingAfter(base, iv.Start)
+			end := k
+			for end < len(base) && base[end].Start < iv.End {
+				end++
+			}
+			if k < end {
+				inv.recutLocked(nid, base[k:end], &del, &ins)
+			}
 		}
-		if len(cur) == 0 {
+		if len(inv.free[nid]) == 0 {
 			delete(inv.free, nid)
-		} else {
-			inv.free[nid] = cur
 		}
-		fresh = append(fresh, cur...)
 	}
-	fresh.SortByStart()
-	c := Change{Version: version, Lo: lo, Hi: hi}
+	// The changed range is the union of every slot that went or came: empty
+	// (lo > hi) when the mutation changed no free capacity.
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, l := range []slots.List{del, ins} {
+		for _, s := range l {
+			lo, hi = math.Min(lo, s.Start), math.Max(hi, s.End)
+		}
+	}
+	del.SortByStart()
+	ins.SortByStart()
+	seq, err := prev.seq.Edit(del, ins)
+	if err != nil {
+		// The per-node index and the sequence are written together, here
+		// and in resetLocked; only a bug can make them disagree.
+		panic(fmt.Sprintf("inventory: free index out of step with the published sequence: %v", err))
+	}
+	c := Change{Version: prev.version + 1, Lo: lo, Hi: hi}
 	inv.inval.append(c)
-	inv.snap.Store(&Snapshot{Version: version, Slots: spliceSlots(prev.Slots, touchedSet, fresh)})
+	inv.pub.Store(&published{version: c.Version, seq: seq})
 	inv.pending = append(inv.pending, c)
 }
 
-// rebuildAllLocked recomputes every node's free list into the index and
-// returns the assembled global list — identical, by construction, to
-// freeLocked() (same per-node slot calculus, same final order).
+// rebuildAllLocked recomputes every node's free list into the (empty)
+// index and returns the assembled global list — identical, by
+// construction, to freeLocked() (same slot calculus, same final order).
 func (inv *Inventory) rebuildAllLocked() slots.List {
-	var total int
-	for nid := range inv.base {
-		cur := inv.cutNodeLocked(nid)
-		if len(cur) == 0 {
-			continue
+	var list slots.List
+	for nid, base := range inv.base {
+		if cur := inv.cutLocked(nid, base); len(cur) > 0 {
+			inv.free[nid] = cur
+			list = append(list, cur...)
 		}
-		inv.free[nid] = cur
-		total += len(cur)
-	}
-	list := make(slots.List, 0, total)
-	for _, cur := range inv.free {
-		list = append(list, cur...)
 	}
 	list.SortByStart()
 	return list
 }
 
-// spliceSlots merges the previous global free list (minus slots of
-// touched nodes) with the freshly re-cut slots of those nodes, keeping
-// the (start, nodeID, end) publication order. Untouched *Slot pointers
-// are reused: the immutability contract makes sharing across snapshots
-// free.
-func spliceSlots(prev slots.List, touched map[int]bool, fresh slots.List) slots.List {
-	out := make(slots.List, 0, len(prev)+len(fresh))
-	fi := 0
-	for _, s := range prev {
-		if touched[s.Node.ID] {
-			continue
-		}
-		for fi < len(fresh) && slotBefore(fresh[fi], s) {
-			out = append(out, fresh[fi])
-			fi++
-		}
-		out = append(out, s)
+// usedOf is w.UsedIntervals() for a window that may be nil (which uses
+// nothing, and so fits nothing).
+func usedOf(w *core.Window) map[int][]slots.Interval {
+	if w == nil {
+		return nil
 	}
-	out = append(out, fresh[fi:]...)
-	return out
-}
-
-// windowNodes lists the node IDs a window places work on — the touched
-// set of a reserve/release/expiry publication.
-func windowNodes(w *core.Window) []int {
-	used := w.UsedIntervals()
-	ids := make([]int, 0, len(used))
-	for nid := range used {
-		ids = append(ids, nid)
-	}
-	return ids
+	return w.UsedIntervals()
 }

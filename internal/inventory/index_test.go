@@ -111,6 +111,63 @@ func TestIncrementalFreeMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestIncrementalFreeMatchesOracleShortSpans is the same differential with
+// MinSlotLength above the length of some base spans. slots.Cut suppresses
+// only the remainders of a cut, so a short base span no allocation overlaps
+// is published whole — by New, by Add (onto a fresh node, or merging into
+// an existing span) and by Restore alike.
+func TestIncrementalFreeMatchesOracleShortSpans(t *testing.T) {
+	check := func(t *testing.T, what string, inv *Inventory) {
+		t.Helper()
+		if got, want := freeSignature(inv.Snapshot().Slots), inv.oracleSignature(); got != want {
+			t.Fatalf("%s: published snapshot diverged from oracle\npublished: %s\noracle:    %s", what, got, want)
+		}
+	}
+	for seed := uint64(1); seed <= 48; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			rng := randx.New(seed)
+			minLen := []float64{3, 7, 30}[seed%3]
+			short := func(id int, from float64) *slots.Slot {
+				start := from + rng.FloatRange(0, 200)
+				return testkit.Slot(testkit.Node(id, float64(rng.IntRange(2, 10)), 1), start, start+rng.FloatRange(0.2, minLen))
+			}
+			list := testkit.RandomList(rng, 12, 3, 300)
+			for i := 0; i < 4; i++ {
+				list = append(list, short(100+i, 0))
+			}
+			list.SortByStart()
+			inv, err := New(list, Options{MinSlotLength: minLen})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, "New", inv)
+			var held []string
+			for op := 0; op < 120; op++ {
+				if rng.Intn(4) == 0 {
+					id := rng.Intn(12) // lands in, next to or between the node's spans
+					if rng.Intn(2) == 0 {
+						id = 1000 + rng.Intn(50)
+					}
+					inv.Add(testkit.SlotList(short(id, 0)))
+				} else {
+					held = churnStep(t, inv, rng, held)
+				}
+				check(t, fmt.Sprintf("op %d", op), inv)
+			}
+			re, err := Restore(inv.ExportState(), Options{MinSlotLength: minLen})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, "Restore", re)
+			if got, want := freeSignature(re.Snapshot().Slots), freeSignature(inv.Snapshot().Slots); got != want {
+				t.Fatalf("restored free list differs\nrestored: %s\noriginal: %s", got, want)
+			}
+		})
+	}
+}
+
 // TestChangeRangesSound checks the invalidation contract: every slot of
 // the previous snapshot lying entirely outside a publication's change
 // range must reappear identically in the new snapshot, and vice versa —
@@ -224,6 +281,47 @@ func TestInvalRingEviction(t *testing.T) {
 	}
 	if !r.invalidatedSince(now, now-1, 0, 1) {
 		t.Error("a backwards version range must answer invalidated")
+	}
+}
+
+// TestInvalRingWrapsInPlace: once full, the ring overwrites its oldest
+// entry in place — indexed modulo its size, nothing shifted, nothing grown
+// — and still answers every retained version exactly, the evicted ones
+// conservatively, and restarts cleanly on a version discontinuity.
+func TestInvalRingWrapsInPlace(t *testing.T) {
+	var r invalRing
+	const last = 3*maxInvalRetained + 7 // wraps three times, ends mid-buffer
+	for v := uint64(1); v <= last; v++ {
+		r.append(Change{Version: v, Lo: float64(v), Hi: float64(v) + 1}) // version v changed [v, v+1)
+	}
+	if len(r.ring.buf) != maxInvalRetained {
+		t.Fatalf("the ring holds %d entries, want %d", len(r.ring.buf), maxInvalRetained)
+	}
+	oldest := uint64(last - maxInvalRetained + 1)
+	for v := oldest; v <= last; v++ {
+		if !r.invalidatedSince(v-1, v, float64(v), float64(v)+1) {
+			t.Fatalf("version %d lost its own range", v)
+		}
+		if v > oldest && r.invalidatedSince(v-1, v, float64(v)+1, float64(v)+2) {
+			t.Fatalf("version %d answers for its successor's range", v)
+		}
+	}
+	if r.invalidatedSince(oldest, last, 0, float64(oldest)) {
+		t.Error("the retained history is clean below its oldest range")
+	}
+	if !r.invalidatedSince(oldest-2, last, 0, 1) {
+		t.Error("evicted history must answer invalidated")
+	}
+	if !r.invalidatedSince(last, last+1, 0, 1) {
+		t.Error("a version the ring has not seen must answer invalidated")
+	}
+	r.append(Change{Version: last + 50, Lo: 1, Hi: 2}) // discontinuity: restart here
+	if !r.invalidatedSince(last, last+50, 5, 6) || r.invalidatedSince(last+50, last+50, 1, 2) {
+		t.Error("a restarted ring must forget what came before it")
+	}
+	r.append(Change{Version: last + 51, Lo: 3, Hi: 4})
+	if r.invalidatedSince(last+50, last+51, 1, 2) || !r.invalidatedSince(last+50, last+51, 3, 4) {
+		t.Error("a restarted ring must serve the versions appended after the restart")
 	}
 }
 

@@ -19,11 +19,12 @@
 //
 // # Concurrency model
 //
-// Reads are lock-free: the current free slot list is published as an
-// immutable copy-on-write Snapshot behind an atomic pointer, so any number
+// Reads are lock-free: the current free pool is published as an immutable
+// persistent sequence (slots.Seq) behind an atomic pointer, so any number
 // of searches can run concurrently against it (the slots.List immutability
-// contract makes old snapshots free). All mutations serialize on one mutex
-// and republish the snapshot. Reservation is optimistic: the search runs
+// contract, extended to the sequence's leaves, makes old versions free).
+// All mutations serialize on one mutex and publish the next version as an
+// edit of the previous one. Reservation is optimistic: the search runs
 // against a possibly stale snapshot, and the hold placement re-validates
 // the window against the *current* state under the lock — a window that
 // still fits (every placement span inside the node's base capacity and
@@ -206,7 +207,7 @@ type hold struct {
 // lifecycle. All methods are safe for concurrent use.
 type Inventory struct {
 	opts Options
-	snap atomic.Pointer[Snapshot]
+	pub  atomic.Pointer[published] // current version of the free pool (index.go)
 
 	mu        sync.Mutex
 	nodes     map[int]*nodes.Node      // node registry (survives Withdraw)
@@ -221,9 +222,9 @@ type Inventory struct {
 	counters  Counters
 
 	// free is the persistent per-node free-slot index: the incremental
-	// counterpart of freeLocked. Mutations re-cut only the nodes they
-	// touch; the published global list is spliced from the previous
-	// snapshot plus the re-cut nodes (see index.go).
+	// counterpart of freeLocked. Mutations re-cut only the base spans they
+	// touch and publish the difference as an edit of the previous
+	// version's sequence (see index.go).
 	free map[int]slots.List
 
 	// pending are Change notifications accumulated by publications in the
@@ -269,7 +270,8 @@ func newEmpty(opts Options) *Inventory {
 		committed: make(map[string]*core.Window),
 		free:      make(map[int]slots.List),
 	}
-	inv.snap.Store(&Snapshot{Version: 0})
+	empty, _ := slots.SeqOf(nil) // no slots, nothing to be out of order
+	inv.pub.Store(&published{seq: empty})
 	return inv
 }
 
@@ -353,10 +355,15 @@ func (inv *Inventory) GSeq() uint64 {
 func (inv *Inventory) Shards() int { return 1 }
 
 // Snapshot returns the current free pool. Lock-free: the returned value is
-// immutable and stays valid (as a stale snapshot) forever.
+// immutable and stays valid (as a stale snapshot) forever. The first call
+// that observes a version flattens its sequence into Slots; later calls,
+// from any goroutine, share that one list.
 func (inv *Inventory) Snapshot() *Snapshot {
-	return inv.snap.Load()
+	return inv.pub.Load().snapshot()
 }
+
+// freeCursor walks the current free pool as the sequence it is published as.
+func (inv *Inventory) freeCursor() slots.Cursor { return inv.pub.Load().seq.Cursor() }
 
 // reserveRetries bounds the optimistic re-validation loop of one Reserve:
 // a search that loses the race to concurrent allocations is retried
@@ -373,19 +380,22 @@ type query struct {
 	maxAlts int
 }
 
-// find runs the query over one free list and returns a caller-owned window.
-func (q query) find(sc *core.Scanner, list slots.List, opts *Options) (*core.Window, error) {
+// find runs the query over the pool's current free slots and returns a
+// caller-owned window. An AEP algorithm scans the published sequence as it
+// is; CSA carves up a working copy of the whole list anyway, so it takes
+// the flat snapshot.
+func (q query) find(sc *core.Scanner, p searchPool, opts *Options) (*core.Window, error) {
 	if q.alg != nil {
-		w, err := core.FindObservedScanner(sc, q.alg, list, q.req, opts.Collector)
+		w, err := core.FindCursor(sc, q.alg, p.freeCursor(), q.req, opts.Collector)
 		if err != nil {
 			return nil, err
 		}
 		// Detach: the hold table and the journal retain the window beyond
 		// the scanner's reuse horizon. The placements keep referencing the
-		// snapshot's slots.
+		// published slots.
 		return w.Detach(), nil
 	}
-	alts, err := csa.SearchScanner(sc, list, q.req, csa.Options{
+	alts, err := csa.SearchScanner(sc, p.Snapshot().Slots, q.req, csa.Options{
 		MaxAlternatives: q.maxAlts,
 		MinSlotLength:   opts.MinSlotLength,
 	}, opts.Collector)
@@ -398,19 +408,20 @@ func (q query) find(sc *core.Scanner, list slots.List, opts *Options) (*core.Win
 // searchPool is what the reservation loop needs of either pool type.
 type searchPool interface {
 	Pool
+	freeCursor() slots.Cursor
 	countNoWindow()
 }
 
 // reserveFound is the optimistic reservation loop, written once for both
-// kernels and both pool types: search the pool's current snapshot, place a
-// hold on the winner, and search again when the snapshot was stale
+// kernels and both pool types: search the pool's current version, place a
+// hold on the winner, and search again when that version was stale
 // (ErrConflict) — on one scanner, so the retries allocate only the
 // detached result windows.
 func reserveFound(p searchPool, opts *Options, q query, ttl time.Duration) (*Reservation, error) {
 	sc := core.AcquireScanner()
 	defer core.ReleaseScanner(sc)
 	for attempt := 1; ; attempt++ {
-		w, err := q.find(sc, p.Snapshot().Slots, opts)
+		w, err := q.find(sc, p, opts)
 		if err != nil {
 			if errors.Is(err, core.ErrNoWindow) {
 				p.countNoWindow()
@@ -540,21 +551,25 @@ func (inv *Inventory) Sweep() int {
 	return n
 }
 
-// Status returns a consistent point-in-time summary.
+// Status returns a consistent point-in-time summary. Only the counts are
+// read under the mutex; the free figures are then taken from the version
+// those counts belong to — an immutable sequence — so a scrape never holds
+// up a booking for a pass over the pool.
 func (inv *Inventory) Status() Status {
 	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	snap := inv.snap.Load()
-	return Status{
-		Version:    snap.Version,
+	p := inv.pub.Load()
+	st := Status{
+		Version:    p.version,
 		Nodes:      len(inv.base),
-		FreeSlots:  len(snap.Slots),
-		FreeSpan:   snap.Slots.TotalSpan(),
 		Holds:      len(inv.holds),
 		Committed:  len(inv.committed),
 		JournalLen: len(inv.journal),
 		Counters:   inv.counters,
 	}
+	inv.mu.Unlock()
+	st.FreeSlots = p.seq.Len()
+	st.FreeSpan = p.seq.TotalSpan()
+	return st
 }
 
 // Committed returns a copy of the committed allocations keyed by
@@ -638,7 +653,7 @@ func (inv *Inventory) reserveLocked(id string, w *core.Window, ttl time.Duration
 		return nil
 	}
 	inv.spanLocked("inventory.Reserve", begin, id)
-	return &Reservation{ID: id, Window: w, Version: inv.snap.Load().Version, Expires: expires}
+	return &Reservation{ID: id, Window: w, Version: inv.pub.Load().version, Expires: expires}
 }
 
 // settleLocked runs the commit or release transition on a hold and
@@ -692,9 +707,10 @@ func (inv *Inventory) sweepLocked() int {
 // snapshot it changed; none journals.
 
 // admitsLocked is the reserve transition's guard: the ID is unused ("" =
-// to be minted) and the window fits the current state.
-func (inv *Inventory) admitsLocked(id string, w *core.Window) bool {
-	return inv.holds[id] == nil && inv.committed[id] == nil && inv.fitsLocked(w)
+// to be minted) and the window's used intervals (usedOf) fit the current
+// state.
+func (inv *Inventory) admitsLocked(id string, used map[int][]slots.Interval) bool {
+	return inv.holds[id] == nil && inv.committed[id] == nil && inv.fitsLocked(used)
 }
 
 // holdLocked is the reserve transition: place a hold on w if admitsLocked.
@@ -702,7 +718,8 @@ func (inv *Inventory) admitsLocked(id string, w *core.Window) bool {
 // replayed event's) advances the mint past it so later local IDs cannot
 // collide. A zero expires means ttl from now (ttl<=0: Options.DefaultTTL).
 func (inv *Inventory) holdLocked(id string, w *core.Window, ttl time.Duration, expires time.Time) (string, time.Time, bool) {
-	if !inv.admitsLocked(id, w) {
+	used := usedOf(w) // built once: the guard, the allocation and the publication all read it
+	if !inv.admitsLocked(id, used) {
 		inv.counters.Conflicts++
 		return "", time.Time{}, false
 	}
@@ -719,9 +736,9 @@ func (inv *Inventory) holdLocked(id string, w *core.Window, ttl time.Duration, e
 		expires = inv.opts.Clock().Add(ttl)
 	}
 	inv.holds[id] = &hold{window: w, expires: expires}
-	inv.allocateLocked(w)
+	inv.allocateLocked(used)
 	inv.counters.Reserves++
-	inv.publishLocked(windowNodes(w))
+	inv.publishLocked(used)
 	return id, expires, true
 }
 
@@ -740,16 +757,16 @@ func (inv *Inventory) commitLocked(id string) *core.Window {
 
 // dropLocked is the drop-hold transition behind release, expiry and
 // cancel-on-withdraw: the hold and its allocation spans go, *count (the
-// lifecycle counter of the reason) advances, and the touched nodes are
-// returned for the caller's publication. nil when id is not a live hold.
-func (inv *Inventory) dropLocked(id string, count *uint64) (*core.Window, []int) {
+// lifecycle counter of the reason) advances, and the intervals it used are
+// returned by node for the caller's publication. nil when id is not a live
+// hold.
+func (inv *Inventory) dropLocked(id string, count *uint64) (*core.Window, map[int][]slots.Interval) {
 	h := inv.holds[id]
 	if h == nil {
 		return nil, nil
 	}
-	var touched []int
-	for nid, ivs := range h.window.UsedIntervals() {
-		touched = append(touched, nid)
+	used := h.window.UsedIntervals()
+	for nid, ivs := range used {
 		inv.alloc[nid] = removeIntervals(inv.alloc[nid], ivs)
 		if len(inv.alloc[nid]) == 0 {
 			delete(inv.alloc, nid)
@@ -757,14 +774,14 @@ func (inv *Inventory) dropLocked(id string, count *uint64) (*core.Window, []int)
 	}
 	delete(inv.holds, id)
 	*count++
-	return h.window, touched
+	return h.window, used
 }
 
 // releaseLocked drops one hold and publishes its spans back to the pool.
 func (inv *Inventory) releaseLocked(id string, count *uint64) *core.Window {
-	w, touched := inv.dropLocked(id, count)
+	w, used := inv.dropLocked(id, count)
 	if w != nil {
-		inv.publishLocked(touched)
+		inv.publishLocked(used)
 	}
 	return w
 }
@@ -782,13 +799,11 @@ func (inv *Inventory) addLocked(list slots.List) error {
 		}
 		byNode[s.Node.ID] = append(byNode[s.Node.ID], s.Interval)
 	}
-	touched := make([]int, 0, len(byNode))
 	for nid, ivs := range byNode {
 		inv.base[nid] = slots.MergeIntervals(append(append([]slots.Interval(nil), inv.base[nid]...), ivs...))
-		touched = append(touched, nid)
 	}
 	inv.counters.Adds++
-	inv.publishLocked(touched)
+	inv.publishLocked(byNode)
 	return nil
 }
 
@@ -803,18 +818,23 @@ func (inv *Inventory) withdrawLocked(nodeID int) (cancelled []string, known bool
 	}
 	delete(inv.base, nodeID)
 	for id, h := range inv.holds {
-		if _, uses := h.window.UsedIntervals()[nodeID]; uses {
-			cancelled = append(cancelled, id)
+		for _, p := range h.window.Placements {
+			if p.Node().ID == nodeID {
+				cancelled = append(cancelled, id)
+				break
+			}
 		}
 	}
 	sort.Strings(cancelled)
-	touched := []int{nodeID}
+	dirty := map[int][]slots.Interval{nodeID: nil} // no base left: the whole node goes
 	for _, id := range cancelled {
-		_, spanned := inv.dropLocked(id, &inv.counters.Cancelled)
-		touched = append(touched, spanned...)
+		_, used := inv.dropLocked(id, &inv.counters.Cancelled)
+		for nid, ivs := range used {
+			dirty[nid] = append(dirty[nid], ivs...)
+		}
 	}
 	inv.counters.Withdrawals++
-	inv.publishLocked(touched)
+	inv.publishLocked(dirty)
 	return cancelled, true
 }
 
@@ -844,12 +864,12 @@ func (inv *Inventory) freeLocked() slots.List {
 // the node's base capacity and overlap no live allocation — and the
 // window's own spans must not overlap each other. Intervals are half-open,
 // so a span ending exactly where another starts does not conflict. A nil
-// or empty window fits nothing.
-func (inv *Inventory) fitsLocked(w *core.Window) bool {
-	if w == nil || len(w.Placements) == 0 {
+// or empty window uses nothing and fits nothing.
+func (inv *Inventory) fitsLocked(used map[int][]slots.Interval) bool {
+	if len(used) == 0 {
 		return false
 	}
-	for nid, ivs := range w.UsedIntervals() {
+	for nid, ivs := range used {
 		for i, iv := range ivs {
 			if iv.Length() <= 0 {
 				return false
@@ -870,10 +890,10 @@ func (inv *Inventory) fitsLocked(w *core.Window) bool {
 	return true
 }
 
-// allocateLocked adds a window's spans to the live allocations (holdLocked
-// and the State load in resetLocked).
-func (inv *Inventory) allocateLocked(w *core.Window) {
-	for nid, ivs := range w.UsedIntervals() {
+// allocateLocked adds a window's used intervals to the live allocations
+// (holdLocked and the State load in resetLocked).
+func (inv *Inventory) allocateLocked(used map[int][]slots.Interval) {
+	for nid, ivs := range used {
 		inv.alloc[nid] = insertIntervals(inv.alloc[nid], ivs)
 	}
 }
@@ -939,7 +959,7 @@ func removeIntervals(spans []slots.Interval, del []slots.Interval) []slots.Inter
 		// The overlapped spans form one contiguous run [a, b) (sorted +
 		// disjoint), with at most a left remainder off its first span and a
 		// right remainder off its last. Splice the run in place.
-		a := sort.Search(len(spans), func(i int) bool { return spans[i].End > d.Start })
+		a := firstEndingAfter(spans, d.Start)
 		b := a
 		for b < len(spans) && spans[b].Start < d.End {
 			b++

@@ -214,7 +214,7 @@ func (inv *Inventory) apply(ev Event) error {
 	case OpAdd:
 		ok = true
 	case OpReserve:
-		ok = inv.admitsLocked(ev.ID, ev.Window)
+		ok = inv.admitsLocked(ev.ID, usedOf(ev.Window))
 	case OpCommit, OpRelease, OpExpire:
 		ok = inv.holds[ev.ID] != nil
 	case OpWithdraw:

@@ -1,11 +1,11 @@
 // Sharded partitions the inventory into N independent shards keyed by a
 // stable hash of the node ID, each a full Inventory with its own mutex,
-// copy-on-write snapshot, journal (and WAL segment, when durable), free
+// published sequence, journal (and WAL segment, when durable), free
 // index, change ring and sweeper — so mutations on different shards never
 // contend. A thin router in front owns everything cross-shard:
 //
 //   - Find/Reserve/ReserveBest search one merged global snapshot (a k-way
-//     merge of the per-shard free lists in the canonical (start, node, end)
+//     merge of the per-shard sequences in the canonical (start, node, end)
 //     order), because the AEP kernels and CSA scan a single globally sorted
 //     list and co-allocation windows span arbitrary nodes — per-shard
 //     searches stitched together afterwards would not be byte-identical to
@@ -149,33 +149,22 @@ type combined struct {
 // the ring are answered conservatively (invalidated).
 type vecRing struct {
 	mu   sync.Mutex
-	base uint64
-	vecs [][]uint64
+	ring versionRing[[]uint64]
 }
 
 func (r *vecRing) put(version uint64, vec []uint64) {
 	r.mu.Lock()
-	if r.base == 0 || version != r.base+uint64(len(r.vecs)) {
-		r.base = version
-		r.vecs = append(r.vecs[:0], vec)
-	} else {
-		r.vecs = append(r.vecs, vec)
-		if len(r.vecs) > maxInvalRetained {
-			drop := len(r.vecs) - maxInvalRetained
-			r.base += uint64(drop)
-			r.vecs = append(r.vecs[:0], r.vecs[drop:]...)
-		}
-	}
+	r.ring.put(version, vec)
 	r.mu.Unlock()
 }
 
 func (r *vecRing) get(version uint64) []uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.base == 0 || version < r.base || version >= r.base+uint64(len(r.vecs)) {
+	if !r.ring.holds(version) {
 		return nil
 	}
-	return r.vecs[version-r.base]
+	return r.ring.at(version)
 }
 
 // Sharded is the partitioned pool: N Inventory shards plus the router
@@ -356,43 +345,50 @@ func (s *Sharded) Snapshot() *Snapshot {
 	return c.snap
 }
 
+// freeCursor walks the merged free list: one leaf, order-checked per search
+// like any caller's list.
+func (s *Sharded) freeCursor() slots.Cursor { return s.Snapshot().Slots.Cursor() }
+
+// fresh compares versions only: it never makes a shard flatten the version
+// it is on.
 func (s *Sharded) fresh(c *combined) bool {
 	for i, sh := range s.shards {
-		if sh.Snapshot().Version != c.vec[i] {
+		if sh.pub.Load().version != c.vec[i] {
 			return false
 		}
 	}
 	return true
 }
 
-// assembleLocked cuts a new merged snapshot (mergeMu held). Each shard's
-// list is individually consistent; the assembly is the scatter-gather
-// read point, revalidated per shard on the reserve path exactly like a
-// stale single-pool snapshot would be.
+// assembleLocked cuts a new merged snapshot (mergeMu held), merging straight
+// from the shards' published sequences — no shard flattens anything. Each
+// shard's sequence is individually consistent; the assembly is the
+// scatter-gather read point, revalidated per shard on the reserve path
+// exactly like a stale single-pool snapshot would be.
 func (s *Sharded) assembleLocked() *combined {
 	vec := make([]uint64, len(s.shards))
-	parts := make([]slots.List, len(s.shards))
+	curs := make([]slots.Cursor, len(s.shards))
+	heads := make([]slots.List, len(s.shards)) // what is left of each shard's current leaf
 	total := 0
 	for i, sh := range s.shards {
-		snap := sh.Snapshot()
-		vec[i] = snap.Version
-		parts[i] = snap.Slots
-		total += len(snap.Slots)
+		p := sh.pub.Load()
+		vec[i] = p.version
+		curs[i] = p.seq.Cursor()
+		heads[i] = curs[i].Next()
+		total += p.seq.Len()
 	}
 	merged := make(slots.List, 0, total)
-	heads := make([]int, len(parts))
 	for len(merged) < total {
 		best := -1
 		for i, h := range heads {
-			if h >= len(parts[i]) {
-				continue
-			}
-			if best < 0 || slotBefore(parts[i][h], parts[best][heads[best]]) {
+			if h != nil && (best < 0 || slots.Before(h[0], heads[best][0])) {
 				best = i
 			}
 		}
-		merged = append(merged, parts[best][heads[best]])
-		heads[best]++
+		merged = append(merged, heads[best][0])
+		if heads[best] = heads[best][1:]; len(heads[best]) == 0 {
+			heads[best] = curs[best].Next()
+		}
 	}
 	version := s.mergeV.Add(1)
 	c := &combined{version: version, vec: vec, snap: &Snapshot{Version: version, Slots: merged}}
@@ -504,7 +500,7 @@ func (s *Sharded) ReserveWindow(w *core.Window, ttl time.Duration) (*Reservation
 	}
 	refused := -1
 	for _, si := range order {
-		if !s.shards[si].admitsLocked("", parts[si]) {
+		if !s.shards[si].admitsLocked("", usedOf(parts[si])) {
 			refused = si
 			break
 		}

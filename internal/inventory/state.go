@@ -83,7 +83,7 @@ func (inv *Inventory) ExportState() *State {
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
 	st := &State{
-		Version:  inv.snap.Load().Version,
+		Version:  inv.pub.Load().version,
 		Seq:      inv.seq,
 		GSeq:     inv.gseqHigh,
 		NextID:   inv.nextID,
@@ -172,7 +172,7 @@ func (inv *Inventory) resetLocked(st *State) error {
 			return fmt.Errorf("inventory: restore: duplicate hold %q", h.ID)
 		}
 		inv.holds[h.ID] = &hold{window: h.Window, expires: h.Expires}
-		inv.allocateLocked(h.Window)
+		inv.allocateLocked(h.Window.UsedIntervals())
 	}
 	for _, c := range st.Committed {
 		if c.Window == nil || len(c.Window.Placements) == 0 {
@@ -182,7 +182,7 @@ func (inv *Inventory) resetLocked(st *State) error {
 			return fmt.Errorf("inventory: restore: duplicate commit %q", c.ID)
 		}
 		inv.committed[c.ID] = c.Window
-		inv.allocateLocked(c.Window)
+		inv.allocateLocked(c.Window.UsedIntervals())
 	}
 	inv.nextID = st.NextID
 	inv.seq = st.Seq
@@ -195,10 +195,13 @@ func (inv *Inventory) resetLocked(st *State) error {
 	// cached result and no dormant watcher may survive unexamined. The
 	// ring restarts at this version (it need not be prev+1).
 	inv.free = make(map[int]slots.List, len(inv.base))
-	list := inv.rebuildAllLocked()
+	seq, err := slots.SeqOf(inv.rebuildAllLocked())
+	if err != nil {
+		return fmt.Errorf("inventory: restore: %w", err)
+	}
 	c := Change{Version: st.Version, Lo: math.Inf(-1), Hi: math.Inf(1)}
 	inv.inval.append(c)
-	inv.snap.Store(&Snapshot{Version: st.Version, Slots: list})
+	inv.pub.Store(&published{version: st.Version, seq: seq})
 	inv.pending = append(inv.pending, c)
 	return nil
 }

@@ -98,16 +98,7 @@ type List []*Slot
 // SortByStart orders the list by non-decreasing start time, breaking ties by
 // node ID then by end time so that ordering is deterministic.
 func (l List) SortByStart() {
-	sort.Slice(l, func(i, j int) bool {
-		a, b := l[i], l[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.Node.ID != b.Node.ID {
-			return a.Node.ID < b.Node.ID
-		}
-		return a.End < b.End
-	})
+	sort.Slice(l, func(i, j int) bool { return Before(l[i], l[j]) })
 }
 
 // IsSortedByStart reports whether the list satisfies the AEP scan ordering.

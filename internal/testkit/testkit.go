@@ -224,3 +224,15 @@ func RandomList(rng *randx.Rand, nodeCount, maxSlotsPerNode int, horizon float64
 	l.SortByStart()
 	return l
 }
+
+// DeepPool is the fixture of the flat-in-m churn rows (the inventory's
+// BenchmarkReserveReleaseChurn and slotbench's rows of the same name): the
+// repository benchmark's book_deep environment — 1024 heterogeneous nodes,
+// about one published slot per node per 130 time units — at the given
+// horizon, with that workload's booking shape (the paper's base job, 5
+// tasks of volume 150, under a cost limit that rarely binds). Horizon 600,
+// 6000 and 48000 give about 6 k, 48 k and 380 k slots.
+func DeepPool(horizon float64) (slots.List, job.Request) {
+	e := env.Generate(env.DefaultConfig().WithNodeCount(1024).WithHorizon(horizon), randx.New(1))
+	return e.Slots, job.Request{TaskCount: 5, Volume: 150, MaxCost: 5 * 150 * 5}
+}
