@@ -33,9 +33,9 @@ func (ALP) FindObserved(list slots.List, req *job.Request, col obs.Collector) (*
 		localLimit = req.MaxCost / float64(req.TaskCount)
 	}
 	var best *core.Window
-	err := core.ScanObserved(list, req, func(start float64, cands []core.Candidate) bool {
+	err := core.Scan(list, req, func(start float64, win *core.WindowIndex) bool {
 		var chosen []core.Candidate
-		for _, c := range cands {
+		for _, c := range win.Cands() {
 			if localLimit > 0 && c.Cost > localLimit {
 				continue
 			}
@@ -50,11 +50,5 @@ func (ALP) FindObserved(list slots.List, req *job.Request, col obs.Collector) (*
 		best = core.NewWindow(start, chosen)
 		return true
 	}, col)
-	if err != nil {
-		return nil, err
-	}
-	if best == nil {
-		return nil, core.ErrNoWindow
-	}
-	return best, nil
+	return core.Found(best, err)
 }

@@ -41,8 +41,8 @@ func (a FirstFit) Find(list slots.List, req *job.Request) (*core.Window, error) 
 // FindObserved implements core.ObservedFinder.
 func (FirstFit) FindObserved(list slots.List, req *job.Request, col obs.Collector) (*core.Window, error) {
 	var best *core.Window
-	err := core.ScanObserved(list, req, func(start float64, cands []core.Candidate) bool {
-		chosen := cands[:req.TaskCount]
+	err := core.Scan(list, req, func(start float64, win *core.WindowIndex) bool {
+		chosen := win.Cands()[:req.TaskCount]
 		cost := 0.0
 		for _, c := range chosen {
 			cost += c.Cost
@@ -50,16 +50,10 @@ func (FirstFit) FindObserved(list slots.List, req *job.Request, col obs.Collecto
 		if req.MaxCost > 0 && cost > req.MaxCost {
 			return false
 		}
-		best = core.NewWindow(start, append([]core.Candidate(nil), chosen...))
+		best = core.NewWindow(start, chosen)
 		return true
 	}, col)
-	if err != nil {
-		return nil, err
-	}
-	if best == nil {
-		return nil, core.ErrNoWindow
-	}
-	return best, nil
+	return core.Found(best, err)
 }
 
 // EarliestStartQuadratic finds the earliest-start feasible window by

@@ -62,7 +62,7 @@ type Options struct {
 // determinism proof); the output is identical to the sequential path.
 func FindAlternatives(list slots.List, batch *job.Batch, opts Options) ([]JobAlternatives, error) {
 	ordered := batch.ByPriority()
-	alts, err := parallel.AlternativesObserved(list, ordered, opts.CSA, normalizeWorkers(opts.Workers), opts.Collector)
+	alts, err := parallel.Alternatives(list, ordered, opts.CSA, normalizeWorkers(opts.Workers), opts.Collector)
 	if err != nil {
 		var je *parallel.JobError
 		if errors.As(err, &je) {

@@ -33,9 +33,9 @@ type benchResult struct {
 	// Alg is the algorithm name for the find bench ("" otherwise).
 	Alg string `json:"alg,omitempty"`
 
-	// Kernel is "incremental" (the shipped WindowIndex kernels) or
-	// "oracle" (the retained per-visit copy+sort kernels) for the find
-	// bench; "" for paths without an oracle twin.
+	// Kernel is, for the find bench, "incremental" (the shipped WindowIndex
+	// kernels on a reused Scanner) or "cached"/"uncached" (the service-layer
+	// find with and without the FindCache); "" for the other benches.
 	Kernel string `json:"kernel,omitempty"`
 
 	// Nodes and Slots describe the instance; Tasks is the requested window
@@ -65,7 +65,7 @@ type benchResult struct {
 	// AllocsPerOp and BytesPerOp are the steady-state heap costs of one
 	// operation, measured as runtime.MemStats deltas over a warmed-up
 	// batch. The incremental find kernels run on a reused Scanner and are
-	// expected to report 0 here; the oracle kernels allocate by design.
+	// expected to report 0 here.
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
 }
@@ -86,11 +86,10 @@ type benchFile struct {
 
 // Slotbench is the reproducible benchmark harness of the incremental
 // selection kernels (see cmd/slotbench): it times the Find, CSA and batch
-// hot paths across node-count and window-size grids, once per kernel where
-// an oracle twin exists, and emits machine-readable JSON with ns_per_op,
-// allocs_per_op and bytes_per_op columns. With -check it instead runs the
-// kernel differential across the same grid and fails on any signature
-// mismatch — the CI gate. With -benchfmt it emits benchstat-comparable
+// hot paths across node-count and window-size grids and emits
+// machine-readable JSON with ns_per_op, allocs_per_op and bytes_per_op
+// columns. With -check it instead runs the kernel differential across the
+// same grid and fails on any signature mismatch — the CI gate. With -benchfmt it emits benchstat-comparable
 // `Benchmark... ns/op B/op allocs/op` lines (one per timed repetition)
 // instead of JSON, and with -gate it compares two such files through
 // internal/benchgate, exiting non-zero on a statistically significant
@@ -217,35 +216,22 @@ func benchOpsGrid(seed uint64, nodeCounts, taskCounts []int) ([]benchOp, error) 
 		for _, tasks := range taskCounts {
 			req := benchRequest(tasks)
 			for _, alg := range benchAlgorithms(seed) {
-				oracle, ok := core.Oracle(alg)
-				if !ok {
-					return nil, fmt.Errorf("no oracle twin for %s", alg.Name())
+				// The kernel runs through the reused Scanner — the
+				// steady-state service shape, and the configuration the
+				// zero-alloc gate pins. The copy+sort oracle twins are not
+				// timed: nobody ships their speed; -check compares their
+				// answers.
+				r, alg := req, alg
+				meta := benchResult{
+					Bench: "find", Alg: alg.Name(), Kernel: "incremental",
+					Nodes: nc, Slots: len(list), Tasks: tasks,
 				}
-				// The incremental kernel runs through the reused Scanner —
-				// the steady-state service shape, and the configuration the
-				// zero-alloc gate pins. The oracle twin has no pooled path;
-				// its per-visit copy+sort allocations are the baseline the
-				// alloc columns contrast against.
-				r1, r2 := req, req
-				alg := alg
-				for _, run := range []struct {
-					kernel string
-					op     func()
-				}{
-					{"incremental", func() { _, _ = sc.FindObserved(alg, list, &r1, nil) }},
-					{"oracle", func() { _, _ = oracle.Find(list, &r2) }},
-				} {
-					meta := benchResult{
-						Bench: "find", Alg: alg.Name(), Kernel: run.kernel,
-						Nodes: nc, Slots: len(list), Tasks: tasks,
-					}
-					ops = append(ops, benchOp{
-						name:        benchName(meta),
-						meta:        meta,
-						allocRounds: findAllocRounds,
-						op:          run.op,
-					})
-				}
+				ops = append(ops, benchOp{
+					name:        benchName(meta),
+					meta:        meta,
+					allocRounds: findAllocRounds,
+					op:          func() { _, _ = sc.Find(alg, list.Cursor(), &r, nil) },
+				})
 			}
 
 			// Service-layer find, with and without the FindCache in front.
@@ -294,7 +280,7 @@ func benchOpsGrid(seed uint64, nodeCounts, taskCounts []int) ([]benchOp, error) 
 				meta:        csaMeta,
 				allocRounds: csaAllocRounds,
 				op: func() {
-					_, _ = csa.Search(list, &r, csa.Options{MaxAlternatives: 10, MinSlotLength: 10})
+					_, _ = csa.Search(list, &r, csa.Options{MaxAlternatives: 10, MinSlotLength: 10}, nil)
 				},
 			})
 		}

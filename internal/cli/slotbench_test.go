@@ -34,11 +34,17 @@ func TestSlotbenchBenchfmt(t *testing.T) {
 	if err != nil {
 		t.Fatalf("output not parseable: %v", err)
 	}
-	// 9 algorithms x 2 kernels + cached/uncached service find + 1 CSA +
-	// 1 batch + churn at shards {1,2,4} x workers {1,4} + the deep
-	// reserve/release cycle at 3 horizons = 31 benchmarks.
-	if len(set.Benchmarks) != 31 {
-		t.Errorf("parsed %d benchmarks, want 31", len(set.Benchmarks))
+	// 9 algorithms (the shipped kernels only: the copy+sort oracle is
+	// compared by -check, never timed) + cached/uncached service find +
+	// 1 CSA + 1 batch + churn at shards {1,2,4} x workers {1,4} + the deep
+	// reserve/release cycle at 3 horizons = 22 benchmarks.
+	if len(set.Benchmarks) != 22 {
+		t.Errorf("parsed %d benchmarks, want 22", len(set.Benchmarks))
+	}
+	for name := range set.Benchmarks {
+		if strings.Contains(name, "kernel=oracle") {
+			t.Errorf("%s: the reference kernel is timed again", name)
+		}
 	}
 	sawCached := false
 	for name, units := range set.Benchmarks {

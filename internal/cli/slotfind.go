@@ -107,7 +107,7 @@ func Slotfind(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *alts {
-		found, err := csa.SearchObserved(e.Slots, &req, csa.Options{MinSlotLength: 10}, col)
+		found, err := csa.Search(e.Slots, &req, csa.Options{MinSlotLength: 10}, col)
 		if errors.Is(err, core.ErrNoWindow) {
 			fmt.Fprintln(stdout, "no feasible window")
 			return finish(1)
@@ -181,10 +181,9 @@ func Slotfind(args []string, stdout, stderr io.Writer) int {
 }
 
 // findMany runs several algorithms concurrently over the shared slot list
-// (parallel.FindAllObserved — results and counters are identical to running
-// them one by one) and
-// prints a comparison table. Exit code 0 if at least one algorithm found a
-// window, 1 if none did, 2 on a bad algorithm name.
+// (parallel.FindAll — results and counters are identical to running them
+// one by one) and prints a comparison table. Exit code 0 if at least one
+// algorithm found a window, 1 if none did, 2 on a bad algorithm name.
 func findMany(list slots.List, req *job.Request, names []string, seed uint64, workers int, col obs.Collector, stdout, stderr io.Writer) int {
 	algs := make([]core.Algorithm, 0, len(names))
 	for _, name := range names {
@@ -197,7 +196,7 @@ func findMany(list slots.List, req *job.Request, names []string, seed uint64, wo
 	}
 	found := 0
 	t := tablefmt.New("algorithm", "start", "finish", "runtime", "cpu", "cost")
-	for _, res := range parallel.FindAllObserved(list, req, algs, workers, col) {
+	for _, res := range parallel.FindAll(list, req, algs, workers, col) {
 		if errors.Is(res.Err, core.ErrNoWindow) {
 			t.AddRow(res.Algorithm.Name(), "-", "-", "-", "-", "no window")
 			continue

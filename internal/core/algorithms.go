@@ -2,7 +2,6 @@ package core
 
 import (
 	"slotsel/internal/job"
-	"slotsel/internal/obs"
 	"slotsel/internal/slots"
 )
 
@@ -31,15 +30,7 @@ func (AMP) Name() string { return "AMP" }
 
 // Find implements Algorithm.
 func (a AMP) Find(list slots.List, req *job.Request) (*Window, error) {
-	return a.FindObserved(list, req, nil)
-}
-
-// FindObserved implements ObservedFinder. The search runs on a pooled
-// Scanner (see vkAMP in scanner.go for the selection step: the cheapest
-// feasible sub-window at the earliest feasible start); findPooled detaches
-// the result so it stays caller-owned.
-func (a AMP) FindObserved(list slots.List, req *job.Request, col obs.Collector) (*Window, error) {
-	return findPooled(a, list, req, col)
+	return FindObserved(a, list, req, nil)
 }
 
 // MinCost searches for the window with the minimum total allocation cost on
@@ -52,13 +43,7 @@ func (MinCost) Name() string { return "MinCost" }
 
 // Find implements Algorithm.
 func (a MinCost) Find(list slots.List, req *job.Request) (*Window, error) {
-	return a.FindObserved(list, req, nil)
-}
-
-// FindObserved implements ObservedFinder. Runs on a pooled Scanner
-// (vkMinCost: keep the cheapest selection over all scan positions).
-func (a MinCost) FindObserved(list slots.List, req *job.Request, col obs.Collector) (*Window, error) {
-	return findPooled(a, list, req, col)
+	return FindObserved(a, list, req, nil)
 }
 
 // MinRunTime searches for the window with the minimum execution runtime
@@ -84,14 +69,7 @@ func (a MinRunTime) Name() string {
 
 // Find implements Algorithm.
 func (a MinRunTime) Find(list slots.List, req *job.Request) (*Window, error) {
-	return a.FindObserved(list, req, nil)
-}
-
-// FindObserved implements ObservedFinder. Runs on a pooled Scanner
-// (vkMinRunTime: greedy substitution or exact prefix selection per the
-// Exact flag, keeping the shortest runtime over all positions).
-func (a MinRunTime) FindObserved(list slots.List, req *job.Request, col obs.Collector) (*Window, error) {
-	return findPooled(a, list, req, col)
+	return FindObserved(a, list, req, nil)
 }
 
 // MinFinish searches for the window with the earliest finish time. At every
@@ -120,14 +98,7 @@ func (a MinFinish) Name() string {
 
 // Find implements Algorithm.
 func (a MinFinish) Find(list slots.List, req *job.Request) (*Window, error) {
-	return a.FindObserved(list, req, nil)
-}
-
-// FindObserved implements ObservedFinder. Runs on a pooled Scanner
-// (vkMinFinish: build at every feasible position, keep the earliest
-// finish; EarlyStop prunes once start passes the best finish).
-func (a MinFinish) FindObserved(list slots.List, req *job.Request, col obs.Collector) (*Window, error) {
-	return findPooled(a, list, req, col)
+	return FindObserved(a, list, req, nil)
 }
 
 // MinProcTime is the paper's *simplified* total-processor-time minimizer:
@@ -147,15 +118,7 @@ func (MinProcTime) Name() string { return "MinProcTime" }
 
 // Find implements Algorithm.
 func (a MinProcTime) Find(list slots.List, req *job.Request) (*Window, error) {
-	return a.FindObserved(list, req, nil)
-}
-
-// FindObserved implements ObservedFinder. Runs on a pooled Scanner
-// (vkMinProcRandom: the scanner's generator is reseeded with a.Seed per
-// search, so the sampled stream — and therefore the result — is identical
-// to a freshly constructed generator's).
-func (a MinProcTime) FindObserved(list slots.List, req *job.Request, col obs.Collector) (*Window, error) {
-	return findPooled(a, list, req, col)
+	return FindObserved(a, list, req, nil)
 }
 
 // MinProcTimeGreedy is an extension: the additive greedy substitution
@@ -169,13 +132,7 @@ func (MinProcTimeGreedy) Name() string { return "MinProcTimeGreedy" }
 
 // Find implements Algorithm.
 func (a MinProcTimeGreedy) Find(list slots.List, req *job.Request) (*Window, error) {
-	return a.FindObserved(list, req, nil)
-}
-
-// FindObserved implements ObservedFinder. Runs on a pooled Scanner
-// (vkMinProcGreedy: additive greedy substitution weighted by Exec).
-func (a MinProcTimeGreedy) FindObserved(list slots.List, req *job.Request, col obs.Collector) (*Window, error) {
-	return findPooled(a, list, req, col)
+	return FindObserved(a, list, req, nil)
 }
 
 // EnergyModel maps a placement (its node performance and execution time) to
@@ -212,29 +169,5 @@ func (a MinEnergy) Energy(w *Window) float64 {
 
 // Find implements Algorithm.
 func (a MinEnergy) Find(list slots.List, req *job.Request) (*Window, error) {
-	return a.FindObserved(list, req, nil)
-}
-
-// FindObserved implements ObservedFinder. Runs on a pooled Scanner
-// (vkMinEnergy: additive greedy substitution over the energy weight; a nil
-// Model binds the allocation-free default, a custom Model costs one
-// closure per search).
-func (a MinEnergy) FindObserved(list slots.List, req *job.Request, col obs.Collector) (*Window, error) {
-	return findPooled(a, list, req, col)
-}
-
-// findPooled is the shared public-Find epilogue: borrow a pooled Scanner,
-// search on its recycled state, and detach the result so the caller owns
-// it after the scanner returns to the pool. The detach costs two small
-// allocations per successful search — the price of the caller-owned result
-// contract; zero-allocation callers hold a Scanner and use
-// Scanner.FindObserved / FindObservedScanner directly.
-func findPooled(alg Algorithm, list slots.List, req *job.Request, col obs.Collector) (*Window, error) {
-	sc := AcquireScanner()
-	defer ReleaseScanner(sc)
-	w, err := sc.FindObserved(alg, list, req, col)
-	if err != nil {
-		return nil, err
-	}
-	return w.Detach(), nil
+	return FindObserved(a, list, req, nil)
 }

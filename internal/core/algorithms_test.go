@@ -100,12 +100,12 @@ func TestAMPReturnsEarliestStart(t *testing.T) {
 		l := randomSmallList(rng, 7)
 		req := job.Request{TaskCount: 3, Volume: 60, MaxCost: 200}
 		var feasibleStarts []float64
-		if err := Scan(l, &req, func(start float64, cands []Candidate) bool {
-			if _, _, ok := selectMinCost(cands, req.TaskCount, req.MaxCost); ok {
+		if err := Scan(l, &req, func(start float64, win *WindowIndex) bool {
+			if _, _, ok := selectMinCost(win.Cands(), req.TaskCount, req.MaxCost); ok {
 				feasibleStarts = append(feasibleStarts, start)
 			}
 			return false
-		}); err != nil {
+		}, nil); err != nil {
 			t.Fatal(err)
 		}
 		w, err := (AMP{}).Find(l, &req)
@@ -139,12 +139,12 @@ func TestMinCostIsGloballyOptimal(t *testing.T) {
 		l := randomSmallList(rng, 7)
 		req := job.Request{TaskCount: 3, Volume: 60, MaxCost: 300}
 		best := math.Inf(1)
-		if err := Scan(l, &req, func(start float64, cands []Candidate) bool {
-			if _, cost, ok := selectMinCost(cands, req.TaskCount, req.MaxCost); ok && cost < best {
+		if err := Scan(l, &req, func(start float64, win *WindowIndex) bool {
+			if _, cost, ok := selectMinCost(win.Cands(), req.TaskCount, req.MaxCost); ok && cost < best {
 				best = cost
 			}
 			return false
-		}); err != nil {
+		}, nil); err != nil {
 			t.Fatal(err)
 		}
 		w, err := (MinCost{}).Find(l, &req)
@@ -171,12 +171,12 @@ func TestMinRunTimeExactIsOptimalPerScan(t *testing.T) {
 		l := randomSmallList(rng, 6)
 		req := job.Request{TaskCount: 3, Volume: 60, MaxCost: 200}
 		best := math.Inf(1)
-		if err := Scan(l, &req, func(start float64, cands []Candidate) bool {
-			if r, ok := bruteMinRuntime(cands, req.TaskCount, req.MaxCost); ok && r < best {
+		if err := Scan(l, &req, func(start float64, win *WindowIndex) bool {
+			if r, ok := bruteMinRuntime(win.Cands(), req.TaskCount, req.MaxCost); ok && r < best {
 				best = r
 			}
 			return false
-		}); err != nil {
+		}, nil); err != nil {
 			t.Fatal(err)
 		}
 		w, err := (MinRunTime{Exact: true}).Find(l, &req)
@@ -220,12 +220,12 @@ func TestMinFinishExactIsOptimal(t *testing.T) {
 		l := randomSmallList(rng, 6)
 		req := job.Request{TaskCount: 3, Volume: 60, MaxCost: 200}
 		best := math.Inf(1)
-		if err := Scan(l, &req, func(start float64, cands []Candidate) bool {
-			if r, ok := bruteMinRuntime(cands, req.TaskCount, req.MaxCost); ok && start+r < best {
+		if err := Scan(l, &req, func(start float64, win *WindowIndex) bool {
+			if r, ok := bruteMinRuntime(win.Cands(), req.TaskCount, req.MaxCost); ok && start+r < best {
 				best = start + r
 			}
 			return false
-		}); err != nil {
+		}, nil); err != nil {
 			t.Fatal(err)
 		}
 		w, err := (MinFinish{Exact: true}).Find(l, &req)

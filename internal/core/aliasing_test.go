@@ -27,13 +27,14 @@ func catalogue(seed uint64) []core.Algorithm {
 	}
 }
 
-// TestAlgorithmsCopyWhatTheyKeep proves the VisitFunc contract ("the cands
-// slice is reused between calls: copy what you keep") for all six algorithm
-// families: each algorithm is run twice on the same instance, once plain and
-// once with testkit.PoisonVisit interposed, which hands the selection a
-// private candidate copy and poisons it (NaN fields, node -1) the moment
-// the visit returns. An implementation that aliases the slice instead of
-// copying builds its window from poisoned memory, so the two runs diverge.
+// TestAlgorithmsCopyWhatTheyKeep proves the VisitFunc contract ("the index
+// and its slices are reused between calls: copy what you keep") for all six
+// algorithm families: each algorithm is run twice on the same instance, once
+// plain and once with testkit.PoisonVisit interposed, which hands the
+// selection a private rebuild of the scan's WindowIndex and poisons its live
+// views (NaN fields, node -1) the moment the visit returns. An
+// implementation that retains a view instead of copying builds its window
+// from poisoned memory, so the two runs diverge.
 func TestAlgorithmsCopyWhatTheyKeep(t *testing.T) {
 	defer core.SetVisitWrapForTest(nil)
 	for seed := uint64(1); seed <= 30; seed++ {
@@ -68,7 +69,7 @@ func TestAlgorithmsCopyWhatTheyKeep(t *testing.T) {
 }
 
 // TestPoisonVisitCatchesAliasing is the detector's negative control: a
-// deliberately buggy selection that retains the cands slice must produce a
+// deliberately buggy selection that retains the Cands view must produce a
 // visibly poisoned window, proving the regression above has teeth.
 func TestPoisonVisitCatchesAliasing(t *testing.T) {
 	defer core.SetVisitWrapForTest(nil)
@@ -79,10 +80,10 @@ func TestPoisonVisitCatchesAliasing(t *testing.T) {
 	buggyFind := func() *core.Window {
 		var keptStart float64
 		var kept []core.Candidate
-		_ = core.Scan(list, &req, func(start float64, cands []core.Candidate) bool {
-			keptStart, kept = start, cands // BUG: aliases the scan's slice
+		_ = core.Scan(list, &req, func(start float64, win *core.WindowIndex) bool {
+			keptStart, kept = start, win.Cands() // BUG: aliases the scan's view
 			return true
-		})
+		}, nil)
 		return core.NewWindow(keptStart, kept)
 	}
 

@@ -20,7 +20,7 @@ import (
 // warmed-up scanner for every algorithm, and the public pooled Find's
 // small documented cost — two allocations for the result detach (Window
 // struct + placements array), plus one interface re-boxing of the
-// receiver inside findPooled for the flag-carrying algorithm structs
+// receiver inside FindObserved for the flag-carrying algorithm structs
 // (the zero-sized and small-word receivers box for free via the
 // runtime's static singletons).
 type allocBudget struct {
@@ -29,7 +29,7 @@ type allocBudget struct {
 	public  float64
 }
 
-// scannerBudgets is the steady-state contract of Scanner.FindObserved: all
+// scannerBudgets is the steady-state contract of Scanner.Find: all
 // nine catalogue algorithms at zero — including MinProcTime, whose RNG path
 // draws its sample through randx.SampleInto into scanner-owned scratch.
 func scannerBudgets() []allocBudget {
@@ -60,11 +60,11 @@ func TestScannerFindAllocs(t *testing.T) {
 		sc := core.NewScanner()
 		r := req // outside the closure: the visitor retains &r for the search
 		// Warm up past lazy capacity growth (byExec activation, arena).
-		if _, err := sc.FindObserved(ab.alg, list, &r, nil); err != nil {
+		if _, err := sc.Find(ab.alg, list.Cursor(), &r, nil); err != nil {
 			t.Fatalf("%s: warm-up find failed: %v", ab.alg.Name(), err)
 		}
 		got := testing.AllocsPerRun(50, func() {
-			_, _ = sc.FindObserved(ab.alg, list, &r, nil)
+			_, _ = sc.Find(ab.alg, list.Cursor(), &r, nil)
 		})
 		if got > ab.scanner {
 			t.Errorf("%s: %v allocs/op on a warmed-up scanner, budget %v", ab.alg.Name(), got, ab.scanner)

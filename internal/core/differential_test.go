@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"sort"
 	"testing"
 
 	"slotsel/internal/core"
@@ -14,26 +15,36 @@ import (
 // across at least 60 seeds.
 const diffSeeds = 64
 
-// TestDifferentialIncrementalVsOracle is the tentpole's correctness proof:
+// TestDifferentialIncrementalVsOracle is the kernels' correctness proof:
 // every shipped algorithm (running on the incremental WindowIndex kernels)
 // must return a window with exactly the signature of its copy+sort oracle
 // twin, across diffSeeds random heterogeneous instances — both on clean
-// runs and with the aliasing poisoners interposed on both scan paths.
+// runs and with the aliasing poisoner interposed on every scan.
+//
+// The clean runs also pin the lazy cost mirror on the same instances: after
+// every visit of every algorithm the scan's own index either has no cost
+// mirror at all (the visit never ran a select that reads it: the random
+// step, the exact runtime kernel) or one identical to sorting the window
+// from scratch; and a scan that starts selecting at its j-th visit has no
+// mirror before that visit and the from-scratch one at every visit after.
 func TestDifferentialIncrementalVsOracle(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		poison bool
+		name string
+		wrap func(t *testing.T, alg core.Algorithm) func(core.VisitFunc) core.VisitFunc
 	}{
-		{"clean", false},
-		{"poisoned", true},
+		{"clean", func(t *testing.T, alg core.Algorithm) func(core.VisitFunc) core.VisitFunc {
+			return func(visit core.VisitFunc) core.VisitFunc {
+				return func(start float64, win *core.WindowIndex) bool {
+					stop := visit(start, win)
+					checkCostMirror(t, alg.Name(), win, readsCostMirror(alg))
+					return stop
+				}
+			}
+		}},
+		{"poisoned", func(*testing.T, core.Algorithm) func(core.VisitFunc) core.VisitFunc { return testkit.PoisonVisit }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer core.SetVisitWrapForTest(nil)
-			defer core.SetIndexedVisitWrapForTest(nil)
-			if tc.poison {
-				core.SetVisitWrapForTest(testkit.PoisonVisit)
-				core.SetIndexedVisitWrapForTest(testkit.PoisonIndexedVisit)
-			}
 			for seed := uint64(1); seed <= diffSeeds; seed++ {
 				rng := randx.New(seed)
 				list := testkit.HeteroList(rng, 8, 4, 300)
@@ -51,8 +62,11 @@ func TestDifferentialIncrementalVsOracle(t *testing.T) {
 						t.Fatalf("no oracle twin for %s", alg.Name())
 					}
 					r1, r2 := req, req
+					core.SetVisitWrapForTest(tc.wrap(t, alg))
 					incW, incErr := alg.Find(list, &r1)
+					core.SetVisitWrapForTest(tc.wrap(t, oracle))
 					orcW, orcErr := oracle.Find(list, &r2)
+					core.SetVisitWrapForTest(nil)
 					if (incErr == nil) != (orcErr == nil) {
 						t.Fatalf("seed=%d alg=%s: feasibility diverged: incremental err=%v, oracle err=%v",
 							seed, alg.Name(), incErr, orcErr)
@@ -66,8 +80,76 @@ func TestDifferentialIncrementalVsOracle(t *testing.T) {
 							seed, alg.Name(), is, os)
 					}
 				}
+
+				// Selecting from the j-th visit on: no mirror before, the
+				// from-scratch mirror ever after (built at visit j from the
+				// window as it stood, maintained by add/expire since).
+				j, visits := int(seed%4), 0
+				r := req
+				if err := core.Scan(list, &r, func(_ float64, win *core.WindowIndex) bool {
+					if visits >= j {
+						win.SelectMinCost(r.TaskCount, r.MaxCost)
+					}
+					checkCostMirror(t, "select-from-j", win, visits >= j)
+					visits++
+					return false
+				}, nil); err != nil {
+					t.Fatal(err)
+				}
 			}
 		})
+	}
+}
+
+// readsCostMirror reports whether the algorithm's per-visit select reads the
+// cost-ordered mirror. The copy+sort oracle twins, the random MinProcTime
+// step and the exact runtime kernel (which walks the exec mirror) do not.
+func readsCostMirror(alg core.Algorithm) bool {
+	switch a := alg.(type) {
+	case core.AMP, core.MinCost, core.MinProcTimeGreedy, core.MinEnergy:
+		return true
+	case core.MinRunTime:
+		return !a.Exact
+	case core.MinFinish:
+		return !a.Exact
+	}
+	return false
+}
+
+// checkCostMirror compares the index's cost mirror and prefix sums with a
+// sort of the window from scratch (active) or with nothing at all (!active).
+func checkCostMirror(t *testing.T, who string, win *core.WindowIndex, active bool) {
+	t.Helper()
+	got := win.ByCost()
+	if !active {
+		if len(got) != 0 {
+			t.Fatalf("%s: %d candidates in a cost mirror no select ever read", who, len(got))
+		}
+		return
+	}
+	want := append([]core.Candidate(nil), win.Cands()...)
+	sort.Slice(want, func(i, j int) bool {
+		a, b := want[i], want[j]
+		if a.Cost != b.Cost {
+			return a.Cost < b.Cost
+		}
+		if a.Exec != b.Exec {
+			return a.Exec < b.Exec
+		}
+		return a.Slot.Node.ID < b.Slot.Node.ID
+	})
+	if len(got) != len(want) {
+		t.Fatalf("%s: cost mirror holds %d candidates, window %d", who, len(got), len(want))
+	}
+	sum := 0.0
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: ByCost[%d] = %+v, sorted from scratch %+v", who, i, got[i], want[i])
+		}
+		sum += want[i].Cost
+		if p := win.PrefixCost(i + 1); p != sum {
+			t.Fatalf("%s: PrefixCost(%d) = %x, left-to-right sum %x", who, i+1, p, sum)
+		}
 	}
 }
 
@@ -159,44 +241,6 @@ func TestWindowIndexTiedCostDeterminism(t *testing.T) {
 			if got[i].Slot.Node.ID != want {
 				t.Fatalf("seed=%d: ByCost[%d] = node %d, want node %d (cost→exec→node-ID tie-break)",
 					seed, i, got[i].Slot.Node.ID, want)
-			}
-		}
-	}
-}
-
-// TestIndexedAlgorithmsCopyWhatTheyKeep is the aliasing regression for the
-// indexed scan path: the shipped algorithms now receive the scan's live
-// WindowIndex, so the detector rebuilds a private index per visit and
-// poisons its views after the inner visit returns. A kernel that retains a
-// live view diverges from the clean run.
-func TestIndexedAlgorithmsCopyWhatTheyKeep(t *testing.T) {
-	defer core.SetIndexedVisitWrapForTest(nil)
-	for seed := uint64(1); seed <= 30; seed++ {
-		rng := randx.New(seed)
-		list := testkit.RandomList(rng, 6, 4, 200)
-		req := job.Request{
-			TaskCount: rng.IntRange(1, 4),
-			Volume:    float64(rng.IntRange(40, 120)),
-			MaxCost:   float64(rng.IntRange(100, 900)),
-		}
-		for _, alg := range catalogue(seed) {
-			core.SetIndexedVisitWrapForTest(nil)
-			r1 := req
-			cleanW, cleanErr := alg.Find(list, &r1)
-
-			core.SetIndexedVisitWrapForTest(testkit.PoisonIndexedVisit)
-			r2 := req
-			poisonW, poisonErr := alg.Find(list, &r2)
-			core.SetIndexedVisitWrapForTest(nil)
-
-			if (cleanErr == nil) != (poisonErr == nil) {
-				t.Fatalf("seed=%d alg=%s: errors diverged under poisoning: %v vs %v",
-					seed, alg.Name(), cleanErr, poisonErr)
-			}
-			cs, ps := testkit.WindowSignature(cleanW), testkit.WindowSignature(poisonW)
-			if cs != ps {
-				t.Errorf("seed=%d alg=%s: window built from retained index views\nclean:    %s\npoisoned: %s",
-					seed, alg.Name(), cs, ps)
 			}
 		}
 	}

@@ -2,13 +2,7 @@ package core
 
 // SetVisitWrapForTest installs (or, with nil, removes) the scan's visit
 // wrapper — the seam the aliasing regression tests use to interpose
-// testkit.PoisonVisit between Scan and the algorithms' selection
+// testkit.PoisonVisit between the scan loop and the algorithms' selection
 // procedures. Tests must restore the previous wrapper when done and must
 // not run in parallel with other tests while a wrapper is installed.
 func SetVisitWrapForTest(w func(VisitFunc) VisitFunc) { visitWrap = w }
-
-// SetIndexedVisitWrapForTest is SetVisitWrapForTest's twin for the indexed
-// scan path, interposing testkit.PoisonIndexedVisit between ScanIndexed and
-// the incremental selection kernels. Same discipline: restore when done, no
-// parallel tests while installed.
-func SetIndexedVisitWrapForTest(w func(IndexedVisitFunc) IndexedVisitFunc) { indexWrap = w }

@@ -16,21 +16,25 @@ import (
 // one memmove per insertion, one in-place compaction per expiry round)
 // where the oracle kernels pay O(w log w) per visit.
 //
-// A second, execution-time-ordered mirror backs the exact runtime kernel;
-// it is activated lazily on the first SelectMinRuntimeExact call of a scan
-// so algorithms that never ask for it pay nothing.
+// Both mirrors are activated lazily, by the first select of a scan that
+// reads them (the cost mirror by every kernel but the random step, the
+// execution-time-ordered one by the exact runtime kernel alone), so a visit
+// that only reads Cands() — the random MinProcTime step, the baselines, the
+// copy+sort oracle twins — never pays for an ordering it does not use.
 //
-// Lifetime: a WindowIndex handed to an IndexedVisitFunc is owned by the
-// scan and reused between visits; the slices returned by Cands, ByCost and
-// ByExec are live views under the same copy-what-you-keep contract as the
-// plain VisitFunc candidate slice. Every Select* method returns a freshly
-// allocated chosen slice.
+// Lifetime: a WindowIndex handed to a VisitFunc is owned by the scan and
+// reused between visits; the slices returned by Cands, ByCost and ByExec
+// are live views, and the chosen slice a Select* method returns is the
+// index's scratch buffer, valid until the next select on the same index:
+// copy what you keep.
 type WindowIndex struct {
 	// cands is the window in scan append order (non-decreasing slot start).
 	cands []Candidate
 
-	// byCost mirrors cands in the (Cost, Exec, NodeID) order.
-	byCost []Candidate
+	// byCost mirrors cands in the (Cost, Exec, NodeID) order; empty until a
+	// select that reads it activates tracking.
+	byCost    []Candidate
+	trackCost bool
 
 	// prefix holds running cost sums over byCost: prefix[i] is the total
 	// cost of the i cheapest candidates (prefix[0] = 0), always accumulated
@@ -42,28 +46,21 @@ type WindowIndex struct {
 	byExec    []Candidate
 	trackExec bool
 
-	// mirror enables cost-mirror and prefix-sum maintenance. The indexed
-	// scan path sets it; the plain VisitFunc path leaves it off so callers
-	// that only ever see the raw candidate slice do not pay for an index
-	// they cannot reach.
-	mirror bool
-
-	// scratch is the reusable chosen-slice buffer of the unexported
-	// select*Scratch kernels: one buffer, recycled across visits, consumed
-	// by the caller before the next selection. The exported Select* methods
-	// keep their fresh-slice contract by copying out of it.
+	// scratch is the chosen-slice buffer the Select* kernels return: one
+	// buffer, recycled across visits, consumed by the caller before the
+	// next selection. sample is SelectRandom's index scratch.
 	scratch []Candidate
+	sample  []int
 }
 
 // NewWindowIndex builds an index over a snapshot of the given candidates
-// (the slice is copied). It is the entry point for tests and tools that
-// want the incremental kernels outside a scan; inside a scan the index is
-// maintained incrementally and this constructor is never on the hot path.
+// (the slice is copied) with the cost mirror already active. It is the
+// entry point for tests and tools that want the incremental kernels outside
+// a scan; inside a scan the index is maintained incrementally and this
+// constructor is never on the hot path.
 func NewWindowIndex(cands []Candidate) *WindowIndex {
-	ix := &WindowIndex{mirror: true}
-	for _, c := range cands {
-		ix.add(c)
-	}
+	ix := &WindowIndex{cands: append([]Candidate(nil), cands...)}
+	ix.activateCost()
 	return ix
 }
 
@@ -100,8 +97,9 @@ func (ix *WindowIndex) Len() int { return len(ix.cands) }
 // state: copy what you keep.
 func (ix *WindowIndex) Cands() []Candidate { return ix.cands }
 
-// ByCost returns the cost-ordered mirror. The slice is live scan state:
-// copy what you keep.
+// ByCost returns the cost-ordered mirror; it is empty until a select that
+// reads it has run on this index. The slice is live scan state: copy what
+// you keep.
 func (ix *WindowIndex) ByCost() []Candidate { return ix.byCost }
 
 // ByExec returns the execution-time-ordered mirror; it is empty unless the
@@ -110,7 +108,7 @@ func (ix *WindowIndex) ByCost() []Candidate { return ix.byCost }
 func (ix *WindowIndex) ByExec() []Candidate { return ix.byExec }
 
 // PrefixCost returns the total cost of the n cheapest candidates, an O(1)
-// read of the running prefix sums. n must be within [0, Len()].
+// read of the running prefix sums. n must be within [0, len(ByCost())].
 func (ix *WindowIndex) PrefixCost(n int) float64 {
 	if n == 0 {
 		return 0
@@ -118,26 +116,22 @@ func (ix *WindowIndex) PrefixCost(n int) float64 {
 	return ix.prefix[n]
 }
 
-// add inserts a candidate: append-order window, binary-search insertion
-// into the cost mirror (and the exec mirror when tracked), prefix sums
-// recomputed from the insertion point.
+// add inserts a candidate: append-order window, and — for each mirror
+// already activated — a binary-search insertion (the cost mirror's prefix
+// sums recomputed from the insertion point).
 func (ix *WindowIndex) add(c Candidate) {
 	ix.cands = append(ix.cands, c)
-	if !ix.mirror {
-		return
-	}
 
-	pos := sort.Search(len(ix.byCost), func(i int) bool { return costLess(c, ix.byCost[i]) })
-	ix.byCost = append(ix.byCost, Candidate{})
-	copy(ix.byCost[pos+1:], ix.byCost[pos:])
-	ix.byCost[pos] = c
+	if ix.trackCost {
+		pos := sort.Search(len(ix.byCost), func(i int) bool { return costLess(c, ix.byCost[i]) })
+		ix.byCost = append(ix.byCost, Candidate{})
+		copy(ix.byCost[pos+1:], ix.byCost[pos:])
+		ix.byCost[pos] = c
 
-	if len(ix.prefix) == 0 {
 		ix.prefix = append(ix.prefix, 0)
-	}
-	ix.prefix = append(ix.prefix, 0)
-	for i := pos; i < len(ix.byCost); i++ {
-		ix.prefix[i+1] = ix.prefix[i] + ix.byCost[i].Cost
+		for i := pos; i < len(ix.byCost); i++ {
+			ix.prefix[i+1] = ix.prefix[i] + ix.byCost[i].Cost
+		}
 	}
 
 	if ix.trackExec {
@@ -148,102 +142,100 @@ func (ix *WindowIndex) add(c Candidate) {
 	}
 }
 
-// expire drops every candidate for which keep is false, compacting all
-// mirrors in place (order preserved) and recomputing prefix sums from the
-// first removal.
+// expire drops every candidate for which keep is false, compacting the
+// window and the activated mirrors in place (order preserved) and
+// recomputing prefix sums from the first removal.
 func (ix *WindowIndex) expire(keep func(Candidate) bool) {
-	kept := ix.cands[:0]
-	for _, c := range ix.cands {
-		if keep(c) {
-			kept = append(kept, c)
-		}
-	}
-	if len(kept) == len(ix.cands) {
+	var first int
+	if ix.cands, first = compact(ix.cands, keep); first < 0 {
 		return // nothing expired; mirrors are untouched
 	}
-	ix.cands = kept
-	if !ix.mirror {
-		return
+	if ix.trackCost {
+		ix.byCost, first = compact(ix.byCost, keep)
+		ix.prefix = ix.prefix[:len(ix.byCost)+1]
+		for i := first; i < len(ix.byCost); i++ {
+			ix.prefix[i+1] = ix.prefix[i] + ix.byCost[i].Cost
+		}
 	}
+	if ix.trackExec {
+		ix.byExec, _ = compact(ix.byExec, keep)
+	}
+}
 
-	out := ix.byCost[:0]
-	first := -1
-	for i, c := range ix.byCost {
+// compact filters s in place, preserving order, and returns the index of
+// the first element dropped (-1: none).
+func compact(s []Candidate, keep func(Candidate) bool) (kept []Candidate, first int) {
+	kept, first = s[:0], -1
+	for i, c := range s {
 		if keep(c) {
-			out = append(out, c)
+			kept = append(kept, c)
 		} else if first < 0 {
 			first = i
 		}
 	}
-	ix.byCost = out
-	ix.prefix = ix.prefix[:len(out)+1]
-	for i := first; i < len(out); i++ {
-		ix.prefix[i+1] = ix.prefix[i] + out[i].Cost
-	}
-
-	if ix.trackExec {
-		outE := ix.byExec[:0]
-		for _, c := range ix.byExec {
-			if keep(c) {
-				outE = append(outE, c)
-			}
-		}
-		ix.byExec = outE
-	}
+	return kept, first
 }
 
 // reset empties the index, retaining capacity, for reuse across scans.
 func (ix *WindowIndex) reset() {
 	ix.cands = ix.cands[:0]
 	ix.byCost = ix.byCost[:0]
+	ix.trackCost = false
 	ix.prefix = ix.prefix[:0]
 	ix.byExec = ix.byExec[:0]
 	ix.trackExec = false
 	ix.scratch = ix.scratch[:0]
+	ix.sample = ix.sample[:0]
 }
 
-// activateExec lazily builds the exec-ordered mirror; from then on add and
-// expire maintain it incrementally. The one-shot build is a binary
-// insertion sort rather than sort.Slice: execLess is a strict total order,
-// so the result is identical, and the insertion sort works in place
-// without sort.Slice's reflection allocation.
+// activateCost lazily builds the cost-ordered mirror and its prefix sums;
+// from then on add and expire maintain them incrementally. Mirror and sums
+// are exactly what incremental maintenance from the first add would have
+// left: costLess is a strict total order, so the sorted sequence is unique,
+// and the sums are accumulated left to right either way.
+func (ix *WindowIndex) activateCost() {
+	if ix.trackCost {
+		return
+	}
+	ix.trackCost = true
+	ix.byCost = sortedInto(ix.byCost[:0], ix.cands, costLess)
+	ix.prefix = append(ix.prefix[:0], 0)
+	for i, c := range ix.byCost {
+		ix.prefix = append(ix.prefix, ix.prefix[i]+c.Cost)
+	}
+}
+
+// activateExec is activateCost for the exec-ordered mirror.
 func (ix *WindowIndex) activateExec() {
 	if ix.trackExec {
 		return
 	}
 	ix.trackExec = true
-	s := append(ix.byExec[:0], ix.cands...)
+	ix.byExec = sortedInto(ix.byExec[:0], ix.cands, execLess)
+}
+
+// sortedInto copies cands into dst and sorts them by a binary insertion
+// sort rather than sort.Slice: less is a strict total order, so the result
+// is identical, and the insertion sort works in place without sort.Slice's
+// reflection allocation. It runs once per scan and mirror.
+func sortedInto(dst, cands []Candidate, less func(a, b Candidate) bool) []Candidate {
+	s := append(dst, cands...)
 	for i := 1; i < len(s); i++ {
 		c := s[i]
-		pos := sort.Search(i, func(j int) bool { return execLess(c, s[j]) })
+		pos := sort.Search(i, func(j int) bool { return less(c, s[j]) })
 		copy(s[pos+1:i+1], s[pos:i])
 		s[pos] = c
 	}
-	ix.byExec = s
-}
-
-// CheapestN returns a fresh copy of the n cheapest candidates, in the
-// cheapestN oracle order.
-func (ix *WindowIndex) CheapestN(n int) []Candidate {
-	return append([]Candidate(nil), ix.byCost[:n]...)
+	return s
 }
 
 // SelectMinCost is the incremental twin of the selectMinCost oracle: the n
 // cheapest candidates are a prefix of the cost mirror and their total is a
 // prefix-sum read, so the per-visit work is O(n) (the copy) instead of
-// O(w log w).
+// O(w log w). Like every Select*, it returns the index's scratch buffer —
+// valid only until the next select on this index.
 func (ix *WindowIndex) SelectMinCost(n int, budget float64) (chosen []Candidate, cost float64, ok bool) {
-	s, cost, ok := ix.selectMinCostScratch(n, budget)
-	if !ok {
-		return nil, 0, false
-	}
-	return append([]Candidate(nil), s...), cost, true
-}
-
-// selectMinCostScratch is SelectMinCost into the index's scratch buffer:
-// same selection, no allocation. The returned slice is the scratch — valid
-// only until the next select on this index.
-func (ix *WindowIndex) selectMinCostScratch(n int, budget float64) (chosen []Candidate, cost float64, ok bool) {
+	ix.activateCost()
 	if len(ix.byCost) < n {
 		return nil, 0, false
 	}
@@ -263,25 +255,10 @@ func (ix *WindowIndex) selectMinCostScratch(n int, budget float64) (chosen []Can
 // unchanged, so the output is candidate-for-candidate identical to the
 // oracle's.
 func (ix *WindowIndex) SelectMinRuntimeGreedy(n int, budget float64, literalBudget bool) (chosen []Candidate, runtime float64, ok bool) {
-	s, runtime, ok := ix.selectMinRuntimeGreedyScratch(n, budget, literalBudget)
+	result, cost, ok := ix.SelectMinCost(n, budget)
 	if !ok {
 		return nil, 0, false
 	}
-	return append([]Candidate(nil), s...), runtime, true
-}
-
-// selectMinRuntimeGreedyScratch is SelectMinRuntimeGreedy into the index's
-// scratch buffer; the returned slice is valid until the next select.
-func (ix *WindowIndex) selectMinRuntimeGreedyScratch(n int, budget float64, literalBudget bool) (chosen []Candidate, runtime float64, ok bool) {
-	if len(ix.byCost) < n {
-		return nil, 0, false
-	}
-	cost := ix.PrefixCost(n)
-	if budget > 0 && cost > budget {
-		return nil, 0, false
-	}
-	result := append(ix.scratch[:0], ix.byCost[:n]...)
-	ix.scratch = result
 	for _, short := range ix.byCost[n:] {
 		longIdx := maxExecIndex(result)
 		long := result[longIdx]
@@ -307,26 +284,10 @@ func (ix *WindowIndex) selectMinRuntimeGreedyScratch(n int, budget float64, lite
 // SelectMinAdditiveGreedy is the incremental twin of
 // selectMinAdditiveGreedy for an arbitrary additive per-slot weight.
 func (ix *WindowIndex) SelectMinAdditiveGreedy(n int, budget float64, weight func(Candidate) float64) (chosen []Candidate, total float64, ok bool) {
-	s, total, ok := ix.selectMinAdditiveGreedyScratch(n, budget, weight)
+	result, cost, ok := ix.SelectMinCost(n, budget)
 	if !ok {
 		return nil, 0, false
 	}
-	return append([]Candidate(nil), s...), total, true
-}
-
-// selectMinAdditiveGreedyScratch is SelectMinAdditiveGreedy into the
-// index's scratch buffer; the returned slice is valid until the next
-// select.
-func (ix *WindowIndex) selectMinAdditiveGreedyScratch(n int, budget float64, weight func(Candidate) float64) (chosen []Candidate, total float64, ok bool) {
-	if len(ix.byCost) < n {
-		return nil, 0, false
-	}
-	cost := ix.PrefixCost(n)
-	if budget > 0 && cost > budget {
-		return nil, 0, false
-	}
-	result := append(ix.scratch[:0], ix.byCost[:n]...)
-	ix.scratch = result
 	for _, short := range ix.byCost[n:] {
 		heavyIdx := 0
 		for i := range result {
@@ -355,19 +316,9 @@ func (ix *WindowIndex) selectMinAdditiveGreedyScratch(n int, budget float64, wei
 // minimum-runtime oracle: the exec-ordered prefix walk and cost heap are
 // unchanged, but the exec ordering comes from the incrementally maintained
 // mirror instead of a per-visit sort. The first call of a scan sorts the
-// current window once to activate the mirror; later visits reuse it.
+// current window once to activate the mirror; later visits reuse it. The
+// cost heap lives in the scratch buffer.
 func (ix *WindowIndex) SelectMinRuntimeExact(n int, budget float64) (chosen []Candidate, runtime float64, ok bool) {
-	s, runtime, ok := ix.selectMinRuntimeExactScratch(n, budget)
-	if !ok {
-		return nil, 0, false
-	}
-	return append([]Candidate(nil), s...), runtime, true
-}
-
-// selectMinRuntimeExactScratch is SelectMinRuntimeExact with the cost heap
-// living in the index's scratch buffer; the returned slice is valid until
-// the next select.
-func (ix *WindowIndex) selectMinRuntimeExactScratch(n int, budget float64) (chosen []Candidate, runtime float64, ok bool) {
 	if len(ix.cands) < n {
 		return nil, 0, false
 	}
@@ -396,10 +347,25 @@ func (ix *WindowIndex) selectMinRuntimeExactScratch(n int, budget float64) (chos
 	return nil, 0, false
 }
 
-// SelectRandom is the index entry of the paper's simplified MinProcTime
-// step: a uniformly random n-subset of the append-order window, rejected
-// when over budget. It draws from Cands so the stream of samples is
-// identical to the oracle's.
+// SelectRandom is the paper's simplified MinProcTime step: a uniformly
+// random n-subset of the append-order window, rejected when over budget.
+// It reads Cands alone — no mirror is activated — and the sample stream
+// (drawn before the budget check) and the chosen order are identical to
+// the allocating selectRandom oracle's.
 func (ix *WindowIndex) SelectRandom(n int, budget float64, rng *randx.Rand) (chosen []Candidate, ok bool) {
-	return selectRandom(ix.cands, n, budget, rng)
+	if len(ix.cands) < n {
+		return nil, false
+	}
+	ix.sample = rng.SampleInto(ix.sample[:0], len(ix.cands), n)
+	chosen = ix.scratch[:0]
+	cost := 0.0
+	for _, i := range ix.sample {
+		chosen = append(chosen, ix.cands[i])
+		cost += ix.cands[i].Cost
+	}
+	ix.scratch = chosen
+	if budget > 0 && cost > budget {
+		return nil, false
+	}
+	return chosen, true
 }

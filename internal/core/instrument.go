@@ -6,12 +6,13 @@ import (
 	"slotsel/internal/slots"
 )
 
-// ObservedFinder is implemented by algorithms whose search can thread an
-// obs.Collector down into the scan layer, so scan-level counters (slots
-// examined, window sizes, visits) are attributed to the search. Every
-// algorithm shipped by this package implements it; third-party Algorithm
-// implementations fall back to select-level instrumentation only (see
-// FindObserved).
+// ObservedFinder is implemented by algorithms outside this package whose
+// search can thread an obs.Collector down into the scan layer (by passing
+// it to Scan), so scan-level counters (slots examined, window sizes,
+// visits) are attributed to the search. The algorithms shipped by this
+// package need no such method — Scanner.Find dispatches on their type;
+// other Algorithm implementations fall back to select-level
+// instrumentation only.
 type ObservedFinder interface {
 	Algorithm
 
@@ -20,54 +21,21 @@ type ObservedFinder interface {
 	FindObserved(list slots.List, req *job.Request, col obs.Collector) (*Window, error)
 }
 
-// FindObserved runs one algorithm search with full instrumentation: a
-// SelectDone event and a "select" span are emitted for the search itself,
-// and — when the algorithm implements ObservedFinder — the collector is
-// threaded into the scan for per-scan counters. col == nil runs the plain
-// search with zero added work.
+// FindObserved is the caller-owned search entry — what every shipped
+// algorithm's Find forwards to with a nil collector: borrow a pooled
+// Scanner, run Scanner.Find over the list (a SelectDone event, a "select"
+// span and the scan's counters go to col; nil = off, zero added work), and
+// detach the result so the caller owns it after the scanner returns to the
+// pool. The detach costs two small allocations per successful search;
+// zero-allocation callers hold a Scanner and call its Find.
 func FindObserved(alg Algorithm, list slots.List, req *job.Request, col obs.Collector) (*Window, error) {
-	if col == nil {
-		return alg.Find(list, req)
+	sc := AcquireScanner()
+	defer ReleaseScanner(sc)
+	w, err := sc.Find(alg, list.Cursor(), req, col)
+	if err != nil {
+		return nil, err
 	}
-	begin := obs.Now()
-	var w *Window
-	var err error
-	if of, ok := alg.(ObservedFinder); ok {
-		w, err = of.FindObserved(list, req, col)
-	} else {
-		w, err = alg.Find(list, req)
-	}
-	elapsed := obs.Now() - begin
-	col.SelectDone(obs.SelectStats{Alg: alg.Name(), Found: w != nil, Elapsed: elapsed})
-	col.Span(obs.Span{Name: alg.Name(), Cat: "select", Start: begin, Dur: elapsed})
-	return w, err
-}
-
-// FindObservedScanner is FindObserved on a caller-provided Scanner: the
-// same SelectDone/span emission, but the search runs on sc's recycled
-// state, so a long-lived caller (a parallel worker, the inventory's
-// retry loop) amortizes all search allocations to zero. The returned
-// window is scanner-owned — valid until sc's next search — and must be
-// Detached if kept.
-func FindObservedScanner(sc *Scanner, alg Algorithm, list slots.List, req *job.Request, col obs.Collector) (*Window, error) {
-	return FindCursor(sc, alg, list.Cursor(), req, col)
-}
-
-// FindCursor is FindObservedScanner over whatever the cursor walks: for a
-// published sequence (seq.Cursor()) the same scan loop goes leaf by leaf,
-// without the per-search order check a List needs (a Seq's leaves were
-// verified when built) and without flattening. Same window, same ScanStats
-// as a search over seq.Flatten().
-func FindCursor(sc *Scanner, alg Algorithm, cur slots.Cursor, req *job.Request, col obs.Collector) (*Window, error) {
-	if col == nil {
-		return sc.find(alg, cur, req, nil)
-	}
-	begin := obs.Now()
-	w, err := sc.find(alg, cur, req, col)
-	elapsed := obs.Now() - begin
-	col.SelectDone(obs.SelectStats{Alg: alg.Name(), Found: w != nil, Elapsed: elapsed})
-	col.Span(obs.Span{Name: alg.Name(), Cat: "select", Start: begin, Dur: elapsed})
-	return w, err
+	return w.Detach(), nil
 }
 
 // Instrument wraps alg so that every Find reports to col, for call sites

@@ -29,11 +29,11 @@ func benchList() (slots.List, job.Request) {
 }
 
 // scanPlain is a verbatim copy of the pre-instrumentation Scan loop. It
-// exists only as the benchmark control: comparing it against ScanObserved
-// WITHIN ONE BINARY factors out build-to-build code-layout variance, which
-// on shared CI hardware swings microbenchmarks by far more than the ≤2%
-// budget under test. Keep it in sync with ScanObserved's loop structure.
-func scanPlain(list slots.List, req *job.Request, visit VisitFunc) error {
+// exists only as the benchmark control: comparing it against Scan WITHIN
+// ONE BINARY factors out build-to-build code-layout variance, which on
+// shared CI hardware swings microbenchmarks by far more than the ≤2% budget
+// under test.
+func scanPlain(list slots.List, req *job.Request, visit func(start float64, cands []Candidate) bool) error {
 	if err := req.Validate(); err != nil {
 		return err
 	}
@@ -70,18 +70,19 @@ func scanPlain(list slots.List, req *job.Request, visit VisitFunc) error {
 	return nil
 }
 
-// BenchmarkScanObservedOverhead is the acceptance benchmark for the
-// tentpole's hot-path budget: the disabled-collector path (nil) must stay
-// within 2% of the pre-instrumentation Scan (the "baseline" control below),
-// and the enabled variants show what turning observability on costs.
-func BenchmarkScanObservedOverhead(b *testing.B) {
+// BenchmarkScanCollectorOverhead is the acceptance benchmark for the
+// collector seam's hot-path budget: the disabled-collector path (nil) must
+// stay within 2% of the pre-instrumentation Scan (the "baseline" control
+// below), and the enabled variants show what turning observability on costs.
+func BenchmarkScanCollectorOverhead(b *testing.B) {
 	l, req := benchList()
-	visit := func(_ float64, cands []Candidate) bool { return false }
+	plain := func(float64, []Candidate) bool { return false }
+	visit := func(float64, *WindowIndex) bool { return false }
 
 	b.Run("baseline", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := scanPlain(l, &req, visit); err != nil {
+			if err := scanPlain(l, &req, plain); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -89,7 +90,7 @@ func BenchmarkScanObservedOverhead(b *testing.B) {
 	b.Run("nil", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := ScanObserved(l, &req, visit, nil); err != nil {
+			if err := Scan(l, &req, visit, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -98,7 +99,7 @@ func BenchmarkScanObservedOverhead(b *testing.B) {
 		var stats obs.Stats
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := ScanObserved(l, &req, visit, &stats); err != nil {
+			if err := Scan(l, &req, visit, &stats); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -107,7 +108,7 @@ func BenchmarkScanObservedOverhead(b *testing.B) {
 		col := obs.Combine(&obs.Stats{}, obs.NewTrace(obs.DefaultTraceCapacity))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := ScanObserved(l, &req, visit, col); err != nil {
+			if err := Scan(l, &req, visit, col); err != nil {
 				b.Fatal(err)
 			}
 		}

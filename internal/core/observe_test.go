@@ -8,17 +8,17 @@ import (
 	"slotsel/internal/obs"
 )
 
-// TestScanObservedCounters checks the scan counters against a hand-computed
+// TestScanCounters checks the scan counters against a hand-computed
 // workload: 4 slots, one filtered by MinPerf, the rest candidates, with
 // visits starting once 2 suitable slots overlap.
-func TestScanObservedCounters(t *testing.T) {
+func TestScanCounters(t *testing.T) {
 	fast1, fast2 := testNode(1, 4, 1), testNode(2, 4, 1) // exec 15
 	slow := testNode(3, 2, 1)                            // filtered by MinPerf 3
 	l := sorted(slot(fast1, 0, 200), slot(slow, 10, 200), slot(fast2, 50, 200), slot(fast1, 210, 230))
 	req := job.Request{TaskCount: 2, Volume: 60, MinPerf: 3}
 
 	var stats obs.Stats
-	if err := ScanObserved(l, &req, func(float64, []Candidate) bool { return false }, &stats); err != nil {
+	if err := Scan(l, &req, func(float64, *WindowIndex) bool { return false }, &stats); err != nil {
 		t.Fatal(err)
 	}
 	snap := stats.Snapshot()
@@ -50,13 +50,13 @@ func TestScanObservedCounters(t *testing.T) {
 	}
 }
 
-func TestScanObservedEarlyStop(t *testing.T) {
+func TestScanCountsEarlyStop(t *testing.T) {
 	n1, n2 := testNode(1, 4, 1), testNode(2, 4, 1)
 	l := sorted(slot(n1, 0, 100), slot(n2, 0, 100), slot(n1, 150, 300), slot(n2, 150, 300))
 	req := job.Request{TaskCount: 1, Volume: 60}
 
 	var stats obs.Stats
-	if err := ScanObserved(l, &req, func(float64, []Candidate) bool { return true }, &stats); err != nil {
+	if err := Scan(l, &req, func(float64, *WindowIndex) bool { return true }, &stats); err != nil {
 		t.Fatal(err)
 	}
 	snap := stats.Snapshot()
@@ -74,24 +74,24 @@ func TestScanObservedEarlyStop(t *testing.T) {
 	}
 }
 
-// TestScanObservedNilMatchesScan verifies the delegation contract: Scan and
-// ScanObserved with a nil collector visit identical positions.
-func TestScanObservedNilMatchesScan(t *testing.T) {
+// TestScanCollectorDoesNotSteer verifies that observation is passive: a scan
+// with a collector visits the same positions as one without.
+func TestScanCollectorDoesNotSteer(t *testing.T) {
 	n1, n2 := testNode(1, 4, 1), testNode(2, 2, 1)
 	l := sorted(slot(n1, 0, 100), slot(n2, 10, 300), slot(n1, 150, 400))
 	req := job.Request{TaskCount: 1, Volume: 60}
 
 	var a, b []float64
-	if err := Scan(l, &req, func(start float64, _ []Candidate) bool {
+	if err := Scan(l, &req, func(start float64, _ *WindowIndex) bool {
 		a = append(a, start)
 		return false
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := ScanObserved(l, &req, func(start float64, _ []Candidate) bool {
+	if err := Scan(l, &req, func(start float64, _ *WindowIndex) bool {
 		b = append(b, start)
 		return false
-	}, nil); err != nil {
+	}, &obs.Stats{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(a) != len(b) {

@@ -8,11 +8,11 @@ import (
 )
 
 // oracleAlg is a reference twin of a shipped algorithm: the same search
-// loop, but running on ScanObserved with the per-visit copy+sort kernels
-// (selectMinCost, selectMinRuntimeGreedy, ...) instead of the incremental
-// WindowIndex. The twins exist for the differential test suite and the
-// bench harness: they are the executable specification the incremental
-// kernels must match window-for-window.
+// loop on the same Scan, but every visit reads only win.Cands() and runs the
+// per-visit copy+sort kernels (selectMinCost, selectMinRuntimeGreedy, ...)
+// on it, never the incremental WindowIndex mirrors. The twins exist for the
+// differential test suite and the bench harness: they are the executable
+// specification the incremental kernels must match window-for-window.
 type oracleAlg struct {
 	name string
 	find func(list slots.List, req *job.Request, col obs.Collector) (*Window, error)
@@ -59,21 +59,21 @@ func Oracle(alg Algorithm) (Algorithm, bool) {
 
 func oracleAMP(list slots.List, req *job.Request, col obs.Collector) (*Window, error) {
 	var best *Window
-	err := ScanObserved(list, req, func(start float64, cands []Candidate) bool {
-		chosen, _, ok := selectMinCost(cands, req.TaskCount, req.MaxCost)
+	err := Scan(list, req, func(start float64, win *WindowIndex) bool {
+		chosen, _, ok := selectMinCost(win.Cands(), req.TaskCount, req.MaxCost)
 		if !ok {
 			return false
 		}
 		best = NewWindow(start, chosen)
 		return true
 	}, col)
-	return oracleResult(best, err)
+	return Found(best, err)
 }
 
 func oracleMinCost(list slots.List, req *job.Request, col obs.Collector) (*Window, error) {
 	var best *Window
-	err := ScanObserved(list, req, func(start float64, cands []Candidate) bool {
-		chosen, cost, ok := selectMinCost(cands, req.TaskCount, req.MaxCost)
+	err := Scan(list, req, func(start float64, win *WindowIndex) bool {
+		chosen, cost, ok := selectMinCost(win.Cands(), req.TaskCount, req.MaxCost)
 		if !ok {
 			return false
 		}
@@ -82,13 +82,14 @@ func oracleMinCost(list slots.List, req *job.Request, col obs.Collector) (*Windo
 		}
 		return false
 	}, col)
-	return oracleResult(best, err)
+	return Found(best, err)
 }
 
 func oracleMinRunTime(a MinRunTime) func(slots.List, *job.Request, obs.Collector) (*Window, error) {
 	return func(list slots.List, req *job.Request, col obs.Collector) (*Window, error) {
 		var best *Window
-		err := ScanObserved(list, req, func(start float64, cands []Candidate) bool {
+		err := Scan(list, req, func(start float64, win *WindowIndex) bool {
+			cands := win.Cands()
 			var chosen []Candidate
 			var runtime float64
 			var ok bool
@@ -105,14 +106,15 @@ func oracleMinRunTime(a MinRunTime) func(slots.List, *job.Request, obs.Collector
 			}
 			return false
 		}, col)
-		return oracleResult(best, err)
+		return Found(best, err)
 	}
 }
 
 func oracleMinFinish(a MinFinish) func(slots.List, *job.Request, obs.Collector) (*Window, error) {
 	return func(list slots.List, req *job.Request, col obs.Collector) (*Window, error) {
 		var best *Window
-		err := ScanObserved(list, req, func(start float64, cands []Candidate) bool {
+		err := Scan(list, req, func(start float64, win *WindowIndex) bool {
+			cands := win.Cands()
 			if a.EarlyStop && best != nil && start >= best.Finish() {
 				return true
 			}
@@ -132,7 +134,7 @@ func oracleMinFinish(a MinFinish) func(slots.List, *job.Request, obs.Collector) 
 			}
 			return false
 		}, col)
-		return oracleResult(best, err)
+		return Found(best, err)
 	}
 }
 
@@ -140,8 +142,8 @@ func oracleMinProcTime(a MinProcTime) func(slots.List, *job.Request, obs.Collect
 	return func(list slots.List, req *job.Request, col obs.Collector) (*Window, error) {
 		rng := randx.New(a.Seed)
 		var best *Window
-		err := ScanObserved(list, req, func(start float64, cands []Candidate) bool {
-			chosen, ok := selectRandom(cands, req.TaskCount, req.MaxCost, rng)
+		err := Scan(list, req, func(start float64, win *WindowIndex) bool {
+			chosen, ok := selectRandom(win.Cands(), req.TaskCount, req.MaxCost, rng)
 			if !ok {
 				return false
 			}
@@ -151,14 +153,14 @@ func oracleMinProcTime(a MinProcTime) func(slots.List, *job.Request, obs.Collect
 			}
 			return false
 		}, col)
-		return oracleResult(best, err)
+		return Found(best, err)
 	}
 }
 
 func oracleMinProcTimeGreedy(list slots.List, req *job.Request, col obs.Collector) (*Window, error) {
 	var best *Window
-	err := ScanObserved(list, req, func(start float64, cands []Candidate) bool {
-		chosen, total, ok := selectMinAdditiveGreedy(cands, req.TaskCount, req.MaxCost,
+	err := Scan(list, req, func(start float64, win *WindowIndex) bool {
+		chosen, total, ok := selectMinAdditiveGreedy(win.Cands(), req.TaskCount, req.MaxCost,
 			func(c Candidate) float64 { return c.Exec })
 		if !ok {
 			return false
@@ -168,7 +170,7 @@ func oracleMinProcTimeGreedy(list slots.List, req *job.Request, col obs.Collecto
 		}
 		return false
 	}, col)
-	return oracleResult(best, err)
+	return Found(best, err)
 }
 
 func oracleMinEnergy(a MinEnergy) func(slots.List, *job.Request, obs.Collector) (*Window, error) {
@@ -179,8 +181,8 @@ func oracleMinEnergy(a MinEnergy) func(slots.List, *job.Request, obs.Collector) 
 		}
 		var best *Window
 		var bestEnergy float64
-		err := ScanObserved(list, req, func(start float64, cands []Candidate) bool {
-			chosen, total, ok := selectMinAdditiveGreedy(cands, req.TaskCount, req.MaxCost,
+		err := Scan(list, req, func(start float64, win *WindowIndex) bool {
+			chosen, total, ok := selectMinAdditiveGreedy(win.Cands(), req.TaskCount, req.MaxCost,
 				func(c Candidate) float64 { return model(c.Slot.Node.Perf, c.Exec) })
 			if !ok {
 				return false
@@ -191,18 +193,6 @@ func oracleMinEnergy(a MinEnergy) func(slots.List, *job.Request, obs.Collector) 
 			}
 			return false
 		}, col)
-		return oracleResult(best, err)
+		return Found(best, err)
 	}
-}
-
-// oracleResult folds the shared epilogue of every twin: scan errors pass
-// through, an empty search is ErrNoWindow.
-func oracleResult(best *Window, err error) (*Window, error) {
-	if err != nil {
-		return nil, err
-	}
-	if best == nil {
-		return nil, ErrNoWindow
-	}
-	return best, nil
 }

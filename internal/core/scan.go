@@ -25,41 +25,31 @@ type Candidate struct {
 
 // VisitFunc is invoked by Scan at every scan position where at least
 // req.TaskCount suitable slots are available. start is the current window
-// start time (the start of the most recently added slots); cands holds the
-// suitable candidates — every candidate can host a task over
-// [start, start+Exec] within its slot (and within the request deadline).
-// Slots sharing a start time are coalesced into one visit: the window
-// already contains every suitable slot starting at start.
+// start time (the start of the most recently added slots); win is the
+// scan's incrementally maintained WindowIndex over the suitable candidates
+// — every candidate can host a task over [start, start+Exec] within its
+// slot (and within the request deadline). Slots sharing a start time are
+// coalesced into one visit: the window already contains every suitable
+// slot starting at start.
 //
-// The cands slice is reused between calls: implementations must copy
-// whatever they keep. Returning true stops the scan early.
+// win.Cands() is the window in scan order; the Select* methods run the
+// per-criterion selection procedures without re-sorting it. The index, the
+// slices it exposes and the slice a Select* returns are reused between
+// calls: implementations must copy whatever they keep (NewWindow does).
+// Returning true stops the scan early.
 //
 // Candidate values may be copied freely — a Candidate aliases its *Slot,
 // which is immutable for the duration of the search (see the slots.List
-// contract) — but the cands slice itself is the scan's live window state:
-// retaining it (or a sub-slice of it) is an aliasing bug that the
-// testkit.PoisonVisit detector exists to catch.
-type VisitFunc func(start float64, cands []Candidate) (stop bool)
+// contract) — but retaining one of the index's slices is an aliasing bug
+// that the testkit.PoisonVisit detector exists to catch.
+type VisitFunc func(start float64, win *WindowIndex) (stop bool)
 
-// IndexedVisitFunc is the selection-kernel variant of VisitFunc: instead of
-// the raw candidate slice the visit receives the scan's incrementally
-// maintained WindowIndex, whose Select* methods run the per-criterion
-// selection procedures without re-sorting the window. The index (and every
-// slice it exposes) is reused between calls under the same
-// copy-what-you-keep contract; testkit.PoisonIndexedVisit is the matching
-// aliasing detector.
-type IndexedVisitFunc func(start float64, win *WindowIndex) (stop bool)
-
-// visitWrap, when non-nil, wraps every plain visit function before Scan
+// visitWrap, when non-nil, wraps every visit function before the scan loop
 // uses it. It is a test-only seam (set via SetVisitWrapForTest) that lets
-// the aliasing regression tests interpose testkit.PoisonVisit between Scan
-// and the per-algorithm selection procedures; production builds pay one
-// nil check per Scan call.
+// the aliasing regression tests interpose testkit.PoisonVisit between the
+// scan and the per-algorithm selection procedures; production builds pay
+// one nil check per scan.
 var visitWrap func(VisitFunc) VisitFunc
-
-// indexWrap is visitWrap's twin for the indexed scan path (set via
-// SetIndexedVisitWrapForTest, interposing testkit.PoisonIndexedVisit).
-var indexWrap func(IndexedVisitFunc) IndexedVisitFunc
 
 // Scan is the AEP general scheme: a single pass over the slot list in order
 // of non-decreasing start time, maintaining the set of slots that remain
@@ -70,49 +60,33 @@ var indexWrap func(IndexedVisitFunc) IndexedVisitFunc
 // returns an error otherwise, because an unsorted list silently breaks the
 // linear-scan correctness argument of §2.1.
 //
+// The pass accumulates obs.ScanStats in locals and publishes them to col —
+// together with a "scan" span — once it completes. col == nil means
+// observability off: a handful of register increments, benchmark-verified
+// (BenchmarkScanCollectorOverhead) to stay within the ≤2% hot-path budget.
+//
 // Concurrency (audited for the parallel engine): Scan only READS the list,
 // its slots and their nodes — it never writes through a *slots.Slot — and
 // all of its mutable state (the window index, the Candidate values) is
 // local to the call. Any number of Scans may therefore run concurrently
 // over one shared list, provided callers uphold the slots.List contract of
-// not mutating a published list during searches. The cands slice handed to
-// visit is owned by the scan; implementations copy what they keep (the
-// aliasing regression tests in this package enforce that for every
-// shipped algorithm).
-func Scan(list slots.List, req *job.Request, visit VisitFunc) error {
-	return ScanObserved(list, req, visit, nil)
-}
-
-// ScanObserved is Scan with instrumentation: the pass accumulates
-// obs.ScanStats in locals and publishes them to col — together with a
-// "scan" span — once the pass completes. col == nil means observability
-// off; the disabled path is the plain Scan plus a handful of register
-// increments, benchmark-verified (BenchmarkScanObservedOverhead) to stay
-// within the ≤2% hot-path budget.
-func ScanObserved(list slots.List, req *job.Request, visit VisitFunc, col obs.Collector) error {
-	if visitWrap != nil {
-		visit = visitWrap(visit)
-	}
+// not mutating a published list during searches.
+func Scan(list slots.List, req *job.Request, visit VisitFunc, col obs.Collector) error {
 	sc := AcquireScanner()
 	defer ReleaseScanner(sc)
-	return scanLoop(list.Cursor(), req, col, false, &sc.win, func(start float64, ix *WindowIndex) bool {
-		return visit(start, ix.cands)
-	})
+	return scanLoop(list.Cursor(), req, col, &sc.win, visit)
 }
 
-// ScanIndexed is the scan entry of the incremental selection kernels: the
-// same pass as Scan, but the visit receives the maintained WindowIndex —
-// cost-ordered mirror, prefix-cost sums, lazily activated exec mirror —
-// instead of the raw candidate slice. All shipped algorithms run on this
-// path; ScanObserved remains for third-party VisitFunc implementations and
-// for the copy+sort oracle kernels the differential tests compare against.
-func ScanIndexed(list slots.List, req *job.Request, visit IndexedVisitFunc, col obs.Collector) error {
-	if indexWrap != nil {
-		visit = indexWrap(visit)
+// Found is the epilogue of a search built on Scan: a scan error passes
+// through, and a scan whose visits kept no window is ErrNoWindow.
+func Found(best *Window, err error) (*Window, error) {
+	if err != nil {
+		return nil, err
 	}
-	sc := AcquireScanner()
-	defer ReleaseScanner(sc)
-	return scanLoop(list.Cursor(), req, col, true, &sc.win, visit)
+	if best == nil {
+		return nil, ErrNoWindow
+	}
+	return best, nil
 }
 
 // scanLoop is the single shared scan implementation. Slots sharing a start
@@ -134,12 +108,15 @@ func ScanIndexed(list slots.List, req *job.Request, visit IndexedVisitFunc, col 
 // free slots are disjoint, and every retained slot contains the current
 // start), which is what makes the per-step maintenance cost O(nodes) and
 // the whole scan O(m x nodes).
-func scanLoop(cur slots.Cursor, req *job.Request, col obs.Collector, indexed bool, win *WindowIndex, visit IndexedVisitFunc) error {
+func scanLoop(cur slots.Cursor, req *job.Request, col obs.Collector, win *WindowIndex, visit VisitFunc) error {
 	if err := req.Validate(); err != nil {
 		return err
 	}
 	if !cur.Ordered() {
 		return fmt.Errorf("core: slot list is not ordered by start time")
+	}
+	if visitWrap != nil {
+		visit = visitWrap(visit)
 	}
 	var begin time.Duration
 	if col != nil {
@@ -148,7 +125,6 @@ func scanLoop(cur slots.Cursor, req *job.Request, col obs.Collector, indexed boo
 	var st obs.ScanStats
 
 	win.reset()
-	win.mirror = indexed
 
 	for leaf, i := cur.Next(), 0; leaf != nil; {
 		start := leaf[i].Start

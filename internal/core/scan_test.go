@@ -29,7 +29,7 @@ func TestScanRejectsUnsortedList(t *testing.T) {
 	n := testNode(1, 4, 1)
 	l := slots.List{slot(n, 50, 100), slot(n, 0, 40)}
 	req := job.Request{TaskCount: 1, Volume: 40}
-	err := Scan(l, &req, func(float64, []Candidate) bool { return false })
+	err := Scan(l, &req, func(float64, *WindowIndex) bool { return false }, nil)
 	if err == nil {
 		t.Fatal("unsorted list accepted")
 	}
@@ -37,7 +37,7 @@ func TestScanRejectsUnsortedList(t *testing.T) {
 
 func TestScanRejectsInvalidRequest(t *testing.T) {
 	req := job.Request{TaskCount: 0, Volume: 40}
-	if err := Scan(nil, &req, func(float64, []Candidate) bool { return false }); err == nil {
+	if err := Scan(nil, &req, func(float64, *WindowIndex) bool { return false }, nil); err == nil {
 		t.Fatal("invalid request accepted")
 	}
 }
@@ -49,13 +49,14 @@ func TestScanVisitsWithEnoughCandidates(t *testing.T) {
 	l := sorted(slot(n1, 0, 200), slot(n2, 50, 200))
 	req := job.Request{TaskCount: 2, Volume: 60} // exec 15 on both
 	var starts []float64
-	if err := Scan(l, &req, func(start float64, cands []Candidate) bool {
+	if err := Scan(l, &req, func(start float64, win *WindowIndex) bool {
+		cands := win.Cands()
 		starts = append(starts, start)
 		if len(cands) < 2 {
 			t.Errorf("visited with %d candidates", len(cands))
 		}
 		return false
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(starts) != 1 || starts[0] != 50 {
@@ -71,13 +72,13 @@ func TestScanStartsNonDecreasing(t *testing.T) {
 	)
 	req := job.Request{TaskCount: 2, Volume: 60}
 	prev := -1.0
-	if err := Scan(l, &req, func(start float64, cands []Candidate) bool {
+	if err := Scan(l, &req, func(start float64, win *WindowIndex) bool {
 		if start < prev {
 			t.Errorf("starts decreased: %g after %g", start, prev)
 		}
 		prev = start
 		return false
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -89,8 +90,8 @@ func TestScanCandidatesAlwaysFit(t *testing.T) {
 		slot(n2, 60, 200), slot(n1, 140, 180),
 	)
 	req := job.Request{TaskCount: 2, Volume: 60}
-	if err := Scan(l, &req, func(start float64, cands []Candidate) bool {
-		for _, c := range cands {
+	if err := Scan(l, &req, func(start float64, win *WindowIndex) bool {
+		for _, c := range win.Cands() {
 			if !c.Slot.FitsAt(start, req.Volume) {
 				t.Errorf("candidate %v does not fit at %g", c.Slot, start)
 			}
@@ -102,7 +103,7 @@ func TestScanCandidatesAlwaysFit(t *testing.T) {
 			}
 		}
 		return false
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -113,15 +114,15 @@ func TestScanSkipsNonMatchingNodes(t *testing.T) {
 	l := sorted(slot(fast, 0, 100), slot(slow, 0, 100))
 	req := job.Request{TaskCount: 1, Volume: 60, MinPerf: 5}
 	visited := false
-	if err := Scan(l, &req, func(start float64, cands []Candidate) bool {
+	if err := Scan(l, &req, func(start float64, win *WindowIndex) bool {
 		visited = true
-		for _, c := range cands {
+		for _, c := range win.Cands() {
 			if c.Slot.Node.Perf < 5 {
 				t.Errorf("non-matching node %v offered", c.Slot.Node)
 			}
 		}
 		return false
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !visited {
@@ -134,10 +135,10 @@ func TestScanDeadlineFiltering(t *testing.T) {
 	l := sorted(slot(n1, 0, 200), slot(n2, 0, 200))
 	req := job.Request{TaskCount: 2, Volume: 60, Deadline: 10}
 	count := 0
-	if err := Scan(l, &req, func(float64, []Candidate) bool {
+	if err := Scan(l, &req, func(float64, *WindowIndex) bool {
 		count++
 		return false
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if count != 0 {
@@ -145,7 +146,8 @@ func TestScanDeadlineFiltering(t *testing.T) {
 	}
 
 	req.Deadline = 15
-	if err := Scan(l, &req, func(start float64, cands []Candidate) bool {
+	if err := Scan(l, &req, func(start float64, win *WindowIndex) bool {
+		cands := win.Cands()
 		count++
 		if start != 0 {
 			t.Errorf("only start 0 is deadline-feasible, got %g", start)
@@ -154,7 +156,7 @@ func TestScanDeadlineFiltering(t *testing.T) {
 			t.Errorf("expected both slots as candidates, got %d", len(cands))
 		}
 		return false
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if count != 1 {
@@ -167,10 +169,10 @@ func TestScanStopEarly(t *testing.T) {
 	l := sorted(slot(n1, 0, 100), slot(n2, 0, 100), slot(n1, 150, 300), slot(n2, 150, 300))
 	req := job.Request{TaskCount: 1, Volume: 60}
 	visits := 0
-	if err := Scan(l, &req, func(float64, []Candidate) bool {
+	if err := Scan(l, &req, func(float64, *WindowIndex) bool {
 		visits++
 		return true
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if visits != 1 {
@@ -183,16 +185,16 @@ func TestScanWindowDropsExpiredSlots(t *testing.T) {
 	n1, n2, n3 := testNode(1, 4, 1), testNode(2, 4, 1), testNode(3, 4, 1)
 	l := sorted(slot(n1, 0, 30), slot(n2, 20, 100), slot(n3, 40, 100))
 	req := job.Request{TaskCount: 2, Volume: 60}
-	if err := Scan(l, &req, func(start float64, cands []Candidate) bool {
+	if err := Scan(l, &req, func(start float64, win *WindowIndex) bool {
 		if start == 40 {
-			for _, c := range cands {
+			for _, c := range win.Cands() {
 				if c.Slot.Node.ID == 1 {
 					t.Error("expired slot on node 1 still in window at start 40")
 				}
 			}
 		}
 		return false
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"slotsel/internal/job"
 	"slotsel/internal/obs"
@@ -22,22 +25,19 @@ import (
 // through the package pool (AcquireScanner/ReleaseScanner) which hands
 // each caller its own instance.
 //
-// Windows returned by Scanner.FindObserved are owned by the scanner and
-// remain valid only until the next FindObserved, Reset or release back to
-// the pool; callers that retain a result across searches must copy it
-// first (Window.Detach / Window.DetachDeep). The public Algorithm.Find
-// entry points do exactly that, so their results stay caller-owned.
+// Windows returned by Scanner.Find are owned by the scanner and remain
+// valid only until the next Find, Reset or release back to the pool;
+// callers that retain a result across searches must copy it first
+// (Window.Detach). FindObserved and the public Algorithm.Find entry points
+// do exactly that, so their results stay caller-owned.
 type Scanner struct {
 	// win is the incrementally maintained window index of the current scan.
 	win WindowIndex
 
-	// vis is the per-algorithm visitor state; visitFn/plainFn/plainIxFn are
-	// adapters bound once at construction so per-Find dispatch does not
-	// allocate a closure.
-	vis       visitor
-	visitFn   IndexedVisitFunc
-	plainFn   VisitFunc
-	plainIxFn IndexedVisitFunc
+	// vis is the per-algorithm visitor state; visitFn is its adapter, bound
+	// once at construction so per-Find dispatch does not allocate a closure.
+	vis     visitor
+	visitFn VisitFunc
 
 	// winA and winB are the result scratch: the visitor builds candidate
 	// windows into whichever one is not the current best and swaps on
@@ -46,17 +46,14 @@ type Scanner struct {
 	winA, winB Window
 
 	// rng backs MinProcTime's random selection; reseeded per search so the
-	// stream matches a freshly constructed generator. sample and chosen are
-	// its index and candidate scratch.
-	rng    *randx.Rand
-	sample []int
-	chosen []Candidate
+	// stream matches a freshly constructed generator.
+	rng *randx.Rand
 
 	// work is the CSA working copy: slot values copied into arena-owned
 	// structs so repeated cutting mutates scanner-private memory and reuses
 	// the same backing arrays across searches. arena holds every slot
 	// struct the scanner ever allocated; arena[:slotUsed] are handed out
-	// since the last BeginWork.
+	// since the last beginWork.
 	work     slots.List
 	arena    []*slots.Slot
 	slotUsed int
@@ -70,8 +67,6 @@ func NewScanner() *Scanner {
 	sc := &Scanner{}
 	sc.vis.sc = sc
 	sc.visitFn = func(start float64, win *WindowIndex) bool { return sc.vis.visit(start, win) }
-	sc.plainFn = func(start float64, cands []Candidate) bool { return sc.vis.visitPlain(start, cands) }
-	sc.plainIxFn = func(start float64, win *WindowIndex) bool { return sc.vis.visitPlain(start, win.cands) }
 	return sc
 }
 
@@ -79,17 +74,14 @@ func NewScanner() *Scanner {
 // every buffer's capacity: the window index, result windows, selection
 // scratch and CSA working copy are emptied, not freed. ReleaseScanner
 // calls it on the way into the pool; per-search state is additionally
-// re-initialized at the start of every FindObserved, so results never
-// depend on what a previous search (or a previous pool user) left behind —
-// the dirty-pool adversarial test poisons every buffer to pin that down.
+// re-initialized at the start of every Find, so results never depend on
+// what a previous search (or a previous pool user) left behind — the
+// dirty-pool adversarial test poisons every buffer to pin that down.
 func (sc *Scanner) Reset() {
 	sc.win.reset()
-	sc.win.mirror = false
 	sc.vis.reset(nil)
 	sc.winA = Window{Placements: sc.winA.Placements[:0]}
 	sc.winB = Window{Placements: sc.winB.Placements[:0]}
-	sc.sample = sc.sample[:0]
-	sc.chosen = sc.chosen[:0]
 	sc.work = sc.work[:0]
 	sc.slotUsed = 0
 }
@@ -133,25 +125,37 @@ func WarmScanners(n int) {
 	}
 }
 
-// FindObserved runs one algorithm search on the scanner's recycled state
-// and returns the best window, ErrNoWindow when none is feasible, or an
-// input error. The returned window is scanner-owned: valid until the next
-// FindObserved/Reset/release, shared placements with the scanner's scratch.
-// Callers that keep it must Detach (the public Find entry points do).
+// Find is the scanner-owned search entry: one algorithm search on the
+// scanner's recycled state over whatever the cursor walks — a caller's list
+// (list.Cursor(), order-checked in full) or a published sequence
+// (seq.Cursor(), walked leaf by leaf, never flattened; same window and
+// ScanStats). It returns the best window, ErrNoWindow when none is
+// feasible, or an input error, and reports to col (nil = off) a SelectDone
+// event and a "select" span around the scan's own ScanDone and "scan" span.
 //
-// Every algorithm shipped by this package dispatches onto the scanner's
-// allocation-free visitor; unknown third-party algorithms fall back to
-// their own Find/FindObserved.
-func (sc *Scanner) FindObserved(alg Algorithm, list slots.List, req *job.Request, col obs.Collector) (*Window, error) {
-	return sc.find(alg, list.Cursor(), req, col)
+// The window is scanner-owned — valid until the scanner's next search,
+// Reset or release — which is how a long-lived caller (a parallel worker,
+// the inventory's retry loop) searches without allocating; Detach what you
+// keep (FindObserved does).
+func (sc *Scanner) Find(alg Algorithm, cur slots.Cursor, req *job.Request, col obs.Collector) (*Window, error) {
+	if col == nil {
+		return sc.search(alg, cur, req, nil)
+	}
+	begin := obs.Now()
+	w, err := sc.search(alg, cur, req, col)
+	elapsed := obs.Now() - begin
+	col.SelectDone(obs.SelectStats{Alg: alg.Name(), Found: w != nil, Elapsed: elapsed})
+	col.Span(obs.Span{Name: alg.Name(), Cat: "select", Start: begin, Dur: elapsed})
+	return w, err
 }
 
-// find is the search behind every scanner entry: over a caller's list
-// (FindObserved) or a published sequence (FindCursor), through the same cursor.
-func (sc *Scanner) find(alg Algorithm, cur slots.Cursor, req *job.Request, col obs.Collector) (*Window, error) {
+// search is Find without the select-level events (the scan still reports
+// to col): what Alternatives runs for each of its AMP passes. The shipped
+// algorithms dispatch onto the scanner's allocation-free visitor; any other
+// falls back to its own FindObserved/Find.
+func (sc *Scanner) search(alg Algorithm, cur slots.Cursor, req *job.Request, col obs.Collector) (*Window, error) {
 	v := &sc.vis
 	v.reset(req)
-	indexed := true
 	switch a := alg.(type) {
 	case AMP:
 		v.kind = vkAMP
@@ -164,10 +168,10 @@ func (sc *Scanner) find(alg Algorithm, cur slots.Cursor, req *job.Request, col o
 		v.kind = vkMinFinish
 		v.exact, v.earlyStop = a.Exact, a.EarlyStop
 	case MinProcTimeGreedy:
-		v.kind = vkMinProcGreedy
+		v.kind = vkMinAdditive
 		v.weight = execWeight
 	case MinEnergy:
-		v.kind = vkMinEnergy
+		v.kind = vkMinAdditive
 		if a.Model == nil {
 			v.weight = defaultEnergyWeight
 		} else {
@@ -175,15 +179,15 @@ func (sc *Scanner) find(alg Algorithm, cur slots.Cursor, req *job.Request, col o
 			v.weight = func(c Candidate) float64 { return model(c.Slot.Node.Perf, c.Exec) }
 		}
 	case MinProcTime:
-		// The random sub-window step reads the window in append order only,
-		// so it runs on the plain scan path (see MinProcTime.FindObserved).
+		// The generator is reseeded per search, so the sampled stream —
+		// and therefore the result — is identical to a freshly constructed
+		// generator's.
 		v.kind = vkMinProcRandom
 		if sc.rng == nil {
 			sc.rng = randx.New(a.Seed)
 		} else {
 			sc.rng.Seed(a.Seed)
 		}
-		indexed = false
 	default:
 		// Unknown algorithm: no visitor dispatch; run its own search. Its
 		// result is already caller-owned, which Detach treats as a plain
@@ -194,22 +198,7 @@ func (sc *Scanner) find(alg Algorithm, cur slots.Cursor, req *job.Request, col o
 		return alg.Find(cur.List(), req)
 	}
 
-	var err error
-	if indexed {
-		fn := sc.visitFn
-		if indexWrap != nil {
-			fn = indexWrap(fn)
-		}
-		err = scanLoop(cur, req, col, true, &sc.win, fn)
-	} else {
-		fn := sc.plainIxFn
-		if visitWrap != nil {
-			wrapped := visitWrap(sc.plainFn)
-			fn = func(start float64, win *WindowIndex) bool { return wrapped(start, win.cands) }
-		}
-		err = scanLoop(cur, req, col, false, &sc.win, fn)
-	}
-	if err != nil {
+	if err := scanLoop(cur, req, col, &sc.win, sc.visitFn); err != nil {
 		return nil, err
 	}
 	if !v.hasBest {
@@ -231,8 +220,7 @@ const (
 	vkMinCost
 	vkMinRunTime
 	vkMinFinish
-	vkMinProcGreedy
-	vkMinEnergy
+	vkMinAdditive // MinProcTimeGreedy and MinEnergy: they differ in v.weight alone
 	vkMinProcRandom
 )
 
@@ -278,13 +266,13 @@ func (v *visitor) reset(req *job.Request) {
 	v.bestVal = 0
 }
 
-// visit is the indexed-path dispatch. The selection kernels run on the win
+// visit is the per-position dispatch. The selection kernels run on the win
 // argument — not on the scanner's own index — because the aliasing tests
 // interpose private rebuilt indexes through the scan's wrap seam.
 func (v *visitor) visit(start float64, win *WindowIndex) bool {
 	switch v.kind {
 	case vkAMP:
-		chosen, _, ok := win.selectMinCostScratch(v.req.TaskCount, v.req.MaxCost)
+		chosen, _, ok := win.SelectMinCost(v.req.TaskCount, v.req.MaxCost)
 		if !ok {
 			return false
 		}
@@ -293,7 +281,7 @@ func (v *visitor) visit(start float64, win *WindowIndex) bool {
 		return true // earliest start found; later positions cannot improve
 
 	case vkMinCost:
-		chosen, cost, ok := win.selectMinCostScratch(v.req.TaskCount, v.req.MaxCost)
+		chosen, cost, ok := win.SelectMinCost(v.req.TaskCount, v.req.MaxCost)
 		if !ok {
 			return false
 		}
@@ -304,14 +292,7 @@ func (v *visitor) visit(start float64, win *WindowIndex) bool {
 		return false
 
 	case vkMinRunTime:
-		var chosen []Candidate
-		var runtime float64
-		var ok bool
-		if v.exact {
-			chosen, runtime, ok = win.selectMinRuntimeExactScratch(v.req.TaskCount, v.req.MaxCost)
-		} else {
-			chosen, runtime, ok = win.selectMinRuntimeGreedyScratch(v.req.TaskCount, v.req.MaxCost, v.literalBudget)
-		}
+		chosen, runtime, ok := v.selectRuntime(win)
 		if !ok {
 			return false
 		}
@@ -325,13 +306,7 @@ func (v *visitor) visit(start float64, win *WindowIndex) bool {
 		if v.earlyStop && v.hasBest && start >= v.best.Finish() {
 			return true // every further window finishes after start >= best
 		}
-		var chosen []Candidate
-		var ok bool
-		if v.exact {
-			chosen, _, ok = win.selectMinRuntimeExactScratch(v.req.TaskCount, v.req.MaxCost)
-		} else {
-			chosen, _, ok = win.selectMinRuntimeGreedyScratch(v.req.TaskCount, v.req.MaxCost, false)
-		}
+		chosen, _, ok := v.selectRuntime(win)
 		if !ok {
 			return false
 		}
@@ -343,19 +318,8 @@ func (v *visitor) visit(start float64, win *WindowIndex) bool {
 		}
 		return false
 
-	case vkMinProcGreedy:
-		chosen, total, ok := win.selectMinAdditiveGreedyScratch(v.req.TaskCount, v.req.MaxCost, v.weight)
-		if !ok {
-			return false
-		}
-		if !v.hasBest || total < v.best.ProcTime {
-			buildWindow(v.best, start, chosen)
-			v.hasBest = true
-		}
-		return false
-
-	case vkMinEnergy:
-		chosen, total, ok := win.selectMinAdditiveGreedyScratch(v.req.TaskCount, v.req.MaxCost, v.weight)
+	case vkMinAdditive:
+		chosen, total, ok := win.SelectMinAdditiveGreedy(v.req.TaskCount, v.req.MaxCost, v.weight)
 		if !ok {
 			return false
 		}
@@ -365,55 +329,90 @@ func (v *visitor) visit(start float64, win *WindowIndex) bool {
 			v.bestVal = total
 		}
 		return false
-	}
-	return false
-}
 
-// visitPlain is the plain-path dispatch (MinProcTime's random step).
-func (v *visitor) visitPlain(start float64, cands []Candidate) bool {
-	chosen, ok := v.sc.selectRandomScratch(cands, v.req.TaskCount, v.req.MaxCost)
-	if !ok {
+	case vkMinProcRandom:
+		chosen, ok := win.SelectRandom(v.req.TaskCount, v.req.MaxCost, v.sc.rng)
+		if !ok {
+			return false
+		}
+		w := v.spare
+		buildWindow(w, start, chosen)
+		if !v.hasBest || w.ProcTime < v.best.ProcTime {
+			v.best, v.spare = w, v.best
+			v.hasBest = true
+		}
 		return false
 	}
-	w := v.spare
-	buildWindow(w, start, chosen)
-	if !v.hasBest || w.ProcTime < v.best.ProcTime {
-		v.best, v.spare = w, v.best
-		v.hasBest = true
-	}
 	return false
 }
 
-// selectRandomScratch is selectRandom drawing into the scanner's index and
-// candidate scratch: the Sample stream (drawn before the budget check) and
-// the chosen order are identical to the allocating oracle's.
-func (sc *Scanner) selectRandomScratch(cands []Candidate, n int, budget float64) ([]Candidate, bool) {
-	if len(cands) < n {
-		return nil, false
+// selectRuntime runs the runtime-minimizing kernel the search asked for
+// (literalBudget is MinRunTime's alone; MinFinish leaves it false).
+func (v *visitor) selectRuntime(win *WindowIndex) (chosen []Candidate, runtime float64, ok bool) {
+	if v.exact {
+		return win.SelectMinRuntimeExact(v.req.TaskCount, v.req.MaxCost)
 	}
-	idx := sc.rng.SampleInto(sc.sample[:0], len(cands), n)
-	sc.sample = idx
-	chosen := sc.chosen[:0]
-	cost := 0.0
-	for _, i := range idx {
-		chosen = append(chosen, cands[i])
-		cost += cands[i].Cost
-	}
-	sc.chosen = chosen
-	if budget > 0 && cost > budget {
-		return nil, false
-	}
-	return chosen, true
+	return win.SelectMinRuntimeGreedy(v.req.TaskCount, v.req.MaxCost, v.literalBudget)
 }
 
-// ---- CSA working-copy machinery ----
+// ---- CSA: alternatives over a scanner-private working copy ----
 
-// BeginWork loads a mutable working copy of the list into the scanner:
+// Alternatives is the CSA search on the scanner's state: AMP runs repeatedly
+// over a private working copy of the list (beginWork), each found window's
+// spans are cut out in place (cutWindow; remainders shorter than
+// minSlotLength suppressed) before the next run, and the alternatives are
+// returned in discovery order — non-decreasing start, pairwise disjoint by
+// slots, at most maxAlts of them (<= 0: all), ErrNoWindow for none. The
+// input list is not modified; the alternatives are deep-detached copies,
+// caller-owned. Each AMP run reports its scan counters to col (nil = off)
+// and the whole search is one "csa" span carrying the alternative count;
+// there is no per-run select event.
+func (sc *Scanner) Alternatives(list slots.List, req *job.Request, maxAlts int, minSlotLength float64, col obs.Collector) ([]*Window, error) {
+	// Validate before touching any search state so rejecting an invalid
+	// request performs no allocation work at all.
+	if err := req.Validate(); err != nil {
+		return nil, err
+	}
+	var begin time.Duration
+	if col != nil {
+		begin = obs.Now()
+	}
+	sc.beginWork(list)
+	var alts []*Window
+	for maxAlts <= 0 || len(alts) < maxAlts {
+		w, err := sc.search(AMP{}, sc.work.Cursor(), req, col)
+		if errors.Is(err, ErrNoWindow) {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		// Detach BEFORE cutting: the scanner-owned window aliases the very
+		// working slots the cut mutates.
+		alts = append(alts, w.DetachDeep())
+		sc.cutWindow(w, minSlotLength)
+	}
+	if col != nil {
+		col.Span(obs.Span{
+			Name:  "csa.Search",
+			Cat:   "csa",
+			Start: begin,
+			Dur:   obs.Now() - begin,
+			Arg:   fmt.Sprintf("alts=%d", len(alts)),
+		})
+	}
+	if len(alts) == 0 {
+		return nil, ErrNoWindow
+	}
+	return alts, nil
+}
+
+// beginWork loads a mutable working copy of the list into the scanner:
 // slot values are copied into arena-recycled structs (the input list and
-// its slots are never touched), so repeated CutWindow calls edit
+// its slots are never touched), so repeated cutWindow calls edit
 // scanner-private memory and successive searches reuse the same backing
 // arrays instead of cloning the list per search.
-func (sc *Scanner) BeginWork(list slots.List) {
+func (sc *Scanner) beginWork(list slots.List) {
 	sc.slotUsed = 0
 	sc.work = sc.work[:0]
 	for _, s := range list {
@@ -422,11 +421,6 @@ func (sc *Scanner) BeginWork(list slots.List) {
 		sc.work = append(sc.work, ns)
 	}
 }
-
-// Work returns the current working copy. The list is scanner-owned,
-// mutated by CutWindow and recycled by BeginWork/Reset; it must not be
-// retained or published.
-func (sc *Scanner) Work() slots.List { return sc.work }
 
 // newSlot hands out an arena slot struct, recycling structs from earlier
 // searches before allocating.
@@ -442,7 +436,7 @@ func (sc *Scanner) newSlot() *slots.Slot {
 	return s
 }
 
-// CutWindow removes the window's used spans from the working copy in
+// cutWindow removes the window's used spans from the working copy in
 // place. The result is value-identical, slot for slot, to the persistent
 // slots.Cut(work, w.UsedIntervals(), minLength) it replaces: each
 // placement's used interval lies inside its own slot and placements sit on
@@ -454,10 +448,8 @@ func (sc *Scanner) newSlot() *slots.Slot {
 // needed.
 //
 // The window's placements must reference slots of the current working copy
-// (i.e. a window returned by FindObserved over Work()). Detach any
-// alternative you keep BEFORE cutting: cutting mutates the very slot
-// structs the scanner-owned window points at.
-func (sc *Scanner) CutWindow(w *Window, minLength float64) {
+// (i.e. a window found by a search over sc.work).
+func (sc *Scanner) cutWindow(w *Window, minLength float64) {
 	for i := range w.Placements {
 		p := &w.Placements[i]
 		sc.cutSlot(p.Slot, p.Start, p.Start+p.Exec, minLength)

@@ -96,20 +96,19 @@ func poisonScanner(sc *Scanner) {
 		sc.win.byExec = append(sc.win.byExec, bad)
 		sc.win.prefix = append(sc.win.prefix, nan)
 		sc.win.scratch = append(sc.win.scratch, bad)
-		sc.sample = append(sc.sample, -7)
-		sc.chosen = append(sc.chosen, bad)
+		sc.win.sample = append(sc.win.sample, -7)
 		sc.work = append(sc.work, badSlot())
 		sc.arena = append(sc.arena, badSlot())
 	}
 	sc.win.trackExec = true
-	sc.win.mirror = true
+	sc.win.trackCost = true
 	sc.slotUsed = len(sc.arena)
 	poisonedWin := Window{Start: nan, Runtime: nan, Cost: nan, ProcTime: nan,
 		Placements: []Placement{{Slot: badSlot(), Start: nan, Exec: nan, Cost: nan}}}
 	sc.winA = poisonedWin
 	sc.winB = Window{Start: nan, Runtime: nan, Cost: nan, ProcTime: nan,
 		Placements: append([]Placement(nil), poisonedWin.Placements...)}
-	sc.vis.kind = vkMinEnergy
+	sc.vis.kind = vkMinAdditive
 	sc.vis.req = &job.Request{TaskCount: -3, Volume: nan}
 	sc.vis.exact, sc.vis.literalBudget, sc.vis.earlyStop = true, true, true
 	sc.vis.weight = func(Candidate) float64 { return nan }
@@ -144,14 +143,14 @@ func TestScannerDirtyReset(t *testing.T) {
 		for _, alg := range scannerCatalogue(seed) {
 			fresh := NewScanner()
 			r1 := req
-			wantW, wantErr := fresh.FindObserved(alg, list, &r1, nil)
+			wantW, wantErr := fresh.Find(alg, list.Cursor(), &r1, nil)
 			want := sigWindow(wantW)
 
 			dirty := NewScanner()
 			poisonScanner(dirty)
 			dirty.Reset()
 			r2 := req
-			gotW, gotErr := dirty.FindObserved(alg, list, &r2, nil)
+			gotW, gotErr := dirty.Find(alg, list.Cursor(), &r2, nil)
 
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("seed=%d alg=%s: errors diverged: fresh=%v dirty=%v", seed, alg.Name(), wantErr, gotErr)
@@ -175,7 +174,7 @@ func TestScannerPoisonedPool(t *testing.T) {
 		for _, alg := range scannerCatalogue(seed) {
 			fresh := NewScanner()
 			r1 := req
-			wantW, wantErr := fresh.FindObserved(alg, list, &r1, nil)
+			wantW, wantErr := fresh.Find(alg, list.Cursor(), &r1, nil)
 			want := sigWindow(wantW)
 
 			// Poison a batch of scanners and release them all, so the
@@ -201,7 +200,7 @@ func TestScannerPoisonedPool(t *testing.T) {
 // TestScannerSequentialReuse runs one scanner across the whole catalogue
 // and many instances back to back — no Reset between searches — and
 // checks every result against a fresh scanner's: per-search
-// reinitialization inside FindObserved must not depend on which algorithm
+// reinitialization inside Find must not depend on which algorithm
 // (or which instance) ran before.
 func TestScannerSequentialReuse(t *testing.T) {
 	shared := NewScanner()
@@ -212,11 +211,11 @@ func TestScannerSequentialReuse(t *testing.T) {
 		for _, alg := range scannerCatalogue(seed) {
 			fresh := NewScanner()
 			r1 := req
-			wantW, wantErr := fresh.FindObserved(alg, list, &r1, nil)
+			wantW, wantErr := fresh.Find(alg, list.Cursor(), &r1, nil)
 			want := sigWindow(wantW)
 
 			r2 := req
-			gotW, gotErr := shared.FindObserved(alg, list, &r2, nil)
+			gotW, gotErr := shared.Find(alg, list.Cursor(), &r2, nil)
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("seed=%d alg=%s: errors diverged: fresh=%v shared=%v", seed, alg.Name(), wantErr, gotErr)
 			}
@@ -238,7 +237,7 @@ func TestScannerResultDetach(t *testing.T) {
 	req := job.Request{TaskCount: 1, Volume: 60} // no budget: always feasible on a non-empty list
 	sc := NewScanner()
 	r1 := req
-	w, err := sc.FindObserved(MinCost{}, list, &r1, nil)
+	w, err := sc.Find(MinCost{}, list.Cursor(), &r1, nil)
 	if err != nil {
 		t.Fatalf("MinCost find: %v", err)
 	}
@@ -247,7 +246,7 @@ func TestScannerResultDetach(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r := req
 		r.TaskCount = 1 + i%3
-		_, _ = sc.FindObserved(MinFinish{}, list, &r, nil)
+		_, _ = sc.Find(MinFinish{}, list.Cursor(), &r, nil)
 	}
 	if got := sigWindow(kept); got != want {
 		t.Errorf("detached window mutated by scanner reuse\nbefore: %s\nafter:  %s", want, got)

@@ -236,13 +236,6 @@ func selectRandom(cands []Candidate, n int, budget float64, rng *randx.Rand) (ch
 	return chosen, true
 }
 
-// SelectAdditiveGreedy exposes the additive-greedy substitution to extension
-// packages (the generic extreme-criterion algorithm builds on it). See
-// selectMinAdditiveGreedy.
-func SelectAdditiveGreedy(cands []Candidate, n int, budget float64, weight func(Candidate) float64) (chosen []Candidate, total float64, ok bool) {
-	return selectMinAdditiveGreedy(cands, n, budget, weight)
-}
-
 // selectMinAdditiveGreedy generalizes the runtime-minimizing substitution to
 // any additive per-slot weight (total processor time, energy, ...): start
 // from the n cheapest slots and substitute the heaviest slot with cheaper

@@ -64,7 +64,7 @@ func TestScanOverSeqMatchesList(t *testing.T) {
 		for _, alg := range catalogue(seed) {
 			var want obs.Stats
 			r := req
-			w, wantErr := core.FindObservedScanner(sc, alg, list, &r, &want)
+			w, wantErr := sc.Find(alg, list.Cursor(), &r, &want)
 			wantSig := ""
 			if wantErr == nil {
 				wantSig = testkit.WindowSignature(w)
@@ -82,7 +82,7 @@ func TestScanOverSeqMatchesList(t *testing.T) {
 				}
 				var got obs.Stats
 				r := req
-				w, err := core.FindCursor(sc, alg, seq.Cursor(), &r, &got)
+				w, err := sc.Find(alg, seq.Cursor(), &r, &got)
 				if (err == nil) != (wantErr == nil) {
 					t.Fatalf("seed=%d alg=%s leaf=%d: err %v over the sequence, %v over the list", seed, alg.Name(), leaf, err, wantErr)
 				}
@@ -109,7 +109,7 @@ func TestOrderIsCheckedWhereTheSlotsComeFrom(t *testing.T) {
 	req := job.Request{TaskCount: 2, Volume: 60}
 	sc := core.NewScanner()
 	for i := 0; i < 2; i++ {
-		_, err := sc.FindObserved(core.AMP{}, list, &req, nil)
+		_, err := sc.Find(core.AMP{}, list.Cursor(), &req, nil)
 		if err == nil || err.Error() != "core: slot list is not ordered by start time" {
 			t.Fatalf("search %d over a mis-ordered list: %v", i, err)
 		}
@@ -121,10 +121,10 @@ func TestOrderIsCheckedWhereTheSlotsComeFrom(t *testing.T) {
 	}
 }
 
-// TestFindCursorAllocs: a search over a published sequence is as
+// TestScannerFindSeqAllocs: a search over a published sequence is as
 // allocation-free on a warmed-up scanner as one over a list — walking
 // leaves costs nothing per search.
-func TestFindCursorAllocs(t *testing.T) {
+func TestScannerFindSeqAllocs(t *testing.T) {
 	if testkit.RaceEnabled {
 		t.Skip("allocation counts are unreliable under the race detector")
 	}
@@ -137,11 +137,11 @@ func TestFindCursorAllocs(t *testing.T) {
 	for _, ab := range scannerBudgets() {
 		sc := core.NewScanner()
 		r := req
-		if _, err := core.FindCursor(sc, ab.alg, seq.Cursor(), &r, nil); err != nil {
+		if _, err := sc.Find(ab.alg, seq.Cursor(), &r, nil); err != nil {
 			t.Fatalf("%s: warm-up find failed: %v", ab.alg.Name(), err)
 		}
 		got := testing.AllocsPerRun(50, func() {
-			_, _ = core.FindCursor(sc, ab.alg, seq.Cursor(), &r, nil)
+			_, _ = sc.Find(ab.alg, seq.Cursor(), &r, nil)
 		})
 		if got > ab.scanner {
 			t.Errorf("%s: %v allocs/op over a sequence, budget %v", ab.alg.Name(), got, ab.scanner)

@@ -84,26 +84,18 @@ type Window struct {
 	ProcTime float64
 }
 
-// NewWindow assembles a window at the given start from the chosen
-// candidates, computing the aggregate characteristics.
+// NewWindow assembles a caller-owned window at the given start from the
+// chosen candidates (which it copies), computing the aggregate
+// characteristics.
 func NewWindow(start float64, chosen []Candidate) *Window {
-	w := &Window{Start: start, Placements: make([]Placement, 0, len(chosen))}
-	for _, c := range chosen {
-		p := Placement{Slot: c.Slot, Start: start, Exec: c.Exec, Cost: c.Cost}
-		w.Placements = append(w.Placements, p)
-		if c.Exec > w.Runtime {
-			w.Runtime = c.Exec
-		}
-		w.Cost += c.Cost
-		w.ProcTime += c.Exec
-	}
+	w := &Window{Placements: make([]Placement, 0, len(chosen))}
+	buildWindow(w, start, chosen)
 	return w
 }
 
-// buildWindow is NewWindow into an existing buffer: dst's placements slice
-// is truncated and refilled, aggregates recomputed with the identical
-// left-to-right accumulation, so the result is value-equal to
-// NewWindow(start, chosen) without allocating once dst's capacity suffices.
+// buildWindow fills an existing buffer: dst's placements slice is truncated
+// and refilled and the aggregates accumulated left to right, without
+// allocating once dst's capacity suffices.
 func buildWindow(dst *Window, start float64, chosen []Candidate) {
 	dst.Start = start
 	dst.Placements = dst.Placements[:0]

@@ -10,10 +10,7 @@
 package csa
 
 import (
-	"errors"
-	"fmt"
 	"math"
-	"time"
 
 	"slotsel/internal/core"
 	"slotsel/internal/job"
@@ -36,79 +33,17 @@ type Options struct {
 // Search runs AMP repeatedly over a working copy of the slot list, cutting
 // each found window's reserved spans before the next run, and returns all
 // alternatives found in discovery order (non-decreasing start time). The
-// input list is not modified.
+// input list is not modified. An empty result (no feasible window at all)
+// is reported as core.ErrNoWindow to match the single-window algorithms.
 //
-// An empty result (no feasible window at all) is reported as
-// core.ErrNoWindow to match the single-window algorithms.
-func Search(list slots.List, req *job.Request, opts Options) ([]*core.Window, error) {
-	return SearchObserved(list, req, opts, nil)
-}
-
-// SearchObserved is Search with instrumentation: the repeated AMP runs emit
-// their scan counters to col, and the whole alternative search is recorded
-// as one "csa" span carrying the alternative count. col == nil behaves
-// exactly like Search.
-func SearchObserved(list slots.List, req *job.Request, opts Options, col obs.Collector) ([]*core.Window, error) {
-	// Validate before borrowing any search state so rejecting an invalid
-	// request performs no allocation work at all.
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
+// The repeated AMP runs emit their scan counters to col (nil = off) and the
+// whole search is recorded as one "csa" span carrying the alternative
+// count. The loop itself is (*core.Scanner).Alternatives, which callers
+// that own a scanner call directly; Search borrows a pooled one.
+func Search(list slots.List, req *job.Request, opts Options, col obs.Collector) ([]*core.Window, error) {
 	sc := core.AcquireScanner()
 	defer core.ReleaseScanner(sc)
-	return searchScanner(sc, list, req, opts, col)
-}
-
-// SearchScanner is SearchObserved on a caller-provided Scanner: the search
-// runs entirely on sc's recycled working copy, so a long-lived caller (a
-// parallel speculation worker, the inventory's ReserveBest) amortizes the
-// per-search slot-list clone away. The returned alternatives are detached
-// copies — caller-owned, unaffected by sc's reuse.
-func SearchScanner(sc *core.Scanner, list slots.List, req *job.Request, opts Options, col obs.Collector) ([]*core.Window, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	return searchScanner(sc, list, req, opts, col)
-}
-
-// searchScanner is the CSA loop on scanner-owned state: instead of cloning
-// the slot list per search and rebuilding it per cut, the scanner holds
-// one mutable working copy (BeginWork) and each found window's spans are
-// cut out of it in place (CutWindow). Each alternative is deep-detached
-// BEFORE cutting, because the scanner-owned result window aliases the very
-// working slots the cut mutates.
-func searchScanner(sc *core.Scanner, list slots.List, req *job.Request, opts Options, col obs.Collector) ([]*core.Window, error) {
-	var begin time.Duration
-	if col != nil {
-		begin = obs.Now()
-	}
-	sc.BeginWork(list)
-	amp := core.AMP{}
-	var alts []*core.Window
-	for opts.MaxAlternatives <= 0 || len(alts) < opts.MaxAlternatives {
-		w, err := sc.FindObserved(amp, sc.Work(), req, col)
-		if errors.Is(err, core.ErrNoWindow) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		alts = append(alts, w.DetachDeep())
-		sc.CutWindow(w, opts.MinSlotLength)
-	}
-	if col != nil {
-		col.Span(obs.Span{
-			Name:  "csa.Search",
-			Cat:   "csa",
-			Start: begin,
-			Dur:   obs.Now() - begin,
-			Arg:   fmt.Sprintf("alts=%d", len(alts)),
-		})
-	}
-	if len(alts) == 0 {
-		return nil, core.ErrNoWindow
-	}
-	return alts, nil
+	return sc.Alternatives(list, req, opts.MaxAlternatives, opts.MinSlotLength, col)
 }
 
 // Criterion identifies the window characteristic by which the best

@@ -7,7 +7,9 @@ import (
 
 	"slotsel/internal/core"
 	"slotsel/internal/job"
+	"slotsel/internal/obs"
 	"slotsel/internal/randx"
+	"slotsel/internal/slots"
 	"slotsel/internal/testkit"
 )
 
@@ -19,7 +21,7 @@ func TestSearchFindsDisjointAlternatives(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		e := testkit.SmallEnv(seed, 15, 300)
 		req := smallRequest()
-		alts, err := Search(e.Slots, &req, Options{MinSlotLength: 10})
+		alts, err := Search(e.Slots, &req, Options{MinSlotLength: 10}, nil)
 		if errors.Is(err, core.ErrNoWindow) {
 			continue
 		}
@@ -49,7 +51,7 @@ func TestSearchDoesNotMutateInput(t *testing.T) {
 	for i, s := range e.Slots {
 		before[i].start, before[i].end = s.Start, s.End
 	}
-	if _, err := Search(e.Slots, &req, Options{MinSlotLength: 10}); err != nil && !errors.Is(err, core.ErrNoWindow) {
+	if _, err := Search(e.Slots, &req, Options{MinSlotLength: 10}, nil); err != nil && !errors.Is(err, core.ErrNoWindow) {
 		t.Fatal(err)
 	}
 	for i, s := range e.Slots {
@@ -63,7 +65,7 @@ func TestFirstAlternativeEqualsAMP(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		e := testkit.SmallEnv(seed, 15, 300)
 		req := smallRequest()
-		alts, errC := Search(e.Slots, &req, Options{MinSlotLength: 10})
+		alts, errC := Search(e.Slots, &req, Options{MinSlotLength: 10}, nil)
 		w, errA := (core.AMP{}).Find(e.Slots, &req)
 		if errors.Is(errC, core.ErrNoWindow) != errors.Is(errA, core.ErrNoWindow) {
 			t.Fatalf("seed %d: CSA and AMP disagree on feasibility", seed)
@@ -80,7 +82,7 @@ func TestFirstAlternativeEqualsAMP(t *testing.T) {
 func TestAlternativeStartsNonDecreasing(t *testing.T) {
 	e := testkit.SmallEnv(7, 20, 400)
 	req := smallRequest()
-	alts, err := Search(e.Slots, &req, Options{MinSlotLength: 10})
+	alts, err := Search(e.Slots, &req, Options{MinSlotLength: 10}, nil)
 	if err != nil {
 		t.Skip("no alternatives on this seed")
 	}
@@ -94,14 +96,14 @@ func TestAlternativeStartsNonDecreasing(t *testing.T) {
 func TestMaxAlternativesBound(t *testing.T) {
 	e := testkit.SmallEnv(9, 25, 500)
 	req := smallRequest()
-	all, err := Search(e.Slots, &req, Options{MinSlotLength: 10})
+	all, err := Search(e.Slots, &req, Options{MinSlotLength: 10}, nil)
 	if err != nil {
 		t.Skip("no alternatives on this seed")
 	}
 	if len(all) < 3 {
 		t.Skip("not enough alternatives to test the bound")
 	}
-	bounded, err := Search(e.Slots, &req, Options{MinSlotLength: 10, MaxAlternatives: 2})
+	bounded, err := Search(e.Slots, &req, Options{MinSlotLength: 10, MaxAlternatives: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,14 +114,14 @@ func TestMaxAlternativesBound(t *testing.T) {
 
 func TestSearchErrNoWindow(t *testing.T) {
 	req := job.Request{TaskCount: 3, Volume: 60, MaxCost: 300}
-	if _, err := Search(nil, &req, Options{}); !errors.Is(err, core.ErrNoWindow) {
+	if _, err := Search(nil, &req, Options{}, nil); !errors.Is(err, core.ErrNoWindow) {
 		t.Fatalf("empty list: %v, want ErrNoWindow", err)
 	}
 }
 
 func TestSearchInvalidRequest(t *testing.T) {
 	req := job.Request{TaskCount: 0, Volume: 60}
-	if _, err := Search(nil, &req, Options{}); err == nil || errors.Is(err, core.ErrNoWindow) {
+	if _, err := Search(nil, &req, Options{}, nil); err == nil || errors.Is(err, core.ErrNoWindow) {
 		t.Fatalf("invalid request: %v", err)
 	}
 }
@@ -223,7 +225,7 @@ func TestAlternativeCountGrowsWithResources(t *testing.T) {
 		total := 0
 		for seed := uint64(1); seed <= 5; seed++ {
 			e := testkit.SmallEnv(seed, nodes, 300)
-			alts, err := Search(e.Slots, &req, Options{MinSlotLength: 10})
+			alts, err := Search(e.Slots, &req, Options{MinSlotLength: 10}, nil)
 			if err == nil {
 				total += len(alts)
 			}
@@ -239,8 +241,8 @@ func TestAlternativeCountGrowsWithResources(t *testing.T) {
 func TestSearchDeterministic(t *testing.T) {
 	e := testkit.SmallEnv(11, 15, 300)
 	req := smallRequest()
-	a, errA := Search(e.Slots, &req, Options{MinSlotLength: 10})
-	b, errB := Search(e.Slots, &req, Options{MinSlotLength: 10})
+	a, errA := Search(e.Slots, &req, Options{MinSlotLength: 10}, nil)
+	b, errB := Search(e.Slots, &req, Options{MinSlotLength: 10}, nil)
 	if (errA == nil) != (errB == nil) {
 		t.Fatal("determinism broken on feasibility")
 	}
@@ -256,4 +258,81 @@ func TestSearchDeterministic(t *testing.T) {
 		}
 	}
 	_ = randx.New(0)
+}
+
+// eventCounter tallies what a search reports through the collector seam.
+type eventCounter struct {
+	scans, selects, batches int
+	spans                   map[string]int // by category
+}
+
+func (c *eventCounter) ScanDone(obs.ScanStats)     { c.scans++ }
+func (c *eventCounter) SelectDone(obs.SelectStats) { c.selects++ }
+func (c *eventCounter) BatchDone(obs.BatchStats)   { c.batches++ }
+func (c *eventCounter) Span(sp obs.Span)           { c.spans[sp.Cat]++ }
+
+// TestSearchEntriesEventContract pins what each search entry emits per
+// call. Consumers key on it: the repository benchmark charges kernel time
+// per algorithm by the "select" span, statusz counts searches by
+// SelectDone, and a CSA search is one "csa" span around its k+1 quiet AMP
+// scans (k found, one that finds nothing) with no select event of its own.
+func TestSearchEntriesEventContract(t *testing.T) {
+	e := testkit.SmallEnv(3, 15, 300)
+	seq, err := slots.SeqOf(e.Slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := job.Request{TaskCount: 2, Volume: 60}
+	opts := Options{MinSlotLength: 10}
+	sc := core.NewScanner()
+	k := 0
+	for _, tc := range []struct {
+		entry   string
+		run     func(col obs.Collector) error
+		selects int
+		scans   func() int
+		csa     int
+	}{
+		{"core.FindObserved", func(col obs.Collector) error {
+			_, err := core.FindObserved(core.MinCost{}, e.Slots, &req, col)
+			return err
+		}, 1, func() int { return 1 }, 0},
+		{"Scanner.Find over a list", func(col obs.Collector) error {
+			_, err := sc.Find(core.MinFinish{}, e.Slots.Cursor(), &req, col)
+			return err
+		}, 1, func() int { return 1 }, 0},
+		{"Scanner.Find over a sequence", func(col obs.Collector) error {
+			_, err := sc.Find(core.AMP{}, seq.Cursor(), &req, col)
+			return err
+		}, 1, func() int { return 1 }, 0},
+		{"csa.Search", func(col obs.Collector) error {
+			alts, err := Search(e.Slots, &req, opts, col)
+			k = len(alts)
+			return err
+		}, 0, func() int { return k + 1 }, 1},
+		{"Scanner.Alternatives", func(col obs.Collector) error {
+			alts, err := sc.Alternatives(e.Slots, &req, opts.MaxAlternatives, opts.MinSlotLength, col)
+			k = len(alts)
+			return err
+		}, 0, func() int { return k + 1 }, 1},
+	} {
+		col := &eventCounter{spans: map[string]int{}}
+		if err := tc.run(col); err != nil {
+			t.Fatalf("%s: %v", tc.entry, err)
+		}
+		if tc.csa == 1 && k < 2 {
+			t.Fatalf("%s: %d alternatives; the fixture must yield several", tc.entry, k)
+		}
+		want := eventCounter{scans: tc.scans(), selects: tc.selects,
+			spans: map[string]int{"scan": tc.scans(), "select": tc.selects, "csa": tc.csa}}
+		for cat, n := range want.spans {
+			if col.spans[cat] != n {
+				t.Errorf("%s: %d %q spans, want %d", tc.entry, col.spans[cat], cat, n)
+			}
+		}
+		if col.scans != want.scans || col.selects != want.selects || col.batches != 0 {
+			t.Errorf("%s: ScanDone=%d SelectDone=%d BatchDone=%d, want %d/%d/0",
+				tc.entry, col.scans, col.selects, col.batches, want.scans, want.selects)
+		}
+	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // TestSearchScannerMatchesCloneCut is the in-place-cutting differential:
-// the scanner path (one mutable working copy, CutWindow interval edits)
+// the scanner path (one mutable working copy, in-place interval edits)
 // must produce window-for-window identical alternatives to the reference
 // clone-and-rebuild loop the pre-scanner implementation ran, across many
 // random instances, budgets and minimum slot lengths.
@@ -53,7 +53,7 @@ func TestSearchScannerMatchesCloneCut(t *testing.T) {
 		}()
 
 		sc := core.AcquireScanner()
-		gotAlts, gotErr := SearchScanner(sc, list, &req, opts, nil)
+		gotAlts, gotErr := sc.Alternatives(list, &req, opts.MaxAlternatives, opts.MinSlotLength, nil)
 		core.ReleaseScanner(sc)
 
 		if (refErr == nil) != (gotErr == nil) || (refErr != nil && !errors.Is(gotErr, refErr)) {
@@ -79,8 +79,8 @@ func TestSearchScannerRepeatedReuse(t *testing.T) {
 		req := job.Request{TaskCount: 2, Volume: 60, MaxCost: 500}
 		opts := Options{MinSlotLength: 5}
 
-		wantAlts, wantErr := Search(list, &req, opts)
-		gotAlts, gotErr := SearchScanner(shared, list, &req, opts, nil)
+		wantAlts, wantErr := Search(list, &req, opts, nil)
+		gotAlts, gotErr := shared.Alternatives(list, &req, opts.MaxAlternatives, opts.MinSlotLength, nil)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("seed %d: errors diverged: %v vs %v", seed, wantErr, gotErr)
 		}
@@ -110,11 +110,11 @@ func TestSearchValidatesBeforeWork(t *testing.T) {
 		if wantErr == nil {
 			t.Fatalf("case %d: fixture request unexpectedly valid", i)
 		}
-		if _, err := Search(list, &r, Options{}); err == nil || err.Error() != wantErr.Error() {
+		if _, err := Search(list, &r, Options{}, nil); err == nil || err.Error() != wantErr.Error() {
 			t.Errorf("case %d: Search error = %v, want %v", i, err, wantErr)
 		}
-		if _, err := SearchScanner(sc, list, &r, Options{}, nil); err == nil || err.Error() != wantErr.Error() {
-			t.Errorf("case %d: SearchScanner error = %v, want %v", i, err, wantErr)
+		if _, err := sc.Alternatives(list, &r, 0, 0, nil); err == nil || err.Error() != wantErr.Error() {
+			t.Errorf("case %d: Scanner.Alternatives error = %v, want %v", i, err, wantErr)
 		}
 	}
 }
@@ -135,7 +135,7 @@ func TestSearchScannerAllocs(t *testing.T) {
 	sc := core.AcquireScanner()
 	defer core.ReleaseScanner(sc)
 	r := req
-	alts, err := SearchScanner(sc, list, &r, opts, nil)
+	alts, err := sc.Alternatives(list, &r, opts.MaxAlternatives, opts.MinSlotLength, nil)
 	if err != nil {
 		t.Fatalf("warm-up search failed: %v", err)
 	}
@@ -144,9 +144,9 @@ func TestSearchScannerAllocs(t *testing.T) {
 	// structs (DetachDeep). Plus ~log2 slice growth for the result slice.
 	budget := float64(nAlts*(2+req.TaskCount) + 8)
 	got := testing.AllocsPerRun(30, func() {
-		_, _ = SearchScanner(sc, list, &r, opts, nil)
+		_, _ = sc.Alternatives(list, &r, opts.MaxAlternatives, opts.MinSlotLength, nil)
 	})
 	if got > budget {
-		t.Errorf("SearchScanner: %v allocs/op for %d alternatives, budget %v", got, nAlts, budget)
+		t.Errorf("Scanner.Alternatives: %v allocs/op for %d alternatives, budget %v", got, nAlts, budget)
 	}
 }

@@ -43,7 +43,7 @@ func TestReplaySingleWindow(t *testing.T) {
 func TestReplayEventOrdering(t *testing.T) {
 	e := testkit.SmallEnv(2, 15, 300)
 	req := testkit.SmallRequest(3, 300)
-	alts, err := csa.Search(e.Slots, &req, csa.Options{MinSlotLength: 10})
+	alts, err := csa.Search(e.Slots, &req, csa.Options{MinSlotLength: 10}, nil)
 	if err != nil {
 		t.Skip("no alternatives on this seed")
 	}
@@ -79,7 +79,7 @@ func TestReplayCSAAlternativesNeverConflict(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
 		e := testkit.SmallEnv(seed, 20, 400)
 		req := testkit.SmallRequest(3, 300)
-		alts, err := csa.Search(e.Slots, &req, csa.Options{MinSlotLength: 10})
+		alts, err := csa.Search(e.Slots, &req, csa.Options{MinSlotLength: 10}, nil)
 		if errors.Is(err, core.ErrNoWindow) {
 			continue
 		}

@@ -65,7 +65,7 @@ func RunQualityParallel(cfg QualityConfig, workers int) (*QualityResult, error) 
 				}
 				stats[a.Name()].Observe(w)
 			}
-			alts, err := csa.SearchObserved(e.Slots, &req, csaOpts, cfg.Collector)
+			alts, err := csa.Search(e.Slots, &req, csaOpts, cfg.Collector)
 			if errors.Is(err, core.ErrNoWindow) {
 				res.CSA.Missed++
 				continue

@@ -165,7 +165,7 @@ func RunQuality(cfg QualityConfig) (*QualityResult, error) {
 			}
 			stats[a.Name()].Observe(w)
 		}
-		alts, err := csa.SearchObserved(e.Slots, &req, csaOpts, cfg.Collector)
+		alts, err := csa.Search(e.Slots, &req, csaOpts, cfg.Collector)
 		if errors.Is(err, core.ErrNoWindow) {
 			res.CSA.Missed++
 			continue

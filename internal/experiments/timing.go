@@ -145,7 +145,7 @@ func runTimingPoint(cfg TimingConfig, envCfg env.Config, param float64) (*Timing
 		}
 
 		start := time.Now()
-		alts, err := csa.Search(e.Slots, &req, csaOpts)
+		alts, err := csa.Search(e.Slots, &req, csaOpts, nil)
 		elapsed := time.Since(start).Seconds()
 		if err != nil && !errors.Is(err, core.ErrNoWindow) {
 			return nil, fmt.Errorf("experiments: timing CSA: %w", err)

@@ -89,7 +89,7 @@ func (e Extreme) FindObserved(list slots.List, req *job.Request, col obs.Collect
 	}
 	var best *core.Window
 	bestWeight := math.Inf(1)
-	err := core.ScanIndexed(list, req, func(start float64, win *core.WindowIndex) bool {
+	err := core.Scan(list, req, func(start float64, win *core.WindowIndex) bool {
 		var chosen []core.Candidate
 		var total float64
 		var ok bool
@@ -110,13 +110,7 @@ func (e Extreme) FindObserved(list slots.List, req *job.Request, col obs.Collect
 		}
 		return false
 	}, col)
-	if err != nil {
-		return nil, err
-	}
-	if best == nil {
-		return nil, core.ErrNoWindow
-	}
-	return best, nil
+	return core.Found(best, err)
 }
 
 // TotalWeight returns the window's total weight under the algorithm's

@@ -69,7 +69,8 @@ func TestExactProcTimeBeatsPerStepOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		best := math.Inf(1)
-		if err := core.Scan(e.Slots, &req, func(start float64, cands []core.Candidate) bool {
+		if err := core.Scan(e.Slots, &req, func(start float64, win *core.WindowIndex) bool {
+			cands := win.Cands()
 			// Exhaustive per-step optimum.
 			var rec func(i int, left int, cost, weight float64)
 			rec = func(i, left int, cost, weight float64) {
@@ -90,7 +91,7 @@ func TestExactProcTimeBeatsPerStepOracle(t *testing.T) {
 			}
 			rec(0, req.TaskCount, 0, 0)
 			return false
-		}); err != nil {
+		}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if math.Abs(w.ProcTime-best) > 1e-9 {

@@ -63,15 +63,23 @@ func holdsSignature(inv *Inventory) string {
 // committed set, live holds, free list and lifecycle counters. Conflict
 // resolution is thereby a pure function of the serialized operation
 // sequence: timing, goroutine interleaving and map iteration never leak
-// into outcomes.
+// into outcomes. The seeds past the first 64 run with a MinSlotLength (7,
+// 30) above the length of some base spans (1..150 here), where a span
+// shorter than the minimum is published whole until an allocation touches
+// it.
 func TestInventoryDifferential(t *testing.T) {
 	const (
 		seeds      = 64
+		shortSeeds = 16
 		goroutines = 6
 		opsPerG    = 25
 	)
-	for seed := uint64(1); seed <= seeds; seed++ {
+	for seed := uint64(1); seed <= seeds+shortSeeds; seed++ {
 		seed := seed
+		minLen := 1.0
+		if seed > seeds {
+			minLen = []float64{7, 30}[seed%2]
+		}
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			rng := randx.New(seed)
@@ -79,7 +87,7 @@ func TestInventoryDifferential(t *testing.T) {
 			if len(list) == 0 {
 				t.Skip("empty instance")
 			}
-			inv, err := New(list, Options{MinSlotLength: 1, Record: true})
+			inv, err := New(list, Options{MinSlotLength: minLen, Record: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +143,7 @@ func TestInventoryDifferential(t *testing.T) {
 			inv.Sweep()
 
 			events := inv.Journal()
-			re, err := Replay(events, Options{MinSlotLength: 1})
+			re, err := Replay(events, Options{MinSlotLength: minLen})
 			if err != nil {
 				t.Fatalf("replay: %v", err)
 			}

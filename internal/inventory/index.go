@@ -235,9 +235,9 @@ type published struct {
 	snap *Snapshot
 }
 
-func (p *published) snapshot() *Snapshot {
+func (p *published) snapshot(minSlotLength float64) *Snapshot {
 	p.once.Do(func() {
-		p.snap = &Snapshot{Version: p.version, Slots: p.seq.Flatten()}
+		p.snap = &Snapshot{Version: p.version, Slots: p.seq.Flatten(), MinSlotLength: minSlotLength}
 	})
 	return p.snap
 }

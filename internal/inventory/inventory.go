@@ -147,6 +147,23 @@ type Snapshot struct {
 
 	// Slots is the free list, sorted by start time (AEP scan ready).
 	Slots slots.List
+
+	// MinSlotLength is the publishing pool's Options.MinSlotLength: the
+	// shortest remainder the pool would publish after an allocation.
+	MinSlotLength float64
+}
+
+// BestAlternative is the CSA search every caller runs over a snapshot —
+// /v1/find, /v1/watch and ReserveBest alike, so what a find shows is what a
+// reserve holds: alternatives are cut with the pool's own MinSlotLength (a
+// remainder the pool would never publish is never offered) and the extreme
+// one by crit is returned, caller-owned. maxAlts <= 0 means unbounded.
+func (s *Snapshot) BestAlternative(sc *core.Scanner, req *job.Request, crit csa.Criterion, maxAlts int, col obs.Collector) (*core.Window, error) {
+	alts, err := sc.Alternatives(s.Slots, req, maxAlts, s.MinSlotLength, col)
+	if err != nil {
+		return nil, err
+	}
+	return csa.Best(alts, crit), nil
 }
 
 // Reservation is a live hold on a window's slots.
@@ -359,7 +376,7 @@ func (inv *Inventory) Shards() int { return 1 }
 // that observes a version flattens its sequence into Slots; later calls,
 // from any goroutine, share that one list.
 func (inv *Inventory) Snapshot() *Snapshot {
-	return inv.pub.Load().snapshot()
+	return inv.pub.Load().snapshot(inv.opts.MinSlotLength)
 }
 
 // freeCursor walks the current free pool as the sequence it is published as.
@@ -385,24 +402,17 @@ type query struct {
 // is; CSA carves up a working copy of the whole list anyway, so it takes
 // the flat snapshot.
 func (q query) find(sc *core.Scanner, p searchPool, opts *Options) (*core.Window, error) {
-	if q.alg != nil {
-		w, err := core.FindCursor(sc, q.alg, p.freeCursor(), q.req, opts.Collector)
-		if err != nil {
-			return nil, err
-		}
-		// Detach: the hold table and the journal retain the window beyond
-		// the scanner's reuse horizon. The placements keep referencing the
-		// published slots.
-		return w.Detach(), nil
+	if q.alg == nil {
+		return p.Snapshot().BestAlternative(sc, q.req, q.crit, q.maxAlts, opts.Collector)
 	}
-	alts, err := csa.SearchScanner(sc, p.Snapshot().Slots, q.req, csa.Options{
-		MaxAlternatives: q.maxAlts,
-		MinSlotLength:   opts.MinSlotLength,
-	}, opts.Collector)
+	w, err := sc.Find(q.alg, p.freeCursor(), q.req, opts.Collector)
 	if err != nil {
 		return nil, err
 	}
-	return csa.Best(alts, q.crit), nil // alternatives are caller-owned copies already
+	// Detach: the hold table and the journal retain the window beyond
+	// the scanner's reuse horizon. The placements keep referencing the
+	// published slots.
+	return w.Detach(), nil
 }
 
 // searchPool is what the reservation loop needs of either pool type.

@@ -263,8 +263,8 @@ func TestSequenceSearchMatchesSnapshotSearch(t *testing.T) {
 				}
 				return testkit.WindowSignature(w)
 			}
-			got := sig(core.FindCursor(sc, alg, cur, &r1, &overSeq))
-			want := sig(core.FindObservedScanner(sc, alg, snap.Slots, &r2, &overList))
+			got := sig(sc.Find(alg, cur, &r1, &overSeq))
+			want := sig(sc.Find(alg, snap.Slots.Cursor(), &r2, &overList))
 			if got != want {
 				t.Errorf("op %d %s: window over the sequence %s, over the snapshot %s", op, alg.Name(), got, want)
 			}

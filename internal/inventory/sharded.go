@@ -391,7 +391,7 @@ func (s *Sharded) assembleLocked() *combined {
 		}
 	}
 	version := s.mergeV.Add(1)
-	c := &combined{version: version, vec: vec, snap: &Snapshot{Version: version, Slots: merged}}
+	c := &combined{version: version, vec: vec, snap: &Snapshot{Version: version, Slots: merged, MinSlotLength: s.opts.MinSlotLength}}
 	s.vers.put(version, vec)
 	return c
 }

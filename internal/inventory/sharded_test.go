@@ -105,16 +105,16 @@ func diffRequest(rng *randx.Rand) job.Request {
 // windows and deadlines, free lists, hold sets and committed maps.
 // Counters are deliberately not compared — per-shard counters count
 // sub-operations (documented skew).
-func driveShardedDiff(t *testing.T, seed uint64, nShards int) {
+func driveShardedDiff(t *testing.T, seed uint64, nShards int, minSlotLength float64) {
 	rng := randx.New(seed)
 	list := testkit.RandomList(rng, 12, 4, 2000)
 	clk := newManualClock()
-	oracle, err := New(list, Options{MinSlotLength: 1, DefaultTTL: time.Hour, Clock: clk.Now})
+	oracle, err := New(list, Options{MinSlotLength: minSlotLength, DefaultTTL: time.Hour, Clock: clk.Now})
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
 	sharded, err := NewSharded(list, Options{
-		MinSlotLength: 1, DefaultTTL: time.Hour, Clock: clk.Now, Shards: nShards,
+		MinSlotLength: minSlotLength, DefaultTTL: time.Hour, Clock: clk.Now, Shards: nShards,
 	})
 	if err != nil {
 		t.Fatalf("sharded: %v", err)
@@ -277,14 +277,21 @@ func driveShardedDiff(t *testing.T, seed uint64, nShards int) {
 // TestShardedDifferential is the router's conformance gate: 60 seeds, each
 // driven at shard counts 2, 4 and 8 against the unsharded oracle.
 // Byte-identical Find/Reserve/ReserveBest outcomes, IDs, deadlines, free
-// lists, hold sets and committed maps at every step.
+// lists, hold sets and committed maps at every step. Twelve more seeds run
+// with a MinSlotLength (30, 150) above the length of some base spans
+// (1..1000 here) — CSA cuts, remainders and the merged free list must agree
+// there too.
 func TestShardedDifferential(t *testing.T) {
-	const seeds = 60
+	const seeds, shortSeeds = 60, 12
 	for _, nShards := range []int{2, 4, 8} {
 		nShards := nShards
 		t.Run(fmt.Sprintf("shards=%d", nShards), func(t *testing.T) {
-			for seed := uint64(1); seed <= seeds; seed++ {
-				driveShardedDiff(t, seed, nShards)
+			for seed := uint64(1); seed <= seeds+shortSeeds; seed++ {
+				minLen := 1.0
+				if seed > seeds {
+					minLen = []float64{30, 150}[seed%2]
+				}
+				driveShardedDiff(t, seed, nShards, minLen)
 			}
 		})
 	}

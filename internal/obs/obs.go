@@ -11,7 +11,7 @@
 // emitters guard every event behind a single nil check, so the disabled
 // hot path costs one predictable branch (benchmark-verified at well under
 // 2 ns per event; see BenchmarkNilCollector and, for the end-to-end
-// number, BenchmarkScanObservedOverhead in internal/core).
+// number, BenchmarkScanCollectorOverhead in internal/core).
 //
 // Three shipped Collector implementations cover the common needs:
 //

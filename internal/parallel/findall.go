@@ -33,16 +33,12 @@ type Result struct {
 //	for i, a := range algs { out[i].Window, out[i].Err = a.Find(list, req) }
 //
 // for any worker count. workers <= 0 selects GOMAXPROCS.
-func FindAll(list slots.List, req *job.Request, algs []core.Algorithm, workers int) []Result {
-	return FindAllObserved(list, req, algs, workers, nil)
-}
-
-// FindAllObserved is FindAll with instrumentation: every algorithm's search
-// emits its selection stats, span and scan counters to col. Because the
-// same searches run regardless of the worker count, every counter delivered
-// through this path is worker-count-invariant (the differential tests
-// enforce this). col == nil behaves exactly like FindAll.
-func FindAllObserved(list slots.List, req *job.Request, algs []core.Algorithm, workers int, col obs.Collector) []Result {
+//
+// Every algorithm's search emits its selection stats, span and scan
+// counters to col (nil = off). Because the same searches run regardless of
+// the worker count, every counter delivered through this path is
+// worker-count-invariant (the differential tests enforce this).
+func FindAll(list slots.List, req *job.Request, algs []core.Algorithm, workers int, col obs.Collector) []Result {
 	out := make([]Result, len(algs))
 	workers = Workers(workers)
 	if workers > len(algs) {
@@ -57,7 +53,7 @@ func FindAllObserved(list slots.List, req *job.Request, algs []core.Algorithm, w
 		defer core.ReleaseScanner(sc)
 		r := *req // private copy: keep concurrent searches free of shared request state
 		for i := wk; i < len(algs); i += workers {
-			w, err := core.FindObservedScanner(sc, algs[i], list, &r, col)
+			w, err := sc.Find(algs[i], list.Cursor(), &r, col)
 			if w != nil {
 				w = w.Detach() // scanner-owned result; out lives past the scanner
 			}

@@ -27,7 +27,7 @@ func TestFindAllCountersWorkerInvariant(t *testing.T) {
 		for wi, workers := range workerCounts {
 			var stats obs.Stats
 			r := req
-			results := parallel.FindAllObserved(list, &r, algs, workers, &stats)
+			results := parallel.FindAll(list, &r, algs, workers, &stats)
 			snap := stats.Snapshot()
 
 			// One SelectDone per algorithm, Found consistent with the result.
@@ -88,7 +88,7 @@ func TestAlternativesBatchCountersWorkerInvariant(t *testing.T) {
 		var ref obs.BatchAgg
 		for wi, workers := range workerCounts {
 			var stats obs.Stats
-			if _, err := parallel.AlternativesObserved(list, ordered, opts, workers, &stats); err != nil {
+			if _, err := parallel.Alternatives(list, ordered, opts, workers, &stats); err != nil {
 				t.Fatalf("seed=%d workers=%d: %v", seed, workers, err)
 			}
 			b := stats.Snapshot().Batch

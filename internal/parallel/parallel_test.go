@@ -128,7 +128,7 @@ func TestFindAllMatchesSequential(t *testing.T) {
 		}
 
 		for _, workers := range workerCounts {
-			got := parallel.FindAll(list, &req, algs, workers)
+			got := parallel.FindAll(list, &req, algs, workers, nil)
 			if len(got) != len(algs) {
 				t.Fatalf("seed=%d workers=%d: FindAll returned %d results, want %d", seed, workers, len(got), len(algs))
 			}
@@ -160,13 +160,13 @@ func TestAlternativesMatchesSequential(t *testing.T) {
 		ordered := batch.ByPriority()
 		opts := csa.Options{MaxAlternatives: rng.Intn(4), MinSlotLength: 1}
 
-		want, wantErr := parallel.Alternatives(list, ordered, opts, 1)
+		want, wantErr := parallel.Alternatives(list, ordered, opts, 1, nil)
 		if wantErr != nil {
 			t.Fatalf("seed=%d: sequential Alternatives failed: %v", seed, wantErr)
 		}
 
 		for _, workers := range workerCounts[1:] {
-			got, err := parallel.Alternatives(list, ordered, opts, workers)
+			got, err := parallel.Alternatives(list, ordered, opts, workers, nil)
 			if err != nil {
 				t.Fatalf("seed=%d workers=%d: Alternatives failed: %v", seed, workers, err)
 			}
@@ -195,7 +195,7 @@ func TestAlternativesDisjoint(t *testing.T) {
 		ordered := batch.ByPriority()
 		opts := csa.Options{MaxAlternatives: 3, MinSlotLength: 1}
 
-		alts, err := parallel.Alternatives(list, ordered, opts, 8)
+		alts, err := parallel.Alternatives(list, ordered, opts, 8, nil)
 		if err != nil {
 			t.Fatalf("seed=%d: %v", seed, err)
 		}
@@ -216,14 +216,14 @@ func TestAlternativesEmptyAndSingle(t *testing.T) {
 	list := testkit.RandomList(rng, 4, 3, 100)
 	opts := csa.Options{MaxAlternatives: 2, MinSlotLength: 1}
 
-	if got, err := parallel.Alternatives(list, nil, opts, 8); err != nil || len(got) != 0 {
+	if got, err := parallel.Alternatives(list, nil, opts, 8, nil); err != nil || len(got) != 0 {
 		t.Fatalf("no jobs: got %v, %v", got, err)
 	}
 
 	batch := testkit.RandomBatch(rng, 1)
 	ordered := batch.ByPriority()
-	want, _ := parallel.Alternatives(list, ordered, opts, 1)
-	got, err := parallel.Alternatives(list, ordered, opts, 8)
+	want, _ := parallel.Alternatives(list, ordered, opts, 1, nil)
+	got, err := parallel.Alternatives(list, ordered, opts, 8, nil)
 	if err != nil {
 		t.Fatalf("single job: %v", err)
 	}
@@ -231,7 +231,7 @@ func TestAlternativesEmptyAndSingle(t *testing.T) {
 		t.Fatalf("single job diverged")
 	}
 
-	got, err = parallel.Alternatives(slots.List{}, ordered, opts, 8)
+	got, err = parallel.Alternatives(slots.List{}, ordered, opts, 8, nil)
 	if err != nil {
 		t.Fatalf("empty list: %v", err)
 	}
@@ -263,8 +263,8 @@ func TestFindAllIncrementalMatchesOracle(t *testing.T) {
 		}
 
 		for _, workers := range workerCounts {
-			inc := parallel.FindAll(list, &req, algs, workers)
-			orc := parallel.FindAll(list, &req, oracles, workers)
+			inc := parallel.FindAll(list, &req, algs, workers, nil)
+			orc := parallel.FindAll(list, &req, oracles, workers, nil)
 			for i := range algs {
 				if (inc[i].Err == nil) != (orc[i].Err == nil) {
 					t.Fatalf("seed=%d workers=%d alg=%s: feasibility diverged: incremental err=%v, oracle err=%v",

@@ -36,7 +36,7 @@ func (e *JobError) Unwrap() error { return e.Err }
 //
 //	work := list.Clone()
 //	for i, j := range ordered {
-//	        out[i], _ = csa.Search(work, &j.Request, opts)
+//	        out[i], _ = csa.Search(work, &j.Request, opts, nil)
 //	        for _, w := range out[i] { work = slots.Cut(work, w.UsedIntervals(), opts.MinSlotLength) }
 //	}
 //
@@ -44,23 +44,19 @@ func (e *JobError) Unwrap() error { return e.Err }
 // alternativesSpec). Jobs for which no window exists get a nil alternative
 // slice. For any worker count the output is identical, by value, to the
 // sequential path; workers <= 1 runs the sequential loop itself.
-func Alternatives(list slots.List, ordered []*job.Job, opts csa.Options, workers int) ([][]*core.Window, error) {
-	return AlternativesObserved(list, ordered, opts, workers, nil)
-}
-
-// AlternativesObserved is Alternatives with instrumentation: on success it
-// publishes one obs.BatchStats to col describing both the committed output
-// (Jobs, AltsFound, CutOps — worker-count-invariant by the determinism
-// guarantee) and the speculative work spent producing it (SpecRuns,
-// SpecCommitted, SpecDiscarded, Relaunches, TasksCut, per-worker busy
-// time — wall-clock work accounting that may vary run to run when
-// workers > 1). Worker task executions and master commits are additionally
-// recorded as "spec"/"commit" spans. Scan-level counters emitted through
-// col describe the work actually performed, speculative re-runs included,
-// so they are NOT worker-count-invariant on this path; the committed
-// quantities in BatchStats are. col == nil behaves exactly like
-// Alternatives.
-func AlternativesObserved(list slots.List, ordered []*job.Job, opts csa.Options, workers int, col obs.Collector) ([][]*core.Window, error) {
+//
+// On success it publishes one obs.BatchStats to col (nil = off) describing
+// both the committed output (Jobs, AltsFound, CutOps —
+// worker-count-invariant by the determinism guarantee) and the speculative
+// work spent producing it (SpecRuns, SpecCommitted, SpecDiscarded,
+// Relaunches, TasksCut, per-worker busy time — wall-clock work accounting
+// that may vary run to run when workers > 1). Worker task executions and
+// master commits are additionally recorded as "spec"/"commit" spans.
+// Scan-level counters emitted through col describe the work actually
+// performed, speculative re-runs included, so they are NOT
+// worker-count-invariant on this path; the committed quantities in
+// BatchStats are.
+func Alternatives(list slots.List, ordered []*job.Job, opts csa.Options, workers int, col obs.Collector) ([][]*core.Window, error) {
 	if workers = Workers(workers); workers <= 1 || len(ordered) <= 1 {
 		return alternativesSeq(list, ordered, opts, col)
 	}
@@ -82,7 +78,7 @@ func alternativesSeq(list slots.List, ordered []*job.Job, opts csa.Options, col 
 	sc := core.AcquireScanner()
 	defer core.ReleaseScanner(sc)
 	for i, j := range ordered {
-		alts, err := csa.SearchScanner(sc, work, &j.Request, opts, col)
+		alts, err := sc.Alternatives(work, &j.Request, opts.MaxAlternatives, opts.MinSlotLength, col)
 		if err != nil && !errors.Is(err, core.ErrNoWindow) {
 			return nil, &JobError{Job: j, Err: err}
 		}
@@ -196,7 +192,7 @@ func alternativesSpec(list slots.List, ordered []*job.Job, opts csa.Options, wor
 	// values into the scanner before cutting, so the shared immutable
 	// snapshots are never mutated.
 	search := func(sc *core.Scanner, snapshot slots.List, j int) ([]*core.Window, error) {
-		alts, err := csa.SearchScanner(sc, snapshot, &ordered[j].Request, opts, col)
+		alts, err := sc.Alternatives(snapshot, &ordered[j].Request, opts.MaxAlternatives, opts.MinSlotLength, col)
 		if errors.Is(err, core.ErrNoWindow) {
 			return nil, nil // no window is a valid empty alternative set
 		}

@@ -912,11 +912,9 @@ type searchInputs struct {
 // path every cached result is provably equal to.
 func (s *Server) runSearch(in *searchInputs, snap *inventory.Snapshot) (*core.Window, error) {
 	if in.useCSA {
-		alts, err := csa.SearchObserved(snap.Slots, in.req, csa.Options{}, s.opts.Collector)
-		if err != nil {
-			return nil, err
-		}
-		return csa.Best(alts, in.crit), nil
+		sc := core.AcquireScanner()
+		defer core.ReleaseScanner(sc)
+		return snap.BestAlternative(sc, in.req, in.crit, 0, s.opts.Collector)
 	}
 	return core.FindObserved(in.alg, snap.Slots, in.req, s.opts.Collector)
 }

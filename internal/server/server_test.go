@@ -2,9 +2,11 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"runtime"
 	"strconv"
@@ -350,6 +352,65 @@ func TestCSAReserve(t *testing.T) {
 	}
 }
 
+// TestCSAFindMatchesReserve is the regression test of the CSA parity bug:
+// /v1/find and /v1/watch used to cut alternatives with MinSlotLength 0 while
+// /v1/reserve used the pool's, so on a pool started with -min-slot-length
+// a find could show a window built on a remainder the pool never publishes.
+// Here the first alternative (start 0, nodes {0,1}, cost 240) leaves a
+// 45-long remainder on node 0; with the pool's MinSlotLength of 50 it is
+// dropped and the first alternative stays the cheapest, with 0 it made a
+// cheaper second one (start 40, nodes {0,2}, cost 120). All three endpoints
+// must answer the same window, at 1 and 4 shards.
+func TestCSAFindMatchesReserve(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		pool, err := inventory.NewPool(testkit.SlotList(
+			testkit.Slot(testkit.Node(0, 1, 1), 0, 85),
+			testkit.Slot(testkit.Node(1, 1, 5), 0, 300),
+			testkit.Slot(testkit.Node(2, 1, 2), 40, 300),
+			testkit.Slot(testkit.Node(3, 1, 9), 0, 1000),
+		), inventory.Options{MinSlotLength: 50, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(New(pool, Options{}))
+		defer ts.Close()
+
+		req := requestJSON(t, 2, 40)
+		code, found := postJSON(t, ts.URL+"/v1/find", map[string]any{"request": req, "csa": "cost"})
+		if code != http.StatusOK {
+			t.Fatalf("shards=%d: find: status %d: %v", shards, code, found)
+		}
+		code, _, watched := getJSON(t, watchURL(t, ts.URL, req, url.Values{"csa": {"cost"}}))
+		if code != http.StatusOK {
+			t.Fatalf("shards=%d: watch: status %d: %v", shards, code, watched)
+		}
+		code, held := postJSON(t, ts.URL+"/v1/reserve", map[string]any{"request": req, "csa": "cost"})
+		if code != http.StatusOK {
+			t.Fatalf("shards=%d: reserve: status %d: %v", shards, code, held)
+		}
+
+		var win struct {
+			Start float64 `json:"start"`
+			Cost  float64 `json:"cost"`
+		}
+		if err := json.Unmarshal(held["window"], &win); err != nil {
+			t.Fatal(err)
+		}
+		if win.Start != 0 || win.Cost != 240 {
+			t.Errorf("shards=%d: reserve holds start %v cost %v, want start 0 cost 240", shards, win.Start, win.Cost)
+		}
+		for name, got := range map[string]json.RawMessage{"find": found["window"], "watch": watched["window"]} {
+			if !bytes.Equal(got, held["window"]) {
+				t.Errorf("shards=%d: /v1/%s shows a window /v1/reserve does not hold\n%s: %s\nreserve: %s",
+					shards, name, name, got, held["window"])
+			}
+		}
+		if !bytes.Equal(found["version"], watched["version"]) {
+			t.Errorf("shards=%d: find searched version %s, watch %s", shards, found["version"], watched["version"])
+		}
+	}
+}
+
 // placement mirrors the persist window placement for overlap checking.
 type placement struct {
 	Node  int     `json:"node"`
@@ -597,6 +658,12 @@ func TestRequestSpans(t *testing.T) {
 // shed), which would tell the client to back off when the server simply was
 // too slow for the request's deadline. A queue-overflow request in the same
 // scenario still sheds with 429.
+//
+// No wall-clock deadline takes part: RequestTimeout is far away, and a
+// request's deadline context derives from the request's own context, so the
+// test ends a request's time by cancelling that context at the moment the
+// scenario calls for — after the overflow request has been shed, never
+// before it arrives.
 func TestQueueWaitTimesOut(t *testing.T) {
 	release := make(chan struct{})
 	var unpinOnce sync.Once
@@ -604,50 +671,43 @@ func TestQueueWaitTimesOut(t *testing.T) {
 	srv, ts, _ := newTestServer(t, Options{
 		MaxInflight:    1,
 		QueueDepth:     1,
-		RequestTimeout: 100 * time.Millisecond,
+		RequestTimeout: time.Hour,
 	})
 	t.Cleanup(unpin)
 	srv.testHook = func() { <-release }
 
+	// serve runs one request through the server under a context the test
+	// cancels, and delivers the status code.
+	serve := func() (expire context.CancelFunc, code <-chan int) {
+		ctx, cancel := context.WithCancel(context.Background())
+		t.Cleanup(cancel)
+		done := make(chan int, 1)
+		go func() {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/statusz", nil).WithContext(ctx))
+			done <- rec.Code
+		}()
+		return cancel, done
+	}
+
 	// First request occupies the single inflight slot.
-	go http.Get(ts.URL + "/v1/statusz")
+	expirePinned, pinned := serve()
 	waitFor(t, func() bool { return len(srv.inflight) == 1 })
 
-	// Second request takes the single queue slot, then its deadline expires
-	// there: 503, not 429.
-	client := &http.Client{Timeout: 2 * time.Second}
-	type result struct {
-		code int
-		err  error
-	}
-	queued := make(chan result, 1)
-	go func() {
-		resp, err := client.Get(ts.URL + "/v1/statusz")
-		if err != nil {
-			queued <- result{err: err}
-			return
-		}
-		resp.Body.Close()
-		queued <- result{code: resp.StatusCode}
-	}()
+	// Second request takes the single queue slot and stays there.
+	expireQueued, queued := serve()
 	waitFor(t, func() bool { return srv.queued.Load() == 1 })
 
 	// Third request finds the queue full and is shed immediately: 429.
-	resp, err := client.Get(ts.URL + "/v1/statusz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("queue-overflow request: status %d, want 429", resp.StatusCode)
+	_, overflow := serve()
+	if code := <-overflow; code != http.StatusTooManyRequests {
+		t.Fatalf("queue-overflow request: status %d, want 429", code)
 	}
 
-	r := <-queued
-	if r.err != nil {
-		t.Fatal(r.err)
-	}
-	if r.code != http.StatusServiceUnavailable {
-		t.Fatalf("queued-past-deadline request: status %d, want 503", r.code)
+	// Now the queued request's time runs out where it waits: 503, not 429.
+	expireQueued()
+	if code := <-queued; code != http.StatusServiceUnavailable {
+		t.Fatalf("queued-past-deadline request: status %d, want 503", code)
 	}
 	if got := srv.deadlineExpired.Load(); got != 1 {
 		t.Errorf("deadlineExpired = %d, want 1", got)
@@ -656,8 +716,15 @@ func TestQueueWaitTimesOut(t *testing.T) {
 		t.Errorf("shed = %d, want 1 (the queue-overflow request only)", got)
 	}
 
-	// The counter is surfaced in /v1/statusz once the gate drains.
+	// The pinned request was admitted, but its time runs out before the
+	// handler gets to run: the post-admission expiry branch, 503 as well.
+	expirePinned()
 	unpin()
+	if code := <-pinned; code != http.StatusServiceUnavailable {
+		t.Fatalf("admitted-past-deadline request: status %d, want 503", code)
+	}
+
+	// The counter is surfaced in /v1/statusz once the gate drains.
 	waitFor(t, func() bool { return len(srv.inflight) == 0 })
 	code, out := postRawGet(t, ts.URL+"/v1/statusz")
 	if code != http.StatusOK {
@@ -670,9 +737,7 @@ func TestQueueWaitTimesOut(t *testing.T) {
 	if err := json.Unmarshal(out["server"], &status); err != nil {
 		t.Fatalf("statusz server section: %v (raw %s)", err, out["server"])
 	}
-	// 2: the queued request that expired waiting, plus the pinned request —
-	// admitted, but held past its deadline by the test hook, so it hits the
-	// post-admission expiry branch when released.
+	// 2: the queued request that expired waiting, plus the pinned one.
 	if status.DeadlineExpired != 2 {
 		t.Errorf("statusz deadline_expired = %d, want 2", status.DeadlineExpired)
 	}

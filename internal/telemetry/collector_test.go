@@ -91,11 +91,11 @@ func TestFindWithCollectorAllocs(t *testing.T) {
 	for _, alg := range []core.Algorithm{core.AMP{}, core.MinCost{}, core.MinFinish{}} {
 		sc := core.NewScanner()
 		r := req
-		if _, err := sc.FindObserved(alg, list, &r, col); err != nil {
+		if _, err := sc.Find(alg, list.Cursor(), &r, col); err != nil {
 			t.Fatalf("%s: warm-up find failed: %v", alg.Name(), err)
 		}
 		got := testing.AllocsPerRun(50, func() {
-			_, _ = sc.FindObserved(alg, list, &r, col)
+			_, _ = sc.Find(alg, list.Cursor(), &r, col)
 		})
 		if got > 0 {
 			t.Errorf("%s: %v allocs/op on a warmed scanner with the telemetry collector, want 0", alg.Name(), got)
@@ -136,12 +136,12 @@ func benchFind(b *testing.B, nodes int, col obs.Collector) {
 	req := job.Request{TaskCount: 3, Volume: 80, MaxCost: 5000}
 	sc := core.NewScanner()
 	r := req
-	if _, err := sc.FindObserved(core.AMP{}, list, &r, col); err != nil {
+	if _, err := sc.Find(core.AMP{}, list.Cursor(), &r, col); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = sc.FindObserved(core.AMP{}, list, &r, col)
+		_, _ = sc.Find(core.AMP{}, list.Cursor(), &r, col)
 	}
 }

@@ -64,43 +64,22 @@ func SlotList(ss ...*slots.Slot) slots.List {
 	return l
 }
 
-// poisonedNode backs the slot PoisonVisit writes into released candidate
-// slices: any algorithm that reads it produces NaN-tainted, node -1
+// poisonedNode backs the slot PoisonVisit writes into released index
+// views: any algorithm that reads it produces NaN-tainted, node -1
 // windows that the aliasing regression tests cannot miss.
 var poisonedNode = &nodes.Node{ID: -1, Perf: math.NaN(), Price: math.NaN()}
 
-// PoisonVisit is the aliasing detector for core.Scan's candidate-reuse
-// contract: it wraps a visit function so that every call receives a
-// private copy of the candidates, and poisons that copy (NaN exec/cost,
-// a node -1 slot) the moment the inner visit returns. A selection
-// procedure that keeps the slice it was handed — instead of copying what
-// it keeps, as the VisitFunc contract demands — ends up building its
-// window from poisoned candidates, so comparing a poisoned run against a
-// clean run exposes the aliasing. Install it with
-// core.SetVisitWrapForTest(testkit.PoisonVisit).
+// PoisonVisit is the aliasing detector for core.Scan's copy-what-you-keep
+// contract: it wraps a visit function so that every call receives a private
+// rebuild of the scan's WindowIndex (same candidate set, and therefore —
+// the mirror orders are total — the same mirror contents), and poisons the
+// private index's live views (NaN exec/cost, a node -1 slot) the moment the
+// inner visit returns. A selection procedure that keeps a view it was
+// handed — instead of copying what it keeps, as the VisitFunc contract
+// demands — ends up building its window from poisoned candidates, so
+// comparing a poisoned run against a clean run exposes the aliasing.
+// Install it with core.SetVisitWrapForTest(testkit.PoisonVisit).
 func PoisonVisit(visit core.VisitFunc) core.VisitFunc {
-	return func(start float64, cands []core.Candidate) bool {
-		private := append([]core.Candidate(nil), cands...)
-		stop := visit(start, private)
-		for i := range private {
-			private[i] = core.Candidate{
-				Slot: &slots.Slot{Node: poisonedNode, Interval: slots.Interval{Start: math.NaN(), End: math.NaN()}},
-				Exec: math.NaN(),
-				Cost: math.NaN(),
-			}
-		}
-		return stop
-	}
-}
-
-// PoisonIndexedVisit is PoisonVisit's twin for the indexed scan path: every
-// call receives a private rebuild of the scan's WindowIndex (same candidate
-// set, and therefore — the mirror orders are total — the same mirror
-// contents), and the private index's live views are poisoned the moment the
-// inner visit returns. A selection kernel that retains a live view instead
-// of copying what it keeps builds its window from poisoned candidates.
-// Install it with core.SetIndexedVisitWrapForTest(testkit.PoisonIndexedVisit).
-func PoisonIndexedVisit(visit core.IndexedVisitFunc) core.IndexedVisitFunc {
 	return func(start float64, win *core.WindowIndex) bool {
 		private := core.NewWindowIndex(win.Cands())
 		stop := visit(start, private)

@@ -220,7 +220,7 @@ func DefaultRequest() Request { return job.DefaultRequest() }
 // working copy of the list, cutting every found window, yielding pairwise
 // disjoint alternatives.
 func SearchAlternatives(list SlotList, req *Request, opts CSAOptions) ([]*Window, error) {
-	return csa.Search(list, req, opts)
+	return csa.Search(list, req, opts, nil)
 }
 
 // BestAlternative picks the alternative with the minimum criterion value.
@@ -245,5 +245,5 @@ func ScheduleBatchOpts(list SlotList, batch *Batch, opts BatchOptions, sel Selec
 // results are identical to calling each algorithm's Find sequentially;
 // workers <= 0 selects GOMAXPROCS.
 func FindAllWindows(list SlotList, req *Request, algs []Algorithm, workers int) []FindResult {
-	return parallel.FindAll(list, req, algs, workers)
+	return parallel.FindAll(list, req, algs, workers, nil)
 }
