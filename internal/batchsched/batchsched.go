@@ -261,8 +261,9 @@ func ScheduleOpts(list slots.List, batch *job.Batch, opts Options, sel SelectCon
 // while the VO budget lasts, with its allocation cut before the next job.
 // With core.AMP it is the FCFS earliest-start (backfilling-like) policy;
 // with core.MinCost the economy-directed one. minSlotLength controls
-// remainder suppression when cutting.
-func ScheduleDirected(list slots.List, batch *job.Batch, voBudget float64, alg core.Algorithm, minSlotLength float64) (*Plan, error) {
+// remainder suppression when cutting. Every job's search reports to col
+// (nil = off).
+func ScheduleDirected(list slots.List, batch *job.Batch, voBudget float64, alg core.Algorithm, minSlotLength float64, col obs.Collector) (*Plan, error) {
 	work := list.Clone()
 	plan := &Plan{}
 	remaining := voBudget
@@ -272,7 +273,7 @@ func ScheduleDirected(list slots.List, batch *job.Batch, voBudget float64, alg c
 			req.MaxCost = remaining
 		}
 		a := Assignment{Job: j}
-		w, err := alg.Find(work, &req)
+		w, err := core.FindObserved(alg, work, &req, col)
 		if err != nil && !errors.Is(err, core.ErrNoWindow) {
 			return nil, fmt.Errorf("batchsched: directed pipeline, job %v: %w", j, err)
 		}

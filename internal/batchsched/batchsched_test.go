@@ -7,6 +7,7 @@ import (
 	"slotsel/internal/core"
 	"slotsel/internal/csa"
 	"slotsel/internal/job"
+	"slotsel/internal/obs"
 	"slotsel/internal/slots"
 	"slotsel/internal/testkit"
 )
@@ -213,7 +214,7 @@ func TestScheduleInvalidJobFails(t *testing.T) {
 func TestScheduleDirected(t *testing.T) {
 	e := testkit.SmallEnv(10, 25, 500)
 	for _, alg := range []core.Algorithm{core.AMP{}, core.MinCost{}} {
-		plan, err := ScheduleDirected(e.Slots, testBatch(), 700, alg, 10)
+		plan, err := ScheduleDirected(e.Slots, testBatch(), 700, alg, 10, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", alg.Name(), err)
 		}
@@ -243,12 +244,40 @@ func TestScheduleDirected(t *testing.T) {
 
 func TestScheduleDirectedUnconstrainedBudget(t *testing.T) {
 	e := testkit.SmallEnv(11, 25, 500)
-	plan, err := ScheduleDirected(e.Slots, testBatch(), 0, core.AMP{}, 10)
+	plan, err := ScheduleDirected(e.Slots, testBatch(), 0, core.AMP{}, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.Scheduled == 0 {
 		t.Fatal("unconstrained directed pipeline scheduled nothing")
+	}
+}
+
+// TestScheduleDirectedCollector: the directed pipeline's searches report to
+// the collector it is given — one search per job, under the algorithm's own
+// name — and a nil collector changes nothing about the plan.
+func TestScheduleDirectedCollector(t *testing.T) {
+	e := testkit.SmallEnv(11, 25, 500)
+	stats := &obs.Stats{}
+	observed, err := ScheduleDirected(e.Slots, testBatch(), 0, core.AMP{}, 10, stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := stats.Snapshot()
+	if got, want := snap.Selects["AMP"].Searches, len(testBatch().Jobs); got != want {
+		t.Errorf("collector saw %d AMP searches, want one per job (%d)", got, want)
+	}
+	if snap.Scan.Scans != snap.Selects["AMP"].Searches {
+		t.Errorf("collector saw %d scans for %d searches", snap.Scan.Scans, snap.Selects["AMP"].Searches)
+	}
+
+	plain, err := ScheduleDirected(e.Slots, testBatch(), 0, core.AMP{}, 10, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Scheduled != observed.Scheduled || plain.TotalCost != observed.TotalCost {
+		t.Errorf("collector steered the plan: %d jobs / cost %g observed, %d / %g without",
+			observed.Scheduled, observed.TotalCost, plain.Scheduled, plain.TotalCost)
 	}
 }
 

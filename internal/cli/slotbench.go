@@ -27,7 +27,8 @@ import (
 // benchResult is one grid point of the harness, serialized into the
 // machine-readable BENCH_*.json trajectory files.
 type benchResult struct {
-	// Bench is the hot path measured: "find", "csa" or "batch".
+	// Bench is the hot path measured: "find", "find_scale", "csa", "batch",
+	// "churn" or "reserve_release".
 	Bench string `json:"bench"`
 
 	// Alg is the algorithm name for the find bench ("" otherwise).
@@ -53,8 +54,9 @@ type benchResult struct {
 	Shards  int `json:"shards,omitempty"`
 	Workers int `json:"workers,omitempty"`
 
-	// Horizon is the scheduling interval of the reserve_release bench's
-	// pool (1024 nodes; Slots grows with it). Zero for the other benches.
+	// Horizon is the scheduling interval of the reserve_release and
+	// find_scale benches' pools (Slots grows with it). Zero for the other
+	// benches.
 	Horizon int `json:"horizon,omitempty"`
 
 	// NsPerOp is the minimum wall time of one operation over Iters timed
@@ -309,7 +311,54 @@ func benchOpsGrid(seed uint64, nodeCounts, taskCounts []int) ([]benchOp, error) 
 	if err != nil {
 		return nil, err
 	}
-	return append(append(ops, churn...), deep...), nil
+	scale, err := benchFindScaleOps(seed)
+	if err != nil {
+		return nil, err
+	}
+	return append(append(append(ops, churn...), deep...), scale...), nil
+}
+
+// benchFindScaleOps is the slope-in-the-node-count gate: one search of the
+// repository benchmark's booking shape (5 tasks of volume 150, a budget
+// that rarely binds) at 1 024 and at 4 096 nodes, horizon 600 — windows of
+// about 670 and 2 700 candidates — through a reused Scanner over a
+// published sequence, the way the service searches. The full-scan rows
+// (MinCost, MinRunTime, MinFinish, the exact runtime kernel) are meant to
+// cost about the same per slot at both sizes; a step or a visit that walks
+// the window shows as the 4 096-node rows costing four times the 1 024-node
+// ones per slot. AMP stops at its first visit and MinProcTime reads the
+// whole window at every visit by design; they are here so a change to the
+// index cannot slow them unnoticed. CSA and batch scheduling at this size
+// are minutes per op and stay on the small grid.
+func benchFindScaleOps(seed uint64) ([]benchOp, error) {
+	var ops []benchOp
+	sc := core.NewScanner()
+	for _, nc := range []int{1024, 4096} {
+		cfg := env.DefaultConfig().WithNodeCount(nc)
+		list := env.Generate(cfg, randx.New(seed)).Slots
+		seq, err := slots.SeqOf(list)
+		if err != nil {
+			return nil, fmt.Errorf("find_scale at %d nodes: %w", nc, err)
+		}
+		for _, alg := range []core.Algorithm{
+			core.AMP{}, core.MinCost{}, core.MinRunTime{}, core.MinFinish{},
+			core.MinProcTime{Seed: seed}, core.MinRunTime{Exact: true},
+		} {
+			alg := alg
+			req := job.Request{TaskCount: 5, Volume: 150, MaxCost: 5 * 150 * 5}
+			meta := benchResult{
+				Bench: "find_scale", Alg: alg.Name(),
+				Nodes: nc, Slots: len(list), Tasks: req.TaskCount, Horizon: int(cfg.Horizon),
+			}
+			ops = append(ops, benchOp{
+				name:        benchName(meta),
+				meta:        meta,
+				allocRounds: scaleAllocRounds,
+				op:          func() { _, _ = sc.Find(alg, seq.Cursor(), &req, nil) },
+			})
+		}
+	}
+	return ops, nil
 }
 
 // benchReserveReleaseOps is the flat-in-m gate: one search + hold + release
@@ -649,6 +698,7 @@ const (
 	csaAllocRounds   = 50
 	batchAllocRounds = 5
 	churnAllocRounds = 10
+	scaleAllocRounds = 3
 )
 
 // benchAlloc reports the mean heap allocations and bytes of one op over a

@@ -52,6 +52,8 @@ func benchName(r benchResult) string {
 		return fmt.Sprintf("BenchmarkChurn/shards=%d/workers=%d/nodes=%d", r.Shards, r.Workers, r.Nodes)
 	case "reserve_release":
 		return fmt.Sprintf("BenchmarkReserveReleaseChurn/nodes=%d/horizon=%d", r.Nodes, r.Horizon)
+	case "find_scale":
+		return fmt.Sprintf("BenchmarkFindScale/alg=%s/nodes=%d/tasks=%d", r.Alg, r.Nodes, r.Tasks)
 	}
 	return "Benchmark" + r.Bench
 }

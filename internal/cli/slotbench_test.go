@@ -37,9 +37,10 @@ func TestSlotbenchBenchfmt(t *testing.T) {
 	// 9 algorithms (the shipped kernels only: the copy+sort oracle is
 	// compared by -check, never timed) + cached/uncached service find +
 	// 1 CSA + 1 batch + churn at shards {1,2,4} x workers {1,4} + the deep
-	// reserve/release cycle at 3 horizons = 22 benchmarks.
-	if len(set.Benchmarks) != 22 {
-		t.Errorf("parsed %d benchmarks, want 22", len(set.Benchmarks))
+	// reserve/release cycle at 3 horizons + the find scale rows, 6
+	// algorithms at 1 024 and 4 096 nodes = 34 benchmarks.
+	if len(set.Benchmarks) != 34 {
+		t.Errorf("parsed %d benchmarks, want 34", len(set.Benchmarks))
 	}
 	for name := range set.Benchmarks {
 		if strings.Contains(name, "kernel=oracle") {
@@ -53,7 +54,7 @@ func TestSlotbenchBenchfmt(t *testing.T) {
 				t.Errorf("%s: %d %s samples, want 3 (one per -iters rep)", name, got, unit)
 			}
 		}
-		if strings.Contains(name, "kernel=incremental") {
+		if strings.Contains(name, "kernel=incremental") || strings.HasPrefix(name, "BenchmarkFindScale/") {
 			for _, a := range units["allocs/op"] {
 				if a != 0 {
 					t.Errorf("%s: allocs/op = %v, want 0 (zero-alloc contract)", name, a)

@@ -233,6 +233,13 @@ func Slotserve(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "slotserve:", err)
 		return 1
 	}
+	// Signals are caught before the address is announced: whoever reads the
+	// line below may send SIGTERM at once, and one that arrives before Notify
+	// kills the process instead of draining it.
+	sig := make(chan os.Signal, 1)
+	if slotserveTestHook == nil {
+		signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	}
 	fmt.Fprintf(stderr, "slotserve: %d free slots loaded, listening on http://%s\n",
 		len(inv.Snapshot().Slots), ln.Addr())
 
@@ -279,8 +286,6 @@ func Slotserve(args []string, stdout, stderr io.Writer) int {
 	if slotserveTestHook != nil {
 		slotserveTestHook(ln.Addr().String(), func() { close(stopc) })
 	} else {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 		go func() {
 			<-sig
 			close(stopc)

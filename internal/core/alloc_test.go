@@ -2,10 +2,13 @@ package core_test
 
 import (
 	"testing"
+	"time"
 
 	"slotsel/internal/core"
+	"slotsel/internal/env"
 	"slotsel/internal/job"
 	"slotsel/internal/randx"
+	"slotsel/internal/slots"
 	"slotsel/internal/testkit"
 )
 
@@ -68,6 +71,75 @@ func TestScannerFindAllocs(t *testing.T) {
 		})
 		if got > ab.scanner {
 			t.Errorf("%s: %v allocs/op on a warmed-up scanner, budget %v", ab.alg.Name(), got, ab.scanner)
+		}
+	}
+}
+
+// TestScannerFindAllocsLargeWindow is the same gate at the repository
+// benchmark's size — 1 024 nodes, windows of several hundred candidates,
+// selection orders of dozens of blocks — so a structure that is only
+// allocation-free while its window fits its first block is caught.
+func TestScannerFindAllocsLargeWindow(t *testing.T) {
+	if testkit.RaceEnabled {
+		t.Skip("allocation counts are unreliable under the race detector")
+	}
+	list, req := testkit.DeepPool(600)
+	seq, err := slots.SeqOf(list)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ab := range scannerBudgets() {
+		sc := core.NewScanner()
+		r := req
+		if _, err := sc.Find(ab.alg, seq.Cursor(), &r, nil); err != nil {
+			t.Fatalf("%s: warm-up find failed: %v", ab.alg.Name(), err)
+		}
+		got := testing.AllocsPerRun(3, func() {
+			_, _ = sc.Find(ab.alg, seq.Cursor(), &r, nil)
+		})
+		if got > ab.scanner {
+			t.Errorf("%s: %v allocs/op at 1024 nodes, budget %v", ab.alg.Name(), got, ab.scanner)
+		}
+	}
+}
+
+// TestScanCostGrowth gates the slope of a full scan in the node count: the
+// time per scanned slot of MinCost and of MinRunTime at 4 096 nodes (windows
+// of about 2 700 candidates) is at most three times that at 512 nodes
+// (about 340). A step or a visit that walks the window grows eightfold
+// between the two — the mirrors this index replaced measured 11x and 7x —
+// while O(log w) steps and O(n + r log w) visits stay within 1.5x, so the
+// margin holds on a noisy runner. Minimum of three timed searches a side.
+func TestScanCostGrowth(t *testing.T) {
+	if testkit.RaceEnabled || testing.Short() {
+		t.Skip("timing test: skipped under -race and -short")
+	}
+	perSlot := func(alg core.Algorithm, nodeCount int) float64 {
+		e := env.Generate(env.DefaultConfig().WithNodeCount(nodeCount), randx.New(1))
+		seq, err := slots.SeqOf(e.Slots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := job.Request{TaskCount: 5, Volume: 150, MaxCost: 5 * 150 * 5} // the benchmark's booking shape
+		sc := core.NewScanner()
+		best := time.Duration(1<<63 - 1)
+		for i := 0; i < 4; i++ { // the first search sizes the scanner
+			r := req
+			begin := time.Now()
+			if _, err := sc.Find(alg, seq.Cursor(), &r, nil); err != nil {
+				t.Fatalf("%s at %d nodes: %v", alg.Name(), nodeCount, err)
+			}
+			if d := time.Since(begin); i > 0 && d < best {
+				best = d
+			}
+		}
+		return float64(best.Nanoseconds()) / float64(len(e.Slots))
+	}
+	for _, alg := range []core.Algorithm{core.MinCost{}, core.MinRunTime{}} {
+		small, large := perSlot(alg, 512), perSlot(alg, 4096)
+		t.Logf("%s: %.0f ns/slot at 512 nodes, %.0f ns/slot at 4096 nodes (x%.2f)", alg.Name(), small, large, large/small)
+		if large > 3*small {
+			t.Errorf("%s: %.0f ns/slot at 4096 nodes is more than 3x the %.0f ns/slot at 512", alg.Name(), large, small)
 		}
 	}
 }

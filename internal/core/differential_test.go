@@ -101,6 +101,44 @@ func TestDifferentialIncrementalVsOracle(t *testing.T) {
 	}
 }
 
+// TestDifferentialSmallBlocks repeats the oracle differential with selection
+// orders whose blocks hold 2, 3 or 5 handles, over lists wide enough for
+// windows of a few dozen candidates: every insertion, expiry, in-order walk
+// and "next lighter candidate" of a search crosses blocks that split and
+// merge under it.
+func TestDifferentialSmallBlocks(t *testing.T) {
+	for _, bcap := range []int{2, 3, 5} {
+		prev := core.SetOrderBlockCapForTest(bcap)
+		for seed := uint64(1); seed <= 24; seed++ {
+			rng := randx.New(seed)
+			list := testkit.HeteroList(rng, 40, 4, 300)
+			req := job.Request{
+				TaskCount: rng.IntRange(1, 6),
+				Volume:    float64(rng.IntRange(40, 150)),
+				MaxCost:   float64(rng.IntRange(100, 2000)),
+			}
+			if rng.Intn(3) == 0 {
+				req.Deadline = float64(rng.IntRange(100, 300))
+			}
+			for _, alg := range catalogue(seed) {
+				oracle, _ := core.Oracle(alg)
+				r1, r2 := req, req
+				incW, incErr := alg.Find(list, &r1)
+				orcW, orcErr := oracle.Find(list, &r2)
+				if (incErr == nil) != (orcErr == nil) {
+					t.Fatalf("cap=%d seed=%d alg=%s: feasibility diverged: incremental err=%v, oracle err=%v",
+						bcap, seed, alg.Name(), incErr, orcErr)
+				}
+				if is, os := testkit.WindowSignature(incW), testkit.WindowSignature(orcW); is != os {
+					t.Errorf("cap=%d seed=%d alg=%s: incremental and oracle windows diverged\nincremental: %s\noracle:      %s",
+						bcap, seed, alg.Name(), is, os)
+				}
+			}
+		}
+		core.SetOrderBlockCapForTest(prev)
+	}
+}
+
 // readsCostMirror reports whether the algorithm's per-visit select reads the
 // cost-ordered mirror. The copy+sort oracle twins, the random MinProcTime
 // step and the exact runtime kernel (which walks the exec mirror) do not.

@@ -1,313 +1,556 @@
 package core
 
 import (
-	"sort"
+	"math"
+	"unsafe"
 
+	"slotsel/internal/job"
 	"slotsel/internal/randx"
 )
 
 // WindowIndex is the incrementally maintained candidate index of one AEP
-// scan: alongside the append-order window it keeps a cost-ordered mirror
-// (the (Cost, Exec, NodeID) total order of cheapestN) with running
-// prefix-cost sums, so the per-visit selection procedures read sorted
-// candidates instead of copying and re-sorting the window at every scan
-// position. The window changes by a handful of insertions and expiries per
-// step, so maintenance is amortized O(w) per step (one binary search plus
-// one memmove per insertion, one in-place compaction per expiry round)
-// where the oracle kernels pay O(w log w) per visit.
+// scan. A scan step costs O(log w) in the window size w, and O(1) when it
+// expires nothing; a visit costs what its select reads.
 //
-// Both mirrors are activated lazily, by the first select of a scan that
-// reads them (the cost mirror by every kernel but the random step, the
-// execution-time-ordered one by the exact runtime kernel alone), so a visit
-// that only reads Cands() — the random MinProcTime step, the baselines, the
-// copy+sort oracle twins — never pays for an ordering it does not use.
+// Candidates live in an arena at stable 4-byte handles; every other
+// structure holds handles, the append order included.
+//
+//   - Expiry is a min-heap of handles keyed by each candidate's last
+//     feasible start, which is fixed when the candidate is added: a step
+//     whose heap top is still feasible touches nothing, and a candidate is
+//     removed once. The key orders the heap and never decides: it is the
+//     last feasible start moved earlier by a few ulps, and every candidate
+//     the key lets through is tested with the scan's own predicate
+//     (effEnd − start >= Exec, which differs from effEnd − Exec >= start in
+//     the last ulp); one that still fits goes back on the heap.
+//
+//   - Selection order is one orderedSet in the (Cost, Exec, NodeID) order of
+//     cheapestN and, for the exact runtime kernel alone, one in the (Exec,
+//     Cost, NodeID) order. Both are activated lazily, by the first select of
+//     a scan that needs them, and the first SelectMinCost of a scan does not
+//     even do that: it picks its n cheapest in one pass over the window, so
+//     a search that accepts at its first visit (AMP, nearly always) builds
+//     nothing.
+//
+//   - Cands, the append-order window as a slice, is materialised when read:
+//     an expired candidate leaves a tombstone in the append-order sequence,
+//     and the read squeezes them out while it copies. The readers that need
+//     the slice (the random MinProcTime step, the baselines, the copy+sort
+//     oracle twins) pay O(w) per visit, and nobody else does.
 //
 // Lifetime: a WindowIndex handed to a VisitFunc is owned by the scan and
-// reused between visits; the slices returned by Cands, ByCost and ByExec
-// are live views, and the chosen slice a Select* method returns is the
-// index's scratch buffer, valid until the next select on the same index:
-// copy what you keep.
+// reused between visits; the slice returned by Cands is a live view, and
+// the chosen slice a Select* method returns is the index's scratch buffer,
+// valid until the next select on the same index: copy what you keep.
 type WindowIndex struct {
-	// cands is the window in scan append order (non-decreasing slot start).
-	cands []Candidate
+	// arena holds the candidates, a handle being an index into it. seq is
+	// the window in scan append order (non-decreasing slot start): handles,
+	// with none where a candidate expired since the last compaction. pos
+	// runs beside arena: a live candidate's index in seq, a recycled cell's
+	// next free handle (free heads that chain).
+	arena []Candidate
+	pos   []int32
+	free  int32
+	seq   []int32
+	live  int
 
-	// byCost mirrors cands in the (Cost, Exec, NodeID) order; empty until a
-	// select that reads it activates tracking.
-	byCost    []Candidate
-	trackCost bool
+	// expKey and expH are the expiry min-heap, as two parallel arrays (12
+	// bytes an element, not 16): the padded last feasible start of arena[h],
+	// and h. held is expire's buffer of candidates the key let through and
+	// the predicate kept.
+	expKey []float64
+	expH   []int32
+	held   []int32
 
-	// prefix holds running cost sums over byCost: prefix[i] is the total
-	// cost of the i cheapest candidates (prefix[0] = 0), always accumulated
-	// left to right so it is bit-identical to summing byCost[:i] directly.
-	prefix []float64
+	// view is Cands' materialisation. Unless viewStale, seq has no
+	// tombstones and view holds the candidates of seq[:len(view)].
+	view      []Candidate
+	viewStale bool
 
-	// byExec mirrors cands in the (Exec, Cost, NodeID) order; empty until
-	// the exact runtime kernel activates tracking.
-	byExec    []Candidate
-	trackExec bool
+	// cost and exec are the selection orders. costWanted: a select has read
+	// the cost order (from the one-shot pass, if cost is not active yet).
+	cost, exec orderedSet
+	costWanted bool
+
+	// weight is the function the cost order's filter weights were computed
+	// with (nil: the order is unweighted).
+	weight func(Candidate) float64
 
 	// scratch is the chosen-slice buffer the Select* kernels return: one
 	// buffer, recycled across visits, consumed by the caller before the
-	// next selection. sample is SelectRandom's index scratch.
+	// next selection. weights holds the weights of the greedy loop's forming
+	// window, sample is SelectRandom's index scratch.
 	scratch []Candidate
+	weights []float64
 	sample  []int
 }
 
+// none is the nil handle.
+const none int32 = -1
+
+// expirySlack pads the expiry key. effEnd − Exec and the predicate's
+// effEnd − start each round once, so the key and the predicate can disagree
+// about a start within an ulp or two (of the operands' magnitudes) of the
+// boundary. The pad is thousands of ulps, relative to those magnitudes: a
+// candidate let through early costs one exact test per step until it
+// expires, one kept past its expiry would be a wrong window.
+const expirySlack = 1.0 / (1 << 40)
+
 // NewWindowIndex builds an index over a snapshot of the given candidates
-// (the slice is copied) with the cost mirror already active. It is the
+// (the slice is copied) with the cost order already active. It is the
 // entry point for tests and tools that want the incremental kernels outside
 // a scan; inside a scan the index is maintained incrementally and this
 // constructor is never on the hot path.
 func NewWindowIndex(cands []Candidate) *WindowIndex {
-	ix := &WindowIndex{cands: append([]Candidate(nil), cands...)}
+	ix := &WindowIndex{}
+	ix.reset()
+	for _, c := range cands {
+		ix.add(c, math.Inf(1)) // outside a scan nothing expires
+	}
 	ix.activateCost()
 	return ix
 }
 
-// costLess is the cheapestN total order: cost, then execution time, then
-// node ID. Node IDs are unique within a scan window (per node, free slots
-// are disjoint and every retained slot contains the current start), so the
-// order is total and the mirror is deterministic.
-func costLess(a, b Candidate) bool {
-	if a.Cost != b.Cost {
-		return a.Cost < b.Cost
-	}
-	if a.Exec != b.Exec {
-		return a.Exec < b.Exec
-	}
-	return a.Slot.Node.ID < b.Slot.Node.ID
-}
-
-// execLess is the exact runtime kernel's total order: execution time, then
-// cost, then node ID.
-func execLess(a, b Candidate) bool {
-	if a.Exec != b.Exec {
-		return a.Exec < b.Exec
-	}
-	if a.Cost != b.Cost {
-		return a.Cost < b.Cost
-	}
-	return a.Slot.Node.ID < b.Slot.Node.ID
-}
-
 // Len returns the current window size.
-func (ix *WindowIndex) Len() int { return len(ix.cands) }
+func (ix *WindowIndex) Len() int { return ix.live }
 
-// Cands returns the window in scan append order. The slice is live scan
-// state: copy what you keep.
-func (ix *WindowIndex) Cands() []Candidate { return ix.cands }
+// Cands returns the window in scan append order, materialised on the first
+// read after a change. The slice is live scan state: copy what you keep.
+func (ix *WindowIndex) Cands() []Candidate {
+	if ix.viewStale {
+		ix.compact(true)
+	}
+	for _, h := range ix.seq[len(ix.view):] {
+		ix.view = append(ix.view, ix.arena[h])
+	}
+	return ix.view
+}
 
-// ByCost returns the cost-ordered mirror; it is empty until a select that
-// reads it has run on this index. The slice is live scan state: copy what
-// you keep.
-func (ix *WindowIndex) ByCost() []Candidate { return ix.byCost }
+// compact squeezes the tombstones out of seq and, when asked to, rebuilds
+// the Cands view in the same pass.
+func (ix *WindowIndex) compact(view bool) {
+	v, k := ix.view[:0], 0
+	for _, h := range ix.seq {
+		if h == none {
+			continue
+		}
+		ix.pos[h] = int32(k)
+		ix.seq[k] = h
+		k++
+		if view {
+			v = append(v, ix.arena[h])
+		}
+	}
+	ix.seq = ix.seq[:k]
+	if view {
+		ix.view, ix.viewStale = v, false
+	}
+}
 
-// ByExec returns the execution-time-ordered mirror; it is empty unless the
-// exact runtime kernel has run on this index. The slice is live scan
-// state: copy what you keep.
-func (ix *WindowIndex) ByExec() []Candidate { return ix.byExec }
+// ByCost returns a copy of the window in cost order; it is empty until a
+// select that reads the cost order has run on this index. For tests and
+// tools: no search path calls it.
+func (ix *WindowIndex) ByCost() []Candidate {
+	if !ix.costWanted {
+		return nil
+	}
+	ix.activateCost()
+	return ix.cost.appendTo(make([]Candidate, 0, ix.live), ix.arena)
+}
 
-// PrefixCost returns the total cost of the n cheapest candidates, an O(1)
-// read of the running prefix sums. n must be within [0, len(ByCost())].
+// ByExec returns a copy of the window in execution-time order; it is empty
+// unless the exact runtime kernel has run on this index. For tests and
+// tools: no search path calls it.
+func (ix *WindowIndex) ByExec() []Candidate {
+	if !ix.exec.active {
+		return nil
+	}
+	return ix.exec.appendTo(make([]Candidate, 0, ix.live), ix.arena)
+}
+
+// PrefixCost returns the total cost of the n cheapest candidates, summed
+// left to right in cost order. n must be within [0, len(ByCost())]. For
+// tests and tools: no search path calls it.
 func (ix *WindowIndex) PrefixCost(n int) float64 {
+	return sumCost(ix.ByCost()[:n])
+}
+
+// add inserts a candidate whose slot's effective end is end: a cell in the
+// arena, the tail of the append order, an entry in the expiry heap, and an
+// insertion into each selection order already activated.
+func (ix *WindowIndex) add(c Candidate, end float64) {
+	h := ix.free
+	if h != none {
+		ix.free = ix.pos[h]
+	} else {
+		if cap(ix.arena) == 0 {
+			ix.firstUse()
+		}
+		h = int32(len(ix.arena))
+		ix.arena = append(ix.arena, Candidate{})
+		ix.pos = append(ix.pos, 0)
+	}
+	ix.arena[h], ix.pos[h] = c, int32(len(ix.seq))
+	ix.seq = append(ix.seq, h)
+	ix.live++
+
+	key := end - c.Exec - expirySlack*(math.Abs(end)+math.Abs(c.Exec))
+	if key != key {
+		key = math.Inf(1) // an unbounded slot never expires
+	}
+	ix.pushExpiry(key, h)
+
+	if ix.cost.active {
+		fw := 0.0
+		if ix.weight != nil {
+			fw = filterWeight(ix.weight(c))
+		}
+		ix.cost.insert(ix.arena, h, fw)
+	}
+	if ix.exec.active {
+		ix.exec.insert(ix.arena, h, 0)
+	}
+}
+
+// firstUse gives the per-candidate arrays of a fresh index their first
+// capacity in one step instead of append's 1, 2, 4, ...: a scanner the pool
+// dropped at a GC is rebuilt by its next search, and five arrays growing
+// from nothing would cost that search five times the allocations.
+func (ix *WindowIndex) firstUse() {
+	const n = 64
+	ix.arena = make([]Candidate, 0, n)
+	ix.pos = make([]int32, 0, n)
+	ix.seq = make([]int32, 0, 2*n)
+	ix.expKey = make([]float64, 0, n)
+	ix.expH = make([]int32, 0, n)
+}
+
+// expire drops every candidate that no longer provides its minimum required
+// length to a window starting at start. Only candidates whose key says they
+// might not are looked at, and each of those is decided by the predicate
+// itself. Starts only grow and the predicate is monotone in start, so a
+// candidate dropped stays dropped and one kept is asked again later.
+func (ix *WindowIndex) expire(start float64, req *job.Request) {
+	limit := start + expirySlack*math.Abs(start)
+	for len(ix.expKey) > 0 && ix.expKey[0] <= limit {
+		h := ix.popExpiry()
+		if c := &ix.arena[h]; effEnd(c.Slot, req)-start >= c.Exec {
+			ix.held = append(ix.held, h)
+			continue
+		}
+		ix.remove(h)
+	}
+	// A kept candidate goes back under the limit that let it through: it is
+	// asked again at the next start, and its own key is not needed for that.
+	for _, h := range ix.held {
+		ix.pushExpiry(limit, h)
+	}
+	ix.held = ix.held[:0]
+}
+
+// remove takes the candidate at handle h out of the selection orders,
+// leaves a tombstone in the append order and recycles its cell. The
+// tombstones are squeezed out when they outnumber the candidates, so seq
+// stays within twice the window and the squeeze is paid for by the removals
+// before it.
+func (ix *WindowIndex) remove(h int32) {
+	if ix.cost.active {
+		ix.cost.remove(ix.arena, h)
+	}
+	if ix.exec.active {
+		ix.exec.remove(ix.arena, h)
+	}
+	ix.seq[ix.pos[h]] = none
+	ix.arena[h], ix.pos[h] = Candidate{}, ix.free
+	ix.free = h
+	ix.live--
+	ix.viewStale = true
+	if len(ix.seq) > 2*ix.live+seqSlack {
+		ix.compact(false)
+	}
+}
+
+// seqSlack keeps a small window from compacting on every other removal.
+const seqSlack = 16
+
+func (ix *WindowIndex) pushExpiry(key float64, h int32) {
+	keys, hs := append(ix.expKey, key), append(ix.expH, h)
+	i := len(keys) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if keys[parent] <= key {
+			break
+		}
+		keys[i], hs[i] = keys[parent], hs[parent]
+		i = parent
+	}
+	keys[i], hs[i] = key, h
+	ix.expKey, ix.expH = keys, hs
+}
+
+// popExpiry removes the heap's top and returns its handle.
+func (ix *WindowIndex) popExpiry() int32 {
+	n := len(ix.expKey) - 1
+	top, key, h := ix.expH[0], ix.expKey[n], ix.expH[n]
+	keys, hs := ix.expKey[:n], ix.expH[:n]
+	ix.expKey, ix.expH = keys, hs
 	if n == 0 {
-		return 0
+		return top
 	}
-	return ix.prefix[n]
-}
-
-// add inserts a candidate: append-order window, and — for each mirror
-// already activated — a binary-search insertion (the cost mirror's prefix
-// sums recomputed from the insertion point).
-func (ix *WindowIndex) add(c Candidate) {
-	ix.cands = append(ix.cands, c)
-
-	if ix.trackCost {
-		pos := sort.Search(len(ix.byCost), func(i int) bool { return costLess(c, ix.byCost[i]) })
-		ix.byCost = append(ix.byCost, Candidate{})
-		copy(ix.byCost[pos+1:], ix.byCost[pos:])
-		ix.byCost[pos] = c
-
-		ix.prefix = append(ix.prefix, 0)
-		for i := pos; i < len(ix.byCost); i++ {
-			ix.prefix[i+1] = ix.prefix[i] + ix.byCost[i].Cost
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
 		}
-	}
-
-	if ix.trackExec {
-		pos := sort.Search(len(ix.byExec), func(i int) bool { return execLess(c, ix.byExec[i]) })
-		ix.byExec = append(ix.byExec, Candidate{})
-		copy(ix.byExec[pos+1:], ix.byExec[pos:])
-		ix.byExec[pos] = c
-	}
-}
-
-// expire drops every candidate for which keep is false, compacting the
-// window and the activated mirrors in place (order preserved) and
-// recomputing prefix sums from the first removal.
-func (ix *WindowIndex) expire(keep func(Candidate) bool) {
-	var first int
-	if ix.cands, first = compact(ix.cands, keep); first < 0 {
-		return // nothing expired; mirrors are untouched
-	}
-	if ix.trackCost {
-		ix.byCost, first = compact(ix.byCost, keep)
-		ix.prefix = ix.prefix[:len(ix.byCost)+1]
-		for i := first; i < len(ix.byCost); i++ {
-			ix.prefix[i+1] = ix.prefix[i] + ix.byCost[i].Cost
+		if r := child + 1; r < n && keys[r] < keys[child] {
+			child = r
 		}
-	}
-	if ix.trackExec {
-		ix.byExec, _ = compact(ix.byExec, keep)
-	}
-}
-
-// compact filters s in place, preserving order, and returns the index of
-// the first element dropped (-1: none).
-func compact(s []Candidate, keep func(Candidate) bool) (kept []Candidate, first int) {
-	kept, first = s[:0], -1
-	for i, c := range s {
-		if keep(c) {
-			kept = append(kept, c)
-		} else if first < 0 {
-			first = i
+		if key <= keys[child] {
+			break
 		}
+		keys[i], hs[i] = keys[child], hs[child]
+		i = child
 	}
-	return kept, first
+	keys[i], hs[i] = key, h
+	return top
 }
 
 // reset empties the index, retaining capacity, for reuse across scans.
 func (ix *WindowIndex) reset() {
-	ix.cands = ix.cands[:0]
-	ix.byCost = ix.byCost[:0]
-	ix.trackCost = false
-	ix.prefix = ix.prefix[:0]
-	ix.byExec = ix.byExec[:0]
-	ix.trackExec = false
+	ix.arena = ix.arena[:0]
+	ix.pos = ix.pos[:0]
+	ix.free = none
+	ix.seq = ix.seq[:0]
+	ix.live = 0
+	ix.expKey = ix.expKey[:0]
+	ix.expH = ix.expH[:0]
+	ix.held = ix.held[:0]
+	ix.view = ix.view[:0]
+	ix.viewStale = false
+	ix.cost.reset(false)
+	ix.exec.reset(true)
+	ix.costWanted = false
+	ix.weight = nil
 	ix.scratch = ix.scratch[:0]
+	ix.weights = ix.weights[:0]
 	ix.sample = ix.sample[:0]
 }
 
-// activateCost lazily builds the cost-ordered mirror and its prefix sums;
-// from then on add and expire maintain them incrementally. Mirror and sums
-// are exactly what incremental maintenance from the first add would have
-// left: costLess is a strict total order, so the sorted sequence is unique,
-// and the sums are accumulated left to right either way.
+// activateCost builds the cost order from the window as it stands; from then
+// on add and expire maintain it. The order is what maintenance from the
+// first add would have left: candidates go in in append order, equals after
+// equals.
 func (ix *WindowIndex) activateCost() {
-	if ix.trackCost {
-		return
-	}
-	ix.trackCost = true
-	ix.byCost = sortedInto(ix.byCost[:0], ix.cands, costLess)
-	ix.prefix = append(ix.prefix[:0], 0)
-	for i, c := range ix.byCost {
-		ix.prefix = append(ix.prefix, ix.prefix[i]+c.Cost)
-	}
+	ix.costWanted = true
+	ix.activate(&ix.cost)
 }
 
-// activateExec is activateCost for the exec-ordered mirror.
-func (ix *WindowIndex) activateExec() {
-	if ix.trackExec {
+func (ix *WindowIndex) activate(s *orderedSet) {
+	if s.active {
 		return
 	}
-	ix.trackExec = true
-	ix.byExec = sortedInto(ix.byExec[:0], ix.cands, execLess)
-}
-
-// sortedInto copies cands into dst and sorts them by a binary insertion
-// sort rather than sort.Slice: less is a strict total order, so the result
-// is identical, and the insertion sort works in place without sort.Slice's
-// reflection allocation. It runs once per scan and mirror.
-func sortedInto(dst, cands []Candidate, less func(a, b Candidate) bool) []Candidate {
-	s := append(dst, cands...)
-	for i := 1; i < len(s); i++ {
-		c := s[i]
-		pos := sort.Search(i, func(j int) bool { return less(c, s[j]) })
-		copy(s[pos+1:i+1], s[pos:i])
-		s[pos] = c
+	s.active = true
+	for _, h := range ix.seq {
+		if h != none {
+			s.insert(ix.arena, h, 0)
+		}
 	}
-	return s
 }
 
 // SelectMinCost is the incremental twin of the selectMinCost oracle: the n
-// cheapest candidates are a prefix of the cost mirror and their total is a
-// prefix-sum read, so the per-visit work is O(n) (the copy) instead of
-// O(w log w). Like every Select*, it returns the index's scratch buffer —
+// cheapest candidates are the front of the cost order, and their total is
+// their costs summed left to right. The first call of a scan does not build
+// the order — it keeps the n cheapest seen in one pass over the window,
+// which is all a search that stops at this visit will ever ask — and the
+// second does. Like every Select*, it returns the index's scratch buffer —
 // valid only until the next select on this index.
 func (ix *WindowIndex) SelectMinCost(n int, budget float64) (chosen []Candidate, cost float64, ok bool) {
-	ix.activateCost()
-	if len(ix.byCost) < n {
+	if ix.live < n {
 		return nil, 0, false
 	}
-	cost = ix.PrefixCost(n)
+	if ix.costWanted {
+		ix.activateCost()
+		chosen, _, _ = ix.cheapest(n)
+	} else {
+		ix.costWanted = true
+		chosen = ix.cheapestOnce(n)
+	}
+	cost = sumCost(chosen)
 	if budget > 0 && cost > budget {
 		return nil, 0, false
 	}
-	s := append(ix.scratch[:0], ix.byCost[:n]...)
-	ix.scratch = s
-	return s, cost, true
+	return chosen, cost, true
 }
 
-// SelectMinRuntimeGreedy is the incremental twin of selectMinRuntimeGreedy:
-// the initial window is the cost mirror's prefix (its cost a prefix-sum
-// read) and the extend slots are the mirror's tail, already in
-// non-decreasing cost order — no per-visit sort. The substitution loop is
-// unchanged, so the output is candidate-for-candidate identical to the
-// oracle's.
-func (ix *WindowIndex) SelectMinRuntimeGreedy(n int, budget float64, literalBudget bool) (chosen []Candidate, runtime float64, ok bool) {
-	result, cost, ok := ix.SelectMinCost(n, budget)
-	if !ok {
-		return nil, 0, false
+// cheapest copies the first n candidates of the active cost order into the
+// scratch buffer and returns the position after them.
+func (ix *WindowIndex) cheapest(n int) (chosen []Candidate, b, j int) {
+	s := ix.scratch[:0]
+	for b, blk := range ix.cost.dir {
+		for j, h := range ix.cost.h[blk.off : blk.off+blk.n] {
+			if len(s) == n {
+				ix.scratch = s
+				return s, b, j
+			}
+			s = append(s, ix.arena[h])
+		}
 	}
-	for _, short := range ix.byCost[n:] {
-		longIdx := maxExecIndex(result)
-		long := result[longIdx]
-		if short.Exec >= long.Exec {
+	ix.scratch = s
+	return s, len(ix.cost.dir), 0
+}
+
+// cheapestOnce is cheapest without the order: one pass over the window in
+// append order, keeping the n cheapest so far sorted in the scratch buffer
+// (a candidate goes after its equals, as it would in the order).
+func (ix *WindowIndex) cheapestOnce(n int) []Candidate {
+	s := ix.scratch[:0]
+	for _, h := range ix.seq {
+		if h == none {
 			continue
 		}
-		feasible := true
+		c := ix.arena[h]
+		if len(s) == n {
+			if n == 0 || !candLess(&c, &s[n-1], false) {
+				continue
+			}
+			s = s[:n-1]
+		}
+		i := len(s)
+		s = append(s, c)
+		for ; i > 0 && candLess(&c, &s[i-1], false); i-- {
+			s[i] = s[i-1]
+		}
+		s[i] = c
+	}
+	ix.scratch = s
+	return s
+}
+
+// sameFunc reports whether a and b are one function value: the same closure
+// object, hence the same code over the same captured variables. (Go
+// compares function values with nil only; a function value is a pointer to
+// its closure.)
+func sameFunc(a, b func(Candidate) float64) bool {
+	return *(*unsafe.Pointer)(unsafe.Pointer(&a)) == *(*unsafe.Pointer)(unsafe.Pointer(&b))
+}
+
+// substitute is the paper's §2.2 substitution loop, for MinRunTime (weight
+// Exec), MinFinish, MinProcTimeGreedy and MinEnergy alike: start from the n
+// cheapest, then walk the rest in cost order, and replace the heaviest of
+// the forming window by each candidate that is lighter while the budget
+// allows (literalBudget: the paper's pseudocode condition, which does not
+// refund the replaced slot). It returns the window in the scratch buffer
+// and its weights in ix.weights.
+//
+// The oracle loop looks at every remaining candidate and recomputes the
+// heaviest for each. A candidate that is not lighter than the heaviest
+// changes nothing in that loop — neither the window nor its cost — so this
+// one asks the cost order for the next candidate that is lighter (nextBelow
+// over the block minima decides which to look at; the oracle's own
+// comparison on the weight itself decides the substitution) and recomputes
+// the heaviest only after a substitution: same trajectory, same float cost
+// accumulation, same tie-breaks. And once a lighter candidate does not fit
+// the budget, none after it does — they cost no less, float addition is
+// monotone, and nothing changes in between — so the walk ends there.
+//
+// weight must be a pure function of the candidate. The filter weights are
+// kept across visits for as long as the calls pass the same function value,
+// and recomputed (O(w)) when they do not.
+func (ix *WindowIndex) substitute(n int, budget float64, weight func(Candidate) float64, literalBudget bool) (result []Candidate, ok bool) {
+	if ix.live < n {
+		return nil, false
+	}
+	ix.activateCost()
+	if !ix.cost.weighted || !sameFunc(ix.weight, weight) {
+		ix.weight = weight
+		ix.cost.setWeights(ix.arena, weight)
+	}
+	result, b, j := ix.cheapest(n)
+	cost := sumCost(result)
+	if budget > 0 && cost > budget {
+		return nil, false
+	}
+	ws := ix.weights[:0]
+	for _, c := range result {
+		ws = append(ws, weight(c))
+	}
+	ix.weights = ws
+	if n == 0 {
+		return result, true
+	}
+
+	heavy := heaviest(ws)
+	for {
+		// A threshold that is NaN or -Inf orders nothing: look at every
+		// candidate, as the oracle does.
+		var more bool
+		if ws[heavy] > math.Inf(-1) {
+			b, j, more = ix.cost.nextBelow(b, j, ws[heavy])
+		} else {
+			b, j, more = ix.cost.at(b, j)
+		}
+		if !more {
+			break
+		}
+		short := ix.arena[ix.cost.handle(b, j)]
+		j++
+		w := weight(short)
+		if w >= ws[heavy] {
+			continue
+		}
 		if budget > 0 {
 			if literalBudget {
-				feasible = cost+short.Cost <= budget
-			} else {
-				feasible = cost-long.Cost+short.Cost <= budget
+				if !(cost+short.Cost <= budget) {
+					break
+				}
+			} else if !(cost-result[heavy].Cost+short.Cost <= budget) {
+				break
 			}
 		}
-		if feasible {
-			cost += short.Cost - long.Cost
-			result[longIdx] = short
+		cost += short.Cost - result[heavy].Cost
+		result[heavy], ws[heavy] = short, w
+		heavy = heaviest(ws)
+	}
+	return result, true
+}
+
+// heaviest returns the index of the first largest weight.
+func heaviest(ws []float64) int {
+	idx := 0
+	for i, w := range ws {
+		if w > ws[idx] {
+			idx = i
 		}
+	}
+	return idx
+}
+
+// execWeight is the runtime-minimizing weight. Package-level so passing it
+// never allocates and always is the same function value.
+func execWeight(c Candidate) float64 { return c.Exec }
+
+// SelectMinRuntimeGreedy is the incremental twin of selectMinRuntimeGreedy:
+// the substitution loop with the execution time as the weight. The output
+// is candidate-for-candidate identical to the oracle's.
+func (ix *WindowIndex) SelectMinRuntimeGreedy(n int, budget float64, literalBudget bool) (chosen []Candidate, runtime float64, ok bool) {
+	result, ok := ix.substitute(n, budget, execWeight, literalBudget)
+	if !ok {
+		return nil, 0, false
 	}
 	return result, maxExec(result), true
 }
 
 // SelectMinAdditiveGreedy is the incremental twin of
-// selectMinAdditiveGreedy for an arbitrary additive per-slot weight.
+// selectMinAdditiveGreedy for an arbitrary additive per-slot weight, which
+// must be a pure function of the candidate.
 func (ix *WindowIndex) SelectMinAdditiveGreedy(n int, budget float64, weight func(Candidate) float64) (chosen []Candidate, total float64, ok bool) {
-	result, cost, ok := ix.SelectMinCost(n, budget)
+	result, ok := ix.substitute(n, budget, weight, false)
 	if !ok {
 		return nil, 0, false
 	}
-	for _, short := range ix.byCost[n:] {
-		heavyIdx := 0
-		for i := range result {
-			if weight(result[i]) > weight(result[heavyIdx]) {
-				heavyIdx = i
-			}
-		}
-		heavy := result[heavyIdx]
-		if weight(short) >= weight(heavy) {
-			continue
-		}
-		if budget > 0 && cost-heavy.Cost+short.Cost > budget {
-			continue
-		}
-		cost += short.Cost - heavy.Cost
-		result[heavyIdx] = short
-	}
-	total = 0
-	for _, c := range result {
-		total += weight(c)
+	for _, w := range ix.weights {
+		total += w
 	}
 	return result, total, true
 }
@@ -315,53 +558,59 @@ func (ix *WindowIndex) SelectMinAdditiveGreedy(n int, budget float64, weight fun
 // SelectMinRuntimeExact is the incremental entry path of the exact
 // minimum-runtime oracle: the exec-ordered prefix walk and cost heap are
 // unchanged, but the exec ordering comes from the incrementally maintained
-// mirror instead of a per-visit sort. The first call of a scan sorts the
-// current window once to activate the mirror; later visits reuse it. The
-// cost heap lives in the scratch buffer.
+// order instead of a per-visit sort. The first call of a scan builds the
+// order from the current window; later visits reuse it. The cost heap lives
+// in the scratch buffer.
 func (ix *WindowIndex) SelectMinRuntimeExact(n int, budget float64) (chosen []Candidate, runtime float64, ok bool) {
-	if len(ix.cands) < n {
+	if ix.live < n {
 		return nil, 0, false
 	}
-	ix.activateExec()
+	ix.activate(&ix.exec)
 	heap := ix.scratch[:0]
 	sum := 0.0
-	for i, c := range ix.byExec {
-		if len(heap) < n {
-			heapPush(&heap, c)
-			sum += c.Cost
-		} else if c.Cost < heap[0].Cost {
-			sum += c.Cost - heap[0].Cost
-			heapReplace(heap, c)
-		}
-		if len(heap) == n {
-			if i+1 < len(ix.byExec) && ix.byExec[i+1].Exec == ix.byExec[i].Exec {
-				continue
-			}
-			if budget <= 0 || sum <= budget {
+	var prev Candidate
+	for _, blk := range ix.exec.dir {
+		for _, h := range ix.exec.h[blk.off : blk.off+blk.n] {
+			c := ix.arena[h]
+			// The prefix ending at prev is complete once the next candidate
+			// has a different exec (an equal one may be cheaper).
+			if len(heap) == n && c.Exec != prev.Exec && (budget <= 0 || sum <= budget) {
 				ix.scratch = heap
-				return heap, ix.byExec[i].Exec, true
+				return heap, prev.Exec, true
 			}
+			if len(heap) < n {
+				heapPush(&heap, c)
+				sum += c.Cost
+			} else if c.Cost < heap[0].Cost {
+				sum += c.Cost - heap[0].Cost
+				heapReplace(heap, c)
+			}
+			prev = c
 		}
 	}
 	ix.scratch = heap
+	if len(heap) == n && (budget <= 0 || sum <= budget) {
+		return heap, prev.Exec, true
+	}
 	return nil, 0, false
 }
 
 // SelectRandom is the paper's simplified MinProcTime step: a uniformly
 // random n-subset of the append-order window, rejected when over budget.
-// It reads Cands alone — no mirror is activated — and the sample stream
+// It reads Cands alone — no order is activated — and the sample stream
 // (drawn before the budget check) and the chosen order are identical to
 // the allocating selectRandom oracle's.
 func (ix *WindowIndex) SelectRandom(n int, budget float64, rng *randx.Rand) (chosen []Candidate, ok bool) {
-	if len(ix.cands) < n {
+	if ix.live < n {
 		return nil, false
 	}
-	ix.sample = rng.SampleInto(ix.sample[:0], len(ix.cands), n)
+	cands := ix.Cands()
+	ix.sample = rng.SampleInto(ix.sample[:0], len(cands), n)
 	chosen = ix.scratch[:0]
 	cost := 0.0
 	for _, i := range ix.sample {
-		chosen = append(chosen, ix.cands[i])
-		cost += ix.cands[i].Cost
+		chosen = append(chosen, cands[i])
+		cost += cands[i].Cost
 	}
 	ix.scratch = chosen
 	if budget > 0 && cost > budget {

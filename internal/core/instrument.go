@@ -37,27 +37,3 @@ func FindObserved(alg Algorithm, list slots.List, req *job.Request, col obs.Coll
 	}
 	return w.Detach(), nil
 }
-
-// Instrument wraps alg so that every Find reports to col, for call sites
-// that accept a plain Algorithm and cannot thread a collector explicitly
-// (e.g. batchsched.ScheduleDirected). Instrument(alg, nil) returns alg
-// unchanged, preserving the nil-means-off convention.
-func Instrument(alg Algorithm, col obs.Collector) Algorithm {
-	if col == nil {
-		return alg
-	}
-	return instrumented{alg: alg, col: col}
-}
-
-type instrumented struct {
-	alg Algorithm
-	col obs.Collector
-}
-
-// Name implements Algorithm.
-func (ia instrumented) Name() string { return ia.alg.Name() }
-
-// Find implements Algorithm.
-func (ia instrumented) Find(list slots.List, req *job.Request) (*Window, error) {
-	return FindObserved(ia.alg, list, req, ia.col)
-}

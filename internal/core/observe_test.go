@@ -141,29 +141,6 @@ func TestFindObservedEmitsSelect(t *testing.T) {
 	}
 }
 
-func TestInstrumentWrapsPlainAlgorithm(t *testing.T) {
-	n1 := testNode(1, 4, 1)
-	l := sorted(slot(n1, 0, 100))
-	req := job.Request{TaskCount: 1, Volume: 60}
-
-	stats := &obs.Stats{}
-	wrapped := Instrument(AMP{}, stats)
-	if wrapped.Name() != "AMP" {
-		t.Errorf("Name = %q, want AMP", wrapped.Name())
-	}
-	if _, err := wrapped.Find(l, &req); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Snapshot().Selects["AMP"].Searches != 1 {
-		t.Error("Instrument did not record the search")
-	}
-
-	// nil collector: the algorithm must come back unchanged.
-	if got := Instrument(AMP{}, nil); got != Algorithm(AMP{}) {
-		t.Errorf("Instrument(alg, nil) = %v, want the algorithm itself", got)
-	}
-}
-
 func TestFindObservedNotFound(t *testing.T) {
 	n1 := testNode(1, 4, 1)
 	l := sorted(slot(n1, 0, 10)) // too short for exec 15

@@ -10,7 +10,7 @@ import (
 // oracleAlg is a reference twin of a shipped algorithm: the same search
 // loop on the same Scan, but every visit reads only win.Cands() and runs the
 // per-visit copy+sort kernels (selectMinCost, selectMinRuntimeGreedy, ...)
-// on it, never the incremental WindowIndex mirrors. The twins exist for the
+// on it, never the incremental WindowIndex orders. The twins exist for the
 // differential test suite and the bench harness: they are the executable
 // specification the incremental kernels must match window-for-window.
 type oracleAlg struct {

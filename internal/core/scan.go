@@ -104,10 +104,15 @@ func Found(best *Window, err error) (*Window, error) {
 //
 // win is caller-provided recycled state (a Scanner's index): the loop
 // resets it and reuses its capacity, so a warmed-up scan allocates nothing
-// for window maintenance. Its size is bounded by the node count (per node,
-// free slots are disjoint, and every retained slot contains the current
-// start), which is what makes the per-step maintenance cost O(nodes) and
-// the whole scan O(m x nodes).
+// for window maintenance. A step costs O(log w) in the window size w — one
+// arena cell, one heap push, one insertion into each selection order a
+// select has activated — plus the same for every candidate it expires, and
+// a step that expires nothing looks at the heap's top and nothing else; so
+// a scan is O(m log w) plus what its visits select (see WindowIndex). w is
+// bounded by the node count when every node's free slots are disjoint
+// (every retained slot contains the current start), which is where the
+// paper's "quadratic in the node count" for its O(w)-per-step scheme comes
+// from.
 func scanLoop(cur slots.Cursor, req *job.Request, col obs.Collector, win *WindowIndex, visit VisitFunc) error {
 	if err := req.Validate(); err != nil {
 		return err
@@ -142,7 +147,8 @@ func scanLoop(cur slots.Cursor, req *job.Request, col obs.Collector, win *Window
 			}
 			st.Matched++
 			exec := req.ExecTime(s.Node)
-			if effEnd(s, req) < start+exec {
+			end := effEnd(s, req)
+			if end < start+exec {
 				// The slot can never host the task, not even starting at its
 				// own beginning; skip it entirely.
 				continue
@@ -155,7 +161,7 @@ func scanLoop(cur slots.Cursor, req *job.Request, col obs.Collector, win *Window
 				continue
 			}
 			st.Candidates++
-			win.add(Candidate{Slot: s, Exec: exec, Cost: exec * s.Node.Price})
+			win.add(Candidate{Slot: s, Exec: exec, Cost: exec * s.Node.Price}, end)
 			added = true
 		}
 		if !added {
@@ -164,9 +170,7 @@ func scanLoop(cur slots.Cursor, req *job.Request, col obs.Collector, win *Window
 
 		// Advance the window start to the newest slots' start and drop
 		// every slot that no longer provides its minimum required length.
-		win.expire(func(c Candidate) bool {
-			return effEnd(c.Slot, req)-start >= c.Exec
-		})
+		win.expire(start, req)
 		if win.Len() > st.PeakWindow {
 			st.PeakWindow = win.Len()
 		}

@@ -224,10 +224,6 @@ const (
 	vkMinProcRandom
 )
 
-// execWeight is MinProcTimeGreedy's additive weight. Package-level so
-// assigning it to the visitor never allocates.
-func execWeight(c Candidate) float64 { return c.Exec }
-
 // defaultEnergyWeight is MinEnergy's weight under DefaultEnergyModel
 // (perf^2 x exec), statically bound for the nil-Model configuration.
 func defaultEnergyWeight(c Candidate) float64 {

@@ -80,9 +80,12 @@ func sigWindow(w *Window) string {
 }
 
 // poisonScanner scribbles adversarial garbage over every recycled buffer
-// and state field a scanner owns: NaN candidates in all index mirrors and
-// scratch, a stale visitor mid-search, poisoned result windows, a dirty
-// CSA working copy with a fully handed-out arena, and a mis-seeded RNG.
+// and state field a scanner owns: NaN candidates at dangling positions in
+// the index arena and its append order, NaN keys and out-of-range handles in the expiry heap, both
+// selection orders active over blocks of bad handles with recycled storage
+// offsets pointing nowhere, a stale view and scratch, a stale visitor
+// mid-search, poisoned result windows, a dirty CSA working copy with a
+// fully handed-out arena, and a mis-seeded RNG.
 func poisonScanner(sc *Scanner) {
 	nan := math.NaN()
 	pn := &nodes.Node{ID: -1, Perf: nan, Price: nan}
@@ -90,18 +93,36 @@ func poisonScanner(sc *Scanner) {
 		return &slots.Slot{Node: pn, Interval: slots.Interval{Start: nan, End: nan}}
 	}
 	bad := Candidate{Slot: badSlot(), Exec: nan, Cost: nan}
+	win := &sc.win
 	for i := 0; i < 8; i++ {
-		sc.win.cands = append(sc.win.cands, bad)
-		sc.win.byCost = append(sc.win.byCost, bad)
-		sc.win.byExec = append(sc.win.byExec, bad)
-		sc.win.prefix = append(sc.win.prefix, nan)
-		sc.win.scratch = append(sc.win.scratch, bad)
-		sc.win.sample = append(sc.win.sample, -7)
+		win.arena = append(win.arena, bad)
+		win.pos = append(win.pos, 1<<20)
+		win.seq = append(win.seq, 1<<20)
+		win.expKey = append(win.expKey, nan)
+		win.expH = append(win.expH, 1<<20, -3) // and the two heap arrays out of step
+		win.held = append(win.held, -5)
+		win.view = append(win.view, bad)
+		win.scratch = append(win.scratch, bad)
+		win.weights = append(win.weights, nan)
+		win.sample = append(win.sample, -7)
+		for _, s := range []*orderedSet{&win.cost, &win.exec} {
+			s.dir = append(s.dir, block{off: 1 << 20, n: 1 << 10, minW: nan})
+			s.h = append(s.h, 1<<20)
+			s.w = append(s.w, nan)
+			s.spare = append(s.spare, 1<<20)
+		}
 		sc.work = append(sc.work, badSlot())
 		sc.arena = append(sc.arena, badSlot())
 	}
-	sc.win.trackExec = true
-	sc.win.trackCost = true
+	win.free, win.live = 5, 1<<20
+	win.viewStale = false
+	win.costWanted = true
+	win.weight = func(Candidate) float64 { return nan }
+	for _, s := range []*orderedSet{&win.cost, &win.exec} {
+		s.execFirst = !s.execFirst
+		s.bcap = -4
+		s.active, s.weighted = true, true
+	}
 	sc.slotUsed = len(sc.arena)
 	poisonedWin := Window{Start: nan, Runtime: nan, Cost: nan, ProcTime: nan,
 		Placements: []Placement{{Slot: badSlot(), Start: nan, Exec: nan, Cost: nan}}}

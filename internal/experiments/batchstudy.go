@@ -115,7 +115,7 @@ func RunBatchStudy(cfg BatchStudyConfig) (*BatchStudyResult, error) {
 		// priority order, cutting each allocation, then the same VO budget
 		// applied greedily in priority order.
 		dPlan, err := batchsched.ScheduleDirected(e.Slots, batch, cfg.VOBudget,
-			core.Instrument(core.MinCost{}, cfg.Collector), cfg.Env.MinSlotLength)
+			core.MinCost{}, cfg.Env.MinSlotLength, cfg.Collector)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: batch study directed pipeline: %w", err)
 		}
@@ -123,7 +123,7 @@ func RunBatchStudy(cfg BatchStudyConfig) (*BatchStudyResult, error) {
 
 		// Pipeline C: FCFS earliest-start, the backfilling-like policy.
 		fPlan, err := batchsched.ScheduleDirected(e.Slots, batch, cfg.VOBudget,
-			core.Instrument(core.AMP{}, cfg.Collector), cfg.Env.MinSlotLength)
+			core.AMP{}, cfg.Env.MinSlotLength, cfg.Collector)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: batch study FCFS pipeline: %w", err)
 		}

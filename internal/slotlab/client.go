@@ -24,6 +24,10 @@ type Client struct {
 	base string
 	hc   *http.Client
 	rec  *Recorder
+
+	// stall, when positive, makes every POST a slow upload: the body
+	// arrives in two parts this far apart (see Params.BodyStall).
+	stall time.Duration
 }
 
 // NewClient builds a client for the service at base (e.g.
@@ -169,7 +173,11 @@ func (c *Client) post(op, path string, body, out any) int {
 		return 0
 	}
 	start := time.Now()
-	resp, err := c.hc.Post(c.base+path, "application/json", bytes.NewReader(payload))
+	var rd io.Reader = bytes.NewReader(payload)
+	if c.stall > 0 {
+		rd = &stalledBody{rest: payload, stall: c.stall}
+	}
+	resp, err := c.hc.Post(c.base+path, "application/json", rd)
 	if err != nil {
 		c.rec.transportError(op)
 		return 0
@@ -185,6 +193,25 @@ func (c *Client) post(op, path string, body, out any) int {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 	}
 	return resp.StatusCode
+}
+
+// stalledBody is a request body on a slow uplink: everything but the last
+// byte arrives at once, the last byte after the stall.
+type stalledBody struct {
+	rest  []byte
+	stall time.Duration
+}
+
+func (b *stalledBody) Read(p []byte) (int, error) {
+	switch len(b.rest) {
+	case 0:
+		return 0, io.EOF
+	case 1:
+		time.Sleep(b.stall)
+	}
+	n := copy(p, b.rest[:max(1, len(b.rest)-1)])
+	b.rest = b.rest[n:]
+	return n, nil
 }
 
 func (c *Client) observe(op string, resp *http.Response, start time.Time) {

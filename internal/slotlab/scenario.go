@@ -38,6 +38,14 @@ type Params struct {
 	// Workers is the concurrent client fleet size.
 	Workers int
 
+	// BodyStall, when positive, puts the fleet on slow uplinks: the last
+	// byte of every request body arrives this long after the rest. The
+	// server reads a body inside its admission gate, so the stall is a
+	// floor under every request's service time that does not depend on how
+	// fast the search is — and the handler spends it parked, so the rest of
+	// the fleet arrives meanwhile even on one processor.
+	BodyStall time.Duration
+
 	// SLO is the scenario's objective set.
 	SLO SLO
 
@@ -212,12 +220,14 @@ func flashCrowd() *Scenario {
 		Description: "unpaced burst from 8x the admission bound; sheds must be clean 429s",
 		params: func(cfg Config) Params {
 			p := baseParams()
-			// Overload needs the server to be the bottleneck: a large
-			// environment makes each search expensive enough (>10ms, past
-			// the runtime's preemption quantum, so arrivals interleave
-			// even on one core), and a gate far below the fleet forces
-			// the closed-loop crowd to stack up and shed.
-			p.Nodes = 8000
+			// Overload must follow from the fleet/gate ratio, not from how
+			// slow a search is: a fast search that never yields lets one
+			// processor serve a closed-loop fleet strictly one request at a
+			// time, and nothing ever queues. Slow uplinks hold the gate for
+			// a time the scenario sets, and a gate far below the fleet
+			// forces the crowd to stack up and shed.
+			p.Nodes = 800
+			p.BodyStall = 2 * time.Millisecond
 			p.MaxInflight = 1
 			p.QueueDepth = 1
 			p.RequestTimeout = 2 * time.Second

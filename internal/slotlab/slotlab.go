@@ -137,6 +137,7 @@ func runScenario(cfg Config, sc *Scenario) (*ScenarioReport, error) {
 
 	rec := NewRecorder(seed)
 	client := NewClient("http://"+ln.Addr().String(), rec)
+	client.stall = params.BodyStall
 
 	// Telemetry scrapes bracket the traffic window in a FIXED order —
 	// metricsz, then statusz — repeated identically afterwards. The scrapes

@@ -71,25 +71,24 @@ var poisonedNode = &nodes.Node{ID: -1, Perf: math.NaN(), Price: math.NaN()}
 
 // PoisonVisit is the aliasing detector for core.Scan's copy-what-you-keep
 // contract: it wraps a visit function so that every call receives a private
-// rebuild of the scan's WindowIndex (same candidate set, and therefore —
-// the mirror orders are total — the same mirror contents), and poisons the
-// private index's live views (NaN exec/cost, a node -1 slot) the moment the
-// inner visit returns. A selection procedure that keeps a view it was
-// handed — instead of copying what it keeps, as the VisitFunc contract
-// demands — ends up building its window from poisoned candidates, so
-// comparing a poisoned run against a clean run exposes the aliasing.
+// rebuild of the scan's WindowIndex (same candidates in the same append
+// order, and therefore the same selection orders), and poisons the private
+// index's live view (NaN exec/cost, a node -1 slot) the moment the inner
+// visit returns. A selection procedure that keeps the view it was handed —
+// instead of copying what it keeps, as the VisitFunc contract demands —
+// ends up building its window from poisoned candidates, so comparing a
+// poisoned run against a clean run exposes the aliasing.
 // Install it with core.SetVisitWrapForTest(testkit.PoisonVisit).
 func PoisonVisit(visit core.VisitFunc) core.VisitFunc {
 	return func(start float64, win *core.WindowIndex) bool {
 		private := core.NewWindowIndex(win.Cands())
 		stop := visit(start, private)
-		for _, view := range [][]core.Candidate{private.Cands(), private.ByCost(), private.ByExec()} {
-			for i := range view {
-				view[i] = core.Candidate{
-					Slot: &slots.Slot{Node: poisonedNode, Interval: slots.Interval{Start: math.NaN(), End: math.NaN()}},
-					Exec: math.NaN(),
-					Cost: math.NaN(),
-				}
+		view := private.Cands()
+		for i := range view {
+			view[i] = core.Candidate{
+				Slot: &slots.Slot{Node: poisonedNode, Interval: slots.Interval{Start: math.NaN(), End: math.NaN()}},
+				Exec: math.NaN(),
+				Cost: math.NaN(),
 			}
 		}
 		return stop

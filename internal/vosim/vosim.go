@@ -226,9 +226,9 @@ func Run(cfg Config) (*Result, error) {
 		var err error
 		switch cfg.Policy {
 		case PolicyFCFS:
-			plan, err = batchsched.ScheduleDirected(list, batch, cfg.VOBudgetPerCycle, core.AMP{}, cfg.MinSlotLength)
+			plan, err = batchsched.ScheduleDirected(list, batch, cfg.VOBudgetPerCycle, core.AMP{}, cfg.MinSlotLength, nil)
 		case PolicyMinCost:
-			plan, err = batchsched.ScheduleDirected(list, batch, cfg.VOBudgetPerCycle, core.MinCost{}, cfg.MinSlotLength)
+			plan, err = batchsched.ScheduleDirected(list, batch, cfg.VOBudgetPerCycle, core.MinCost{}, cfg.MinSlotLength, nil)
 		default:
 			plan, err = batchsched.Schedule(list, batch,
 				csa.Options{MinSlotLength: cfg.MinSlotLength, MaxAlternatives: cfg.MaxAlternatives},
