@@ -26,12 +26,11 @@
 //
 // Flags tune the workload; the defaults reproduce §3.1 (100 nodes,
 // interval [0,600), job of 5 slots x volume 150, budget 1500). -workers N
-// runs the quality study and the batch study's stage-1 alternative search
-// on an N-worker pool (0 = sequential); batch results are identical for
-// any worker count — only wall-clock time changes.
+// runs the quality study's cycles on an N-worker pool (0 = sequential;
+// negative values are rejected).
 //
 // Observability: -stats aggregates the quality and batch studies' scan,
-// selection and speculation counters into a distribution table after the
+// selection and batch counters into a distribution table after the
 // experiment output, -trace writes a Chrome trace_event JSON file of the
 // instrumented spans, and -pprof serves net/http/pprof on the given
 // address while the experiment runs. See the README's Observability

@@ -18,12 +18,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"time"
 
 	"slotsel/internal/core"
 	"slotsel/internal/csa"
 	"slotsel/internal/job"
 	"slotsel/internal/obs"
-	"slotsel/internal/parallel"
 	"slotsel/internal/slots"
 )
 
@@ -39,51 +39,48 @@ type Options struct {
 	// slot length for remainder suppression when cutting).
 	CSA csa.Options
 
-	// Workers runs the per-job searches on the speculative worker pool of
-	// internal/parallel. 0 and 1 select the plain sequential loop; any
-	// value produces results identical (by value) to the sequential path —
-	// parallelism only changes wall-clock time. Negative values select
-	// GOMAXPROCS.
-	Workers int
-
 	// Collector receives instrumentation events from the stage-1 search
-	// (scan counters, spans, batch/speculation statistics). nil means
-	// observability off, at no cost.
+	// (scan counters, spans, one BatchDone). nil means observability off,
+	// at no cost.
 	Collector obs.Collector
 }
 
-// FindAlternatives runs stage 1: CSA per job in priority order over a shared
-// working list, cutting every found alternative so all alternatives of all
-// jobs are pairwise disjoint by slots. Jobs for which no window exists get
-// an empty alternative set (the caller decides whether that is an error).
+// FindAlternatives runs stage 1: CSA per job in priority order over one
+// working copy of the list, cutting every found alternative so all
+// alternatives of all jobs are pairwise disjoint by slots. Jobs for which no
+// window exists get an empty alternative set (the caller decides whether
+// that is an error); the first job, in priority order, whose search fails
+// otherwise is the error.
 //
-// With opts.Workers > 1 the searches run on a speculative worker pool with
-// a deterministic commit order (see parallel.Alternatives for the
-// determinism proof); the output is identical to the sequential path.
+// The list is copied once, into a scanner, and every alternative is cut out
+// of that copy exactly once, in place: a job's search starts from what the
+// jobs before it left. The input list is not modified.
 func FindAlternatives(list slots.List, batch *job.Batch, opts Options) ([]JobAlternatives, error) {
-	ordered := batch.ByPriority()
-	alts, err := parallel.Alternatives(list, ordered, opts.CSA, normalizeWorkers(opts.Workers), opts.Collector)
-	if err != nil {
-		var je *parallel.JobError
-		if errors.As(err, &je) {
-			return nil, fmt.Errorf("batchsched: job %v: %w", je.Job, je.Err)
-		}
-		return nil, fmt.Errorf("batchsched: %w", err)
+	col := opts.Collector
+	var begin time.Duration
+	if col != nil {
+		begin = obs.Now()
 	}
+	ordered := batch.ByPriority()
+	st := obs.BatchStats{Jobs: len(ordered)}
+	sc := core.AcquireScanner()
+	defer core.ReleaseScanner(sc)
+	sc.LoadWork(list)
 	out := make([]JobAlternatives, len(ordered))
 	for i, j := range ordered {
-		out[i] = JobAlternatives{Job: j, Alts: alts[i]}
+		alts, err := sc.WorkAlternatives(&j.Request, opts.CSA.MaxAlternatives, opts.CSA.MinSlotLength, col)
+		if err != nil && !errors.Is(err, core.ErrNoWindow) {
+			return nil, fmt.Errorf("batchsched: job %v: %w", j, err)
+		}
+		out[i] = JobAlternatives{Job: j, Alts: alts}
+		st.AltsFound += len(alts)
+	}
+	if col != nil {
+		st.CutOps = st.AltsFound // every alternative found was cut, once
+		st.Elapsed = obs.Now() - begin
+		col.BatchDone(st)
 	}
 	return out, nil
-}
-
-// normalizeWorkers maps the Options.Workers convention (0/1 sequential,
-// negative = GOMAXPROCS) onto parallel.Alternatives' argument.
-func normalizeWorkers(w int) int {
-	if w == 0 {
-		return 1 // explicit sequential default; parallel treats <=0 as GOMAXPROCS
-	}
-	return w
 }
 
 // Assignment is a stage-2 result: the chosen alternative per job (nil when
@@ -238,16 +235,14 @@ func selectUnconstrained(alts []JobAlternatives, cfg SelectConfig) *Plan {
 	return plan
 }
 
-// Schedule runs both stages sequentially with the given CSA options and
-// returns the plan. It is the single-threaded convenience wrapper around
-// ScheduleOpts.
+// Schedule runs both stages with the given CSA options and returns the
+// plan: ScheduleOpts without a collector.
 func Schedule(list slots.List, batch *job.Batch, csaOpts csa.Options, sel SelectConfig) (*Plan, error) {
 	return ScheduleOpts(list, batch, Options{CSA: csaOpts}, sel)
 }
 
-// ScheduleOpts runs both stages with full stage-1 options (including the
-// worker pool) and returns the plan. The plan is identical to Schedule's
-// for any worker count.
+// ScheduleOpts runs both stages with full stage-1 options and returns the
+// plan.
 func ScheduleOpts(list slots.List, batch *job.Batch, opts Options, sel SelectConfig) (*Plan, error) {
 	alts, err := FindAlternatives(list, batch, opts)
 	if err != nil {
@@ -263,8 +258,14 @@ func ScheduleOpts(list slots.List, batch *job.Batch, opts Options, sel SelectCon
 // with core.MinCost the economy-directed one. minSlotLength controls
 // remainder suppression when cutting. Every job's search reports to col
 // (nil = off).
+//
+// Like FindAlternatives it searches and cuts one scanner working copy of
+// the list. alg must place its windows on slots of the list it is handed
+// (every Algorithm of this module does): that is how the cut finds them.
 func ScheduleDirected(list slots.List, batch *job.Batch, voBudget float64, alg core.Algorithm, minSlotLength float64, col obs.Collector) (*Plan, error) {
-	work := list.Clone()
+	sc := core.AcquireScanner()
+	defer core.ReleaseScanner(sc)
+	sc.LoadWork(list)
 	plan := &Plan{}
 	remaining := voBudget
 	for _, j := range batch.ByPriority() {
@@ -273,16 +274,18 @@ func ScheduleDirected(list slots.List, batch *job.Batch, voBudget float64, alg c
 			req.MaxCost = remaining
 		}
 		a := Assignment{Job: j}
-		w, err := core.FindObserved(alg, work, &req, col)
+		w, err := sc.Find(alg, sc.WorkCursor(), &req, col)
 		if err != nil && !errors.Is(err, core.ErrNoWindow) {
 			return nil, fmt.Errorf("batchsched: directed pipeline, job %v: %w", j, err)
 		}
 		if err == nil && (voBudget <= 0 || w.Cost <= remaining) {
-			a.Chosen = w
+			// Detach before cutting: the window aliases the working slots
+			// the cut edits.
+			a.Chosen = w.DetachDeep()
 			plan.TotalCost += w.Cost
 			plan.Scheduled++
 			remaining -= w.Cost
-			work = slots.Cut(work, w.UsedIntervals(), minSlotLength)
+			sc.CutWork(w, minSlotLength)
 		}
 		plan.Assignments = append(plan.Assignments, a)
 	}

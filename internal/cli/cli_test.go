@@ -38,6 +38,9 @@ func TestSlotsimUsageErrors(t *testing.T) {
 	if code, _, _ := runSlotsim(t, "-not-a-flag", "fig4"); code != 2 {
 		t.Errorf("bad flag: exit %d, want 2", code)
 	}
+	if code, _, stderr := runSlotsim(t, "-workers", "-1", "summary"); code != 2 || !strings.Contains(stderr, "slotsim: -workers must be >= 0") {
+		t.Errorf("negative workers: exit %d, stderr %q", code, stderr)
+	}
 }
 
 func TestSlotsimFig4(t *testing.T) {

@@ -137,7 +137,6 @@ func TestSlotsimStatsAndTrace(t *testing.T) {
 		"scan_slots",
 		"select_ms_",
 		"batch_alternatives",
-		"batch_spec_runs",
 	} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("slotsim -stats output missing %q:\n%s", want, stdout)

@@ -29,7 +29,7 @@ func Slotsim(args []string, stdout, stderr io.Writer) int {
 		volume     = fs.Float64("volume", 150, "task volume of the base job")
 		budget     = fs.Float64("budget", 1500, "total cost limit of the base job")
 		pricingLin = fs.Bool("linear-pricing", false, "use strictly linear pricing (ablation; default is the market-premium model)")
-		workers    = fs.Int("workers", 0, "run the quality study and the batch study's stage-1 search on a worker pool (0 = sequential, matching the paper's setup; batch results are identical for any value)")
+		workers    = fs.Int("workers", 0, "run the quality study's cycles on a pool of this many workers (0 = sequential, matching the paper's setup)")
 		csvPath    = fs.String("csv", "", "also write machine-readable results to this CSV file (quality, timing and sweep experiments)")
 		svgDir     = fs.String("svg", "", "also render figures as SVG files into this directory (quality figures and timing curves)")
 		sweepNodes = fs.String("sweep-nodes", "", "comma-separated node counts for table1 (default: the paper's 50,100,200,300,400)")
@@ -45,6 +45,10 @@ func Slotsim(args []string, stdout, stderr io.Writer) int {
 	}
 	if fs.NArg() != 1 {
 		fs.Usage()
+		return 2
+	}
+	if *workers < 0 {
+		fmt.Fprintln(stderr, "slotsim: -workers must be >= 0")
 		return 2
 	}
 
@@ -118,7 +122,6 @@ func Slotsim(args []string, stdout, stderr io.Writer) int {
 	bcfg.Collector = col
 	bcfg.Seed = *seed
 	bcfg.Env = qcfg.Env
-	bcfg.Workers = *workers
 	if *cycles > 0 {
 		bcfg.Cycles = *cycles
 	}

@@ -21,7 +21,7 @@ import (
 // algorithm).
 //
 // A Scanner is NOT safe for concurrent use: it is one goroutine's private
-// state. Use one Scanner per worker (the parallel engine does), or go
+// state. Use one Scanner per worker (parallel.FindAll does), or go
 // through the package pool (AcquireScanner/ReleaseScanner) which hands
 // each caller its own instance.
 //
@@ -53,7 +53,7 @@ type Scanner struct {
 	// structs so repeated cutting mutates scanner-private memory and reuses
 	// the same backing arrays across searches. arena holds every slot
 	// struct the scanner ever allocated; arena[:slotUsed] are handed out
-	// since the last beginWork.
+	// since the last LoadWork.
 	work     slots.List
 	arena    []*slots.Slot
 	slotUsed int
@@ -353,27 +353,34 @@ func (v *visitor) selectRuntime(win *WindowIndex) (chosen []Candidate, runtime f
 
 // ---- CSA: alternatives over a scanner-private working copy ----
 
-// Alternatives is the CSA search on the scanner's state: AMP runs repeatedly
-// over a private working copy of the list (beginWork), each found window's
-// spans are cut out in place (cutWindow; remainders shorter than
-// minSlotLength suppressed) before the next run, and the alternatives are
-// returned in discovery order — non-decreasing start, pairwise disjoint by
-// slots, at most maxAlts of them (<= 0: all), ErrNoWindow for none. The
-// input list is not modified; the alternatives are deep-detached copies,
-// caller-owned. Each AMP run reports its scan counters to col (nil = off)
-// and the whole search is one "csa" span carrying the alternative count;
-// there is no per-run select event.
+// Alternatives is the CSA search over a caller's list: LoadWork, then
+// WorkAlternatives. The input list is not modified.
 func (sc *Scanner) Alternatives(list slots.List, req *job.Request, maxAlts int, minSlotLength float64, col obs.Collector) ([]*Window, error) {
-	// Validate before touching any search state so rejecting an invalid
-	// request performs no allocation work at all.
+	// Validate before the load so rejecting an invalid request copies
+	// nothing.
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
+	sc.LoadWork(list)
+	return sc.WorkAlternatives(req, maxAlts, minSlotLength, col)
+}
+
+// WorkAlternatives is the CSA search on the loaded working copy: AMP runs
+// repeatedly over it, each found window's spans are cut out in place
+// (CutWork; remainders shorter than minSlotLength suppressed) before the
+// next run, and the alternatives are returned in discovery order —
+// non-decreasing start, pairwise disjoint by slots, at most maxAlts of them
+// (<= 0: all), ErrNoWindow for none; an invalid request is the first run's
+// error. The cuts stay in the working copy, so a following search — the next
+// job of a batch — sees only what is left. The alternatives are
+// deep-detached copies, caller-owned. Each AMP run reports its scan counters
+// to col (nil = off) and the whole search is one "csa" span carrying the
+// alternative count; there is no per-run select event.
+func (sc *Scanner) WorkAlternatives(req *job.Request, maxAlts int, minSlotLength float64, col obs.Collector) ([]*Window, error) {
 	var begin time.Duration
 	if col != nil {
 		begin = obs.Now()
 	}
-	sc.beginWork(list)
 	var alts []*Window
 	for maxAlts <= 0 || len(alts) < maxAlts {
 		w, err := sc.search(AMP{}, sc.work.Cursor(), req, col)
@@ -386,7 +393,7 @@ func (sc *Scanner) Alternatives(list slots.List, req *job.Request, maxAlts int, 
 		// Detach BEFORE cutting: the scanner-owned window aliases the very
 		// working slots the cut mutates.
 		alts = append(alts, w.DetachDeep())
-		sc.cutWindow(w, minSlotLength)
+		sc.CutWork(w, minSlotLength)
 	}
 	if col != nil {
 		col.Span(obs.Span{
@@ -403,12 +410,13 @@ func (sc *Scanner) Alternatives(list slots.List, req *job.Request, maxAlts int, 
 	return alts, nil
 }
 
-// beginWork loads a mutable working copy of the list into the scanner:
+// LoadWork loads a mutable working copy of the list into the scanner:
 // slot values are copied into arena-recycled structs (the input list and
-// its slots are never touched), so repeated cutWindow calls edit
-// scanner-private memory and successive searches reuse the same backing
-// arrays instead of cloning the list per search.
-func (sc *Scanner) beginWork(list slots.List) {
+// its slots are never touched), so repeated CutWork calls edit
+// scanner-private memory and successive loads reuse the same backing
+// arrays instead of cloning the list. The copy lives until the next
+// LoadWork, Reset or release; WorkCursor searches it.
+func (sc *Scanner) LoadWork(list slots.List) {
 	sc.slotUsed = 0
 	sc.work = sc.work[:0]
 	for _, s := range list {
@@ -417,6 +425,10 @@ func (sc *Scanner) beginWork(list slots.List) {
 		sc.work = append(sc.work, ns)
 	}
 }
+
+// WorkCursor starts a walk over the working copy as it stands, for a Find
+// whose window CutWork then removes.
+func (sc *Scanner) WorkCursor() slots.Cursor { return sc.work.Cursor() }
 
 // newSlot hands out an arena slot struct, recycling structs from earlier
 // searches before allocating.
@@ -432,7 +444,7 @@ func (sc *Scanner) newSlot() *slots.Slot {
 	return s
 }
 
-// cutWindow removes the window's used spans from the working copy in
+// CutWork removes the window's used spans from the working copy in
 // place. The result is value-identical, slot for slot, to the persistent
 // slots.Cut(work, w.UsedIntervals(), minLength) it replaces: each
 // placement's used interval lies inside its own slot and placements sit on
@@ -444,8 +456,9 @@ func (sc *Scanner) newSlot() *slots.Slot {
 // needed.
 //
 // The window's placements must reference slots of the current working copy
-// (i.e. a window found by a search over sc.work).
-func (sc *Scanner) cutWindow(w *Window, minLength float64) {
+// (i.e. a window found by a search over WorkCursor); it is scanner-owned or
+// shallow until then, so DetachDeep what you keep before cutting.
+func (sc *Scanner) CutWork(w *Window, minLength float64) {
 	for i := range w.Placements {
 		p := &w.Placements[i]
 		sc.cutSlot(p.Slot, p.Start, p.Start+p.Exec, minLength)

@@ -183,6 +183,49 @@ func TestScannerDirtyReset(t *testing.T) {
 	}
 }
 
+// TestScannerWorkDirtyReset is TestScannerDirtyReset for the working-copy
+// entries a batch runs on: a poisoned-then-Reset scanner that loads a list,
+// searches alternatives for two requests over the one copy and then finds
+// and cuts one directed window must leave, step for step, what a fresh
+// scanner leaves — nothing of the dirty working copy or arena survives
+// LoadWork.
+func TestScannerWorkDirtyReset(t *testing.T) {
+	steps := func(sc *Scanner, list slots.List, reqs [2]job.Request, minLen float64) string {
+		var b strings.Builder
+		sc.LoadWork(list)
+		for i := range reqs {
+			alts, err := sc.WorkAlternatives(&reqs[i], 3, minLen, nil)
+			fmt.Fprintf(&b, "job %d err=%v\n", i, err)
+			for _, w := range alts {
+				fmt.Fprintln(&b, sigWindow(w))
+			}
+		}
+		w, err := sc.Find(MinCost{}, sc.WorkCursor(), &reqs[0], nil)
+		fmt.Fprintf(&b, "directed err=%v %s\n", err, sigWindow(w))
+		if err == nil {
+			sc.CutWork(w, minLen)
+		}
+		for _, s := range sc.work {
+			fmt.Fprintf(&b, "%d:%x..%x ", s.Node.ID, s.Start, s.End)
+		}
+		return b.String()
+	}
+	for seed := uint64(1); seed <= 40; seed++ {
+		rng := randx.New(seed)
+		list := randomScanList(rng, 8, 4, 300)
+		reqs := [2]job.Request{scanRequest(rng), scanRequest(rng)}
+		minLen := float64(rng.Intn(3)) * 20
+
+		want := steps(NewScanner(), list, reqs, minLen)
+		dirty := NewScanner()
+		poisonScanner(dirty)
+		dirty.Reset()
+		if got := steps(dirty, list, reqs, minLen); got != want {
+			t.Errorf("seed=%d: dirty-reset scanner diverged\nfresh: %s\ndirty: %s", seed, want, got)
+		}
+	}
+}
+
 // TestScannerPoisonedPool floods the package pool with poisoned released
 // scanners and asserts the public pooled Find path still returns the same
 // windows as fresh explicit scanners: whatever a previous pool user left

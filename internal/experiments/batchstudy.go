@@ -37,14 +37,8 @@ type BatchStudyConfig struct {
 	// MaxAlternatives bounds the per-job CSA search.
 	MaxAlternatives int
 
-	// Workers runs the stage-1 alternative search of the CSA pipeline on
-	// the speculative worker pool (0/1 = sequential, negative = GOMAXPROCS).
-	// Any value yields the same plans; only wall-clock time changes.
-	Workers int
-
 	// Collector receives instrumentation events from all three pipelines
-	// (scan counters, batch/speculation stats, spans). nil means
-	// observability off.
+	// (scan counters, batch stats, spans). nil means observability off.
 	Collector obs.Collector
 }
 
@@ -98,11 +92,10 @@ func RunBatchStudy(cfg BatchStudyConfig) (*BatchStudyResult, error) {
 		e := env.Generate(cfg.Env, rng)
 		batch := mix.Batch(rng, cfg.Jobs)
 
-		// Pipeline A: the full two-stage scheme, stage 1 on the worker pool.
+		// Pipeline A: the full two-stage scheme.
 		plan, err := batchsched.ScheduleOpts(e.Slots, batch,
 			batchsched.Options{
 				CSA:       csa.Options{MinSlotLength: cfg.Env.MinSlotLength, MaxAlternatives: cfg.MaxAlternatives},
-				Workers:   cfg.Workers,
 				Collector: cfg.Collector,
 			},
 			batchsched.SelectConfig{Budget: cfg.VOBudget, Criterion: csa.ByFinish})

@@ -17,9 +17,9 @@ import (
 // metrics.Accumulator distributions, so experiment runs can report not just
 // the scheduling outcomes but the work the searches performed — per-scan
 // slot/candidate/visit counts, per-algorithm search times, and the
-// speculation efficiency of the batch engine. The zero value is ready to
-// use and safe for concurrent emitters (the parallel studies share one
-// collector across workers).
+// alternatives each batch found. The zero value is ready to use and safe
+// for concurrent emitters (the parallel studies share one collector across
+// workers).
 type ObsAgg struct {
 	mu sync.Mutex
 
@@ -33,14 +33,8 @@ type ObsAgg struct {
 	// Per-search wall-clock time in milliseconds, keyed by algorithm name.
 	SelectMS map[string]*metrics.Accumulator
 
-	// Per-batch distributions (one observation per stage-1 search).
-	AltsPerBatch  metrics.Accumulator
-	SpecRuns      metrics.Accumulator
-	SpecDiscarded metrics.Accumulator
-	// SpecEfficiency is committed/executed per batch: 1.0 means no
-	// speculative work was wasted.
-	SpecEfficiency metrics.Accumulator
-	WorkerBusyMS   metrics.Accumulator // per worker per batch
+	// AltsPerBatch has one observation per stage-1 search.
+	AltsPerBatch metrics.Accumulator
 }
 
 // ScanDone implements obs.Collector.
@@ -76,14 +70,6 @@ func (o *ObsAgg) BatchDone(s obs.BatchStats) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.AltsPerBatch.Add(float64(s.AltsFound))
-	o.SpecRuns.Add(float64(s.SpecRuns))
-	o.SpecDiscarded.Add(float64(s.SpecDiscarded))
-	if s.SpecRuns > 0 {
-		o.SpecEfficiency.Add(float64(s.SpecCommitted) / float64(s.SpecRuns))
-	}
-	for _, d := range s.WorkerBusy {
-		o.WorkerBusyMS.Add(float64(d) / float64(time.Millisecond))
-	}
 }
 
 // Span implements obs.Collector (ignored; pair with an obs.Trace when a
@@ -113,13 +99,7 @@ func (o *ObsAgg) rows() []obsRow {
 		out = append(out, obsRow{"select_ms_" + name, o.SelectMS[name].Summary()})
 	}
 	if o.AltsPerBatch.Count() > 0 {
-		out = append(out,
-			obsRow{"batch_alternatives", o.AltsPerBatch.Summary()},
-			obsRow{"batch_spec_runs", o.SpecRuns.Summary()},
-			obsRow{"batch_spec_discarded", o.SpecDiscarded.Summary()},
-			obsRow{"batch_spec_efficiency", o.SpecEfficiency.Summary()},
-			obsRow{"batch_worker_busy_ms", o.WorkerBusyMS.Summary()},
-		)
+		out = append(out, obsRow{"batch_alternatives", o.AltsPerBatch.Summary()})
 	}
 	return out
 }

@@ -1,12 +1,12 @@
 // Package obs is the observability layer of the scheduler: counters,
 // timers and trace events describing what a search actually did — how many
-// slots a scan examined, how large the candidate window grew, how much
-// speculative work the parallel batch engine committed versus discarded.
+// slots a scan examined, how large the candidate window grew, how many
+// alternatives a batch's stage 1 found and cut.
 //
 // The package is deliberately zero-dependency (stdlib only) and decoupled
 // from the scheduling packages: it defines plain event structs and the
 // Collector interface that receives them; internal/core, internal/csa and
-// internal/parallel emit events into whatever Collector the caller threads
+// internal/batchsched emit events into whatever Collector the caller threads
 // in. A nil Collector is valid everywhere and means "observability off" —
 // emitters guard every event behind a single nil check, so the disabled
 // hot path costs one predictable branch (benchmark-verified at well under
@@ -23,7 +23,8 @@
 //   - Multi fans events out to several collectors at once.
 //
 // All shipped collectors are safe for concurrent use, which the emitters
-// require: the parallel engine delivers events from many goroutines.
+// require: parallel.FindAll and the server deliver events from many
+// goroutines.
 package obs
 
 import "time"
@@ -80,56 +81,17 @@ type SelectStats struct {
 }
 
 // BatchStats describe one stage-1 batch alternative search
-// (parallel.Alternatives): the committed output plus the speculative work
-// spent producing it. Committed quantities (Jobs, AltsFound, CutOps) are
-// identical for every worker count — they describe the deterministic
-// result; the speculation quantities describe wall-clock work and may vary
-// run to run when Workers > 1.
+// (batchsched.FindAlternatives).
 type BatchStats struct {
 	// Jobs is the number of jobs in the batch.
 	Jobs int
 
-	// AltsFound is the total number of committed alternatives across all
-	// jobs. Worker-count-invariant.
+	// AltsFound is the total number of alternatives across all jobs.
 	AltsFound int
 
-	// CutOps is the number of slot-cut operations applied to the
-	// authoritative list (one per committed alternative).
-	// Worker-count-invariant.
+	// CutOps is the number of slot-cut operations applied to the working
+	// copy (one per alternative).
 	CutOps int
-
-	// Workers is the worker-pool size actually used (after clamping to
-	// the job count); 1 for the sequential path.
-	Workers int
-
-	// SpecRuns counts csa.Search executions performed by workers
-	// (sequential path: one per job).
-	SpecRuns int
-
-	// SpecCommitted counts executed searches whose result was accepted at
-	// commit time.
-	SpecCommitted int
-
-	// SpecDiscarded counts executed searches whose result was wasted —
-	// superseded by a relaunch or left unconsumed at shutdown. Always 0 on
-	// the sequential path.
-	SpecDiscarded int
-
-	// Relaunches counts speculations re-issued because a commit cut a node
-	// the pending request matches.
-	Relaunches int
-
-	// InlineRecomputes counts commits that fell back to an authoritative
-	// inline search (the relaunch rule makes this 0 in practice).
-	InlineRecomputes int
-
-	// TasksCut counts queued tasks dropped unexecuted (superseded or
-	// already committed before a worker picked them up).
-	TasksCut int
-
-	// WorkerBusy is the per-worker time spent inside csa.Search, indexed
-	// by worker id.
-	WorkerBusy []time.Duration
 
 	// Elapsed is the wall-clock duration of the whole stage-1 search.
 	Elapsed time.Duration
@@ -137,15 +99,15 @@ type BatchStats struct {
 
 // Span is one trace interval on the process-wide monotonic clock.
 type Span struct {
-	// Name labels the span (algorithm name, "scan", "commit job 3", ...).
+	// Name labels the span (algorithm name, "scan", "csa.Search", ...).
 	Name string
 
-	// Cat is the span category ("scan", "select", "csa", "spec",
-	// "commit"); trace viewers group and color by it.
+	// Cat is the span category ("scan", "select", "csa"); trace viewers
+	// group and color by it.
 	Cat string
 
-	// Tid is the logical thread lane for trace rendering: 0 for the
-	// caller/master, 1+n for worker n.
+	// Tid is the logical thread lane for trace rendering; 0 unless the
+	// emitter sets one.
 	Tid int
 
 	// Start is the span start on the obs.Now clock.
@@ -166,7 +128,8 @@ type Span struct {
 }
 
 // Collector receives instrumentation events. Implementations must be safe
-// for concurrent use: the parallel engine emits from many goroutines.
+// for concurrent use: parallel.FindAll and the server emit from many
+// goroutines.
 //
 // A nil Collector is the universal "off" value — emitting packages guard
 // events with a nil check and never require a non-nil collector. Embed Nop

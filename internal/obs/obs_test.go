@@ -18,13 +18,8 @@ func TestStatsAggregation(t *testing.T) {
 	st.SelectDone(SelectStats{Alg: "AMP", Found: true, Elapsed: 10 * time.Microsecond})
 	st.SelectDone(SelectStats{Alg: "AMP", Found: false, Elapsed: 30 * time.Microsecond})
 	st.SelectDone(SelectStats{Alg: "MinCost", Found: true, Elapsed: 5 * time.Microsecond})
-	st.BatchDone(BatchStats{
-		Jobs: 3, AltsFound: 9, CutOps: 9, Workers: 2,
-		SpecRuns: 12, SpecCommitted: 9, SpecDiscarded: 3,
-		Relaunches: 2, TasksCut: 1,
-		WorkerBusy: []time.Duration{time.Millisecond, 2 * time.Millisecond},
-		Elapsed:    3 * time.Millisecond,
-	})
+	st.BatchDone(BatchStats{Jobs: 3, AltsFound: 9, CutOps: 9, Elapsed: 3 * time.Millisecond})
+	st.BatchDone(BatchStats{Jobs: 2, AltsFound: 4, CutOps: 4, Elapsed: time.Millisecond})
 
 	snap := st.Snapshot()
 	if snap.Scan.Scans != 2 || snap.Scan.Slots != 17 || snap.Scan.Matched != 11 {
@@ -40,11 +35,8 @@ func TestStatsAggregation(t *testing.T) {
 	if amp.Searches != 2 || amp.Found != 1 || amp.Min != 10*time.Microsecond || amp.Max != 30*time.Microsecond {
 		t.Errorf("AMP agg = %+v", amp)
 	}
-	if snap.Batch.SpecRuns != 12 || snap.Batch.SpecCommitted != 9 || snap.Batch.SpecDiscarded != 3 {
-		t.Errorf("batch agg = %+v", snap.Batch)
-	}
-	if snap.Batch.Busy != 3*time.Millisecond {
-		t.Errorf("Busy = %v, want 3ms", snap.Batch.Busy)
+	if want := (BatchAgg{Batches: 2, Jobs: 5, AltsFound: 13, CutOps: 13, Elapsed: 4 * time.Millisecond}); snap.Batch != want {
+		t.Errorf("batch agg = %+v, want %+v", snap.Batch, want)
 	}
 
 	var buf bytes.Buffer
@@ -57,7 +49,8 @@ func TestStatsAggregation(t *testing.T) {
 		"early stops:      1",
 		"AMP",
 		"MinCost",
-		"speculative runs:   12 (committed 9, discarded 3)",
+		"alternatives found: 13",
+		"wall time:          4ms",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("WriteText missing %q in:\n%s", want, out)

@@ -9,7 +9,7 @@ import (
 )
 
 // Stats is a Collector accumulating counters: per-scan totals, per-
-// algorithm search statistics and batch/speculation work accounting. The
+// algorithm search statistics and batch stage-1 totals. The
 // zero value is ready to use, and all methods are safe for concurrent use
 // (events are pre-aggregated per scan/search/batch, so the mutex is far
 // off the hot path).
@@ -44,18 +44,11 @@ type SelectAgg struct {
 
 // BatchAgg aggregates BatchStats over many stage-1 searches.
 type BatchAgg struct {
-	Batches          int
-	Jobs             int
-	AltsFound        int
-	CutOps           int
-	SpecRuns         int
-	SpecCommitted    int
-	SpecDiscarded    int
-	Relaunches       int
-	InlineRecomputes int
-	TasksCut         int
-	Busy             time.Duration // summed worker busy time
-	Elapsed          time.Duration // summed wall-clock stage-1 time
+	Batches   int
+	Jobs      int
+	AltsFound int
+	CutOps    int
+	Elapsed   time.Duration // summed wall-clock stage-1 time
 }
 
 // ScanDone implements Collector.
@@ -110,16 +103,7 @@ func (st *Stats) BatchDone(s BatchStats) {
 	a.Jobs += s.Jobs
 	a.AltsFound += s.AltsFound
 	a.CutOps += s.CutOps
-	a.SpecRuns += s.SpecRuns
-	a.SpecCommitted += s.SpecCommitted
-	a.SpecDiscarded += s.SpecDiscarded
-	a.Relaunches += s.Relaunches
-	a.InlineRecomputes += s.InlineRecomputes
-	a.TasksCut += s.TasksCut
 	a.Elapsed += s.Elapsed
-	for _, d := range s.WorkerBusy {
-		a.Busy += d
-	}
 }
 
 // Span implements Collector (ignored; see Trace).
@@ -183,11 +167,6 @@ func (s StatsSnapshot) WriteText(w io.Writer) {
 		fmt.Fprintf(w, "  jobs:               %d\n", b.Jobs)
 		fmt.Fprintf(w, "  alternatives found: %d\n", b.AltsFound)
 		fmt.Fprintf(w, "  cut operations:     %d\n", b.CutOps)
-		fmt.Fprintf(w, "  speculative runs:   %d (committed %d, discarded %d)\n",
-			b.SpecRuns, b.SpecCommitted, b.SpecDiscarded)
-		fmt.Fprintf(w, "  relaunches:         %d\n", b.Relaunches)
-		fmt.Fprintf(w, "  inline recomputes:  %d\n", b.InlineRecomputes)
-		fmt.Fprintf(w, "  tasks cut unrun:    %d\n", b.TasksCut)
-		fmt.Fprintf(w, "  worker busy time:   %v (wall %v)\n", b.Busy, b.Elapsed)
+		fmt.Fprintf(w, "  wall time:          %v\n", b.Elapsed)
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // DefaultTraceCapacity is the span capacity of traces created by the CLI
-// flags: large enough for tens of thousands of scan/select/commit spans,
+// flags: large enough for tens of thousands of scan/select/csa spans,
 // bounded so a long experiment cannot grow memory without limit.
 const DefaultTraceCapacity = 1 << 16
 

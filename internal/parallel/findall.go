@@ -1,6 +1,8 @@
 package parallel
 
 import (
+	"sync/atomic"
+
 	"slotsel/internal/core"
 	"slotsel/internal/job"
 	"slotsel/internal/obs"
@@ -44,15 +46,21 @@ func FindAll(list slots.List, req *job.Request, algs []core.Algorithm, workers i
 	if workers > len(algs) {
 		workers = len(algs)
 	}
-	// One scanner per worker, never shared across goroutines: each worker
-	// amortizes its searches onto its own recycled state, and the
-	// index-to-worker assignment is ForEach's round-robin stride, so the
-	// merged slice is position-identical to the sequential loop.
-	ForEachWorker(workers, func(wk int) {
+	// One scanner per worker, never shared across goroutines. Workers draw
+	// the next index from a shared counter, so unequal searches spread by
+	// how long each takes; out[i] is still written by exactly one worker,
+	// which keeps the merged slice position-identical to the sequential
+	// loop.
+	var next atomic.Int64
+	ForEachWorker(workers, func(int) {
 		sc := core.AcquireScanner()
 		defer core.ReleaseScanner(sc)
 		r := *req // private copy: keep concurrent searches free of shared request state
-		for i := wk; i < len(algs); i += workers {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(algs) {
+				return
+			}
 			w, err := sc.Find(algs[i], list.Cursor(), &r, col)
 			if w != nil {
 				w = w.Detach() // scanner-owned result; out lives past the scanner

@@ -3,15 +3,12 @@ package parallel_test
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"slotsel/internal/core"
-	"slotsel/internal/csa"
 	"slotsel/internal/job"
 	"slotsel/internal/parallel"
 	"slotsel/internal/randx"
-	"slotsel/internal/slots"
 	"slotsel/internal/testkit"
 )
 
@@ -35,22 +32,6 @@ func TestWorkers(t *testing.T) {
 	}
 	if got := parallel.Workers(-7); got < 1 {
 		t.Fatalf("Workers(-7) = %d, want >= 1 (GOMAXPROCS)", got)
-	}
-}
-
-func TestForEachCoversEveryIndexExactlyOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8, 100} {
-		for _, n := range []int{0, 1, 2, 7, 64} {
-			counts := make([]int32, n)
-			parallel.ForEach(n, workers, func(i int) {
-				atomic.AddInt32(&counts[i], 1)
-			})
-			for i, c := range counts {
-				if c != 1 {
-					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, c)
-				}
-			}
-		}
 	}
 }
 
@@ -145,98 +126,6 @@ func TestFindAllMatchesSequential(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestAlternativesMatchesSequential is the speculative-engine differential
-// suite: for every seed and worker count, the parallel stage-1 alternative
-// search must be value-identical — per job, per alternative, per placement
-// field — to the sequential CSA-and-cut loop.
-func TestAlternativesMatchesSequential(t *testing.T) {
-	for seed := uint64(1); seed <= diffSeeds; seed++ {
-		rng := randx.New(seed)
-		list := testkit.HeteroList(rng, rng.IntRange(4, 12), 4, 300)
-		batch := testkit.RandomBatch(rng, rng.IntRange(2, 8))
-		ordered := batch.ByPriority()
-		opts := csa.Options{MaxAlternatives: rng.Intn(4), MinSlotLength: 1}
-
-		want, wantErr := parallel.Alternatives(list, ordered, opts, 1, nil)
-		if wantErr != nil {
-			t.Fatalf("seed=%d: sequential Alternatives failed: %v", seed, wantErr)
-		}
-
-		for _, workers := range workerCounts[1:] {
-			got, err := parallel.Alternatives(list, ordered, opts, workers, nil)
-			if err != nil {
-				t.Fatalf("seed=%d workers=%d: Alternatives failed: %v", seed, workers, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("seed=%d workers=%d: %d jobs, want %d", seed, workers, len(got), len(want))
-			}
-			for j := range want {
-				gs, ws := testkit.WindowsSignature(got[j]), testkit.WindowsSignature(want[j])
-				if gs != ws {
-					t.Errorf("seed=%d workers=%d job=%v: alternatives diverged\n got: %s\nwant: %s",
-						seed, workers, ordered[j], gs, ws)
-				}
-			}
-		}
-	}
-}
-
-// TestAlternativesDisjoint checks the cross-job invariant the cutting loop
-// exists for: every alternative of every job is pairwise slot-disjoint with
-// every other, under the parallel engine too.
-func TestAlternativesDisjoint(t *testing.T) {
-	for seed := uint64(1); seed <= 40; seed++ {
-		rng := randx.New(seed)
-		list := testkit.HeteroList(rng, 8, 4, 300)
-		batch := testkit.RandomBatch(rng, 5)
-		ordered := batch.ByPriority()
-		opts := csa.Options{MaxAlternatives: 3, MinSlotLength: 1}
-
-		alts, err := parallel.Alternatives(list, ordered, opts, 8, nil)
-		if err != nil {
-			t.Fatalf("seed=%d: %v", seed, err)
-		}
-		var all []*core.Window
-		for _, ja := range alts {
-			all = append(all, ja...)
-		}
-		if !csa.Disjoint(all) {
-			t.Errorf("seed=%d: parallel alternatives are not pairwise disjoint", seed)
-		}
-	}
-}
-
-// TestAlternativesEmptyAndSingle pins the degenerate shapes: no jobs, one
-// job, and an empty slot list must behave like the sequential loop.
-func TestAlternativesEmptyAndSingle(t *testing.T) {
-	rng := randx.New(7)
-	list := testkit.RandomList(rng, 4, 3, 100)
-	opts := csa.Options{MaxAlternatives: 2, MinSlotLength: 1}
-
-	if got, err := parallel.Alternatives(list, nil, opts, 8, nil); err != nil || len(got) != 0 {
-		t.Fatalf("no jobs: got %v, %v", got, err)
-	}
-
-	batch := testkit.RandomBatch(rng, 1)
-	ordered := batch.ByPriority()
-	want, _ := parallel.Alternatives(list, ordered, opts, 1, nil)
-	got, err := parallel.Alternatives(list, ordered, opts, 8, nil)
-	if err != nil {
-		t.Fatalf("single job: %v", err)
-	}
-	if testkit.WindowsSignature(got[0]) != testkit.WindowsSignature(want[0]) {
-		t.Fatalf("single job diverged")
-	}
-
-	got, err = parallel.Alternatives(slots.List{}, ordered, opts, 8, nil)
-	if err != nil {
-		t.Fatalf("empty list: %v", err)
-	}
-	if len(got) != 1 || got[0] != nil {
-		t.Fatalf("empty list: got %v, want one nil alternative set", got)
 	}
 }
 

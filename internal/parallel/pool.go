@@ -1,21 +1,16 @@
-// Package parallel is the concurrent scheduling engine: worker-pool
-// primitives shared by every fan-out layer of the library, a deterministic
-// multi-algorithm search over one shared slot list (FindAll), and a
-// speculative, determinism-preserving parallel CSA alternative search used
-// by the two-stage batch scheduler (Alternatives).
+// Package parallel holds the library's worker-pool primitives and the one
+// search that fans out over them: FindAll, a deterministic multi-algorithm
+// search over one shared slot list. The quality study shards its cycles on
+// ForEachWorker.
 //
-// Everything in this package preserves the sequential semantics bit for
-// bit: for any worker count the merged output is identical (by value) to
-// the corresponding sequential loop. Parallelism changes wall-clock time
-// only, never results — the property the differential test suite enforces
-// seed by seed.
+// FindAll preserves the sequential semantics bit for bit: for any worker
+// count the merged output is identical (by value) to the sequential loop.
+// Parallelism changes wall-clock time only, never results — the property
+// the differential test suite enforces seed by seed.
 //
-// The engine relies on the immutability contract documented on slots.List:
-// slot lists and the slots and nodes they reference are never mutated
-// during a search, and the cutting operation (slots.Cut) is persistent —
-// it returns a new list and leaves its input intact. Snapshots of a slot
-// list are therefore plain slice references, free to share across
-// goroutines.
+// It relies on the immutability contract documented on slots.List: slot
+// lists and the slots and nodes they reference are never mutated during a
+// search, so one list is free to share across goroutines.
 package parallel
 
 import (
@@ -31,39 +26,6 @@ func Workers(n int) int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return n
-}
-
-// ForEach runs fn(i) for every i in [0, n) across up to workers goroutines
-// and waits for completion. Iterations are distributed in round-robin
-// strides, so the index->worker assignment is a pure function of (n,
-// workers) — schedulers above rely on that to keep per-index work
-// deterministic. With workers <= 1 (after normalization against n) the
-// loop runs inline with no goroutine overhead.
-//
-// fn must confine its writes to per-index state (e.g. out[i]); ForEach
-// provides the happens-before edge between all fn calls and its return.
-func ForEach(n, workers int, fn func(i int)) {
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			for i := wk; i < n; i += workers {
-				fn(i)
-			}
-		}(wk)
-	}
-	wg.Wait()
 }
 
 // ForEachWorker launches fn(wk) once per worker id in [0, workers) and

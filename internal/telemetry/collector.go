@@ -29,15 +29,11 @@ type Collector struct {
 	selects    *CounterVec   // labels: alg, found
 	selectSecs *HistogramVec // label: alg
 
-	batches       *Counter
-	batchJobs     *Counter
-	batchAlts     *Counter
-	batchCuts     *Counter
-	specRuns      *Counter
-	specCommitted *Counter
-	specDiscarded *Counter
-	relaunches    *Counter
-	spans         *CounterVec // label: cat
+	batches   *Counter
+	batchJobs *Counter
+	batchAlts *Counter
+	batchCuts *Counter
+	spans     *CounterVec // label: cat
 }
 
 // selectBucketsSeconds are the per-search latency bounds: searches run
@@ -68,15 +64,11 @@ func NewCollector(reg *Registry) *Collector {
 		selectSecs: reg.HistogramVec("slotsel_select_duration_seconds",
 			"Algorithm-level search latency.", selectBucketsSeconds(), "alg"),
 
-		batches:       reg.Counter("slotsel_batches_total", "Stage-1 batch alternative searches."),
-		batchJobs:     reg.Counter("slotsel_batch_jobs_total", "Jobs across all stage-1 batches."),
-		batchAlts:     reg.Counter("slotsel_batch_alternatives_total", "Committed alternatives across all stage-1 batches."),
-		batchCuts:     reg.Counter("slotsel_batch_cut_ops_total", "Slot-cut operations applied to authoritative lists."),
-		specRuns:      reg.Counter("slotsel_spec_runs_total", "Speculative csa.Search executions."),
-		specCommitted: reg.Counter("slotsel_spec_committed_total", "Speculative searches accepted at commit time."),
-		specDiscarded: reg.Counter("slotsel_spec_discarded_total", "Speculative searches superseded or left unconsumed."),
-		relaunches:    reg.Counter("slotsel_spec_relaunches_total", "Speculations re-issued after a conflicting commit."),
-		spans:         reg.CounterVec("slotsel_spans_total", "Trace spans by category.", "cat"),
+		batches:   reg.Counter("slotsel_batches_total", "Stage-1 batch alternative searches."),
+		batchJobs: reg.Counter("slotsel_batch_jobs_total", "Jobs across all stage-1 batches."),
+		batchAlts: reg.Counter("slotsel_batch_alternatives_total", "Alternatives across all stage-1 batches."),
+		batchCuts: reg.Counter("slotsel_batch_cut_ops_total", "Slot-cut operations applied to stage-1 working copies."),
+		spans:     reg.CounterVec("slotsel_spans_total", "Trace spans by category.", "cat"),
 	}
 }
 
@@ -109,10 +101,6 @@ func (c *Collector) BatchDone(s obs.BatchStats) {
 	c.batchJobs.Add(uint64(s.Jobs))
 	c.batchAlts.Add(uint64(s.AltsFound))
 	c.batchCuts.Add(uint64(s.CutOps))
-	c.specRuns.Add(uint64(s.SpecRuns))
-	c.specCommitted.Add(uint64(s.SpecCommitted))
-	c.specDiscarded.Add(uint64(s.SpecDiscarded))
-	c.relaunches.Add(uint64(s.Relaunches))
 }
 
 // Span implements obs.Collector: spans are counted per category (the

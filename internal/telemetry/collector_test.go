@@ -22,7 +22,7 @@ func TestCollectorMapsEvents(t *testing.T) {
 	col.ScanDone(obs.ScanStats{Slots: 5, Matched: 5, Candidates: 5, PeakWindow: 2, Visits: 1})
 	col.SelectDone(obs.SelectStats{Alg: "amp", Found: true, Elapsed: 2 * time.Millisecond})
 	col.SelectDone(obs.SelectStats{Alg: "amp", Found: false, Elapsed: time.Millisecond})
-	col.BatchDone(obs.BatchStats{Jobs: 3, AltsFound: 7, CutOps: 7, SpecRuns: 5, SpecCommitted: 4, SpecDiscarded: 1, Relaunches: 2})
+	col.BatchDone(obs.BatchStats{Jobs: 3, AltsFound: 7, CutOps: 7})
 	col.Span(obs.Span{Cat: "http"})
 	col.Span(obs.Span{Cat: "http"})
 
@@ -48,10 +48,7 @@ func TestCollectorMapsEvents(t *testing.T) {
 		"slotsel_batches_total":                            1,
 		"slotsel_batch_jobs_total":                         3,
 		"slotsel_batch_alternatives_total":                 7,
-		"slotsel_spec_runs_total":                          5,
-		"slotsel_spec_committed_total":                     4,
-		"slotsel_spec_discarded_total":                     1,
-		"slotsel_spec_relaunches_total":                    2,
+		"slotsel_batch_cut_ops_total":                      7,
 		`slotsel_spans_total{cat="http"}`:                  2,
 	} {
 		if got[key] != want {

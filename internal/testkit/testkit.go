@@ -125,8 +125,7 @@ func WindowsSignature(ws []*core.Window) string {
 }
 
 // HeteroList generates a random sorted slot list over nodes with mixed
-// operating systems, architectures and performance — the resource-type
-// diversity the speculative batch engine exploits. Node i cycles through
+// operating systems, architectures and performance. Node i cycles through
 // the OS/arch combinations so every list contains several requirement
 // classes.
 func HeteroList(rng *randx.Rand, nodeCount, maxSlotsPerNode int, horizon float64) slots.List {
@@ -148,8 +147,8 @@ func HeteroList(rng *randx.Rand, nodeCount, maxSlotsPerNode int, horizon float64
 // RandomBatch draws a batch of count jobs with randomized parallelism,
 // volume, budget and priority, plus randomized node requirements (OS,
 // architecture, minimum performance) drawn to sometimes overlap and
-// sometimes be disjoint — exercising both the commit and the re-run paths
-// of the speculative engine.
+// sometimes be disjoint, so some jobs search what earlier jobs cut and
+// some do not.
 func RandomBatch(rng *randx.Rand, count int) *job.Batch {
 	b := &job.Batch{}
 	for i := 0; i < count; i++ {

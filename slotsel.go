@@ -145,9 +145,8 @@ type (
 	// SelectConfig parametrizes the stage-2 combination selection.
 	SelectConfig = batchsched.SelectConfig
 
-	// BatchOptions configures the stage-1 alternative search, including
-	// the speculative worker pool (Workers; results are identical to the
-	// sequential path for any worker count).
+	// BatchOptions configures the stage-1 alternative search: the CSA
+	// options and a Collector.
 	BatchOptions = batchsched.Options
 
 	// FindResult is one algorithm's outcome in a concurrent FindAllWindows
@@ -159,7 +158,7 @@ type (
 // the internal/obs package documentation for the event model.
 type (
 	// Collector receives instrumentation events (scan counters, selection
-	// stats, batch/speculation stats, trace spans).
+	// stats, batch stats, trace spans).
 	Collector = obs.Collector
 
 	// StatsCollector accumulates counters; its zero value is ready to use
@@ -233,9 +232,8 @@ func ScheduleBatch(list SlotList, batch *Batch, csaOpts CSAOptions, sel SelectCo
 	return batchsched.Schedule(list, batch, csaOpts, sel)
 }
 
-// ScheduleBatchOpts is ScheduleBatch with full stage-1 options; setting
-// BatchOptions.Workers > 1 runs the alternative search on the speculative
-// worker pool, producing the same plan in less wall-clock time.
+// ScheduleBatchOpts is ScheduleBatch with full stage-1 options: the same
+// plan, with the stage-1 searches reporting to BatchOptions.Collector.
 func ScheduleBatchOpts(list SlotList, batch *Batch, opts BatchOptions, sel SelectConfig) (*Plan, error) {
 	return batchsched.ScheduleOpts(list, batch, opts, sel)
 }
