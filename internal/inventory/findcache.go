@@ -103,11 +103,15 @@ func (k CacheKey) Horizon() (lo, hi float64) {
 
 // cacheEntry is one memoized outcome. win == nil records a no-window
 // result (core.ErrNoWindow); the window is detached (caller-owned, never
-// scanner-pooled state).
+// scanner-pooled state). enc is FindEncoded's encoding of win, made on the
+// entry's first hit: a pure function of the window, so it lives and dies
+// with the entry, and an entry that is never asked for again never holds
+// one.
 type cacheEntry struct {
 	version uint64
 	lo, hi  float64
 	win     *core.Window
+	enc     []byte
 }
 
 // DefaultFindCacheEntries bounds the cache when NewFindCache is given a
@@ -163,7 +167,20 @@ func (c *FindCache) Stats() CacheStats {
 // The hit path performs no allocation: load snapshot, one map lookup,
 // a ring walk, counter increments.
 func (c *FindCache) Find(key CacheKey, search func(*Snapshot) (*core.Window, error)) (*core.Window, *Snapshot, error) {
-	snap := c.inv.Snapshot()
+	win, _, snap, err := c.FindEncoded(key, search, nil)
+	return win, snap, err
+}
+
+// FindEncoded is Find for a caller that answers with an encoding of the
+// window (the service: the window's wire bytes). On a hit it also returns
+// the entry's encoding, so that a repeated request is answered without
+// encoding anything; the first hit of an entry calls encode and keeps the
+// result, an encode error is returned and nothing is kept. On a miss enc
+// is nil — the caller encodes into its own buffer, and a window nobody
+// asks for twice is never held in two forms. Callers must not modify enc,
+// and every caller of one cache must pass the same encoding.
+func (c *FindCache) FindEncoded(key CacheKey, search func(*Snapshot) (*core.Window, error), encode func(*core.Window) ([]byte, error)) (win *core.Window, enc []byte, snap *Snapshot, err error) {
+	snap = c.inv.Snapshot()
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		if !c.inv.InvalidatedSince(e.version, snap.Version, e.lo, e.hi) {
@@ -171,12 +188,21 @@ func (c *FindCache) Find(key CacheKey, search func(*Snapshot) (*core.Window, err
 			// version range. Sound: we just proved (e.version, snap.Version]
 			// is disjoint from the horizon.
 			e.version = snap.Version
+			win, enc = e.win, e.enc
 			c.mu.Unlock()
 			c.hits.Add(1)
-			if e.win == nil {
-				return nil, snap, core.ErrNoWindow
+			if win == nil {
+				return nil, nil, snap, core.ErrNoWindow
 			}
-			return e.win, snap, nil
+			if enc == nil && encode != nil {
+				if enc, err = encode(win); err != nil {
+					return nil, nil, snap, err
+				}
+				c.mu.Lock()
+				e.enc = enc // harmless if e was evicted meanwhile
+				c.mu.Unlock()
+			}
+			return win, enc, snap, nil
 		}
 		delete(c.entries, key)
 		c.invalidated.Add(1)
@@ -184,9 +210,9 @@ func (c *FindCache) Find(key CacheKey, search func(*Snapshot) (*core.Window, err
 	c.mu.Unlock()
 	c.misses.Add(1)
 
-	win, err := search(snap)
+	win, err = search(snap)
 	if err != nil && !errors.Is(err, core.ErrNoWindow) {
-		return nil, snap, err
+		return nil, nil, snap, err
 	}
 	lo, hi := key.Horizon()
 	e := &cacheEntry{version: snap.Version, lo: lo, hi: hi, win: win}
@@ -202,5 +228,5 @@ func (c *FindCache) Find(key CacheKey, search func(*Snapshot) (*core.Window, err
 	}
 	c.entries[key] = e
 	c.mu.Unlock()
-	return win, snap, err
+	return win, nil, snap, err
 }

@@ -20,6 +20,12 @@ func cacheSearch(alg core.Algorithm, req *job.Request) func(*Snapshot) (*core.Wi
 	}
 }
 
+// signatureBytes is the encoding the tests hand FindEncoded: recognisably
+// one window's.
+func signatureBytes(w *core.Window) ([]byte, error) {
+	return []byte(testkit.WindowSignature(w)), nil
+}
+
 // oracleFind is the stateless full scan the cached path is compared to.
 func oracleFind(alg core.Algorithm, snap *Snapshot, req *job.Request) (*core.Window, error) {
 	return alg.Find(snap.Slots, req)
@@ -148,7 +154,7 @@ func TestFindCacheConcurrentChurn(t *testing.T) {
 					for i := 0; i < ops; i++ {
 						req := reqs[frng.Intn(len(reqs))]
 						alg := algs[frng.Intn(len(algs))]
-						win, snap, err := cache.Find(NewCacheKey(req, alg.Name()), cacheSearch(alg, req))
+						win, enc, snap, err := cache.FindEncoded(NewCacheKey(req, alg.Name()), cacheSearch(alg, req), signatureBytes)
 						want, werr := oracleFind(alg, snap, req)
 						if (err != nil) != (werr != nil) {
 							t.Errorf("finder %d op %d: cache err %v, oracle err %v", g, i, err, werr)
@@ -156,6 +162,10 @@ func TestFindCacheConcurrentChurn(t *testing.T) {
 						}
 						if err != nil {
 							continue
+						}
+						if enc != nil && string(enc) != testkit.WindowSignature(win) {
+							t.Errorf("finder %d op %d: a hit's encoding %q is not its window's, %s", g, i, enc, testkit.WindowSignature(win))
+							return
 						}
 						if got, wantSig := testkit.WindowSignature(win), testkit.WindowSignature(want); got != wantSig {
 							t.Errorf("finder %d op %d: cached window diverged at version %d\ncached: %s\noracle: %s",
@@ -255,5 +265,70 @@ func TestFindCacheHitAllocs(t *testing.T) {
 	}
 	if st := cache.Stats(); st.Hits < 200 {
 		t.Fatalf("expected hits, stats %+v", st)
+	}
+}
+
+// TestFindEncodedKeepsEncodingFromFirstHit pins when an entry's encoding
+// exists: not on the miss (the caller encodes its own reply, and a window
+// never asked for again is never held twice), made once on the first hit,
+// handed back unchanged on every later one, dropped with the entry, never
+// made for a no-window outcome, and not kept when encode fails.
+func TestFindEncodedKeepsEncodingFromFirstHit(t *testing.T) {
+	inv, err := New(testkit.SlotList(
+		testkit.Slot(testkit.Node(0, 5, 1), 0, 200),
+		testkit.Slot(testkit.Node(1, 4, 1), 0, 200),
+	), Options{MinSlotLength: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewFindCache(inv, 8)
+	req := &job.Request{TaskCount: 2, Volume: 40, MaxCost: 5000}
+	key := NewCacheKey(req, "AMP")
+	encodes, fail := 0, false
+	encode := func(w *core.Window) ([]byte, error) {
+		encodes++
+		if fail {
+			return nil, errors.New("cannot encode")
+		}
+		return []byte(testkit.WindowSignature(w)), nil
+	}
+	find := func() (*core.Window, []byte, error) {
+		win, enc, _, err := cache.FindEncoded(key, cacheSearch(core.AMP{}, req), encode)
+		return win, enc, err
+	}
+
+	if win, enc, err := find(); err != nil || win == nil || enc != nil || encodes != 0 {
+		t.Fatalf("miss: window %v, encoding %q, %d encodes, err %v; want a window and no encoding yet", win, enc, encodes, err)
+	}
+	fail = true
+	if _, _, err := find(); err == nil || encodes != 1 {
+		t.Fatalf("first hit with a failing encoder: err %v after %d encodes", err, encodes)
+	}
+	fail = false
+	win, first, err := find()
+	if err != nil || string(first) != testkit.WindowSignature(win) || encodes != 2 {
+		t.Fatalf("first good hit: encoding %q for %s after %d encodes, err %v", first, testkit.WindowSignature(win), encodes, err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, enc, err := find(); err != nil || &enc[0] != &first[0] || encodes != 2 {
+			t.Fatalf("later hit %d: a new encoding (%d encodes), err %v", i, encodes, err)
+		}
+	}
+	if _, err := inv.Reserve(req, core.AMP{}, time.Minute); err != nil { // invalidates the entry
+		t.Fatal(err)
+	}
+	if _, enc, err := find(); err != nil || enc != nil {
+		t.Fatalf("after invalidation: encoding %q, err %v; want a fresh miss", enc, err)
+	}
+
+	none := &job.Request{TaskCount: 9, Volume: 40}
+	for i := 0; i < 2; i++ {
+		_, enc, _, err := cache.FindEncoded(NewCacheKey(none, "AMP"), cacheSearch(core.AMP{}, none), encode)
+		if !errors.Is(err, core.ErrNoWindow) || enc != nil {
+			t.Fatalf("no-window find %d: encoding %q, err %v", i, enc, err)
+		}
+	}
+	if encodes != 2 {
+		t.Fatalf("%d encodes in all, want 2", encodes)
 	}
 }

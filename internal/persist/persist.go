@@ -8,11 +8,15 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 
 	"slotsel/internal/core"
 	"slotsel/internal/env"
@@ -221,12 +225,35 @@ func WriteRequest(w io.Writer, r *job.Request) error {
 	return enc.Encode(out)
 }
 
-// ReadRequest deserializes and validates a resource request.
-func ReadRequest(r io.Reader) (*job.Request, error) {
-	var in requestJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("persist: decoding request: %w", err)
-	}
+// scan fills in from a request object inside the Scanner's subset.
+func (in *requestJSON) scan(s *Scanner) bool {
+	return s.Object(func(key []byte) (ok bool) {
+		switch string(key) {
+		case "tasks":
+			in.TaskCount, ok = s.Int()
+		case "volume":
+			in.Volume, ok = s.Float()
+		case "max_cost":
+			in.MaxCost, ok = s.Float()
+		case "deadline":
+			in.Deadline, ok = s.Float()
+		case "min_perf":
+			in.MinPerf, ok = s.Float()
+		case "min_ram_mb":
+			in.MinRAMMB, ok = s.Int()
+		case "min_disk_gb":
+			in.MinDiskGB, ok = s.Int()
+		case "os":
+			in.OS, ok = s.Strings()
+		case "arch":
+			in.Arch, ok = s.Strings()
+		}
+		return ok
+	})
+}
+
+// request validates a decoded request.
+func (in *requestJSON) request() (*job.Request, error) {
 	out := &job.Request{
 		TaskCount: in.TaskCount, Volume: in.Volume, MaxCost: in.MaxCost,
 		Deadline: in.Deadline, MinPerf: in.MinPerf,
@@ -242,6 +269,50 @@ func ReadRequest(r io.Reader) (*job.Request, error) {
 		return nil, fmt.Errorf("persist: invalid request: %w", err)
 	}
 	return out, nil
+}
+
+// ScanRequest scans a request object where it sits inside a larger
+// document (the service's search body), so that the document is read in
+// one pass. ok == false means the object is outside the Scanner's subset
+// and decides nothing; otherwise the request or its validation error is
+// what ParseRequest would return for the same bytes.
+func ScanRequest(s *Scanner) (req *job.Request, ok bool, err error) {
+	var in requestJSON
+	if !in.scan(s) {
+		return nil, false, nil
+	}
+	req, err = in.request()
+	return req, true, err
+}
+
+// ParseRequest deserializes and validates a resource request: the first
+// JSON value of b. It is the one request parser — the Scanner's pass when
+// b is in its subset, encoding/json otherwise and for every decode error.
+func ParseRequest(b []byte) (*job.Request, error) {
+	var in requestJSON
+	if s := NewScanner(b); !in.scan(s) || !s.End() {
+		var err error
+		if in, err = decodeRequest(b); err != nil {
+			return nil, fmt.Errorf("persist: decoding request: %w", err)
+		}
+	}
+	return in.request()
+}
+
+// decodeRequest is ParseRequest's encoding/json half, apart so that its
+// heap-bound target costs the Scanner's half nothing.
+func decodeRequest(b []byte) (in requestJSON, err error) {
+	err = json.NewDecoder(bytes.NewReader(b)).Decode(&in)
+	return in, err
+}
+
+// ReadRequest is ParseRequest over a reader.
+func ReadRequest(r io.Reader) (*job.Request, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("persist: decoding request: %w", err)
+	}
+	return ParseRequest(b)
 }
 
 // placementJSON mirrors core.Placement.
@@ -262,20 +333,117 @@ type windowJSON struct {
 	Placements []placementJSON `json:"placements"`
 }
 
-// WriteWindow serializes a found window (placements reference nodes by ID).
+// AppendWindow appends a found window (placements reference nodes by ID)
+// to dst, byte for byte as encoding/json renders windowJSON with a
+// two-space indent: its float rules, its key order, null for no
+// placements. depth is how many objects enclose the window — 0 for a
+// document of its own, 1 inside a service reply — and indents every line
+// but the first; no newline follows the closing brace. A non-finite number
+// is ErrNonFinite, and dst comes back unchanged. It is the one window
+// encoder.
+func AppendWindow(dst []byte, win *core.Window, depth int) ([]byte, error) {
+	e := windowEncoder{buf: slices.Grow(dst, 192+160*len(win.Placements)), indent: 2 * depth}
+	e.buf = append(e.buf, '{')
+	e.indent += 2
+	e.float("start", win.Start, ',')
+	e.float("runtime", win.Runtime, ',')
+	e.float("finish", win.Finish(), ',')
+	e.float("cost", win.Cost, ',')
+	e.float("proc_time", win.ProcTime, ',')
+	e.key("placements")
+	if len(win.Placements) == 0 {
+		e.buf = append(e.buf, "null"...)
+	} else {
+		e.buf = append(e.buf, '[')
+		e.indent += 2
+		for i, p := range win.Placements {
+			if i > 0 {
+				e.buf = append(e.buf, ',')
+			}
+			e.line()
+			e.buf = append(e.buf, '{')
+			e.indent += 2
+			e.key("node")
+			e.buf = append(strconv.AppendInt(e.buf, int64(p.Node().ID), 10), ',')
+			e.float("start", p.Start, ',')
+			e.float("exec", p.Exec, ',')
+			e.float("cost", p.Cost, 0)
+			e.close('}')
+		}
+		e.close(']')
+	}
+	e.close('}')
+	if e.bad {
+		return dst, fmt.Errorf("persist: encoding window: %w", ErrNonFinite)
+	}
+	return e.buf, nil
+}
+
+// ErrNonFinite reports a window holding a NaN or an infinity, which JSON
+// cannot carry.
+var ErrNonFinite = errors.New("unsupported value: NaN or infinite number")
+
+// windowEncoder is AppendWindow's output with the current indent.
+type windowEncoder struct {
+	buf    []byte
+	indent int
+	bad    bool // a non-finite float was met
+}
+
+const indentSpaces = "                "
+
+// line starts a new line at the current indent.
+func (e *windowEncoder) line() {
+	e.buf = append(e.buf, '\n')
+	for n := e.indent; n > 0; n -= len(indentSpaces) {
+		e.buf = append(e.buf, indentSpaces[:min(n, len(indentSpaces))]...)
+	}
+}
+
+func (e *windowEncoder) key(k string) {
+	e.line()
+	e.buf = append(e.buf, '"')
+	e.buf = append(e.buf, k...)
+	e.buf = append(e.buf, `": `...)
+}
+
+// close ends an object or array on a line of its own.
+func (e *windowEncoder) close(c byte) {
+	e.indent -= 2
+	e.line()
+	e.buf = append(e.buf, c)
+}
+
+// float appends "k": f with encoding/json's formatting — ES6-style, 'e'
+// only below 1e-6 and from 1e21, a two-digit negative exponent trimmed to
+// one — followed by sep unless it is 0.
+func (e *windowEncoder) float(k string, f float64, sep byte) {
+	e.key(k)
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		e.bad = true
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	e.buf = strconv.AppendFloat(e.buf, f, format, -1, 64)
+	if n := len(e.buf); format == 'e' && e.buf[n-4] == 'e' && e.buf[n-3] == '-' && e.buf[n-2] == '0' {
+		e.buf[n-2] = e.buf[n-1]
+		e.buf = e.buf[:n-1]
+	}
+	if sep != 0 {
+		e.buf = append(e.buf, sep)
+	}
+}
+
+// WriteWindow writes AppendWindow's document and a newline.
 func WriteWindow(w io.Writer, win *core.Window) error {
-	out := windowJSON{
-		Start: win.Start, Runtime: win.Runtime, Finish: win.Finish(),
-		Cost: win.Cost, ProcTime: win.ProcTime,
+	b, err := AppendWindow(nil, win, 0)
+	if err != nil {
+		return err
 	}
-	for _, p := range win.Placements {
-		out.Placements = append(out.Placements, placementJSON{
-			Node: p.Node().ID, Start: p.Start, Exec: p.Exec, Cost: p.Cost,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	_, err = w.Write(append(b, '\n'))
+	return err
 }
 
 // ReadWindow deserializes a window against the given environment: placements

@@ -72,12 +72,10 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"runtime"
@@ -466,65 +464,34 @@ func New(inv inventory.Pool, opts Options) *Server {
 	// MaxInflight concurrent searches skip scanner construction. Best
 	// effort — sync.Pool may shed entries under GC pressure.
 	core.WarmScanners(opts.MaxInflight)
-	s.mux.HandleFunc("/v1/find", s.post(s.handleFind))
+	s.mux.HandleFunc("/v1/find", s.route(http.MethodPost, s.handleFind))
 	if opts.ReadOnly {
-		s.mux.HandleFunc("/v1/reserve", s.post(s.rejectReadOnly))
-		s.mux.HandleFunc("/v1/commit", s.post(s.rejectReadOnly))
-		s.mux.HandleFunc("/v1/release", s.post(s.rejectReadOnly))
+		s.mux.HandleFunc("/v1/reserve", s.route(http.MethodPost, s.rejectReadOnly))
+		s.mux.HandleFunc("/v1/commit", s.route(http.MethodPost, s.rejectReadOnly))
+		s.mux.HandleFunc("/v1/release", s.route(http.MethodPost, s.rejectReadOnly))
 	} else {
-		s.mux.HandleFunc("/v1/reserve", s.post(s.handleReserve))
-		s.mux.HandleFunc("/v1/commit", s.post(s.handleCommit))
-		s.mux.HandleFunc("/v1/release", s.post(s.handleRelease))
+		s.mux.HandleFunc("/v1/reserve", s.route(http.MethodPost, s.handleReserve))
+		s.mux.HandleFunc("/v1/commit", s.route(http.MethodPost, s.handleCommit))
+		s.mux.HandleFunc("/v1/release", s.route(http.MethodPost, s.handleRelease))
 	}
-	s.mux.HandleFunc("/v1/watch", s.get(s.handleWatch))
-	s.mux.HandleFunc("/v1/slots", s.get(s.handleSlots))
-	s.mux.HandleFunc("/v1/statusz", s.get(s.handleStatusz))
+	s.mux.HandleFunc("/v1/watch", s.route(http.MethodGet, s.handleWatch))
+	s.mux.HandleFunc("/v1/slots", s.route(http.MethodGet, s.handleSlots))
+	s.mux.HandleFunc("/v1/statusz", s.route(http.MethodGet, s.handleStatusz))
 	if opts.Metrics != nil {
 		s.mx = s.registerMetrics(opts.Metrics)
-		s.mux.HandleFunc("/metricsz", s.get(opts.Metrics.Handler().ServeHTTP))
+		metrics := opts.Metrics.Handler()
+		s.mux.HandleFunc("/metricsz", s.route(http.MethodGet, func(sc *reqScope, r *http.Request) { metrics.ServeHTTP(sc, r) }))
 	}
 	return s
-}
-
-// reqInfoKey carries the per-request annotation slot through the handler
-// context; handlers fill it (decodeSearch records the algorithm name) and
-// ServeHTTP reads it back for the request log line.
-type reqInfoKey struct{}
-
-type reqInfo struct {
-	// alg is the selection algorithm or CSA criterion the request named
-	// ("amp", "csa:cost"); empty for non-search endpoints.
-	alg string
-
-	// shard is the inventory shard the request's mutation landed on (the
-	// shard of its window's first placement node); 0 for reads, searches,
-	// and unsharded pools. It picks the service tally the request's
-	// handler time is recorded into.
-	shard int
-}
-
-// annotateAlg records the request's algorithm name for the log line; a
-// request without the annotation slot is a no-op.
-func annotateAlg(ctx context.Context, name string) {
-	if info, _ := ctx.Value(reqInfoKey{}).(*reqInfo); info != nil {
-		info.alg = name
-	}
-}
-
-// annotateShard attributes the request to one shard's service tally.
-func annotateShard(ctx context.Context, shard int) {
-	if info, _ := ctx.Value(reqInfoKey{}).(*reqInfo); info != nil {
-		info.shard = shard
-	}
 }
 
 // annotateWindowShard attributes a mutating request to the shard of its
 // window's first placement node. No-op over an unsharded pool (one tally)
 // and for cross-shard windows' secondary parts — the drain estimate only
 // needs the aggregate to be right, not perfect attribution.
-func (s *Server) annotateWindowShard(ctx context.Context, w *core.Window) {
+func (s *Server) annotateWindowShard(sc *reqScope, w *core.Window) {
 	if n := s.inv.Shards(); n > 1 && w != nil && len(w.Placements) > 0 {
-		annotateShard(ctx, inventory.ShardOf(w.Placements[0].Node().ID, n))
+		sc.shard = inventory.ShardOf(w.Placements[0].Node().ID, n)
 	}
 }
 
@@ -535,20 +502,17 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	trace := reqlog.NewTraceID()
 	w.Header().Set("X-Trace-Id", trace)
 	arrive := obs.Now()
-	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
-	defer cancel()
-	var info reqInfo
-	ctx = context.WithValue(ctx, reqInfoKey{}, &info)
-	switch s.admit(ctx) {
+	deadline := arrive + s.opts.RequestTimeout
+	switch s.admit(r) {
 	case admitShed:
 		s.shed.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-		writeError(w, http.StatusTooManyRequests, "server overloaded, retry later")
+		writeBody(w, http.StatusTooManyRequests, bodyOverloaded)
 		s.finish(r, trace, http.StatusTooManyRequests, obs.Now()-arrive, 0, false, "")
 		return
 	case admitExpired:
 		s.deadlineExpired.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "request deadline expired while queued")
+		writeBody(w, http.StatusServiceUnavailable, bodyExpiredQueued)
 		s.finish(r, trace, http.StatusServiceUnavailable, obs.Now()-arrive, 0, false, "")
 		return
 	}
@@ -557,23 +521,25 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if s.testHook != nil {
 		s.testHook()
 	}
-	if ctx.Err() != nil {
-		// Admitted, but the deadline passed before the handler could run —
-		// the same too-slow outcome as expiring in the queue.
+	if r.Context().Err() != nil || obs.Now() >= deadline {
+		// Admitted, but the deadline passed (or the client left) before the
+		// handler could run — the same too-slow outcome as expiring in the
+		// queue.
 		s.deadlineExpired.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "request deadline exceeded in queue")
+		writeBody(w, http.StatusServiceUnavailable, bodyExpiredAdmit)
 		s.finish(r, trace, http.StatusServiceUnavailable, queueWait, 0, false, "")
 		return
 	}
 	begin := obs.Now()
-	sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-	s.mux.ServeHTTP(sw, r.WithContext(ctx))
+	sc := acquireScope(w, deadline)
+	s.mux.ServeHTTP(sc, r)
+	code, alg, shard := sc.code, sc.alg, sc.shard
+	releaseScope(sc)
 	dur := obs.Now() - begin
 	s.completed.Add(1)
 	if r.URL.Path != "/v1/watch" {
 		// Watch long-polls are excluded from the service-time mean: their
 		// handler time is dominated by intentional parking, not work.
-		shard := info.shard
 		if shard < 0 || shard >= len(s.svc) {
 			shard = 0
 		}
@@ -586,11 +552,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			Cat:   "http",
 			Start: begin,
 			Dur:   dur,
-			Arg:   strconv.Itoa(sw.code),
+			Arg:   strconv.Itoa(code),
 			Trace: trace,
 		})
 	}
-	s.finish(r, trace, sw.code, queueWait, dur, true, info.alg)
+	s.finish(r, trace, code, queueWait, dur, true, alg)
 }
 
 // finish records the per-request telemetry once the response is decided:
@@ -676,9 +642,10 @@ const (
 )
 
 // admit implements the bounded queue: immediate entry when an execution
-// slot is free; otherwise wait in the bounded queue until a slot frees or
-// the deadline passes; shed when the queue itself is full.
-func (s *Server) admit(ctx context.Context) admitResult {
+// slot is free; otherwise wait in the bounded queue until a slot frees,
+// the deadline passes or the client goes away; shed when the queue itself
+// is full. Only a request that has to wait pays for a timer.
+func (s *Server) admit(r *http.Request) admitResult {
 	select {
 	case s.inflight <- struct{}{}:
 		return admitOK
@@ -689,6 +656,8 @@ func (s *Server) admit(ctx context.Context) admitResult {
 		return admitShed
 	}
 	defer s.queued.Add(-1)
+	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
+	defer cancel()
 	select {
 	case s.inflight <- struct{}{}:
 		return admitOK
@@ -739,12 +708,15 @@ func avgServiceAcrossShards(stats []shardServiceStats) time.Duration {
 // requests, aggregated across the per-shard tallies; zero until the
 // first one completes.
 func (s *Server) avgService() time.Duration {
-	stats := make([]shardServiceStats, len(s.svc))
+	// Every 429 computes this, so the copy of the tallies lives on the
+	// stack for any plausible shard count.
+	var buf [16]shardServiceStats
+	stats := buf[:0]
 	for i := range s.svc {
-		stats[i] = shardServiceStats{
+		stats = append(stats, shardServiceStats{
 			Serviced:  s.svc[i].serviced.Load(),
 			BusyNanos: s.svc[i].busyNanos.Load(),
-		}
+		})
 	}
 	return avgServiceAcrossShards(stats)
 }
@@ -787,98 +759,72 @@ func retryAfterSeconds(queued int64, maxInflight int, avgService time.Duration) 
 	return secs
 }
 
-// statusWriter records the response code for the request span.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
+// handler is a route's function: the request's scope, which is also its
+// http.ResponseWriter, and the request.
+type handler func(sc *reqScope, r *http.Request)
 
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (s *Server) post(h http.HandlerFunc) http.HandlerFunc {
+// route adapts a handler to the mux for one method.
+func (s *Server) route(method string, h handler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			w.Header().Set("Allow", http.MethodPost)
-			writeError(w, http.StatusMethodNotAllowed, "use POST")
+		sc := w.(*reqScope) // ServeHTTP hands the mux nothing else
+		if r.Method != method {
+			sc.Header().Set("Allow", method)
+			sc.error(http.StatusMethodNotAllowed, "use "+method)
 			return
 		}
-		r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-		h(w, r)
+		h(sc, r)
 	}
 }
 
-func (s *Server) get(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			w.Header().Set("Allow", http.MethodGet)
-			writeError(w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
-		h(w, r)
+// decodeSearch reads a /v1/find or /v1/reserve body into the scope's
+// searchInputs.
+func (s *Server) decodeSearch(sc *reqScope, r *http.Request) (*searchInputs, bool) {
+	if !sc.readBody(r) {
+		return nil, false
 	}
-}
-
-// searchBody is the shared request payload of /v1/find and /v1/reserve.
-type searchBody struct {
-	// Request is the resource request in the persist wire encoding.
-	Request json.RawMessage `json:"request"`
-
-	// Alg names the selection algorithm (slotsel.AlgorithmByName);
-	// default "amp". Ignored when CSA is set.
-	Alg string `json:"alg,omitempty"`
-
-	// CSA, when non-empty, switches reserve to a CSA alternative search
-	// selecting by this criterion: start|finish|cost|runtime|proctime.
-	CSA string `json:"csa,omitempty"`
-
-	// TTLSeconds is the hold lifetime for /v1/reserve; 0 = server default.
-	TTLSeconds float64 `json:"ttl_seconds,omitempty"`
-}
-
-func (s *Server) decodeSearch(w http.ResponseWriter, r *http.Request) (*searchBody, *searchInputs, bool) {
-	var body searchBody
-	if !decodeStrict(w, r, &body) {
-		return nil, nil, false
-	}
-	if len(body.Request) == 0 {
-		writeError(w, http.StatusBadRequest, `missing "request" field`)
-		return nil, nil, false
-	}
-	req, err := persist.ReadRequest(bytes.NewReader(body.Request))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return nil, nil, false
-	}
-	in, ok := resolveSearch(w, r, req, body.Alg, body.CSA)
+	body, ok := sc.decodeSearchBody()
 	if !ok {
-		return nil, nil, false
+		return nil, false
+	}
+	if !body.Request.set {
+		sc.error(http.StatusBadRequest, `missing "request" field`)
+		return nil, false
+	}
+	if body.Request.err != nil {
+		sc.error(http.StatusBadRequest, body.Request.err.Error())
+		return nil, false
+	}
+	in, ok := resolveSearch(sc, body.Request.req, body.Alg, body.CSA)
+	if !ok {
+		return nil, false
 	}
 	if body.TTLSeconds < 0 {
-		writeError(w, http.StatusBadRequest, "ttl_seconds must be >= 0")
-		return nil, nil, false
+		sc.error(http.StatusBadRequest, "ttl_seconds must be >= 0")
+		return nil, false
 	}
-	in.ttl = time.Duration(body.TTLSeconds * float64(time.Second))
-	return &body, in, true
+	if in.ttl, ok = seconds(body.TTLSeconds); !ok {
+		sc.error(http.StatusBadRequest, fmt.Sprintf("ttl_seconds must be at most %d", maxSeconds))
+		return nil, false
+	}
+	return in, true
 }
 
 // resolveSearch names the search of a decoded request — a CSA criterion
 // when csaName is set, else the algorithm algName (default "amp") — and
 // keys it for the find cache. Shared by the /v1/find and /v1/reserve body
 // and the /v1/watch query string.
-func resolveSearch(w http.ResponseWriter, r *http.Request, req *slotsel.Request, algName, csaName string) (*searchInputs, bool) {
-	in := &searchInputs{req: req}
+func resolveSearch(sc *reqScope, req *slotsel.Request, algName, csaName string) (*searchInputs, bool) {
+	in := &sc.search
+	*in = searchInputs{req: req}
 	if csaName != "" {
 		crit, ok := criterionByName(csaName)
 		if !ok {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown CSA criterion %q", csaName))
+			sc.error(http.StatusBadRequest, fmt.Sprintf("unknown CSA criterion %q", csaName))
 			return nil, false
 		}
 		in.useCSA, in.crit = true, crit
-		in.key = inventory.NewCacheKey(req, "csa:"+crit.String())
-		annotateAlg(r.Context(), "csa:"+crit.String())
+		sc.alg = "csa:" + crit.String()
+		in.key = inventory.NewCacheKey(req, sc.alg)
 		return in, true
 	}
 	if algName == "" {
@@ -886,12 +832,12 @@ func resolveSearch(w http.ResponseWriter, r *http.Request, req *slotsel.Request,
 	}
 	alg, err := slotsel.AlgorithmByName(algName, 1)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		sc.error(http.StatusBadRequest, err.Error())
 		return nil, false
 	}
 	in.alg = alg
 	in.key = inventory.NewCacheKey(req, alg.Name())
-	annotateAlg(r.Context(), algName)
+	sc.alg = algName
 	return in, true
 }
 
@@ -921,20 +867,51 @@ func (s *Server) runSearch(in *searchInputs, snap *inventory.Snapshot) (*core.Wi
 
 // search resolves a find through the churn-aware cache when enabled; with
 // the cache disabled it is exactly the stateless scan. Either way the
-// snapshot the result is valid against is returned alongside.
-func (s *Server) search(in *searchInputs) (*core.Window, *inventory.Snapshot, error) {
+// snapshot the result is valid against is returned alongside, and a cache
+// hit comes with the window's wire bytes.
+func (s *Server) search(in *searchInputs) (*core.Window, []byte, *inventory.Snapshot, error) {
 	if s.cache == nil {
 		snap := s.inv.Snapshot()
 		win, err := s.runSearch(in, snap)
-		return win, snap, err
+		return win, nil, snap, err
 	}
-	return s.cache.Find(in.key, func(snap *inventory.Snapshot) (*core.Window, error) {
+	return s.cache.FindEncoded(in.key, func(snap *inventory.Snapshot) (*core.Window, error) {
 		return s.runSearch(in, snap)
-	})
+	}, encodeForCache)
 }
 
+// encodeForCache renders a window as a reply carries it, for the find
+// cache to keep: owned bytes, where a reply's own are the scope's.
+func encodeForCache(w *core.Window) ([]byte, error) { return persist.AppendWindow(nil, w, 1) }
+
+// replyFound answers a find or watch from a search outcome: the window
+// under the version of the snapshot it was served at — a hit's wire bytes
+// as the cache kept them, a fresh window encoded in place.
+func replyFound(sc *reqScope, win *core.Window, enc []byte, snap *inventory.Snapshot, err error) {
+	switch {
+	case errors.Is(err, core.ErrNoWindow):
+		sc.error(http.StatusNotFound, "no feasible window")
+	case errors.Is(err, persist.ErrNonFinite):
+		// Found, but not encodable: the server's failure, not the request's.
+		sc.error(http.StatusInternalServerError, err.Error())
+	case err != nil:
+		sc.error(http.StatusBadRequest, err.Error())
+	default:
+		sc.uint("version", snap.Version)
+		if enc != nil {
+			sc.field("window")
+			sc.out = append(sc.out, enc...)
+		} else if !sc.window(win) {
+			return
+		}
+		sc.send(http.StatusOK)
+	}
+}
+
+var criteria = [...]csa.Criterion{csa.ByStart, csa.ByFinish, csa.ByCost, csa.ByRuntime, csa.ByProcTime}
+
 func criterionByName(name string) (csa.Criterion, bool) {
-	for _, c := range []csa.Criterion{csa.ByStart, csa.ByFinish, csa.ByCost, csa.ByRuntime, csa.ByProcTime} {
+	for _, c := range criteria {
 		if c.String() == name {
 			return c, true
 		}
@@ -946,36 +923,25 @@ func criterionByName(name string) (csa.Criterion, bool) {
 // replica's state may only change by applying the leader's journal, so
 // writes must go to the leader. 403 rather than 405 — the method is fine,
 // this server is just not allowed to perform the operation.
-func (s *Server) rejectReadOnly(w http.ResponseWriter, r *http.Request) {
-	writeError(w, http.StatusForbidden, "read-only follower: send mutations to the leader")
+func (s *Server) rejectReadOnly(sc *reqScope, r *http.Request) {
+	sc.error(http.StatusForbidden, "read-only follower: send mutations to the leader")
 }
 
 // handleFind is the stateless search: nothing is held. It rides the find
 // cache — a hit is served only when the invalidation history proves no
 // churn since the entry's snapshot overlapped the request's horizon, so
 // the response is byte-identical to a fresh full scan either way.
-func (s *Server) handleFind(w http.ResponseWriter, r *http.Request) {
-	_, in, ok := s.decodeSearch(w, r)
+func (s *Server) handleFind(sc *reqScope, r *http.Request) {
+	in, ok := s.decodeSearch(sc, r)
 	if !ok {
 		return
 	}
-	win, snap, err := s.search(in)
-	if errors.Is(err, core.ErrNoWindow) {
-		writeError(w, http.StatusNotFound, "no feasible window")
-		return
-	}
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"version": snap.Version,
-		"window":  windowJSON(win),
-	})
+	win, enc, snap, err := s.search(in)
+	replyFound(sc, win, enc, snap, err)
 }
 
-func (s *Server) handleReserve(w http.ResponseWriter, r *http.Request) {
-	_, in, ok := s.decodeSearch(w, r)
+func (s *Server) handleReserve(sc *reqScope, r *http.Request) {
+	in, ok := s.decodeSearch(sc, r)
 	if !ok {
 		return
 	}
@@ -988,115 +954,74 @@ func (s *Server) handleReserve(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case errors.Is(err, core.ErrNoWindow):
-		writeError(w, http.StatusNotFound, "no feasible window")
+		sc.error(http.StatusNotFound, "no feasible window")
 		return
 	case errors.Is(err, inventory.ErrConflict):
-		writeError(w, http.StatusConflict, "lost the race for those slots, retry")
+		sc.error(http.StatusConflict, "lost the race for those slots, retry")
 		return
 	case err != nil:
-		writeError(w, http.StatusBadRequest, err.Error())
+		sc.error(http.StatusBadRequest, err.Error())
 		return
 	}
-	s.annotateWindowShard(r.Context(), res.Window)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"id":      res.ID,
-		"version": res.Version,
-		"expires": res.Expires.UTC().Format(time.RFC3339Nano),
-		"window":  windowJSON(res.Window),
-	})
+	s.annotateWindowShard(sc, res.Window)
+	sc.field("expires")
+	sc.out = append(sc.out, '"')
+	sc.out = res.Expires.UTC().AppendFormat(sc.out, time.RFC3339Nano)
+	sc.out = append(sc.out, '"')
+	sc.str("id", res.ID)
+	sc.uint("version", res.Version)
+	if sc.window(res.Window) {
+		sc.send(http.StatusOK)
+	}
 }
 
-// decodeStrict decodes exactly one JSON value from the request body. A
-// body over the MaxBytesReader cap is answered 413 (not a generic 400: the
-// client must shrink the payload, not fix its syntax), and trailing tokens
-// after the value are rejected — silently accepted garbage usually means a
-// concatenated or truncated payload the client should know about.
-func decodeStrict(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds the %d-byte limit", tooLarge.Limit))
-		} else {
-			writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		}
-		return false
-	}
-	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds the %d-byte limit", tooLarge.Limit))
-		} else {
-			writeError(w, http.StatusBadRequest, "trailing data after JSON body")
-		}
-		return false
-	}
-	return true
-}
-
-// idBody is the payload of /v1/commit and /v1/release.
-type idBody struct {
-	ID string `json:"id"`
-}
-
-func (s *Server) decodeID(w http.ResponseWriter, r *http.Request) (string, bool) {
-	var body idBody
-	if !decodeStrict(w, r, &body) {
-		return "", false
-	}
-	if body.ID == "" {
-		writeError(w, http.StatusBadRequest, `missing "id" field`)
-		return "", false
-	}
-	return body.ID, true
-}
-
-func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
-	id, ok := s.decodeID(w, r)
+func (s *Server) handleCommit(sc *reqScope, r *http.Request) {
+	id, ok := sc.decodeID(r)
 	if !ok {
 		return
 	}
 	win, err := s.inv.Commit(id)
 	if errors.Is(err, inventory.ErrUnknownReservation) {
-		writeError(w, http.StatusNotFound, err.Error())
+		sc.error(http.StatusNotFound, err.Error())
 		return
 	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		sc.error(http.StatusBadRequest, err.Error())
 		return
 	}
-	s.annotateWindowShard(r.Context(), win)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"id":     id,
-		"window": windowJSON(win),
-	})
+	s.annotateWindowShard(sc, win)
+	sc.str("id", id)
+	if sc.window(win) {
+		sc.send(http.StatusOK)
+	}
 }
 
-func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
-	id, ok := s.decodeID(w, r)
+func (s *Server) handleRelease(sc *reqScope, r *http.Request) {
+	id, ok := sc.decodeID(r)
 	if !ok {
 		return
 	}
 	err := s.inv.Release(id)
 	if errors.Is(err, inventory.ErrUnknownReservation) {
-		writeError(w, http.StatusNotFound, err.Error())
+		sc.error(http.StatusNotFound, err.Error())
 		return
 	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		sc.error(http.StatusBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"id": id, "released": true})
+	sc.str("id", id)
+	sc.field("released")
+	sc.out = append(sc.out, "true"...)
+	sc.send(http.StatusOK)
 }
 
-func (s *Server) handleSlots(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSlots(sc *reqScope, r *http.Request) {
 	s.sweep() // bound snapshot staleness on read-only traffic
 	snap := s.inv.Snapshot()
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Inventory-Version", strconv.FormatUint(snap.Version, 10))
-	if err := persist.WriteSlotList(w, snap.Slots); err != nil {
+	sc.Header()["Content-Type"] = contentTypeJSON
+	sc.Header().Set("X-Inventory-Version", strconv.FormatUint(snap.Version, 10))
+	if err := persist.WriteSlotList(sc, snap.Slots); err != nil {
 		// Headers are out; nothing to do but drop the connection.
 		return
 	}
@@ -1112,7 +1037,7 @@ func (s *Server) sweep() {
 	}
 }
 
-func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleStatusz(sc *reqScope, r *http.Request) {
 	s.sweep()
 	// go_memstats-style runtime figures, so the service's steady-state
 	// allocation discipline (the scanner pool's whole point) is observable
@@ -1198,28 +1123,8 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 			"resyncs":          f.Resyncs(),
 		}
 	}
-	writeJSON(w, http.StatusOK, body)
-}
-
-// windowJSON renders a window through the persist wire encoding as a raw
-// message, so every endpoint emits the same window shape as cmd/slotfind
-// -json.
-func windowJSON(w *core.Window) json.RawMessage {
-	var buf bytes.Buffer
-	if err := persist.WriteWindow(&buf, w); err != nil {
-		return json.RawMessage(`null`)
-	}
-	return json.RawMessage(bytes.TrimSpace(buf.Bytes()))
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
+	sc.Header()["Content-Type"] = contentTypeJSON
+	enc := json.NewEncoder(sc)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
+	_ = enc.Encode(body) // a monitor that went away is not the handler's to report
 }

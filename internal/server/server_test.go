@@ -287,14 +287,20 @@ func TestErrorPaths(t *testing.T) {
 		{"unknown alg", "/v1/find", map[string]any{"request": requestJSON(t, 1, 10), "alg": "nope"}, http.StatusBadRequest},
 		{"unknown csa criterion", "/v1/reserve", map[string]any{"request": requestJSON(t, 1, 10), "csa": "vibes"}, http.StatusBadRequest},
 		{"negative ttl", "/v1/reserve", map[string]any{"request": requestJSON(t, 1, 10), "ttl_seconds": -1}, http.StatusBadRequest},
+		// Out of a Duration's range: the float-to-int conversion used to be
+		// undefined, and on amd64 the hold silently got the default TTL.
+		{"ttl past a Duration", "/v1/reserve", map[string]any{"request": requestJSON(t, 1, 10), "ttl_seconds": 1e10}, http.StatusBadRequest},
 		{"infeasible", "/v1/find", map[string]any{"request": requestJSON(t, 50, 10)}, http.StatusNotFound},
 		{"unknown commit id", "/v1/commit", map[string]any{"id": "r99999999"}, http.StatusNotFound},
 		{"unknown release id", "/v1/release", map[string]any{"id": "r99999999"}, http.StatusNotFound},
 		{"empty id", "/v1/commit", map[string]any{}, http.StatusBadRequest},
 	} {
-		code, _ := postJSON(t, ts.URL+tc.url, tc.body)
+		code, out := postJSON(t, ts.URL+tc.url, tc.body)
 		if code != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, code, tc.want)
+		}
+		if tc.name == "ttl past a Duration" && !strings.Contains(string(out["error"]), "at most 9223372036") {
+			t.Errorf("%s: error %s does not name the bound", tc.name, out["error"])
 		}
 	}
 

@@ -3,15 +3,16 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"slotsel/internal/core"
 	"slotsel/internal/inventory"
+	"slotsel/internal/obs"
 	"slotsel/internal/persist"
 )
 
@@ -125,19 +126,18 @@ func (s *Server) DrainWatches() { s.watch.drain() }
 
 // decodeWatch parses the /v1/watch query string: request (persist request
 // JSON), alg or csa naming the search, exactly as the /v1/find body.
-func (s *Server) decodeWatch(w http.ResponseWriter, r *http.Request) (*searchInputs, bool) {
-	q := r.URL.Query()
+func (s *Server) decodeWatch(sc *reqScope, q url.Values) (*searchInputs, bool) {
 	rawReq := q.Get("request")
 	if rawReq == "" {
-		writeError(w, http.StatusBadRequest, `missing "request" query parameter`)
+		sc.error(http.StatusBadRequest, `missing "request" query parameter`)
 		return nil, false
 	}
-	req, err := persist.ReadRequest(strings.NewReader(rawReq))
+	req, err := persist.ParseRequest([]byte(rawReq))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		sc.error(http.StatusBadRequest, err.Error())
 		return nil, false
 	}
-	return resolveSearch(w, r, req, q.Get("alg"), q.Get("csa"))
+	return resolveSearch(sc, req, q.Get("alg"), q.Get("csa"))
 }
 
 // handleWatch is the long-poll: search now, and if no window exists, park
@@ -145,60 +145,63 @@ func (s *Server) decodeWatch(w http.ResponseWriter, r *http.Request) (*searchInp
 // again. The first satisfying window is pushed with the snapshot version
 // it is valid against; the request deadline answers 404 (same meaning as
 // find's no-window), drain answers 503. The handler runs inside the
-// normal admission gate and per-request deadline; an optional
-// timeout_seconds query parameter shortens (never extends) the wait.
-func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
-	in, ok := s.decodeWatch(w, r)
+// normal admission gate and per-request deadline — it is the one handler
+// that waits, so the one that builds a Context from the scope's deadline;
+// an optional timeout_seconds query parameter shortens (never extends)
+// the wait.
+func (s *Server) handleWatch(sc *reqScope, r *http.Request) {
+	q := r.URL.Query()
+	in, ok := s.decodeWatch(sc, q)
 	if !ok {
 		return
 	}
-	ctx := r.Context()
-	if ts := r.URL.Query().Get("timeout_seconds"); ts != "" {
+	wait := sc.deadline - obs.Now()
+	if ts := q.Get("timeout_seconds"); ts != "" {
 		secs, err := strconv.ParseFloat(ts, 64)
-		if err != nil || secs <= 0 {
-			writeError(w, http.StatusBadRequest, "timeout_seconds must be a positive number")
+		if err != nil || !(secs > 0) { // not "<= 0": ParseFloat takes "NaN"
+			sc.error(http.StatusBadRequest, "timeout_seconds must be a positive number")
 			return
 		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(secs*float64(time.Second)))
-		defer cancel()
+		timeout, ok := seconds(secs)
+		if !ok {
+			sc.error(http.StatusBadRequest, fmt.Sprintf("timeout_seconds must be at most %d", maxSeconds))
+			return
+		}
+		wait = min(wait, timeout)
 	}
+	ctx, cancel := context.WithTimeout(r.Context(), wait)
+	defer cancel()
 	lo, hi := in.key.Horizon()
 	waiter, err := s.watch.register(lo, hi)
 	if err != nil {
 		if errors.Is(err, errWatchDraining) {
-			writeError(w, http.StatusServiceUnavailable, "server draining, re-subscribe later")
+			sc.error(http.StatusServiceUnavailable, "server draining, re-subscribe later")
 			return
 		}
 		s.watch.rejected.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-		writeError(w, http.StatusTooManyRequests, "watch subscriber limit reached, retry later")
+		sc.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
+		sc.error(http.StatusTooManyRequests, "watch subscriber limit reached, retry later")
 		return
 	}
 	defer s.watch.unregister(waiter)
 	for {
-		win, snap, err := s.search(in)
-		if err == nil {
-			s.watch.delivered.Add(1)
-			writeJSON(w, http.StatusOK, map[string]any{
-				"version": snap.Version,
-				"window":  windowJSON(win),
-			})
-			return
-		}
+		win, enc, snap, err := s.search(in)
 		if !errors.Is(err, core.ErrNoWindow) {
-			writeError(w, http.StatusBadRequest, err.Error())
+			if err == nil {
+				s.watch.delivered.Add(1)
+			}
+			replyFound(sc, win, enc, snap, err)
 			return
 		}
 		select {
 		case <-waiter.ch:
 			// An overlapping publication landed; re-evaluate.
 		case <-s.watch.drainCh:
-			writeError(w, http.StatusServiceUnavailable, "server draining, re-subscribe later")
+			sc.error(http.StatusServiceUnavailable, "server draining, re-subscribe later")
 			return
 		case <-ctx.Done():
 			s.watch.expired.Add(1)
-			writeError(w, http.StatusNotFound, "no feasible window before the watch deadline")
+			sc.error(http.StatusNotFound, "no feasible window before the watch deadline")
 			return
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -252,10 +253,20 @@ func TestWatchBadInputs(t *testing.T) {
 		{"unknown csa", watchURL(t, ts.URL, req, url.Values{"csa": {"nope"}}), http.StatusBadRequest},
 		{"negative timeout", watchURL(t, ts.URL, req, url.Values{"timeout_seconds": {"-1"}}), http.StatusBadRequest},
 		{"non-numeric timeout", watchURL(t, ts.URL, req, url.Values{"timeout_seconds": {"soon"}}), http.StatusBadRequest},
+		// Out of a Duration's range: the float-to-int conversion used to be
+		// undefined (on amd64 the watch expired at once, or — satisfiable,
+		// as here — was served as if the parameter were valid).
+		{"timeout past a Duration", watchURL(t, ts.URL, req, url.Values{"timeout_seconds": {"1e10"}}), http.StatusBadRequest},
+		{"infinite timeout", watchURL(t, ts.URL, req, url.Values{"timeout_seconds": {"Inf"}}), http.StatusBadRequest},
+		{"NaN timeout", watchURL(t, ts.URL, req, url.Values{"timeout_seconds": {"NaN"}}), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
-		if code, _, out := getJSON(t, tc.url); code != tc.want {
+		code, _, out := getJSON(t, tc.url)
+		if code != tc.want {
 			t.Errorf("%s: status %d, want %d (%v)", tc.name, code, tc.want, out)
+		}
+		if tc.name == "timeout past a Duration" && !strings.Contains(string(out["error"]), "at most 9223372036") {
+			t.Errorf("%s: error %s does not name the bound", tc.name, out["error"])
 		}
 	}
 	resp, err := http.Post(ts.URL+"/v1/watch", "application/json", bytes.NewReader(nil))
