@@ -1,19 +1,28 @@
 // Package benchgate is the performance-regression gate over Go benchmark
-// output: it parses benchstat-compatible `BenchmarkXxx ... ns/op` lines,
-// pairs a baseline file against a current run, and flags every benchmark
-// whose median moved past a threshold with statistical significance
-// (two-sided Mann-Whitney U, the same test benchstat applies).
+// output: it parses benchstat-compatible `BenchmarkXxx ... ns/op` lines and
+// compares a parent build against a change build measured in alternating
+// pairs of runs on one machine, in one session.
 //
-// The baseline is checked into the repository (results/bench_baseline.txt)
-// and may have been recorded on different hardware than the run under
-// test. Raw ns/op therefore carries a machine-speed factor that would
-// drown real regressions in false positives, so the ns/op comparison is
-// calibrated: the median new/old ratio across ALL paired benchmarks is
-// taken as the machine factor, and a benchmark regresses only when its own
-// ratio exceeds that shared factor by more than the threshold. A uniform
-// slowdown (slower CI runner) calibrates away; one kernel getting slower
-// relative to the rest of the grid does not. allocs/op is deterministic
-// and machine-independent, so it is compared uncalibrated.
+// It compares; it does not remember. A pair is two runs taken back to back
+// (parent then change, or change then parent), so whatever the machine was
+// doing during the pair falls on both sides, and a row's per-pair ratio
+// carries the change and little else. A row regresses in ns/op only when
+// three things hold at once:
+//
+//   - the minimum over all the change's samples is more than 10 % above the
+//     minimum over all the parent's — the least-noise estimate of each side
+//     moved;
+//   - the median of the per-pair ratios is above 1.10 — the typical pair
+//     saw it;
+//   - at least 8 in 10 pairs have a ratio above 1.10 — it was not a few
+//     bad pairs.
+//
+// A slow stretch of the session (one pair 1.5x slower on every row) moves
+// no ratio; a noisy row fails the first or the third condition. allocs/op
+// is deterministic but for a collection landing inside the measured batch,
+// which only ever adds, so it is compared directly on each side's minimum
+// over all runs: more than 10 % up — or any step from zero — is a
+// regression.
 package benchgate
 
 import (
@@ -21,7 +30,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -73,7 +82,7 @@ func ParseSet(r io.Reader) (*Set, error) {
 }
 
 // trimGOMAXPROCS drops the `-N` procs suffix Go appends to benchmark
-// names, so baselines recorded at different GOMAXPROCS still pair up.
+// names, so `go test -bench` output pairs with slotbench's unsuffixed rows.
 func trimGOMAXPROCS(name string) string {
 	i := strings.LastIndexByte(name, '-')
 	if i < 0 {
@@ -85,233 +94,163 @@ func trimGOMAXPROCS(name string) string {
 	return name[:i]
 }
 
-// Options configures a comparison.
-type Options struct {
-	// Threshold is the fractional regression bound (0.10 = fail past +10%).
-	Threshold float64
+// Threshold is the fractional bound of the gate: a row fails past +10 %.
+const Threshold = 0.10
 
-	// Alpha is the significance level for the Mann-Whitney test.
-	Alpha float64
+// needSlower is how many of n pairs must each show the slowdown: 8 in 10.
+func needSlower(n int) int { return (8*n + 9) / 10 }
 
-	// Units lists the units gated, in report order. A unit absent from
-	// either file is skipped silently (old baselines may predate a metric).
-	Units []string
-
-	// Calibrated marks units whose cross-machine speed factor must be
-	// normalized out before thresholding (time-like units).
-	Calibrated map[string]bool
+// Pair is one back-to-back measurement of both builds.
+type Pair struct {
+	Parent, Change *Set
 }
 
-// DefaultOptions is the gate the CI job runs: >10% significant regression
-// in ns/op (machine-calibrated) or allocs/op (raw).
-func DefaultOptions() Options {
-	return Options{
-		Threshold:  0.10,
-		Alpha:      0.05,
-		Units:      []string{"ns/op", "allocs/op"},
-		Calibrated: map[string]bool{"ns/op": true},
-	}
-}
+// Row is one gated benchmark/unit comparison.
+type Row struct {
+	Name string
+	Unit string
 
-// Delta is one benchmark/unit pair's comparison outcome.
-type Delta struct {
-	Name      string
-	Unit      string
-	OldMedian float64
-	NewMedian float64
+	// Parent and Change are each side's minimum sample over all runs.
+	Parent, Change float64
 
-	// Ratio is NewMedian/OldMedian after calibration (1.0 = unchanged
-	// relative to the rest of the grid).
-	Ratio float64
-
-	// P is the two-sided Mann-Whitney p-value over the raw samples.
-	P float64
+	// Ratio is the median over the pairs of change/parent, each run
+	// summarized by the median of its samples; Slower counts the pairs whose
+	// ratio is past the threshold. Both are unset for allocs/op.
+	Ratio  float64
+	Slower int
 
 	Regressed bool
-
-	// Improved mirrors Regressed on the other side: the calibrated ratio
-	// moved past the threshold downward with significance. Improvements
-	// never fail the gate; they feed the baseline auto-ratchet.
-	Improved bool
 }
 
-// Result is a full comparison: every paired delta plus the calibration
-// factors that were divided out.
+// Result is a full comparison.
 type Result struct {
-	Deltas []Delta
+	Pairs int
+	Rows  []Row
 
-	// Factor is the per-unit machine-speed factor (median new/old ratio)
-	// applied to calibrated units; 1.0 for uncalibrated units.
-	Factor map[string]float64
-
-	// Compared counts benchmark/unit pairs present in both sets.
-	Compared int
+	// New names the benchmarks only the change has: acknowledged, not gated.
+	// Skipped names the ones some run of either side lacks.
+	New, Skipped []string
 }
 
-// Regressions returns only the failing deltas.
-func (r *Result) Regressions() []Delta {
-	var out []Delta
-	for _, d := range r.Deltas {
-		if d.Regressed {
-			out = append(out, d)
+// Regressions returns only the failing rows.
+func (r *Result) Regressions() []Row {
+	var out []Row
+	for _, row := range r.Rows {
+		if row.Regressed {
+			out = append(out, row)
 		}
 	}
 	return out
 }
 
-// Improvements returns the deltas that moved significantly past the
-// threshold in the good direction.
-func (r *Result) Improvements() []Delta {
-	var out []Delta
-	for _, d := range r.Deltas {
-		if d.Improved {
-			out = append(out, d)
+// Compare applies the paired rule to every benchmark that every run of
+// both sides carries.
+func Compare(pairs []Pair) *Result {
+	res := &Result{Pairs: len(pairs)}
+	runs := make(map[string][2]int) // name -> parent runs, change runs carrying it
+	for _, p := range pairs {
+		for side, set := range [2]*Set{p.Parent, p.Change} {
+			for name := range set.Benchmarks {
+				n := runs[name]
+				n[side]++
+				runs[name] = n
+			}
 		}
 	}
-	return out
-}
-
-// ShouldRatchet reports whether the current run qualifies as a
-// replacement baseline: at least one significant improvement and no
-// regression anywhere. Ratcheting on anything weaker would let noise
-// walk the baseline downward one lucky run at a time; requiring zero
-// regressions keeps a mixed run (one kernel faster, another slower)
-// from laundering the slowdown into the new reference numbers.
-func (r *Result) ShouldRatchet() bool {
-	if len(r.Regressions()) > 0 {
-		return false
+	names := make([]string, 0, len(runs))
+	for name := range runs {
+		names = append(names, name)
 	}
-	return len(r.Improvements()) > 0
-}
+	slices.Sort(names)
 
-// Compare pairs old (baseline) against new (current run) per Options. A
-// benchmark missing from either side is skipped: baselines are allowed to
-// trail the benchmark catalogue by one PR.
-func Compare(oldSet, newSet *Set, opts Options) *Result {
-	res := &Result{Factor: make(map[string]float64)}
-	names := make([]string, 0, len(oldSet.Benchmarks))
-	for name := range oldSet.Benchmarks {
-		if _, ok := newSet.Benchmarks[name]; ok {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-
-	for _, unit := range opts.Units {
-		// Calibration pass: the shared machine factor is the median of the
-		// per-benchmark median ratios, so a uniformly slower runner moves
-		// every ratio together and cancels out of the gate below.
-		factor := 1.0
-		if opts.Calibrated[unit] {
-			var ratios []float64
-			for _, name := range names {
-				om := median(oldSet.Benchmarks[name][unit])
-				nm := median(newSet.Benchmarks[name][unit])
-				if om > 0 && nm > 0 {
-					ratios = append(ratios, nm/om)
+	for _, name := range names {
+		switch n := runs[name]; {
+		case n[0] == 0:
+			res.New = append(res.New, name)
+		case n[0] < len(pairs) || n[1] < len(pairs):
+			res.Skipped = append(res.Skipped, name)
+		default:
+			for _, unit := range []string{timeUnit, "allocs/op"} {
+				if row, ok := compareRow(name, unit, pairs); ok {
+					res.Rows = append(res.Rows, row)
 				}
 			}
-			if len(ratios) > 0 {
-				factor = median(ratios)
-			}
-		}
-		res.Factor[unit] = factor
-
-		for _, name := range names {
-			olds := oldSet.Benchmarks[name][unit]
-			news := newSet.Benchmarks[name][unit]
-			if len(olds) == 0 || len(news) == 0 {
-				continue
-			}
-			res.Compared++
-			d := Delta{
-				Name: name, Unit: unit,
-				OldMedian: median(olds), NewMedian: median(news),
-				P: MannWhitney(olds, news),
-			}
-			switch {
-			case d.OldMedian == 0 && d.NewMedian == 0:
-				d.Ratio = 1
-			case d.OldMedian == 0:
-				// 0 -> nonzero (e.g. a zero-alloc path starting to
-				// allocate) is an unconditional regression of the worst
-				// kind; significance still applies.
-				d.Ratio = inf()
-			default:
-				d.Ratio = d.NewMedian / d.OldMedian / factor
-			}
-			d.Regressed = d.Ratio > 1+opts.Threshold && d.P < opts.Alpha
-			d.Improved = d.Ratio < 1-opts.Threshold && d.P < opts.Alpha
-			res.Deltas = append(res.Deltas, d)
 		}
 	}
 	return res
 }
 
-// Gate compares two benchmark files and writes a human-readable verdict to
-// w. It returns an error listing the regressions when the gate fails.
-func Gate(oldR, newR io.Reader, opts Options, w io.Writer) error {
-	_, err := GateResult(oldR, newR, opts, w)
-	return err
-}
+// timeUnit is the unit under the three-condition rule; any other is read as
+// a deterministic count and compared on the minimum alone.
+const timeUnit = "ns/op"
 
-// GateResult is Gate returning the full comparison alongside the verdict,
-// for callers that act on the non-failing deltas too — the baseline
-// auto-ratchet reads Improvements/ShouldRatchet off the result. The
-// Result is nil when either input fails to parse or nothing paired.
-func GateResult(oldR, newR io.Reader, opts Options, w io.Writer) (*Result, error) {
-	oldSet, err := ParseSet(oldR)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
-	}
-	newSet, err := ParseSet(newR)
-	if err != nil {
-		return nil, fmt.Errorf("current: %w", err)
-	}
-	if len(oldSet.Benchmarks) == 0 {
-		return nil, fmt.Errorf("baseline: no benchmark lines")
-	}
-	if len(newSet.Benchmarks) == 0 {
-		return nil, fmt.Errorf("current: no benchmark lines")
-	}
-	res := Compare(oldSet, newSet, opts)
-	if res.Compared == 0 {
-		return nil, fmt.Errorf("no benchmarks in common between baseline and current run")
-	}
-	for _, unit := range opts.Units {
-		if opts.Calibrated[unit] {
-			fmt.Fprintf(w, "benchgate: %s machine factor %.3fx (calibrated out)\n", unit, res.Factor[unit])
+// compareRow compares one unit of one benchmark; false when a run lacks it.
+func compareRow(name, unit string, pairs []Pair) (Row, bool) {
+	row := Row{Name: name, Unit: unit, Parent: math.Inf(1), Change: math.Inf(1)}
+	ratios := make([]float64, 0, len(pairs))
+	for _, p := range pairs {
+		ps, cs := p.Parent.Benchmarks[name][unit], p.Change.Benchmarks[name][unit]
+		if len(ps) == 0 || len(cs) == 0 {
+			return row, false
+		}
+		row.Parent = math.Min(row.Parent, slices.Min(ps))
+		row.Change = math.Min(row.Change, slices.Min(cs))
+		if unit == timeUnit {
+			ratio := median(cs) / median(ps)
+			if ratio > 1+Threshold {
+				row.Slower++
+			}
+			ratios = append(ratios, ratio)
 		}
 	}
+	row.Regressed = row.Change > row.Parent*(1+Threshold)
+	if unit == timeUnit {
+		row.Ratio = median(ratios)
+		row.Regressed = row.Regressed && row.Ratio > 1+Threshold && row.Slower >= needSlower(len(pairs))
+	}
+	return row, true
+}
+
+// Gate compares the pairs and writes a human-readable verdict to w. It
+// returns an error counting the regressions when the gate fails.
+func Gate(pairs []Pair, w io.Writer) error {
+	if len(pairs) == 0 {
+		return fmt.Errorf("no pairs to compare")
+	}
+	res := Compare(pairs)
+	if len(res.Rows) == 0 {
+		return fmt.Errorf("no benchmark is in every run of both sides")
+	}
 	regs := res.Regressions()
-	for _, d := range regs {
-		fmt.Fprintf(w, "benchgate: REGRESSION %s %s: %.4g -> %.4g (%.1f%% over grid, p=%.4f)\n",
-			d.Name, d.Unit, d.OldMedian, d.NewMedian, (d.Ratio-1)*100, d.P)
+	for _, r := range regs {
+		if r.Unit == timeUnit {
+			fmt.Fprintf(w, "benchgate: REGRESSION %s ns/op: min %.4g -> %.4g (%+.1f%%), median pair ratio %.3f, slower in %d/%d pairs\n",
+				r.Name, r.Parent, r.Change, (r.Change/r.Parent-1)*100, r.Ratio, r.Slower, res.Pairs)
+		} else {
+			fmt.Fprintf(w, "benchgate: REGRESSION %s %s: %.4g -> %.4g\n", r.Name, r.Unit, r.Parent, r.Change)
+		}
 	}
-	imps := res.Improvements()
-	for _, d := range imps {
-		fmt.Fprintf(w, "benchgate: improvement %s %s: %.4g -> %.4g (%.1f%% over grid, p=%.4f)\n",
-			d.Name, d.Unit, d.OldMedian, d.NewMedian, (d.Ratio-1)*100, d.P)
+	for _, name := range res.New {
+		fmt.Fprintf(w, "benchgate: new, not gated: %s\n", name)
 	}
-	fmt.Fprintf(w, "benchgate: %d benchmark/unit pairs compared, %d regressed, %d improved (threshold %.0f%%, alpha %.2f)\n",
-		res.Compared, len(regs), len(imps), opts.Threshold*100, opts.Alpha)
+	for _, name := range res.Skipped {
+		fmt.Fprintf(w, "benchgate: skipped, not in every run: %s\n", name)
+	}
+	fmt.Fprintf(w, "benchgate: %d rows over %d pairs: %d regressed, %d new, %d skipped (ns/op fails past +%.0f%% on the minimum, the median pair ratio and %d of %d pairs; allocs/op past +%.0f%% or up from 0)\n",
+		len(res.Rows), res.Pairs, len(regs), len(res.New), len(res.Skipped),
+		Threshold*100, needSlower(res.Pairs), res.Pairs, Threshold*100)
 	if len(regs) > 0 {
-		return res, fmt.Errorf("%d significant regressions past +%.0f%%", len(regs), opts.Threshold*100)
+		return fmt.Errorf("%d regressions past +%.0f%%", len(regs), Threshold*100)
 	}
-	return res, nil
+	return nil
 }
 
 func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
+	s := slices.Clone(xs)
+	slices.Sort(s)
 	n := len(s)
 	if n%2 == 1 {
 		return s[n/2]
 	}
 	return (s[n/2-1] + s[n/2]) / 2
 }
-
-func inf() float64 { return math.Inf(1) }

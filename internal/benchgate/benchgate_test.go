@@ -3,7 +3,6 @@ package benchgate
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 )
@@ -22,8 +21,8 @@ ok  	slotsel/internal/core	1.2s
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The -8 GOMAXPROCS suffix must be trimmed so cross-machine baselines
-	// pair with runs at a different core count.
+	// The -8 GOMAXPROCS suffix must be trimmed so `go test -bench` output
+	// pairs with runs at a different core count.
 	ns := s.Benchmarks["BenchmarkFind/MinCost/nodes=64"]["ns/op"]
 	if len(ns) != 2 || ns[0] != 1500 || ns[1] != 1600 {
 		t.Errorf("ns/op samples = %v, want [1500 1600]", ns)
@@ -48,249 +47,297 @@ func TestParseSetRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestMannWhitney pins the test against known behavior: identical samples
-// are insignificant, clearly separated samples are significant, and the
-// exact small-sample path agrees with the normal approximation on a
-// borderline case to within the approximation's accuracy.
-func TestMannWhitney(t *testing.T) {
-	same := []float64{1, 2, 3, 4, 5}
-	if p := MannWhitney(same, same); p < 0.99 {
-		t.Errorf("identical samples: p = %v, want ~1", p)
-	}
-	lo := []float64{10, 11, 12, 13, 14}
-	hi := []float64{20, 21, 22, 23, 24}
-	p := MannWhitney(lo, hi)
-	// Fully separated n1=n2=5: exact two-sided p = 2/C(10,5) = 0.0079...
-	if math.Abs(p-2.0/252) > 1e-9 {
-		t.Errorf("separated samples: p = %v, want %v", p, 2.0/252)
-	}
-	if q := MannWhitney(hi, lo); q != p {
-		t.Errorf("test not symmetric: %v vs %v", q, p)
-	}
-	// Constant samples (zero variance, all tied): uninformative, p = 1.
-	if p := MannWhitney([]float64{5, 5, 5}, []float64{5, 5, 5}); p != 1 {
-		t.Errorf("all-tied samples: p = %v, want 1", p)
-	}
-	// Tied but separated (0-alloc baseline vs 2-alloc run at count=7):
-	// the tie-corrected normal path must still reach significance.
-	zeros := []float64{0, 0, 0, 0, 0, 0, 0}
-	twos := []float64{2, 2, 2, 2, 2, 2, 2}
-	if p := MannWhitney(zeros, twos); p >= 0.05 {
-		t.Errorf("0->2 allocs at n=7: p = %v, want < 0.05", p)
-	}
-	if p := MannWhitney(nil, twos); p != 1 {
-		t.Errorf("empty sample: p = %v, want 1", p)
-	}
+// run is one row of one fixture run: its timed samples and its alloc count.
+type run struct {
+	ns     []float64
+	allocs float64
 }
 
-// TestMannWhitneyInterleaved pins the exact enumeration on a larger
-// tie-free sample: perfectly interleaved samples (a constant +1 offset)
-// carry only weak evidence of a shift — the exact two-sided p for rank sum
-// 144 at n1=n2=12 is 0.7553 — and must stay far from significance.
-func TestMannWhitneyInterleaved(t *testing.T) {
-	x := []float64{1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23}
-	y := []float64{2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24}
-	p := MannWhitney(x, y)
-	if math.Abs(p-0.7553) > 0.001 {
-		t.Errorf("interleaved samples: p = %v, want 0.7553", p)
-	}
+// steady is a quiet run at the given level: three samples within 5 %.
+func steady(level float64) *run {
+	return &run{ns: []float64{level, level * 1.02, level * 1.05}}
 }
 
-func benchLines(name string, unit string, vals ...float64) string {
-	var b strings.Builder
-	for _, v := range vals {
-		fmt.Fprintf(&b, "%s\t1\t%g %s\n", name, v, unit)
-	}
-	return b.String()
-}
+// grid is the fixture's rows; G0 is the one the cases disturb.
+var grid = []string{"BenchmarkG0", "BenchmarkG1", "BenchmarkG2", "BenchmarkG3", "BenchmarkG4", "BenchmarkG5"}
 
-// TestCompareCalibration is the cross-machine story: a uniform 2x slowdown
-// across the whole grid calibrates away, while the one benchmark that got
-// 2.6x slower (1.3x past the machine factor) is flagged.
-func TestCompareCalibration(t *testing.T) {
-	var oldB, newB strings.Builder
-	for i := 0; i < 8; i++ {
-		name := fmt.Sprintf("BenchmarkFind/alg=A%d", i)
-		oldB.WriteString(benchLines(name, "ns/op", 100, 101, 102, 103, 104))
-		scale := 2.0 // the new machine is uniformly 2x slower
-		if i == 7 {
-			scale = 2.6 // ...except this kernel genuinely regressed
-		}
-		newB.WriteString(benchLines(name, "ns/op", 100*scale, 101*scale, 102*scale, 103*scale, 104*scale))
-	}
-	oldSet, _ := ParseSet(strings.NewReader(oldB.String()))
-	newSet, _ := ParseSet(strings.NewReader(newB.String()))
-	res := Compare(oldSet, newSet, DefaultOptions())
-	if f := res.Factor["ns/op"]; f < 1.9 || f > 2.1 {
-		t.Errorf("machine factor = %v, want ~2", f)
-	}
-	regs := res.Regressions()
-	if len(regs) != 1 || regs[0].Name != "BenchmarkFind/alg=A7" {
-		t.Fatalf("regressions = %+v, want exactly alg=A7", regs)
-	}
-	if r := regs[0].Ratio; r < 1.25 || r > 1.35 {
-		t.Errorf("calibrated ratio = %v, want ~1.3", r)
-	}
-}
-
-// TestCompareAllocsUncalibrated: allocs/op is machine-independent, so a
-// 0->2 step fails the gate even when every timing is unchanged.
-func TestCompareAllocsUncalibrated(t *testing.T) {
-	oldTxt := benchLines("BenchmarkFind", "allocs/op", 0, 0, 0, 0, 0, 0, 0)
-	newTxt := benchLines("BenchmarkFind", "allocs/op", 2, 2, 2, 2, 2, 2, 2)
-	oldSet, _ := ParseSet(strings.NewReader(oldTxt))
-	newSet, _ := ParseSet(strings.NewReader(newTxt))
-	res := Compare(oldSet, newSet, DefaultOptions())
-	regs := res.Regressions()
-	if len(regs) != 1 {
-		t.Fatalf("0->2 allocs/op not flagged: %+v", res.Deltas)
-	}
-	if regs[0].Unit != "allocs/op" {
-		t.Errorf("regression unit = %q", regs[0].Unit)
-	}
-}
-
-// TestCompareInsignificantNoiseIgnored: a +30% median shift with heavily
-// overlapping samples must NOT fail the gate — that is the entire point of
-// pairing the threshold with a significance test.
-func TestCompareInsignificantNoiseIgnored(t *testing.T) {
-	oldTxt := benchLines("BenchmarkA", "ns/op", 100, 400, 120, 390, 110) +
-		benchLines("BenchmarkB", "ns/op", 100, 100, 100, 100, 100)
-	newTxt := benchLines("BenchmarkA", "ns/op", 130, 110, 410, 100, 395) +
-		benchLines("BenchmarkB", "ns/op", 100, 100, 100, 100, 100)
-	oldSet, _ := ParseSet(strings.NewReader(oldTxt))
-	newSet, _ := ParseSet(strings.NewReader(newTxt))
-	res := Compare(oldSet, newSet, DefaultOptions())
-	for _, d := range res.Regressions() {
-		t.Errorf("noise flagged as regression: %+v", d)
-	}
-}
-
-func TestGate(t *testing.T) {
-	base := benchLines("BenchmarkA", "ns/op", 100, 101, 102, 99, 98)
-	var out bytes.Buffer
-	if err := Gate(strings.NewReader(base), strings.NewReader(base), DefaultOptions(), &out); err != nil {
-		t.Errorf("self-comparison failed the gate: %v\n%s", err, out.String())
-	}
-	worse := benchLines("BenchmarkA", "ns/op", 150, 151, 152, 149, 148)
-	out.Reset()
-	err := Gate(strings.NewReader(base), strings.NewReader(worse), DefaultOptions(), &out)
-	// A single benchmark means the machine factor IS the regression ratio,
-	// so calibration absorbs it: the gate needs a grid to tell a slow
-	// machine from a slow kernel. Verify the factor is reported.
-	if !strings.Contains(out.String(), "machine factor") {
-		t.Errorf("gate output missing calibration report:\n%s", out.String())
-	}
-	_ = err
-
-	// With a grid, the one regressed benchmark fails the gate.
-	grid := func(bump float64) string {
+// fixture renders n alternating pairs as -benchfmt text and parses them
+// back, so every case goes through the parser the CLI uses. at returns the
+// row's run on one side of one pair, nil when that file lacks the row.
+func fixture(t *testing.T, n int, names []string, at func(name string, pair int, change bool) *run) []Pair {
+	t.Helper()
+	side := func(pair int, change bool) *Set {
 		var b strings.Builder
-		for i := 0; i < 6; i++ {
-			scale := 1.0
-			if i == 0 {
-				scale = bump
+		b.WriteString("goos: linux\ngoarch: amd64\npkg: slotsel/cmd/slotbench\n")
+		for _, name := range names {
+			r := at(name, pair, change)
+			if r == nil {
+				continue
 			}
-			b.WriteString(benchLines(fmt.Sprintf("BenchmarkG%d", i), "ns/op",
-				100*scale, 101*scale, 102*scale, 99*scale, 98*scale))
+			for _, ns := range r.ns {
+				fmt.Fprintf(&b, "%s\t1000\t%.0f ns/op\t0 B/op\t%.2f allocs/op\n", name, ns, r.allocs)
+			}
 		}
-		return b.String()
+		set, err := ParseSet(strings.NewReader(b.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return set
 	}
-	out.Reset()
-	err = Gate(strings.NewReader(grid(1)), strings.NewReader(grid(1.5)), DefaultOptions(), &out)
-	if err == nil {
-		t.Fatalf("50%% regression passed the gate:\n%s", out.String())
+	pairs := make([]Pair, n)
+	for i := range pairs {
+		pairs[i] = Pair{Parent: side(i, false), Change: side(i, true)}
 	}
-	if !strings.Contains(out.String(), "REGRESSION BenchmarkG0") {
-		t.Errorf("gate output does not name the regression:\n%s", out.String())
+	return pairs
+}
+
+// TestGate is the paired rule on ten-pair fixtures: what must pass, what
+// must fail, and what is reported without being gated.
+func TestGate(t *testing.T) {
+	withNew := append(append([]string(nil), grid...), "BenchmarkNew")
+	for _, tc := range []struct {
+		name    string
+		names   []string
+		at      func(name string, pair int, change bool) *run
+		regs    []string // "name unit" of every regression, in order
+		news    []string
+		skipped []string
+	}{
+		{
+			name: "identical sides",
+			at:   func(string, int, bool) *run { return steady(1000) },
+		},
+		{
+			// The session slowed down for one pair: both of its runs read
+			// 1.5x on every row. No ratio moves.
+			name: "run-level drift over one pair",
+			at: func(_ string, pair int, _ bool) *run {
+				if pair == 3 {
+					return steady(1500)
+				}
+				return steady(1000)
+			},
+		},
+		{
+			// The slow stretch hit one change run only: one pair in ten reads
+			// 1.5x on every row, the other nine read 1.0.
+			name: "one slow change run",
+			at: func(_ string, pair int, change bool) *run {
+				if pair == 6 && change {
+					return steady(1500)
+				}
+				return steady(1000)
+			},
+		},
+		{
+			name: "one row +20% in every pair",
+			at: func(name string, _ int, change bool) *run {
+				if name == "BenchmarkG0" && change {
+					return steady(1200)
+				}
+				return steady(1000)
+			},
+			regs: []string{"BenchmarkG0 ns/op"},
+		},
+		{
+			name: "one row 2x faster",
+			at: func(name string, _ int, change bool) *run {
+				if name == "BenchmarkG0" && change {
+					return steady(500)
+				}
+				return steady(1000)
+			},
+		},
+		{
+			// One change run lacks G5: the row is reported, not compared over
+			// nine pairs, and the rest of the grid is still gated.
+			name: "row missing from one run",
+			at: func(name string, pair int, change bool) *run {
+				if name == "BenchmarkG5" && pair == 4 && change {
+					return nil
+				}
+				if name == "BenchmarkG0" && change {
+					return steady(1200)
+				}
+				return steady(1000)
+			},
+			regs:    []string{"BenchmarkG0 ns/op"},
+			skipped: []string{"BenchmarkG5"},
+		},
+		{
+			name: "row gone from the change",
+			at: func(name string, _ int, change bool) *run {
+				if name == "BenchmarkG5" && change {
+					return nil
+				}
+				return steady(1000)
+			},
+			skipped: []string{"BenchmarkG5"},
+		},
+		{
+			name:  "row only the change has",
+			names: withNew,
+			at: func(name string, _ int, change bool) *run {
+				if name == "BenchmarkNew" && !change {
+					return nil
+				}
+				return steady(1000)
+			},
+			news: []string{"BenchmarkNew"},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			names := tc.names
+			if names == nil {
+				names = grid
+			}
+			pairs := fixture(t, 10, names, tc.at)
+			res := Compare(pairs)
+			var regs []string
+			for _, r := range res.Regressions() {
+				regs = append(regs, r.Name+" "+r.Unit)
+			}
+			if fmt.Sprint(regs) != fmt.Sprint(tc.regs) {
+				t.Errorf("regressions = %v, want %v", regs, tc.regs)
+			}
+			if fmt.Sprint(res.New) != fmt.Sprint(tc.news) {
+				t.Errorf("new = %v, want %v", res.New, tc.news)
+			}
+			if fmt.Sprint(res.Skipped) != fmt.Sprint(tc.skipped) {
+				t.Errorf("skipped = %v, want %v", res.Skipped, tc.skipped)
+			}
+
+			// The report names what Compare found, and fails on regressions
+			// only: a new or a skipped row is said, not failed.
+			var out bytes.Buffer
+			err := Gate(pairs, &out)
+			if (err != nil) != (len(tc.regs) > 0) {
+				t.Errorf("Gate error = %v with %d regressions expected\n%s", err, len(tc.regs), out.String())
+			}
+			for _, r := range tc.regs {
+				if !strings.Contains(out.String(), "REGRESSION "+r) {
+					t.Errorf("report does not name regression %q:\n%s", r, out.String())
+				}
+			}
+			for _, n := range tc.news {
+				if !strings.Contains(out.String(), "new, not gated: "+n) {
+					t.Errorf("report does not acknowledge new row %q:\n%s", n, out.String())
+				}
+			}
+			for _, n := range tc.skipped {
+				if !strings.Contains(out.String(), "skipped, not in every run: "+n) {
+					t.Errorf("report does not name skipped row %q:\n%s", n, out.String())
+				}
+			}
+		})
 	}
 
-	if err := Gate(strings.NewReader(""), strings.NewReader(base), DefaultOptions(), &out); err == nil {
-		t.Error("empty baseline accepted")
+	var out bytes.Buffer
+	if err := Gate(nil, &out); err == nil {
+		t.Error("no pairs accepted")
 	}
-	if err := Gate(strings.NewReader(base), strings.NewReader(benchLines("BenchmarkZZZ", "ns/op", 1)), DefaultOptions(), &out); err == nil {
+	disjoint := fixture(t, 2, []string{"BenchmarkA", "BenchmarkB"}, func(name string, _ int, change bool) *run {
+		if (name == "BenchmarkB") != change {
+			return nil
+		}
+		return steady(1000)
+	})
+	if err := Gate(disjoint, &out); err == nil {
 		t.Error("disjoint benchmark sets accepted")
 	}
 }
 
-// scaledGrid builds 6 benchmarks where per-index scale factors apply to a
-// stable 5-sample baseline; unlisted indexes stay at 1.0.
-func scaledGrid(scales map[int]float64) string {
-	var b strings.Builder
-	for i := 0; i < 6; i++ {
-		scale := 1.0
-		if s, ok := scales[i]; ok {
-			scale = s
+// TestCompareInsignificantNoiseIgnored: all three conditions on ns/op are
+// needed — a row that misses any one of them is noise, not a regression.
+func TestCompareInsignificantNoiseIgnored(t *testing.T) {
+	g0 := func(at func(pair int, change bool) *run) func(string, int, bool) *run {
+		return func(name string, pair int, change bool) *run {
+			if name != "BenchmarkG0" {
+				return steady(1000)
+			}
+			return at(pair, change)
 		}
-		b.WriteString(benchLines(fmt.Sprintf("BenchmarkG%d", i), "ns/op",
-			100*scale, 101*scale, 102*scale, 99*scale, 98*scale))
 	}
-	return b.String()
-}
-
-// TestCompareImprovements: a significant speedup past the threshold is
-// marked Improved, never Regressed, and qualifies the run for a ratchet.
-func TestCompareImprovements(t *testing.T) {
-	oldSet, _ := ParseSet(strings.NewReader(scaledGrid(nil)))
-	newSet, _ := ParseSet(strings.NewReader(scaledGrid(map[int]float64{0: 0.5})))
-	res := Compare(oldSet, newSet, DefaultOptions())
-	imps := res.Improvements()
-	if len(imps) != 1 || imps[0].Name != "BenchmarkG0" {
-		t.Fatalf("improvements = %+v, want exactly BenchmarkG0", imps)
-	}
-	if imps[0].Regressed {
-		t.Error("an improvement is also marked Regressed")
-	}
-	if len(res.Regressions()) != 0 {
-		t.Errorf("spurious regressions: %+v", res.Regressions())
-	}
-	if !res.ShouldRatchet() {
-		t.Error("clean improvement did not qualify for a ratchet")
-	}
-}
-
-// TestShouldRatchetRefusals: a mixed run (one kernel faster, another
-// slower) and a no-change run must both refuse to become the baseline.
-func TestShouldRatchetRefusals(t *testing.T) {
-	oldSet, _ := ParseSet(strings.NewReader(scaledGrid(nil)))
-
-	mixed, _ := ParseSet(strings.NewReader(scaledGrid(map[int]float64{0: 0.5, 1: 1.6})))
-	res := Compare(oldSet, mixed, DefaultOptions())
-	if len(res.Improvements()) == 0 || len(res.Regressions()) == 0 {
-		t.Fatalf("mixed run not detected: %d improved, %d regressed",
-			len(res.Improvements()), len(res.Regressions()))
-	}
-	if res.ShouldRatchet() {
-		t.Error("mixed run (improvement + regression) qualified for a ratchet")
-	}
-
-	same, _ := ParseSet(strings.NewReader(scaledGrid(nil)))
-	res = Compare(oldSet, same, DefaultOptions())
-	if res.ShouldRatchet() {
-		t.Error("unchanged run qualified for a ratchet")
-	}
-
-	// Insignificant noise below the threshold must not ratchet either.
-	noisy, _ := ParseSet(strings.NewReader(scaledGrid(map[int]float64{0: 0.95})))
-	res = Compare(oldSet, noisy, DefaultOptions())
-	if res.ShouldRatchet() {
-		t.Error("sub-threshold wiggle qualified for a ratchet")
+	for _, tc := range []struct {
+		name string
+		at   func(pair int, change bool) *run
+	}{
+		// +20 % in six pairs, level in four: the change's best run is as
+		// fast as the parent's, and the pair count is short.
+		{"slower in 6 of 10 pairs", func(pair int, change bool) *run {
+			if change && pair < 6 {
+				return steady(1200)
+			}
+			return steady(1000)
+		}},
+		// Seven pairs read +20 %; in the other three the parent ran slow
+		// too. Minimum and median ratio both say +20 %; seven pairs is not
+		// eight.
+		{"minimum and median up, 7 of 10 pairs", func(pair int, change bool) *run {
+			if change || pair >= 7 {
+				return steady(1200)
+			}
+			return steady(1000)
+		}},
+		// Every pair's typical sample is +25 %, but the change still reaches
+		// the parent's best time: a noisier tail, the same floor.
+		{"same floor, heavier tail", func(_ int, change bool) *run {
+			if change {
+				return &run{ns: []float64{1000, 1250, 1300}}
+			}
+			return steady(1000)
+		}},
+		// +12 % on the minimum, but the parent's typical sample sits above
+		// its best one: run against run, no pair reads past +9 %.
+		{"minimum up, ratios under the bound", func(_ int, change bool) *run {
+			if change {
+				return &run{ns: []float64{1120, 1122, 1125}}
+			}
+			return &run{ns: []float64{1000, 1030, 1060}}
+		}},
+	} {
+		res := Compare(fixture(t, 10, grid, g0(tc.at)))
+		for _, r := range res.Regressions() {
+			t.Errorf("%s: flagged %+v", tc.name, r)
+		}
 	}
 }
 
-// TestGateResultSurfacesImprovements: the gate report names improvements
-// (without failing) and hands back the Result the ratchet decision reads.
-func TestGateResultSurfacesImprovements(t *testing.T) {
-	var out bytes.Buffer
-	res, err := GateResult(strings.NewReader(scaledGrid(nil)),
-		strings.NewReader(scaledGrid(map[int]float64{0: 0.5})), DefaultOptions(), &out)
-	if err != nil {
-		t.Fatalf("improvement-only run failed the gate: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "improvement BenchmarkG0") {
-		t.Errorf("gate output does not name the improvement:\n%s", out.String())
-	}
-	if res == nil || !res.ShouldRatchet() {
-		t.Errorf("GateResult did not qualify the run for a ratchet: %+v", res)
+// TestCompareAllocsUncalibrated: allocs/op is deterministic, so it is read
+// straight off the samples with no pair rule — a step from zero fails the
+// gate with every timing unchanged, and so does +20 % on a count; a stray
+// allocation in one run of ten does not.
+func TestCompareAllocsUncalibrated(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		parent, change float64
+		stray          bool // one change run reports change, the rest parent
+		want           bool
+	}{
+		{"0 -> 1", 0, 1, false, true},
+		{"0 -> 0.02", 0, 0.02, false, true},
+		{"10 -> 12", 10, 12, false, true},
+		{"10 -> 10.5", 10, 10.5, false, false},
+		{"12 -> 10", 12, 10, false, false},
+		{"0 -> 1 in one run of ten", 0, 1, true, false},
+	} {
+		pairs := fixture(t, 10, grid, func(name string, pair int, change bool) *run {
+			r := steady(1000)
+			r.allocs = tc.parent
+			if name == "BenchmarkG0" && change && (!tc.stray || pair == 2) {
+				r.allocs = tc.change
+			}
+			return r
+		})
+		regs := Compare(pairs).Regressions()
+		if !tc.want {
+			if len(regs) != 0 {
+				t.Errorf("%s: flagged %+v", tc.name, regs)
+			}
+			continue
+		}
+		if len(regs) != 1 || regs[0].Name != "BenchmarkG0" || regs[0].Unit != "allocs/op" {
+			t.Errorf("%s: regressions = %+v, want BenchmarkG0 allocs/op", tc.name, regs)
+		}
 	}
 }

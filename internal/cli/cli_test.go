@@ -317,10 +317,3 @@ func TestSlotgenToStdout(t *testing.T) {
 		t.Errorf("snapshot JSON missing: %q", stdout[:min(80, len(stdout))])
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

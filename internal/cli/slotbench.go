@@ -90,12 +90,12 @@ type benchFile struct {
 // selection kernels (see cmd/slotbench): it times the Find, CSA and batch
 // hot paths across node-count and window-size grids and emits
 // machine-readable JSON with ns_per_op, allocs_per_op and bytes_per_op
-// columns. With -check it instead runs the kernel differential across the
-// same grid and fails on any signature mismatch — the CI gate. With -benchfmt it emits benchstat-comparable
+// columns. With -benchfmt it emits the same samples as benchstat-comparable
 // `Benchmark... ns/op B/op allocs/op` lines (one per timed repetition)
-// instead of JSON, and with -gate it compares two such files through
-// internal/benchgate, exiting non-zero on a statistically significant
-// regression — the perf CI gate.
+// instead of JSON, and with -gate it compares such files from a parent and
+// a change build, taken in alternating pairs, through internal/benchgate,
+// exiting non-zero on a regression — the perf CI gate (scripts/benchpair.sh
+// builds both sides and runs the pairs).
 func Slotbench(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("slotbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -106,19 +106,14 @@ func Slotbench(args []string, stdout, stderr io.Writer) int {
 		tasksGrid = fs.String("tasks", "2,5,10", "comma-separated window-size (task count) grid")
 		outPath   = fs.String("o", "", "output path (- = stdout; default BENCH_<issue>.json for JSON, stdout for -benchfmt)")
 		issue     = fs.Int("issue", 5, "issue `number` stamped into the JSON output (and its default filename)")
-		check     = fs.Bool("check", false, "run the incremental-vs-oracle differential over the grid instead of timing; non-zero exit on mismatch")
 		benchfmt  = fs.Bool("benchfmt", false, "emit Go benchmark lines (benchstat/-gate input) instead of JSON, one line per repetition")
-		gate      = fs.Bool("gate", false, "compare two -benchfmt files: slotbench -gate baseline.txt current.txt; non-zero exit on significant regression")
-		regress   = fs.Float64("regress", 10, "gate threshold: fail on a significant regression past this `percent`")
-		ratchet   = fs.String("ratchet", "", "with -gate: overwrite this baseline `file` with the current run when it improved significantly with zero regressions")
-		accum     = fs.String("accum", "", "append a trajectory entry to this dashboard `file` (results/data.js) from the input files given as args (-benchfmt text or BENCH_*.json), or from a fresh grid run when none")
-		label     = fs.String("label", "", "trajectory entry label for -accum (default: derived from the input, or \"local\")")
+		gate      = fs.Bool("gate", false, "compare -benchfmt files of alternating parent/change runs: slotbench -gate p1.txt c1.txt [p2.txt c2.txt ...]; non-zero exit on regression")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if *gate {
-		return benchGate(fs.Args(), *regress, *ratchet, stdout, stderr)
+		return benchGate(fs.Args(), stdout, stderr)
 	}
 	nodeCounts, err := parseIntGrid(*nodesGrid)
 	if err != nil {
@@ -135,36 +130,12 @@ func Slotbench(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *check {
-		return benchCheck(stdout, stderr, *seed, nodeCounts, taskCounts)
-	}
-	if *benchfmt {
-		return benchFmt(stdout, stderr, *outPath, *seed, *iters, nodeCounts, taskCounts)
-	}
-	if *accum != "" {
-		return benchAccum(stdout, stderr, *accum, *label, fs.Args(), *seed, *iters, nodeCounts, taskCounts)
-	}
-
-	ops, err := benchOpsGrid(*seed, nodeCounts, taskCounts)
-	if err != nil {
-		fmt.Fprintln(stderr, "slotbench:", err)
-		return 1
-	}
 	if *outPath == "" {
-		*outPath = fmt.Sprintf("BENCH_%d.json", *issue)
+		*outPath = "-"
+		if !*benchfmt {
+			*outPath = fmt.Sprintf("BENCH_%d.json", *issue)
+		}
 	}
-	file := benchFile{Issue: *issue, Seed: *seed, Go: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0), NProc: runtime.NumCPU()}
-	for _, bo := range ops {
-		times := benchTimes(*iters, bo.op)
-		allocs, bytes := benchAlloc(bo.allocRounds, bo.op)
-		r := bo.meta
-		r.NsPerOp = minInt64(times)
-		r.Iters = *iters
-		r.AllocsPerOp = allocs
-		r.BytesPerOp = bytes
-		file.Results = append(file.Results, r)
-	}
-
 	var w io.Writer = stdout
 	if *outPath != "-" {
 		f, err := os.Create(*outPath)
@@ -174,6 +145,37 @@ func Slotbench(args []string, stdout, stderr io.Writer) int {
 		}
 		defer f.Close()
 		w = f
+	}
+
+	rows, err := benchRun(benchPhases(*seed, nodeCounts, taskCounts), *iters)
+	if err != nil {
+		fmt.Fprintln(stderr, "slotbench:", err)
+		return 1
+	}
+	if *benchfmt {
+		// One line per timed repetition, so a comparison downstream sees a
+		// sample, not a point estimate. The alloc columns are measured once
+		// per grid point (they are deterministic) and repeated on every line.
+		fmt.Fprintf(w, "goos: %s\ngoarch: %s\npkg: slotsel/cmd/slotbench\n", runtime.GOOS, runtime.GOARCH)
+		for _, row := range rows {
+			for _, s := range row.samples {
+				fmt.Fprintf(w, "%s\t%8d\t%.0f ns/op\t%.0f B/op\t%.2f allocs/op\n", row.name, s.n, s.ns, row.bytes, row.allocs)
+			}
+		}
+		return 0
+	}
+
+	file := benchFile{Issue: *issue, Seed: *seed, Go: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0), NProc: runtime.NumCPU()}
+	for _, row := range rows {
+		r := row.meta
+		best := row.samples[0].ns
+		for _, s := range row.samples[1:] {
+			best = min(best, s.ns)
+		}
+		r.NsPerOp = int64(best + 0.5)
+		r.Iters = *iters
+		r.AllocsPerOp, r.BytesPerOp = row.allocs, row.bytes
+		file.Results = append(file.Results, r)
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -196,9 +198,74 @@ type benchOp struct {
 	op          func()
 }
 
-// benchOpsGrid enumerates the measured grid once, shared by the JSON and
-// -benchfmt output modes so the two can never time different workloads.
-func benchOpsGrid(seed uint64, nodeCounts, taskCounts []int) ([]benchOp, error) {
+// benchName renders a result's canonical benchmark identity — the single
+// name shared by -benchfmt lines and BENCH_*.json rows, so both output
+// modes of the harness join on it.
+func benchName(r benchResult) string {
+	switch r.Bench {
+	case "find":
+		return fmt.Sprintf("BenchmarkFind/alg=%s/kernel=%s/nodes=%d/tasks=%d", r.Alg, r.Kernel, r.Nodes, r.Tasks)
+	case "csa":
+		return fmt.Sprintf("BenchmarkCSA/nodes=%d/tasks=%d", r.Nodes, r.Tasks)
+	case "batch":
+		return fmt.Sprintf("BenchmarkBatch/nodes=%d/jobs=%d", r.Nodes, r.Jobs)
+	case "churn":
+		return fmt.Sprintf("BenchmarkChurn/shards=%d/workers=%d/nodes=%d", r.Shards, r.Workers, r.Nodes)
+	case "reserve_release":
+		return fmt.Sprintf("BenchmarkReserveReleaseChurn/nodes=%d/horizon=%d", r.Nodes, r.Horizon)
+	case "find_scale":
+		return fmt.Sprintf("BenchmarkFindScale/alg=%s/nodes=%d/tasks=%d", r.Alg, r.Nodes, r.Tasks)
+	}
+	return "Benchmark" + r.Bench
+}
+
+// benchPhases enumerates the measured rows, in output order, as phases that
+// build their instances when called. A phase is timed with only its own
+// instances on the heap: with the 380 k-slot pool and the 4 096-node
+// environment alive beside them, every collection an allocating row of the
+// small grid set off marked 32 MB of someone else's slots for 25 ms, and a
+// 20 ms sample of the batch row read 0.14 or 0.55 ms by whether one fell in
+// it.
+func benchPhases(seed uint64, nodeCounts, taskCounts []int) []func() ([]benchOp, error) {
+	return []func() ([]benchOp, error){
+		func() ([]benchOp, error) { return benchGridOps(seed, nodeCounts, taskCounts) },
+		func() ([]benchOp, error) { return benchChurnOps(seed) },
+		benchReserveReleaseOps,
+		func() ([]benchOp, error) { return benchFindScaleOps(seed) },
+	}
+}
+
+// benchRow is one measured row: what both output modes format.
+type benchRow struct {
+	name          string
+	meta          benchResult
+	samples       []benchSample
+	allocs, bytes float64
+}
+
+// benchRun measures the phases one after the other. A row keeps its numbers
+// and not its op, so a finished phase's instances are garbage by the time
+// the next one is timed.
+func benchRun(phases []func() ([]benchOp, error), iters int) ([]benchRow, error) {
+	var rows []benchRow
+	for _, build := range phases {
+		ops, err := build()
+		if err != nil {
+			return nil, err
+		}
+		samples := benchMeasure(ops, iters)
+		for i, bo := range ops {
+			row := benchRow{name: bo.name, meta: bo.meta, samples: samples[i]}
+			row.allocs, row.bytes = benchAlloc(bo.allocRounds, bo.op)
+			rows = append(rows, row)
+		}
+	}
+	return rows, nil
+}
+
+// benchGridOps is the node-count x window-size grid: the find kernels, the
+// service-layer find, CSA and batch scheduling on generated environments.
+func benchGridOps(seed uint64, nodeCounts, taskCounts []int) ([]benchOp, error) {
 	var ops []benchOp
 	sc := core.NewScanner()
 	for _, nc := range nodeCounts {
@@ -221,8 +288,8 @@ func benchOpsGrid(seed uint64, nodeCounts, taskCounts []int) ([]benchOp, error) 
 				// The kernel runs through the reused Scanner — the
 				// steady-state service shape, and the configuration the
 				// zero-alloc gate pins. The copy+sort oracle twins are not
-				// timed: nobody ships their speed; -check compares their
-				// answers.
+				// timed: nobody ships their speed; the core package's
+				// differential test compares their answers on this grid.
 				r, alg := req, alg
 				meta := benchResult{
 					Bench: "find", Alg: alg.Name(), Kernel: "incremental",
@@ -303,19 +370,7 @@ func benchOpsGrid(seed uint64, nodeCounts, taskCounts []int) ([]benchOp, error) 
 			},
 		})
 	}
-	churn, err := benchChurnOps(seed)
-	if err != nil {
-		return nil, err
-	}
-	deep, err := benchReserveReleaseOps()
-	if err != nil {
-		return nil, err
-	}
-	scale, err := benchFindScaleOps(seed)
-	if err != nil {
-		return nil, err
-	}
-	return append(append(append(ops, churn...), deep...), scale...), nil
+	return ops, nil
 }
 
 // benchFindScaleOps is the slope-in-the-node-count gate: one search of the
@@ -367,7 +422,7 @@ func benchFindScaleOps(seed uint64) ([]benchOp, error) {
 // BenchmarkReserveReleaseChurn rows, under the same names. Publication
 // edits the leaves a hold touches, so the three rows are meant to cost the
 // same; a mutation that walks the pool again shows up as the deep rows
-// regressing against the baseline while the shallow one does not.
+// regressing against the parent while the shallow one does not.
 func benchReserveReleaseOps() ([]benchOp, error) {
 	var ops []benchOp
 	for _, horizon := range []int{600, 6000, 48000} {
@@ -498,174 +553,112 @@ func benchChurnOps(seed uint64) ([]benchOp, error) {
 	return ops, nil
 }
 
-// benchMinSample is the wall-time floor of one benchfmt measurement: fast
-// ops are batched until a sample covers at least this long, so a sample is
-// never dominated by clock granularity or scheduler jitter.
-const benchMinSample = 200 * time.Microsecond
+// benchMinSample is the wall-time floor of one timed sample: an op is
+// repeated until a sample covers at least this long. At 200 µs four runs of
+// one binary gated against each other flagged 3-13 rows; at 20 ms five
+// ten-pair series of a commit against itself flagged none (EXPERIMENTS.md,
+// "Kernel bench gate").
+const benchMinSample = 20 * time.Millisecond
 
-// benchFmt is the -benchfmt mode: the same grid, emitted as Go benchmark
-// lines — one line per timed repetition, so downstream statistics
-// (benchstat, the -gate Mann-Whitney test) see a real sample, not a point
-// estimate.
+// benchSample is one timed repetition: n back-to-back ops at ns each.
+type benchSample struct {
+	n  int
+	ns float64
+}
+
+// benchMeasure takes iters samples of every op of a phase, the one timing
+// loop behind both output modes.
 //
-// Repetitions are taken round-robin across the whole grid, not
-// consecutively per benchmark: consecutive samples of one op share the
-// machine's momentary state (frequency step, a noisy neighbor) and
-// understate the run-to-run variance the significance test needs to model.
-// Spreading one benchmark's reps over the full run makes its sample
-// variance track the drift a later comparison run will actually face. The
-// alloc columns are measured once per grid point (they are deterministic)
-// and repeated on every line.
-func benchFmt(stdout, stderr io.Writer, outPath string, seed uint64, iters int, nodeCounts, taskCounts []int) int {
-	ops, err := benchOpsGrid(seed, nodeCounts, taskCounts)
-	if err != nil {
-		fmt.Fprintln(stderr, "slotbench:", err)
-		return 1
-	}
-	var w io.Writer = stdout
-	if outPath != "-" && outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			fmt.Fprintln(stderr, "slotbench:", err)
-			return 1
+// Each op is first warmed (page in the instance, size pools and indexes)
+// and its batch grown from the warmed timing until one batch reaches the
+// floor. A sample then runs whole batches until the floor is reached — one
+// batch when the calibration held — so no sample is shorter than the floor
+// and the clock is read once per batch, not once per op.
+//
+// Repetitions are taken round-robin across the phase, not consecutively
+// per benchmark: consecutive samples of one op share the machine's
+// momentary state (frequency step, a noisy neighbor), so their minimum can
+// sit inside one slow stretch. Spreading one benchmark's reps over the
+// phase lets the minimum dodge it. The GC fence keeps garbage left by the
+// warm-up and by the phase before from taxing the first timed samples.
+func benchMeasure(ops []benchOp, iters int) [][]benchSample {
+	timeBatch := func(op func(), b int) time.Duration {
+		start := time.Now()
+		for j := 0; j < b; j++ {
+			op()
 		}
-		defer f.Close()
-		w = f
+		return time.Since(start)
 	}
-
-	// Warm-up pass: page in every instance, size pools and indexes, and
-	// calibrate the per-op batch size from the warm-up timing.
 	batch := make([]int, len(ops))
 	for i, bo := range ops {
-		start := time.Now()
 		bo.op()
-		d := time.Since(start)
 		b := 1
-		if d > 0 && d < benchMinSample {
-			b = int(benchMinSample/d) + 1
-		}
-		if b > 1000 {
-			b = 1000
+		for {
+			d := timeBatch(bo.op, b)
+			if d >= benchMinSample {
+				break
+			}
+			// Aim 20 % past the floor, growing at most 100x a step: a first
+			// call too short for the clock says little about the op.
+			grown := 100 * b
+			if d > 0 {
+				grown = min(grown, int(1.2*float64(b)*float64(benchMinSample)/float64(d)))
+			}
+			b = max(b+1, grown)
 		}
 		batch[i] = b
 	}
 	runtime.GC()
 
-	times := make([][]float64, len(ops))
+	samples := make([][]benchSample, len(ops))
 	for round := 0; round < iters; round++ {
 		for i, bo := range ops {
-			start := time.Now()
-			for j := 0; j < batch[i]; j++ {
-				bo.op()
+			var n int
+			var d time.Duration
+			for d < benchMinSample {
+				d += timeBatch(bo.op, batch[i])
+				n += batch[i]
 			}
-			perOp := float64(time.Since(start).Nanoseconds()) / float64(batch[i])
-			times[i] = append(times[i], perOp)
+			samples[i] = append(samples[i], benchSample{n: n, ns: float64(d.Nanoseconds()) / float64(n)})
 		}
 	}
-
-	fmt.Fprintf(w, "goos: %s\ngoarch: %s\npkg: slotsel/cmd/slotbench\n", runtime.GOOS, runtime.GOARCH)
-	for i, bo := range ops {
-		allocs, bytes := benchAlloc(bo.allocRounds, bo.op)
-		for _, ns := range times[i] {
-			fmt.Fprintf(w, "%s\t%8d\t%.0f ns/op\t%.0f B/op\t%.2f allocs/op\n", bo.name, batch[i], ns, bytes, allocs)
-		}
-	}
-	return 0
+	return samples
 }
 
-// benchGate is the -gate mode: compare a baseline -benchfmt file against a
-// current one and fail on statistically significant regressions. ns/op is
-// machine-calibrated, allocs/op is compared raw; see internal/benchgate.
-// With -ratchet, a run that improved significantly somewhere and regressed
-// nowhere overwrites the named baseline file with the current samples, so
-// the reference numbers track genuine kernel wins without hand-refreshes —
-// and a mixed run cannot launder a slowdown into the new baseline.
-func benchGate(args []string, regressPct float64, ratchetPath string, stdout, stderr io.Writer) int {
-	if len(args) != 2 {
-		fmt.Fprintln(stderr, "slotbench: -gate wants exactly two files: baseline.txt current.txt")
+// benchGate is the -gate mode: the arguments are -benchfmt files of
+// alternating parent and change runs (p1 c1 p2 c2 ...); see
+// internal/benchgate for the rule.
+func benchGate(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 || len(args)%2 != 0 {
+		fmt.Fprintln(stderr, "slotbench: -gate wants parent/change file pairs: p1.txt c1.txt [p2.txt c2.txt ...]")
 		return 2
 	}
-	oldF, err := os.Open(args[0])
-	if err != nil {
-		fmt.Fprintln(stderr, "slotbench:", err)
-		return 1
-	}
-	defer oldF.Close()
-	newF, err := os.Open(args[1])
-	if err != nil {
-		fmt.Fprintln(stderr, "slotbench:", err)
-		return 1
-	}
-	defer newF.Close()
-	opts := benchgate.DefaultOptions()
-	opts.Threshold = regressPct / 100
-	res, err := benchgate.GateResult(oldF, newF, opts, stdout)
-	if err != nil {
-		fmt.Fprintln(stderr, "slotbench:", err)
-		return 1
-	}
-	if ratchetPath == "" {
-		return 0
-	}
-	if !res.ShouldRatchet() {
-		fmt.Fprintf(stdout, "slotbench: baseline %s kept (no significant improvement to ratchet)\n", ratchetPath)
-		return 0
-	}
-	cur, err := os.ReadFile(args[1])
-	if err != nil {
-		fmt.Fprintln(stderr, "slotbench: ratchet:", err)
-		return 1
-	}
-	if err := os.WriteFile(ratchetPath, cur, 0o644); err != nil {
-		fmt.Fprintln(stderr, "slotbench: ratchet:", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "slotbench: ratcheted %s from %s (%d improved, 0 regressed)\n",
-		ratchetPath, args[1], len(res.Improvements()))
-	return 0
-}
-
-// benchCheck is the -check mode: the incremental kernels must match their
-// copy+sort oracles signature-for-signature on every grid instance.
-func benchCheck(stdout, stderr io.Writer, seed uint64, nodeCounts, taskCounts []int) int {
-	checked, bad := 0, 0
-	for _, nc := range nodeCounts {
-		e := env.Generate(env.DefaultConfig().WithNodeCount(nc), randx.New(seed))
-		for _, tasks := range taskCounts {
-			req := benchRequest(tasks)
-			for _, alg := range benchAlgorithms(seed) {
-				oracle, ok := core.Oracle(alg)
-				if !ok {
-					fmt.Fprintf(stderr, "slotbench: no oracle twin for %s\n", alg.Name())
-					return 1
-				}
-				r1, r2 := req, req
-				incW, incErr := alg.Find(e.Slots, &r1)
-				orcW, orcErr := oracle.Find(e.Slots, &r2)
-				checked++
-				if (incErr == nil) != (orcErr == nil) {
-					fmt.Fprintf(stderr, "slotbench: MISMATCH nodes=%d tasks=%d alg=%s: incremental err=%v, oracle err=%v\n",
-						nc, tasks, alg.Name(), incErr, orcErr)
-					bad++
-					continue
-				}
-				if incErr != nil {
-					continue
-				}
-				is, os := testkit.WindowSignature(incW), testkit.WindowSignature(orcW)
-				if is != os {
-					fmt.Fprintf(stderr, "slotbench: MISMATCH nodes=%d tasks=%d alg=%s:\n  incremental: %s\n  oracle:      %s\n",
-						nc, tasks, alg.Name(), is, os)
-					bad++
-				}
-			}
+	sets := make([]*benchgate.Set, len(args))
+	for i, path := range args {
+		f, err := os.Open(path)
+		if err != nil {
+			fmt.Fprintln(stderr, "slotbench:", err)
+			return 1
 		}
+		set, err := benchgate.ParseSet(f)
+		f.Close()
+		if err == nil && len(set.Benchmarks) == 0 {
+			err = fmt.Errorf("no benchmark lines")
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "slotbench: %s: %v\n", path, err)
+			return 1
+		}
+		sets[i] = set
 	}
-	if bad > 0 {
-		fmt.Fprintf(stderr, "slotbench: %d/%d kernel differentials FAILED\n", bad, checked)
+	pairs := make([]benchgate.Pair, 0, len(args)/2)
+	for i := 0; i < len(sets); i += 2 {
+		pairs = append(pairs, benchgate.Pair{Parent: sets[i], Change: sets[i+1]})
+	}
+	if err := benchgate.Gate(pairs, stdout); err != nil {
+		fmt.Fprintln(stderr, "slotbench:", err)
 		return 1
 	}
-	fmt.Fprintf(stdout, "slotbench: %d kernel differentials ok\n", checked)
 	return 0
 }
 
@@ -703,13 +696,17 @@ const (
 
 // benchAlloc reports the mean heap allocations and bytes of one op over a
 // warmed-up batch, from runtime.MemStats' monotonic Mallocs / TotalAlloc
-// counters. The warm-up run pays the one-time costs (index capacity
-// growth, pool warm-up) that the steady-state figure must exclude; the GC
-// fence keeps a concurrently finishing sweep from attributing its work to
-// the batch.
+// counters. The first run pays the one-time costs (index capacity growth,
+// pool warm-up) that the steady-state figure must exclude, and the GC fence
+// keeps a concurrently finishing sweep from attributing its work to the
+// batch. The fence can be the second collection in a row — one was already
+// under way — and two in a row empty a sync.Pool, so the op runs once more
+// behind the fence: without that, the rows that draw a pooled scanner read
+// its rebuild in about half of all runs (CSA at 16 nodes: 0.04 or 2.58).
 func benchAlloc(rounds int, op func()) (allocsPerOp, bytesPerOp float64) {
 	op()
 	runtime.GC()
+	op()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < rounds; i++ {
@@ -718,36 +715,6 @@ func benchAlloc(rounds int, op func()) (allocsPerOp, bytesPerOp float64) {
 	runtime.ReadMemStats(&after)
 	n := float64(rounds)
 	return float64(after.Mallocs-before.Mallocs) / n, float64(after.TotalAlloc-before.TotalAlloc) / n
-}
-
-// benchTimes runs op iters times and returns every repetition's wall time.
-// The JSON mode reports the minimum (the standard least-noise estimator
-// for deterministic workloads); the benchfmt mode keeps the whole sample
-// so the regression gate can test significance. The GC fence matters:
-// without it, garbage left by a previous grid point's allocation batch
-// makes the collector tax every timed rep with assist work, and even a
-// minimum-of-iters estimator cannot dodge a slowdown that covers the whole
-// window.
-func benchTimes(iters int, op func()) []int64 {
-	op() // warm-up: page in the list, size the allocator
-	runtime.GC()
-	times := make([]int64, iters)
-	for i := range times {
-		start := time.Now()
-		op()
-		times[i] = time.Since(start).Nanoseconds()
-	}
-	return times
-}
-
-func minInt64(xs []int64) int64 {
-	best := xs[0]
-	for _, x := range xs[1:] {
-		if x < best {
-			best = x
-		}
-	}
-	return best
 }
 
 func parseIntGrid(s string) ([]int, error) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -35,7 +36,8 @@ func TestSlotbenchBenchfmt(t *testing.T) {
 		t.Fatalf("output not parseable: %v", err)
 	}
 	// 9 algorithms (the shipped kernels only: the copy+sort oracle is
-	// compared by -check, never timed) + cached/uncached service find +
+	// compared by the core differential test, never timed) + cached/uncached
+	// service find +
 	// 1 CSA + 1 batch + churn at shards {1,2,4} x workers {1,4} + the deep
 	// reserve/release cycle at 3 horizons + the find scale rows, 6
 	// algorithms at 1 024 and 4 096 nodes = 34 benchmarks.
@@ -46,6 +48,27 @@ func TestSlotbenchBenchfmt(t *testing.T) {
 		if strings.Contains(name, "kernel=oracle") {
 			t.Errorf("%s: the reference kernel is timed again", name)
 		}
+	}
+	// Every sample reaches the harness' floor: iterations x ns/op is the
+	// sample's wall time (ns/op is printed rounded, hence the half-unit).
+	lines := 0
+	for _, line := range strings.Split(string(raw), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
+			continue
+		}
+		lines++
+		n, err1 := strconv.Atoi(f[1])
+		ns, err2 := strconv.ParseFloat(f[2], 64)
+		if err1 != nil || err2 != nil || f[3] != "ns/op" {
+			t.Fatalf("malformed line %q", line)
+		}
+		if wall := float64(n) * (ns + 0.5); wall < float64(benchMinSample.Nanoseconds()) {
+			t.Errorf("sample of %.2f ms is under the %v floor: %q", wall/1e6, benchMinSample, line)
+		}
+	}
+	if lines != 34*3 {
+		t.Errorf("%d benchmark lines, want %d", lines, 34*3)
 	}
 	sawCached := false
 	for name, units := range set.Benchmarks {
@@ -77,19 +100,26 @@ func TestSlotbenchBenchfmt(t *testing.T) {
 	}
 }
 
-// TestSlotbenchGate drives the -gate mode end to end on synthetic files:
-// a clean pass, a flagged regression, and the usage errors.
+// TestSlotbenchGate drives the -gate mode end to end on fixture files of
+// ten alternating pairs: a clean pass, a flagged regression, a row only
+// the change has, and the usage and input errors.
 func TestSlotbenchGate(t *testing.T) {
 	dir := t.TempDir()
-	write := func(name string, bump float64) string {
+	// write renders one run: six rows, three samples each, row G0 scaled by
+	// bump; extra names a row appended after them.
+	write := func(name string, bump float64, extra string) string {
 		var b strings.Builder
-		for i := 0; i < 6; i++ {
+		rows := []string{"BenchmarkG0", "BenchmarkG1", "BenchmarkG2", "BenchmarkG3", "BenchmarkG4", "BenchmarkG5"}
+		if extra != "" {
+			rows = append(rows, extra)
+		}
+		for i, row := range rows {
 			scale := 1.0
 			if i == 0 {
 				scale = bump
 			}
-			for _, v := range []float64{100, 101, 102, 99, 98} {
-				fmt.Fprintf(&b, "BenchmarkG%d\t1\t%g ns/op\t0 B/op\t0.00 allocs/op\n", i, v*scale)
+			for _, v := range []float64{100, 102, 105} {
+				fmt.Fprintf(&b, "%s\t1000\t%g ns/op\t0 B/op\t0.00 allocs/op\n", row, v*scale)
 			}
 		}
 		path := filepath.Join(dir, name)
@@ -98,97 +128,58 @@ func TestSlotbenchGate(t *testing.T) {
 		}
 		return path
 	}
-	base := write("base.txt", 1)
-	same := write("same.txt", 1)
-	worse := write("worse.txt", 1.5)
+	// pairs lists p1 c1 ... p10 c10 with the change side's G0 scaled by bump.
+	pairs := func(tag string, bump float64, extra string) []string {
+		args := []string{"-gate"}
+		for i := 1; i <= 10; i++ {
+			args = append(args,
+				write(fmt.Sprintf("%s_p%d.txt", tag, i), 1, ""),
+				write(fmt.Sprintf("%s_c%d.txt", tag, i), bump, extra))
+		}
+		return args
+	}
 
-	if code, stdout, stderr := runSlotbench(t, "-gate", base, same); code != 0 {
+	code, stdout, stderr := runSlotbench(t, pairs("same", 1, "")...)
+	if code != 0 || !strings.Contains(stdout, "12 rows over 10 pairs: 0 regressed") {
 		t.Errorf("clean gate: exit %d\nstdout %s\nstderr %s", code, stdout, stderr)
 	}
-	code, stdout, stderr := runSlotbench(t, "-gate", base, worse)
+	code, stdout, stderr = runSlotbench(t, pairs("worse", 1.2, "")...)
 	if code != 1 {
 		t.Errorf("regressed gate: exit %d, want 1", code)
 	}
-	if !strings.Contains(stdout, "REGRESSION BenchmarkG0") || !strings.Contains(stderr, "regressions past +10%") {
+	if !strings.Contains(stdout, "REGRESSION BenchmarkG0 ns/op") || !strings.Contains(stderr, "1 regressions past +10%") {
 		t.Errorf("gate did not report the regression:\nstdout %s\nstderr %s", stdout, stderr)
 	}
-	// A looser threshold lets the same delta through.
-	if code, _, stderr := runSlotbench(t, "-regress", "60", "-gate", base, worse); code != 0 {
-		t.Errorf("-regress 60: exit %d, stderr %s", code, stderr)
+	code, stdout, stderr = runSlotbench(t, pairs("grown", 1, "BenchmarkAdded")...)
+	if code != 0 || !strings.Contains(stdout, "new, not gated: BenchmarkAdded") {
+		t.Errorf("gate with a new row: exit %d\nstdout %s\nstderr %s", code, stdout, stderr)
+	}
+	// One pair is a comparison too: the rule then asks that one pair.
+	p1, c1 := write("one_p.txt", 1, ""), write("one_c.txt", 1, "")
+	if code, _, stderr := runSlotbench(t, "-gate", p1, c1); code != 0 {
+		t.Errorf("-gate with one pair: exit %d, stderr %s", code, stderr)
 	}
 
-	if code, _, _ := runSlotbench(t, "-gate", base); code != 2 {
-		t.Errorf("-gate with one file: exit %d, want 2", code)
+	if code, _, _ := runSlotbench(t, "-gate"); code != 2 {
+		t.Errorf("-gate with no files: exit %d, want 2", code)
 	}
-	if code, _, stderr := runSlotbench(t, "-gate", base, filepath.Join(dir, "missing.txt")); code != 1 || stderr == "" {
-		t.Errorf("-gate with missing file: exit %d, stderr %q", code, stderr)
+	if code, _, stderr := runSlotbench(t, "-gate", p1, c1, p1); code != 2 || !strings.Contains(stderr, "pairs") {
+		t.Errorf("-gate with an odd file count: exit %d, stderr %q", code, stderr)
 	}
-}
-
-// TestSlotbenchGateRatchet drives -gate -ratchet end to end: an improved
-// run replaces the baseline file byte-for-byte, while unchanged and
-// regressed runs leave it untouched.
-func TestSlotbenchGateRatchet(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string, bump float64) string {
-		var b strings.Builder
-		for i := 0; i < 6; i++ {
-			scale := 1.0
-			if i == 0 {
-				scale = bump
-			}
-			for _, v := range []float64{100, 101, 102, 99, 98} {
-				fmt.Fprintf(&b, "BenchmarkG%d\t1\t%g ns/op\t0 B/op\t0.00 allocs/op\n", i, v*scale)
-			}
-		}
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+	missing := filepath.Join(dir, "missing.txt")
+	if code, _, stderr := runSlotbench(t, "-gate", p1, missing); code != 1 || !strings.Contains(stderr, "missing.txt") {
+		t.Errorf("-gate with a missing file: exit %d, stderr %q", code, stderr)
+	}
+	for name, body := range map[string]string{
+		"garbled.txt": "BenchmarkG0\tmany\t100 ns/op\n",
+		"empty.txt":   "goos: linux\n",
+	} {
+		bad := filepath.Join(dir, name)
+		if err := os.WriteFile(bad, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return path
-	}
-	baseline := write("baseline.txt", 1)
-	baseBytes, _ := os.ReadFile(baseline)
-
-	// Unchanged run: gate passes, baseline kept.
-	same := write("same.txt", 1)
-	code, stdout, stderr := runSlotbench(t, "-ratchet", baseline, "-gate", baseline, same)
-	if code != 0 {
-		t.Fatalf("unchanged gate: exit %d, stderr %s", code, stderr)
-	}
-	if !strings.Contains(stdout, "kept") {
-		t.Errorf("unchanged run did not report the baseline as kept:\n%s", stdout)
-	}
-	if got, _ := os.ReadFile(baseline); !bytes.Equal(got, baseBytes) {
-		t.Error("unchanged run rewrote the baseline")
-	}
-
-	// Regressed run: gate fails, baseline kept.
-	worse := write("worse.txt", 1.5)
-	if code, _, _ := runSlotbench(t, "-ratchet", baseline, "-gate", baseline, worse); code != 1 {
-		t.Errorf("regressed gate with -ratchet: exit %d, want 1", code)
-	}
-	if got, _ := os.ReadFile(baseline); !bytes.Equal(got, baseBytes) {
-		t.Error("regressed run rewrote the baseline")
-	}
-
-	// Improved run: gate passes and the baseline becomes the current file.
-	better := write("better.txt", 0.5)
-	betterBytes, _ := os.ReadFile(better)
-	code, stdout, stderr = runSlotbench(t, "-ratchet", baseline, "-gate", baseline, better)
-	if code != 0 {
-		t.Fatalf("improved gate: exit %d, stderr %s", code, stderr)
-	}
-	if !strings.Contains(stdout, "ratcheted") {
-		t.Errorf("improved run did not report the ratchet:\n%s", stdout)
-	}
-	if got, _ := os.ReadFile(baseline); !bytes.Equal(got, betterBytes) {
-		t.Error("baseline was not replaced by the improved run")
-	}
-
-	// Second pass against the new baseline: the same run is now a no-op.
-	code, stdout, _ = runSlotbench(t, "-ratchet", baseline, "-gate", baseline, better)
-	if code != 0 || !strings.Contains(stdout, "kept") {
-		t.Errorf("re-gate after ratchet: exit %d, stdout:\n%s", code, stdout)
+		if code, _, stderr := runSlotbench(t, "-gate", p1, c1, p1, bad); code != 1 || !strings.Contains(stderr, name) {
+			t.Errorf("-gate with %s: exit %d, stderr %q (want 1 and the file named)", name, code, stderr)
+		}
 	}
 }

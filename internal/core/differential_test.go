@@ -1,12 +1,15 @@
 package core_test
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
 	"slotsel/internal/core"
+	"slotsel/internal/env"
 	"slotsel/internal/job"
 	"slotsel/internal/randx"
+	"slotsel/internal/slots"
 	"slotsel/internal/testkit"
 )
 
@@ -15,11 +18,51 @@ import (
 // across at least 60 seeds.
 const diffSeeds = 64
 
+// diffInstance is one instance of the differential suite; seed feeds the
+// randomized algorithm and picks the visit the mirror check starts at.
+type diffInstance struct {
+	name string
+	seed uint64
+	list slots.List
+	req  job.Request
+}
+
+// diffInstances are diffSeeds small random heterogeneous instances, then the
+// generated environments cmd/slotbench times — 16/32/64/128 nodes under the
+// §3.1 request scaled to 2/5/10 tasks — so the rows that are timed are rows
+// whose answers were compared (what `slotbench -check` was, as a test).
+func diffInstances() []diffInstance {
+	var out []diffInstance
+	for seed := uint64(1); seed <= diffSeeds; seed++ {
+		rng := randx.New(seed)
+		list := testkit.HeteroList(rng, 8, 4, 300)
+		req := job.Request{
+			TaskCount: rng.IntRange(1, 4),
+			Volume:    float64(rng.IntRange(40, 150)),
+			MaxCost:   float64(rng.IntRange(100, 1200)),
+		}
+		if rng.Intn(3) == 0 {
+			req.Deadline = float64(rng.IntRange(100, 300))
+		}
+		out = append(out, diffInstance{fmt.Sprintf("seed=%d", seed), seed, list, req})
+	}
+	for _, nodes := range []int{16, 32, 64, 128} {
+		list := env.Generate(env.DefaultConfig().WithNodeCount(nodes), randx.New(1)).Slots
+		for _, tasks := range []int{2, 5, 10} {
+			out = append(out, diffInstance{
+				fmt.Sprintf("nodes=%d/tasks=%d", nodes, tasks), 1, list,
+				job.Request{TaskCount: tasks, Volume: 150, MaxCost: 300 * float64(tasks)},
+			})
+		}
+	}
+	return out
+}
+
 // TestDifferentialIncrementalVsOracle is the kernels' correctness proof:
 // every shipped algorithm (running on the incremental WindowIndex kernels)
 // must return a window with exactly the signature of its copy+sort oracle
-// twin, across diffSeeds random heterogeneous instances — both on clean
-// runs and with the aliasing poisoner interposed on every scan.
+// twin, across diffInstances — both on clean runs and with the aliasing
+// poisoner interposed on every scan.
 //
 // The clean runs also pin the lazy cost mirror on the same instances: after
 // every visit of every algorithm the scan's own index either has no cost
@@ -45,17 +88,8 @@ func TestDifferentialIncrementalVsOracle(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer core.SetVisitWrapForTest(nil)
-			for seed := uint64(1); seed <= diffSeeds; seed++ {
-				rng := randx.New(seed)
-				list := testkit.HeteroList(rng, 8, 4, 300)
-				req := job.Request{
-					TaskCount: rng.IntRange(1, 4),
-					Volume:    float64(rng.IntRange(40, 150)),
-					MaxCost:   float64(rng.IntRange(100, 1200)),
-				}
-				if rng.Intn(3) == 0 {
-					req.Deadline = float64(rng.IntRange(100, 300))
-				}
+			for _, inst := range diffInstances() {
+				seed, list, req := inst.seed, inst.list, inst.req
 				for _, alg := range catalogue(seed) {
 					oracle, ok := core.Oracle(alg)
 					if !ok {
@@ -68,16 +102,16 @@ func TestDifferentialIncrementalVsOracle(t *testing.T) {
 					orcW, orcErr := oracle.Find(list, &r2)
 					core.SetVisitWrapForTest(nil)
 					if (incErr == nil) != (orcErr == nil) {
-						t.Fatalf("seed=%d alg=%s: feasibility diverged: incremental err=%v, oracle err=%v",
-							seed, alg.Name(), incErr, orcErr)
+						t.Fatalf("%s alg=%s: feasibility diverged: incremental err=%v, oracle err=%v",
+							inst.name, alg.Name(), incErr, orcErr)
 					}
 					if incErr != nil {
 						continue
 					}
 					is, os := testkit.WindowSignature(incW), testkit.WindowSignature(orcW)
 					if is != os {
-						t.Errorf("seed=%d alg=%s: incremental and oracle windows diverged\nincremental: %s\noracle:      %s",
-							seed, alg.Name(), is, os)
+						t.Errorf("%s alg=%s: incremental and oracle windows diverged\nincremental: %s\noracle:      %s",
+							inst.name, alg.Name(), is, os)
 					}
 				}
 
