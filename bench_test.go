@@ -247,28 +247,6 @@ func BenchmarkAblationGenericSelection(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMinFinishEarlyStop measures the exactness-preserving
-// pruning extension against the paper's full scan.
-func BenchmarkAblationMinFinishEarlyStop(b *testing.B) {
-	envs := benchEnvs(4, slotsel.DefaultEnvConfig(), 17)
-	req := slotsel.DefaultRequest()
-	for _, variant := range []struct {
-		name string
-		alg  slotsel.Algorithm
-	}{
-		{"full-scan", slotsel.MinFinish{}},
-		{"early-stop", slotsel.MinFinish{EarlyStop: true}},
-	} {
-		b.Run(variant.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := variant.alg.Find(envs[i%len(envs)].Slots, &req); err != nil && !errors.Is(err, slotsel.ErrNoWindow) {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkEnvironmentGeneration(b *testing.B) {
 	cfg := slotsel.DefaultEnvConfig()
 	rng := slotsel.NewRand(1)

@@ -49,6 +49,11 @@ func (a MinCost) Find(list slots.List, req *job.Request) (*Window, error) {
 // MinRunTime searches for the window with the minimum execution runtime
 // (the length of the longest composing slot, i.e. the task on the least
 // performant selected node).
+//
+// The scan stops once the best window's runtime reaches the runtime floor —
+// the n-th smallest execution time among the nodes the scan can admit —
+// since no window runs shorter. Replacement is strictly-better, so the
+// window is the one the paper's full scan returns.
 type MinRunTime struct {
 	// Exact switches the per-step selection from the paper's greedy
 	// substitution procedure to the exact prefix selection (extension).
@@ -75,17 +80,15 @@ func (a MinRunTime) Find(list slots.List, req *job.Request) (*Window, error) {
 // MinFinish searches for the window with the earliest finish time. At every
 // scan position the minimum achievable finish is start + minimal runtime,
 // computed with the same substitution procedure as MinRunTime.
+//
+// The scan stops at the first position whose start plus the runtime floor
+// (see MinRunTime) is not before the best finish: every later window
+// finishes no earlier. The window is the one the paper's full scan returns;
+// only the working time differs (the paper's Tables 1-2 report MinFinish and
+// MinRunTime as nearly equal because both scan the whole list).
 type MinFinish struct {
 	// Exact selects the exact per-step runtime minimization (extension).
 	Exact bool
-
-	// EarlyStop enables an exactness-preserving pruning extension: the scan
-	// stops once the current position starts at or after the best finish
-	// found, because every later window finishes after its own start. The
-	// paper's scheme performs the full scan (its Tables 1-2 report
-	// MinFinish and MinRunTime working times as nearly equal), so the
-	// default is off.
-	EarlyStop bool
 }
 
 // Name implements Algorithm.

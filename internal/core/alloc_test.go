@@ -41,8 +41,8 @@ func scannerBudgets() []allocBudget {
 		{core.MinCost{}, 0, 2},
 		{core.MinRunTime{}, 0, 3},
 		{core.MinRunTime{Exact: true}, 0, 3},
-		{core.MinFinish{}, 0, 3},
-		{core.MinFinish{Exact: true}, 0, 3},
+		{core.MinFinish{}, 0, 2},
+		{core.MinFinish{Exact: true}, 0, 2},
 		{core.MinProcTimeGreedy{}, 0, 2},
 		{core.MinEnergy{}, 0, 2},
 		{core.MinProcTime{Seed: 11}, 0, 2},
@@ -104,7 +104,8 @@ func TestScannerFindAllocsLargeWindow(t *testing.T) {
 }
 
 // TestScanCostGrowth gates the slope of a full scan in the node count: the
-// time per scanned slot of MinCost and of MinRunTime at 4 096 nodes (windows
+// time per scanned slot of MinCost and of MinEnergy's additive greedy (both
+// scan every slot; MinRunTime stops at its floor) at 4 096 nodes (windows
 // of about 2 700 candidates) is at most three times that at 512 nodes
 // (about 340). A step or a visit that walks the window grows eightfold
 // between the two — the mirrors this index replaced measured 11x and 7x —
@@ -135,7 +136,7 @@ func TestScanCostGrowth(t *testing.T) {
 		}
 		return float64(best.Nanoseconds()) / float64(len(e.Slots))
 	}
-	for _, alg := range []core.Algorithm{core.MinCost{}, core.MinRunTime{}} {
+	for _, alg := range []core.Algorithm{core.MinCost{}, core.MinEnergy{}} {
 		small, large := perSlot(alg, 512), perSlot(alg, 4096)
 		t.Logf("%s: %.0f ns/slot at 512 nodes, %.0f ns/slot at 4096 nodes (x%.2f)", alg.Name(), small, large, large/small)
 		if large > 3*small {

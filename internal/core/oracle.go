@@ -10,9 +10,11 @@ import (
 // oracleAlg is a reference twin of a shipped algorithm: the same search
 // loop on the same Scan, but every visit reads only win.Cands() and runs the
 // per-visit copy+sort kernels (selectMinCost, selectMinRuntimeGreedy, ...)
-// on it, never the incremental WindowIndex orders. The twins exist for the
-// differential test suite and the bench harness: they are the executable
-// specification the incremental kernels must match window-for-window.
+// on it, never the incremental WindowIndex orders, and every twin scans the
+// whole list (the paper's scheme; the scanner stops MinRunTime and MinFinish
+// once the answer is settled). The twins exist for the differential test
+// suite and the bench harness: they are the executable specification the
+// incremental kernels must match window-for-window.
 type oracleAlg struct {
 	name string
 	find func(list slots.List, req *job.Request, col obs.Collector) (*Window, error)
@@ -115,9 +117,6 @@ func oracleMinFinish(a MinFinish) func(slots.List, *job.Request, obs.Collector) 
 		var best *Window
 		err := Scan(list, req, func(start float64, win *WindowIndex) bool {
 			cands := win.Cands()
-			if a.EarlyStop && best != nil && start >= best.Finish() {
-				return true
-			}
 			var chosen []Candidate
 			var ok bool
 			if a.Exact {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -49,6 +50,9 @@ type Scanner struct {
 	// stream matches a freshly constructed generator.
 	rng *randx.Rand
 
+	// fast is runtimeFloor's scratch: the fastest tracks seen so far.
+	fast []track
+
 	// work is the CSA working copy: slot values copied into arena-owned
 	// structs so repeated cutting mutates scanner-private memory and reuses
 	// the same backing arrays across searches. arena holds every slot
@@ -82,6 +86,7 @@ func (sc *Scanner) Reset() {
 	sc.vis.reset(nil)
 	sc.winA = Window{Placements: sc.winA.Placements[:0]}
 	sc.winB = Window{Placements: sc.winB.Placements[:0]}
+	sc.fast = sc.fast[:0]
 	sc.work = sc.work[:0]
 	sc.slotUsed = 0
 }
@@ -164,9 +169,11 @@ func (sc *Scanner) search(alg Algorithm, cur slots.Cursor, req *job.Request, col
 	case MinRunTime:
 		v.kind = vkMinRunTime
 		v.exact, v.literalBudget = a.Exact, a.LiteralBudget
+		v.floor = sc.runtimeFloor(cur, req)
 	case MinFinish:
 		v.kind = vkMinFinish
-		v.exact, v.earlyStop = a.Exact, a.EarlyStop
+		v.exact = a.Exact
+		v.floor = sc.runtimeFloor(cur, req)
 	case MinProcTimeGreedy:
 		v.kind = vkMinAdditive
 		v.weight = execWeight
@@ -241,8 +248,11 @@ type visitor struct {
 
 	exact         bool
 	literalBudget bool
-	earlyStop     bool
 	weight        func(Candidate) float64
+
+	// floor is the runtime criteria's bound: no window of the scan runs
+	// shorter (runtimeFloor).
+	floor float64
 
 	best    *Window
 	spare   *Window
@@ -255,8 +265,9 @@ type visitor struct {
 func (v *visitor) reset(req *job.Request) {
 	v.kind = vkNone
 	v.req = req
-	v.exact, v.literalBudget, v.earlyStop = false, false, false
+	v.exact, v.literalBudget = false, false
 	v.weight = nil
+	v.floor = math.Inf(-1)
 	v.best, v.spare = &v.sc.winA, &v.sc.winB
 	v.hasBest = false
 	v.bestVal = 0
@@ -296,11 +307,12 @@ func (v *visitor) visit(start float64, win *WindowIndex) bool {
 			buildWindow(v.best, start, chosen)
 			v.hasBest = true
 		}
-		return false
+		// No window runs shorter than the floor, so none is strictly better.
+		return v.hasBest && v.best.Runtime <= v.floor
 
 	case vkMinFinish:
-		if v.earlyStop && v.hasBest && start >= v.best.Finish() {
-			return true // every further window finishes after start >= best
+		if v.finishSettled(start) {
+			return true
 		}
 		chosen, _, ok := v.selectRuntime(win)
 		if !ok {
@@ -312,7 +324,7 @@ func (v *visitor) visit(start float64, win *WindowIndex) bool {
 			v.best, v.spare = w, v.best
 			v.hasBest = true
 		}
-		return false
+		return v.finishSettled(start)
 
 	case vkMinAdditive:
 		chosen, total, ok := win.SelectMinAdditiveGreedy(v.req.TaskCount, v.req.MaxCost, v.weight)
@@ -342,6 +354,13 @@ func (v *visitor) visit(start float64, win *WindowIndex) bool {
 	return false
 }
 
+// finishSettled reports that no window at start or later can finish strictly
+// before the best: each finishes at its start plus a runtime of at least the
+// floor, and float addition is monotone in both operands.
+func (v *visitor) finishSettled(start float64) bool {
+	return v.hasBest && start+v.floor >= v.best.Finish()
+}
+
 // selectRuntime runs the runtime-minimizing kernel the search asked for
 // (literalBudget is MinRunTime's alone; MinFinish leaves it false).
 func (v *visitor) selectRuntime(win *WindowIndex) (chosen []Candidate, runtime float64, ok bool) {
@@ -349,6 +368,94 @@ func (v *visitor) selectRuntime(win *WindowIndex) (chosen []Candidate, runtime f
 		return win.SelectMinRuntimeExact(v.req.TaskCount, v.req.MaxCost)
 	}
 	return win.SelectMinRuntimeGreedy(v.req.TaskCount, v.req.MaxCost, v.literalBudget)
+}
+
+// track is one entry of runtimeFloor's buffer: a node ID and performance,
+// the task's execution time there, and the end of the latest slot on the
+// track.
+type track struct {
+	id   int
+	perf float64
+	exec float64
+	end  float64
+}
+
+// runtimeFloor is an exact lower bound on the runtime of every window the
+// scan over cur can form: the n-th smallest execution time among the nodes
+// whose slots the scan admits as candidates (the scan's own filter). A
+// window holds n candidates at once, and a node holds at most one of them
+// while its slots are disjoint, so a window's runtime — the largest Exec of
+// its candidates, the very float64 values compared here — is at least the
+// n-th smallest.
+//
+// Nothing in a caller's list forbids overlapping slots on one node, so the
+// unit counted is a track, not a node: the slots of one (node ID, exec) in
+// start order, each on the first track whose last slot ended by its start.
+// Two slots on one track cannot both be candidates (a task needs exec > 0
+// before the earlier slot's end), and a node gets as many tracks as it has
+// slots alive at once — one, for a valid list.
+//
+// The pass keeps the n fastest tracks in the scanner's scratch. A slot not
+// faster than the n-th fastest track so far is skipped — on its node's Perf
+// alone where it can be, since Volume/Perf is monotone — and as that bound
+// only falls, every track faster than the final floor was kept whole. Fewer
+// than n tracks means no window exists (+Inf). An execution time that is
+// not positive voids the argument, and the bound is -Inf: nothing is pruned.
+func (sc *Scanner) runtimeFloor(cur slots.Cursor, req *job.Request) float64 {
+	n := req.TaskCount
+	if n <= 0 {
+		return math.Inf(-1)
+	}
+	fast := sc.fast[:0]
+	slowest := 0.0 // the Perf of the n-th fastest track, once there are n
+	for leaf := cur.Next(); leaf != nil; leaf = cur.Next() {
+		for _, s := range leaf {
+			if p := s.Node.Perf; p <= slowest && p > 0 {
+				continue // Volume/p is no smaller than the n-th fastest exec
+			}
+			if !req.Matches(s.Node) {
+				continue
+			}
+			exec := req.ExecTime(s.Node)
+			if effEnd(s, req) < s.Start+exec {
+				continue // the scan never admits it (effEnd holds the deadline)
+			}
+			if !(exec > 0) {
+				sc.fast = fast
+				return math.Inf(-1)
+			}
+			if len(fast) == n && exec >= fast[n-1].exec {
+				continue
+			}
+			reused := false
+			for i := range fast {
+				if fast[i].id == s.Node.ID && fast[i].exec == exec && fast[i].end <= s.Start {
+					fast[i].end, reused = s.End, true
+					break
+				}
+			}
+			if reused {
+				continue
+			}
+			if len(fast) == n {
+				fast = fast[:n-1]
+			}
+			i := len(fast)
+			fast = append(fast, track{})
+			for ; i > 0 && exec < fast[i-1].exec; i-- {
+				fast[i] = fast[i-1]
+			}
+			fast[i] = track{id: s.Node.ID, perf: s.Node.Perf, exec: exec, end: s.End}
+			if len(fast) == n {
+				slowest = fast[n-1].perf
+			}
+		}
+	}
+	sc.fast = fast
+	if len(fast) < n {
+		return math.Inf(1)
+	}
+	return fast[n-1].exec
 }
 
 // ---- CSA: alternatives over a scanner-private working copy ----

@@ -30,7 +30,6 @@ func scannerCatalogue(seed uint64) []Algorithm {
 		MinRunTime{LiteralBudget: true},
 		MinFinish{},
 		MinFinish{Exact: true},
-		MinFinish{EarlyStop: true},
 		MinProcTime{Seed: seed},
 		MinProcTimeGreedy{},
 		MinEnergy{},
@@ -81,7 +80,8 @@ func sigWindow(w *Window) string {
 
 // poisonScanner scribbles adversarial garbage over every recycled buffer
 // and state field a scanner owns: NaN candidates at dangling positions in
-// the index arena and its append order, NaN keys and out-of-range handles in the expiry heap, both
+// the index arena and its append order, NaN keys and out-of-range handles in the expiry heap, a
+// runtime-floor buffer of negative tracks, both
 // selection orders active over blocks of bad handles with recycled storage
 // offsets pointing nowhere, a stale view and scratch, a stale visitor
 // mid-search, poisoned result windows, a dirty CSA working copy with a
@@ -111,6 +111,7 @@ func poisonScanner(sc *Scanner) {
 			s.w = append(s.w, nan)
 			s.spare = append(s.spare, 1<<20)
 		}
+		sc.fast = append(sc.fast, track{id: -1, perf: nan, exec: -1, end: nan})
 		sc.work = append(sc.work, badSlot())
 		sc.arena = append(sc.arena, badSlot())
 	}
@@ -131,7 +132,8 @@ func poisonScanner(sc *Scanner) {
 		Placements: append([]Placement(nil), poisonedWin.Placements...)}
 	sc.vis.kind = vkMinAdditive
 	sc.vis.req = &job.Request{TaskCount: -3, Volume: nan}
-	sc.vis.exact, sc.vis.literalBudget, sc.vis.earlyStop = true, true, true
+	sc.vis.exact, sc.vis.literalBudget = true, true
+	sc.vis.floor = math.Inf(1)
 	sc.vis.weight = func(Candidate) float64 { return nan }
 	sc.vis.best = &poisonedWin
 	sc.vis.spare = &poisonedWin

@@ -43,8 +43,8 @@ func Now() time.Duration { return time.Since(processStart) }
 // accumulates them in locals and publishes the struct once per pass, so
 // enabling a collector adds one interface call per scan, not per slot.
 type ScanStats struct {
-	// Slots is the length of the scanned list (every slot is examined
-	// once — the linear pass).
+	// Slots counts the slots the pass examined: the whole list (each once —
+	// the linear pass) unless the visitor stopped it early.
 	Slots int
 
 	// Matched counts slots that passed the request's resource-requirement
@@ -64,7 +64,8 @@ type ScanStats struct {
 	Visits int
 
 	// EarlyStop reports that the visitor ended the scan before the list
-	// was exhausted (AMP and MinFinish{EarlyStop} do this).
+	// was exhausted: AMP at its first window, MinRunTime and MinFinish once
+	// the runtime floor shows no later window can be strictly better.
 	EarlyStop bool
 }
 

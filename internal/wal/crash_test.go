@@ -36,8 +36,21 @@ func completeFrames(bounds []int64, off int64) int {
 	return k
 }
 
+// crashMinLen is the MinSlotLength of sweep seed seed when the first base
+// seeds run at 1: the seeds past them alternate 7 and 30, above the length
+// of some base spans (1..150 here), where a span shorter than the minimum
+// is published whole until an allocation touches it — the inventory
+// differential's split.
+func crashMinLen(seed, base uint64) float64 {
+	if seed <= base {
+		return 1
+	}
+	return []float64{7, 30}[seed%2]
+}
+
 // TestCrashInjectionEveryByteOffset is the crash-recovery acceptance
-// suite: for 64 seeded workloads, the WAL is truncated at EVERY byte
+// suite: for 64 seeded workloads at MinSlotLength 1 and 16 more at 7 and 30
+// (crashMinLen), the WAL is truncated at EVERY byte
 // offset — simulating a crash at any possible point of an append — and
 // recovery must (a) never fail, (b) recover exactly the events whose
 // frames are complete, and (c) rebuild a state byte-identical to the
@@ -50,9 +63,10 @@ func completeFrames(bounds []int64, off int64) int {
 // recover equal states, so each distinct prefix is rebuilt and diffed
 // once while every offset still runs the real on-disk recovery scan.
 func TestCrashInjectionEveryByteOffset(t *testing.T) {
-	const seeds = 64
-	for seed := uint64(1); seed <= seeds; seed++ {
+	const seeds, shortSeeds = 64, 16
+	for seed := uint64(1); seed <= seeds+shortSeeds; seed++ {
 		seed := seed
+		invOpts := inventory.Options{MinSlotLength: crashMinLen(seed, seeds)}
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
@@ -65,7 +79,7 @@ func TestCrashInjectionEveryByteOffset(t *testing.T) {
 			if len(list) == 0 {
 				t.Skip("empty instance")
 			}
-			inv, err := inventory.New(list, inventory.Options{MinSlotLength: 1, Record: true, Sink: store})
+			inv, err := inventory.New(list, inventory.Options{MinSlotLength: invOpts.MinSlotLength, Record: true, Sink: store})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,12 +124,12 @@ func TestCrashInjectionEveryByteOffset(t *testing.T) {
 					t.Fatalf("offset %d: LastSeq=%d, want %d", off, res.LastSeq, k)
 				}
 				if _, seen := diskSig[k]; !seen {
-					rec, err := rebuild(res, inventory.Options{MinSlotLength: 1})
+					rec, err := rebuild(res, invOpts)
 					if err != nil {
 						t.Fatalf("offset %d: rebuild: %v", off, err)
 					}
 					diskSig[k] = stateSig(rec)
-					ref, err := inventory.Replay(oracle[:k], inventory.Options{MinSlotLength: 1})
+					ref, err := inventory.Replay(oracle[:k], invOpts)
 					if err != nil {
 						t.Fatalf("oracle replay of %d events: %v", k, err)
 					}
@@ -138,11 +152,13 @@ func TestCrashInjectionEveryByteOffset(t *testing.T) {
 // over the log tail BEHIND a snapshot, with repair enabled — the leader
 // boot path: recovery loads the snapshot, replays the surviving tail,
 // truncates the torn frame, and the result must equal the oracle replay
-// of the corresponding full event prefix.
+// of the corresponding full event prefix. 16 seeds run at MinSlotLength 1
+// and 8 more at 7 and 30.
 func TestCrashInjectionAfterSnapshot(t *testing.T) {
-	const seeds = 16
-	for seed := uint64(1); seed <= seeds; seed++ {
+	const seeds, shortSeeds = 16, 8
+	for seed := uint64(1); seed <= seeds+shortSeeds; seed++ {
 		seed := seed
+		invOpts := inventory.Options{MinSlotLength: crashMinLen(seed, seeds)}
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
@@ -155,7 +171,7 @@ func TestCrashInjectionAfterSnapshot(t *testing.T) {
 			if len(list) == 0 {
 				t.Skip("empty instance")
 			}
-			inv, err := inventory.New(list, inventory.Options{MinSlotLength: 1, Record: true, Sink: store})
+			inv, err := inventory.New(list, inventory.Options{MinSlotLength: invOpts.MinSlotLength, Record: true, Sink: store})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -219,11 +235,11 @@ func TestCrashInjectionAfterSnapshot(t *testing.T) {
 				// deterministic), so rebuild+diff runs once per distinct
 				// prefix while every offset still runs the on-disk recovery.
 				if _, seen := sigByK[res.LastSeq]; !seen {
-					rec, err := rebuild(res, inventory.Options{MinSlotLength: 1})
+					rec, err := rebuild(res, invOpts)
 					if err != nil {
 						t.Fatalf("offset %d: rebuild: %v", off, err)
 					}
-					ref, err := inventory.Replay(oracle[:res.LastSeq], inventory.Options{MinSlotLength: 1})
+					ref, err := inventory.Replay(oracle[:res.LastSeq], invOpts)
 					if err != nil {
 						t.Fatal(err)
 					}

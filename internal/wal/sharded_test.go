@@ -16,9 +16,9 @@ import (
 
 // seedSharded boots a fresh n-shard layout under dir and seeds it with a
 // deterministic instance.
-func seedSharded(t *testing.T, dir string, n int, seed uint64, walOpts Options) (*inventory.Sharded, []*Store) {
+func seedSharded(t *testing.T, dir string, n int, seed uint64, invOpts inventory.Options, walOpts Options) (*inventory.Sharded, []*Store) {
 	t.Helper()
-	pool, stores, _, err := OpenSharded(dir, n, inventory.Options{MinSlotLength: 1}, walOpts)
+	pool, stores, _, err := OpenSharded(dir, n, invOpts, walOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func seedSharded(t *testing.T, dir string, n int, seed uint64, walOpts Options) 
 		t.Fatal("expected a fresh layout, got a recovered pool")
 	}
 	rng := randx.New(seed)
-	pool, err = SeedSharded(testkit.RandomList(rng, 10, 3, 300), inventory.Options{MinSlotLength: 1}, stores)
+	pool, err = SeedSharded(testkit.RandomList(rng, 10, 3, 300), invOpts, stores)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func seedSharded(t *testing.T, dir string, n int, seed uint64, walOpts Options) 
 func TestShardedSeedReopenRoundTrip(t *testing.T) {
 	const n = 4
 	dir := t.TempDir()
-	pool, stores := seedSharded(t, dir, n, 11, Options{NoSync: true})
+	pool, stores := seedSharded(t, dir, n, 11, inventory.Options{MinSlotLength: 1}, Options{NoSync: true})
 	drive(t, pool, 11, 20)
 	wantSigs := make([]string, n)
 	for i := 0; i < n; i++ {
@@ -106,7 +106,7 @@ func TestOpenShardedRejectsFlatLayout(t *testing.T) {
 // on-disk contract; reopening at a different n must refuse.
 func TestOpenShardedRejectsShardCountChange(t *testing.T) {
 	dir := t.TempDir()
-	_, stores := seedSharded(t, dir, 4, 5, Options{NoSync: true})
+	_, stores := seedSharded(t, dir, 4, 5, inventory.Options{MinSlotLength: 1}, Options{NoSync: true})
 	for _, st := range stores {
 		st.Close()
 	}
@@ -124,7 +124,7 @@ func TestOpenShardedRejectsShardCountChange(t *testing.T) {
 // silently partial pool.
 func TestOpenShardedRejectsMixedEmptiness(t *testing.T) {
 	dir := t.TempDir()
-	pool, stores := seedSharded(t, dir, 4, 6, Options{NoSync: true})
+	pool, stores := seedSharded(t, dir, 4, 6, inventory.Options{MinSlotLength: 1}, Options{NoSync: true})
 	drive(t, pool, 6, 6)
 	for _, st := range stores {
 		st.Close()
@@ -143,16 +143,18 @@ func TestOpenShardedRejectsMixedEmptiness(t *testing.T) {
 // and (a) that shard alone must recover exactly its complete-frame prefix
 // at every cut, and (b) a full sharded boot across representative cuts
 // must bring every OTHER shard back byte-identical — damage never leaks
-// across shard directories.
+// across shard directories. 6 seeds run at MinSlotLength 1 and 4 more at 7
+// and 30.
 func TestShardedCrashInjectionTornTailContained(t *testing.T) {
 	const nShards = 4
-	const seeds = 6
-	for seed := uint64(1); seed <= seeds; seed++ {
+	const seeds, shortSeeds = 6, 4
+	for seed := uint64(1); seed <= seeds+shortSeeds; seed++ {
 		seed := seed
+		invOpts := inventory.Options{MinSlotLength: crashMinLen(seed, seeds)}
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
-			pool, stores := seedSharded(t, dir, nShards, seed, Options{NoSync: true})
+			pool, stores := seedSharded(t, dir, nShards, seed, invOpts, Options{NoSync: true})
 			drive(t, pool, seed, 12)
 			liveSigs := make([]string, nShards)
 			for i := range liveSigs {
@@ -216,7 +218,7 @@ func TestShardedCrashInjectionTornTailContained(t *testing.T) {
 				if err := os.WriteFile(seg, data[:off], 0o644); err != nil {
 					t.Fatal(err)
 				}
-				re, sts, results, err := OpenSharded(dir, nShards, inventory.Options{MinSlotLength: 1}, Options{NoSync: true})
+				re, sts, results, err := OpenSharded(dir, nShards, invOpts, Options{NoSync: true})
 				if err != nil {
 					t.Fatalf("cut %d: sharded recovery failed: %v", off, err)
 				}
