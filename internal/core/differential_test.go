@@ -189,9 +189,13 @@ func readsCostMirror(alg core.Algorithm) bool {
 }
 
 // checkCostMirror compares the index's cost mirror and prefix sums with a
-// sort of the window from scratch (active) or with nothing at all (!active).
+// sort of the window from scratch (active) or with nothing at all (!active),
+// and holds the cost order, cut or whole, to its definition.
 func checkCostMirror(t *testing.T, who string, win *core.WindowIndex, active bool) {
 	t.Helper()
+	if err := win.CheckCostOrderForTest(); err != nil {
+		t.Fatalf("%s: %v", who, err)
+	}
 	got := win.ByCost()
 	if !active {
 		if len(got) != 0 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sort"
 	"unsafe"
 
 	"slotsel/internal/job"
@@ -27,10 +28,24 @@ import (
 //   - Selection order is one orderedSet in the (Cost, Exec, NodeID) order of
 //     cheapestN and, for the exact runtime kernel alone, one in the (Exec,
 //     Cost, NodeID) order. Both are activated lazily, by the first select of
-//     a scan that needs them, and the first SelectMinCost of a scan does not
-//     even do that: it picks its n cheapest in one pass over the window, so
-//     a search that accepts at its first visit (AMP, nearly always) builds
-//     nothing.
+//     a scan that needs them.
+//
+//   - Who reads what. The substitution kernels (MinRunTime, MinFinish,
+//     MinEnergy, MinProcTimeGreedy) walk the cost order past its front, so
+//     theirs holds the whole window. SelectMinCost (MinCost, AMP) reads only
+//     its first n, so its cost order is cut: it holds exactly the live
+//     candidates that precede a bound, and add and expire touch it only for
+//     those. Everything it holds then precedes everything it does not, so
+//     while it holds n or more, its first n are the window's. A cut keeps
+//     the k cheapest of the window in one pass (k = 4n+16, or n at a scan's
+//     first select), answers with the first n of them, and loads the order
+//     with those before the k-th — the bound — and its equals. Expiries that
+//     leave fewer than n send the next select to cut again; arrivals below
+//     the bound that grow the order past twice k cut it at its own k-th.
+//     Should the bound's equals (one node's overlapping slots) leave fewer
+//     than n below it, the order holds the whole window instead. A search
+//     that accepts at its first visit (AMP, nearly always) builds an order
+//     of n-1 handles and nothing else.
 //
 //   - Cands, the append-order window as a slice, is materialised when read:
 //     an expired candidate leaves a tombstone in the append-order sequence,
@@ -67,10 +82,12 @@ type WindowIndex struct {
 	view      []Candidate
 	viewStale bool
 
-	// cost and exec are the selection orders. costWanted: a select has read
-	// the cost order (from the one-shot pass, if cost is not active yet).
+	// cost and exec are the selection orders. The cost order is cut again at
+	// its own k-th when it grows past costCap; top is the buffer of handles
+	// a cut is made from.
 	cost, exec orderedSet
-	costWanted bool
+	costCap    int
+	top        []int32
 
 	// weight is the function the cost order's filter weights were computed
 	// with (nil: the order is unweighted).
@@ -107,7 +124,7 @@ func NewWindowIndex(cands []Candidate) *WindowIndex {
 	for _, c := range cands {
 		ix.add(c, math.Inf(1)) // outside a scan nothing expires
 	}
-	ix.activateCost()
+	ix.activate(&ix.cost)
 	return ix
 }
 
@@ -147,15 +164,24 @@ func (ix *WindowIndex) compact(view bool) {
 	}
 }
 
-// ByCost returns a copy of the window in cost order; it is empty until a
-// select that reads the cost order has run on this index. For tests and
-// tools: no search path calls it.
+// ByCost returns a copy of the window in cost order: what the cost order
+// holds, then what its bound left out, sorted (equals in append order). It
+// is empty until a select that reads the cost order has run on this index,
+// and it changes nothing. For tests and tools: no search path calls it.
 func (ix *WindowIndex) ByCost() []Candidate {
-	if !ix.costWanted {
+	if !ix.cost.active {
 		return nil
 	}
-	ix.activateCost()
-	return ix.cost.appendTo(make([]Candidate, 0, ix.live), ix.arena)
+	out := ix.cost.appendTo(make([]Candidate, 0, ix.live), ix.arena)
+	held := len(out)
+	for _, h := range ix.seq {
+		if h != none && !ix.cost.holds(&ix.arena[h]) {
+			out = append(out, ix.arena[h])
+		}
+	}
+	rest := out[held:]
+	sort.SliceStable(rest, func(i, j int) bool { return candLess(&rest[i], &rest[j], false) })
+	return out
 }
 
 // ByExec returns a copy of the window in execution-time order; it is empty
@@ -177,7 +203,7 @@ func (ix *WindowIndex) PrefixCost(n int) float64 {
 
 // add inserts a candidate whose slot's effective end is end: a cell in the
 // arena, the tail of the append order, an entry in the expiry heap, and an
-// insertion into each selection order already activated.
+// insertion into each selection order already activated that holds it.
 func (ix *WindowIndex) add(c Candidate, end float64) {
 	h := ix.free
 	if h != none {
@@ -200,12 +226,15 @@ func (ix *WindowIndex) add(c Candidate, end float64) {
 	}
 	ix.pushExpiry(key, h)
 
-	if ix.cost.active {
+	if ix.cost.active && ix.cost.holds(&c) {
 		fw := 0.0
 		if ix.weight != nil {
 			fw = filterWeight(ix.weight(c))
 		}
 		ix.cost.insert(ix.arena, h, fw)
+		if ix.cost.n > ix.costCap {
+			ix.trim()
+		}
 	}
 	if ix.exec.active {
 		ix.exec.insert(ix.arena, h, 0)
@@ -254,7 +283,7 @@ func (ix *WindowIndex) expire(start float64, req *job.Request) {
 // stays within twice the window and the squeeze is paid for by the removals
 // before it.
 func (ix *WindowIndex) remove(h int32) {
-	if ix.cost.active {
+	if ix.cost.active && ix.cost.holds(&ix.arena[h]) {
 		ix.cost.remove(ix.arena, h)
 	}
 	if ix.exec.active {
@@ -330,27 +359,28 @@ func (ix *WindowIndex) reset() {
 	ix.viewStale = false
 	ix.cost.reset(false)
 	ix.exec.reset(true)
-	ix.costWanted = false
+	ix.costCap = 0
+	ix.top = ix.top[:0]
 	ix.weight = nil
 	ix.scratch = ix.scratch[:0]
 	ix.weights = ix.weights[:0]
 	ix.sample = ix.sample[:0]
 }
 
-// activateCost builds the cost order from the window as it stands; from then
-// on add and expire maintain it. The order is what maintenance from the
+// activate makes s hold the whole window, built from the window as it
+// stands unless it already does; from then on add and expire maintain it,
+// and the cost order has no cap. The order is what maintenance from the
 // first add would have left: candidates go in in append order, equals after
 // equals.
-func (ix *WindowIndex) activateCost() {
-	ix.costWanted = true
-	ix.activate(&ix.cost)
-}
-
 func (ix *WindowIndex) activate(s *orderedSet) {
-	if s.active {
+	if s == &ix.cost {
+		ix.costCap = math.MaxInt
+	}
+	if s.active && !s.bounded {
 		return
 	}
-	s.active = true
+	s.load(nil)
+	s.active, s.bounded = true, false
 	for _, h := range ix.seq {
 		if h != none {
 			s.insert(ix.arena, h, 0)
@@ -360,21 +390,18 @@ func (ix *WindowIndex) activate(s *orderedSet) {
 
 // SelectMinCost is the incremental twin of the selectMinCost oracle: the n
 // cheapest candidates are the front of the cost order, and their total is
-// their costs summed left to right. The first call of a scan does not build
-// the order — it keeps the n cheapest seen in one pass over the window,
-// which is all a search that stops at this visit will ever ask — and the
-// second does. Like every Select*, it returns the index's scratch buffer —
+// their costs summed left to right. The order is cut (see WindowIndex);
+// when it holds fewer than n, recut finds the n cheapest in one pass and
+// cuts it again. Like every Select*, it returns the index's scratch buffer —
 // valid only until the next select on this index.
 func (ix *WindowIndex) SelectMinCost(n int, budget float64) (chosen []Candidate, cost float64, ok bool) {
 	if ix.live < n {
 		return nil, 0, false
 	}
-	if ix.costWanted {
-		ix.activateCost()
+	if ix.cost.active && ix.cost.n >= n {
 		chosen, _, _ = ix.cheapest(n)
 	} else {
-		ix.costWanted = true
-		chosen = ix.cheapestOnce(n)
+		chosen = ix.recut(n)
 	}
 	cost = sumCost(chosen)
 	if budget > 0 && cost > budget {
@@ -400,31 +427,83 @@ func (ix *WindowIndex) cheapest(n int) (chosen []Candidate, b, j int) {
 	return s, len(ix.cost.dir), 0
 }
 
-// cheapestOnce is cheapest without the order: one pass over the window in
-// append order, keeping the n cheapest so far sorted in the scratch buffer
-// (a candidate goes after its equals, as it would in the order).
-func (ix *WindowIndex) cheapestOnce(n int) []Candidate {
-	s := ix.scratch[:0]
+// recut is SelectMinCost when the cost order holds fewer than n: one pass
+// over the window in append order keeps the k cheapest so far, sorted in
+// ix.top (a candidate goes after its equals, as it would in the order), so
+// they are the first k of the whole order. Their first n are the answer,
+// copied into the scratch buffer, and the order is cut from them. The first
+// select of a scan keeps only k = n.
+//
+// A cut that leaves fewer than n — the bound's equals, overlapping slots of
+// one node, crowd the k cheapest — would send every select back here, so
+// the order holds the whole window instead, until arrivals double it.
+func (ix *WindowIndex) recut(n int) []Candidate {
+	k, first := 4*n+16, !ix.cost.active
+	if first {
+		k = max(n, 1)
+	}
+	top := ix.top[:0]
+	var last *Candidate // the k-th cheapest so far, once there are k
 	for _, h := range ix.seq {
 		if h == none {
 			continue
 		}
-		c := ix.arena[h]
-		if len(s) == n {
-			if n == 0 || !candLess(&c, &s[n-1], false) {
+		c := &ix.arena[h]
+		if last != nil {
+			if !candLess(c, last, false) {
 				continue
 			}
-			s = s[:n-1]
+			top = top[:k-1]
 		}
-		i := len(s)
-		s = append(s, c)
-		for ; i > 0 && candLess(&c, &s[i-1], false); i-- {
-			s[i] = s[i-1]
+		i := len(top)
+		top = append(top, h)
+		for ; i > 0 && candLess(c, &ix.arena[top[i-1]], false); i-- {
+			top[i] = top[i-1]
 		}
-		s[i] = c
+		top[i] = h
+		if len(top) == k {
+			last = &ix.arena[top[k-1]]
+		}
+	}
+	s := ix.scratch[:0]
+	for _, h := range top[:n] {
+		s = append(s, ix.arena[h])
 	}
 	ix.scratch = s
+
+	ix.cost.active = true
+	ix.cut(top, k)
+	if !first && ix.cost.n < n {
+		ix.activate(&ix.cost)
+	}
+	ix.costCap = 2 * max(4*n+16, ix.cost.n)
 	return s
+}
+
+// trim cuts a cost order that grew past its cap at its own k-th: its first
+// k are the whole order's, so this cut needs no pass over the window.
+func (ix *WindowIndex) trim() {
+	k := ix.costCap / 2
+	ix.cut(ix.cost.prefix(ix.top[:0], k), k)
+}
+
+// cut loads the cost order from top, the first min(k, w) handles of the
+// whole order for a window of w: bounded at the k-th, which leaves with its
+// equals, or unbounded when top is the whole window.
+func (ix *WindowIndex) cut(top []int32, k int) {
+	ix.top = top
+	if len(top) < k {
+		ix.cost.bounded = false
+		ix.cost.load(top)
+		return
+	}
+	bound := &ix.arena[top[k-1]]
+	p := k - 1
+	for p > 0 && !candLess(&ix.arena[top[p-1]], bound, false) {
+		p--
+	}
+	ix.cost.bound, ix.cost.bounded = *bound, true
+	ix.cost.load(top[:p])
 }
 
 // sameFunc reports whether a and b are one function value: the same closure
@@ -461,7 +540,7 @@ func (ix *WindowIndex) substitute(n int, budget float64, weight func(Candidate) 
 	if ix.live < n {
 		return nil, false
 	}
-	ix.activateCost()
+	ix.activate(&ix.cost)
 	if !ix.cost.weighted || !sameFunc(ix.weight, weight) {
 		ix.weight = weight
 		ix.cost.setWeights(ix.arena, weight)

@@ -1,0 +1,108 @@
+package core_test
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"testing"
+
+	"slotsel/internal/core"
+	"slotsel/internal/job"
+	"slotsel/internal/nodes"
+	"slotsel/internal/obs"
+	"slotsel/internal/randx"
+	"slotsel/internal/slots"
+	"slotsel/internal/testkit"
+)
+
+// statsRecorder keeps the counters of the last scan it saw.
+type statsRecorder struct {
+	obs.Nop
+	last obs.ScanStats
+}
+
+func (r *statsRecorder) ScanDone(s obs.ScanStats) { r.last = s }
+
+// TestMinCostWindowDump is the window dump of the cost criteria: 200 seeds
+// x cursors {list, leaf 1, 3, 7} x {MinCost, AMP} x budget {none, loose,
+// binding}, every scanner window and ScanStats compared with the oracle
+// twin's, which sorts the whole window at every visit. Lists run to 160
+// nodes, so windows outgrow the cost order's cut many times over. A loose
+// budget is 1.6 and a binding one 1.02 times the cost of the list's
+// cheapest window: AMP then selects at visit after visit before one fits.
+// With -v it logs one line per search plus the dump's digest, so two trees
+// can be compared by diffing their logs:
+//
+//	go test -run TestMinCostWindowDump -v ./internal/core
+func TestMinCostWindowDump(t *testing.T) {
+	sc := core.NewScanner()
+	digest := sha256.New()
+	searches := 0
+	for seed := uint64(1); seed <= 200; seed++ {
+		rng := randx.New(seed)
+		list := testkit.HeteroList(rng, rng.IntRange(8, 160), 4, 600)
+		base := job.Request{TaskCount: rng.IntRange(1, 6), Volume: float64(rng.IntRange(40, 150))}
+		if rng.Intn(3) == 0 {
+			base.Deadline = float64(rng.IntRange(150, 600))
+		}
+		if rng.Intn(3) == 0 {
+			base.MinPerf = float64(rng.IntRange(3, 8))
+		}
+		if rng.Intn(4) == 0 {
+			base.OS = []nodes.OS{nodes.Linux}
+		}
+		type cursorCase struct {
+			name string
+			cur  func() slots.Cursor
+		}
+		cursors := []cursorCase{{"list", list.Cursor}}
+		for _, leaf := range []int{1, 3, 7} {
+			seq, err := slots.SeqOfLeaf(list, leaf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cursors = append(cursors, cursorCase{fmt.Sprintf("leaf=%d", leaf), seq.Cursor})
+		}
+		loose, binding := 3000.0, 100.0
+		r := base
+		if w, err := (core.MinCost{}).Find(list, &r); err == nil {
+			loose, binding = 1.6*w.Cost, 1.02*w.Cost
+		}
+		budgets := []struct {
+			name string
+			cost float64
+		}{{"none", 0}, {"loose", loose}, {"binding", binding}}
+		for _, budget := range budgets {
+			req := base
+			req.MaxCost = budget.cost
+			for _, alg := range []core.Algorithm{core.MinCost{}, core.AMP{}} {
+				oracle, _ := core.Oracle(alg)
+				var orec statsRecorder
+				r := req
+				ow, oerr := oracle.(core.ObservedFinder).FindObserved(list, &r, &orec)
+				want := testkit.WindowSignature(ow)
+				for _, c := range cursors {
+					var rec statsRecorder
+					r := req
+					w, err := sc.Find(alg, c.cur(), &r, &rec)
+					if (err == nil) != (oerr == nil) {
+						t.Fatalf("seed=%d %s alg=%s budget=%s: scanner err=%v, oracle err=%v", seed, c.name, alg.Name(), budget.name, err, oerr)
+					}
+					got := testkit.WindowSignature(w)
+					if got != want {
+						t.Errorf("seed=%d %s alg=%s budget=%s: scanner and oracle diverged\nscanner: %s\noracle:  %s", seed, c.name, alg.Name(), budget.name, got, want)
+					}
+					if rec.last != orec.last {
+						t.Errorf("seed=%d %s alg=%s budget=%s: scanner ScanStats %+v, oracle %+v", seed, c.name, alg.Name(), budget.name, rec.last, orec.last)
+					}
+					line := fmt.Sprintf("seed=%d %s alg=%s budget=%s %s %+v", seed, c.name, alg.Name(), budget.name, got, rec.last)
+					fmt.Fprintln(digest, line)
+					if testing.Verbose() {
+						t.Log(line)
+					}
+					searches++
+				}
+			}
+		}
+	}
+	t.Logf("dump sha256 %x over %d searches", digest.Sum(nil), searches)
+}

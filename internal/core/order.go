@@ -28,19 +28,28 @@ var orderBlockCap = 32
 // (nextBelow). The filter weight is the weight with NaN stored as -Inf: a
 // NaN weight is never "not below", whatever the threshold.
 //
+// A bounded set holds, of the candidates it tracks, exactly those that
+// precede its bound: what is not below the bound is never inserted, and so
+// never removed. Everything the set holds then precedes everything it does
+// not, so its front is the front of the whole order for as long as it holds
+// as many candidates as a reader asks for.
+//
 // The set holds handles, not candidates: every method takes the arena the
 // handles index.
 type orderedSet struct {
 	execFirst bool // which of candLess's two orders
+	active    bool // tracking the window: add and expire maintain the set
+	weighted  bool // w and block minima are maintained
+	bounded   bool // the set holds only what precedes bound
 	bcap      int
+	n         int // handles in the set
 
 	dir   []block   // the blocks, in order
 	h     []int32   // block storage: block b owns h[b.off : b.off+bcap]
 	w     []float64 // filter weights beside h; maintained only when weighted
 	spare []int32   // storage offsets of dissolved blocks, reused first
 
-	active   bool // tracking the window: add and expire maintain the set
-	weighted bool // w and block minima are maintained
+	bound Candidate // with bounded: the set holds what precedes it
 }
 
 // block is one directory entry.
@@ -58,7 +67,42 @@ func (s *orderedSet) reset(execFirst bool) {
 	s.h = s.h[:0]
 	s.w = s.w[:0]
 	s.spare = s.spare[:0]
-	s.active, s.weighted = false, false
+	s.n = 0
+	s.active, s.weighted, s.bounded = false, false, false
+}
+
+// holds reports whether the set holds c when c is tracked: whether c
+// precedes the bound, if there is one.
+func (s *orderedSet) holds(c *Candidate) bool { return !s.bounded || s.less(c, &s.bound) }
+
+// load replaces the set's handles by hs, which must be in the set's order
+// (equals in append order), packed into full blocks. The set is left
+// unweighted; its bound is the caller's to set.
+func (s *orderedSet) load(hs []int32) {
+	s.dir, s.h, s.spare = s.dir[:0], s.h[:0], s.spare[:0]
+	s.weighted = false
+	s.n = len(hs)
+	for len(hs) > 0 {
+		m := min(len(hs), s.bcap)
+		off := s.newStorage()
+		copy(s.h[off:], hs[:m])
+		s.dir = append(s.dir, block{off: off, n: int32(m)})
+		hs = hs[m:]
+	}
+}
+
+// prefix appends the set's first k handles, in order, to dst.
+func (s *orderedSet) prefix(dst []int32, k int) []int32 {
+	for _, blk := range s.dir {
+		for _, h := range s.h[blk.off : blk.off+blk.n] {
+			if k == 0 {
+				return dst
+			}
+			dst = append(dst, h)
+			k--
+		}
+	}
+	return dst
 }
 
 // filterWeight is the weight as nextBelow compares it.
@@ -170,6 +214,7 @@ func (s *orderedSet) insert(arena []Candidate, h int32, fw float64) {
 		}
 	}
 	blk.n++
+	s.n++
 }
 
 // split moves the upper half of full block b into a new block after it.
@@ -223,6 +268,7 @@ func (s *orderedSet) remove(arena []Candidate, h int32) {
 		}
 		b++
 	}
+	s.n--
 	blk := &s.dir[b]
 	at, end := int(blk.off)+j, int(blk.off+blk.n)
 	copy(s.h[at:end-1], s.h[at+1:end])

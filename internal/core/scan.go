@@ -106,7 +106,8 @@ func Found(best *Window, err error) (*Window, error) {
 // resets it and reuses its capacity, so a warmed-up scan allocates nothing
 // for window maintenance. A step costs O(log w) in the window size w — one
 // arena cell, one heap push, one insertion into each selection order a
-// select has activated — plus the same for every candidate it expires, and
+// select has activated and that holds the candidate (MinCost's is cut; see
+// WindowIndex) — plus the same for every candidate it expires, and
 // a step that expires nothing looks at the heap's top and nothing else; so
 // a scan is O(m log w) plus what its visits select (see WindowIndex). w is
 // bounded by the node count when every node's free slots are disjoint

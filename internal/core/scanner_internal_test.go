@@ -82,8 +82,8 @@ func sigWindow(w *Window) string {
 // and state field a scanner owns: NaN candidates at dangling positions in
 // the index arena and its append order, NaN keys and out-of-range handles in the expiry heap, a
 // runtime-floor buffer of negative tracks, both
-// selection orders active over blocks of bad handles with recycled storage
-// offsets pointing nowhere, a stale view and scratch, a stale visitor
+// selection orders active and cut at a NaN bound over blocks of bad handles
+// with recycled storage offsets pointing nowhere, a cut buffer of bad handles, a stale view and scratch, a stale visitor
 // mid-search, poisoned result windows, a dirty CSA working copy with a
 // fully handed-out arena, and a mis-seeded RNG.
 func poisonScanner(sc *Scanner) {
@@ -105,6 +105,7 @@ func poisonScanner(sc *Scanner) {
 		win.scratch = append(win.scratch, bad)
 		win.weights = append(win.weights, nan)
 		win.sample = append(win.sample, -7)
+		win.top = append(win.top, 1<<20)
 		for _, s := range []*orderedSet{&win.cost, &win.exec} {
 			s.dir = append(s.dir, block{off: 1 << 20, n: 1 << 10, minW: nan})
 			s.h = append(s.h, 1<<20)
@@ -117,12 +118,14 @@ func poisonScanner(sc *Scanner) {
 	}
 	win.free, win.live = 5, 1<<20
 	win.viewStale = false
-	win.costWanted = true
+	win.costCap = -1
 	win.weight = func(Candidate) float64 { return nan }
 	for _, s := range []*orderedSet{&win.cost, &win.exec} {
 		s.execFirst = !s.execFirst
 		s.bcap = -4
-		s.active, s.weighted = true, true
+		s.n = 1 << 20
+		s.bound = bad
+		s.active, s.weighted, s.bounded = true, true, true
 	}
 	sc.slotUsed = len(sc.arena)
 	poisonedWin := Window{Start: nan, Runtime: nan, Cost: nan, ProcTime: nan,

@@ -107,7 +107,7 @@ type Sample struct {
 	xs     []float64
 	sorted bool
 	seen   int
-	limit  int        // 0 = unbounded
+	limit  int // 0 = unbounded
 	rng    *randx.Rand
 }
 

@@ -178,9 +178,9 @@ func TestExpositionParsesRoundTrip(t *testing.T) {
 	for key, want := range map[string]float64{
 		"test_a_total": 5,
 		"test_b":       -3,
-		`test_c_total{path="/v1/find",status="200"}`:      2,
+		`test_c_total{path="/v1/find",status="200"}`:          2,
 		`test_d_seconds_bucket{le="0.05",path="/v1/reserve"}`: 1,
-		`test_d_seconds_count{path="/v1/reserve"}`:        1,
+		`test_d_seconds_count{path="/v1/reserve"}`:            1,
 		"test_e": 1.5,
 	} {
 		if got[key] != want {

@@ -48,6 +48,14 @@ func crashMinLen(seed, base uint64) float64 {
 	return []float64{7, 30}[seed%2]
 }
 
+// forMinLens runs f as one subtest per MinSlotLength of the sweep: 1, 7
+// and 30 (crashMinLen's).
+func forMinLens(t *testing.T, f func(t *testing.T, minLen float64)) {
+	for _, m := range []float64{1, 7, 30} {
+		t.Run(fmt.Sprintf("minlen=%g", m), func(t *testing.T) { f(t, m) })
+	}
+}
+
 // TestCrashInjectionEveryByteOffset is the crash-recovery acceptance
 // suite: for 64 seeded workloads at MinSlotLength 1 and 16 more at 7 and 30
 // (crashMinLen), the WAL is truncated at EVERY byte

@@ -37,63 +37,65 @@ func seedSharded(t *testing.T, dir string, n int, seed uint64, invOpts inventory
 // reopen — every shard must come back byte-identical, the GSeq watermark
 // must survive, and fresh mutations must mint GSeqs strictly beyond it.
 func TestShardedSeedReopenRoundTrip(t *testing.T) {
-	const n = 4
-	dir := t.TempDir()
-	pool, stores := seedSharded(t, dir, n, 11, inventory.Options{MinSlotLength: 1}, Options{NoSync: true})
-	drive(t, pool, 11, 20)
-	wantSigs := make([]string, n)
-	for i := 0; i < n; i++ {
-		wantSigs[i] = stateSig(pool.Shard(i))
-	}
-	gBefore := pool.GSeq()
-	if gBefore == 0 {
-		t.Fatal("no GSeq minted by the seed churn")
-	}
-	for _, st := range stores {
-		if err := st.Close(); err != nil {
+	forMinLens(t, func(t *testing.T, minLen float64) {
+		const n = 4
+		dir := t.TempDir()
+		pool, stores := seedSharded(t, dir, n, 11, inventory.Options{MinSlotLength: minLen}, Options{NoSync: true})
+		drive(t, pool, 11, 20)
+		wantSigs := make([]string, n)
+		for i := 0; i < n; i++ {
+			wantSigs[i] = stateSig(pool.Shard(i))
+		}
+		gBefore := pool.GSeq()
+		if gBefore == 0 {
+			t.Fatal("no GSeq minted by the seed churn")
+		}
+		for _, st := range stores {
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		re, stores2, results, err := OpenSharded(dir, n, inventory.Options{MinSlotLength: minLen}, Options{NoSync: true})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	re, stores2, results, err := OpenSharded(dir, n, inventory.Options{MinSlotLength: 1}, Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re == nil {
-		t.Fatal("reopen treated a populated layout as fresh")
-	}
-	defer func() {
-		for _, st := range stores2 {
-			st.Close()
+		if re == nil {
+			t.Fatal("reopen treated a populated layout as fresh")
 		}
-	}()
-	for i, res := range results {
-		if res == nil || res.Truncated {
-			t.Fatalf("shard %d: clean close recovered with damage: %+v", i, res)
+		defer func() {
+			for _, st := range stores2 {
+				st.Close()
+			}
+		}()
+		for i, res := range results {
+			if res == nil || res.Truncated {
+				t.Fatalf("shard %d: clean close recovered with damage: %+v", i, res)
+			}
 		}
-	}
-	for i := 0; i < n; i++ {
-		if got := stateSig(re.Shard(i)); got != wantSigs[i] {
-			t.Errorf("shard %d state diverged across reopen:\n got %s\nwant %s", i, got, wantSigs[i])
+		for i := 0; i < n; i++ {
+			if got := stateSig(re.Shard(i)); got != wantSigs[i] {
+				t.Errorf("shard %d state diverged across reopen:\n got %s\nwant %s", i, got, wantSigs[i])
+			}
 		}
-	}
-	if got := re.GSeq(); got != gBefore {
-		t.Errorf("GSeq watermark %d after reopen, want %d", got, gBefore)
-	}
-	// New work must continue the global order, not restart it.
-	if _, err := re.Reserve(&job.Request{TaskCount: 1, Volume: 30, MaxCost: 5000}, core.AMP{}, time.Minute); err != nil {
-		t.Fatalf("post-recovery reserve: %v", err)
-	}
-	if got := re.GSeq(); got <= gBefore {
-		t.Errorf("post-recovery GSeq %d did not advance past the recovered watermark %d", got, gBefore)
-	}
+		if got := re.GSeq(); got != gBefore {
+			t.Errorf("GSeq watermark %d after reopen, want %d", got, gBefore)
+		}
+		// New work must continue the global order, not restart it.
+		if _, err := re.Reserve(&job.Request{TaskCount: 1, Volume: 30, MaxCost: 5000}, core.AMP{}, time.Minute); err != nil {
+			t.Fatalf("post-recovery reserve: %v", err)
+		}
+		if got := re.GSeq(); got <= gBefore {
+			t.Errorf("post-recovery GSeq %d did not advance past the recovered watermark %d", got, gBefore)
+		}
+	})
 }
 
 // TestOpenShardedRejectsFlatLayout: a directory holding a single-pool WAL
 // must not be silently reinterpreted as a sharded one.
 func TestOpenShardedRejectsFlatLayout(t *testing.T) {
 	dir := t.TempDir()
-	_, store := churnLeader(t, dir, 3, 5, Options{NoSync: true})
+	_, store := churnLeader(t, dir, 3, 5, 1, Options{NoSync: true})
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -105,17 +107,19 @@ func TestOpenShardedRejectsFlatLayout(t *testing.T) {
 // TestOpenShardedRejectsShardCountChange: the shard count is part of the
 // on-disk contract; reopening at a different n must refuse.
 func TestOpenShardedRejectsShardCountChange(t *testing.T) {
-	dir := t.TempDir()
-	_, stores := seedSharded(t, dir, 4, 5, inventory.Options{MinSlotLength: 1}, Options{NoSync: true})
-	for _, st := range stores {
-		st.Close()
-	}
-	if _, _, _, err := OpenSharded(dir, 2, inventory.Options{MinSlotLength: 1}, Options{NoSync: true}); err == nil {
-		t.Fatal("4-shard layout opened at 2 shards")
-	}
-	if _, _, _, err := OpenSharded(dir, 1, inventory.Options{MinSlotLength: 1}, Options{NoSync: true}); err == nil {
-		t.Fatal("OpenSharded accepted a single shard")
-	}
+	forMinLens(t, func(t *testing.T, minLen float64) {
+		dir := t.TempDir()
+		_, stores := seedSharded(t, dir, 4, 5, inventory.Options{MinSlotLength: minLen}, Options{NoSync: true})
+		for _, st := range stores {
+			st.Close()
+		}
+		if _, _, _, err := OpenSharded(dir, 2, inventory.Options{MinSlotLength: minLen}, Options{NoSync: true}); err == nil {
+			t.Fatal("4-shard layout opened at 2 shards")
+		}
+		if _, _, _, err := OpenSharded(dir, 1, inventory.Options{MinSlotLength: minLen}, Options{NoSync: true}); err == nil {
+			t.Fatal("OpenSharded accepted a single shard")
+		}
+	})
 }
 
 // TestOpenShardedRejectsMixedEmptiness: every shard journals its own
@@ -123,19 +127,21 @@ func TestOpenShardedRejectsShardCountChange(t *testing.T) {
 // that shard's log was lost — recovery must refuse rather than boot a
 // silently partial pool.
 func TestOpenShardedRejectsMixedEmptiness(t *testing.T) {
-	dir := t.TempDir()
-	pool, stores := seedSharded(t, dir, 4, 6, inventory.Options{MinSlotLength: 1}, Options{NoSync: true})
-	drive(t, pool, 6, 6)
-	for _, st := range stores {
-		st.Close()
-	}
-	victim := filepath.Join(dir, ShardDirName(2))
-	if err := os.RemoveAll(victim); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := OpenSharded(dir, 4, inventory.Options{MinSlotLength: 1}, Options{NoSync: true}); err == nil {
-		t.Fatal("recovery booted a pool with one shard's log missing")
-	}
+	forMinLens(t, func(t *testing.T, minLen float64) {
+		dir := t.TempDir()
+		pool, stores := seedSharded(t, dir, 4, 6, inventory.Options{MinSlotLength: minLen}, Options{NoSync: true})
+		drive(t, pool, 6, 6)
+		for _, st := range stores {
+			st.Close()
+		}
+		victim := filepath.Join(dir, ShardDirName(2))
+		if err := os.RemoveAll(victim); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := OpenSharded(dir, 4, inventory.Options{MinSlotLength: minLen}, Options{NoSync: true}); err == nil {
+			t.Fatal("recovery booted a pool with one shard's log missing")
+		}
+	})
 }
 
 // TestShardedCrashInjectionTornTailContained is the sharded extension of

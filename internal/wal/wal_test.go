@@ -51,16 +51,16 @@ func stateSig(inv *inventory.Inventory) string {
 
 // churnLeader builds a WAL-backed inventory in dir and drives a
 // deterministic workload against it.
-func churnLeader(t *testing.T, dir string, seed uint64, ops int, walOpts Options) (*inventory.Inventory, *Store) {
+func churnLeader(t *testing.T, dir string, seed uint64, ops int, minLen float64, walOpts Options) (*inventory.Inventory, *Store) {
 	t.Helper()
-	rec, store, _, err := Open(dir, inventory.Options{MinSlotLength: 1}, walOpts)
+	rec, store, _, err := Open(dir, inventory.Options{MinSlotLength: minLen}, walOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inv := rec
 	if inv == nil {
 		rng := randx.New(seed)
-		inv, err = inventory.New(testkit.RandomList(rng, 10, 3, 300), inventory.Options{MinSlotLength: 1, Sink: store})
+		inv, err = inventory.New(testkit.RandomList(rng, 10, 3, 300), inventory.Options{MinSlotLength: minLen, Sink: store})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,179 +137,192 @@ func TestEventCodecRoundTrip(t *testing.T) {
 	// Record a real journal (covers every op kind with real windows),
 	// round-trip each event through the codec, and check the decoded
 	// journal replays to the same state.
-	rng := randx.New(5)
-	inv, err := inventory.New(testkit.RandomList(rng, 10, 3, 300), inventory.Options{MinSlotLength: 1, Record: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	drive(t, inv, 5, 80)
-	events := inv.Journal()
-	ops := map[inventory.Op]bool{}
-	decoded := make([]inventory.Event, 0, len(events))
-	for _, ev := range events {
-		ops[ev.Op] = true
-		payload, err := EncodeEvent(ev)
+	forMinLens(t, func(t *testing.T, minLen float64) {
+		rng := randx.New(5)
+		inv, err := inventory.New(testkit.RandomList(rng, 10, 3, 300), inventory.Options{MinSlotLength: minLen, Record: true})
 		if err != nil {
-			t.Fatalf("encode seq %d: %v", ev.Seq, err)
+			t.Fatal(err)
 		}
-		back, err := DecodeEvent(payload)
+		drive(t, inv, 5, 80)
+		events := inv.Journal()
+		ops := map[inventory.Op]bool{}
+		decoded := make([]inventory.Event, 0, len(events))
+		for _, ev := range events {
+			ops[ev.Op] = true
+			payload, err := EncodeEvent(ev)
+			if err != nil {
+				t.Fatalf("encode seq %d: %v", ev.Seq, err)
+			}
+			back, err := DecodeEvent(payload)
+			if err != nil {
+				t.Fatalf("decode seq %d: %v", ev.Seq, err)
+			}
+			decoded = append(decoded, back)
+		}
+		for _, op := range []inventory.Op{inventory.OpAdd, inventory.OpReserve, inventory.OpCommit, inventory.OpRelease} {
+			if !ops[op] {
+				t.Fatalf("workload never exercised %v", op)
+			}
+		}
+		a, err := inventory.Replay(events, inventory.Options{MinSlotLength: minLen})
 		if err != nil {
-			t.Fatalf("decode seq %d: %v", ev.Seq, err)
+			t.Fatal(err)
 		}
-		decoded = append(decoded, back)
-	}
-	for _, op := range []inventory.Op{inventory.OpAdd, inventory.OpReserve, inventory.OpCommit, inventory.OpRelease} {
-		if !ops[op] {
-			t.Fatalf("workload never exercised %v", op)
+		b, err := inventory.Replay(decoded, inventory.Options{MinSlotLength: minLen})
+		if err != nil {
+			t.Fatalf("decoded journal diverges: %v", err)
 		}
-	}
-	a, err := inventory.Replay(events, inventory.Options{MinSlotLength: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := inventory.Replay(decoded, inventory.Options{MinSlotLength: 1})
-	if err != nil {
-		t.Fatalf("decoded journal diverges: %v", err)
-	}
-	if got, want := stateSig(b), stateSig(a); got != want {
-		t.Fatalf("decoded replay differs:\n got %s\nwant %s", got, want)
-	}
+		if got, want := stateSig(b), stateSig(a); got != want {
+			t.Fatalf("decoded replay differs:\n got %s\nwant %s", got, want)
+		}
+		if got, want := stateSig(a), stateSig(inv); got != want {
+			t.Fatalf("replay differs from the recorded inventory:\n got %s\nwant %s", got, want)
+		}
+	})
 }
 
 func TestStateCodecRoundTrip(t *testing.T) {
-	rng := randx.New(9)
-	inv, err := inventory.New(testkit.RandomList(rng, 10, 3, 300), inventory.Options{MinSlotLength: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	drive(t, inv, 9, 60)
-	st := inv.ExportState()
-	payload, err := EncodeState(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeState(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	re, err := inventory.Restore(back, inventory.Options{MinSlotLength: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := stateSig(re), stateSig(inv); got != want {
-		t.Fatalf("state codec round trip differs:\n got %s\nwant %s", got, want)
-	}
-	// Hold deadlines survive to the nanosecond.
-	reSt := re.ExportState()
-	for i := range st.Holds {
-		if !reSt.Holds[i].Expires.Equal(st.Holds[i].Expires) {
-			t.Fatalf("hold %s expiry drifted: %v vs %v", st.Holds[i].ID, reSt.Holds[i].Expires, st.Holds[i].Expires)
+	forMinLens(t, func(t *testing.T, minLen float64) {
+		rng := randx.New(9)
+		inv, err := inventory.New(testkit.RandomList(rng, 10, 3, 300), inventory.Options{MinSlotLength: minLen})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		drive(t, inv, 9, 60)
+		st := inv.ExportState()
+		payload, err := EncodeState(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := DecodeState(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		re, err := inventory.Restore(back, inventory.Options{MinSlotLength: minLen})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := stateSig(re), stateSig(inv); got != want {
+			t.Fatalf("state codec round trip differs:\n got %s\nwant %s", got, want)
+		}
+		// Hold deadlines survive to the nanosecond.
+		reSt := re.ExportState()
+		for i := range st.Holds {
+			if !reSt.Holds[i].Expires.Equal(st.Holds[i].Expires) {
+				t.Fatalf("hold %s expiry drifted: %v vs %v", st.Holds[i].ID, reSt.Holds[i].Expires, st.Holds[i].Expires)
+			}
+		}
+	})
 }
 
 func TestStoreRecoverRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	inv, store := churnLeader(t, dir, 1, 120, Options{})
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec, store2, res, err := Open(dir, inventory.Options{MinSlotLength: 1}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store2.Close()
-	if rec == nil {
-		t.Fatal("recovery found nothing")
-	}
-	if res.Truncated {
-		t.Fatal("clean close produced a torn tail")
-	}
-	if got, want := stateSig(rec), stateSig(inv); got != want {
-		t.Fatalf("recovered state differs:\n got %s\nwant %s", got, want)
-	}
-	// The recovered leader keeps working and journaling.
-	drive(t, rec, 2, 20)
-	if store2.Err() != nil {
-		t.Fatal(store2.Err())
-	}
+	forMinLens(t, func(t *testing.T, minLen float64) {
+		dir := t.TempDir()
+		inv, store := churnLeader(t, dir, 1, 120, minLen, Options{})
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rec, store2, res, err := Open(dir, inventory.Options{MinSlotLength: minLen}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store2.Close()
+		if rec == nil {
+			t.Fatal("recovery found nothing")
+		}
+		if res.Truncated {
+			t.Fatal("clean close produced a torn tail")
+		}
+		if got, want := stateSig(rec), stateSig(inv); got != want {
+			t.Fatalf("recovered state differs:\n got %s\nwant %s", got, want)
+		}
+		// The recovered leader keeps working and journaling.
+		drive(t, rec, 2, 20)
+		if store2.Err() != nil {
+			t.Fatal(store2.Err())
+		}
+	})
 }
 
 func TestSnapshotCompactionAndRecovery(t *testing.T) {
-	dir := t.TempDir()
-	// Tiny segments force frequent rotation so compaction has targets.
-	inv, store := churnLeader(t, dir, 3, 60, Options{SegmentBytes: 4 << 10})
-	if err := store.Snapshot(inv.ExportState()); err != nil {
-		t.Fatal(err)
-	}
-	drive(t, inv, 4, 60)
-	if err := store.Snapshot(inv.ExportState()); err != nil {
-		t.Fatal(err)
-	}
-	segs, _ := listSegments(dir)
-	snaps, _ := listSnapshots(dir)
-	if len(snaps) > DefaultSnapshotKeep {
-		t.Fatalf("compaction kept %d snapshots, want <= %d", len(snaps), DefaultSnapshotKeep)
-	}
-	if len(segs) == 0 {
-		t.Fatal("no segments left at all")
-	}
-	stats := store.Stats()
-	if stats.SnapshotSeq == 0 || stats.DurableSeq < stats.SnapshotSeq {
-		t.Fatalf("implausible stats: %+v", stats)
-	}
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec, store2, _, err := Open(dir, inventory.Options{MinSlotLength: 1}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store2.Close()
-	if got, want := stateSig(rec), stateSig(inv); got != want {
-		t.Fatalf("post-compaction recovery differs:\n got %s\nwant %s", got, want)
-	}
+	forMinLens(t, func(t *testing.T, minLen float64) {
+		dir := t.TempDir()
+		// Tiny segments force frequent rotation so compaction has targets.
+		inv, store := churnLeader(t, dir, 3, 60, minLen, Options{SegmentBytes: 4 << 10})
+		if err := store.Snapshot(inv.ExportState()); err != nil {
+			t.Fatal(err)
+		}
+		drive(t, inv, 4, 60)
+		if err := store.Snapshot(inv.ExportState()); err != nil {
+			t.Fatal(err)
+		}
+		segs, _ := listSegments(dir)
+		snaps, _ := listSnapshots(dir)
+		if len(snaps) > DefaultSnapshotKeep {
+			t.Fatalf("compaction kept %d snapshots, want <= %d", len(snaps), DefaultSnapshotKeep)
+		}
+		if len(segs) == 0 {
+			t.Fatal("no segments left at all")
+		}
+		stats := store.Stats()
+		if stats.SnapshotSeq == 0 || stats.DurableSeq < stats.SnapshotSeq {
+			t.Fatalf("implausible stats: %+v", stats)
+		}
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rec, store2, _, err := Open(dir, inventory.Options{MinSlotLength: minLen}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store2.Close()
+		if got, want := stateSig(rec), stateSig(inv); got != want {
+			t.Fatalf("post-compaction recovery differs:\n got %s\nwant %s", got, want)
+		}
+	})
 }
 
 func TestGroupCommitUnderConcurrency(t *testing.T) {
-	dir := t.TempDir()
-	_, store, _, err := Open(dir, inventory.Options{MinSlotLength: 1}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := randx.New(11)
-	inv, err := inventory.New(testkit.RandomList(rng, 12, 3, 300), inventory.Options{MinSlotLength: 1, Sink: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			drive(t, inv, uint64(100+g), 30)
-		}(g)
-	}
-	wg.Wait()
-	stats := store.Stats()
-	if stats.DurableSeq != inv.Seq() {
-		t.Fatalf("acked mutations not durable: durable %d, inventory seq %d", stats.DurableSeq, inv.Seq())
-	}
-	// Group commit must have batched: strictly fewer fsyncs than events.
-	if stats.Fsyncs >= stats.DurableSeq {
-		t.Logf("note: no batching observed (%d fsyncs for %d events)", stats.Fsyncs, stats.DurableSeq)
-	}
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec, store2, _, err := Open(dir, inventory.Options{MinSlotLength: 1}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store2.Close()
-	if got, want := stateSig(rec), stateSig(inv); got != want {
-		t.Fatalf("concurrent run recovery differs:\n got %s\nwant %s", got, want)
-	}
+	forMinLens(t, func(t *testing.T, minLen float64) {
+		dir := t.TempDir()
+		_, store, _, err := Open(dir, inventory.Options{MinSlotLength: minLen}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := randx.New(11)
+		inv, err := inventory.New(testkit.RandomList(rng, 12, 3, 300), inventory.Options{MinSlotLength: minLen, Sink: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				drive(t, inv, uint64(100+g), 30)
+			}(g)
+		}
+		wg.Wait()
+		stats := store.Stats()
+		if stats.DurableSeq != inv.Seq() {
+			t.Fatalf("acked mutations not durable: durable %d, inventory seq %d", stats.DurableSeq, inv.Seq())
+		}
+		// Group commit must have batched: strictly fewer fsyncs than events.
+		if stats.Fsyncs >= stats.DurableSeq {
+			t.Logf("note: no batching observed (%d fsyncs for %d events)", stats.Fsyncs, stats.DurableSeq)
+		}
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rec, store2, _, err := Open(dir, inventory.Options{MinSlotLength: minLen}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store2.Close()
+		if got, want := stateSig(rec), stateSig(inv); got != want {
+			t.Fatalf("concurrent run recovery differs:\n got %s\nwant %s", got, want)
+		}
+	})
 }
 
 // TestLogOnlyRecoveryKeepsCallerOptions: a directory holding a log but no
@@ -317,45 +330,50 @@ func TestGroupCommitUnderConcurrency(t *testing.T) {
 // snapshot does — searches reach the Collector and a default-TTL hold
 // lapses after Options.DefaultTTL.
 func TestLogOnlyRecoveryKeepsCallerOptions(t *testing.T) {
-	dir := t.TempDir()
-	_, store := churnLeader(t, dir, 5, 20, Options{NoSync: true})
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if snaps, _ := listSnapshots(dir); len(snaps) != 0 {
-		t.Fatalf("fixture broken: %d snapshots in a log-only directory", len(snaps))
-	}
-	stats, trace := &obs.Stats{}, obs.NewTrace(16)
-	now := time.Unix(1_900_000_000, 0)
-	rec, store2, _, err := Open(dir, inventory.Options{
-		MinSlotLength: 1,
-		DefaultTTL:    5 * time.Second,
-		Collector:     obs.Combine(stats, trace),
-		Clock:         func() time.Time { return now },
-	}, Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store2.Close()
-	res, err := rec.Reserve(&job.Request{TaskCount: 1, Volume: 20, MaxCost: 5000}, core.AMP{}, 0)
-	if err != nil {
-		t.Fatalf("reserve on the recovered pool: %v", err)
-	}
-	if want := now.Add(5 * time.Second); !res.Expires.Equal(want) {
-		t.Errorf("default-TTL hold expires %v, want %v", res.Expires, want)
-	}
-	if got := stats.Snapshot().Selects["AMP"].Searches; got != 1 {
-		t.Errorf("collector saw %d AMP searches, want 1", got)
-	}
-	spans := trace.Spans()
-	if len(spans) == 0 || spans[len(spans)-1].Name != "inventory.Reserve" {
-		t.Errorf("collector saw spans %v, want a final inventory.Reserve", spans)
-	}
+	forMinLens(t, func(t *testing.T, minLen float64) {
+		dir := t.TempDir()
+		inv, store := churnLeader(t, dir, 5, 20, minLen, Options{NoSync: true})
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if snaps, _ := listSnapshots(dir); len(snaps) != 0 {
+			t.Fatalf("fixture broken: %d snapshots in a log-only directory", len(snaps))
+		}
+		stats, trace := &obs.Stats{}, obs.NewTrace(16)
+		now := time.Unix(1_900_000_000, 0)
+		rec, store2, _, err := Open(dir, inventory.Options{
+			MinSlotLength: minLen,
+			DefaultTTL:    5 * time.Second,
+			Collector:     obs.Combine(stats, trace),
+			Clock:         func() time.Time { return now },
+		}, Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store2.Close()
+		if got, want := stateSig(rec), stateSig(inv); got != want {
+			t.Fatalf("log-only recovery differs:\n got %s\nwant %s", got, want)
+		}
+		res, err := rec.Reserve(&job.Request{TaskCount: 1, Volume: 20, MaxCost: 5000}, core.AMP{}, 0)
+		if err != nil {
+			t.Fatalf("reserve on the recovered pool: %v", err)
+		}
+		if want := now.Add(5 * time.Second); !res.Expires.Equal(want) {
+			t.Errorf("default-TTL hold expires %v, want %v", res.Expires, want)
+		}
+		if got := stats.Snapshot().Selects["AMP"].Searches; got != 1 {
+			t.Errorf("collector saw %d AMP searches, want 1", got)
+		}
+		spans := trace.Spans()
+		if len(spans) == 0 || spans[len(spans)-1].Name != "inventory.Reserve" {
+			t.Errorf("collector saw spans %v, want a final inventory.Reserve", spans)
+		}
+	})
 }
 
 func TestRecoverRepairsTornTail(t *testing.T) {
 	dir := t.TempDir()
-	inv, store := churnLeader(t, dir, 7, 80, Options{})
+	inv, store := churnLeader(t, dir, 7, 80, 1, Options{})
 	_ = inv
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
@@ -399,7 +417,7 @@ func TestRecoverRepairsTornTail(t *testing.T) {
 
 func TestRecoverRejectsMidLogCorruption(t *testing.T) {
 	dir := t.TempDir()
-	_, store := churnLeader(t, dir, 13, 60, Options{})
+	_, store := churnLeader(t, dir, 13, 60, 1, Options{})
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -421,99 +439,103 @@ func TestRecoverRejectsMidLogCorruption(t *testing.T) {
 }
 
 func TestRecoverSkipsCorruptSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	inv, store := churnLeader(t, dir, 17, 60, Options{})
-	if err := store.Snapshot(inv.ExportState()); err != nil {
-		t.Fatal(err)
-	}
-	drive(t, inv, 18, 30)
-	if err := store.Snapshot(inv.ExportState()); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-	snaps, _ := listSnapshots(dir)
-	latest := snaps[len(snaps)-1]
-	data, _ := os.ReadFile(latest.path)
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(latest.path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// With the newest snapshot corrupt, recovery falls back to the older
-	// one. The events between the two snapshots were compacted only up to
-	// the OLDER snapshot's boundary (compaction keeps 2 snapshots and
-	// only deletes segments the older snapshot covers), so the tail from
-	// the older snapshot is still complete and recovery still lands on
-	// the exact final state.
-	res, err := Recover(dir, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SkippedSnapshots != 1 {
-		t.Fatalf("skipped %d snapshots, want 1", res.SkippedSnapshots)
-	}
-	if res.State == nil || res.State.Seq != snaps[0].seq {
-		t.Fatalf("did not fall back to snapshot %d", snaps[0].seq)
-	}
-	rec, store2, _, err := Open(dir, inventory.Options{MinSlotLength: 1}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store2.Close()
-	if got, want := stateSig(rec), stateSig(inv); got != want {
-		t.Fatalf("fallback recovery differs:\n got %s\nwant %s", got, want)
-	}
+	forMinLens(t, func(t *testing.T, minLen float64) {
+		dir := t.TempDir()
+		inv, store := churnLeader(t, dir, 17, 60, minLen, Options{})
+		if err := store.Snapshot(inv.ExportState()); err != nil {
+			t.Fatal(err)
+		}
+		drive(t, inv, 18, 30)
+		if err := store.Snapshot(inv.ExportState()); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		snaps, _ := listSnapshots(dir)
+		latest := snaps[len(snaps)-1]
+		data, _ := os.ReadFile(latest.path)
+		data[len(data)/2] ^= 0xff
+		if err := os.WriteFile(latest.path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// With the newest snapshot corrupt, recovery falls back to the older
+		// one. The events between the two snapshots were compacted only up to
+		// the OLDER snapshot's boundary (compaction keeps 2 snapshots and
+		// only deletes segments the older snapshot covers), so the tail from
+		// the older snapshot is still complete and recovery still lands on
+		// the exact final state.
+		res, err := Recover(dir, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SkippedSnapshots != 1 {
+			t.Fatalf("skipped %d snapshots, want 1", res.SkippedSnapshots)
+		}
+		if res.State == nil || res.State.Seq != snaps[0].seq {
+			t.Fatalf("did not fall back to snapshot %d", snaps[0].seq)
+		}
+		rec, store2, _, err := Open(dir, inventory.Options{MinSlotLength: minLen}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store2.Close()
+		if got, want := stateSig(rec), stateSig(inv); got != want {
+			t.Fatalf("fallback recovery differs:\n got %s\nwant %s", got, want)
+		}
+	})
 }
 
 func TestFollowerTailsLeader(t *testing.T) {
-	dir := t.TempDir()
-	inv, store := churnLeader(t, dir, 21, 40, Options{SegmentBytes: 4 << 10})
+	forMinLens(t, func(t *testing.T, minLen float64) {
+		dir := t.TempDir()
+		inv, store := churnLeader(t, dir, 21, 40, minLen, Options{SegmentBytes: 4 << 10})
 
-	fol, err := NewFollower(dir, inventory.Options{MinSlotLength: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fol.Poll(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := stateSig(fol.Inventory()), stateSig(inv); got != want {
-		t.Fatalf("follower differs after initial catch-up:\n got %s\nwant %s", got, want)
-	}
-
-	// Leader keeps going (with rotation); follower polls incrementally.
-	for round := 0; round < 5; round++ {
-		drive(t, inv, uint64(30+round), 15)
+		fol, err := NewFollower(dir, inventory.Options{MinSlotLength: minLen})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if _, err := fol.Poll(); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := stateSig(fol.Inventory()), stateSig(inv); got != want {
-			t.Fatalf("round %d: follower diverged:\n got %s\nwant %s", round, got, want)
+			t.Fatalf("follower differs after initial catch-up:\n got %s\nwant %s", got, want)
 		}
-	}
 
-	// Snapshot + compaction beyond the follower's position forces resync.
-	ptr := fol.Inventory()
-	drive(t, inv, 99, 40)
-	if err := store.Snapshot(inv.ExportState()); err != nil {
-		t.Fatal(err)
-	}
-	drive(t, inv, 100, 10)
-	if err := store.Snapshot(inv.ExportState()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fol.Poll(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := stateSig(fol.Inventory()), stateSig(inv); got != want {
-		t.Fatalf("follower diverged after compaction:\n got %s\nwant %s", got, want)
-	}
-	if fol.Inventory() != ptr {
-		t.Fatal("resync replaced the inventory pointer")
-	}
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
+		// Leader keeps going (with rotation); follower polls incrementally.
+		for round := 0; round < 5; round++ {
+			drive(t, inv, uint64(30+round), 15)
+			if _, err := fol.Poll(); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := stateSig(fol.Inventory()), stateSig(inv); got != want {
+				t.Fatalf("round %d: follower diverged:\n got %s\nwant %s", round, got, want)
+			}
+		}
+
+		// Snapshot + compaction beyond the follower's position forces resync.
+		ptr := fol.Inventory()
+		drive(t, inv, 99, 40)
+		if err := store.Snapshot(inv.ExportState()); err != nil {
+			t.Fatal(err)
+		}
+		drive(t, inv, 100, 10)
+		if err := store.Snapshot(inv.ExportState()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fol.Poll(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := stateSig(fol.Inventory()), stateSig(inv); got != want {
+			t.Fatalf("follower diverged after compaction:\n got %s\nwant %s", got, want)
+		}
+		if fol.Inventory() != ptr {
+			t.Fatal("resync replaced the inventory pointer")
+		}
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestAppendAfterCloseFails(t *testing.T) {
