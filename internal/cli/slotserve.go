@@ -114,8 +114,7 @@ func Slotserve(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var inv inventory.Pool
-	var store *wal.Store    // single-pool durability (-data-dir, -shards 1)
-	var stores []*wal.Store // per-shard durability (-data-dir, -shards > 1)
+	var stores []*wal.Store // -data-dir: the one store, or store i behind shard i
 	var flwr *wal.Follower
 	closeStores := func() {
 		for _, st := range stores {
@@ -130,7 +129,6 @@ func Slotserve(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		inv = flwr.Inventory()
-		srvOpts.ReadOnly = true
 		srvOpts.Follower = flwr
 		fmt.Fprintf(stderr, "slotserve: read-only follower of %s (applied seq %d)\n", *follow, flwr.LastSeq())
 
@@ -155,36 +153,17 @@ func Slotserve(args []string, stdout, stderr io.Writer) int {
 			}
 			fmt.Fprintf(stderr, "slotserve: recovered %d shards from %s (%d events replayed, torn tail truncated: %v)\n",
 				*shards, *dataDir, events, truncated)
-		} else {
-			if *slotFile == "" {
-				closeStores()
-				fmt.Fprintf(stderr, "slotserve: %s is empty; -slots is required to seed a fresh durable inventory\n", *dataDir)
-				return 2
-			}
-			list, err := loadSlotFile(*slotFile)
-			if err != nil {
-				closeStores()
-				fmt.Fprintln(stderr, "slotserve:", err)
-				return 1
-			}
-			pool, err := wal.SeedSharded(list, invOpts, stores)
-			if err != nil {
-				closeStores()
-				fmt.Fprintln(stderr, "slotserve:", err)
-				return 1
-			}
-			inv = pool
 		}
 
 	case *dataDir != "":
 		walOpts := wal.Options{OnFsync: server.FsyncHistogram(reg)}
-		recovered, st, res, err := wal.Open(*dataDir, invOpts, walOpts)
+		recovered, store, res, err := wal.Open(*dataDir, invOpts, walOpts)
 		if err != nil {
 			fmt.Fprintln(stderr, "slotserve:", err)
 			return 1
 		}
-		store = st
-		srvOpts.WAL = st
+		stores = []*wal.Store{store}
+		srvOpts.WAL = store
 		if recovered != nil {
 			inv = recovered
 			if *slotFile != "" {
@@ -192,26 +171,6 @@ func Slotserve(args []string, stdout, stderr io.Writer) int {
 			}
 			fmt.Fprintf(stderr, "slotserve: recovered seq %d from %s (%d events replayed, torn tail truncated: %v)\n",
 				res.LastSeq, *dataDir, len(res.Events), res.Truncated)
-		} else {
-			if *slotFile == "" {
-				store.Close()
-				fmt.Fprintf(stderr, "slotserve: %s is empty; -slots is required to seed a fresh durable inventory\n", *dataDir)
-				return 2
-			}
-			list, err := loadSlotFile(*slotFile)
-			if err != nil {
-				store.Close()
-				fmt.Fprintln(stderr, "slotserve:", err)
-				return 1
-			}
-			seedOpts := invOpts
-			seedOpts.Sink = store
-			inv, err = inventory.New(list, seedOpts)
-			if err != nil {
-				store.Close()
-				fmt.Fprintln(stderr, "slotserve:", err)
-				return 1
-			}
 		}
 
 	default:
@@ -222,6 +181,28 @@ func Slotserve(args []string, stdout, stderr io.Writer) int {
 		}
 		inv, err = inventory.NewPool(list, invOpts)
 		if err != nil {
+			fmt.Fprintln(stderr, "slotserve:", err)
+			return 1
+		}
+	}
+	if inv == nil {
+		// A fresh -data-dir: seed it from -slots, each store journaling
+		// the construction of its inventory.
+		if *slotFile == "" {
+			closeStores()
+			fmt.Fprintf(stderr, "slotserve: %s is empty; -slots is required to seed a fresh durable inventory\n", *dataDir)
+			return 2
+		}
+		list, err := loadSlotFile(*slotFile)
+		if err == nil && len(stores) > 1 {
+			inv, err = wal.SeedSharded(list, invOpts, stores)
+		} else if err == nil {
+			seedOpts := invOpts
+			seedOpts.Sink = stores[0]
+			inv, err = inventory.New(list, seedOpts)
+		}
+		if err != nil {
+			closeStores()
 			fmt.Fprintln(stderr, "slotserve:", err)
 			return 1
 		}
@@ -247,27 +228,29 @@ func Slotserve(args []string, stdout, stderr io.Writer) int {
 	// poller. Stopped (and drained) before the WAL store closes.
 	bgStop := make(chan struct{})
 	bgDone := make(chan struct{})
+	// journaled(i) is the inventory whose journal stores[i] holds: the one
+	// pool, or shard i of a sharded one.
+	journaled := func(i int) *inventory.Inventory {
+		if sp, ok := inv.(*inventory.Sharded); ok {
+			return sp.Shard(i)
+		}
+		return inv.(*inventory.Inventory)
+	}
 	switch {
 	case len(stores) > 0:
-		// One snapshotter per shard: each store snapshots its own shard's
-		// state, on its own cadence, exactly like a single-pool leader.
-		pool := inv.(*inventory.Sharded)
+		// One snapshotter per store: each snapshots its own inventory's
+		// state, on its own cadence.
 		var wg sync.WaitGroup
-		for i := range stores {
+		for i, st := range stores {
 			wg.Add(1)
-			go func(i int) {
+			go func(inv *inventory.Inventory, st *wal.Store) {
 				defer wg.Done()
-				snapshotLoop(pool.Shard(i), stores[i], *snapIvl, *snapEvts, bgStop, stderr)
-			}(i)
+				snapshotLoop(inv, st, *snapIvl, *snapEvts, bgStop, stderr)
+			}(journaled(i), st)
 		}
 		go func() {
 			wg.Wait()
 			close(bgDone)
-		}()
-	case store != nil:
-		go func() {
-			defer close(bgDone)
-			snapshotLoop(inv.(*inventory.Inventory), store, *snapIvl, *snapEvts, bgStop, stderr)
 		}()
 	case flwr != nil:
 		go func() {
@@ -314,33 +297,17 @@ func Slotserve(args []string, stdout, stderr io.Writer) int {
 
 	close(bgStop)
 	<-bgDone
-	if len(stores) > 0 {
-		// Final flush, shard by shard: each store snapshots and closes its
-		// own shard, so a slow shard cannot block another's fsync queue.
-		pool := inv.(*inventory.Sharded)
-		for i, st := range stores {
-			if stats := st.Stats(); stats.AppendedSeq > stats.SnapshotSeq {
-				if err := st.Snapshot(pool.Shard(i).ExportState()); err != nil {
-					fmt.Fprintf(stderr, "slotserve: final snapshot (shard %d): %v\n", i, err)
-					code = 1
-				}
-			}
-			if err := st.Close(); err != nil {
-				fmt.Fprintf(stderr, "slotserve: wal close (shard %d): %v\n", i, err)
+	// Final flush, store by store: a parting snapshot makes the next boot's
+	// replay instant, and Close drains any still-queued appends to disk.
+	for i, st := range stores {
+		if stats := st.Stats(); stats.AppendedSeq > stats.SnapshotSeq {
+			if err := st.Snapshot(journaled(i).ExportState()); err != nil {
+				fmt.Fprintf(stderr, "slotserve: final snapshot (store %d): %v\n", i, err)
 				code = 1
 			}
 		}
-	} else if store != nil {
-		// Final flush: a parting snapshot makes the next boot's replay
-		// instant, and Close drains any still-queued appends to disk.
-		if st := store.Stats(); st.AppendedSeq > st.SnapshotSeq {
-			if err := store.Snapshot(inv.(*inventory.Inventory).ExportState()); err != nil {
-				fmt.Fprintln(stderr, "slotserve: final snapshot:", err)
-				code = 1
-			}
-		}
-		if err := store.Close(); err != nil {
-			fmt.Fprintln(stderr, "slotserve: wal close:", err)
+		if err := st.Close(); err != nil {
+			fmt.Fprintf(stderr, "slotserve: wal close (store %d): %v\n", i, err)
 			code = 1
 		}
 	}

@@ -124,18 +124,6 @@ type Options struct {
 	// GOMAXPROCS. There is no 1-shard router: below 2 shards NewPool returns
 	// a plain Inventory and NewSharded refuses. Ignored by New.
 	Shards int
-
-	// SeqStamp, when non-nil, stamps every journaled event with a global
-	// sequence number (Event.GSeq) drawn from a counter shared across the
-	// shards of one Sharded pool — the merge key that orders the union of
-	// the per-shard journals. Set by NewSharded/wal.OpenSharded; leave nil
-	// for a standalone inventory.
-	SeqStamp func() uint64
-
-	// ShardSink, when non-nil, supplies the durable journal sink for each
-	// shard of a Sharded pool (per-shard WAL directories), which rejects a
-	// shared Sink; ignored by New.
-	ShardSink func(shard int) JournalSink
 }
 
 // Snapshot is an immutable published view of the free pool. The slot list
@@ -234,7 +222,6 @@ type Inventory struct {
 	committed map[string]*core.Window  // permanent allocations
 	nextID    uint64
 	seq       uint64
-	gseqHigh  uint64 // highest Event.GSeq journaled or applied (sharded pools)
 	journal   []Event
 	counters  Counters
 
@@ -355,16 +342,6 @@ func (inv *Inventory) Seq() uint64 {
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
 	return inv.seq
-}
-
-// GSeq returns the highest global (cross-shard) sequence number this
-// inventory has journaled or applied; zero when it was never part of a
-// sharded pool. Recovery advances the shared ShardSeq past the maximum
-// GSeq across all shards so new stamps stay globally monotonic.
-func (inv *Inventory) GSeq() uint64 {
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	return inv.gseqHigh
 }
 
 // Shards reports the partition count: always 1 for a standalone Inventory.

@@ -79,14 +79,6 @@ type Event struct {
 	// original wall-clock deadline from it, so a hold that was due to
 	// lapse still lapses after a restart.
 	Expires time.Time
-
-	// GSeq is the sharded global sequence number: when the inventory is one
-	// shard of a Sharded pool, every event is additionally stamped from a
-	// counter shared by all shards (Options.SeqStamp), taken under the shard
-	// mutex. Sorting the union of all shard journals by GSeq yields one
-	// total order whose per-shard subsequences are exactly each shard's
-	// local journal — the merged-replay order. Zero when unsharded.
-	GSeq uint64
 }
 
 // JournalSink receives every journaled event, in serialization order — the
@@ -111,12 +103,6 @@ func (inv *Inventory) recordLocked(ev Event) {
 	}
 	inv.seq++
 	ev.Seq = inv.seq
-	if inv.opts.SeqStamp != nil {
-		ev.GSeq = inv.opts.SeqStamp()
-	}
-	if ev.GSeq > inv.gseqHigh {
-		inv.gseqHigh = ev.GSeq
-	}
 	if inv.opts.Record {
 		inv.journal = append(inv.journal, ev)
 	}
@@ -246,9 +232,6 @@ func (inv *Inventory) apply(ev Event) error {
 	}
 	if ev.Seq > inv.seq {
 		inv.seq = ev.Seq
-	}
-	if ev.GSeq > inv.gseqHigh {
-		inv.gseqHigh = ev.GSeq
 	}
 	return nil
 }

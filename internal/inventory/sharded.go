@@ -20,11 +20,10 @@
 //     double-booking is preserved because every span is guarded by exactly
 //     one shard's fit check.
 //
-//   - Every event is stamped with a global sequence number (Event.GSeq)
-//     from a counter shared by all shards; sorting the union of the shard
-//     journals by GSeq gives one total order whose per-shard subsequences
-//     are each shard's local journal, so global replay = ordered merge of
-//     the per-shard replays.
+// Each shard journals (and recovers) on its own: shards partition the
+// nodes, so no event of one shard reads another's state, and the only
+// thing shared across shard journals is the reservation ID namespace,
+// which NewShardedFrom re-seeds from the highest recovered NextID.
 //
 // There is no 1-shard router: a pool of one shard is a plain Inventory
 // (NewPool picks).
@@ -71,28 +70,6 @@ var (
 	_ Pool = (*Sharded)(nil)
 )
 
-// ShardSeq is the global sequence counter shared by the shards of one
-// pool: every journaled event draws its GSeq from it under the shard
-// mutex. Recovery advances it past the highest GSeq found on disk so new
-// stamps stay globally monotonic across restarts.
-type ShardSeq struct{ c atomic.Uint64 }
-
-// Next returns the next global sequence number.
-func (s *ShardSeq) Next() uint64 { return s.c.Add(1) }
-
-// Load returns the current high-water mark.
-func (s *ShardSeq) Load() uint64 { return s.c.Load() }
-
-// Advance raises the counter to at least v (CAS-max; concurrent-safe).
-func (s *ShardSeq) Advance(v uint64) {
-	for {
-		cur := s.c.Load()
-		if cur >= v || s.c.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
 // ShardOf maps a node ID to its owning shard: Fibonacci multiplicative
 // hashing on the node ID, reduced mod n. This mapping is part of the
 // on-disk contract of a sharded WAL directory (each shard journals only
@@ -102,6 +79,17 @@ func ShardOf(nodeID, n int) int {
 		return 0
 	}
 	return int((uint64(int64(nodeID)) * 0x9E3779B97F4A7C15) % uint64(n))
+}
+
+// PartitionByShard splits a slot list into the n shards' initial lists by
+// ShardOf, keeping the list's order within each part.
+func PartitionByShard(list slots.List, n int) []slots.List {
+	parts := make([]slots.List, n)
+	for _, s := range list {
+		si := ShardOf(s.Node.ID, n)
+		parts[si] = append(parts[si], s)
+	}
+	return parts
 }
 
 // crossShardGrace pads the shard-level deadline of a cross-shard hold past
@@ -189,10 +177,9 @@ type Sharded struct {
 // NewSharded builds a partitioned pool over the initial slot list.
 // opts.Shards picks the partition count (0 = GOMAXPROCS) and must come to
 // at least 2 — a single pool is New's (NewPool chooses between the two).
-// Every shard is constructed even when its partition is empty, so a durable
-// layout always journals a construction event per shard directory.
-// opts.ShardSink, when set, supplies each shard's journal sink; opts.Sink
-// is rejected (shards cannot share one sequence-checked sink).
+// Every shard is constructed even when its partition is empty. opts.Sink
+// is rejected: shards cannot share one sequence-checked sink (a durable
+// sharded pool is built shard by shard, see wal.SeedSharded).
 func NewSharded(list slots.List, opts Options) (*Sharded, error) {
 	n := opts.Shards
 	if n == 0 {
@@ -202,25 +189,12 @@ func NewSharded(list slots.List, opts Options) (*Sharded, error) {
 		return nil, fmt.Errorf("inventory: a sharded pool needs at least 2 shards, got %d (use New for a single pool)", n)
 	}
 	if opts.Sink != nil {
-		return nil, fmt.Errorf("inventory: a sharded pool needs per-shard sinks (Options.ShardSink), not one shared Sink")
+		return nil, fmt.Errorf("inventory: a sharded pool cannot share one Sink across its shards")
 	}
-	if opts.SeqStamp == nil {
-		seq := &ShardSeq{}
-		opts.SeqStamp = seq.Next
-	}
-	parts := make([]slots.List, n)
-	for _, s := range list {
-		si := ShardOf(s.Node.ID, n)
-		parts[si] = append(parts[si], s)
-	}
+	parts := PartitionByShard(list, n)
 	shards := make([]*Inventory, n)
 	for i := range shards {
-		so := opts
-		so.Shards, so.ShardSink = 0, nil
-		if opts.ShardSink != nil {
-			so.Sink = opts.ShardSink(i)
-		}
-		inv, err := New(parts[i], so)
+		inv, err := New(parts[i], opts)
 		if err != nil {
 			return nil, err
 		}
@@ -230,9 +204,11 @@ func NewSharded(list slots.List, opts Options) (*Sharded, error) {
 }
 
 // NewShardedFrom assembles a router over already-built shards (at least
-// 2) — the recovery path (wal.OpenSharded): each shard was restored from
+// 2): the durable paths, where each shard journals to its own WAL
+// directory. On recovery (wal.OpenSharded) each shard was restored from
 // its own snapshot + log tail, and the router rebuilds its routing table
-// from the recovered holds. A recovered cross-shard hold is recognized by
+// from the recovered holds and re-seeds its ID mint from the highest
+// NextID of any shard. A recovered cross-shard hold is recognized by
 // its ID appearing on several shards; its client deadline is the shard
 // deadline minus the grace, and its placements are regrouped in shard order
 // (the discovery order did not survive the crash — the aggregates are
@@ -304,19 +280,8 @@ func (s *Sharded) stripe(id string) *liveStripe {
 func (s *Sharded) Shards() int { return len(s.shards) }
 
 // Shard returns the i'th partition — the seam for per-shard WAL
-// snapshots, the merged-replay suite and per-shard telemetry.
+// snapshots, the per-shard replay suite and per-shard telemetry.
 func (s *Sharded) Shard(i int) *Inventory { return s.shards[i] }
-
-// GSeq returns the highest global sequence number stamped on any shard.
-func (s *Sharded) GSeq() uint64 {
-	var max uint64
-	for _, sh := range s.shards {
-		if g := sh.GSeq(); g > max {
-			max = g
-		}
-	}
-	return max
-}
 
 // ---- merged snapshot ----
 

@@ -639,12 +639,11 @@ func TestCrossShardCommitVsOwnerChurn(t *testing.T) {
 	}
 }
 
-// TestShardedGSeqMergedReplay is the recovery determinism argument in
-// test form: with per-shard recording on, sorting the union of the shard
-// journals by GSeq yields one strictly ordered global history whose
-// per-shard subsequences are exactly the local journals, and replaying
-// each shard's journal reproduces that shard's state.
-func TestShardedGSeqMergedReplay(t *testing.T) {
+// TestShardedPerShardReplay is the recovery determinism argument in test
+// form: with per-shard recording on, replaying each shard's journal alone
+// reproduces that shard's free list, holds and commits — cross-shard holds
+// included, because each of their parts is journaled on its own shard.
+func TestShardedPerShardReplay(t *testing.T) {
 	clk := newManualClock()
 	rng := randx.New(7)
 	list := testkit.RandomList(rng, 12, 4, 2000)
@@ -678,45 +677,8 @@ func TestShardedGSeqMergedReplay(t *testing.T) {
 		}
 	}
 
-	// Union of the shard journals, ordered by GSeq: strictly increasing,
-	// no duplicates, and filtering it back per shard preserves each local
-	// order.
-	type tagged struct {
-		shard int
-		ev    Event
-	}
-	var union []tagged
-	for i := 0; i < pool.Shards(); i++ {
-		for _, ev := range pool.Shard(i).Journal() {
-			if ev.GSeq == 0 {
-				t.Fatalf("shard %d event seq %d missing GSeq", i, ev.Seq)
-			}
-			union = append(union, tagged{shard: i, ev: ev})
-		}
-	}
-	sort.Slice(union, func(a, b int) bool { return union[a].ev.GSeq < union[b].ev.GSeq })
-	seen := make(map[uint64]bool)
-	perShard := make(map[int][]Event)
-	for _, te := range union {
-		if seen[te.ev.GSeq] {
-			t.Fatalf("duplicate GSeq %d", te.ev.GSeq)
-		}
-		seen[te.ev.GSeq] = true
-		perShard[te.shard] = append(perShard[te.shard], te.ev)
-	}
 	for i := 0; i < pool.Shards(); i++ {
 		local := pool.Shard(i).Journal()
-		merged := perShard[i]
-		if len(local) != len(merged) {
-			t.Fatalf("shard %d: merged subsequence has %d events, local journal %d", i, len(merged), len(local))
-		}
-		for j := range local {
-			if local[j].Seq != merged[j].Seq || local[j].GSeq != merged[j].GSeq {
-				t.Fatalf("shard %d: merged order diverges from local at %d", i, j)
-			}
-		}
-		// Per-shard replay determinism: the journal alone rebuilds the
-		// shard.
 		replayed, err := Replay(local, Options{MinSlotLength: 1, DefaultTTL: time.Hour})
 		if err != nil {
 			t.Fatalf("shard %d replay: %v", i, err)
@@ -729,9 +691,6 @@ func TestShardedGSeqMergedReplay(t *testing.T) {
 		}
 		if a, b := committedSig(replayed.Committed()), committedSig(pool.Shard(i).Committed()); a != b {
 			t.Fatalf("shard %d: replayed committed diverged", i)
-		}
-		if g, w := replayed.GSeq(), pool.Shard(i).GSeq(); g != w {
-			t.Fatalf("shard %d: replayed GSeq %d, want %d", i, g, w)
 		}
 	}
 }

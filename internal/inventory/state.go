@@ -48,12 +48,6 @@ type State struct {
 	// this state.
 	Seq uint64
 
-	// GSeq is the highest cross-shard global sequence number (Event.GSeq)
-	// included in this state; zero for an unsharded inventory. Recovery of
-	// a sharded pool advances the shared stamp counter past the maximum
-	// GSeq over all shards (snapshots and log tails both carry it).
-	GSeq uint64
-
 	// NextID is the reservation ID counter.
 	NextID uint64
 
@@ -85,7 +79,6 @@ func (inv *Inventory) ExportState() *State {
 	st := &State{
 		Version:  inv.pub.Load().version,
 		Seq:      inv.seq,
-		GSeq:     inv.gseqHigh,
 		NextID:   inv.nextID,
 		Counters: inv.counters,
 	}
@@ -186,7 +179,6 @@ func (inv *Inventory) resetLocked(st *State) error {
 	}
 	inv.nextID = st.NextID
 	inv.seq = st.Seq
-	inv.gseqHigh = st.GSeq
 	inv.counters = st.Counters
 	inv.journal = nil
 	inv.wait = nil

@@ -107,10 +107,6 @@ type Span struct {
 	// group and color by it.
 	Cat string
 
-	// Tid is the logical thread lane for trace rendering; 0 unless the
-	// emitter sets one.
-	Tid int
-
 	// Start is the span start on the obs.Now clock.
 	Start time.Duration
 

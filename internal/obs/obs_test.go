@@ -141,7 +141,7 @@ func TestTraceSpanOrdering(t *testing.T) {
 func TestWriteChromeTrace(t *testing.T) {
 	tr := NewTrace(8)
 	tr.Span(Span{Name: "scan", Cat: "scan", Start: 2 * time.Microsecond, Dur: 5 * time.Microsecond, Arg: "slots=10"})
-	tr.Span(Span{Name: "AMP", Cat: "select", Tid: 1, Start: 8 * time.Microsecond, Dur: time.Microsecond})
+	tr.Span(Span{Name: "AMP", Cat: "select", Start: 8 * time.Microsecond, Dur: time.Microsecond})
 
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
@@ -167,6 +167,11 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 	if _, hasArgs := events[1]["args"]; hasArgs {
 		t.Error("event without Arg should omit args")
+	}
+	for i, ev := range events {
+		if ev["pid"] != float64(1) || ev["tid"] != float64(0) {
+			t.Errorf("event %d: pid %v tid %v, want the constant 1 and 0 viewers load", i, ev["pid"], ev["tid"])
+		}
 	}
 }
 

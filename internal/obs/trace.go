@@ -96,7 +96,7 @@ type chromeEvent struct {
 	Ts   float64           `json:"ts"`  // microseconds
 	Dur  float64           `json:"dur"` // microseconds
 	Pid  int               `json:"pid"`
-	Tid  int               `json:"tid"`
+	Tid  int               `json:"tid"` // always 0: viewers want the key, spans carry no lane
 	Args map[string]string `json:"args,omitempty"`
 }
 
@@ -113,7 +113,6 @@ func (t *Trace) WriteChromeTrace(w io.Writer) error {
 			Ts:   float64(sp.Start) / float64(time.Microsecond),
 			Dur:  float64(sp.Dur) / float64(time.Microsecond),
 			Pid:  1,
-			Tid:  sp.Tid,
 		}
 		if sp.Arg != "" || sp.Trace != "" {
 			ev.Args = make(map[string]string, 2)

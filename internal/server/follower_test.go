@@ -47,7 +47,7 @@ func newLeaderFollowerPair(t *testing.T) (leader, follower *httptest.Server, inv
 	if err != nil {
 		t.Fatal(err)
 	}
-	follower = httptest.NewServer(New(f.Inventory(), Options{ReadOnly: true, Follower: f}))
+	follower = httptest.NewServer(New(f.Inventory(), Options{Follower: f}))
 	t.Cleanup(follower.Close)
 	return leader, follower, inv, f, store
 }

@@ -41,41 +41,6 @@ func TestRetryAfterSecondsTable(t *testing.T) {
 	}
 }
 
-// TestAvgServiceAcrossShards pins the shard fold feeding the Retry-After
-// drain estimate: completed counts and busy time are summed over every
-// shard tally before the division, so a cold shard dilutes nothing and an
-// all-cold pool reports zero (which retryAfterSeconds maps to the floor).
-func TestAvgServiceAcrossShards(t *testing.T) {
-	ms := func(n uint64) uint64 { return n * uint64(time.Millisecond) }
-	cases := []struct {
-		name  string
-		stats []shardServiceStats
-		want  time.Duration
-	}{
-		{"no shards", nil, 0},
-		{"single shard is the plain average",
-			[]shardServiceStats{{Serviced: 4, BusyNanos: ms(40)}}, 10 * time.Millisecond},
-		{"two busy shards pool their samples",
-			[]shardServiceStats{
-				{Serviced: 3, BusyNanos: ms(30)},
-				{Serviced: 1, BusyNanos: ms(50)},
-			}, 20 * time.Millisecond}, // 80ms / 4, not avg(10ms, 50ms)
-		{"cold shard contributes no samples and no dilution",
-			[]shardServiceStats{
-				{Serviced: 2, BusyNanos: ms(20)},
-				{}, // shard no request has routed to yet
-				{Serviced: 2, BusyNanos: ms(60)},
-			}, 20 * time.Millisecond},
-		{"all shards cold reports zero",
-			[]shardServiceStats{{}, {}, {}, {}}, 0},
-	}
-	for _, tc := range cases {
-		if got := avgServiceAcrossShards(tc.stats); got != tc.want {
-			t.Errorf("%s: avgServiceAcrossShards = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
 // TestShedRetryAfterParses: under real overload the 429 Retry-After header
 // must parse as an integer in the documented [1, 30] range.
 func TestShedRetryAfterParses(t *testing.T) {

@@ -19,11 +19,11 @@
 // With Options.WAL set the server reports the durability store's progress
 // (journal vs durable sequence, snapshot age, fsync count) in a
 // "durability" statusz section and as slotserve_wal_* metrics — both
-// sampled from the same store atomics. With Options.ReadOnly the server is
-// a follower front-end: only the read endpoints are served and the
-// mutating ones answer 403, because a WAL-tailing replica may change state
-// only by applying the leader's journal; Options.Follower adds the
-// replica's replication progress to statusz and the metrics.
+// sampled from the same store atomics. With Options.Follower set the
+// server is a follower front-end: only the read endpoints are served and
+// the mutating ones answer 403, because a WAL-tailing replica may change
+// state only by applying the leader's journal, and the replica's
+// replication progress is added to statusz and the metrics.
 //
 // # Event-driven finds
 //
@@ -120,13 +120,6 @@ type Options struct {
 	// request (including shed and deadline-expired ones). nil = off.
 	RequestLog *reqlog.Logger
 
-	// ReadOnly serves only the read endpoints (/v1/find, /v1/slots,
-	// /v1/statusz, /metricsz); the mutating endpoints (/v1/reserve,
-	// /v1/commit, /v1/release) answer 403. This is the follower mode: the
-	// inventory behind the server is a WAL-tailing replica that must only
-	// change by applying the leader's journal.
-	ReadOnly bool
-
 	// WAL, when non-nil, is the durability store behind the inventory.
 	// Its stats feed the "durability" section of /v1/statusz and the
 	// slotserve_wal_* metric families — both sampled from the same store
@@ -141,9 +134,13 @@ type Options struct {
 	// with WAL.
 	WALs []*wal.Store
 
-	// Follower, when non-nil, reports replication progress of the
-	// WAL-tailing replica behind a read-only server (the "replication"
-	// statusz section and the slotserve_follower_* metrics).
+	// Follower, when non-nil, makes the server the read-only front-end of
+	// this WAL-tailing replica: only the read endpoints (/v1/find,
+	// /v1/watch, /v1/slots, /v1/statusz, /metricsz) are served, the
+	// mutating ones (/v1/reserve, /v1/commit, /v1/release) answer 403, and
+	// its replication progress is reported (the "replication" statusz
+	// section and the slotserve_follower_* metrics). The inventory behind
+	// the server must only change by applying the leader's journal.
 	Follower *wal.Follower
 
 	// FindCacheSize bounds the churn-aware /v1/find result cache:
@@ -175,14 +172,14 @@ type Server struct {
 	requests atomic.Uint64
 	shed     atomic.Uint64
 
-	// completed counts admitted requests whose handler finished. svc holds
-	// the per-shard service tallies behind the drain-rate estimate (one
-	// tally over an unsharded pool); both count only the non-watch subset —
-	// a /v1/watch long-poll parks for seconds by design, and folding its
-	// wall time into the mean would poison the drain-rate estimate behind
-	// Retry-After.
+	// completed counts admitted requests whose handler finished. serviced
+	// and busyNanos tally the drain-rate estimate behind Retry-After: how
+	// many non-watch requests finished and their summed handler wall time.
+	// A /v1/watch long-poll parks for seconds by design, and folding its
+	// wall time into the mean would poison the estimate.
 	completed atomic.Uint64
-	svc       []svcTally
+	serviced  atomic.Uint64
+	busyNanos atomic.Uint64
 
 	// cache memoizes find results across requests with churn-aware
 	// invalidation; nil when Options.FindCacheSize < 0.
@@ -440,7 +437,6 @@ func New(inv inventory.Pool, opts Options) *Server {
 		mux:      http.NewServeMux(),
 		inflight: make(chan struct{}, opts.MaxInflight),
 		watch:    newWatchHub(opts.WatchLimit),
-		svc:      make([]svcTally, max(1, inv.Shards())),
 	}
 	if opts.FindCacheSize >= 0 {
 		// FindCacheSize is a per-shard budget: the total bound scales with
@@ -465,7 +461,7 @@ func New(inv inventory.Pool, opts Options) *Server {
 	// effort — sync.Pool may shed entries under GC pressure.
 	core.WarmScanners(opts.MaxInflight)
 	s.mux.HandleFunc("/v1/find", s.route(http.MethodPost, s.handleFind))
-	if opts.ReadOnly {
+	if opts.Follower != nil {
 		s.mux.HandleFunc("/v1/reserve", s.route(http.MethodPost, s.rejectReadOnly))
 		s.mux.HandleFunc("/v1/commit", s.route(http.MethodPost, s.rejectReadOnly))
 		s.mux.HandleFunc("/v1/release", s.route(http.MethodPost, s.rejectReadOnly))
@@ -483,16 +479,6 @@ func New(inv inventory.Pool, opts Options) *Server {
 		s.mux.HandleFunc("/metricsz", s.route(http.MethodGet, func(sc *reqScope, r *http.Request) { metrics.ServeHTTP(sc, r) }))
 	}
 	return s
-}
-
-// annotateWindowShard attributes a mutating request to the shard of its
-// window's first placement node. No-op over an unsharded pool (one tally)
-// and for cross-shard windows' secondary parts — the drain estimate only
-// needs the aggregate to be right, not perfect attribution.
-func (s *Server) annotateWindowShard(sc *reqScope, w *core.Window) {
-	if n := s.inv.Shards(); n > 1 && w != nil && len(w.Placements) > 0 {
-		sc.shard = inventory.ShardOf(w.Placements[0].Node().ID, n)
-	}
 }
 
 // ServeHTTP implements http.Handler: trace ID, admission gate, deadline,
@@ -533,18 +519,15 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	begin := obs.Now()
 	sc := acquireScope(w, deadline)
 	s.mux.ServeHTTP(sc, r)
-	code, alg, shard := sc.code, sc.alg, sc.shard
+	code, alg := sc.code, sc.alg
 	releaseScope(sc)
 	dur := obs.Now() - begin
 	s.completed.Add(1)
 	if r.URL.Path != "/v1/watch" {
 		// Watch long-polls are excluded from the service-time mean: their
 		// handler time is dominated by intentional parking, not work.
-		if shard < 0 || shard >= len(s.svc) {
-			shard = 0
-		}
-		s.svc[shard].busyNanos.Add(uint64(dur))
-		s.svc[shard].serviced.Add(1)
+		s.busyNanos.Add(uint64(dur))
+		s.serviced.Add(1)
 	}
 	if col := s.opts.Collector; col != nil {
 		col.Span(obs.Span{
@@ -672,53 +655,14 @@ func (s *Server) retryAfter() int {
 	return retryAfterSeconds(s.queued.Load(), s.opts.MaxInflight, s.avgService())
 }
 
-// svcTally is one shard's completed-request tally: how many non-watch
-// requests it serviced and their summed handler wall time.
-type svcTally struct {
-	serviced  atomic.Uint64
-	busyNanos atomic.Uint64
-}
-
-// shardServiceStats is a point-in-time copy of one shard's service tally,
-// the input unit of avgServiceAcrossShards.
-type shardServiceStats struct {
-	Serviced  uint64
-	BusyNanos uint64
-}
-
-// avgServiceAcrossShards folds per-shard service tallies into the
-// pool-wide mean: total busy time over total completed counts. A cold
-// shard — zero completions, e.g. one whose nodes no mutation has landed
-// on yet — contributes nothing to either sum, so it can neither drag the
-// mean toward zero nor reset a warm layout's drain estimate back to the
-// cold-start floor. Zero until any shard has serviced a request.
-func avgServiceAcrossShards(stats []shardServiceStats) time.Duration {
-	var n, busy uint64
-	for _, st := range stats {
-		n += st.Serviced
-		busy += st.BusyNanos
-	}
+// avgService is the observed mean handler wall time of non-watch
+// requests; zero until the first one completes.
+func (s *Server) avgService() time.Duration {
+	n := s.serviced.Load()
 	if n == 0 {
 		return 0
 	}
-	return time.Duration(busy / n)
-}
-
-// avgService is the observed mean handler wall time of non-watch
-// requests, aggregated across the per-shard tallies; zero until the
-// first one completes.
-func (s *Server) avgService() time.Duration {
-	// Every 429 computes this, so the copy of the tallies lives on the
-	// stack for any plausible shard count.
-	var buf [16]shardServiceStats
-	stats := buf[:0]
-	for i := range s.svc {
-		stats = append(stats, shardServiceStats{
-			Serviced:  s.svc[i].serviced.Load(),
-			BusyNanos: s.svc[i].busyNanos.Load(),
-		})
-	}
-	return avgServiceAcrossShards(stats)
+	return time.Duration(s.busyNanos.Load() / n)
 }
 
 // Retry-After clamps: never tell a client to come back sooner than 1s
@@ -963,7 +907,6 @@ func (s *Server) handleReserve(sc *reqScope, r *http.Request) {
 		sc.error(http.StatusBadRequest, err.Error())
 		return
 	}
-	s.annotateWindowShard(sc, res.Window)
 	sc.field("expires")
 	sc.out = append(sc.out, '"')
 	sc.out = res.Expires.UTC().AppendFormat(sc.out, time.RFC3339Nano)
@@ -989,7 +932,6 @@ func (s *Server) handleCommit(sc *reqScope, r *http.Request) {
 		sc.error(http.StatusBadRequest, err.Error())
 		return
 	}
-	s.annotateWindowShard(sc, win)
 	sc.str("id", id)
 	if sc.window(win) {
 		sc.send(http.StatusOK)
@@ -1032,7 +974,7 @@ func (s *Server) handleSlots(sc *reqScope, r *http.Request) {
 // (the replica clock is frozen precisely so local time cannot diverge the
 // replica from the journal).
 func (s *Server) sweep() {
-	if !s.opts.ReadOnly {
+	if s.opts.Follower == nil {
 		s.inv.Sweep()
 	}
 }
@@ -1052,7 +994,7 @@ func (s *Server) handleStatusz(sc *reqScope, r *http.Request) {
 	st := s.inv.Status()
 	body := map[string]any{
 		"snapshot_version": st.Version,
-		"read_only":        s.opts.ReadOnly,
+		"read_only":        s.opts.Follower != nil,
 		"inventory":        st,
 		"server": map[string]any{
 			"requests":         s.requests.Load(),

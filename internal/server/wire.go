@@ -24,10 +24,10 @@ import (
 // a cache hit from the entry's stored bytes) and sent with one Write.
 
 // reqScope is the state of one admitted request: the writer and the status
-// it sent, what the log line and the service tallies want to know about
-// the request, its deadline, and the two wire buffers. It is the
-// http.ResponseWriter the routes see, and it is pooled — nothing may keep
-// it, or a slice of its buffers, past the handler's return.
+// it sent, what the log line wants to know about the request, its
+// deadline, and the two wire buffers. It is the http.ResponseWriter the
+// routes see, and it is pooled — nothing may keep it, or a slice of its
+// buffers, past the handler's return.
 type reqScope struct {
 	http.ResponseWriter
 
@@ -37,12 +37,6 @@ type reqScope struct {
 	// alg is the selection algorithm or CSA criterion the request named
 	// ("amp", "csa:cost"); empty for non-search endpoints.
 	alg string
-
-	// shard is the inventory shard the request's mutation landed on (the
-	// shard of its window's first placement node); 0 for reads, searches,
-	// and unsharded pools. It picks the service tally the request's
-	// handler time is recorded into.
-	shard int
 
 	// deadline is arrival plus Options.RequestTimeout on the obs.Now
 	// clock. Only /v1/watch waits on it; every other handler runs to

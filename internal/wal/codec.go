@@ -119,9 +119,10 @@ func readFrame(r *bufio.Reader) ([]byte, error) {
 
 // eventJSON is the serialized inventory.Event. Window and Slots embed the
 // persist owned-window and slot-list encodings as nested documents.
+// Directories written before the global event order was dropped carry a
+// "gseq" key here and in stateJSON; decoding ignores it.
 type eventJSON struct {
 	Seq     uint64          `json:"seq"`
-	GSeq    uint64          `json:"gseq,omitempty"` // cross-shard merge key; 0 = unsharded
 	Op      int             `json:"op"`
 	ID      string          `json:"id,omitempty"`
 	Node    int             `json:"node,omitempty"`
@@ -133,7 +134,7 @@ type eventJSON struct {
 
 // EncodeEvent serializes one journal event to its record payload.
 func EncodeEvent(ev inventory.Event) ([]byte, error) {
-	out := eventJSON{Seq: ev.Seq, GSeq: ev.GSeq, Op: int(ev.Op), ID: ev.ID, Node: ev.Node, OK: ev.OK}
+	out := eventJSON{Seq: ev.Seq, Op: int(ev.Op), ID: ev.ID, Node: ev.Node, OK: ev.OK}
 	if !ev.Expires.IsZero() {
 		out.Expires = ev.Expires.UnixNano()
 	}
@@ -161,7 +162,7 @@ func DecodeEvent(payload []byte) (inventory.Event, error) {
 		return inventory.Event{}, fmt.Errorf("wal: decoding event: %w", err)
 	}
 	ev := inventory.Event{
-		Seq: in.Seq, GSeq: in.GSeq, Op: inventory.Op(in.Op), ID: in.ID, Node: in.Node, OK: in.OK,
+		Seq: in.Seq, Op: inventory.Op(in.Op), ID: in.ID, Node: in.Node, OK: in.OK,
 	}
 	if in.Expires != 0 {
 		ev.Expires = time.Unix(0, in.Expires)
@@ -201,7 +202,6 @@ type stateJSON struct {
 	Format    int                `json:"format"`
 	Version   uint64             `json:"snapshot_version"`
 	Seq       uint64             `json:"seq"`
-	GSeq      uint64             `json:"gseq,omitempty"` // cross-shard high-water mark; 0 = unsharded
 	NextID    uint64             `json:"next_id"`
 	Counters  inventory.Counters `json:"counters"`
 	Base      json.RawMessage    `json:"base,omitempty"`
@@ -215,7 +215,6 @@ func EncodeState(st *inventory.State) ([]byte, error) {
 		Format:   persist.FormatVersion,
 		Version:  st.Version,
 		Seq:      st.Seq,
-		GSeq:     st.GSeq,
 		NextID:   st.NextID,
 		Counters: st.Counters,
 	}
@@ -260,7 +259,6 @@ func DecodeState(payload []byte) (*inventory.State, error) {
 	st := &inventory.State{
 		Version:  in.Version,
 		Seq:      in.Seq,
-		GSeq:     in.GSeq,
 		NextID:   in.NextID,
 		Counters: in.Counters,
 	}

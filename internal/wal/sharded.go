@@ -17,13 +17,14 @@ import (
 //	<dir>/shard-00/ ... <dir>/shard-<N-1>/
 //
 // each an independent group-committed log + snapshot chain for exactly the
-// events of that shard's nodes. Every event additionally carries its GSeq
-// (the cross-shard merge key), so the global history is recoverable as the
-// ordered merge of the per-shard journals even though each shard fsyncs
-// independently.
+// events of that shard's nodes. Recovery replays each directory on its
+// own: shards partition the nodes, and a cross-shard hold is placed and
+// settled under all its shards' locks, so no shard's history depends on
+// another's order. The router's ID mint resumes past the highest NextID
+// recovered on any shard (inventory.NewShardedFrom).
 //
-// Every shard directory is seeded at construction (inventory.NewSharded
-// journals an OpAdd on every shard, even an empty partition), so a healthy
+// Every shard directory is seeded at construction (SeedSharded journals an
+// OpAdd on every shard, even an empty partition), so a healthy
 // layout never has an empty shard directory next to non-empty ones — an
 // all-or-nothing invariant OpenSharded checks: mixed emptiness means a
 // shard's log was lost, and recovery refuses rather than resurrecting a
@@ -46,10 +47,8 @@ func OpenSharded(dir string, n int, invOpts inventory.Options, walOpts Options) 
 	if err := checkShardLayout(dir, n); err != nil {
 		return nil, nil, nil, err
 	}
-	seq := &inventory.ShardSeq{}
-	invOpts.SeqStamp = seq.Next
 	invOpts.Sink = nil
-	invOpts.Shards, invOpts.ShardSink = 0, nil
+	invOpts.Shards = 0
 
 	stores := make([]*Store, 0, n)
 	results := make([]*RecoverResult, 0, n)
@@ -80,13 +79,6 @@ func OpenSharded(dir string, n int, invOpts inventory.Options, walOpts Options) 
 		closeAll()
 		return nil, nil, nil, fmt.Errorf("wal: %d of %d shard directories are empty — every shard journals its construction, so an empty shard next to recovered ones means lost data", n-recovered, n)
 	}
-	var maxGSeq uint64
-	for _, inv := range invs {
-		if g := inv.GSeq(); g > maxGSeq {
-			maxGSeq = g
-		}
-	}
-	seq.Advance(maxGSeq)
 	pool, err := inventory.NewShardedFrom(invs, invOpts)
 	if err != nil {
 		closeAll()
@@ -97,14 +89,24 @@ func OpenSharded(dir string, n int, invOpts inventory.Options, walOpts Options) 
 
 // SeedSharded builds a fresh sharded pool over the stores OpenSharded
 // created for an empty layout: one shard per store, each journaling its
-// construction event (and everything after) to its own log.
+// construction event (and everything after) to its own log, joined by the
+// same constructor recovery uses.
 func SeedSharded(list slots.List, invOpts inventory.Options, stores []*Store) (*inventory.Sharded, error) {
-	seq := &inventory.ShardSeq{}
-	invOpts.Shards = len(stores)
-	invOpts.SeqStamp = seq.Next
-	invOpts.Sink = nil
-	invOpts.ShardSink = func(i int) inventory.JournalSink { return stores[i] }
-	return inventory.NewSharded(list, invOpts)
+	if len(stores) < 2 {
+		return nil, fmt.Errorf("wal: SeedSharded needs at least 2 shard stores, got %d", len(stores))
+	}
+	parts := inventory.PartitionByShard(list, len(stores))
+	shards := make([]*inventory.Inventory, len(stores))
+	for i, st := range stores {
+		so := invOpts
+		so.Sink = st
+		inv, err := inventory.New(parts[i], so)
+		if err != nil {
+			return nil, err
+		}
+		shards[i] = inv
+	}
+	return inventory.NewShardedFrom(shards, invOpts)
 }
 
 // checkShardLayout rejects directories whose on-disk shape disagrees with

@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -34,8 +36,9 @@ func seedSharded(t *testing.T, dir string, n int, seed uint64, invOpts inventory
 }
 
 // TestShardedSeedReopenRoundTrip: seed a 4-shard layout, churn it, close,
-// reopen — every shard must come back byte-identical, the GSeq watermark
-// must survive, and fresh mutations must mint GSeqs strictly beyond it.
+// reopen — every shard must come back byte-identical, and the first
+// reservation after recovery must get an ID no recovered hold or commit
+// carries on any shard: IDs are one namespace across the shards.
 func TestShardedSeedReopenRoundTrip(t *testing.T) {
 	forMinLens(t, func(t *testing.T, minLen float64) {
 		const n = 4
@@ -45,10 +48,6 @@ func TestShardedSeedReopenRoundTrip(t *testing.T) {
 		wantSigs := make([]string, n)
 		for i := 0; i < n; i++ {
 			wantSigs[i] = stateSig(pool.Shard(i))
-		}
-		gBefore := pool.GSeq()
-		if gBefore == 0 {
-			t.Fatal("no GSeq minted by the seed churn")
 		}
 		for _, st := range stores {
 			if err := st.Close(); err != nil {
@@ -78,15 +77,163 @@ func TestShardedSeedReopenRoundTrip(t *testing.T) {
 				t.Errorf("shard %d state diverged across reopen:\n got %s\nwant %s", i, got, wantSigs[i])
 			}
 		}
-		if got := re.GSeq(); got != gBefore {
-			t.Errorf("GSeq watermark %d after reopen, want %d", got, gBefore)
+		// IDs are zero-padded, so string order is mint order: a fresh ID
+		// must sort after every recovered one, not only differ from them
+		// (a released ID handed out again is a reuse too).
+		var recovered []string
+		for i := 0; i < n; i++ {
+			recovered = append(recovered, re.Shard(i).Holds()...)
+			for id := range re.Shard(i).Committed() {
+				recovered = append(recovered, id)
+			}
 		}
-		// New work must continue the global order, not restart it.
-		if _, err := re.Reserve(&job.Request{TaskCount: 1, Volume: 30, MaxCost: 5000}, core.AMP{}, time.Minute); err != nil {
+		if len(recovered) == 0 {
+			t.Fatal("the seed churn left no hold or commit to recover")
+		}
+		res, err := re.Reserve(&job.Request{TaskCount: 1, Volume: 30, MaxCost: 5000}, core.AMP{}, time.Minute)
+		if err != nil {
 			t.Fatalf("post-recovery reserve: %v", err)
 		}
-		if got := re.GSeq(); got <= gBefore {
-			t.Errorf("post-recovery GSeq %d did not advance past the recovered watermark %d", got, gBefore)
+		for _, id := range recovered {
+			if res.ID <= id {
+				t.Errorf("post-recovery reserve got ID %s, not past recovered hold or commit %s", res.ID, id)
+			}
+		}
+	})
+}
+
+// withGseqKey adds the "gseq" key that older writers put into every event
+// frame and snapshot payload (a cross-shard event order nothing read).
+func withGseqKey(payload []byte, g uint64) []byte {
+	return append([]byte(fmt.Sprintf(`{"gseq":%d,`, g)), payload[1:]...)
+}
+
+// rewriteWithGseqKey rewrites every frame of a segment or snapshot file with
+// the "gseq" key, drawing values from *g the way the shared counter did.
+func rewriteWithGseqKey(t *testing.T, path string, g *uint64) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := frameReader(data)
+	var out []byte
+	for {
+		payload, err := readFrame(r)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		*g++
+		out = appendFrame(out, withGseqKey(payload, *g))
+	}
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLegacyGseqKeyIgnored: directories written while events carried the
+// global "gseq" order still boot. An event frame and a snapshot payload
+// with the key decode to what they decode to without it, and a 4-shard
+// layout (snapshot plus log tail on every shard) whose every record
+// carries the key reopens to the same state on every shard.
+func TestLegacyGseqKeyIgnored(t *testing.T) {
+	forMinLens(t, func(t *testing.T, minLen float64) {
+		rng := randx.New(5)
+		inv, err := inventory.New(testkit.RandomList(rng, 10, 3, 300), inventory.Options{MinSlotLength: minLen, Record: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		drive(t, inv, 5, 40)
+		for i, ev := range inv.Journal() {
+			payload, err := EncodeEvent(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, err := DecodeEvent(withGseqKey(payload, uint64(i+7)))
+			if err != nil {
+				t.Fatalf("seq %d with gseq: %v", ev.Seq, err)
+			}
+			if again, err := EncodeEvent(back); err != nil || !bytes.Equal(again, payload) {
+				t.Fatalf("seq %d: the gseq key changed the decoded event (%v):\n got %s\nwant %s", ev.Seq, err, again, payload)
+			}
+		}
+		payload, err := EncodeState(inv.ExportState())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sigs [2][]byte
+		for i, p := range [][]byte{payload, withGseqKey(payload, 99)} {
+			st, err := DecodeState(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sigs[i], err = EncodeState(st); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(sigs[1], sigs[0]) {
+			t.Fatalf("the gseq key changed the decoded state:\n got %s\nwant %s", sigs[1], sigs[0])
+		}
+
+		const n = 4
+		dir := t.TempDir()
+		pool, stores := seedSharded(t, dir, n, 21, inventory.Options{MinSlotLength: minLen}, Options{NoSync: true})
+		drive(t, pool, 21, 12)
+		for i, st := range stores {
+			if err := st.Snapshot(pool.Shard(i).ExportState()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		drive(t, pool, 22, 12)
+		wantSigs := make([]string, n)
+		for i, st := range stores {
+			wantSigs[i] = stateSig(pool.Shard(i))
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var g uint64
+		for i := 0; i < n; i++ {
+			shardDir := filepath.Join(dir, ShardDirName(i))
+			snaps, err := listSnapshots(shardDir)
+			if err != nil || len(snaps) == 0 {
+				t.Fatalf("shard %d: no snapshot (%v)", i, err)
+			}
+			for _, sn := range snaps {
+				rewriteWithGseqKey(t, sn.path, &g)
+			}
+			segs, err := listSegments(shardDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, seg := range segs {
+				rewriteWithGseqKey(t, seg.path, &g)
+			}
+		}
+		re, stores2, results, err := OpenSharded(dir, n, inventory.Options{MinSlotLength: minLen}, Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			for _, st := range stores2 {
+				st.Close()
+			}
+		}()
+		tail := 0
+		for i, res := range results {
+			if res == nil || res.Truncated || res.State == nil {
+				t.Fatalf("shard %d: want a clean snapshot recovery, got %+v", i, res)
+			}
+			tail += len(res.Events)
+			if got := stateSig(re.Shard(i)); got != wantSigs[i] {
+				t.Errorf("shard %d state diverged with gseq keys on disk:\n got %s\nwant %s", i, got, wantSigs[i])
+			}
+		}
+		if tail == 0 {
+			t.Fatal("no shard replayed a log tail past its snapshot")
 		}
 	})
 }
