@@ -10,7 +10,8 @@
 //     list and co-allocation windows span arbitrary nodes — per-shard
 //     searches stitched together afterwards would not be byte-identical to
 //     the unsharded scan. The merged snapshot is cached and revalidated by
-//     per-shard versions, so quiet pools pay nothing.
+//     per-shard versions, so quiet pools pay nothing, and a new one is
+//     spliced from the last at the cost of what the shards changed.
 //
 //   - A window is held under the mutexes of every shard it touches, taken
 //     in ascending shard order: the router checks every part fits before
@@ -123,11 +124,67 @@ type liveStripe struct {
 }
 
 // combined is one assembled global snapshot: the merged free list, the
-// per-shard versions it was cut from, and its own (router-level) version.
+// per-shard versions and sequences it was cut from, and its own
+// (router-level) version.
 type combined struct {
 	version uint64
-	vec     []uint64 // per-shard snapshot versions at assembly
+	vec     []uint64     // per-shard snapshot versions at assembly
+	seqs    []*slots.Seq // per-shard sequences at assembly: what the next one diffs against
+	seq     *slots.Seq   // the merged list, as verified leaves over snap.Slots
 	snap    *Snapshot
+}
+
+// spliceScratch bounds the scratch lists assembly keeps between calls: a
+// booking changes a few slots, while boot and bulk changes diff whole shards
+// and should not pin lists that size.
+const spliceScratch = 256
+
+// splicer is assembleLocked's scratch, reused under mergeMu: each shard's
+// diff against the previous assembly, the merges of those, and the merge
+// cursors.
+type splicer struct {
+	dels, inss []slots.List
+	del, ins   slots.List
+	heads      []slots.List
+}
+
+// merge appends the merge of the ordered parts to out, in Before order.
+// Shards partition the nodes, so no two parts hold an equal key.
+func (sp *splicer) merge(out slots.List, parts []slots.List) slots.List {
+	heads := append(sp.heads[:0], parts...)
+	for {
+		best := -1
+		for i, h := range heads {
+			if len(h) > 0 && (best < 0 || slots.Before(h[0], heads[best][0])) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		out = append(out, heads[best][0])
+		heads[best] = heads[best][1:]
+	}
+	clear(heads)
+	sp.heads = heads[:0]
+	return out
+}
+
+// reset empties the scratch for the next assembly, dropping the slots it
+// points at and any list grown past spliceScratch.
+func (sp *splicer) reset() {
+	for i := range sp.dels {
+		sp.dels[i], sp.inss[i] = emptied(sp.dels[i]), emptied(sp.inss[i])
+	}
+	sp.del, sp.ins = emptied(sp.del), emptied(sp.ins)
+}
+
+func emptied(l slots.List) slots.List {
+	if cap(l) > spliceScratch {
+		return nil
+	}
+	clear(l)
+	return l[:0]
 }
 
 // vecRing maps combined versions to their per-shard version vectors, so
@@ -164,9 +221,11 @@ type Sharded struct {
 	nextID   atomic.Uint64 // router ID mint (shared namespace across shards)
 	noWindow atomic.Uint64 // failed searches (they journal no event anywhere)
 
-	// mergeMu serializes merged-snapshot assembly; cur is the latest
-	// assembly, revalidated lock-free against the live shard versions.
+	// mergeMu serializes merged-snapshot assembly and guards its scratch;
+	// cur is the latest assembly, revalidated lock-free against the live
+	// shard versions.
 	mergeMu sync.Mutex
+	splice  splicer
 	mergeV  atomic.Uint64
 	cur     atomic.Pointer[combined]
 	vers    vecRing
@@ -260,8 +319,16 @@ func newRouter(shards []*Inventory, opts Options) *Sharded {
 		s.stripes[i].m = make(map[string]*liveRes)
 		s.stripes[i].committed = make(map[string]*core.Window)
 	}
+	s.splice.dels = make([]slots.List, len(shards))
+	s.splice.inss = make([]slots.List, len(shards))
+	// The first assembly splices every shard into an empty list.
+	empty, _ := slots.SeqOf(nil)
+	boot := &combined{seqs: make([]*slots.Seq, len(shards)), seq: empty}
+	for i := range boot.seqs {
+		boot.seqs[i] = empty
+	}
 	s.mergeMu.Lock()
-	s.cur.Store(s.assembleLocked())
+	s.cur.Store(s.assembleLocked(boot))
 	s.mergeMu.Unlock()
 	return s
 }
@@ -294,25 +361,28 @@ func (s *Sharded) Shard(i int) *Inventory { return s.shards[i] }
 // k-way merge of their individually sorted lists is exactly the globally
 // sorted list, and any search over it sees the byte-identical candidate
 // stream the unsharded scan would see.
-func (s *Sharded) Snapshot() *Snapshot {
+func (s *Sharded) Snapshot() *Snapshot { return s.current().snap }
+
+// freeCursor walks the merged free list as verified leaves: no search
+// re-checks its order.
+func (s *Sharded) freeCursor() slots.Cursor { return s.current().seq.Cursor() }
+
+// current returns the assembly of the shards' latest versions.
+func (s *Sharded) current() *combined {
 	c := s.cur.Load()
 	if s.fresh(c) {
-		return c.snap
+		return c
 	}
 	s.mergeMu.Lock()
 	defer s.mergeMu.Unlock()
 	c = s.cur.Load()
 	if s.fresh(c) {
-		return c.snap
+		return c
 	}
-	c = s.assembleLocked()
+	c = s.assembleLocked(c)
 	s.cur.Store(c)
-	return c.snap
+	return c
 }
-
-// freeCursor walks the merged free list: one leaf, order-checked per search
-// like any caller's list.
-func (s *Sharded) freeCursor() slots.Cursor { return s.Snapshot().Slots.Cursor() }
 
 // fresh compares versions only: it never makes a shard flatten the version
 // it is on.
@@ -325,39 +395,34 @@ func (s *Sharded) fresh(c *combined) bool {
 	return true
 }
 
-// assembleLocked cuts a new merged snapshot (mergeMu held), merging straight
-// from the shards' published sequences — no shard flattens anything. Each
-// shard's sequence is individually consistent; the assembly is the
-// scatter-gather read point, revalidated per shard on the reserve path
-// exactly like a stale single-pool snapshot would be.
-func (s *Sharded) assembleLocked() *combined {
-	vec := make([]uint64, len(s.shards))
-	curs := make([]slots.Cursor, len(s.shards))
-	heads := make([]slots.List, len(s.shards)) // what is left of each shard's current leaf
-	total := 0
+// assembleLocked cuts the next merged snapshot from prev (mergeMu held),
+// at the cost of what the shards changed since prev was cut: each shard's
+// published sequence is diffed against the one prev was cut from (leaves
+// they share are skipped unread), the per-shard diffs are merged into Before
+// order, and the merge is spliced into prev's list. No shard flattens
+// anything. Each shard's sequence is individually consistent; the assembly
+// is the scatter-gather read point, revalidated per shard on the reserve
+// path exactly like a stale single-pool snapshot would be.
+func (s *Sharded) assembleLocked(prev *combined) *combined {
+	sp := &s.splice
+	c := &combined{vec: make([]uint64, len(s.shards)), seqs: make([]*slots.Seq, len(s.shards))}
 	for i, sh := range s.shards {
 		p := sh.pub.Load()
-		vec[i] = p.version
-		curs[i] = p.seq.Cursor()
-		heads[i] = curs[i].Next()
-		total += p.seq.Len()
+		c.vec[i], c.seqs[i] = p.version, p.seq
+		sp.dels[i], sp.inss[i] = p.seq.Diff(prev.seqs[i], sp.dels[i], sp.inss[i])
 	}
-	merged := make(slots.List, 0, total)
-	for len(merged) < total {
-		best := -1
-		for i, h := range heads {
-			if h != nil && (best < 0 || slots.Before(h[0], heads[best][0])) {
-				best = i
-			}
-		}
-		merged = append(merged, heads[best][0])
-		if heads[best] = heads[best][1:]; len(heads[best]) == 0 {
-			heads[best] = curs[best].Next()
-		}
+	sp.del, sp.ins = sp.merge(sp.del, sp.dels), sp.merge(sp.ins, sp.inss)
+	seq, err := prev.seq.Splice(sp.del, sp.ins)
+	if err != nil {
+		// Each diff is exact and the shards' nodes are disjoint; only a bug
+		// can make the merged list disagree with them.
+		panic(fmt.Sprintf("inventory: merged snapshot out of step with its shards: %v", err))
 	}
-	version := s.mergeV.Add(1)
-	c := &combined{version: version, vec: vec, snap: &Snapshot{Version: version, Slots: merged, MinSlotLength: s.opts.MinSlotLength}}
-	s.vers.put(version, vec)
+	sp.reset()
+	c.seq = seq
+	c.version = s.mergeV.Add(1)
+	c.snap = &Snapshot{Version: c.version, Slots: seq.Flatten(), MinSlotLength: s.opts.MinSlotLength}
+	s.vers.put(c.version, c.vec)
 	return c
 }
 
@@ -720,26 +785,33 @@ func AggregateCounters(cs ...Counters) Counters {
 }
 
 // Status aggregates across every shard: counters are summed (a cold shard
-// adds zeros), hold/commit counts are distinct IDs (a cross-shard hold
-// counts once), and the version/free figures come from the merged
-// snapshot.
+// adds zeros), hold/commit counts are distinct IDs (a cross-shard hold has
+// a part under its one ID on every shard it touches, and counts once), and
+// the version/free figures come from the merged snapshot. The IDs are
+// counted straight from the shards' tables: no list is sorted and no
+// window regrouped.
 func (s *Sharded) Status() Status {
 	snap := s.Snapshot()
 	st := Status{
 		Version:   snap.Version,
 		FreeSlots: len(snap.Slots),
 		FreeSpan:  snap.Slots.TotalSpan(),
-		Holds:     len(s.Holds()),
-		Committed: len(s.Committed()),
 	}
-	cs := make([]Counters, 0, len(s.shards))
+	holds, commits := make(map[string]struct{}), make(map[string]struct{})
 	for _, sh := range s.shards {
-		shst := sh.Status()
-		st.Nodes += shst.Nodes
-		st.JournalLen += shst.JournalLen
-		cs = append(cs, shst.Counters)
+		sh.mu.Lock()
+		st.Nodes += len(sh.base)
+		st.JournalLen += len(sh.journal)
+		st.Counters = AggregateCounters(st.Counters, sh.counters)
+		for id := range sh.holds {
+			holds[id] = struct{}{}
+		}
+		for id := range sh.committed {
+			commits[id] = struct{}{}
+		}
+		sh.mu.Unlock()
 	}
-	st.Counters = AggregateCounters(cs...)
+	st.Holds, st.Committed = len(holds), len(commits)
 	st.Counters.NoWindow += s.noWindow.Load()
 	return st
 }

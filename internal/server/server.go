@@ -220,7 +220,7 @@ type serverMetrics struct {
 
 // registerMetrics registers the server families on reg. Counters that back
 // /v1/statusz fields are sampled from the identical atomics; inventory
-// gauges are sampled from inventory.Status at scrape time.
+// gauges are sampled from one inventory.Status read at scrape time.
 func (s *Server) registerMetrics(reg *telemetry.Registry) *serverMetrics {
 	m := &serverMetrics{
 		requests: reg.CounterVec("slotserve_http_requests_total",
@@ -251,46 +251,51 @@ func (s *Server) registerMetrics(reg *telemetry.Registry) *serverMetrics {
 		"Requests currently waiting in the admission queue.",
 		func() float64 { return float64(s.queued.Load()) })
 
+	// One Status per scrape backs every inventory family, so the families of
+	// one scrape describe one version (on the router, one merged snapshot
+	// and one count of its hold and commit IDs).
 	inv := s.inv
+	var st inventory.Status
+	reg.OnScrape(func() { st = inv.Status() })
 	reg.SampledGauge("slotsel_inventory_free_slots",
 		"Free slots in the published snapshot.",
-		func() float64 { return float64(inv.Status().FreeSlots) })
+		func() float64 { return float64(st.FreeSlots) })
 	reg.SampledGauge("slotsel_inventory_free_span",
 		"Total time span of the free slots.",
-		func() float64 { return inv.Status().FreeSpan })
+		func() float64 { return st.FreeSpan })
 	reg.SampledGauge("slotsel_inventory_holds",
 		"Live TTL'd reservations.",
-		func() float64 { return float64(inv.Status().Holds) })
+		func() float64 { return float64(st.Holds) })
 	reg.SampledGauge("slotsel_inventory_committed",
 		"Permanent allocations.",
-		func() float64 { return float64(inv.Status().Committed) })
+		func() float64 { return float64(st.Committed) })
 	reg.SampledGauge("slotsel_inventory_nodes",
 		"Nodes with registered capacity.",
-		func() float64 { return float64(inv.Status().Nodes) })
+		func() float64 { return float64(st.Nodes) })
 	reg.SampledGauge("slotsel_inventory_snapshot_version",
 		"Version of the published free-list snapshot.",
-		func() float64 { return float64(inv.Status().Version) })
+		func() float64 { return float64(st.Version) })
 	reg.SampledGauge("slotsel_inventory_journal_len",
 		"Events retained in the inventory journal.",
-		func() float64 { return float64(inv.Status().JournalLen) })
+		func() float64 { return float64(st.JournalLen) })
 	reg.SampledCounter("slotsel_inventory_reserves_total",
 		"Accepted holds.",
-		func() float64 { return float64(inv.Status().Counters.Reserves) })
+		func() float64 { return float64(st.Counters.Reserves) })
 	reg.SampledCounter("slotsel_inventory_conflicts_total",
 		"Reserves rejected by re-validation.",
-		func() float64 { return float64(inv.Status().Counters.Conflicts) })
+		func() float64 { return float64(st.Counters.Conflicts) })
 	reg.SampledCounter("slotsel_inventory_no_window_total",
 		"Reserve searches that found no feasible window.",
-		func() float64 { return float64(inv.Status().Counters.NoWindow) })
+		func() float64 { return float64(st.Counters.NoWindow) })
 	reg.SampledCounter("slotsel_inventory_commits_total",
 		"Holds made permanent.",
-		func() float64 { return float64(inv.Status().Counters.Commits) })
+		func() float64 { return float64(st.Counters.Commits) })
 	reg.SampledCounter("slotsel_inventory_releases_total",
 		"Holds released by the caller.",
-		func() float64 { return float64(inv.Status().Counters.Releases) })
+		func() float64 { return float64(st.Counters.Releases) })
 	reg.SampledCounter("slotsel_inventory_expiries_total",
 		"Holds swept after their TTL lapsed.",
-		func() float64 { return float64(inv.Status().Counters.Expiries) })
+		func() float64 { return float64(st.Counters.Expiries) })
 
 	if c := s.cache; c != nil {
 		reg.SampledCounter("slotserve_find_cache_hits_total",

@@ -3,12 +3,15 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"slotsel/internal/inventory"
 	"slotsel/internal/obs"
 	"slotsel/internal/telemetry"
 	"slotsel/internal/telemetry/reqlog"
@@ -114,16 +117,40 @@ func TestMetricszExposition(t *testing.T) {
 // generalizes: the sampled admission counters and the statusz JSON must
 // read the same atomics, so a metricsz-then-statusz pair can only disagree
 // by the traffic between the two reads — here, exactly the statusz request
-// itself.
+// itself. The inventory family reads one Status per scrape, as statusz
+// does, so with no mutation in between it equals statusz's inventory
+// section field for field — over one pool and over four shards.
 func TestMetricszAgreesWithStatusz(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			t.Setenv("SLOTSEL_TEST_SHARDS", strconv.Itoa(shards))
+			metricszAgreesWithStatusz(t)
+		})
+	}
+}
+
+func metricszAgreesWithStatusz(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	_, ts, _ := newTestServer(t, Options{Metrics: reg})
 	req := requestJSON(t, 1, 20)
 	for i := 0; i < 4; i++ {
 		postJSON(t, ts.URL+"/v1/find", map[string]any{"request": req})
 	}
+	// Holds, commits and releases, some across shards, so every inventory
+	// family has something to count.
+	for i, settle := range []string{"/v1/commit", "/v1/release", "", "/v1/commit", ""} {
+		code, out := postJSON(t, ts.URL+"/v1/reserve", map[string]any{"request": requestJSON(t, 1+i%3, 20), "ttl_seconds": 600})
+		if code != http.StatusOK {
+			t.Fatalf("reserve %d: status %d: %v", i, code, out)
+		}
+		if settle != "" {
+			if code, _ := postJSON(t, ts.URL+settle, map[string]any{"id": fieldString(t, out, "id")}); code != http.StatusOK {
+				t.Fatalf("%s %d: status %d", settle, i, code)
+			}
+		}
+	}
 
-	got, _ := scrapeMetricsz(t, ts.URL)
+	got, raw := scrapeMetricsz(t, ts.URL)
 	resp, err := http.Get(ts.URL + "/v1/statusz")
 	if err != nil {
 		t.Fatal(err)
@@ -136,6 +163,7 @@ func TestMetricszAgreesWithStatusz(t *testing.T) {
 			Shed            float64 `json:"shed"`
 			DeadlineExpired float64 `json:"deadline_expired"`
 		} `json:"server"`
+		Inventory inventory.Status `json:"inventory"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
 		t.Fatal(err)
@@ -149,6 +177,29 @@ func TestMetricszAgreesWithStatusz(t *testing.T) {
 	}
 	if want := got["slotserve_deadline_expired_total"]; status.Server.DeadlineExpired != want {
 		t.Errorf("deadline_expired: statusz %g, metricsz %g", status.Server.DeadlineExpired, want)
+	}
+	inv := status.Inventory
+	if inv.Holds != 2 || inv.Committed != 2 {
+		t.Errorf("statusz inventory counts %d holds, %d committed; want 2 and 2", inv.Holds, inv.Committed)
+	}
+	for family, want := range map[string]float64{
+		"slotsel_inventory_free_slots":       float64(inv.FreeSlots),
+		"slotsel_inventory_free_span":        inv.FreeSpan,
+		"slotsel_inventory_holds":            float64(inv.Holds),
+		"slotsel_inventory_committed":        float64(inv.Committed),
+		"slotsel_inventory_nodes":            float64(inv.Nodes),
+		"slotsel_inventory_snapshot_version": float64(inv.Version),
+		"slotsel_inventory_journal_len":      float64(inv.JournalLen),
+		"slotsel_inventory_reserves_total":   float64(inv.Counters.Reserves),
+		"slotsel_inventory_conflicts_total":  float64(inv.Counters.Conflicts),
+		"slotsel_inventory_no_window_total":  float64(inv.Counters.NoWindow),
+		"slotsel_inventory_commits_total":    float64(inv.Counters.Commits),
+		"slotsel_inventory_releases_total":   float64(inv.Counters.Releases),
+		"slotsel_inventory_expiries_total":   float64(inv.Counters.Expiries),
+	} {
+		if got[family] != want {
+			t.Errorf("%s: metricsz %g, statusz %g\n%s", family, got[family], want, raw)
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package slots
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // leafSize bounds the leaves SeqOf and Edit build. One mutation copies the
 // leaves it touches (a few, each up to leafSize pointers) plus the spine
@@ -37,7 +40,7 @@ type Seq struct {
 	leaves []*leaf // the spine
 	n      int
 	bound  int  // leaf bound: leafSize outside tests
-	whole  List // the list SeqOf cut the leaves from; nil once edited
+	whole  List // the list SeqOf or Splice cut the leaves from; nil once edited
 }
 
 // leaf is one immutable, non-empty run of the sequence. The spine points at
@@ -82,12 +85,14 @@ func checkLeaf(l List, prev *Slot) error {
 
 // appendChunks cuts l into the fewest leaves of at most bound slots, evenly
 // sized (so none is under bound/2 when there are several), as sub-slices
-// of l.
+// of l. The leaves are allocated as one block: they alias one list anyway.
 func appendChunks(out []*leaf, l List, bound int) []*leaf {
 	k := (len(l) + bound - 1) / bound
-	for i := 0; i < k; i++ {
+	out, block := slices.Grow(out, k), make([]leaf, k)
+	for i := range block {
 		lo, hi := i*len(l)/k, (i+1)*len(l)/k
-		out = append(out, &leaf{l[lo:hi:hi]})
+		block[i] = leaf{l[lo:hi:hi]}
+		out = append(out, &block[i])
 	}
 	return out
 }
@@ -96,8 +101,8 @@ func appendChunks(out []*leaf, l List, bound int) []*leaf {
 func (s *Seq) Len() int { return s.n }
 
 // Flatten returns the sequence as one list (immutable, like the sequence):
-// a copy, leaf by leaf — or, while no edit has happened since SeqOf, the
-// very list the leaves were cut from.
+// a copy, leaf by leaf — or, while no edit has happened since SeqOf or
+// Splice, the very list the leaves were cut from.
 func (s *Seq) Flatten() List {
 	if s.whole != nil {
 		return s.whole
@@ -224,6 +229,120 @@ func (s *Seq) Edit(del, ins List) (*Seq, error) {
 	}
 	b.finish()
 	return &Seq{leaves: b.out, n: b.n, bound: s.bound}, nil
+}
+
+// Diff appends to del the slots of from that s does not hold and to ins the
+// slots of s that from does not hold, each in Before order, and returns
+// both — the arguments that make from.Edit(del, ins) read as s. Slots are
+// compared by identity, so an equal-keyed slot that replaced another shows
+// up in both lists.
+//
+// The two spines are walked side by side and a leaf they share is skipped
+// without reading it: only the slots of the leaves between two shared ones
+// are compared. Where the spines disagree, the leaf that ends first cannot
+// be shared — its twin on the other spine would sit after a leaf that ends
+// later — so each step reads one boundary slot per side.
+func (s *Seq) Diff(from *Seq, del, ins List) (List, List) {
+	a, b := from.leaves, s.leaves
+	for i, j := 0, 0; i < len(a) || j < len(b); {
+		if i < len(a) && j < len(b) && a[i] == b[j] {
+			i, j = i+1, j+1
+			continue
+		}
+		i0, j0 := i, j
+		for i < len(a) && j < len(b) && a[i] != b[j] {
+			if Before(b[j].last(), a[i].last()) {
+				j++
+			} else {
+				i++
+			}
+		}
+		if i == len(a) || j == len(b) { // no shared leaf is left
+			i, j = len(a), len(b)
+		}
+		del, ins = diffLeaves(a[i0:i], b[j0:j], del, ins)
+	}
+	return del, ins
+}
+
+// diffLeaves compares two runs of leaves slot by slot, as two ordered
+// streams: a slot in both is skipped, one in a alone is deleted, one in b
+// alone inserted.
+func diffLeaves(a, b []*leaf, del, ins List) (List, List) {
+	var x, y List // the unread rest of the current leaf on each side
+	for {
+		if len(x) == 0 && len(a) > 0 {
+			x, a = a[0].slots, a[1:]
+		}
+		if len(y) == 0 && len(b) > 0 {
+			y, b = b[0].slots, b[1:]
+		}
+		switch {
+		case len(x) == 0 && len(y) == 0:
+			return del, ins
+		case len(x) > 0 && len(y) > 0 && x[0] == y[0]:
+			x, y = x[1:], y[1:]
+		case len(y) == 0 || (len(x) > 0 && !Before(y[0], x[0])):
+			del, x = append(del, x[0]), x[1:]
+		default:
+			ins, y = append(ins, y[0]), y[1:]
+		}
+	}
+}
+
+// Splice returns l without the slots of del and with the slots of ins, both
+// given in Before order, as a new list; l is left untouched. A deleted slot
+// is matched by identity. Each edit point is found by binary search and the
+// runs between edit points are copied without being read; each inserted
+// slot is checked to sort strictly after what precedes it and before the
+// slot that follows. So when l is strictly ordered, so is the result — what
+// lets Seq.Splice publish it without a second pass.
+//
+// An error means the arguments do not fit l: a del slot l does not hold, or
+// an insertion out of order.
+func (l List) Splice(del, ins List) (List, error) {
+	out := make(List, 0, len(l)-len(del)+len(ins))
+	pos := 0 // the first slot of l not yet copied
+	for len(del) > 0 || len(ins) > 0 {
+		key := firstOf(del, ins) // on equal keys, the deletion goes first
+		k, hi := pos, len(l)
+		for k < hi {
+			mid := int(uint(k+hi) >> 1)
+			if Before(l[mid], key) {
+				k = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		out = append(out, l[pos:k]...)
+		pos = k
+		if len(del) > 0 && key == del[0] {
+			if k == len(l) || l[k] != key {
+				return nil, fmt.Errorf("slots: splice deletes %v, which the list does not hold", key)
+			}
+			pos, del = k+1, del[1:]
+			continue
+		}
+		if key == nil || key.Node == nil ||
+			(len(out) > 0 && !Before(out[len(out)-1], key)) || (k < len(l) && !Before(key, l[k])) {
+			return nil, fmt.Errorf("slots: splice inserts %v out of order", key)
+		}
+		out, ins = append(out, key), ins[1:]
+	}
+	return append(out, l[pos:]...), nil
+}
+
+// Splice is List.Splice over the sequence's slots, returned as a sequence
+// whose leaves alias the spliced list and whose Flatten is that list,
+// uncopied. The result is not re-verified: it needs no check that Splice
+// did not already make. It costs the flat list of s (a copy, unless s was
+// itself cut from one) plus one pass over the new list.
+func (s *Seq) Splice(del, ins List) (*Seq, error) {
+	l, err := s.Flatten().Splice(del, ins)
+	if err != nil {
+		return nil, err
+	}
+	return &Seq{leaves: appendChunks(nil, l, s.bound), n: len(l), bound: s.bound, whole: l}, nil
 }
 
 // firstOf returns the earlier head of two ordered lists (not both empty).

@@ -116,6 +116,15 @@ func FuzzSeqEdit(f *testing.F) {
 			}
 			seq = next
 			versions = append(versions, version{seq, want})
+			// Diff against the version just before and one several edits
+			// back, then Splice the older flat list: the newer one, pointer
+			// for pointer.
+			for _, back := range []int{2, 5} {
+				if back > len(versions) {
+					continue
+				}
+				checkDiffSplice(t, versions[len(versions)-back].seq, next, want)
+			}
 		}
 		for i, v := range versions {
 			if got := v.seq.Flatten(); !sameSlots(got, v.want) {
@@ -123,6 +132,86 @@ func FuzzSeqEdit(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkDiffSplice checks that next.Diff(old) is what turns old's flat list
+// into want (next's) by Splice, and that Splice refuses arguments that do
+// not fit the list.
+func checkDiffSplice(t *testing.T, old, next *Seq, want List) {
+	t.Helper()
+	del, ins := next.Diff(old, nil, nil)
+	for _, l := range []List{del, ins} {
+		if err := checkLeaf(l, nil); err != nil {
+			t.Fatalf("Diff returned a list out of order: %v", err)
+		}
+	}
+	flat := old.Flatten()
+	got, err := flat.Splice(del, ins)
+	if err != nil {
+		t.Fatalf("Splice(Diff) of %v: %v", flat, err)
+	}
+	if !sameSlots(got, want) {
+		t.Fatalf("Splice(%v, %v) of %v:\n got %v\nwant %v", del, ins, flat, got, want)
+	}
+	spliced, err := old.Splice(del, ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSeq(t, spliced)
+	if g := spliced.Flatten(); !sameSlots(g, want) || (len(g) > 0 && &g[0] != &spliced.leaves[0].slots[0]) {
+		t.Fatal("a spliced sequence does not flatten to the list its leaves alias")
+	}
+	if len(flat) == 0 {
+		return
+	}
+	twin := *flat[0] // equal key, different pointer: deletion is by identity
+	if _, err := flat.Splice(List{&twin}, nil); err == nil {
+		t.Error("Splice deleted a slot the list does not hold")
+	}
+	if _, err := flat.Splice(nil, List{flat[len(flat)/2]}); err == nil {
+		t.Error("Splice inserted a slot the list already holds")
+	}
+	late := &Slot{Node: node(9), Interval: Interval{flat[len(flat)-1].Start + 1, 99}}
+	early := &Slot{Node: node(9), Interval: Interval{flat[0].Start - 1, 99}}
+	if _, err := flat.Splice(nil, List{late, early}); err == nil {
+		t.Error("Splice accepted insertions out of order")
+	}
+}
+
+// TestSeqDiffReadsNoSharedLeaf: Diff compares the slots of the leaves the
+// two versions do not share, and of the shared ones at most the last. Every
+// other slot of the shared leaves is replaced by nil, which any comparison
+// would dereference.
+func TestSeqDiffReadsNoSharedLeaf(t *testing.T) {
+	s, err := SeqOfLeaf(grid(40*8), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := s.Flatten()
+	gone, moved := all[100], all[205]
+	repl := &Slot{Node: node(7), Interval: moved.Interval}
+	next, err := s.Edit(List{gone, moved}, List{repl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := map[*leaf]bool{}
+	for _, l := range next.leaves {
+		shared[l] = true
+	}
+	n := 0
+	for _, l := range s.leaves {
+		if shared[l] {
+			n++
+			clear(l.slots[:len(l.slots)-1])
+		}
+	}
+	if n < len(s.leaves)-4 {
+		t.Fatalf("only %d of %d leaves shared", n, len(s.leaves))
+	}
+	del, ins := next.Diff(s, nil, nil)
+	if !sameSlots(del, List{gone, moved}) || !sameSlots(ins, List{repl}) {
+		t.Errorf("Diff = %v, %v; want [%v %v], [%v]", del, ins, gone, moved, repl)
+	}
 }
 
 // grid builds n slots, several per start time, in Before order.

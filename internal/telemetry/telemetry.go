@@ -85,6 +85,11 @@ type family struct {
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
+	onScrape []func()
+
+	// scrapeMu serializes WriteText, so what an OnScrape hook stores is
+	// read by its own scrape's sample functions only.
+	scrapeMu sync.Mutex
 }
 
 // NewRegistry returns an empty registry.
@@ -175,6 +180,17 @@ func (r *Registry) SampledCounter(name, help string, fn func() float64) {
 // depth). fn must be safe for concurrent use.
 func (r *Registry) SampledGauge(name, help string, fn func() float64) {
 	r.register(&family{name: name, help: help, typ: TypeGauge, sampled: fn})
+}
+
+// OnScrape registers fn to run at the start of every WriteText, before any
+// sampled family is read. Scrapes are serialized, so a value fn stores for
+// sample functions to read describes the scrape in progress: several
+// families then report one reading of a source that is costly to read, or
+// could change between two reads (the inventory Status).
+func (r *Registry) OnScrape(fn func()) {
+	r.mu.Lock()
+	r.onScrape = append(r.onScrape, fn)
+	r.mu.Unlock()
 }
 
 // ---- family child access ----
@@ -294,6 +310,8 @@ func keyFor(f *family, values []string) labelKey {
 // values, histograms rendered as cumulative `_bucket{le=...}` series plus
 // `_sum` and `_count`.
 func (r *Registry) WriteText(w io.Writer) error {
+	r.scrapeMu.Lock()
+	defer r.scrapeMu.Unlock()
 	r.mu.RLock()
 	names := make([]string, 0, len(r.families))
 	for name := range r.families {
@@ -304,7 +322,11 @@ func (r *Registry) WriteText(w io.Writer) error {
 	for _, name := range names {
 		fams = append(fams, r.families[name])
 	}
+	hooks := r.onScrape
 	r.mu.RUnlock()
+	for _, fn := range hooks {
+		fn()
+	}
 
 	var b strings.Builder
 	for _, f := range fams {

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -127,6 +128,29 @@ func TestSampledMetrics(t *testing.T) {
 	reg.WriteText(&b)
 	if !strings.Contains(b.String(), "test_free 4\n") {
 		t.Fatalf("sampled gauge not re-evaluated at scrape time:\n%s", b.String())
+	}
+}
+
+// TestOnScrapeReadsOncePerScrape: the hook runs once per WriteText, before
+// any sampled family, so the families fed from what it stored report that
+// scrape's reading.
+func TestOnScrapeReadsOncePerScrape(t *testing.T) {
+	reg := NewRegistry()
+	reads, seen := 0, 0
+	reg.OnScrape(func() { reads++; seen = reads })
+	reg.SampledGauge("test_a", "A.", func() float64 { return float64(seen) })
+	reg.SampledGauge("test_b", "B.", func() float64 { return float64(seen) })
+	for scrape := 1; scrape <= 3; scrape++ {
+		var b strings.Builder
+		if err := reg.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(b.String(), fmt.Sprintf("test_a %d\n", scrape)) || !strings.Contains(b.String(), fmt.Sprintf("test_b %d\n", scrape)) {
+			t.Fatalf("scrape %d: want both families at %d:\n%s", scrape, scrape, b.String())
+		}
+	}
+	if reads != 3 {
+		t.Errorf("the hook ran %d times over 3 scrapes", reads)
 	}
 }
 
