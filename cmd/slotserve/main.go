@@ -8,7 +8,6 @@
 //	slotserve -slots FILE [-addr HOST:PORT] [-workers N] [-queue N]
 //	          [-ttl D] [-timeout D] [-min-slot-length L]
 //	          [-data-dir DIR] [-snapshot-interval D] [-snapshot-every N]
-//	          [-follow DIR] [-poll D]
 //	          [-log-format json|off]
 //	          [-stats] [-trace FILE] [-pprof ADDR]
 //
@@ -18,7 +17,7 @@
 //	slotgen -nodes 50 -seed 7 -o env.json
 //	slotserve -addr localhost:8080 -slots env.json
 //
-// # Durability and followers
+// # Durability
 //
 // With -data-dir the inventory is durable: every acknowledged mutation is
 // fsync'd to a write-ahead log in DIR before the HTTP response is sent,
@@ -27,14 +26,12 @@
 // to seed an empty directory. On SIGTERM the server drains, writes a
 // final snapshot, and closes the log cleanly.
 //
-// With -follow the process is a read-only replica instead: it tails
-// another slotserve's -data-dir (same host or shared filesystem), applies
-// the leader's journal every -poll interval, and serves /v1/find,
-// /v1/slots, /v1/statusz and /metricsz from the replicated state; the
-// mutating endpoints answer 403.
+// If a WAL write or fsync fails, the store latches the error and the
+// server fail-stops its writes: every later mutation journaled to that
+// store answers 503 until the process is restarted, while reads keep
+// serving.
 //
 //	slotserve -addr :8080 -slots env.json -data-dir /var/lib/slotserve
-//	slotserve -addr :8081 -follow /var/lib/slotserve
 //
 // Then drive it with curl (see the README's "Running as a service"):
 //

@@ -45,28 +45,18 @@ func Slotserve(args []string, stdout, stderr io.Writer) int {
 		dataDir  = fs.String("data-dir", "", "WAL `directory`: fsync every mutation and recover state across restarts")
 		snapIvl  = fs.Duration("snapshot-interval", time.Minute, "minimum time between periodic snapshots (with -data-dir)")
 		snapEvts = fs.Uint64("snapshot-every", 4096, "also snapshot once this many events accumulate since the last one; 0 = time-based only (with -data-dir)")
-		follow   = fs.String("follow", "", "tail this WAL `directory` as a read-only follower (excludes -slots and -data-dir)")
-		poll     = fs.Duration("poll", 200*time.Millisecond, "follower poll interval (with -follow)")
 		shards   = fs.Int("shards", 1, "inventory `shards`: >1 partitions nodes by ID hash across independent shards, each with its own lock, published snapshot, and (with -data-dir) WAL directory")
 	)
 	obsF := registerObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *follow != "" && (*slotFile != "" || *dataDir != "") {
-		fmt.Fprintln(stderr, "slotserve: -follow excludes -slots and -data-dir (a follower's state comes from the leader's log)")
-		return 2
-	}
 	if *shards < 1 {
 		fmt.Fprintln(stderr, "slotserve: -shards must be at least 1")
 		return 2
 	}
-	if *shards > 1 && *follow != "" {
-		fmt.Fprintln(stderr, "slotserve: -follow excludes -shards (a follower replicates one leader log)")
-		return 2
-	}
-	if *follow == "" && *slotFile == "" && *dataDir == "" {
-		fmt.Fprintln(stderr, "slotserve: -slots is required (or -data-dir to recover, or -follow to replicate)")
+	if *slotFile == "" && *dataDir == "" {
+		fmt.Fprintln(stderr, "slotserve: -slots is required (or -data-dir to recover)")
 		fs.Usage()
 		return 2
 	}
@@ -115,23 +105,12 @@ func Slotserve(args []string, stdout, stderr io.Writer) int {
 
 	var inv inventory.Pool
 	var stores []*wal.Store // -data-dir: the one store, or store i behind shard i
-	var flwr *wal.Follower
 	closeStores := func() {
 		for _, st := range stores {
 			st.Close()
 		}
 	}
 	switch {
-	case *follow != "":
-		flwr, err = wal.NewFollower(*follow, invOpts)
-		if err != nil {
-			fmt.Fprintln(stderr, "slotserve:", err)
-			return 1
-		}
-		inv = flwr.Inventory()
-		srvOpts.Follower = flwr
-		fmt.Fprintf(stderr, "slotserve: read-only follower of %s (applied seq %d)\n", *follow, flwr.LastSeq())
-
 	case *dataDir != "" && *shards > 1:
 		walOpts := wal.Options{OnFsync: server.FsyncHistogram(reg)}
 		pool, sts, results, err := wal.OpenSharded(*dataDir, *shards, invOpts, walOpts)
@@ -224,10 +203,11 @@ func Slotserve(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "slotserve: %d free slots loaded, listening on http://%s\n",
 		len(inv.Snapshot().Slots), ln.Addr())
 
-	// Background upkeep: the leader's snapshotter, or the follower's
-	// poller. Stopped (and drained) before the WAL store closes.
+	// Background upkeep: one snapshotter per store, each snapshotting its
+	// own inventory's state on its own cadence. Stopped (and drained)
+	// before the WAL stores close.
 	bgStop := make(chan struct{})
-	bgDone := make(chan struct{})
+	var bg sync.WaitGroup
 	// journaled(i) is the inventory whose journal stores[i] holds: the one
 	// pool, or shard i of a sharded one.
 	journaled := func(i int) *inventory.Inventory {
@@ -236,29 +216,12 @@ func Slotserve(args []string, stdout, stderr io.Writer) int {
 		}
 		return inv.(*inventory.Inventory)
 	}
-	switch {
-	case len(stores) > 0:
-		// One snapshotter per store: each snapshots its own inventory's
-		// state, on its own cadence.
-		var wg sync.WaitGroup
-		for i, st := range stores {
-			wg.Add(1)
-			go func(inv *inventory.Inventory, st *wal.Store) {
-				defer wg.Done()
-				snapshotLoop(inv, st, *snapIvl, *snapEvts, bgStop, stderr)
-			}(journaled(i), st)
-		}
-		go func() {
-			wg.Wait()
-			close(bgDone)
-		}()
-	case flwr != nil:
-		go func() {
-			defer close(bgDone)
-			followLoop(flwr, *poll, bgStop, stderr)
-		}()
-	default:
-		close(bgDone)
+	for i, st := range stores {
+		bg.Add(1)
+		go func(inv *inventory.Inventory, st *wal.Store) {
+			defer bg.Done()
+			snapshotLoop(inv, st, *snapIvl, *snapEvts, bgStop, stderr)
+		}(journaled(i), st)
 	}
 
 	srv := &http.Server{Handler: handler}
@@ -296,7 +259,7 @@ func Slotserve(args []string, stdout, stderr io.Writer) int {
 	}
 
 	close(bgStop)
-	<-bgDone
+	bg.Wait()
 	// Final flush, store by store: a parting snapshot makes the next boot's
 	// replay instant, and Close drains any still-queued appends to disk.
 	for i, st := range stores {
@@ -354,27 +317,6 @@ func snapshotLoop(inv *inventory.Inventory, store *wal.Store, interval time.Dura
 			return // the store has latched an error; retrying cannot help
 		}
 		last = time.Now()
-	}
-}
-
-// followLoop drives the replica: apply whatever the leader has made
-// durable, every poll interval. Errors are reported but polling continues
-// — transient read races with a compacting leader resolve themselves.
-func followLoop(f *wal.Follower, interval time.Duration, stop <-chan struct{}, stderr io.Writer) {
-	if interval <= 0 {
-		interval = 200 * time.Millisecond
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-tick.C:
-		}
-		if _, err := f.Poll(); err != nil {
-			fmt.Fprintln(stderr, "slotserve: follower:", err)
-		}
 	}
 }
 

@@ -32,9 +32,6 @@ func TestSlotserveUsageErrors(t *testing.T) {
 	if code, _, stderr := runSlotserve(t, "-shards", "0"); code != 2 || !strings.Contains(stderr, "-shards") {
 		t.Errorf("zero shards: exit %d, stderr %q, want 2", code, stderr)
 	}
-	if code, _, stderr := runSlotserve(t, "-shards", "4", "-follow", "http://localhost:1"); code != 2 || !strings.Contains(stderr, "-follow excludes -shards") {
-		t.Errorf("follow+shards: exit %d, stderr %q, want 2", code, stderr)
-	}
 }
 
 // TestSlotservePipeline is the end-to-end CLI walkthrough: slotgen writes a

@@ -164,8 +164,8 @@ func TestInventoryDifferential(t *testing.T) {
 			}
 			// Version parity: the published snapshot version must be a pure
 			// function of the journal too (every op publishes the same number
-			// of times live and replayed) — the property that lets a WAL
-			// follower label reads with the leader's snapshot_version.
+			// of times live and replayed) — the property that lets a
+			// recovered pool keep the snapshot_version clients saw.
 			if got, want := re.Snapshot().Version, inv.Snapshot().Version; got != want {
 				t.Errorf("snapshot versions differ: replay %d, live %d", got, want)
 			}

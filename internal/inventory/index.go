@@ -38,7 +38,7 @@ import (
 // changed. An empty range (Lo > Hi) means the publication changed no
 // free capacity (e.g. an Add that merged into existing spans) — the
 // version still advances. A full-range change (±Inf) marks a rebuild
-// with no diff available (Restore, follower resync).
+// with no diff available (Restore).
 type Change struct {
 	// Version is the snapshot version this change produced.
 	Version uint64
@@ -68,7 +68,7 @@ type versionRing[T any] struct {
 }
 
 // put records the value of version. A version that does not follow the last
-// one (the first ever, or a discontinuity: Restore/ResetTo set the version
+// one (the first ever, or a discontinuity: Restore sets the version
 // directly) restarts the ring there.
 func (r *versionRing[T]) put(version uint64, v T) {
 	switch {

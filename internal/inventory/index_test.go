@@ -324,29 +324,3 @@ func TestInvalRingWrapsInPlace(t *testing.T) {
 		t.Error("a restarted ring must serve the versions appended after the restart")
 	}
 }
-
-// TestResetToRestartsInvalidation: a follower resync publishes a
-// full-range change at the reset version and restarts the ring, so no
-// pre-reset entry can ever validate a post-reset cache hit.
-func TestResetToRestartsInvalidation(t *testing.T) {
-	inv, err := New(twoNodeList(), Options{MinSlotLength: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []Change
-	inv.AddChangeListener(func(c Change) { got = append(got, c) })
-	st := inv.ExportState()
-	st.Version = 41
-	if err := inv.ResetTo(st); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Version != 41 || !math.IsInf(got[0].Lo, -1) || !math.IsInf(got[0].Hi, 1) {
-		t.Fatalf("expected one full-range change at version 41, got %+v", got)
-	}
-	if !inv.InvalidatedSince(40, 41, 1000, 1001) {
-		t.Error("reset must invalidate every range")
-	}
-	if got := freeSignature(inv.Snapshot().Slots); got != inv.oracleSignature() {
-		t.Errorf("post-reset snapshot diverged from oracle: %s", got)
-	}
-}

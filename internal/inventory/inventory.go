@@ -76,6 +76,12 @@ var (
 
 	// ErrUnknownNode reports a Withdraw of a node with no base capacity.
 	ErrUnknownNode = errors.New("inventory: unknown node")
+
+	// ErrNotDurable reports that a mutation's journal write did not reach
+	// stable storage. The sink has latched the failure, so every later
+	// mutation fails the same way until the process restarts; the
+	// in-memory state has already changed.
+	ErrNotDurable = errors.New("inventory: journal not durable")
 )
 
 // DefaultTTL is the hold lifetime used when Options.DefaultTTL is zero and
@@ -666,8 +672,8 @@ func (inv *Inventory) settleLocked(op Op, id string, begin time.Duration) *core.
 // journaling and republishing each expiry individually. One publication
 // per OpExpire event keeps the snapshot version an exact function of the
 // journal — replaying N events always lands on the same version the live
-// run had after its Nth event, which is what lets a WAL follower serve
-// reads labelled with the leader's snapshot_version.
+// run had after its Nth event, so a recovered pool answers with the
+// snapshot_version clients saw before the restart.
 func (inv *Inventory) sweepLocked() int {
 	now := inv.opts.Clock()
 	var expired []string

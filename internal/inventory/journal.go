@@ -130,7 +130,7 @@ func awaitDurable(wait func() error) error {
 		return nil
 	}
 	if err := wait(); err != nil {
-		return fmt.Errorf("inventory: journal not durable: %w", err)
+		return fmt.Errorf("%w: %w", ErrNotDurable, err)
 	}
 	return nil
 }
@@ -170,10 +170,10 @@ func Replay(events []Event, opts Options) (*Inventory, error) {
 
 // ApplyEvent re-executes one journaled operation against the inventory and
 // verifies that it reproduces the recorded outcome — the replay primitive
-// shared by the in-memory determinism proof (Replay), WAL crash recovery
-// and WAL-tailing followers. Events must be applied in journal order; the
-// inventory's sequence counter follows the applied events, so journaling
-// resumes seamlessly after recovery.
+// shared by the in-memory determinism proof (Replay) and WAL crash
+// recovery. Events must be applied in journal order; the inventory's
+// sequence counter follows the applied events, so journaling resumes
+// seamlessly after recovery.
 //
 // An accepted reserve restores its hold with the recorded Expires deadline
 // (so recovered holds still lapse on schedule under a real clock); events

@@ -107,8 +107,8 @@ func (inv *Inventory) ExportState() *State {
 // Restore builds an inventory from an exported State — the first half of
 // crash recovery (the second is replaying the WAL tail with ApplyEvent).
 // The published snapshot carries State.Version exactly, not a fresh
-// counter: versions must survive restarts so clients and followers can
-// compare them across the boundary. Restore never journals; attach the
+// counter: versions must survive restarts so clients can compare them
+// across the boundary. Restore never journals; attach the
 // WAL sink afterwards with AttachSink.
 func Restore(st *State, opts Options) (*Inventory, error) {
 	opts.Sink = nil
@@ -119,22 +119,6 @@ func Restore(st *State, opts Options) (*Inventory, error) {
 		return nil, err
 	}
 	return inv, nil
-}
-
-// ResetTo replaces the inventory's entire state in place — the follower
-// resync primitive: when a follower falls behind the leader's compaction
-// horizon it loads the newer snapshot into the same *Inventory the HTTP
-// server already points at. Not for use on inventories with a live Sink.
-func (inv *Inventory) ResetTo(st *State) error {
-	inv.mu.Lock()
-	if inv.opts.Sink != nil {
-		inv.mu.Unlock()
-		return fmt.Errorf("inventory: ResetTo on an inventory with a journal sink")
-	}
-	err := inv.resetLocked(st)
-	inv.mu.Unlock()
-	inv.flushChanges() // a resync is a full-range change: wake every watcher
-	return err
 }
 
 // resetLocked rebuilds every map from the State and publishes the free

@@ -129,23 +129,6 @@ func TestRestorePlusTailReplay(t *testing.T) {
 	}
 }
 
-func TestResetTo(t *testing.T) {
-	inv := churn(t, 7, 50)
-	st := inv.ExportState()
-	re, err := Restore(st, Options{MinSlotLength: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Drift the replica, then reset it back: state must match again and
-	// the *Inventory pointer stays the same (the follower's server keeps
-	// serving through it).
-	re.Reserve(&job.Request{TaskCount: 1, Volume: 10, MaxCost: 5000}, core.AMP{}, time.Minute)
-	if err := re.ResetTo(st); err != nil {
-		t.Fatal(err)
-	}
-	assertSameState(t, re, inv)
-}
-
 func TestRestoreRejectsCorruptState(t *testing.T) {
 	inv := churn(t, 3, 30)
 	st := inv.ExportState()

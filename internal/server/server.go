@@ -14,16 +14,12 @@
 // so snapshots written by cmd/slotgen and windows printed by cmd/slotfind
 // interoperate with the service unchanged.
 //
-// # Durability and followers
+// # Durability
 //
 // With Options.WAL set the server reports the durability store's progress
 // (journal vs durable sequence, snapshot age, fsync count) in a
 // "durability" statusz section and as slotserve_wal_* metrics — both
-// sampled from the same store atomics. With Options.Follower set the
-// server is a follower front-end: only the read endpoints are served and
-// the mutating ones answer 403, because a WAL-tailing replica may change
-// state only by applying the leader's journal, and the replica's
-// replication progress is added to statusz and the metrics.
+// sampled from the same store atomics.
 //
 // # Event-driven finds
 //
@@ -133,15 +129,6 @@ type Options struct {
 	// additionally lists every shard's own figures. Mutually exclusive
 	// with WAL.
 	WALs []*wal.Store
-
-	// Follower, when non-nil, makes the server the read-only front-end of
-	// this WAL-tailing replica: only the read endpoints (/v1/find,
-	// /v1/watch, /v1/slots, /v1/statusz, /metricsz) are served, the
-	// mutating ones (/v1/reserve, /v1/commit, /v1/release) answer 403, and
-	// its replication progress is reported (the "replication" statusz
-	// section and the slotserve_follower_* metrics). The inventory behind
-	// the server must only change by applying the leader's journal.
-	Follower *wal.Follower
 
 	// FindCacheSize bounds the churn-aware /v1/find result cache:
 	// 0 uses the inventory package's default capacity, > 0 sets an
@@ -353,14 +340,9 @@ func (s *Server) registerMetrics(reg *telemetry.Registry) *serverMetrics {
 		reg.SampledCounter("slotserve_wal_fsyncs_total",
 			"Group commits flushed to stable storage (summed over shards).",
 			func() float64 { return float64(aggregateWALStats(ws).Fsyncs) })
-	}
-	if f := s.opts.Follower; f != nil {
-		reg.SampledGauge("slotserve_follower_applied_seq",
-			"Last leader journal sequence applied to the replica.",
-			func() float64 { return float64(f.LastSeq()) })
-		reg.SampledCounter("slotserve_follower_resyncs_total",
-			"Full snapshot reloads after the tailing position was lost.",
-			func() float64 { return float64(f.Resyncs()) })
+		reg.SampledGauge("slotserve_wal_failed_stores",
+			"WAL stores that latched an I/O failure; mutations they journal answer 503 until restart.",
+			func() float64 { n, _ := walFailures(ws); return float64(n) })
 	}
 	return m
 }
@@ -421,6 +403,21 @@ func aggregateWALStats(ws []*wal.Store) wal.Stats {
 	return out
 }
 
+// walFailures counts the stores that have latched an I/O failure and
+// returns the first one's error ("" when none has) — the statusz
+// "durability.error" and the slotserve_wal_failed_stores gauge.
+func walFailures(ws []*wal.Store) (failed int, first string) {
+	for _, w := range ws {
+		if err := w.Err(); err != nil {
+			if failed == 0 {
+				first = err.Error()
+			}
+			failed++
+		}
+	}
+	return failed, first
+}
+
 // New builds the handler over a pool — a single *inventory.Inventory or
 // an *inventory.Sharded router. The pool must be non-nil.
 func New(inv inventory.Pool, opts Options) *Server {
@@ -457,24 +454,16 @@ func New(inv inventory.Pool, opts Options) *Server {
 	}
 	// The hub re-checks a parked watch only when a publication's change
 	// range overlaps its horizon — the event-driven path: no polling, no
-	// full re-evaluation on unrelated churn. Works identically on a
-	// follower, whose replica publishes the same changes when it applies
-	// the leader's journal.
+	// full re-evaluation on unrelated churn.
 	inv.AddChangeListener(s.watch.notify)
 	// Pre-populate the scanner pool to the admission bound: the first
 	// MaxInflight concurrent searches skip scanner construction. Best
 	// effort — sync.Pool may shed entries under GC pressure.
 	core.WarmScanners(opts.MaxInflight)
 	s.mux.HandleFunc("/v1/find", s.route(http.MethodPost, s.handleFind))
-	if opts.Follower != nil {
-		s.mux.HandleFunc("/v1/reserve", s.route(http.MethodPost, s.rejectReadOnly))
-		s.mux.HandleFunc("/v1/commit", s.route(http.MethodPost, s.rejectReadOnly))
-		s.mux.HandleFunc("/v1/release", s.route(http.MethodPost, s.rejectReadOnly))
-	} else {
-		s.mux.HandleFunc("/v1/reserve", s.route(http.MethodPost, s.handleReserve))
-		s.mux.HandleFunc("/v1/commit", s.route(http.MethodPost, s.handleCommit))
-		s.mux.HandleFunc("/v1/release", s.route(http.MethodPost, s.handleRelease))
-	}
+	s.mux.HandleFunc("/v1/reserve", s.route(http.MethodPost, s.handleReserve))
+	s.mux.HandleFunc("/v1/commit", s.route(http.MethodPost, s.handleCommit))
+	s.mux.HandleFunc("/v1/release", s.route(http.MethodPost, s.handleRelease))
 	s.mux.HandleFunc("/v1/watch", s.route(http.MethodGet, s.handleWatch))
 	s.mux.HandleFunc("/v1/slots", s.route(http.MethodGet, s.handleSlots))
 	s.mux.HandleFunc("/v1/statusz", s.route(http.MethodGet, s.handleStatusz))
@@ -595,8 +584,6 @@ func statusLabel(code int) string {
 		return "200"
 	case http.StatusBadRequest:
 		return "400"
-	case http.StatusForbidden:
-		return "403"
 	case http.StatusNotFound:
 		return "404"
 	case http.StatusMethodNotAllowed:
@@ -868,14 +855,6 @@ func criterionByName(name string) (csa.Criterion, bool) {
 	return 0, false
 }
 
-// rejectReadOnly answers every mutating endpoint in follower mode: the
-// replica's state may only change by applying the leader's journal, so
-// writes must go to the leader. 403 rather than 405 — the method is fine,
-// this server is just not allowed to perform the operation.
-func (s *Server) rejectReadOnly(sc *reqScope, r *http.Request) {
-	sc.error(http.StatusForbidden, "read-only follower: send mutations to the leader")
-}
-
 // handleFind is the stateless search: nothing is held. It rides the find
 // cache — a hit is served only when the invalidation history proves no
 // churn since the entry's snapshot overlapped the request's horizon, so
@@ -901,15 +880,8 @@ func (s *Server) handleReserve(sc *reqScope, r *http.Request) {
 	} else {
 		res, err = s.inv.Reserve(in.req, in.alg, in.ttl)
 	}
-	switch {
-	case errors.Is(err, core.ErrNoWindow):
-		sc.error(http.StatusNotFound, "no feasible window")
-		return
-	case errors.Is(err, inventory.ErrConflict):
-		sc.error(http.StatusConflict, "lost the race for those slots, retry")
-		return
-	case err != nil:
-		sc.error(http.StatusBadRequest, err.Error())
+	if err != nil {
+		replyMutationError(sc, err)
 		return
 	}
 	sc.field("expires")
@@ -929,12 +901,8 @@ func (s *Server) handleCommit(sc *reqScope, r *http.Request) {
 		return
 	}
 	win, err := s.inv.Commit(id)
-	if errors.Is(err, inventory.ErrUnknownReservation) {
-		sc.error(http.StatusNotFound, err.Error())
-		return
-	}
 	if err != nil {
-		sc.error(http.StatusBadRequest, err.Error())
+		replyMutationError(sc, err)
 		return
 	}
 	sc.str("id", id)
@@ -948,13 +916,8 @@ func (s *Server) handleRelease(sc *reqScope, r *http.Request) {
 	if !ok {
 		return
 	}
-	err := s.inv.Release(id)
-	if errors.Is(err, inventory.ErrUnknownReservation) {
-		sc.error(http.StatusNotFound, err.Error())
-		return
-	}
-	if err != nil {
-		sc.error(http.StatusBadRequest, err.Error())
+	if err := s.inv.Release(id); err != nil {
+		replyMutationError(sc, err)
 		return
 	}
 	sc.str("id", id)
@@ -963,8 +926,27 @@ func (s *Server) handleRelease(sc *reqScope, r *http.Request) {
 	sc.send(http.StatusOK)
 }
 
+// replyMutationError answers a failed reserve, commit or release.
+func replyMutationError(sc *reqScope, err error) {
+	switch {
+	case errors.Is(err, inventory.ErrNotDurable):
+		// The store has latched an I/O failure until restart: there is no
+		// retry time to promise, and the cause (it names the data
+		// directory) is statusz's to show, not a client's.
+		sc.error(http.StatusServiceUnavailable, "journal not durable: this server is fail-stopped")
+	case errors.Is(err, core.ErrNoWindow):
+		sc.error(http.StatusNotFound, "no feasible window")
+	case errors.Is(err, inventory.ErrConflict):
+		sc.error(http.StatusConflict, "lost the race for those slots, retry")
+	case errors.Is(err, inventory.ErrUnknownReservation):
+		sc.error(http.StatusNotFound, err.Error())
+	default:
+		sc.error(http.StatusBadRequest, err.Error())
+	}
+}
+
 func (s *Server) handleSlots(sc *reqScope, r *http.Request) {
-	s.sweep() // bound snapshot staleness on read-only traffic
+	s.inv.Sweep() // bound snapshot staleness on read-only traffic
 	snap := s.inv.Snapshot()
 	sc.Header()["Content-Type"] = contentTypeJSON
 	sc.Header().Set("X-Inventory-Version", strconv.FormatUint(snap.Version, 10))
@@ -974,18 +956,8 @@ func (s *Server) handleSlots(sc *reqScope, r *http.Request) {
 	}
 }
 
-// sweep expires lapsed holds on read traffic — except in follower mode,
-// where holds only lapse when the leader's own OpExpire events arrive
-// (the replica clock is frozen precisely so local time cannot diverge the
-// replica from the journal).
-func (s *Server) sweep() {
-	if s.opts.Follower == nil {
-		s.inv.Sweep()
-	}
-}
-
 func (s *Server) handleStatusz(sc *reqScope, r *http.Request) {
-	s.sweep()
+	s.inv.Sweep()
 	// go_memstats-style runtime figures, so the service's steady-state
 	// allocation discipline (the scanner pool's whole point) is observable
 	// in production, not just in the regression suite. ReadMemStats
@@ -999,7 +971,6 @@ func (s *Server) handleStatusz(sc *reqScope, r *http.Request) {
 	st := s.inv.Status()
 	body := map[string]any{
 		"snapshot_version": st.Version,
-		"read_only":        s.opts.Follower != nil,
 		"inventory":        st,
 		"server": map[string]any{
 			"requests":         s.requests.Load(),
@@ -1040,17 +1011,20 @@ func (s *Server) handleStatusz(sc *reqScope, r *http.Request) {
 	// same shape holds the layout-wide aggregate, plus a per-shard list.
 	if ws := s.walList(); len(ws) > 0 {
 		wst := aggregateWALStats(ws)
+		_, walErr := walFailures(ws)
 		dur := map[string]any{
 			"journal_seq":          wst.AppendedSeq,
 			"durable_seq":          wst.DurableSeq,
 			"last_snapshot_seq":    wst.SnapshotSeq,
 			"snapshot_age_seconds": snapshotAgeSeconds(wst),
 			"fsyncs":               wst.Fsyncs,
+			"error":                walErr,
 		}
 		if len(ws) > 1 {
 			perShard := make([]map[string]any, len(ws))
 			for i, w := range ws {
 				sst := w.Stats()
+				_, shardErr := walFailures(ws[i : i+1])
 				perShard[i] = map[string]any{
 					"shard":                i,
 					"journal_seq":          sst.AppendedSeq,
@@ -1058,17 +1032,12 @@ func (s *Server) handleStatusz(sc *reqScope, r *http.Request) {
 					"last_snapshot_seq":    sst.SnapshotSeq,
 					"snapshot_age_seconds": snapshotAgeSeconds(sst),
 					"fsyncs":               sst.Fsyncs,
+					"error":                shardErr,
 				}
 			}
 			dur["shards"] = perShard
 		}
 		body["durability"] = dur
-	}
-	if f := s.opts.Follower; f != nil {
-		body["replication"] = map[string]any{
-			"last_applied_seq": f.LastSeq(),
-			"resyncs":          f.Resyncs(),
-		}
 	}
 	sc.Header()["Content-Type"] = contentTypeJSON
 	enc := json.NewEncoder(sc)

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -20,7 +23,9 @@ import (
 	"slotsel/internal/obs"
 	"slotsel/internal/persist"
 	"slotsel/internal/slots"
+	"slotsel/internal/telemetry"
 	"slotsel/internal/testkit"
+	"slotsel/internal/wal"
 )
 
 // testShards is the shard-matrix knob: the CI matrix re-runs this suite
@@ -815,5 +820,191 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached in 2s")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// durabilityStatus is the statusz "durability" section.
+type durabilityStatus struct {
+	JournalSeq      uint64  `json:"journal_seq"`
+	DurableSeq      uint64  `json:"durable_seq"`
+	LastSnapshotSeq uint64  `json:"last_snapshot_seq"`
+	SnapshotAge     float64 `json:"snapshot_age_seconds"`
+	Fsyncs          uint64  `json:"fsyncs"`
+	Error           string  `json:"error"`
+	Shards          []struct {
+		Shard int    `json:"shard"`
+		Error string `json:"error"`
+	} `json:"shards"`
+}
+
+// getDurability reads the statusz "durability" section (nil when absent).
+func getDurability(t *testing.T, base string) *durabilityStatus {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/statusz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var status struct {
+		Durability *durabilityStatus `json:"durability"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
+		t.Fatal(err)
+	}
+	return status.Durability
+}
+
+// TestStatuszDurabilitySections checks the durability view a WAL-backed
+// server adds to /v1/statusz.
+func TestStatuszDurabilitySections(t *testing.T) {
+	invOpts := inventory.Options{MinSlotLength: 1, DefaultTTL: time.Hour}
+	_, store, _, err := wal.Open(t.TempDir(), invOpts, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	seedOpts := invOpts
+	seedOpts.Sink = store
+	inv, err := inventory.New(testkit.SlotList(
+		testkit.Slot(testkit.Node(0, 5, 1), 0, 200),
+		testkit.Slot(testkit.Node(1, 4, 1), 0, 200),
+	), seedOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(inv, Options{WAL: store}))
+	t.Cleanup(ts.Close)
+	if code, out := postJSON(t, ts.URL+"/v1/reserve", map[string]any{"request": requestJSON(t, 1, 30)}); code != http.StatusOK {
+		t.Fatalf("reserve: status %d: %v", code, out)
+	}
+	if err := store.Snapshot(inv.ExportState()); err != nil {
+		t.Fatal(err)
+	}
+
+	dur := getDurability(t, ts.URL)
+	if dur == nil {
+		t.Fatal("statusz missing durability section")
+	}
+	if dur.JournalSeq != inv.Seq() || dur.DurableSeq != inv.Seq() {
+		t.Errorf("durability seqs %d/%d, want both %d (every ack is post-fsync)", dur.JournalSeq, dur.DurableSeq, inv.Seq())
+	}
+	if dur.LastSnapshotSeq == 0 || dur.SnapshotAge < 0 {
+		t.Errorf("snapshot not reflected: seq %d, age %f", dur.LastSnapshotSeq, dur.SnapshotAge)
+	}
+	if dur.Fsyncs == 0 {
+		t.Error("no fsyncs counted on a durable server")
+	}
+	if dur.Error != "" {
+		t.Errorf("healthy store reports error %q", dur.Error)
+	}
+}
+
+// TestLatchedStoreFailStops provokes a WAL I/O failure under a live server
+// — its data directory disappears and the next segment cannot be created
+// — and pins what clients and operators see: mutations answer 503 with no
+// Retry-After and no path, reads keep serving, statusz names the failed
+// store and the failed-stores gauge counts it.
+func TestLatchedStoreFailStops(t *testing.T) {
+	list := testkit.SlotList(
+		testkit.Slot(testkit.Node(0, 5, 1), 0, 200),
+		testkit.Slot(testkit.Node(1, 4, 1), 0, 200),
+		testkit.Slot(testkit.Node(2, 3, 1), 0, 200),
+	)
+	invOpts := inventory.Options{MinSlotLength: 1, DefaultTTL: time.Hour}
+	// SegmentBytes 1 rotates at every batch, so the first append after the
+	// directory is gone must create a file there and fail.
+	walOpts := wal.Options{SegmentBytes: 1}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			dir := t.TempDir()
+			reg := telemetry.NewRegistry()
+			opts := Options{Metrics: reg}
+			var pool inventory.Pool
+			var stores []*wal.Store
+			failed := 0 // the store whose directory goes
+			if shards == 1 {
+				_, store, _, err := wal.Open(dir, invOpts, walOpts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				seedOpts := invOpts
+				seedOpts.Sink = store
+				if pool, err = inventory.New(list, seedOpts); err != nil {
+					t.Fatal(err)
+				}
+				stores, opts.WAL = []*wal.Store{store}, store
+			} else {
+				_, sts, _, err := wal.OpenSharded(dir, shards, invOpts, walOpts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pool, err = wal.SeedSharded(list, invOpts, sts); err != nil {
+					t.Fatal(err)
+				}
+				stores, opts.WALs = sts, sts
+				for i, part := range inventory.PartitionByShard(list, shards) {
+					if len(part) > 0 {
+						failed = i
+						break
+					}
+				}
+			}
+			t.Cleanup(func() {
+				for _, st := range stores {
+					st.Close()
+				}
+			})
+			ts := httptest.NewServer(New(pool, opts))
+			t.Cleanup(ts.Close)
+
+			gone := dir
+			if shards > 1 {
+				gone = filepath.Join(dir, wal.ShardDirName(failed))
+			}
+			if err := os.RemoveAll(gone); err != nil {
+				t.Fatal(err)
+			}
+			// Three tasks place on all three nodes, so the hold touches the
+			// failed store at any shard count.
+			body := `{"request":` + string(requestJSON(t, 3, 30)) + `}`
+			for i := 0; i < 2; i++ {
+				resp, err := http.Post(ts.URL+"/v1/reserve", "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if want := errorReply("journal not durable: this server is fail-stopped"); resp.StatusCode != http.StatusServiceUnavailable || string(raw) != want {
+					t.Fatalf("reserve %d after the latch: %d %q, want 503 %q", i, resp.StatusCode, raw, want)
+				}
+				if ra := resp.Header.Get("Retry-After"); ra != "" {
+					t.Errorf("reserve %d: Retry-After %q on a fail-stopped server", i, ra)
+				}
+				if strings.Contains(string(raw), dir) {
+					t.Errorf("reserve %d: reply leaks the data directory: %s", i, raw)
+				}
+			}
+			if code, out := postJSON(t, ts.URL+"/v1/find", map[string]any{"request": requestJSON(t, 1, 30)}); code != http.StatusOK {
+				t.Fatalf("find after the latch: status %d: %v", code, out)
+			}
+
+			dur := getDurability(t, ts.URL)
+			if dur == nil || dur.Error == "" {
+				t.Fatalf("statusz durability does not report the latch: %+v", dur)
+			}
+			if shards > 1 {
+				if len(dur.Shards) != shards {
+					t.Fatalf("durability lists %d shards, want %d", len(dur.Shards), shards)
+				}
+				for i, sh := range dur.Shards {
+					if (sh.Error != "") != (i == failed) {
+						t.Errorf("shard %d error %q; only shard %d failed", i, sh.Error, failed)
+					}
+				}
+			}
+			if got, _ := scrapeMetricsz(t, ts.URL); got["slotserve_wal_failed_stores"] != 1 {
+				t.Errorf("slotserve_wal_failed_stores = %g, want 1", got["slotserve_wal_failed_stores"])
+			}
+		})
 	}
 }

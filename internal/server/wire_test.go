@@ -17,7 +17,6 @@ import (
 	"slotsel/internal/inventory"
 	"slotsel/internal/job"
 	"slotsel/internal/testkit"
-	"slotsel/internal/wal"
 )
 
 // serve runs one request through the handler, no network in between, and
@@ -185,14 +184,6 @@ func TestErrorBodiesGolden(t *testing.T) {
 	}
 	for _, r := range rows {
 		check(srv, r)
-	}
-	f, err := wal.NewFollower(t.TempDir(), inventory.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	follower, _, _ := newTestServer(t, Options{Follower: f})
-	for _, p := range []string{"/v1/reserve", "/v1/commit", "/v1/release"} {
-		check(follower, row{name: "read-only", target: p, body: `{}`, status: 403, want: "read-only follower: send mutations to the leader"})
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package wal is the durability layer under internal/inventory: a
-// write-ahead log of journal events with periodic full-state snapshots,
-// crash recovery, and a tailing reader for read-only followers.
+// write-ahead log of journal events with periodic full-state snapshots
+// and crash recovery.
 //
 // # On-disk layout
 //

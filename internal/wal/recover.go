@@ -35,10 +35,10 @@ type RecoverResult struct {
 }
 
 // Recover reads a WAL directory back into memory. With repair set (the
-// leader boot path) a torn tail is physically truncated and any segments
-// after the damage are deleted, so the next append continues a clean log;
-// without it (the follower path) the directory is read strictly
-// read-only.
+// boot path) a torn tail is physically truncated and any segments after
+// the damage are deleted, so the next append continues a clean log;
+// without it the directory is only read, which lets the crash sweeps
+// recover one damaged copy at many offsets.
 //
 // A torn record (incomplete header or payload at the end of input) is
 // expected crash damage and recovery simply stops there. A corrupt record
@@ -46,17 +46,21 @@ type RecoverResult struct {
 // any decodable log position are real damage and fail recovery rather
 // than silently serving a diverged state.
 func Recover(dir string, repair bool) (*RecoverResult, error) {
+	return recoverFS(osFS{}, dir, repair)
+}
+
+// recoverFS is Recover over the given filesystem.
+func recoverFS(fs fsys, dir string, repair bool) (*RecoverResult, error) {
 	res := &RecoverResult{}
-	if _, err := os.Stat(dir); errors.Is(err, os.ErrNotExist) {
+	snaps, err := snapshotsIn(fs, dir)
+	if errors.Is(err, os.ErrNotExist) {
 		return res, nil
 	}
-
-	snaps, err := listSnapshots(dir)
 	if err != nil {
 		return nil, err
 	}
 	for i := len(snaps) - 1; i >= 0; i-- {
-		st, err := readSnapshotFile(snaps[i].path)
+		st, err := readSnapshotFile(fs, snaps[i].path)
 		if err != nil {
 			res.SkippedSnapshots++
 			continue
@@ -72,7 +76,7 @@ func Recover(dir string, repair bool) (*RecoverResult, error) {
 		next = res.State.Seq + 1
 	}
 
-	segs, err := listSegments(dir)
+	segs, err := segmentsIn(fs, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +84,7 @@ func Recover(dir string, repair bool) (*RecoverResult, error) {
 		if i+1 < len(segs) && segs[i+1].firstSeq <= next {
 			continue // fully covered by the snapshot; a later segment starts early enough
 		}
-		events, validLen, derr := readSegment(seg.path)
+		events, validLen, derr := readSegment(fs, seg.path)
 		for _, ev := range events {
 			if ev.Seq < next {
 				continue // covered by the snapshot
@@ -101,15 +105,15 @@ func Recover(dir string, repair bool) (*RecoverResult, error) {
 		// write — cannot happen in normal operation) would be a gap.
 		res.Truncated = true
 		if repair {
-			if err := os.Truncate(seg.path, validLen); err != nil {
+			if err := fs.Truncate(seg.path, validLen); err != nil {
 				return nil, fmt.Errorf("wal: truncating torn tail: %w", err)
 			}
 			for _, later := range segs[i+1:] {
-				if err := os.Remove(later.path); err != nil {
+				if err := fs.Remove(later.path); err != nil {
 					return nil, fmt.Errorf("wal: removing post-damage segment: %w", err)
 				}
 			}
-			if err := syncDir(dir); err != nil {
+			if err := syncDir(fs, dir); err != nil {
 				return nil, fmt.Errorf("wal: %w", err)
 			}
 		}
@@ -120,8 +124,8 @@ func Recover(dir string, repair bool) (*RecoverResult, error) {
 }
 
 // readSnapshotFile decodes one snapshot file (a single frame).
-func readSnapshotFile(path string) (*inventory.State, error) {
-	f, err := os.Open(path)
+func readSnapshotFile(fs fsys, path string) (*inventory.State, error) {
+	f, err := fs.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -136,8 +140,8 @@ func readSnapshotFile(path string) (*inventory.State, error) {
 // readSegment decodes a segment's events. It returns the events read, the
 // byte length of the valid prefix, and errTorn/errCorrupt if the segment
 // ends in damage (events still holds everything before it).
-func readSegment(path string) ([]inventory.Event, int64, error) {
-	f, err := os.Open(path)
+func readSegment(fs fsys, path string) ([]inventory.Event, int64, error) {
+	f, err := fs.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -170,7 +174,12 @@ func readSegment(path string) ([]inventory.Event, int64, error) {
 // absent directory yields a nil inventory: the caller seeds one from its
 // initial slot list and attaches the returned store itself.
 func Open(dir string, invOpts inventory.Options, opts Options) (*inventory.Inventory, *Store, *RecoverResult, error) {
-	res, err := Recover(dir, true)
+	return openFS(osFS{}, dir, invOpts, opts)
+}
+
+// openFS is Open over the given filesystem.
+func openFS(fs fsys, dir string, invOpts inventory.Options, opts Options) (*inventory.Inventory, *Store, *RecoverResult, error) {
+	res, err := recoverFS(fs, dir, true)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -181,7 +190,7 @@ func Open(dir string, invOpts inventory.Options, opts Options) (*inventory.Inven
 			return nil, nil, nil, err
 		}
 	}
-	store, err := Create(dir, res.LastSeq, opts)
+	store, err := createFS(fs, dir, res.LastSeq, opts)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -41,10 +41,15 @@ func ShardDirName(i int) string { return fmt.Sprintf("shard-%02d", i) }
 // layout with a different n (or a directory holding a flat single-pool
 // WAL) is an error, never a silent rehash.
 func OpenSharded(dir string, n int, invOpts inventory.Options, walOpts Options) (*inventory.Sharded, []*Store, []*RecoverResult, error) {
+	return openShardedFS(osFS{}, dir, n, invOpts, walOpts)
+}
+
+// openShardedFS is OpenSharded over the given filesystem.
+func openShardedFS(fs fsys, dir string, n int, invOpts inventory.Options, walOpts Options) (*inventory.Sharded, []*Store, []*RecoverResult, error) {
 	if n < 2 {
 		return nil, nil, nil, fmt.Errorf("wal: OpenSharded needs at least 2 shards (use Open for a single pool)")
 	}
-	if err := checkShardLayout(dir, n); err != nil {
+	if err := checkShardLayout(fs, dir, n); err != nil {
 		return nil, nil, nil, err
 	}
 	invOpts.Sink = nil
@@ -60,7 +65,7 @@ func OpenSharded(dir string, n int, invOpts inventory.Options, walOpts Options) 
 	}
 	recovered := 0
 	for i := 0; i < n; i++ {
-		inv, st, res, err := Open(filepath.Join(dir, ShardDirName(i)), invOpts, walOpts)
+		inv, st, res, err := openFS(fs, filepath.Join(dir, ShardDirName(i)), invOpts, walOpts)
 		if err != nil {
 			closeAll()
 			return nil, nil, nil, fmt.Errorf("wal: shard %d: %w", i, err)
@@ -112,8 +117,8 @@ func SeedSharded(list slots.List, invOpts inventory.Options, stores []*Store) (*
 // checkShardLayout rejects directories whose on-disk shape disagrees with
 // the requested shard count: a flat single-pool WAL at the top level, or
 // shard subdirectories at or beyond index n.
-func checkShardLayout(dir string, n int) error {
-	entries, err := os.ReadDir(dir)
+func checkShardLayout(fs fsys, dir string, n int) error {
+	entries, err := fs.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil // Create will make it

@@ -72,6 +72,7 @@ type Stats struct {
 type Store struct {
 	dir  string
 	opts Options
+	fs   fsys
 
 	// Telemetry atomics: read lock-free by metrics handlers.
 	appendedSeq atomic.Uint64
@@ -88,7 +89,7 @@ type Store struct {
 	done   chan struct{}
 
 	// Writer-goroutine state (no lock needed: single owner).
-	f       *os.File
+	f       file
 	size    int64
 	buf     []byte
 	lastSeq uint64 // last seq handed to the writer, for ordering checks
@@ -98,28 +99,33 @@ type Store struct {
 // log). The directory is created if missing. Most callers want Open,
 // which recovers existing state first and derives lastSeq from it.
 func Create(dir string, lastSeq uint64, opts Options) (*Store, error) {
+	return createFS(osFS{}, dir, lastSeq, opts)
+}
+
+// createFS is Create over the given filesystem.
+func createFS(fs fsys, dir string, lastSeq uint64, opts Options) (*Store, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
 	}
 	if opts.SnapshotKeep <= 0 {
 		opts.SnapshotKeep = DefaultSnapshotKeep
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	s := &Store{dir: dir, opts: opts, done: make(chan struct{}), lastSeq: lastSeq}
+	s := &Store{dir: dir, opts: opts, fs: fs, done: make(chan struct{}), lastSeq: lastSeq}
 	s.cond = sync.NewCond(&s.mu)
 	s.appendedSeq.Store(lastSeq)
 	s.durableSeq.Store(lastSeq)
 	// Resume the newest existing segment if it can still grow; otherwise
 	// the first batch creates a fresh one.
-	segs, err := listSegments(dir)
+	segs, err := segmentsIn(fs, dir)
 	if err != nil {
 		return nil, err
 	}
 	if len(segs) > 0 {
 		last := segs[len(segs)-1]
-		f, err := os.OpenFile(last.path, os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := fs.OpenFile(last.path, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, fmt.Errorf("wal: reopening segment: %w", err)
 		}
@@ -130,7 +136,7 @@ func Create(dir string, lastSeq uint64, opts Options) (*Store, error) {
 		}
 		s.f, s.size = f, st.Size()
 	}
-	if snaps, err := listSnapshots(dir); err == nil && len(snaps) > 0 {
+	if snaps, err := snapshotsIn(fs, dir); err == nil && len(snaps) > 0 {
 		s.snapSeq.Store(snaps[len(snaps)-1].seq)
 	}
 	go s.writer()
@@ -197,10 +203,10 @@ func (s *Store) writer() {
 		err := s.writeBatch(batch)
 
 		s.mu.Lock()
-		if err != nil {
-			s.err = fmt.Errorf("wal: %w", err)
-		} else {
+		if err == nil {
 			s.durableSeq.Store(batch[len(batch)-1].Seq)
+		} else if s.err == nil {
+			s.err = fmt.Errorf("wal: %w", err)
 		}
 		s.cond.Broadcast()
 		stop := s.err != nil
@@ -261,12 +267,12 @@ func (s *Store) rotate(firstSeq uint64) error {
 		s.f = nil
 	}
 	path := filepath.Join(s.dir, segmentName(firstSeq))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := s.fs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return err
 	}
 	if !s.opts.NoSync {
-		if err := syncDir(s.dir); err != nil {
+		if err := syncDir(s.fs, s.dir); err != nil {
 			f.Close()
 			return err
 		}
@@ -279,7 +285,9 @@ func (s *Store) rotate(firstSeq uint64) error {
 // wholly covered by the snapshot and all but the SnapshotKeep newest
 // snapshots are deleted. It first waits for the log to be durable through
 // state.Seq — a snapshot claiming to cover events the log has not fsync'd
-// yet would let a crash lose them invisibly.
+// yet would let a crash lose them invisibly. An I/O failure latches the
+// store like a failed append: a directory that cannot take a snapshot is
+// not trusted with the log either.
 func (s *Store) Snapshot(st *inventory.State) error {
 	if err := s.waitDurable(st.Seq); err != nil {
 		return err
@@ -288,9 +296,27 @@ func (s *Store) Snapshot(st *inventory.State) error {
 	if err != nil {
 		return err
 	}
-	final := filepath.Join(s.dir, snapshotName(st.Seq))
+	if err := s.writeSnapshot(st.Seq, payload); err != nil {
+		s.mu.Lock()
+		if s.err == nil {
+			s.err = err
+		}
+		s.cond.Broadcast()
+		s.mu.Unlock()
+		return err
+	}
+	s.snapSeq.Store(st.Seq)
+	s.snapTime.Store(time.Now().UnixNano())
+	s.compact(st.Seq)
+	return nil
+}
+
+// writeSnapshot writes the snapshot file of seq under a temporary name,
+// fsyncs it and renames it into place.
+func (s *Store) writeSnapshot(seq uint64, payload []byte) error {
+	final := filepath.Join(s.dir, snapshotName(seq))
 	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := s.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
@@ -302,21 +328,18 @@ func (s *Store) Snapshot(st *inventory.State) error {
 		werr = cerr
 	}
 	if werr != nil {
-		os.Remove(tmp)
+		s.fs.Remove(tmp)
 		return fmt.Errorf("wal: writing snapshot: %w", werr)
 	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
+	if err := s.fs.Rename(tmp, final); err != nil {
+		s.fs.Remove(tmp)
 		return fmt.Errorf("wal: publishing snapshot: %w", err)
 	}
 	if !s.opts.NoSync {
-		if err := syncDir(s.dir); err != nil {
+		if err := syncDir(s.fs, s.dir); err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
 	}
-	s.snapSeq.Store(st.Seq)
-	s.snapTime.Store(time.Now().UnixNano())
-	s.compact(st.Seq)
 	return nil
 }
 
@@ -324,12 +347,12 @@ func (s *Store) Snapshot(st *inventory.State) error {
 // every event is covered by the given snapshot sequence. Best-effort:
 // compaction failures never fail the snapshot that triggered them.
 func (s *Store) compact(snapSeq uint64) {
-	if snaps, err := listSnapshots(s.dir); err == nil && len(snaps) > s.opts.SnapshotKeep {
+	if snaps, err := snapshotsIn(s.fs, s.dir); err == nil && len(snaps) > s.opts.SnapshotKeep {
 		for _, sn := range snaps[:len(snaps)-s.opts.SnapshotKeep] {
-			os.Remove(sn.path)
+			s.fs.Remove(sn.path)
 		}
 	}
-	segs, err := listSegments(s.dir)
+	segs, err := segmentsIn(s.fs, s.dir)
 	if err != nil {
 		return
 	}
@@ -337,7 +360,7 @@ func (s *Store) compact(snapSeq uint64) {
 		// Segment i ends where segment i+1 begins: it is disposable iff
 		// every sequence before that boundary is covered by the snapshot.
 		if segs[i+1].firstSeq <= snapSeq+1 {
-			os.Remove(segs[i].path)
+			s.fs.Remove(segs[i].path)
 		} else {
 			break
 		}
@@ -401,9 +424,9 @@ type snapshotInfo struct {
 func segmentName(firstSeq uint64) string { return fmt.Sprintf("wal-%016x.log", firstSeq) }
 func snapshotName(seq uint64) string     { return fmt.Sprintf("snap-%016x.snap", seq) }
 
-// listSegments returns the log segments sorted by first sequence.
-func listSegments(dir string) ([]segmentInfo, error) {
-	entries, err := os.ReadDir(dir)
+// segmentsIn returns the log segments of dir sorted by first sequence.
+func segmentsIn(fs fsys, dir string) ([]segmentInfo, error) {
+	entries, err := fs.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
@@ -423,9 +446,9 @@ func listSegments(dir string) ([]segmentInfo, error) {
 	return segs, nil
 }
 
-// listSnapshots returns the snapshots sorted by covered sequence.
-func listSnapshots(dir string) ([]snapshotInfo, error) {
-	entries, err := os.ReadDir(dir)
+// snapshotsIn returns the snapshots of dir sorted by covered sequence.
+func snapshotsIn(fs fsys, dir string) ([]snapshotInfo, error) {
+	entries, err := fs.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
@@ -446,8 +469,8 @@ func listSnapshots(dir string) ([]snapshotInfo, error) {
 }
 
 // syncDir fsyncs a directory so entry creation/rename/removal is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
+func syncDir(fs fsys, dir string) error {
+	d, err := fs.OpenFile(dir, os.O_RDONLY, 0)
 	if err != nil {
 		return err
 	}

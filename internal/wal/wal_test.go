@@ -486,58 +486,6 @@ func TestRecoverSkipsCorruptSnapshot(t *testing.T) {
 	})
 }
 
-func TestFollowerTailsLeader(t *testing.T) {
-	forMinLens(t, func(t *testing.T, minLen float64) {
-		dir := t.TempDir()
-		inv, store := churnLeader(t, dir, 21, 40, minLen, Options{SegmentBytes: 4 << 10})
-
-		fol, err := NewFollower(dir, inventory.Options{MinSlotLength: minLen})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fol.Poll(); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := stateSig(fol.Inventory()), stateSig(inv); got != want {
-			t.Fatalf("follower differs after initial catch-up:\n got %s\nwant %s", got, want)
-		}
-
-		// Leader keeps going (with rotation); follower polls incrementally.
-		for round := 0; round < 5; round++ {
-			drive(t, inv, uint64(30+round), 15)
-			if _, err := fol.Poll(); err != nil {
-				t.Fatal(err)
-			}
-			if got, want := stateSig(fol.Inventory()), stateSig(inv); got != want {
-				t.Fatalf("round %d: follower diverged:\n got %s\nwant %s", round, got, want)
-			}
-		}
-
-		// Snapshot + compaction beyond the follower's position forces resync.
-		ptr := fol.Inventory()
-		drive(t, inv, 99, 40)
-		if err := store.Snapshot(inv.ExportState()); err != nil {
-			t.Fatal(err)
-		}
-		drive(t, inv, 100, 10)
-		if err := store.Snapshot(inv.ExportState()); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fol.Poll(); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := stateSig(fol.Inventory()), stateSig(inv); got != want {
-			t.Fatalf("follower diverged after compaction:\n got %s\nwant %s", got, want)
-		}
-		if fol.Inventory() != ptr {
-			t.Fatal("resync replaced the inventory pointer")
-		}
-		if err := store.Close(); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
 func TestAppendAfterCloseFails(t *testing.T) {
 	dir := t.TempDir()
 	store, err := Create(dir, 0, Options{})
