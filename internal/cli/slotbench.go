@@ -377,7 +377,7 @@ func benchGridOps(seed uint64, nodeCounts, taskCounts []int) ([]benchOp, error) 
 // repository benchmark's booking shape (5 tasks of volume 150, a budget
 // that rarely binds) at 1 024 and at 4 096 nodes, horizon 600 — windows of
 // about 670 and 2 700 candidates — through a reused Scanner over a
-// published sequence, the way the service searches. The full-scan rows
+// published sequence, the way the service searches. The scanning rows
 // (MinCost, MinRunTime, MinFinish, the exact runtime kernel) are meant to
 // cost about the same per slot at both sizes; a step or a visit that walks
 // the window shows as the 4 096-node rows costing four times the 1 024-node

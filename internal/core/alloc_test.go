@@ -103,32 +103,52 @@ func TestScannerFindAllocsLargeWindow(t *testing.T) {
 	}
 }
 
-// TestScanCostGrowth gates the slope of a full scan in the node count: the
-// time per scanned slot of MinCost and of MinEnergy's additive greedy (both
-// scan every slot; MinRunTime stops at its floor) at 4 096 nodes (windows
-// of about 2 700 candidates) is at most three times that at 512 nodes
-// (about 340). A step or a visit that walks the window grows eightfold
-// between the two — the mirrors this index replaced measured 11x and 7x —
-// while O(log w) steps and O(n + r log w) visits stay within 1.5x, so the
-// margin holds on a noisy runner. Minimum of three timed searches a side.
+// TestScanCostGrowth gates the slope of a scan in the node count: the time
+// per scanned slot at 4 096 nodes (windows of about 2 700 candidates) is at
+// most three times that at 512 nodes (about 340). Two rows are full-window
+// witnesses, scans that keep every admitted candidate: plainMinCost, which
+// selects the n cheapest at every visit, and MinEnergy's additive greedy.
+// MinCost itself is a third row, pruned by its cost bound. (MinRunTime
+// stops at its floor.) A step or a visit that walks the window grows
+// eightfold between the two sizes — the mirrors this index replaced
+// measured 11x and 7x — while O(log w) steps and O(n + r log w) visits stay
+// within 1.5x, so the margin holds on a noisy runner. Minimum of three
+// timed searches a side.
 func TestScanCostGrowth(t *testing.T) {
 	if testkit.RaceEnabled || testing.Short() {
 		t.Skip("timing test: skipped under -race and -short")
 	}
-	perSlot := func(alg core.Algorithm, nodeCount int) float64 {
+	req := job.Request{TaskCount: 5, Volume: 150, MaxCost: 5 * 150 * 5} // the benchmark's booking shape
+	scanner := func(alg core.Algorithm) func(slots.List, *slots.Seq) error {
+		sc := core.NewScanner()
+		return func(_ slots.List, seq *slots.Seq) error {
+			r := req
+			_, err := sc.Find(alg, seq.Cursor(), &r, nil)
+			return err
+		}
+	}
+	rows := []struct {
+		name string
+		find func(slots.List, *slots.Seq) error
+	}{
+		{"plain MinCost (full window)", func(list slots.List, _ *slots.Seq) error {
+			_, err := plainMinCost(list, req, nil)
+			return err
+		}},
+		{"MinEnergy (full window)", scanner(core.MinEnergy{})},
+		{"MinCost (cost bound)", scanner(core.MinCost{})},
+	}
+	perSlot := func(find func(slots.List, *slots.Seq) error, nodeCount int) float64 {
 		e := env.Generate(env.DefaultConfig().WithNodeCount(nodeCount), randx.New(1))
 		seq, err := slots.SeqOf(e.Slots)
 		if err != nil {
 			t.Fatal(err)
 		}
-		req := job.Request{TaskCount: 5, Volume: 150, MaxCost: 5 * 150 * 5} // the benchmark's booking shape
-		sc := core.NewScanner()
 		best := time.Duration(1<<63 - 1)
 		for i := 0; i < 4; i++ { // the first search sizes the scanner
-			r := req
 			begin := time.Now()
-			if _, err := sc.Find(alg, seq.Cursor(), &r, nil); err != nil {
-				t.Fatalf("%s at %d nodes: %v", alg.Name(), nodeCount, err)
+			if err := find(e.Slots, seq); err != nil {
+				t.Fatalf("%d nodes: %v", nodeCount, err)
 			}
 			if d := time.Since(begin); i > 0 && d < best {
 				best = d
@@ -136,11 +156,11 @@ func TestScanCostGrowth(t *testing.T) {
 		}
 		return float64(best.Nanoseconds()) / float64(len(e.Slots))
 	}
-	for _, alg := range []core.Algorithm{core.MinCost{}, core.MinEnergy{}} {
-		small, large := perSlot(alg, 512), perSlot(alg, 4096)
-		t.Logf("%s: %.0f ns/slot at 512 nodes, %.0f ns/slot at 4096 nodes (x%.2f)", alg.Name(), small, large, large/small)
+	for _, row := range rows {
+		small, large := perSlot(row.find, 512), perSlot(row.find, 4096)
+		t.Logf("%s: %.0f ns/slot at 512 nodes, %.0f ns/slot at 4096 nodes (x%.2f)", row.name, small, large, large/small)
 		if large > 3*small {
-			t.Errorf("%s: %.0f ns/slot at 4096 nodes is more than 3x the %.0f ns/slot at 512", alg.Name(), large, small)
+			t.Errorf("%s: %.0f ns/slot at 4096 nodes is more than 3x the %.0f ns/slot at 512", row.name, large, small)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"slotsel/internal/core"
 	"slotsel/internal/job"
+	"slotsel/internal/obs"
 	"slotsel/internal/randx"
 	"slotsel/internal/slots"
 	"slotsel/internal/testkit"
@@ -71,15 +72,32 @@ type cutTrace struct {
 	tiedCuts int // visits after which the bound had an equal the order left out
 }
 
-// cutSearch runs alg on a fresh scanner with a visit wrap that holds the
-// cost order to its definition after every visit and records how its bound
-// moved. k is the cut size of the request's task count (4n+16). Before
+// plainMinCost is MinCost without its cost bound: a core.Scan visitor that
+// asks SelectMinCost for the n cheapest of the whole window at every visit
+// and keeps the first strictly cheaper window. Its window is MinCost's; the
+// window it selects from is every candidate the scan admits, so the cut
+// cost order is driven through all of it.
+func plainMinCost(list slots.List, req job.Request, col obs.Collector) (*core.Window, error) {
+	var best *core.Window
+	err := core.Scan(list, &req, func(start float64, win *core.WindowIndex) bool {
+		chosen, cost, ok := win.SelectMinCost(req.TaskCount, req.MaxCost)
+		if ok && (best == nil || cost < best.Cost) {
+			best = core.NewWindow(start, chosen)
+		}
+		return false
+	}, col)
+	return core.Found(best, err)
+}
+
+// cutSearch runs a search — plainMinCost, or AMP on a fresh scanner — with
+// a visit wrap that holds the cost order to its definition after every
+// visit and records how its bound moved. k is the cut size of the request's task count (4n+16). Before
 // every other visit the wrap selects the n cheapest itself and checks them
 // against a sort of the window from scratch, slot for slot — so both the
 // select that cuts and the one that reads the cut are checked, whichever
 // the visit's own select then is. With midScan, every third visit also
 // reads ByCost and PrefixCost and checks them the same way.
-func cutSearch(t *testing.T, who string, alg core.Algorithm, cur slots.Cursor, req job.Request, midScan bool) cutTrace {
+func cutSearch(t *testing.T, who string, amp bool, list slots.List, req job.Request, midScan bool) cutTrace {
 	t.Helper()
 	k := 4*req.TaskCount + 16
 	var tr cutTrace
@@ -141,7 +159,13 @@ func cutSearch(t *testing.T, who string, alg core.Algorithm, cur slots.Cursor, r
 		}
 	})
 	defer core.SetVisitWrapForTest(nil)
-	w, err := core.NewScanner().Find(alg, cur, &req, nil)
+	var w *core.Window
+	var err error
+	if amp {
+		w, err = core.NewScanner().Find(core.AMP{}, list.Cursor(), &req, nil)
+	} else {
+		w, err = plainMinCost(list, req, nil)
+	}
 	if err != nil && err != core.ErrNoWindow {
 		t.Fatalf("%s: %v", who, err)
 	}
@@ -149,22 +173,34 @@ func cutSearch(t *testing.T, who string, alg core.Algorithm, cur slots.Cursor, r
 	return tr
 }
 
-// checkCutSearch runs cutSearch for MinCost and AMP and compares each
-// window with the stable oracle's.
+// checkCutSearch runs cutSearch for plainMinCost and AMP and compares each
+// window with the stable oracle's, and MinCost's own window — the scanner's,
+// under its cost bound — with the same.
 func checkCutSearch(t *testing.T, who string, list slots.List, req job.Request, midScan bool) (minCost, amp cutTrace) {
 	t.Helper()
-	for _, alg := range []core.Algorithm{core.MinCost{}, core.AMP{}} {
-		_, isAMP := alg.(core.AMP)
-		name := fmt.Sprintf("%s alg=%s", who, alg.Name())
-		tr := cutSearch(t, name, alg, list.Cursor(), req, midScan)
+	for _, isAMP := range []bool{false, true} {
+		name := who + " alg=MinCost(plain)"
+		if isAMP {
+			name = who + " alg=AMP"
+		}
+		tr := cutSearch(t, name, isAMP, list, req, midScan)
 		want, _ := stableFind(list, req, isAMP)
-		if ws := testkit.WindowSignature(want); tr.window != ws {
+		ws := testkit.WindowSignature(want)
+		if tr.window != ws {
 			t.Errorf("%s: cut order and stable oracle diverged\ncut:    %s\noracle: %s", name, tr.window, ws)
 		}
 		if isAMP {
 			amp = tr
-		} else {
-			minCost = tr
+			continue
+		}
+		minCost = tr
+		r := req
+		w, err := core.NewScanner().Find(core.MinCost{}, list.Cursor(), &r, nil)
+		if err != nil && err != core.ErrNoWindow {
+			t.Fatalf("%s: %v", who, err)
+		}
+		if got := testkit.WindowSignature(w); got != ws {
+			t.Errorf("%s alg=MinCost: bounded scan and stable oracle diverged\nbounded: %s\noracle:  %s", who, got, ws)
 		}
 	}
 	return minCost, amp
@@ -302,26 +338,22 @@ func TestCostCutDrainedByExpiry(t *testing.T) {
 
 // TestScanCostGrowthDrained is TestScanCostGrowth on drainList (CI's growth
 // gate runs both): a cut is a pass over the window, and on this list one
-// comes every few dozen expiries, yet MinCost's time per scanned slot at
-// 4 096 nodes stays within three times that at 512. Minimum of ten timed
-// searches a side: the small list scans in tens of microseconds.
+// comes every few dozen expiries, yet plainMinCost's time per scanned slot
+// at 4 096 nodes stays within three times that at 512. plainMinCost, not
+// MinCost: the cost bound keeps MinCost's window far below the cut's size.
+// Minimum of ten timed searches a side: the small list scans in tens of
+// microseconds.
 func TestScanCostGrowthDrained(t *testing.T) {
 	if testkit.RaceEnabled || testing.Short() {
 		t.Skip("timing test: skipped under -race and -short")
 	}
 	perSlot := func(nodeCount int) float64 {
 		list := drainList(randx.New(1), nodeCount, 600)
-		seq, err := slots.SeqOf(list)
-		if err != nil {
-			t.Fatal(err)
-		}
 		req := job.Request{TaskCount: 5, Volume: 150, MaxCost: 5 * 150 * 5}
-		sc := core.NewScanner()
 		best := time.Duration(1<<63 - 1)
 		for i := 0; i < 11; i++ {
-			r := req
 			begin := time.Now()
-			if _, err := sc.Find(core.MinCost{}, seq.Cursor(), &r, nil); err != nil {
+			if _, err := plainMinCost(list, req, nil); err != nil {
 				t.Fatalf("%d nodes: %v", nodeCount, err)
 			}
 			if d := time.Since(begin); i > 0 && d < best {
@@ -331,7 +363,7 @@ func TestScanCostGrowthDrained(t *testing.T) {
 		return float64(best.Nanoseconds()) / float64(len(list))
 	}
 	small, large := perSlot(512), perSlot(4096)
-	t.Logf("MinCost on drainList: %.0f ns/slot at 512 nodes, %.0f ns/slot at 4096 nodes (x%.2f)", small, large, large/small)
+	t.Logf("plain MinCost on drainList: %.0f ns/slot at 512 nodes, %.0f ns/slot at 4096 nodes (x%.2f)", small, large, large/small)
 	if large > 3*small {
 		t.Errorf("%.0f ns/slot at 4096 nodes is more than 3x the %.0f ns/slot at 512", large, small)
 	}

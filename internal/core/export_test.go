@@ -19,6 +19,14 @@ func SetOrderBlockCapForTest(n int) (prev int) {
 	return prev
 }
 
+// CostCeilingForTest is MinCost's admission bound over low, the n−1 lowest
+// costs of a scan in ascending order: the largest cost of a candidate that
+// can sit in a window costing less than limit (orEqual: no more).
+func CostCeilingForTest(low []float64, limit float64, orEqual bool) float64 {
+	sc := &Scanner{low: low}
+	return sc.costCeiling(limit, orEqual)
+}
+
 // CostCutForTest reports the state of the index's cost order: whether a
 // select has activated it, whether it is cut and at which bound, and how
 // many candidates it holds.

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"sort"
-	"unsafe"
 
 	"slotsel/internal/job"
 	"slotsel/internal/randx"
@@ -90,7 +89,7 @@ type WindowIndex struct {
 	top        []int32
 
 	// weight is the function the cost order's filter weights were computed
-	// with (nil: the order is unweighted).
+	// with (nil: the order is unweighted); weightKind, below, names it.
 	weight func(Candidate) float64
 
 	// scratch is the chosen-slice buffer the Select* kernels return: one
@@ -100,6 +99,14 @@ type WindowIndex struct {
 	scratch []Candidate
 	weights []float64
 	sample  []int
+
+	// costCeiling is the scan's admission bound: scanLoop admits no slot
+	// that costs more. It is +Inf after reset; MinCost's search lowers it
+	// (costBound) so that only candidates some acceptable window could hold
+	// are admitted. It and weightKind come last, where they move no other
+	// field: the scan's step is sensitive to this struct's layout.
+	costCeiling float64
+	weightKind  weightKind
 }
 
 // none is the nil handle.
@@ -361,7 +368,8 @@ func (ix *WindowIndex) reset() {
 	ix.exec.reset(true)
 	ix.costCap = 0
 	ix.top = ix.top[:0]
-	ix.weight = nil
+	ix.weight, ix.weightKind = nil, weightNone
+	ix.costCeiling = math.Inf(1)
 	ix.scratch = ix.scratch[:0]
 	ix.weights = ix.weights[:0]
 	ix.sample = ix.sample[:0]
@@ -506,13 +514,15 @@ func (ix *WindowIndex) cut(top []int32, k int) {
 	ix.cost.load(top[:p])
 }
 
-// sameFunc reports whether a and b are one function value: the same closure
-// object, hence the same code over the same captured variables. (Go
-// compares function values with nil only; a function value is a pointer to
-// its closure.)
-func sameFunc(a, b func(Candidate) float64) bool {
-	return *(*unsafe.Pointer)(unsafe.Pointer(&a)) == *(*unsafe.Pointer)(unsafe.Pointer(&b))
-}
+// weightKind names the weight the cost order's filter weights were
+// computed with.
+type weightKind uint8
+
+const (
+	weightNone   weightKind = iota // the order is unweighted
+	weightExec                     // execWeight: the runtime kernels
+	weightCaller                   // SelectMinAdditiveGreedy's weight, one per scan
+)
 
 // substitute is the paper's §2.2 substitution loop, for MinRunTime (weight
 // Exec), MinFinish, MinProcTimeGreedy and MinEnergy alike: start from the n
@@ -533,16 +543,16 @@ func sameFunc(a, b func(Candidate) float64) bool {
 // the budget, none after it does — they cost no less, float addition is
 // monotone, and nothing changes in between — so the walk ends there.
 //
-// weight must be a pure function of the candidate. The filter weights are
-// kept across visits for as long as the calls pass the same function value,
-// and recomputed (O(w)) when they do not.
-func (ix *WindowIndex) substitute(n int, budget float64, weight func(Candidate) float64, literalBudget bool) (result []Candidate, ok bool) {
+// weight must be a pure function of the candidate, named by kind. The
+// filter weights are kept across visits for as long as the calls pass the
+// same kind, and recomputed (O(w)) when they do not.
+func (ix *WindowIndex) substitute(n int, budget float64, weight func(Candidate) float64, kind weightKind, literalBudget bool) (result []Candidate, ok bool) {
 	if ix.live < n {
 		return nil, false
 	}
 	ix.activate(&ix.cost)
-	if !ix.cost.weighted || !sameFunc(ix.weight, weight) {
-		ix.weight = weight
+	if !ix.cost.weighted || ix.weightKind != kind {
+		ix.weight, ix.weightKind = weight, kind
 		ix.cost.setWeights(ix.arena, weight)
 	}
 	result, b, j := ix.cheapest(n)
@@ -613,7 +623,7 @@ func execWeight(c Candidate) float64 { return c.Exec }
 // the substitution loop with the execution time as the weight. The output
 // is candidate-for-candidate identical to the oracle's.
 func (ix *WindowIndex) SelectMinRuntimeGreedy(n int, budget float64, literalBudget bool) (chosen []Candidate, runtime float64, ok bool) {
-	result, ok := ix.substitute(n, budget, execWeight, literalBudget)
+	result, ok := ix.substitute(n, budget, execWeight, weightExec, literalBudget)
 	if !ok {
 		return nil, 0, false
 	}
@@ -622,9 +632,11 @@ func (ix *WindowIndex) SelectMinRuntimeGreedy(n int, budget float64, literalBudg
 
 // SelectMinAdditiveGreedy is the incremental twin of
 // selectMinAdditiveGreedy for an arbitrary additive per-slot weight, which
-// must be a pure function of the candidate.
+// must be a pure function of the candidate and the same function at every
+// call of one scan: the index keeps the weights it computed until it is
+// reset for the next scan.
 func (ix *WindowIndex) SelectMinAdditiveGreedy(n int, budget float64, weight func(Candidate) float64) (chosen []Candidate, total float64, ok bool) {
-	result, ok := ix.substitute(n, budget, weight, false)
+	result, ok := ix.substitute(n, budget, weight, weightCaller, false)
 	if !ok {
 		return nil, 0, false
 	}

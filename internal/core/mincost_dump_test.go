@@ -24,19 +24,24 @@ func (r *statsRecorder) ScanDone(s obs.ScanStats) { r.last = s }
 
 // TestMinCostWindowDump is the window dump of the cost criteria: 200 seeds
 // x cursors {list, leaf 1, 3, 7} x {MinCost, AMP} x budget {none, loose,
-// binding}, every scanner window and ScanStats compared with the oracle
-// twin's, which sorts the whole window at every visit. Lists run to 160
-// nodes, so windows outgrow the cost order's cut many times over. A loose
-// budget is 1.6 and a binding one 1.02 times the cost of the list's
-// cheapest window: AMP then selects at visit after visit before one fits.
-// With -v it logs one line per search plus the dump's digest, so two trees
-// can be compared by diffing their logs:
+// binding}, every scanner window compared with the oracle twin's, which
+// sorts the whole window at every visit. Lists run to 160 nodes, so windows
+// outgrow the cost order's cut many times over. A loose budget is 1.6 and a
+// binding one 1.02 times the cost of the list's cheapest window: AMP then
+// selects at visit after visit before one fits.
+//
+// AMP's ScanStats equal the oracle's. MinCost admits only the candidates
+// some acceptable window could hold (its cost bound), so of its ScanStats
+// Slots and Matched equal the oracle's and Candidates is at most the
+// oracle's; some search must admit fewer. The digest covers the windows
+// alone, so it is the same for any tree that finds the same windows. With
+// -v it logs one line per search, counters included:
 //
 //	go test -run TestMinCostWindowDump -v ./internal/core
 func TestMinCostWindowDump(t *testing.T) {
 	sc := core.NewScanner()
 	digest := sha256.New()
-	searches := 0
+	searches, pruned := 0, 0
 	for seed := uint64(1); seed <= 200; seed++ {
 		rng := randx.New(seed)
 		list := testkit.HeteroList(rng, rng.IntRange(8, 160), 4, 600)
@@ -91,18 +96,27 @@ func TestMinCostWindowDump(t *testing.T) {
 					if got != want {
 						t.Errorf("seed=%d %s alg=%s budget=%s: scanner and oracle diverged\nscanner: %s\noracle:  %s", seed, c.name, alg.Name(), budget.name, got, want)
 					}
-					if rec.last != orec.last {
+					if _, isMinCost := alg.(core.MinCost); isMinCost {
+						if st, ost := rec.last, orec.last; st.Slots != ost.Slots || st.Matched != ost.Matched || st.Candidates > ost.Candidates {
+							t.Errorf("seed=%d %s alg=%s budget=%s: scanner ScanStats %+v, oracle %+v: want its Slots and Matched, at most its Candidates", seed, c.name, alg.Name(), budget.name, st, ost)
+						} else if st.Candidates < ost.Candidates {
+							pruned++
+						}
+					} else if rec.last != orec.last {
 						t.Errorf("seed=%d %s alg=%s budget=%s: scanner ScanStats %+v, oracle %+v", seed, c.name, alg.Name(), budget.name, rec.last, orec.last)
 					}
-					line := fmt.Sprintf("seed=%d %s alg=%s budget=%s %s %+v", seed, c.name, alg.Name(), budget.name, got, rec.last)
+					line := fmt.Sprintf("seed=%d %s alg=%s budget=%s %s", seed, c.name, alg.Name(), budget.name, got)
 					fmt.Fprintln(digest, line)
 					if testing.Verbose() {
-						t.Log(line)
+						t.Logf("%s %+v", line, rec.last)
 					}
 					searches++
 				}
 			}
 		}
 	}
-	t.Logf("dump sha256 %x over %d searches", digest.Sum(nil), searches)
+	if pruned == 0 {
+		t.Error("no MinCost search admitted fewer candidates than the oracle: the cost bound never pruned")
+	}
+	t.Logf("windows sha256 %x over %d searches; %d MinCost searches pruned", digest.Sum(nil), searches, pruned)
 }

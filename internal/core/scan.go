@@ -74,6 +74,7 @@ var visitWrap func(VisitFunc) VisitFunc
 func Scan(list slots.List, req *job.Request, visit VisitFunc, col obs.Collector) error {
 	sc := AcquireScanner()
 	defer ReleaseScanner(sc)
+	sc.win.reset()
 	return scanLoop(list.Cursor(), req, col, &sc.win, visit)
 }
 
@@ -102,9 +103,11 @@ func Found(best *Window, err error) (*Window, error) {
 // wrapped List is order-checked here (in full, every call); the leaves of a
 // Seq were verified when they were built.
 //
-// win is caller-provided recycled state (a Scanner's index): the loop
-// resets it and reuses its capacity, so a warmed-up scan allocates nothing
-// for window maintenance. A step costs O(log w) in the window size w — one
+// win is caller-provided recycled state (a Scanner's index), reset by the
+// caller, which may then lower its cost ceiling: a slot costing more is not
+// admitted (MinCost's bound, see WindowIndex.costCeiling). The loop reuses
+// the index's capacity, so a warmed-up scan allocates nothing for window
+// maintenance. A step costs O(log w) in the window size w — one
 // arena cell, one heap push, one insertion into each selection order a
 // select has activated and that holds the candidate (MinCost's is cut; see
 // WindowIndex) — plus the same for every candidate it expires, and
@@ -130,8 +133,6 @@ func scanLoop(cur slots.Cursor, req *job.Request, col obs.Collector, win *Window
 	}
 	var st obs.ScanStats
 
-	win.reset()
-
 	for leaf, i := cur.Next(), 0; leaf != nil; {
 		start := leaf[i].Start
 		added := false
@@ -147,22 +148,16 @@ func scanLoop(cur slots.Cursor, req *job.Request, col obs.Collector, win *Window
 				continue // the slot does not meet the requirements
 			}
 			st.Matched++
-			exec := req.ExecTime(s.Node)
-			end := effEnd(s, req)
-			if end < start+exec {
-				// The slot can never host the task, not even starting at its
-				// own beginning; skip it entirely.
+			exec, ok := hosts(s, req)
+			if !ok {
 				continue
 			}
-			if req.Deadline > 0 && start+exec > req.Deadline {
-				// Windows only start later from here on; with the fastest
-				// possible start already past the deadline for this node, the
-				// slot is useless — but faster nodes may still fit, so only
-				// skip this slot, not the scan.
-				continue
+			cost := exec * s.Node.Price
+			if cost > win.costCeiling {
+				continue // no window holding it can be accepted
 			}
 			st.Candidates++
-			win.add(Candidate{Slot: s, Exec: exec, Cost: exec * s.Node.Price}, end)
+			win.add(Candidate{Slot: s, Exec: exec, Cost: cost}, effEnd(s, req))
 			added = true
 		}
 		if !added {
@@ -209,18 +204,13 @@ func effEnd(s *slots.Slot, req *job.Request) float64 {
 	return s.End
 }
 
-// CountSuitable returns the number of slots in the list whose node matches
-// the request and which are long enough to ever host one task. It is a
-// cheap feasibility diagnostic used by callers before launching searches.
-func CountSuitable(list slots.List, req *job.Request) int {
-	n := 0
-	for _, s := range list {
-		if !req.Matches(s.Node) {
-			continue
-		}
-		if effEnd(s, req)-s.Start >= req.ExecTime(s.Node) {
-			n++
-		}
-	}
-	return n
+// hosts is the scan's admission test for a slot whose node matches: the
+// task's execution time there, and whether the slot can host it at all —
+// starting at the slot's own beginning and finishing by its effective end,
+// which holds the deadline. Windows only start later, so a slot that fails
+// it never joins one. A NaN anywhere admits the slot: the comparison is
+// false.
+func hosts(s *slots.Slot, req *job.Request) (exec float64, ok bool) {
+	exec = req.ExecTime(s.Node)
+	return exec, !(effEnd(s, req) < s.Start+exec)
 }

@@ -5,6 +5,7 @@ import (
 
 	"slotsel/internal/job"
 	"slotsel/internal/nodes"
+	"slotsel/internal/obs"
 	"slotsel/internal/slots"
 )
 
@@ -199,28 +200,33 @@ func TestScanWindowDropsExpiredSlots(t *testing.T) {
 	}
 }
 
-func TestCountSuitable(t *testing.T) {
-	n1 := testNode(1, 4, 1)  // exec 15
-	n2 := testNode(2, 2, 1)  // exec 30
-	n3 := testNode(3, 10, 1) // exec 6
-	l := sorted(
-		slot(n1, 0, 10),  // too short for exec 15
-		slot(n1, 20, 50), // fits
-		slot(n2, 0, 25),  // too short for exec 30
-		slot(n3, 0, 7),   // fits exactly... 7 >= 6
-	)
-	req := job.Request{TaskCount: 1, Volume: 60}
-	if got := CountSuitable(l, &req); got != 2 {
-		t.Fatalf("CountSuitable = %d, want 2", got)
+// scanCounts keeps the counters of the last scan it saw.
+type scanCounts struct {
+	obs.Nop
+	st obs.ScanStats
+}
+
+func (c *scanCounts) ScanDone(st obs.ScanStats) { c.st = st }
+
+// TestHostsAdditionForm pins the form of the admission test: a slot hosts a
+// task when end >= start + exec, which is not end − start >= exec in the
+// last place. On this slot the subtraction form says no, and the scan
+// admits the slot as a candidate.
+func TestHostsAdditionForm(t *testing.T) {
+	const start, end, exec = 80.61854646744074, 122.99023331430237, 42.37168684686164
+	s := slot(testNode(1, 1, 1), start, end)
+	req := job.Request{TaskCount: 1, Volume: exec}
+	if end-start >= exec {
+		t.Fatal("the fixture no longer separates the two forms")
 	}
-	req.MinPerf = 5
-	if got := CountSuitable(l, &req); got != 1 {
-		t.Fatalf("CountSuitable with MinPerf = %d, want 1", got)
+	if _, ok := hosts(s, &req); !ok {
+		t.Fatal("hosts rejects a slot with end >= start+exec")
 	}
-	req.MinPerf = 0
-	req.Deadline = 26
-	// n3's slot [0,7) fits (finish 6 <= 26); n1's [20,50) would finish at 35 > 26.
-	if got := CountSuitable(l, &req); got != 1 {
-		t.Fatalf("CountSuitable with deadline = %d, want 1", got)
+	var counts scanCounts
+	if err := Scan(sorted(s), &req, func(float64, *WindowIndex) bool { return false }, &counts); err != nil {
+		t.Fatal(err)
+	}
+	if counts.st.Candidates != 1 {
+		t.Fatalf("the scan admitted %d candidates, want the slot", counts.st.Candidates)
 	}
 }

@@ -50,8 +50,9 @@ type Scanner struct {
 	// stream matches a freshly constructed generator.
 	rng *randx.Rand
 
-	// fast is runtimeFloor's scratch: the fastest tracks seen so far.
-	fast []track
+	// tracks is the pre-passes' scratch (runtimeFloor's, costBound's): the
+	// lowest-keyed tracks seen so far.
+	tracks []track
 
 	// work is the CSA working copy: slot values copied into arena-owned
 	// structs so repeated cutting mutates scanner-private memory and reuses
@@ -61,6 +62,10 @@ type Scanner struct {
 	work     slots.List
 	arena    []*slots.Slot
 	slotUsed int
+
+	// low and group are costBound's: the costs of the n−1 cheapest tracks
+	// the scan admits, and the n smallest of the first start, each sorted.
+	low, group []float64
 }
 
 // NewScanner returns a fresh scanner. Most callers should prefer
@@ -86,7 +91,8 @@ func (sc *Scanner) Reset() {
 	sc.vis.reset(nil)
 	sc.winA = Window{Placements: sc.winA.Placements[:0]}
 	sc.winB = Window{Placements: sc.winB.Placements[:0]}
-	sc.fast = sc.fast[:0]
+	sc.tracks = sc.tracks[:0]
+	sc.low, sc.group = sc.low[:0], sc.group[:0]
 	sc.work = sc.work[:0]
 	sc.slotUsed = 0
 }
@@ -161,11 +167,16 @@ func (sc *Scanner) Find(alg Algorithm, cur slots.Cursor, req *job.Request, col o
 func (sc *Scanner) search(alg Algorithm, cur slots.Cursor, req *job.Request, col obs.Collector) (*Window, error) {
 	v := &sc.vis
 	v.reset(req)
+	ceiling := math.Inf(1)
 	switch a := alg.(type) {
 	case AMP:
 		v.kind = vkAMP
 	case MinCost:
 		v.kind = vkMinCost
+		if limit, ok := sc.costBound(cur, req); ok {
+			v.costBounded = true
+			ceiling = sc.costCeiling(limit, true)
+		}
 	case MinRunTime:
 		v.kind = vkMinRunTime
 		v.exact, v.literalBudget = a.Exact, a.LiteralBudget
@@ -205,6 +216,8 @@ func (sc *Scanner) search(alg Algorithm, cur slots.Cursor, req *job.Request, col
 		return alg.Find(cur.List(), req)
 	}
 
+	sc.win.reset()
+	sc.win.costCeiling = ceiling
 	if err := scanLoop(cur, req, col, &sc.win, sc.visitFn); err != nil {
 		return nil, err
 	}
@@ -254,6 +267,10 @@ type visitor struct {
 	// shorter (runtimeFloor).
 	floor float64
 
+	// costBounded reports that MinCost's cost bound holds for this scan
+	// (costBound): each improvement lowers the scan's cost ceiling.
+	costBounded bool
+
 	best    *Window
 	spare   *Window
 	hasBest bool
@@ -268,6 +285,7 @@ func (v *visitor) reset(req *job.Request) {
 	v.exact, v.literalBudget = false, false
 	v.weight = nil
 	v.floor = math.Inf(-1)
+	v.costBounded = false
 	v.best, v.spare = &v.sc.winA, &v.sc.winB
 	v.hasBest = false
 	v.bestVal = 0
@@ -295,6 +313,11 @@ func (v *visitor) visit(start float64, win *WindowIndex) bool {
 		if !v.hasBest || cost < v.best.Cost {
 			buildWindow(v.best, start, chosen)
 			v.hasBest = true
+			if v.costBounded {
+				// The scan admits into the scanner's own index; win may be
+				// a test's stand-in for it (see above).
+				v.sc.win.costCeiling = v.sc.costCeiling(v.best.Cost, false)
+			}
 		}
 		return false
 
@@ -370,14 +393,44 @@ func (v *visitor) selectRuntime(win *WindowIndex) (chosen []Candidate, runtime f
 	return win.SelectMinRuntimeGreedy(v.req.TaskCount, v.req.MaxCost, v.literalBudget)
 }
 
-// track is one entry of runtimeFloor's buffer: a node ID and performance,
-// the task's execution time there, and the end of the latest slot on the
-// track.
+// track is one entry of a pre-pass's buffer: a node ID and performance,
+// the track's key — the task's execution time there (runtimeFloor) or its
+// cost (costBound) — and the end of the latest slot on the track.
+//
+// A track is the slots of one (node ID, key) in start order, each on the
+// first track whose last slot ended by its start. Two slots on one track
+// cannot both be candidates of one window (a task needs exec > 0 before the
+// earlier slot's end), and a node gets as many tracks as it has slots alive
+// at once — one, for a valid list. Nothing in a caller's list forbids
+// overlapping slots on one node, so the pre-passes count tracks, not nodes.
 type track struct {
 	id   int
 	perf float64
-	exec float64
+	key  float64
 	end  float64
+}
+
+// keepTrack puts slot s, keyed key, on the k lowest-keyed tracks so far,
+// kept in key order: onto a kept track of its node and key whose last slot
+// ended by its start, or as a new track, dropping the highest-keyed when
+// there are k. The caller passes only slots keyed below the k-th track.
+func keepTrack(tracks []track, k int, s *slots.Slot, key float64) []track {
+	for i := range tracks {
+		if tracks[i].id == s.Node.ID && tracks[i].key == key && tracks[i].end <= s.Start {
+			tracks[i].end = s.End
+			return tracks
+		}
+	}
+	if len(tracks) == k {
+		tracks = tracks[:k-1]
+	}
+	i := len(tracks)
+	tracks = append(tracks, track{})
+	for ; i > 0 && key < tracks[i-1].key; i-- {
+		tracks[i] = tracks[i-1]
+	}
+	tracks[i] = track{id: s.Node.ID, perf: s.Node.Perf, key: key, end: s.End}
+	return tracks
 }
 
 // runtimeFloor is an exact lower bound on the runtime of every window the
@@ -386,14 +439,7 @@ type track struct {
 // window holds n candidates at once, and a node holds at most one of them
 // while its slots are disjoint, so a window's runtime — the largest Exec of
 // its candidates, the very float64 values compared here — is at least the
-// n-th smallest.
-//
-// Nothing in a caller's list forbids overlapping slots on one node, so the
-// unit counted is a track, not a node: the slots of one (node ID, exec) in
-// start order, each on the first track whose last slot ended by its start.
-// Two slots on one track cannot both be candidates (a task needs exec > 0
-// before the earlier slot's end), and a node gets as many tracks as it has
-// slots alive at once — one, for a valid list.
+// n-th smallest. The unit counted is a track (see track), not a node.
 //
 // The pass keeps the n fastest tracks in the scanner's scratch. A slot not
 // faster than the n-th fastest track so far is skipped — on its node's Perf
@@ -406,7 +452,7 @@ func (sc *Scanner) runtimeFloor(cur slots.Cursor, req *job.Request) float64 {
 	if n <= 0 {
 		return math.Inf(-1)
 	}
-	fast := sc.fast[:0]
+	fast := sc.tracks[:0]
 	slowest := 0.0 // the Perf of the n-th fastest track, once there are n
 	for leaf := cur.Next(); leaf != nil; leaf = cur.Next() {
 		for _, s := range leaf {
@@ -416,46 +462,221 @@ func (sc *Scanner) runtimeFloor(cur slots.Cursor, req *job.Request) float64 {
 			if !req.Matches(s.Node) {
 				continue
 			}
-			exec := req.ExecTime(s.Node)
-			if effEnd(s, req) < s.Start+exec {
-				continue // the scan never admits it (effEnd holds the deadline)
+			exec, ok := hosts(s, req)
+			if !ok {
+				continue // the scan never admits it
 			}
 			if !(exec > 0) {
-				sc.fast = fast
+				sc.tracks = fast
 				return math.Inf(-1)
 			}
-			if len(fast) == n && exec >= fast[n-1].exec {
+			if len(fast) == n && exec >= fast[n-1].key {
 				continue
 			}
-			reused := false
-			for i := range fast {
-				if fast[i].id == s.Node.ID && fast[i].exec == exec && fast[i].end <= s.Start {
-					fast[i].end, reused = s.End, true
-					break
-				}
-			}
-			if reused {
-				continue
-			}
-			if len(fast) == n {
-				fast = fast[:n-1]
-			}
-			i := len(fast)
-			fast = append(fast, track{})
-			for ; i > 0 && exec < fast[i-1].exec; i-- {
-				fast[i] = fast[i-1]
-			}
-			fast[i] = track{id: s.Node.ID, perf: s.Node.Perf, exec: exec, end: s.End}
+			fast = keepTrack(fast, n, s, exec)
 			if len(fast) == n {
 				slowest = fast[n-1].perf
 			}
 		}
 	}
-	sc.fast = fast
+	sc.tracks = fast
 	if len(fast) < n {
 		return math.Inf(1)
 	}
-	return fast[n-1].exec
+	return fast[n-1].key
+}
+
+// costBound is the pre-pass of MinCost's cost bound, made beside
+// runtimeFloor's. One pass over cur keeps the n−1 cheapest tracks (see
+// track) of the slots the scan admits, and leaves their costs in sc.low,
+// sorted. The other n−1 members of any window lie on n−1 distinct tracks of
+// admitted slots, so their sorted costs are at least sc.low's, element for
+// element: were the i-th of them below sc.low's i-th, i members would lie on
+// the fewer than i kept tracks that cheap, two on one track. (A slot not
+// cheaper than the (n−1)-th track so far is skipped; as that bound only
+// falls, every track cheaper than the final one was kept whole.)
+//
+// The same pass returns limit, a cost MinCost's answer does not exceed: the
+// budget, or the cost of the n cheapest slots of the list's first start
+// that are still alive at it, whichever is less (+Inf: neither). Those
+// slots are in the window of the scan's visit at that start, whose n
+// cheapest cost no more, so the cheapest window of the scan costs no more
+// either. The scan can then leave out slots before it has found any window:
+// at the first start every node's first slot may begin.
+//
+// ok is false, and there is no bound, when a cost is NaN or infinite, since
+// a float sum is then no longer monotone in its terms, and when an
+// execution time is not positive, which voids the track argument. (Fewer
+// than n−1 tracks leave sc.low short; no window exists then, and nothing
+// the bound leaves out matters.) A slot past the first start whose finite
+// cost is no lower than the n−1 kept tracks changes nothing and is skipped
+// on its cost alone; every other slot is tested before its admission, so a
+// NaN or infinite cost on any slot voids the bound.
+func (sc *Scanner) costBound(cur slots.Cursor, req *job.Request) (limit float64, ok bool) {
+	n := req.TaskCount
+	leaf := cur.Next()
+	if n <= 0 || leaf == nil {
+		return 0, false
+	}
+	limit = math.Inf(1)
+	if req.MaxCost > 0 {
+		limit = req.MaxCost
+	}
+	cheap, group := sc.tracks[:0], sc.group[:0]
+	defer func() { sc.tracks, sc.group = cheap, group }()
+	first := leaf[0].Start
+	skip := math.Inf(1) // the (n−1)-th track's cost once there are n−1; with n == 1, any cost
+	if n == 1 {
+		skip = -math.MaxFloat64
+	}
+	for ; leaf != nil; leaf = cur.Next() {
+		for _, s := range leaf {
+			exec := req.ExecTime(s.Node)
+			cost := exec * s.Node.Price
+			if cost >= skip && cost <= math.MaxFloat64 && s.Start != first {
+				continue
+			}
+			if math.IsNaN(cost) || math.IsInf(cost, 0) || !(exec > 0) {
+				return 0, false
+			}
+			if !req.Matches(s.Node) {
+				continue
+			}
+			if _, hosted := hosts(s, req); !hosted {
+				continue
+			}
+			if n > 1 && (len(cheap) < n-1 || cost < skip) {
+				if cheap = keepTrack(cheap, n-1, s, cost); len(cheap) == n-1 {
+					skip = cheap[n-2].key
+				}
+			}
+			if s.Start == first && effEnd(s, req)-first >= exec && (len(group) < n || cost < group[n-1]) {
+				group = insertSorted(group, n, cost) // alive at its start: expire's test
+			}
+		}
+	}
+	sc.low = sc.low[:0]
+	for _, t := range cheap {
+		sc.low = append(sc.low, t.key)
+	}
+	if len(group) == n {
+		limit = min(limit, windowFloor(group[:n-1], group[n-1]))
+	}
+	return limit, true
+}
+
+// insertSorted inserts x into the ascending list xs, which keeps its k
+// smallest values; x must be below the k-th when xs holds k.
+func insertSorted(xs []float64, k int, x float64) []float64 {
+	if len(xs) == k {
+		xs = xs[:k-1]
+	}
+	i := len(xs)
+	xs = append(xs, 0)
+	for ; i > 0 && x < xs[i-1]; i-- {
+		xs[i] = xs[i-1]
+	}
+	xs[i] = x
+	return xs
+}
+
+// costCeiling is MinCost's admission bound: the largest cost a candidate
+// can have and still sit in a window that costs less than limit (orEqual:
+// no more than limit). A window holding a candidate of cost x costs at
+// least windowFloor(sc.low, x) — its cost is the left-to-right sum of its
+// members' costs in cost order, and float addition is monotone in each
+// term — and windowFloor is monotone in x, so a candidate costing more than
+// the largest x it lets through sits in no such window. The search runs
+// over float64 order, exactly: no epsilon enters the bound.
+//
+// MinCost replaces its best only by a strictly cheaper window, and accepts
+// one whose cost equals the budget; so before a best exists the limit is
+// the budget, orEqual, and after it the best's cost, strictly.
+func (sc *Scanner) costCeiling(limit float64, orEqual bool) float64 {
+	fits := func(x float64) bool {
+		floor := windowFloor(sc.low, x)
+		return floor < limit || orEqual && floor == limit
+	}
+	lo, hi := floatKey(math.Inf(-1)), floatKey(math.Inf(1))
+	if !fits(math.Inf(-1)) {
+		return math.Inf(-1)
+	}
+	if fits(math.Inf(1)) {
+		return math.Inf(1)
+	}
+	// fits(lo) and not fits(hi) from here on. limit less the low costs is
+	// within a few ulps of the answer unless the sums cancel, so gallop out
+	// from it to bracket the answer before bisecting. (A NaN or infinite
+	// guess has a key outside (lo, hi).)
+	guess := limit
+	for _, c := range sc.low {
+		guess -= c
+	}
+	if k := floatKey(guess); k > lo && k < hi {
+		if fits(guess) {
+			lo = k
+			for step := uint64(1); step > 0 && step < hi-k; step <<= 1 {
+				if !fits(keyFloat(k + step)) {
+					hi = k + step
+					break
+				}
+				lo = k + step
+			}
+		} else {
+			hi = k
+			for step := uint64(1); step > 0 && step < k-lo; step <<= 1 {
+				if fits(keyFloat(k - step)) {
+					lo = k - step
+					break
+				}
+				hi = k - step
+			}
+		}
+	}
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if fits(keyFloat(mid)) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return keyFloat(lo)
+}
+
+// windowFloor is the cost of the cheapest window that could hold a
+// candidate of cost x: x merged into low, summed left to right from 0, the
+// order in which SelectMinCost and buildWindow sum a window's costs. With
+// low the rest of a window's costs, ascending, it is that window's cost.
+func windowFloor(low []float64, x float64) float64 {
+	sum, placed := 0.0, false
+	for _, c := range low {
+		if !placed && x < c {
+			sum, placed = sum+x, true
+		}
+		sum += c
+	}
+	if !placed {
+		sum += x
+	}
+	return sum
+}
+
+// floatKey maps a float64 to a uint64 in the same order (−0 just before
+// +0); keyFloat is its inverse.
+func floatKey(x float64) uint64 {
+	b := math.Float64bits(x)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+func keyFloat(k uint64) float64 {
+	if k>>63 != 0 {
+		return math.Float64frombits(k &^ (1 << 63))
+	}
+	return math.Float64frombits(^k)
 }
 
 // ---- CSA: alternatives over a scanner-private working copy ----

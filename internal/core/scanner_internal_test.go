@@ -112,7 +112,9 @@ func poisonScanner(sc *Scanner) {
 			s.w = append(s.w, nan)
 			s.spare = append(s.spare, 1<<20)
 		}
-		sc.fast = append(sc.fast, track{id: -1, perf: nan, exec: -1, end: nan})
+		sc.tracks = append(sc.tracks, track{id: -1, perf: nan, key: -1, end: nan})
+		sc.low = append(sc.low, math.Inf(-1))
+		sc.group = append(sc.group, nan)
 		sc.work = append(sc.work, badSlot())
 		sc.arena = append(sc.arena, badSlot())
 	}
@@ -120,6 +122,8 @@ func poisonScanner(sc *Scanner) {
 	win.viewStale = false
 	win.costCap = -1
 	win.weight = func(Candidate) float64 { return nan }
+	win.weightKind = weightCaller
+	win.costCeiling = math.Inf(-1)
 	for _, s := range []*orderedSet{&win.cost, &win.exec} {
 		s.execFirst = !s.execFirst
 		s.bcap = -4
@@ -137,6 +141,7 @@ func poisonScanner(sc *Scanner) {
 	sc.vis.req = &job.Request{TaskCount: -3, Volume: nan}
 	sc.vis.exact, sc.vis.literalBudget = true, true
 	sc.vis.floor = math.Inf(1)
+	sc.vis.costBounded = true
 	sc.vis.weight = func(Candidate) float64 { return nan }
 	sc.vis.best = &poisonedWin
 	sc.vis.spare = &poisonedWin

@@ -65,15 +65,44 @@ func referenceScan(list slots.List, req *job.Request) []refVisit {
 	return visits
 }
 
+// referenceMinCost is MinCost over the reference scan's visits: the n
+// cheapest of each window (equals in append order, as the index keeps
+// them), the first strictly cheaper one within the budget.
+func referenceMinCost(ref []refVisit, req *job.Request) *core.Window {
+	var best *core.Window
+	for _, v := range ref {
+		cands := append([]core.Candidate(nil), v.cands...)
+		byCostStable(cands)
+		chosen := cands[:req.TaskCount]
+		cost := 0.0
+		for _, c := range chosen {
+			cost += c.Cost
+		}
+		if (req.MaxCost <= 0 || cost <= req.MaxCost) && (best == nil || cost < best.Cost) {
+			best = core.NewWindow(v.start, chosen)
+		}
+	}
+	return best
+}
+
 // checkAgainstReference runs alg over cur with a visit wrap that holds every
 // visit to the reference scan: same start, Len() equal to the reference
 // window's length before Cands() is read, Cands() equal to it element for
 // element after. A search that stops early visits a prefix of the reference.
+//
+// MinCost admits only the candidates some acceptable window could hold, so
+// its visits are a subsequence of the reference's, each window a
+// subsequence of the reference window at the same start (Len() its length
+// again), and its answer is referenceMinCost's.
 func checkAgainstReference(t *testing.T, who string, sc *core.Scanner, alg core.Algorithm, cur slots.Cursor, req job.Request, ref []refVisit) {
 	t.Helper()
+	_, bounded := alg.(core.MinCost)
 	k := 0
 	core.SetVisitWrapForTest(func(visit core.VisitFunc) core.VisitFunc {
 		return func(start float64, win *core.WindowIndex) bool {
+			for bounded && k < len(ref) && ref[k].start < start {
+				k++
+			}
 			if k >= len(ref) {
 				t.Fatalf("%s: visit %d at start %x, the reference scan has %d", who, k, start, len(ref))
 			}
@@ -81,10 +110,18 @@ func checkAgainstReference(t *testing.T, who string, sc *core.Scanner, alg core.
 			if start != want.start {
 				t.Fatalf("%s: visit %d at start %x, reference %x", who, k, start, want.start)
 			}
-			if n := win.Len(); n != len(want.cands) {
+			n := win.Len()
+			got := win.Cands()
+			if bounded {
+				if n != len(got) || !isSubsequence(got, want.cands) {
+					t.Fatalf("%s: visit at start %x: Len() %d, Cands() %d long, not a subsequence of the reference window of %d", who, start, n, len(got), len(want.cands))
+				}
+				k++
+				return visit(start, win)
+			}
+			if n != len(want.cands) {
 				t.Fatalf("%s: visit %d (start %x): Len() = %d before Cands() is read, reference window %d", who, k, start, n, len(want.cands))
 			}
-			got := win.Cands()
 			if len(got) != len(want.cands) {
 				t.Fatalf("%s: visit %d (start %x): Cands() holds %d, reference window %d", who, k, start, len(got), len(want.cands))
 			}
@@ -99,9 +136,15 @@ func checkAgainstReference(t *testing.T, who string, sc *core.Scanner, alg core.
 		}
 	})
 	defer core.SetVisitWrapForTest(nil)
-	_, err := sc.Find(alg, cur, &req, nil)
+	w, err := sc.Find(alg, cur, &req, nil)
 	if err != nil && err != core.ErrNoWindow {
 		t.Fatalf("%s: %v", who, err)
+	}
+	if bounded {
+		if got, want := testkit.WindowSignature(w), testkit.WindowSignature(referenceMinCost(ref, &req)); got != want {
+			t.Fatalf("%s: window %s, over the reference scan %s", who, got, want)
+		}
+		return
 	}
 	// AMP stops at its first window, and the runtime criteria once their
 	// floor settles the answer: each visits a prefix of the reference.
@@ -113,6 +156,17 @@ func checkAgainstReference(t *testing.T, who string, sc *core.Scanner, alg core.
 	if !stopsEarly && k != len(ref) {
 		t.Fatalf("%s: %d visits, the reference scan has %d", who, k, len(ref))
 	}
+}
+
+// isSubsequence reports whether sub is seq with some elements left out.
+func isSubsequence(sub, seq []core.Candidate) bool {
+	i := 0
+	for _, c := range seq {
+		if i < len(sub) && sub[i] == c {
+			i++
+		}
+	}
+	return i == len(sub)
 }
 
 // TestWindowMatchesReferenceScan is the tombstone check on the differential

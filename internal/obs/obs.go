@@ -52,15 +52,20 @@ type ScanStats struct {
 	Matched int
 
 	// Candidates counts slots retained as window candidates (long enough,
-	// inside the deadline).
+	// inside the deadline). MinCost retains only those some window it
+	// could still accept might hold (its cost bound), so its count is at
+	// most that of a scan that retains every suitable slot.
 	Candidates int
 
 	// PeakWindow is the largest extended-window size reached after
-	// filtering — the empirical bound on the per-step subroutine cost.
+	// filtering — the empirical bound on the per-step subroutine cost. For
+	// MinCost, over the candidates its cost bound retains.
 	PeakWindow int
 
 	// Visits counts scan positions where a full-size window existed and
-	// the per-criterion selection ran.
+	// the per-criterion selection ran. For MinCost, a full-size window of
+	// the candidates its cost bound retains: a start that retains none is
+	// not visited.
 	Visits int
 
 	// EarlyStop reports that the visitor ended the scan before the list
