@@ -2,6 +2,8 @@ package persist
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"testing"
 
 	"slotsel/internal/core"
@@ -36,7 +38,10 @@ func FuzzReadSlotList(f *testing.F) {
 		f.Fatal(err)
 	}
 	seedCorpus(f, buf.Bytes())
+	f.Add([]byte(`{"version":1,"nodes":[{"id":1,"perf":2}],"slots":[{"node":1,"start":0,"end":5}],"slots":[{"node":1}]}`))
+	f.Add([]byte(`{"version":1,"nodes":[{"id":1}],"slots":[{"node":1,"start":4,"end":9},{"node":1,"start":0,"end":5}],"extra":true}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkSlotList(t, data)
 		l, err := ReadSlotList(bytes.NewReader(data))
 		if err != nil {
 			return
@@ -162,6 +167,12 @@ func FuzzReadEnvironment(f *testing.F) {
 	}
 	seedCorpus(f, buf.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var in, ref envJSON
+		if in.scan(NewScanner(data)) {
+			if err := json.NewDecoder(bytes.NewReader(data)).Decode(&ref); err != nil || !reflect.DeepEqual(in, ref) {
+				t.Fatalf("Scanner took %q as %+v, encoding/json as %+v (%v)", data, in, ref, err)
+			}
+		}
 		got, err := ReadEnvironment(bytes.NewReader(data))
 		if err != nil {
 			return

@@ -74,44 +74,151 @@ func WriteEnvironment(w io.Writer, e *env.Environment) error {
 }
 
 // ReadEnvironment deserializes an environment snapshot and re-links slots to
-// nodes. The result is validated before being returned.
+// nodes. The result is validated before being returned. Like ReadSlotList
+// it decodes the first JSON value of the input with the Scanner's pass when
+// that value is in its subset, and with encoding/json otherwise.
 func ReadEnvironment(r io.Reader) (*env.Environment, error) {
 	var in envJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
+	b, err := io.ReadAll(r)
+	if err == nil {
+		err = decodeFirst(b, &in, in.scan)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("persist: decoding environment: %w", err)
 	}
 	if in.Version != FormatVersion {
 		return nil, fmt.Errorf("persist: unsupported snapshot version %d (want %d)", in.Version, FormatVersion)
 	}
+	byID, err := linkNodes(in.Nodes)
+	if err != nil {
+		return nil, err
+	}
 	e := &env.Environment{Horizon: in.Horizon}
-	byID := make(map[int]*nodes.Node, len(in.Nodes))
 	for _, nj := range in.Nodes {
-		n := &nodes.Node{
-			ID: nj.ID, Perf: nj.Perf, Price: nj.Price,
-			RAMMB: nj.RAMMB, DiskGB: nj.DiskGB,
-			OS: nodes.OS(nj.OS), Arch: nodes.Arch(nj.Arch),
-		}
-		if byID[n.ID] != nil {
-			return nil, fmt.Errorf("persist: duplicate node ID %d", n.ID)
-		}
-		byID[n.ID] = n
-		e.Nodes = append(e.Nodes, n)
+		e.Nodes = append(e.Nodes, byID[nj.ID])
 	}
-	for _, sj := range in.Slots {
-		n := byID[sj.Node]
-		if n == nil {
-			return nil, fmt.Errorf("persist: slot references unknown node %d", sj.Node)
-		}
-		e.Slots = append(e.Slots, &slots.Slot{
-			Node:     n,
-			Interval: slots.Interval{Start: sj.Start, End: sj.End},
-		})
+	if e.Slots, err = linkSlots(in.Slots, byID); err != nil {
+		return nil, err
 	}
-	e.Slots.SortByStart()
 	if err := e.Validate(); err != nil {
 		return nil, fmt.Errorf("persist: invalid snapshot: %w", err)
 	}
 	return e, nil
+}
+
+// scan fills in from an environment object inside the Scanner's subset.
+func (in *envJSON) scan(s *Scanner) bool {
+	return scanList(s, &in.Version, &in.Horizon, &in.Nodes, &in.Slots)
+}
+
+// scanList scans a slot list, or an environment when horizon is not nil.
+// A repeated nodes or slots key is left to encoding/json, which decodes
+// the second array into the first one's elements.
+func scanList(s *Scanner, version *int, horizon *float64, ns *[]nodeJSON, sl *[]slotJSON) bool {
+	var seenNodes, seenSlots bool
+	return s.Object(func(key []byte) (ok bool) {
+		switch string(key) {
+		case "version":
+			*version, ok = s.Int()
+		case "horizon":
+			if horizon != nil {
+				*horizon, ok = s.Float()
+			}
+		case "nodes":
+			if !seenNodes {
+				seenNodes = true
+				*ns, ok = Objects(s, func(n *nodeJSON, key []byte) bool { return n.scanField(s, key) })
+			}
+		case "slots":
+			if !seenSlots {
+				seenSlots = true
+				*sl, ok = Objects(s, func(e *slotJSON, key []byte) bool { return e.scanField(s, key) })
+			}
+		}
+		return ok
+	})
+}
+
+// scanField scans the value of one node key.
+func (n *nodeJSON) scanField(s *Scanner, key []byte) (ok bool) {
+	switch string(key) {
+	case "id":
+		n.ID, ok = s.Int()
+	case "perf":
+		n.Perf, ok = s.Float()
+	case "price":
+		n.Price, ok = s.Float()
+	case "ram_mb":
+		n.RAMMB, ok = s.Int()
+	case "disk_gb":
+		n.DiskGB, ok = s.Int()
+	case "os":
+		n.OS, ok = s.String()
+	case "arch":
+		n.Arch, ok = s.String()
+	}
+	return ok
+}
+
+// scanField scans the value of one slot key.
+func (e *slotJSON) scanField(s *Scanner, key []byte) (ok bool) {
+	switch string(key) {
+	case "node":
+		e.Node, ok = s.Int()
+	case "start":
+		e.Start, ok = s.Float()
+	case "end":
+		e.End, ok = s.Float()
+	}
+	return ok
+}
+
+// linkNodes builds the nodes of a decoded document, keyed by ID.
+func linkNodes(in []nodeJSON) (map[int]*nodes.Node, error) {
+	byID := make(map[int]*nodes.Node, len(in))
+	for _, nj := range in {
+		if byID[nj.ID] != nil {
+			return nil, fmt.Errorf("persist: duplicate node ID %d", nj.ID)
+		}
+		byID[nj.ID] = &nodes.Node{
+			ID: nj.ID, Perf: nj.Perf, Price: nj.Price,
+			RAMMB: nj.RAMMB, DiskGB: nj.DiskGB,
+			OS: nodes.OS(nj.OS), Arch: nodes.Arch(nj.Arch),
+		}
+	}
+	return byID, nil
+}
+
+// linkSlots builds the slots of a decoded document on their nodes and
+// orders them by start.
+func linkSlots(in []slotJSON, byID map[int]*nodes.Node) (slots.List, error) {
+	if len(in) == 0 {
+		return nil, nil
+	}
+	l := make(slots.List, len(in))
+	arena := make([]slots.Slot, len(in))
+	for i, sj := range in {
+		n := byID[sj.Node]
+		if n == nil {
+			return nil, fmt.Errorf("persist: slot references unknown node %d", sj.Node)
+		}
+		arena[i] = slots.Slot{Node: n, Interval: slots.Interval{Start: sj.Start, End: sj.End}}
+		l[i] = &arena[i]
+	}
+	l.SortByStart()
+	return l, nil
+}
+
+// decodeFirst decodes the first JSON value of b into v: with scan when the
+// value is in the Scanner's subset, and otherwise with encoding/json, whose
+// Decoder reads only that value too.
+func decodeFirst[T any](b []byte, v *T, scan func(*Scanner) bool) error {
+	if scan(NewScanner(b)) {
+		return nil
+	}
+	var zero T
+	*v = zero
+	return json.NewDecoder(bytes.NewReader(b)).Decode(v)
 }
 
 // slotListJSON is the serialized bare slot list: the environment format
@@ -155,39 +262,47 @@ func WriteSlotList(w io.Writer, l slots.List) error {
 	return enc.Encode(out)
 }
 
-// ReadSlotList deserializes a bare slot list, re-links slots to the
-// embedded nodes, sorts by start time and validates structural invariants.
+// ReadSlotList is ParseSlotList over a reader.
 func ReadSlotList(r io.Reader) (slots.List, error) {
-	var in slotListJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
+	b, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("persist: decoding slot list: %w", err)
 	}
+	return ParseSlotList(b)
+}
+
+// ParseSlotList deserializes a bare slot list — the first JSON value of b —,
+// re-links slots to the embedded nodes, sorts by start time and validates
+// structural invariants. It is the one slot-list reader: for the slot files
+// the service boots from, snapshots and the WAL's OpAdd events. It decodes
+// with the Scanner's pass when the value is in its subset, and with
+// encoding/json otherwise and for every decode error.
+func ParseSlotList(b []byte) (slots.List, error) {
+	var in slotListJSON
+	if err := decodeFirst(b, &in, in.scan); err != nil {
+		return nil, fmt.Errorf("persist: decoding slot list: %w", err)
+	}
+	return in.list()
+}
+
+// scan fills in from a slot-list object inside the Scanner's subset.
+func (in *slotListJSON) scan(s *Scanner) bool {
+	return scanList(s, &in.Version, nil, &in.Nodes, &in.Slots)
+}
+
+// list links and validates a decoded slot list.
+func (in *slotListJSON) list() (slots.List, error) {
 	if in.Version != FormatVersion {
 		return nil, fmt.Errorf("persist: unsupported slot list version %d (want %d)", in.Version, FormatVersion)
 	}
-	byID := make(map[int]*nodes.Node, len(in.Nodes))
-	for _, nj := range in.Nodes {
-		if byID[nj.ID] != nil {
-			return nil, fmt.Errorf("persist: duplicate node ID %d", nj.ID)
-		}
-		byID[nj.ID] = &nodes.Node{
-			ID: nj.ID, Perf: nj.Perf, Price: nj.Price,
-			RAMMB: nj.RAMMB, DiskGB: nj.DiskGB,
-			OS: nodes.OS(nj.OS), Arch: nodes.Arch(nj.Arch),
-		}
+	byID, err := linkNodes(in.Nodes)
+	if err != nil {
+		return nil, err
 	}
-	var l slots.List
-	for _, sj := range in.Slots {
-		n := byID[sj.Node]
-		if n == nil {
-			return nil, fmt.Errorf("persist: slot references unknown node %d", sj.Node)
-		}
-		l = append(l, &slots.Slot{
-			Node:     n,
-			Interval: slots.Interval{Start: sj.Start, End: sj.End},
-		})
+	l, err := linkSlots(in.Slots, byID)
+	if err != nil {
+		return nil, err
 	}
-	l.SortByStart()
 	if err := l.Validate(); err != nil {
 		return nil, fmt.Errorf("persist: invalid slot list: %w", err)
 	}

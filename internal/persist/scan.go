@@ -2,16 +2,22 @@ package persist
 
 import "strconv"
 
-// Scanner reads the canonical subset of JSON the service's clients emit,
-// in one pass and without allocating: objects whose keys are exactly the
-// expected field names, holding plain numbers, ASCII strings without
-// escapes, and arrays of such strings. It never reports an error of its
-// own. Every method returns ok == false for anything outside the subset —
-// an escape, a null, an unknown or case-folded key, a number of the wrong
-// kind, any syntax error — and the caller then hands the same bytes to
-// encoding/json, which stays the one definition of what is accepted and
-// of every error text. On input the Scanner does accept, the result
-// equals encoding/json's (pinned by FuzzParseRequest).
+// Scanner reads the canonical subset of JSON the service's clients and its
+// own writers emit, in one pass and without reflection: objects whose keys
+// are exactly the expected field names, holding plain numbers, true and
+// false, ASCII strings without escapes, and arrays of such values. It never
+// reports an error of its own. Every method returns ok == false for
+// anything outside the subset — an escape, a null, an unknown or
+// case-folded key, a number of the wrong kind, any syntax error — and the
+// caller then hands the same bytes to encoding/json, which stays the one
+// definition of what is accepted and of every error text. On input the
+// Scanner does accept, the result equals encoding/json's.
+//
+// It has two users: the search body and its request (ParseRequest, pinned
+// by FuzzParseRequest), and recovery — slot lists (ParseSlotList, pinned by
+// FuzzReadSlotList) and the WAL's event and snapshot envelopes, which keep
+// nested documents as Raw bytes (pinned by internal/wal's FuzzDecodeEvent
+// and FuzzDecodeState).
 type Scanner struct {
 	buf []byte
 	pos int
@@ -100,23 +106,94 @@ func (s *Scanner) String() (string, bool) {
 
 // Strings scans an array of strings.
 func (s *Scanner) Strings() ([]string, bool) {
-	if !s.eat('[') {
-		return nil, false
-	}
 	out := []string{}
+	ok := s.Array(func() bool {
+		v, ok := s.String()
+		out = append(out, v)
+		return ok
+	})
+	return out, ok
+}
+
+// Array scans [value, ...], calling elem to scan each value.
+func (s *Scanner) Array(elem func() bool) bool {
+	if !s.eat('[') {
+		return false
+	}
 	if s.eat(']') {
-		return out, true
+		return true
 	}
 	for {
-		v, ok := s.String()
-		if !ok {
-			return nil, false
+		if !elem() {
+			return false
 		}
-		out = append(out, v)
 		if !s.eat(',') {
-			return out, s.eat(']')
+			return s.eat(']')
 		}
 	}
+}
+
+// Objects scans an array of objects into a new slice, calling field with
+// the element and each of its keys, as Object does.
+func Objects[T any](s *Scanner, field func(e *T, key []byte) bool) ([]T, bool) {
+	out := []T{}
+	ok := s.Array(func() bool {
+		var zero T
+		out = append(out, zero)
+		e := &out[len(out)-1]
+		return s.Object(func(key []byte) bool { return field(e, key) })
+	})
+	return out, ok
+}
+
+// maxRawDepth bounds how deeply Raw descends; encoding/json's own bound
+// is far deeper, so a value Raw accepts is one encoding/json accepts.
+const maxRawDepth = 64
+
+// Raw scans any value of the subset — nested objects and arrays included,
+// with any keys — and returns its bytes, which alias the input: what a
+// json.RawMessage field would hold.
+func (s *Scanner) Raw() ([]byte, bool) {
+	s.space()
+	from := s.pos
+	if !s.skip(0) {
+		return nil, false
+	}
+	return s.buf[from:s.pos], true
+}
+
+// skip scans one value at the given nesting depth.
+func (s *Scanner) skip(depth int) bool {
+	s.space()
+	if s.pos == len(s.buf) || depth > maxRawDepth {
+		return false
+	}
+	switch s.buf[s.pos] {
+	case '{':
+		return s.Object(func([]byte) bool { return s.skip(depth + 1) })
+	case '[':
+		return s.Array(func() bool { return s.skip(depth + 1) })
+	case '"':
+		_, ok := s.raw()
+		return ok
+	case 't', 'f':
+		_, ok := s.Bool()
+		return ok
+	}
+	_, _, ok := s.number()
+	return ok
+}
+
+// Bool scans true or false.
+func (s *Scanner) Bool() (v, ok bool) {
+	s.space()
+	for _, lit := range [...]string{"false", "true"} {
+		if len(s.buf)-s.pos >= len(lit) && string(s.buf[s.pos:s.pos+len(lit)]) == lit {
+			s.pos += len(lit)
+			return lit == "true", true
+		}
+	}
+	return false, false
 }
 
 // digits consumes a run of decimal digits and reports whether it was
@@ -164,13 +241,40 @@ func (s *Scanner) Float() (float64, bool) {
 	return f, err == nil
 }
 
-// Int scans an integer literal; a number with a fraction or an exponent is
-// a type error in encoding/json and outside the subset here.
-func (s *Scanner) Int() (int, bool) {
+// integer scans an integer literal: a number with a fraction or an exponent
+// is a type error in encoding/json and outside the subset here.
+func (s *Scanner) integer() ([]byte, bool) {
 	lit, integer, ok := s.number()
-	if !ok || !integer {
+	return lit, ok && integer
+}
+
+// Int scans an integer literal into an int.
+func (s *Scanner) Int() (int, bool) {
+	lit, ok := s.integer()
+	if !ok {
 		return 0, false
 	}
 	n, err := strconv.Atoi(string(lit))
+	return n, err == nil
+}
+
+// Int64 scans an integer literal into an int64.
+func (s *Scanner) Int64() (int64, bool) {
+	lit, ok := s.integer()
+	if !ok {
+		return 0, false
+	}
+	n, err := strconv.ParseInt(string(lit), 10, 64)
+	return n, err == nil
+}
+
+// Uint64 scans a non-negative integer literal into a uint64 ("-0" is a
+// type error in encoding/json, so any sign is outside the subset).
+func (s *Scanner) Uint64() (uint64, bool) {
+	lit, ok := s.integer()
+	if !ok || lit[0] == '-' {
+		return 0, false
+	}
+	n, err := strconv.ParseUint(string(lit), 10, 64)
 	return n, err == nil
 }

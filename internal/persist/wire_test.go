@@ -12,6 +12,7 @@ import (
 	"slotsel/internal/core"
 	"slotsel/internal/job"
 	"slotsel/internal/nodes"
+	"slotsel/internal/slots"
 	"slotsel/internal/testkit"
 )
 
@@ -314,5 +315,83 @@ func TestParseRequestAllocs(t *testing.T) {
 		}
 	}); n != 1 {
 		t.Errorf("ParseRequest: %v allocs/op, want 1 (the returned request)", n)
+	}
+}
+
+// referenceSlotList is the slot-list decode ParseSlotList replaced: one
+// encoding/json Decoder over the bytes, then the same linking and checks.
+func referenceSlotList(b []byte) (slots.List, error) {
+	var in slotListJSON
+	if err := json.NewDecoder(bytes.NewReader(b)).Decode(&in); err != nil {
+		return nil, fmt.Errorf("persist: decoding slot list: %w", err)
+	}
+	return in.list()
+}
+
+// checkSlotList compares ParseSlotList with the oracle — the same list or
+// the same error text — and, when the Scanner takes the input, the
+// Scanner's document with encoding/json's field by field.
+func checkSlotList(t testing.TB, data []byte) (scanned bool) {
+	t.Helper()
+	want, wantErr := referenceSlotList(data)
+	got, err := ParseSlotList(data)
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("ParseSlotList(%q) error %q, encoding/json %q", data, err, wantErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ParseSlotList(%q) = %v, encoding/json %v", data, got, want)
+	}
+	var in, ref slotListJSON
+	if in.scan(NewScanner(data)) {
+		if err := json.NewDecoder(bytes.NewReader(data)).Decode(&ref); err != nil || !reflect.DeepEqual(in, ref) {
+			t.Fatalf("Scanner took %q as %+v, encoding/json as %+v (%v)", data, in, ref, err)
+		}
+		return true
+	}
+	return false
+}
+
+// TestParseSlotListMatchesEncodingJSON pins both halves of the slot-list
+// reader: what every writer emits goes through the Scanner (or recovery's
+// fast path is dead code), and what it must leave goes to encoding/json.
+func TestParseSlotListMatchesEncodingJSON(t *testing.T) {
+	var canonical bytes.Buffer
+	if err := WriteSlotList(&canonical, testkit.SmallEnv(1, 10, 300).Slots); err != nil {
+		t.Fatal(err)
+	}
+	compact := new(bytes.Buffer)
+	if err := json.Compact(compact, canonical.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	const n = `"nodes":[{"id":1,"perf":2,"price":1,"os":"linux"}]`
+	for _, tc := range []struct {
+		in      string
+		scanned bool
+	}{
+		{canonical.String(), true},
+		{compact.String(), true},
+		{compact.String() + " trailing", true}, // the first value is the list, as for a Decoder
+		{`{"version":1,` + n + `,"slots":[{"node":1,"start":4,"end":9},{"node":1,"start":0,"end":4}]}`, true},
+		{`{"version":1,` + n + `,"slots":[{"node":1,"start":0,"end":5},{"node":1,"start":4,"end":9}]}`, true}, // scanned, then invalid
+		{`{"version":1,` + n + `,"slots":[{"node":2,"start":0,"end":5}]}`, true},
+		{`{"version":2,"nodes":[],"slots":[]}`, true},
+		{`{"version":1,"version":1}`, true},
+		{`{}`, true},
+		{`{"version":1,` + n + `,"slots":[{"node":1,"start":0,"end":5}],"slots":[{"node":1}]}`, false},
+		{`{"version":1,` + n + `,` + n + `}`, false},
+		{`{"version":1,"Nodes":[]}`, false},
+		{`{"version":1,"nodes":null}`, false},
+		{`{"version":1,"nodes":[{"id":1,"os":"lin\u0075x"}]}`, false},
+		{`{"version":1,"nodes":[{"id":1.5}]}`, false},
+		{`{"version":1,"slots":[{"node":1,"start":1e999}]}`, false},
+		{`{"version":1,"extra":[1]}`, false},
+		{`{"version":1,"slots":[{"node":1,"start":0,"end":5}`, false},
+		{``, false},
+		{`null`, false},
+		{`[]`, false},
+	} {
+		if got := checkSlotList(t, []byte(tc.in)); got != tc.scanned {
+			t.Errorf("%q: taken by the Scanner = %v, want %v", tc.in, got, tc.scanned)
+		}
 	}
 }

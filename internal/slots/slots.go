@@ -10,6 +10,7 @@ package slots
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"slotsel/internal/nodes"
@@ -96,9 +97,15 @@ func (s *Slot) FitsAt(start, volume float64) bool {
 type List []*Slot
 
 // SortByStart orders the list by non-decreasing start time, breaking ties by
-// node ID then by end time so that ordering is deterministic.
+// node ID then by end time so that ordering is deterministic. A list
+// already in that order costs one pass and is left as it is.
 func (l List) SortByStart() {
-	sort.Slice(l, func(i, j int) bool { return Before(l[i], l[j]) })
+	for i := 1; i < len(l); i++ {
+		if Before(l[i], l[i-1]) {
+			sort.Slice(l, func(i, j int) bool { return Before(l[i], l[j]) })
+			return
+		}
+	}
 }
 
 // IsSortedByStart reports whether the list satisfies the AEP scan ordering.
@@ -155,8 +162,16 @@ func (l List) Validate() error {
 			return fmt.Errorf("slots: slot %d has non-positive length: %v", i, s)
 		}
 	}
-	for id, group := range l.ByNode() {
-		g := append(List(nil), group...)
+	// Nodes in ID order, so that the violation reported is the same on
+	// every run; ByNode's groups are fresh slices, sorted in place.
+	byNode := l.ByNode()
+	ids := make([]int, 0, len(byNode))
+	for id := range byNode {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		g := byNode[id]
 		sort.Slice(g, func(i, j int) bool { return g[i].Start < g[j].Start })
 		for i := 1; i < len(g); i++ {
 			if g[i-1].End > g[i].Start {

@@ -1,6 +1,7 @@
 package slots
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -381,5 +382,22 @@ func TestByNode(t *testing.T) {
 	m := l.ByNode()
 	if len(m[1]) != 2 || len(m[2]) != 1 {
 		t.Errorf("ByNode grouping wrong: %v", m)
+	}
+}
+
+// TestValidateReportsLowestNode: with overlaps on several nodes, Validate
+// names the node with the lowest ID on every call, so that two readers of
+// the same bytes report the same error.
+func TestValidateReportsLowestNode(t *testing.T) {
+	var l List
+	for _, id := range []int{5, 2, 9} {
+		l = append(l,
+			&Slot{Node: node(id), Interval: Interval{Start: 0, End: 10}},
+			&Slot{Node: node(id), Interval: Interval{Start: 5, End: 20}})
+	}
+	for i := 0; i < 20; i++ {
+		if err := l.Validate(); err == nil || !strings.Contains(err.Error(), "node 2 ") {
+			t.Fatalf("Validate: %v, want the overlap on node 2", err)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"slotsel/internal/core"
+	"slotsel/internal/env"
 	"slotsel/internal/inventory"
 	"slotsel/internal/job"
 	"slotsel/internal/randx"
@@ -93,6 +94,58 @@ func BenchmarkAppendEncode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		wait := store.Append(inventory.Event{Seq: uint64(i + 1), Op: inventory.OpExpire, ID: "h-000001"})
 		if err := wait(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkOpenBookDeep prices a boot: Open of a directory shaped like the
+// benchmark's book_deep workload — 1 024 generated nodes over a 6 000
+// horizon (seed 1, about 48 000 slots), 500 booking transactions with a
+// commit in every 8, and a snapshot after the 250th — so the boot decodes
+// the snapshot, restores it and replays the 250 transactions after it.
+func BenchmarkOpenBookDeep(b *testing.B) {
+	dir := b.TempDir()
+	_, store, _, err := Open(dir, inventory.Options{}, Options{NoSync: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := env.Generate(env.DefaultConfig().WithNodeCount(1024).WithHorizon(6000), randx.New(1))
+	inv, err := inventory.New(e.Slots, inventory.Options{Sink: store})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for t := 0; t < 500; t++ {
+		volume := 100 + 100*(float64(t%16)+0.5)/16
+		res, err := inv.Reserve(&job.Request{TaskCount: 5, Volume: volume, MaxCost: 25 * volume}, core.AMP{}, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if t%8 == 0 {
+			_, err = inv.Commit(res.ID)
+		} else {
+			err = inv.Release(res.ID)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		if t == 250 {
+			if err := store.Snapshot(inv.ExportState()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := store.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, store, _, err := Open(dir, inventory.Options{}, Options{NoSync: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := store.Close(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -15,11 +15,33 @@
 //
 // The payload is compact JSON built on the internal/persist encodings
 // (owned windows, slot lists), so records are self-contained and humanly
-// inspectable with standard tools. Frames make tail damage classifiable:
-// an incomplete header or payload is a torn write (the expected shape of
-// a crash mid-append, truncated silently on recovery), while a complete
-// frame whose checksum fails is corruption (recovery stops there and
-// refuses to replay further).
+// inspectable with standard tools. The decoders read the envelope, and
+// the slot lists nested in it, in one pass with the persist Scanner, and
+// hand anything outside its subset to encoding/json, which stays the
+// definition of what decodes and of every error. Frames make tail damage
+// classifiable: an incomplete header or payload is a torn write (the
+// expected shape of a crash mid-append, truncated silently on recovery),
+// while a complete frame whose checksum fails is corruption (recovery
+// stops there and refuses to replay further).
+//
+// # Snapshots, sealing and compaction
+//
+// Store.Snapshot publishes snap-N, then has the writer seal the active
+// segment once it holds 64 KiB (or SegmentBytes, when smaller): the
+// segment is closed and wal-<next seq>.log starts empty. Appends that race
+// the snapshot may land a few frames past N before the seal. Compaction
+// keeps the SnapshotKeep newest snapshots and deletes the segments that
+// the oldest of them covers, so a corrupt newest snapshot still leaves an
+// older one with its whole tail; until SnapshotKeep snapshots exist it
+// deletes no segment.
+//
+// # Recovery
+//
+// A boot decodes the newest snapshot that decodes and replays the tail
+// after it. A segment is skipped unread when the next one starts at or
+// before the first sequence the snapshot misses, so behind a sealed
+// snapshot a boot opens only the snapshot and the segments after it.
+// Every frame it does read is checked and decoded in full.
 //
 // # Durability contract
 //
@@ -156,11 +178,22 @@ func EncodeEvent(ev inventory.Event) ([]byte, error) {
 }
 
 // DecodeEvent deserializes one record payload back into a journal event.
+// The envelope is read with the persist Scanner's pass when the payload is
+// in its subset (everything EncodeEvent writes), and with encoding/json
+// otherwise and for every decode error.
 func DecodeEvent(payload []byte) (inventory.Event, error) {
 	var in eventJSON
-	if err := json.Unmarshal(payload, &in); err != nil {
-		return inventory.Event{}, fmt.Errorf("wal: decoding event: %w", err)
+	if s := persist.NewScanner(payload); !in.scan(s) || !s.End() {
+		var err error
+		if in, err = unmarshal[eventJSON](payload); err != nil {
+			return inventory.Event{}, fmt.Errorf("wal: decoding event: %w", err)
+		}
 	}
+	return in.event()
+}
+
+// event decodes the nested documents of a decoded envelope.
+func (in *eventJSON) event() (inventory.Event, error) {
 	ev := inventory.Event{
 		Seq: in.Seq, Op: inventory.Op(in.Op), ID: in.ID, Node: in.Node, OK: in.OK,
 	}
@@ -175,13 +208,48 @@ func DecodeEvent(payload []byte) (inventory.Event, error) {
 		ev.Window = w
 	}
 	if len(in.Slots) > 0 {
-		l, err := persist.ReadSlotList(bytes.NewReader(in.Slots))
+		l, err := persist.ParseSlotList(in.Slots)
 		if err != nil {
 			return inventory.Event{}, fmt.Errorf("wal: decoding event %d slots: %w", in.Seq, err)
 		}
 		ev.Slots = l
 	}
 	return ev, nil
+}
+
+// scan fills in from an event envelope inside the Scanner's subset; the
+// nested window and slot list stay raw, as json.RawMessage keeps them.
+func (in *eventJSON) scan(s *persist.Scanner) bool {
+	return s.Object(func(key []byte) (ok bool) {
+		switch string(key) {
+		case "seq":
+			in.Seq, ok = s.Uint64()
+		case "op":
+			in.Op, ok = s.Int()
+		case "id":
+			in.ID, ok = s.String()
+		case "node":
+			in.Node, ok = s.Int()
+		case "ok":
+			in.OK, ok = s.Bool()
+		case "expires":
+			in.Expires, ok = s.Int64()
+		case "window":
+			in.Window, ok = s.Raw()
+		case "slots":
+			in.Slots, ok = s.Raw()
+		case "gseq":
+			_, ok = s.Raw()
+		}
+		return ok
+	})
+}
+
+// unmarshal is the encoding/json half of the decoders, apart so that its
+// heap-bound target costs the Scanner's half nothing.
+func unmarshal[T any](payload []byte) (in T, err error) {
+	err = json.Unmarshal(payload, &in)
+	return in, err
 }
 
 // holdJSON is one live reservation in a serialized State.
@@ -247,12 +315,22 @@ func EncodeState(st *inventory.State) ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// DecodeState deserializes a snapshot payload back into a full state.
+// DecodeState deserializes a snapshot payload back into a full state. Like
+// DecodeEvent it reads the envelope with the Scanner's pass when it can.
 func DecodeState(payload []byte) (*inventory.State, error) {
 	var in stateJSON
-	if err := json.Unmarshal(payload, &in); err != nil {
-		return nil, fmt.Errorf("wal: decoding state: %w", err)
+	if s := persist.NewScanner(payload); !in.scan(s) || !s.End() {
+		var err error
+		if in, err = unmarshal[stateJSON](payload); err != nil {
+			return nil, fmt.Errorf("wal: decoding state: %w", err)
+		}
 	}
+	return in.state()
+}
+
+// state checks the format of a decoded envelope and decodes its nested
+// documents.
+func (in *stateJSON) state() (*inventory.State, error) {
 	if in.Format != persist.FormatVersion {
 		return nil, fmt.Errorf("wal: unsupported state format %d (want %d)", in.Format, persist.FormatVersion)
 	}
@@ -263,7 +341,7 @@ func DecodeState(payload []byte) (*inventory.State, error) {
 		Counters: in.Counters,
 	}
 	if len(in.Base) > 0 {
-		l, err := persist.ReadSlotList(bytes.NewReader(in.Base))
+		l, err := persist.ParseSlotList(in.Base)
 		if err != nil {
 			return nil, fmt.Errorf("wal: decoding state base: %w", err)
 		}
@@ -289,4 +367,64 @@ func DecodeState(payload []byte) (*inventory.State, error) {
 		st.Committed = append(st.Committed, inventory.CommitRecord{ID: c.ID, Window: w})
 	}
 	return st, nil
+}
+
+// scan fills in from a snapshot envelope inside the Scanner's subset. The
+// counters object goes to encoding/json on its own: it is small, read once
+// per boot, and its fields are inventory's to name. A repeated key that
+// holds an object or an array is left to encoding/json, which decodes the
+// second value into the first.
+func (in *stateJSON) scan(s *persist.Scanner) bool {
+	var seen [3]bool
+	once := func(i int) bool {
+		first := !seen[i]
+		seen[i] = true
+		return first
+	}
+	return s.Object(func(key []byte) (ok bool) {
+		switch string(key) {
+		case "format":
+			in.Format, ok = s.Int()
+		case "snapshot_version":
+			in.Version, ok = s.Uint64()
+		case "seq":
+			in.Seq, ok = s.Uint64()
+		case "next_id":
+			in.NextID, ok = s.Uint64()
+		case "counters":
+			raw, isRaw := s.Raw()
+			ok = isRaw && once(0) && json.Unmarshal(raw, &in.Counters) == nil
+		case "base":
+			in.Base, ok = s.Raw()
+		case "holds":
+			if once(1) {
+				in.Holds, ok = persist.Objects(s, func(h *holdJSON, key []byte) (ok bool) {
+					switch string(key) {
+					case "id":
+						h.ID, ok = s.String()
+					case "expires":
+						h.Expires, ok = s.Int64()
+					case "window":
+						h.Window, ok = s.Raw()
+					}
+					return ok
+				})
+			}
+		case "committed":
+			if once(2) {
+				in.Committed, ok = persist.Objects(s, func(c *commitJSON, key []byte) (ok bool) {
+					switch string(key) {
+					case "id":
+						c.ID, ok = s.String()
+					case "window":
+						c.Window, ok = s.Raw()
+					}
+					return ok
+				})
+			}
+		case "gseq":
+			_, ok = s.Raw()
+		}
+		return ok
+	})
 }

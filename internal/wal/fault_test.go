@@ -274,3 +274,36 @@ func TestFaultDirSyncOnRotation(t *testing.T) {
 		t.Fatalf("recovered seq %d, want %d: the failed batch was never written", res.LastSeq, run.durable)
 	}
 }
+
+// TestFaultDirSyncOnSeal: the snapshot is published, and the seal after it
+// fails to fsync the directory once it has started the next segment. The
+// snapshot call reports the failure, the store latches, and the directory
+// boots from the snapshot with every acknowledged event.
+func TestFaultDirSyncOnSeal(t *testing.T) {
+	renamed, dirSyncs := false, 0
+	fs := &faultFS{inject: func(op, path string, _ []byte) error {
+		switch info, err := os.Stat(path); {
+		case op == "rename":
+			renamed = true
+		case op == "sync" && renamed && err == nil && info.IsDir():
+			// The first directory fsync after the rename publishes the
+			// snapshot; the second is the seal's.
+			if dirSyncs++; dirSyncs == 2 {
+				return syscall.EIO
+			}
+		}
+		return nil
+	}}
+	run := provokeFault(t, fs, Options{}, func(inv *inventory.Inventory, store *Store) {
+		store.sealBytes = 1
+		if err := store.Snapshot(inv.ExportState()); !errors.Is(err, syscall.EIO) {
+			t.Fatalf("snapshot with a failing seal: got %v", err)
+		}
+	})
+	if snaps, err := listSnapshots(run.dir); err != nil || len(snaps) != 1 {
+		t.Fatalf("want the snapshot published, got %v, %v", snaps, err)
+	}
+	if res := reopenAfterFault(t, run); res.State == nil || res.LastSeq != run.durable {
+		t.Fatalf("recovery %+v: want the snapshot and every event through %d", res, run.durable)
+	}
+}

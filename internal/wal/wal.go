@@ -21,12 +21,19 @@ const (
 
 	// DefaultSnapshotKeep is how many snapshots survive compaction.
 	DefaultSnapshotKeep = 2
+
+	// sealBytes is the least a segment holds before a snapshot seals it
+	// (or SegmentBytes, when smaller). Below it a boot re-reads the
+	// covered frames in well under a millisecond, which is less than the
+	// file create and directory fsync a seal costs.
+	sealBytes = 64 << 10
 )
 
 // Options tunes a Store. The zero value is usable.
 type Options struct {
 	// SegmentBytes rotates the active segment once it grows past this
-	// size (checked between batches). 0 = DefaultSegmentBytes.
+	// size (checked between batches); a snapshot seals it sooner (see the
+	// package doc). 0 = DefaultSegmentBytes.
 	SegmentBytes int64
 
 	// SnapshotKeep is how many recent snapshots to retain; older ones are
@@ -81,18 +88,20 @@ type Store struct {
 	snapTime    atomic.Int64
 	fsyncs      atomic.Uint64
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []inventory.Event
-	err    error // latched first I/O failure; permanent
-	closed bool
-	done   chan struct{}
+	mu      sync.Mutex
+	cond    *sync.Cond
+	queue   []inventory.Event
+	sealing bool  // a snapshot asked the writer to seal the active segment
+	err     error // latched first I/O failure; permanent
+	closed  bool
+	done    chan struct{}
 
 	// Writer-goroutine state (no lock needed: single owner).
-	f       file
-	size    int64
-	buf     []byte
-	lastSeq uint64 // last seq handed to the writer, for ordering checks
+	f         file
+	size      int64
+	sealBytes int64 // a segment smaller than this (>= 1) is not sealed
+	buf       []byte
+	lastSeq   uint64 // last seq handed to the writer, for ordering checks
 }
 
 // Create opens a Store over dir, appending after lastSeq (0 for a fresh
@@ -113,7 +122,8 @@ func createFS(fs fsys, dir string, lastSeq uint64, opts Options) (*Store, error)
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	s := &Store{dir: dir, opts: opts, fs: fs, done: make(chan struct{}), lastSeq: lastSeq}
+	s := &Store{dir: dir, opts: opts, fs: fs, done: make(chan struct{}), lastSeq: lastSeq,
+		sealBytes: min(opts.SegmentBytes, sealBytes)}
 	s.cond = sync.NewCond(&s.mu)
 	s.appendedSeq.Store(lastSeq)
 	s.durableSeq.Store(lastSeq)
@@ -184,29 +194,42 @@ func (s *Store) waitDurable(seq uint64) error {
 }
 
 // writer is the single log-writing goroutine: it drains whatever is
-// queued into one write+fsync (group commit) and releases the waiters.
+// queued into one write+fsync (group commit) and releases the waiters. A
+// seal a snapshot asked for runs first, so the next segment starts right
+// after the last frame written.
 func (s *Store) writer() {
 	defer close(s.done)
 	for {
 		s.mu.Lock()
-		for len(s.queue) == 0 && !s.closed && s.err == nil {
+		for len(s.queue) == 0 && !s.sealing && !s.closed && s.err == nil {
 			s.cond.Wait()
 		}
 		if s.err != nil || (s.closed && len(s.queue) == 0) {
 			s.mu.Unlock()
 			return
 		}
-		batch := s.queue
+		batch, seal := s.queue, s.sealing
 		s.queue = nil
 		s.mu.Unlock()
 
-		err := s.writeBatch(batch)
+		var err error
+		if seal {
+			err = s.seal()
+		}
+		if err == nil && len(batch) > 0 {
+			err = s.writeBatch(batch)
+		}
 
 		s.mu.Lock()
-		if err == nil {
+		if seal {
+			s.sealing = false
+		}
+		if err != nil {
+			if s.err == nil {
+				s.err = fmt.Errorf("wal: %w", err)
+			}
+		} else if len(batch) > 0 {
 			s.durableSeq.Store(batch[len(batch)-1].Seq)
-		} else if s.err == nil {
-			s.err = fmt.Errorf("wal: %w", err)
 		}
 		s.cond.Broadcast()
 		stop := s.err != nil
@@ -257,6 +280,17 @@ func (s *Store) writeBatch(batch []inventory.Event) error {
 	return nil
 }
 
+// seal closes the active segment and starts the next one empty, named after
+// the next sequence, so that recovery skips the sealed segment whole once a
+// snapshot covers it and the next boot appends to the new one. A segment
+// below sealBytes is left active. Writer goroutine only.
+func (s *Store) seal() error {
+	if s.f == nil || s.size < s.sealBytes {
+		return nil
+	}
+	return s.rotate(s.lastSeq + 1)
+}
+
 // rotate closes the active segment and starts a fresh one whose name
 // carries the first sequence it will hold.
 func (s *Store) rotate(firstSeq uint64) error {
@@ -281,13 +315,13 @@ func (s *Store) rotate(firstSeq uint64) error {
 	return nil
 }
 
-// Snapshot persists a full state and compacts the log behind it: segments
-// wholly covered by the snapshot and all but the SnapshotKeep newest
-// snapshots are deleted. It first waits for the log to be durable through
-// state.Seq — a snapshot claiming to cover events the log has not fsync'd
-// yet would let a crash lose them invisibly. An I/O failure latches the
-// store like a failed append: a directory that cannot take a snapshot is
-// not trusted with the log either.
+// Snapshot persists a full state, seals the active segment and compacts the
+// log: all but the SnapshotKeep newest snapshots are deleted, and so are
+// the segments the oldest snapshot kept covers. It first waits for the log
+// to be durable through state.Seq — a snapshot claiming to cover events the
+// log has not fsync'd yet would let a crash lose them invisibly. An I/O
+// failure latches the store like a failed append: a directory that cannot
+// take a snapshot is not trusted with the log either.
 func (s *Store) Snapshot(st *inventory.State) error {
 	if err := s.waitDurable(st.Seq); err != nil {
 		return err
@@ -307,8 +341,25 @@ func (s *Store) Snapshot(st *inventory.State) error {
 	}
 	s.snapSeq.Store(st.Seq)
 	s.snapTime.Store(time.Now().UnixNano())
-	s.compact(st.Seq)
+	if err := s.requestSeal(); err != nil {
+		return err
+	}
+	s.compact()
 	return nil
+}
+
+// requestSeal has the writer goroutine, which owns the active segment, seal
+// it, and waits until it has. Appends racing the snapshot may land in the
+// sealed segment first; a boot reads those frames until the next snapshot.
+func (s *Store) requestSeal() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.sealing = true
+	s.cond.Broadcast()
+	for s.sealing && s.err == nil && !s.closed {
+		s.cond.Wait()
+	}
+	return s.err
 }
 
 // writeSnapshot writes the snapshot file of seq under a temporary name,
@@ -343,15 +394,21 @@ func (s *Store) writeSnapshot(seq uint64, payload []byte) error {
 	return nil
 }
 
-// compact deletes snapshots beyond the retention count and segments whose
-// every event is covered by the given snapshot sequence. Best-effort:
-// compaction failures never fail the snapshot that triggered them.
-func (s *Store) compact(snapSeq uint64) {
-	if snaps, err := snapshotsIn(s.fs, s.dir); err == nil && len(snaps) > s.opts.SnapshotKeep {
-		for _, sn := range snaps[:len(snaps)-s.opts.SnapshotKeep] {
-			s.fs.Remove(sn.path)
-		}
+// compact deletes snapshots beyond the retention count and the segments
+// whose every event is covered by the oldest snapshot kept, so that if the
+// newer ones turn out corrupt it still has its whole tail. Until there are
+// SnapshotKeep snapshots the log from its first event stands in for the
+// missing older one, and no segment goes. Best-effort: compaction failures
+// never fail the snapshot that triggered them.
+func (s *Store) compact() {
+	snaps, err := snapshotsIn(s.fs, s.dir)
+	if err != nil || len(snaps) < s.opts.SnapshotKeep {
+		return
 	}
+	for _, sn := range snaps[:len(snaps)-s.opts.SnapshotKeep] {
+		s.fs.Remove(sn.path)
+	}
+	oldest := snaps[len(snaps)-s.opts.SnapshotKeep].seq
 	segs, err := segmentsIn(s.fs, s.dir)
 	if err != nil {
 		return
@@ -359,7 +416,7 @@ func (s *Store) compact(snapSeq uint64) {
 	for i := 0; i+1 < len(segs); i++ {
 		// Segment i ends where segment i+1 begins: it is disposable iff
 		// every sequence before that boundary is covered by the snapshot.
-		if segs[i+1].firstSeq <= snapSeq+1 {
+		if segs[i+1].firstSeq <= oldest+1 {
 			s.fs.Remove(segs[i].path)
 		} else {
 			break

@@ -71,7 +71,7 @@ func churnLeader(t *testing.T, dir string, seed uint64, ops int, minLen float64,
 
 // drive performs a deterministic op mix against inv (a plain inventory or
 // a sharded router — the workload is the same either way).
-func drive(t *testing.T, inv inventory.Pool, seed uint64, ops int) {
+func drive(t testing.TB, inv inventory.Pool, seed uint64, ops int) {
 	t.Helper()
 	rng := randx.New(seed + 999)
 	var held []string
@@ -439,51 +439,63 @@ func TestRecoverRejectsMidLogCorruption(t *testing.T) {
 }
 
 func TestRecoverSkipsCorruptSnapshot(t *testing.T) {
+	forMinLens(t, func(t *testing.T, minLen float64) { recoverSkipsCorruptSnapshot(t, minLen, Options{}) })
+}
+
+// TestRecoverSkipsCorruptSnapshotSmallSegments: the same fallback when
+// every batch rotates the segment and every snapshot seals one, so
+// compaction has segments to delete between the two snapshots — and must
+// keep those the older snapshot still needs.
+func TestRecoverSkipsCorruptSnapshotSmallSegments(t *testing.T) {
 	forMinLens(t, func(t *testing.T, minLen float64) {
-		dir := t.TempDir()
-		inv, store := churnLeader(t, dir, 17, 60, minLen, Options{})
-		if err := store.Snapshot(inv.ExportState()); err != nil {
-			t.Fatal(err)
-		}
-		drive(t, inv, 18, 30)
-		if err := store.Snapshot(inv.ExportState()); err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Close(); err != nil {
-			t.Fatal(err)
-		}
-		snaps, _ := listSnapshots(dir)
-		latest := snaps[len(snaps)-1]
-		data, _ := os.ReadFile(latest.path)
-		data[len(data)/2] ^= 0xff
-		if err := os.WriteFile(latest.path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		// With the newest snapshot corrupt, recovery falls back to the older
-		// one. The events between the two snapshots were compacted only up to
-		// the OLDER snapshot's boundary (compaction keeps 2 snapshots and
-		// only deletes segments the older snapshot covers), so the tail from
-		// the older snapshot is still complete and recovery still lands on
-		// the exact final state.
-		res, err := Recover(dir, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.SkippedSnapshots != 1 {
-			t.Fatalf("skipped %d snapshots, want 1", res.SkippedSnapshots)
-		}
-		if res.State == nil || res.State.Seq != snaps[0].seq {
-			t.Fatalf("did not fall back to snapshot %d", snaps[0].seq)
-		}
-		rec, store2, _, err := Open(dir, inventory.Options{MinSlotLength: minLen}, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer store2.Close()
-		if got, want := stateSig(rec), stateSig(inv); got != want {
-			t.Fatalf("fallback recovery differs:\n got %s\nwant %s", got, want)
-		}
+		recoverSkipsCorruptSnapshot(t, minLen, Options{SegmentBytes: 1})
 	})
+}
+
+func recoverSkipsCorruptSnapshot(t *testing.T, minLen float64, walOpts Options) {
+	dir := t.TempDir()
+	inv, store := churnLeader(t, dir, 17, 60, minLen, walOpts)
+	if err := store.Snapshot(inv.ExportState()); err != nil {
+		t.Fatal(err)
+	}
+	drive(t, inv, 18, 30)
+	if err := store.Snapshot(inv.ExportState()); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, _ := listSnapshots(dir)
+	latest := snaps[len(snaps)-1]
+	data, _ := os.ReadFile(latest.path)
+	data[len(data)/2] ^= 0xff
+	if err := os.WriteFile(latest.path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// With the newest snapshot corrupt, recovery falls back to the older
+	// one. The events between the two snapshots were compacted only up to
+	// the OLDER snapshot's boundary (compaction keeps 2 snapshots and
+	// only deletes segments the older snapshot covers), so the tail from
+	// the older snapshot is still complete and recovery still lands on
+	// the exact final state.
+	res, err := Recover(dir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SkippedSnapshots != 1 {
+		t.Fatalf("skipped %d snapshots, want 1", res.SkippedSnapshots)
+	}
+	if res.State == nil || res.State.Seq != snaps[0].seq {
+		t.Fatalf("did not fall back to snapshot %d", snaps[0].seq)
+	}
+	rec, store2, _, err := Open(dir, inventory.Options{MinSlotLength: minLen}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store2.Close()
+	if got, want := stateSig(rec), stateSig(inv); got != want {
+		t.Fatalf("fallback recovery differs:\n got %s\nwant %s", got, want)
+	}
 }
 
 func TestAppendAfterCloseFails(t *testing.T) {
