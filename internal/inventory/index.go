@@ -302,14 +302,19 @@ func (inv *Inventory) publishLocked(dirty map[int][]slots.Interval) {
 // index and returns the assembled global list — identical, by
 // construction, to freeLocked() (same slot calculus, same final order).
 func (inv *Inventory) rebuildAllLocked() slots.List {
-	var list slots.List
+	n := 0
+	for _, base := range inv.base {
+		n += len(base)
+	}
+	list := make(slots.List, 0, n)
 	for nid, base := range inv.base {
 		if cur := inv.cutLocked(nid, base); len(cur) > 0 {
 			inv.free[nid] = cur
 			list = append(list, cur...)
 		}
 	}
-	list.SortByStart()
+	// The one sort of a reset: node groups come out of a map.
+	slices.SortFunc(list, slots.Compare)
 	return list
 }
 

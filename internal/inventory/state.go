@@ -3,6 +3,7 @@ package inventory
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -124,23 +125,16 @@ func Restore(st *State, opts Options) (*Inventory, error) {
 // resetLocked rebuilds every map from the State and publishes the free
 // list at exactly State.Version.
 func (inv *Inventory) resetLocked(st *State) error {
-	if err := st.Base.Validate(); err != nil {
-		return fmt.Errorf("inventory: restore: invalid base capacity: %w", err)
+	g, valid := groupBase(st.Base)
+	if !valid {
+		// Validate finds the violation groupBase found; it words the error.
+		return fmt.Errorf("inventory: restore: invalid base capacity: %w", st.Base.Validate())
 	}
-	inv.nodes = make(map[int]*nodes.Node)
-	inv.base = make(map[int][]slots.Interval)
+	inv.nodes = g.nodes
+	inv.base = g.spans
 	inv.alloc = make(map[int][]slots.Interval)
 	inv.holds = make(map[string]*hold, len(st.Holds))
 	inv.committed = make(map[string]*core.Window, len(st.Committed))
-	for _, s := range st.Base {
-		if inv.nodes[s.Node.ID] == nil {
-			inv.nodes[s.Node.ID] = s.Node
-		}
-		inv.base[s.Node.ID] = append(inv.base[s.Node.ID], s.Interval)
-	}
-	for nid := range inv.base {
-		inv.base[nid] = slots.MergeIntervals(inv.base[nid])
-	}
 	for _, h := range st.Holds {
 		if h.Window == nil || len(h.Window.Placements) == 0 {
 			return fmt.Errorf("inventory: restore: hold %q has no window", h.ID)
@@ -180,4 +174,89 @@ func (inv *Inventory) resetLocked(st *State) error {
 	inv.pub.Store(&published{version: st.Version, seq: seq})
 	inv.pending = append(inv.pending, c)
 	return nil
+}
+
+// baseGroups is a State's base capacity grouped by node: each node's first
+// *Node and its spans, merged as slots.MergeIntervals merges them.
+type baseGroups struct {
+	nodes map[int]*nodes.Node
+	spans map[int][]slots.Interval
+
+	// resorted counts the nodes whose slots arrived split or out of order.
+	resorted int
+}
+
+// groupBase groups a base by node, merging touching spans in place, in one
+// pass over the node runs ExportState writes (each node's slots
+// consecutive and in start order). Only a node whose slots arrive split or
+// out of order is collected and sorted, as Validate sorts its group. valid
+// is exactly base.Validate() == nil: the per-slot checks are Validate's, a
+// sorted node is checked as Validate checks it, and a run whose slots
+// definitely ascend and are disjoint (no comparison involves a NaN) is one
+// Validate accepts.
+func groupBase(base slots.List) (g baseGroups, valid bool) {
+	type run struct { // a node's first run: its first *Node, its spans in arena
+		node     *nodes.Node
+		from, to int
+	}
+	first := make(map[int]run)
+	var split map[int][]slots.Interval // resorted nodes: all their spans, in list order
+	arena := make([]slots.Interval, 0, len(base))
+	for i := 0; i < len(base); {
+		if base[i] == nil || base[i].Node == nil {
+			return g, false
+		}
+		n, from, ordered := base[i].Node, len(arena), true
+		id := n.ID
+		for ; i < len(base) && base[i] != nil && base[i].Node != nil && base[i].Node.ID == id; i++ {
+			s := base[i]
+			if s.Length() <= 0 {
+				return g, false
+			}
+			if !(s.Start < s.End) || (len(arena) > from && !(arena[len(arena)-1].End <= s.Start)) {
+				ordered = false
+			}
+			arena = append(arena, s.Interval)
+		}
+		r, seen := first[id]
+		if !seen {
+			first[id] = run{n, from, len(arena)}
+			if ordered {
+				continue
+			}
+		}
+		if split == nil {
+			split = make(map[int][]slots.Interval)
+		}
+		if seen && split[id] == nil { // the node's first run was in order
+			split[id] = slices.Clone(arena[r.from:r.to])
+		}
+		split[id] = append(split[id], arena[from:]...)
+	}
+	g.nodes = make(map[int]*nodes.Node, len(first))
+	g.spans = make(map[int][]slots.Interval, len(first))
+	for id, r := range first {
+		g.nodes[id] = r.node
+		if ivs, ok := split[id]; ok {
+			sort.Slice(ivs, func(i, j int) bool { return ivs[i].Start < ivs[j].Start })
+			for k := 1; k < len(ivs); k++ {
+				if ivs[k-1].End > ivs[k].Start {
+					return g, false
+				}
+			}
+			g.spans[id] = slots.MergeIntervals(ivs)
+			g.resorted++
+			continue
+		}
+		out := arena[r.from:r.from]
+		for _, iv := range arena[r.from:r.to] {
+			if n := len(out); n > 0 && out[n-1].End == iv.Start {
+				out[n-1].End = iv.End
+				continue
+			}
+			out = append(out, iv)
+		}
+		g.spans[id] = out[:len(out):len(out)]
+	}
+	return g, true
 }

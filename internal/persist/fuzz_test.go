@@ -139,8 +139,10 @@ func FuzzReadOwnedWindow(f *testing.F) {
 		valid = buf.Bytes()
 	}
 	seedCorpus(f, valid)
+	f.Add([]byte(`{"version":1,"start":0,"nodes":[{"id":1}],"nodes":[],"placements":[{"node":1,"exec":1,"slot_end":2}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		w, err := ReadOwnedWindow(bytes.NewReader(data))
+		checkOwnedWindow(t, data)
+		w, err := ParseOwnedWindow(data)
 		if err != nil {
 			return
 		}
@@ -148,7 +150,7 @@ func FuzzReadOwnedWindow(f *testing.F) {
 		if err := WriteOwnedWindow(&out, w); err != nil {
 			t.Fatalf("accepted window fails to re-encode: %v", err)
 		}
-		w2, err := ReadOwnedWindow(bytes.NewReader(out.Bytes()))
+		w2, err := ParseOwnedWindow(out.Bytes())
 		if err != nil {
 			t.Fatalf("re-encoded window fails to re-read: %v", err)
 		}

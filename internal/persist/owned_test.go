@@ -2,7 +2,6 @@ package persist
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"slotsel/internal/core"
@@ -20,7 +19,7 @@ func TestOwnedWindowRoundTrip(t *testing.T) {
 	if err := WriteOwnedWindow(&buf, w); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadOwnedWindow(&buf)
+	got, err := ParseOwnedWindow(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +65,7 @@ func TestReadOwnedWindowRejectsBadInput(t *testing.T) {
 	}
 	for name, input := range cases {
 		t.Run(name, func(t *testing.T) {
-			if _, err := ReadOwnedWindow(strings.NewReader(input)); err == nil {
+			if _, err := ParseOwnedWindow([]byte(input)); err == nil {
 				t.Error("bad input accepted")
 			}
 		})

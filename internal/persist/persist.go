@@ -100,6 +100,7 @@ func ReadEnvironment(r io.Reader) (*env.Environment, error) {
 	if e.Slots, err = linkSlots(in.Slots, byID); err != nil {
 		return nil, err
 	}
+	e.Slots.SortByStart()
 	if err := e.Validate(); err != nil {
 		return nil, fmt.Errorf("persist: invalid snapshot: %w", err)
 	}
@@ -189,8 +190,8 @@ func linkNodes(in []nodeJSON) (map[int]*nodes.Node, error) {
 	return byID, nil
 }
 
-// linkSlots builds the slots of a decoded document on their nodes and
-// orders them by start.
+// linkSlots builds the slots of a decoded document on their nodes, in
+// document order.
 func linkSlots(in []slotJSON, byID map[int]*nodes.Node) (slots.List, error) {
 	if len(in) == 0 {
 		return nil, nil
@@ -205,7 +206,6 @@ func linkSlots(in []slotJSON, byID map[int]*nodes.Node) (slots.List, error) {
 		arena[i] = slots.Slot{Node: n, Interval: slots.Interval{Start: sj.Start, End: sj.End}}
 		l[i] = &arena[i]
 	}
-	l.SortByStart()
 	return l, nil
 }
 
@@ -290,8 +290,22 @@ func (in *slotListJSON) scan(s *Scanner) bool {
 	return scanList(s, &in.Version, nil, &in.Nodes, &in.Slots)
 }
 
-// list links and validates a decoded slot list.
+// list links, sorts and validates a decoded slot list.
 func (in *slotListJSON) list() (slots.List, error) {
+	l, err := in.link()
+	if err != nil {
+		return nil, err
+	}
+	l.SortByStart()
+	if err := l.Validate(); err != nil {
+		return nil, fmt.Errorf("persist: invalid slot list: %w", err)
+	}
+	return l, nil
+}
+
+// link checks the version of a decoded slot list and links its slots to
+// its nodes, in document order.
+func (in *slotListJSON) link() (slots.List, error) {
 	if in.Version != FormatVersion {
 		return nil, fmt.Errorf("persist: unsupported slot list version %d (want %d)", in.Version, FormatVersion)
 	}
@@ -299,15 +313,24 @@ func (in *slotListJSON) list() (slots.List, error) {
 	if err != nil {
 		return nil, err
 	}
-	l, err := linkSlots(in.Slots, byID)
-	if err != nil {
-		return nil, err
-	}
-	if err := l.Validate(); err != nil {
-		return nil, fmt.Errorf("persist: invalid slot list: %w", err)
-	}
-	return l, nil
+	return linkSlots(in.Slots, byID)
 }
+
+// SlotListDoc is a slot-list document decoded but not yet linked: the base
+// of a WAL snapshot, which the envelope's decoder reads in its own pass.
+// encoding/json decodes it as it decodes the list ParseSlotList reads, and
+// Scan is ParseSlotList's Scanner pass over it.
+type SlotListDoc struct{ slotListJSON }
+
+// Scan fills d from a slot-list object inside the Scanner's subset, and
+// reports false, as every Scanner method does, for anything outside it.
+func (d *SlotListDoc) Scan(s *Scanner) bool { return d.scan(s) }
+
+// Slots checks the document's version and links its slots to its nodes in
+// document order. Unlike ParseSlotList it neither sorts nor validates the
+// list: its one reader, inventory.Restore, regroups it by node and
+// validates it in that pass.
+func (d *SlotListDoc) Slots() (slots.List, error) { return d.link() }
 
 // requestJSON mirrors job.Request.
 type requestJSON struct {
@@ -596,7 +619,7 @@ type ownedPlacementJSON struct {
 
 // ownedWindowJSON is the self-contained window encoding: the referenced
 // nodes are embedded (like the slot-list format) and every placement
-// carries its hosting slot's interval, so ReadOwnedWindow needs no
+// carries its hosting slot's interval, so ParseOwnedWindow needs no
 // environment to re-link against. This is the encoding the durable journal
 // (internal/wal) frames into its records and snapshots.
 type ownedWindowJSON struct {
@@ -610,7 +633,7 @@ type ownedWindowJSON struct {
 // slot intervals), as compact JSON: unlike WriteWindow the result can be
 // decoded with no environment at hand, which is what a write-ahead log
 // replayed on a cold boot needs. Aggregates (runtime, cost, proc time) are
-// not stored: ReadOwnedWindow recomputes them with the exact NewWindow
+// not stored: ParseOwnedWindow recomputes them with the exact NewWindow
 // accumulation, so a round trip is value-identical.
 func WriteOwnedWindow(w io.Writer, win *core.Window) error {
 	out := ownedWindowJSON{Version: FormatVersion, Start: win.Start}
@@ -637,16 +660,69 @@ func WriteOwnedWindow(w io.Writer, win *core.Window) error {
 	return json.NewEncoder(w).Encode(out)
 }
 
-// ReadOwnedWindow deserializes a self-contained window: placements are
-// re-linked to freshly built nodes and slots from the embedded data. The
-// result is structurally validated (placements inside their slots, positive
-// execution times) but not checked against any request — the journal replay
-// path re-validates fit against inventory state instead.
-func ReadOwnedWindow(r io.Reader) (*core.Window, error) {
+// ParseOwnedWindow deserializes a self-contained window — the first JSON
+// value of b —: placements are re-linked to freshly built nodes and slots
+// from the embedded data. The result is structurally validated (placements
+// inside their slots, positive execution times) but not checked against any
+// request — the journal replay path re-validates fit against inventory
+// state instead. Like ParseSlotList it decodes with the Scanner's pass when
+// the value is in its subset, and with encoding/json otherwise and for
+// every decode error.
+func ParseOwnedWindow(b []byte) (*core.Window, error) {
 	var in ownedWindowJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
+	if err := decodeFirst(b, &in, in.scan); err != nil {
 		return nil, fmt.Errorf("persist: decoding owned window: %w", err)
 	}
+	return in.window()
+}
+
+// scan fills in from an owned-window object inside the Scanner's subset. A
+// repeated nodes or placements key is left to encoding/json, as scanList
+// leaves its arrays.
+func (in *ownedWindowJSON) scan(s *Scanner) bool {
+	var seenNodes, seenPlacements bool
+	return s.Object(func(key []byte) (ok bool) {
+		switch string(key) {
+		case "version":
+			in.Version, ok = s.Int()
+		case "start":
+			in.Start, ok = s.Float()
+		case "nodes":
+			if !seenNodes {
+				seenNodes = true
+				in.Nodes, ok = Objects(s, func(n *nodeJSON, key []byte) bool { return n.scanField(s, key) })
+			}
+		case "placements":
+			if !seenPlacements {
+				seenPlacements = true
+				in.Placements, ok = Objects(s, func(p *ownedPlacementJSON, key []byte) bool { return p.scanField(s, key) })
+			}
+		}
+		return ok
+	})
+}
+
+// scanField scans the value of one owned-placement key.
+func (p *ownedPlacementJSON) scanField(s *Scanner, key []byte) (ok bool) {
+	switch string(key) {
+	case "node":
+		p.Node, ok = s.Int()
+	case "start":
+		p.Start, ok = s.Float()
+	case "exec":
+		p.Exec, ok = s.Float()
+	case "cost":
+		p.Cost, ok = s.Float()
+	case "slot_start":
+		p.SlotStart, ok = s.Float()
+	case "slot_end":
+		p.SlotEnd, ok = s.Float()
+	}
+	return ok
+}
+
+// window checks and links a decoded owned window.
+func (in *ownedWindowJSON) window() (*core.Window, error) {
 	if in.Version != FormatVersion {
 		return nil, fmt.Errorf("persist: unsupported owned window version %d (want %d)", in.Version, FormatVersion)
 	}

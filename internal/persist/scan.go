@@ -15,9 +15,11 @@ import "strconv"
 //
 // It has two users: the search body and its request (ParseRequest, pinned
 // by FuzzParseRequest), and recovery — slot lists (ParseSlotList, pinned by
-// FuzzReadSlotList) and the WAL's event and snapshot envelopes, which keep
-// nested documents as Raw bytes (pinned by internal/wal's FuzzDecodeEvent
-// and FuzzDecodeState).
+// FuzzReadSlotList), owned windows (ParseOwnedWindow, pinned by
+// FuzzReadOwnedWindow) and the WAL's event and snapshot envelopes, which
+// keep nested windows and slot lists as Raw bytes but read a snapshot's
+// base in their own pass (pinned by internal/wal's FuzzDecodeEvent and
+// FuzzDecodeState).
 type Scanner struct {
 	buf []byte
 	pos int

@@ -395,3 +395,81 @@ func TestParseSlotListMatchesEncodingJSON(t *testing.T) {
 		}
 	}
 }
+
+// referenceOwnedWindow is the owned-window decode ParseOwnedWindow
+// replaced: one encoding/json Decoder over the bytes, then the same checks
+// and linking.
+func referenceOwnedWindow(b []byte) (*core.Window, error) {
+	var in ownedWindowJSON
+	if err := json.NewDecoder(bytes.NewReader(b)).Decode(&in); err != nil {
+		return nil, fmt.Errorf("persist: decoding owned window: %w", err)
+	}
+	return in.window()
+}
+
+// checkOwnedWindow is checkSlotList for owned windows.
+func checkOwnedWindow(t testing.TB, data []byte) (scanned bool) {
+	t.Helper()
+	want, wantErr := referenceOwnedWindow(data)
+	got, err := ParseOwnedWindow(data)
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("ParseOwnedWindow(%q) error %q, encoding/json %q", data, err, wantErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ParseOwnedWindow(%q) = %v, encoding/json %v", data, got, want)
+	}
+	var in, ref ownedWindowJSON
+	if in.scan(NewScanner(data)) {
+		if err := json.NewDecoder(bytes.NewReader(data)).Decode(&ref); err != nil || !reflect.DeepEqual(in, ref) {
+			t.Fatalf("Scanner took %q as %+v, encoding/json as %+v (%v)", data, in, ref, err)
+		}
+		return true
+	}
+	return false
+}
+
+// TestParseOwnedWindowMatchesEncodingJSON pins both halves of the
+// owned-window reader: every window the WAL writes goes through the
+// Scanner, and what it must leave goes to encoding/json.
+func TestParseOwnedWindowMatchesEncodingJSON(t *testing.T) {
+	e := testkit.SmallEnv(3, 20, 400)
+	req := testkit.SmallRequest(3, 300)
+	w, err := (core.MinCost{}).Find(e.Slots, &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var written bytes.Buffer
+	if err := WriteOwnedWindow(&written, w); err != nil {
+		t.Fatal(err)
+	}
+	const n = `"nodes":[{"id":1,"perf":2,"price":1,"os":"linux"}]`
+	const p = `"placements":[{"node":1,"start":0,"exec":2,"cost":4,"slot_start":0,"slot_end":5}]`
+	for _, tc := range []struct {
+		in      string
+		scanned bool
+	}{
+		{written.String(), true},
+		{written.String() + " trailing", true}, // the first value is the window, as for a Decoder
+		{`{"version":1,"start":0,` + n + `,` + p + `}`, true},
+		{`{"version":1,"start":1,` + n + `,` + p + `}`, true}, // scanned, then refused
+		{`{"version":2,"start":0,` + n + `,` + p + `}`, true},
+		{`{"version":1,"start":0,"nodes":[],` + p + `}`, true},
+		{`{"version":1,"start":0,` + n + `,"placements":[]}`, true},
+		{`{}`, true},
+		{`{"version":1,"start":0,` + n + `,` + n + `,` + p + `}`, false},
+		{`{"version":1,"start":0,` + n + `,` + p + `,` + p + `}`, false},
+		{`{"version":1,"start":0,"Nodes":[],` + p + `}`, false},
+		{`{"version":1,"start":0,` + n + `,"placements":[{"node":1,"exec":"NaN"}]}`, false},
+		{`{"version":1,"start":0,` + n + `,"placements":[{"node":1.5}]}`, false},
+		{`{"version":1,"start":1e999}`, false},
+		{`{"version":1,"start":0,"extra":[1]}`, false},
+		{`{"version":1,"start":0,` + n, false},
+		{``, false},
+		{`null`, false},
+		{`[]`, false},
+	} {
+		if got := checkOwnedWindow(t, []byte(tc.in)); got != tc.scanned {
+			t.Errorf("%q: taken by the Scanner = %v, want %v", tc.in, got, tc.scanned)
+		}
+	}
+}

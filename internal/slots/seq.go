@@ -24,6 +24,18 @@ func Before(a, b *Slot) bool {
 	return a.End < b.End
 }
 
+// Compare is Before as a three-way comparison, for slices.SortFunc: -1 when
+// a is before b, +1 when b is before a, 0 otherwise.
+func Compare(a, b *Slot) int {
+	switch {
+	case Before(a, b):
+		return -1
+	case Before(b, a):
+		return 1
+	}
+	return 0
+}
+
 // Seq is a persistent sorted sequence of slots: immutable leaves of at most
 // leafSize slots under one spine, strictly increasing in Before order. Edit
 // returns a new sequence that shares every leaf it did not touch with the

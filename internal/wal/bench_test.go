@@ -104,47 +104,85 @@ func BenchmarkAppendEncode(b *testing.B) {
 // horizon (seed 1, about 48 000 slots), 500 booking transactions with a
 // commit in every 8, and a snapshot after the 250th — so the boot decodes
 // the snapshot, restores it and replays the 250 transactions after it.
-func BenchmarkOpenBookDeep(b *testing.B) {
+func BenchmarkOpenBookDeep(b *testing.B) { benchOpen(b, 1024, 6000, 500, 1) }
+
+// BenchmarkOpenMixedChurn is its 4-shard twin over the mixed_churn shape —
+// 1 024 nodes over a 1 200 horizon, 200 transactions, every shard
+// snapshotted after the 100th — so OpenSharded's four restores and the
+// router's first assembly are priced too.
+func BenchmarkOpenMixedChurn(b *testing.B) { benchOpen(b, 1024, 1200, 200, 4) }
+
+// benchOpen writes a directory of the given shape through the given number
+// of shards (1: a flat Open) and times booting it.
+func benchOpen(b *testing.B, nodes int, horizon float64, txns, shards int) {
 	dir := b.TempDir()
-	_, store, _, err := Open(dir, inventory.Options{}, Options{NoSync: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	e := env.Generate(env.DefaultConfig().WithNodeCount(1024).WithHorizon(6000), randx.New(1))
-	inv, err := inventory.New(e.Slots, inventory.Options{Sink: store})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for t := 0; t < 500; t++ {
-		volume := 100 + 100*(float64(t%16)+0.5)/16
-		res, err := inv.Reserve(&job.Request{TaskCount: 5, Volume: volume, MaxCost: 25 * volume}, core.AMP{}, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if t%8 == 0 {
-			_, err = inv.Commit(res.ID)
-		} else {
-			err = inv.Release(res.ID)
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-		if t == 250 {
-			if err := store.Snapshot(inv.ExportState()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	if err := store.Close(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	e := env.Generate(env.DefaultConfig().WithNodeCount(nodes).WithHorizon(horizon), randx.New(1))
+	var pool inventory.Pool
+	var stores []*Store
+	var shard func(i int) *inventory.Inventory
+	if shards == 1 {
 		_, store, _, err := Open(dir, inventory.Options{}, Options{NoSync: true})
 		if err != nil {
 			b.Fatal(err)
 		}
+		inv, err := inventory.New(e.Slots, inventory.Options{Sink: store})
+		if err != nil {
+			b.Fatal(err)
+		}
+		pool, stores, shard = inv, []*Store{store}, func(int) *inventory.Inventory { return inv }
+	} else {
+		_, sts, _, err := OpenSharded(dir, shards, inventory.Options{}, Options{NoSync: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := SeedSharded(e.Slots, inventory.Options{}, sts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pool, stores, shard = p, sts, p.Shard
+	}
+	for t := 0; t < txns; t++ {
+		volume := 100 + 100*(float64(t%16)+0.5)/16
+		res, err := pool.Reserve(&job.Request{TaskCount: 5, Volume: volume, MaxCost: 25 * volume}, core.AMP{}, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if t%8 == 0 {
+			_, err = pool.Commit(res.ID)
+		} else {
+			err = pool.Release(res.ID)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		if t == txns/2 {
+			for i, store := range stores {
+				if err := store.Snapshot(shard(i).ExportState()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	closeStores(b, stores)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if shards == 1 {
+			stores = stores[:1]
+			_, stores[0], _, err = Open(dir, inventory.Options{}, Options{NoSync: true})
+		} else {
+			_, stores, _, err = OpenSharded(dir, shards, inventory.Options{}, Options{NoSync: true})
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		closeStores(b, stores)
+	}
+}
+
+func closeStores(b *testing.B, stores []*Store) {
+	for _, store := range stores {
 		if err := store.Close(); err != nil {
 			b.Fatal(err)
 		}

@@ -15,10 +15,11 @@
 //
 // The payload is compact JSON built on the internal/persist encodings
 // (owned windows, slot lists), so records are self-contained and humanly
-// inspectable with standard tools. The decoders read the envelope, and
-// the slot lists nested in it, in one pass with the persist Scanner, and
-// hand anything outside its subset to encoding/json, which stays the
-// definition of what decodes and of every error. Frames make tail damage
+// inspectable with standard tools. The decoders read the envelope, the
+// windows and slot lists nested in it, with the persist Scanner — a
+// snapshot's base in the envelope's own pass — and hand anything outside
+// its subset to encoding/json, which stays the definition of what decodes
+// and of every error. Frames make tail damage
 // classifiable: an incomplete header or payload is a torn write (the
 // expected shape of a crash mid-append, truncated silently on recovery),
 // while a complete frame whose checksum fails is corruption (recovery
@@ -38,10 +39,12 @@
 // # Recovery
 //
 // A boot decodes the newest snapshot that decodes and replays the tail
-// after it. A segment is skipped unread when the next one starts at or
-// before the first sequence the snapshot misses, so behind a sealed
-// snapshot a boot opens only the snapshot and the segments after it.
-// Every frame it does read is checked and decoded in full.
+// after it. The snapshot's base comes back in the order it was written,
+// node by node, which is the order inventory.Restore groups in one pass.
+// A segment is skipped unread when the next one starts at or before the
+// first sequence the snapshot misses, so behind a sealed snapshot a boot
+// opens only the snapshot and the segments after it. Every frame it does
+// read is checked and decoded in full.
 //
 // # Durability contract
 //
@@ -201,7 +204,7 @@ func (in *eventJSON) event() (inventory.Event, error) {
 		ev.Expires = time.Unix(0, in.Expires)
 	}
 	if len(in.Window) > 0 {
-		w, err := persist.ReadOwnedWindow(bytes.NewReader(in.Window))
+		w, err := persist.ParseOwnedWindow(in.Window)
 		if err != nil {
 			return inventory.Event{}, fmt.Errorf("wal: decoding event %d window: %w", in.Seq, err)
 		}
@@ -265,21 +268,27 @@ type commitJSON struct {
 	Window json.RawMessage `json:"window"`
 }
 
-// stateJSON is the serialized inventory.State — the snapshot payload.
-type stateJSON struct {
+// stateFields is the serialized inventory.State — the snapshot payload —
+// over the type of its base: EncodeState writes the base as the bytes
+// persist.WriteSlotList renders, and the decoders read it as a document.
+type stateFields[B any] struct {
 	Format    int                `json:"format"`
 	Version   uint64             `json:"snapshot_version"`
 	Seq       uint64             `json:"seq"`
 	NextID    uint64             `json:"next_id"`
 	Counters  inventory.Counters `json:"counters"`
-	Base      json.RawMessage    `json:"base,omitempty"`
+	Base      B                  `json:"base,omitempty"`
 	Holds     []holdJSON         `json:"holds,omitempty"`
 	Committed []commitJSON       `json:"committed,omitempty"`
 }
 
+// stateJSON is the snapshot envelope as DecodeState reads it: the base is
+// decoded in the envelope's own pass, so a boot tokenises it once.
+type stateJSON stateFields[*persist.SlotListDoc]
+
 // EncodeState serializes a full inventory state to its snapshot payload.
 func EncodeState(st *inventory.State) ([]byte, error) {
-	out := stateJSON{
+	out := stateFields[json.RawMessage]{
 		Format:   persist.FormatVersion,
 		Version:  st.Version,
 		Seq:      st.Seq,
@@ -340,18 +349,19 @@ func (in *stateJSON) state() (*inventory.State, error) {
 		NextID:   in.NextID,
 		Counters: in.Counters,
 	}
-	if len(in.Base) > 0 {
-		l, err := persist.ParseSlotList(in.Base)
+	if in.Base != nil {
+		// In document order, node by node as ExportState wrote it: Restore
+		// regroups the base by node and validates it in that one pass.
+		l, err := in.Base.Slots()
 		if err != nil {
 			return nil, fmt.Errorf("wal: decoding state base: %w", err)
 		}
-		// Restore re-merges per node; keep the persisted order otherwise.
 		st.Base = l
 	} else {
 		st.Base = slots.List{}
 	}
 	for _, h := range in.Holds {
-		w, err := persist.ReadOwnedWindow(bytes.NewReader(h.Window))
+		w, err := persist.ParseOwnedWindow(h.Window)
 		if err != nil {
 			return nil, fmt.Errorf("wal: decoding state hold %q: %w", h.ID, err)
 		}
@@ -360,7 +370,7 @@ func (in *stateJSON) state() (*inventory.State, error) {
 		})
 	}
 	for _, c := range in.Committed {
-		w, err := persist.ReadOwnedWindow(bytes.NewReader(c.Window))
+		w, err := persist.ParseOwnedWindow(c.Window)
 		if err != nil {
 			return nil, fmt.Errorf("wal: decoding state commit %q: %w", c.ID, err)
 		}
@@ -369,13 +379,13 @@ func (in *stateJSON) state() (*inventory.State, error) {
 	return st, nil
 }
 
-// scan fills in from a snapshot envelope inside the Scanner's subset. The
-// counters object goes to encoding/json on its own: it is small, read once
-// per boot, and its fields are inventory's to name. A repeated key that
-// holds an object or an array is left to encoding/json, which decodes the
-// second value into the first.
+// scan fills in from a snapshot envelope inside the Scanner's subset, the
+// base included. The counters object goes to encoding/json on its own: it
+// is small, read once per boot, and its fields are inventory's to name. A
+// repeated key that holds an object or an array is left to encoding/json,
+// which decodes the second value into the first.
 func (in *stateJSON) scan(s *persist.Scanner) bool {
-	var seen [3]bool
+	var seen [4]bool
 	once := func(i int) bool {
 		first := !seen[i]
 		seen[i] = true
@@ -395,7 +405,10 @@ func (in *stateJSON) scan(s *persist.Scanner) bool {
 			raw, isRaw := s.Raw()
 			ok = isRaw && once(0) && json.Unmarshal(raw, &in.Counters) == nil
 		case "base":
-			in.Base, ok = s.Raw()
+			if once(3) {
+				in.Base = new(persist.SlotListDoc)
+				ok = in.Base.Scan(s)
+			}
 		case "holds":
 			if once(1) {
 				in.Holds, ok = persist.Objects(s, func(h *holdJSON, key []byte) (ok bool) {

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"reflect"
@@ -116,6 +117,15 @@ func TestDecodersScanWhatTheWALWrites(t *testing.T) {
 		if !checkState(t, q) {
 			t.Errorf("state %s: not taken by the Scanner", q)
 		}
+	}
+	// The base decodes in the order it was written, node by node, and not
+	// sorted: re-encoding the decoded state gives back the same bytes.
+	st, err := DecodeState(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := EncodeState(st); err != nil || !bytes.Equal(again, state) {
+		t.Errorf("DecodeState then EncodeState = %s (%v), want the bytes decoded", again, err)
 	}
 	for _, tc := range []struct {
 		in      string
