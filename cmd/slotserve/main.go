@@ -19,11 +19,13 @@
 //
 // # Durability
 //
-// With -data-dir the inventory is durable: every acknowledged mutation is
-// fsync'd to a write-ahead log in DIR before the HTTP response is sent,
-// periodic snapshots compact the log, and a restart (or crash) recovers
-// the exact committed state — -slots is then only needed the first time,
-// to seed an empty directory. On SIGTERM the server drains, writes a
+// With -data-dir the inventory is durable: every accepted reserve, commit,
+// add and withdraw is fsync'd to a write-ahead log in DIR before the HTTP
+// response is sent, periodic snapshots compact the log, and a restart (or
+// crash) recovers every acknowledged hold and commit — -slots is then only
+// needed the first time, to seed an empty directory. A release, an expiry
+// or a refused request answers without waiting for the disk; a crash may
+// undo it, bringing a released hold back until its original deadline. On SIGTERM the server drains, writes a
 // final snapshot, and closes the log cleanly.
 //
 // If a WAL write or fsync fails, the store latches the error and the

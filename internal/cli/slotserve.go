@@ -42,7 +42,7 @@ func Slotserve(args []string, stdout, stderr io.Writer) int {
 		timeout  = fs.Duration("timeout", 5*time.Second, "per-request deadline")
 		minLen   = fs.Float64("min-slot-length", 0, "drop free fragments shorter than this")
 		logFmt   = fs.String("log-format", "off", "request log `format`: json (one line per request on stdout) or off")
-		dataDir  = fs.String("data-dir", "", "WAL `directory`: fsync every mutation and recover state across restarts")
+		dataDir  = fs.String("data-dir", "", "WAL `directory`: fsync every hold, commit and capacity change, and recover state across restarts")
 		snapIvl  = fs.Duration("snapshot-interval", time.Minute, "minimum time between periodic snapshots (with -data-dir)")
 		snapEvts = fs.Uint64("snapshot-every", 4096, "also snapshot once this many events accumulate since the last one; 0 = time-based only (with -data-dir)")
 		shards   = fs.Int("shards", 1, "inventory `shards`: >1 partitions nodes by ID hash across independent shards, each with its own lock, published snapshot, and (with -data-dir) WAL directory")

@@ -534,12 +534,13 @@ func (inv *Inventory) Withdraw(nodeID int) ([]string, error) {
 // Sweep drops expired holds immediately and reports how many were swept.
 // Sweeping also happens automatically at every mutation, so calling Sweep
 // is only needed to bound the staleness of a read-mostly inventory.
+// Expiries do not wait for durability (Event.AckWaits): the next awaited
+// event makes them durable, and a crash before it brings the holds back
+// until the next sweep after the restart. A failed sink cannot be
+// surfaced here either; the next mutation reports it.
 func (inv *Inventory) Sweep() int {
 	inv.mu.Lock()
 	n := inv.sweepLocked()
-	// A failed fsync of expiry events cannot be surfaced here (the sweep
-	// already happened); the sink latches the error and the next mutation
-	// reports it.
 	_ = inv.leave()
 	return n
 }

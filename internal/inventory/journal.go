@@ -81,6 +81,26 @@ type Event struct {
 	Expires time.Time
 }
 
+// AckWaits reports whether the acknowledgement of ev waits until ev is
+// durable — the durability contract, stated once. An accepted reserve,
+// commit, add or withdraw waits: a crash that forgot an acked hold would
+// rewind the ID mint and hand its ID to another client's hold, and one
+// that forgot a commit, an add or a withdraw would lose what the caller
+// was told is permanent. A release, an expiry and every refused operation
+// (OK false) do not wait. A crash may undo them: an undone release or
+// expiry brings its hold back with its original Expires, to lapse at that
+// deadline, and an undone refusal changed nothing but a counter. Neither
+// can double-book, because every later transition that reuses the spans
+// or mints an ID is journaled after them, and its own wait makes them
+// durable first.
+func (ev Event) AckWaits() bool {
+	switch ev.Op {
+	case OpAdd, OpReserve, OpCommit, OpWithdraw:
+		return ev.OK
+	}
+	return false
+}
+
 // JournalSink receives every journaled event, in serialization order — the
 // seam a durable write-ahead log (internal/wal) plugs into so the journal
 // streams to disk instead of accumulating in memory without bound.
@@ -88,15 +108,20 @@ type Event struct {
 // Append is called with the inventory mutex held, so calls arrive strictly
 // ordered by Event.Seq; it must only enqueue (never block on I/O). The
 // returned wait func is called by the inventory AFTER the mutex is
-// released and must block until the event is durable, returning the I/O
-// error if durability failed. A nil wait means "durable immediately".
+// released and must block until the event — and with it every earlier
+// one — is durable, returning the I/O error if durability failed. A nil
+// wait means "this ack need not wait": a sink may return one only for an
+// event whose AckWaits is false, and a sink that can no longer make events
+// durable returns a failing wait for every event instead.
 type JournalSink interface {
 	Append(ev Event) (wait func() error)
 }
 
 // recordLocked hands the event to the configured destinations: the
 // in-memory journal (Options.Record) and/or the durable sink
-// (Options.Sink). Either enables sequence numbering.
+// (Options.Sink). Either enables sequence numbering. A nil wait leaves the
+// section's pending wait as it is, so an unawaited event recorded after an
+// awaited one never hides it.
 func (inv *Inventory) recordLocked(ev Event) {
 	if !inv.opts.Record && inv.opts.Sink == nil {
 		return
@@ -107,14 +132,16 @@ func (inv *Inventory) recordLocked(ev Event) {
 		inv.journal = append(inv.journal, ev)
 	}
 	if inv.opts.Sink != nil {
-		inv.wait = inv.opts.Sink.Append(ev)
+		if wait := inv.opts.Sink.Append(ev); wait != nil {
+			inv.wait = wait
+		}
 	}
 }
 
 // takeWaitLocked returns and clears the pending durability wait of the
 // current critical section. Sink appends are written and fsynced in order,
-// so the wait of the LAST event recorded under one lock acquisition covers
-// every earlier event of the same section.
+// so the wait of the last awaited event recorded under one lock
+// acquisition covers every earlier event of the same section.
 func (inv *Inventory) takeWaitLocked() func() error {
 	w := inv.wait
 	inv.wait = nil

@@ -957,6 +957,19 @@ func TestLatchedStoreFailStops(t *testing.T) {
 			ts := httptest.NewServer(New(pool, opts))
 			t.Cleanup(ts.Close)
 
+			// Three tasks place on all three nodes, so a hold touches the
+			// failed store at any shard count.
+			body := `{"request":` + string(requestJSON(t, 3, 30)) + `}`
+			var held []string // one to release and one to commit after the latch
+			for i := 0; i < 2; i++ {
+				code, out := postRaw(t, ts.URL+"/v1/reserve", body)
+				var id string
+				if code != http.StatusOK || json.Unmarshal(out["id"], &id) != nil {
+					t.Fatalf("reserve %d before the latch: status %d: %v", i, code, out)
+				}
+				held = append(held, id)
+			}
+
 			gone := dir
 			if shards > 1 {
 				gone = filepath.Join(dir, wal.ShardDirName(failed))
@@ -964,26 +977,31 @@ func TestLatchedStoreFailStops(t *testing.T) {
 			if err := os.RemoveAll(gone); err != nil {
 				t.Fatal(err)
 			}
-			// Three tasks place on all three nodes, so the hold touches the
-			// failed store at any shard count.
-			body := `{"request":` + string(requestJSON(t, 3, 30)) + `}`
-			for i := 0; i < 2; i++ {
-				resp, err := http.Post(ts.URL+"/v1/reserve", "application/json", strings.NewReader(body))
+			failStopped := func(what, path, body string) {
+				t.Helper()
+				resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
 				if err != nil {
 					t.Fatal(err)
 				}
 				raw, _ := io.ReadAll(resp.Body)
 				resp.Body.Close()
 				if want := errorReply("journal not durable: this server is fail-stopped"); resp.StatusCode != http.StatusServiceUnavailable || string(raw) != want {
-					t.Fatalf("reserve %d after the latch: %d %q, want 503 %q", i, resp.StatusCode, raw, want)
+					t.Fatalf("%s after the latch: %d %q, want 503 %q", what, resp.StatusCode, raw, want)
 				}
 				if ra := resp.Header.Get("Retry-After"); ra != "" {
-					t.Errorf("reserve %d: Retry-After %q on a fail-stopped server", i, ra)
+					t.Errorf("%s: Retry-After %q on a fail-stopped server", what, ra)
 				}
 				if strings.Contains(string(raw), dir) {
-					t.Errorf("reserve %d: reply leaks the data directory: %s", i, raw)
+					t.Errorf("%s: reply leaks the data directory: %s", what, raw)
 				}
 			}
+			for i := 0; i < 2; i++ {
+				failStopped(fmt.Sprintf("reserve %d", i), "/v1/reserve", body)
+			}
+			// A release's ack does not wait for an fsync, but a latched
+			// store fails it like any other mutation.
+			failStopped("release", "/v1/release", `{"id":"`+held[0]+`"}`)
+			failStopped("commit", "/v1/commit", `{"id":"`+held[1]+`"}`)
 			if code, out := postJSON(t, ts.URL+"/v1/find", map[string]any{"request": requestJSON(t, 1, 30)}); code != http.StatusOK {
 				t.Fatalf("find after the latch: status %d: %v", code, out)
 			}

@@ -16,13 +16,14 @@ import (
 // Reserve→Release cycle that internal/inventory's churn benchmarks
 // measure with no sink at all. Three tiers:
 //
-//	NoWAL   — the slotbench/baseline configuration (Sink == nil); the
-//	          regression gate's numbers are this tier, which is why
-//	          enabling the WAL cannot invalidate the checked-in baseline.
+//	NoWAL   — the slotbench configuration (Sink == nil), which the
+//	          kernel bench gate measures.
 //	NoSync  — framing + buffered write, no fsync: the encoding overhead.
 //	Fsync   — the real durable cycle; dominated by the device, and on CI
 //	          tmpfs it is nearly free, so treat absolute numbers as a
-//	          floor, not a field measurement.
+//	          floor, not a field measurement. It reports fsyncs/op: the
+//	          reserve's ack waits and the release's does not, so a cycle
+//	          costs one fsync, which carries the previous release too.
 func benchCycleInventory(b *testing.B, journaled bool, opts Options) (*inventory.Inventory, *Store) {
 	b.Helper()
 	rng := randx.New(9)
@@ -77,12 +78,15 @@ func BenchmarkReserveReleaseWALNoSync(b *testing.B) {
 }
 
 func BenchmarkReserveReleaseWALFsync(b *testing.B) {
-	inv, _ := benchCycleInventory(b, true, Options{})
+	inv, store := benchCycleInventory(b, true, Options{})
+	before := store.Stats().Fsyncs
 	benchCycle(b, inv)
+	b.ReportMetric(float64(store.Stats().Fsyncs-before)/float64(b.N), "fsyncs/op")
 }
 
 // BenchmarkAppendEncode isolates the journal framing itself — encode one
-// OpExpire event (the smallest record) into a NoSync store.
+// OpCommit event (the smallest record whose ack waits, so the writer
+// frames it at once) into a NoSync store.
 func BenchmarkAppendEncode(b *testing.B) {
 	_, store, _, err := Open(b.TempDir(), inventory.Options{}, Options{NoSync: true})
 	if err != nil {
@@ -92,7 +96,7 @@ func BenchmarkAppendEncode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		wait := store.Append(inventory.Event{Seq: uint64(i + 1), Op: inventory.OpExpire, ID: "h-000001"})
+		wait := store.Append(inventory.Event{Seq: uint64(i + 1), Op: inventory.OpCommit, ID: "h-000001", OK: true})
 		if err := wait(); err != nil {
 			b.Fatal(err)
 		}

@@ -49,13 +49,18 @@
 // # Durability contract
 //
 // Store.Append implements inventory.JournalSink with group commit: events
-// enqueue under the inventory mutex, a single writer goroutine batches
-// whatever is pending into one write+fsync, and every waiter whose event
-// made the batch is released together. An acknowledged mutation is
-// therefore always recoverable, and one fsync pays for a whole burst of
-// concurrent mutations. An fsync failure latches the store into a
-// permanent error state — later appends fail fast rather than pretending
-// the log is still intact.
+// enqueue under the inventory mutex, and a single writer goroutine writes
+// whatever is pending in one write+fsync once someone waits for it — an
+// awaited append, a snapshot, a seal or Close — releasing every waiter
+// whose event made the batch together. Which acks wait is
+// inventory.Event.AckWaits: an accepted reserve, commit, add or withdraw
+// is recoverable once acknowledged, while a release, an expiry or a
+// refusal rides in the queue until the next awaited event carries it to
+// disk, and a crash before that may undo it. The bytes on disk are always
+// exactly the durable prefix of the log, and one fsync pays for a whole
+// burst of concurrent mutations. An fsync failure latches the store into
+// a permanent error state — every later append, awaited or not, fails
+// fast rather than pretending the log is still intact.
 package wal
 
 import (

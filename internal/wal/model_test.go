@@ -4,8 +4,10 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"io/fs"
 	"maps"
 	"os"
+	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
@@ -27,9 +29,11 @@ import (
 // counters must be the model's. The ops are reserve, commit, release, add,
 // withdraw, Sweep, a clock advance, kill-and-reopen (Close every store,
 // then Open or OpenSharded on the same directory, after a snapshot or
-// not), and a Withdraw raced against a Reserve of the same node, which may
-// land in either order. A failing script is cut to its shortest failing
-// prefix and printed with its seed.
+// not), a Withdraw raced against a Reserve of the same node, which may
+// land in either order, and a crash (boot a copy of the directory as it is
+// on disk, with no Close), after which each shard is back at its last
+// awaited event. A failing script is cut to its shortest failing prefix
+// and printed with its seed.
 func FuzzPoolModel(f *testing.F) {
 	for seed := uint64(1); seed <= 64; seed++ {
 		rng := randx.New(seed)
@@ -78,6 +82,7 @@ type poolModel struct {
 	commits map[string]map[int][]slots.Interval
 	ids     []string // every ID minted, in order
 	c       inventory.Counters
+	durable []*poolModel // by shard: the model as of the shard's last awaited event
 }
 
 func (m *poolModel) shardOf(node int) int { return inventory.ShardOf(node, m.shards) }
@@ -86,6 +91,7 @@ func (m *poolModel) clone() *poolModel {
 	c := *m
 	c.base, c.commits = maps.Clone(m.base), maps.Clone(m.commits)
 	c.ids = slices.Clone(m.ids)
+	c.durable = slices.Clone(m.durable)
 	c.holds = make(map[string]*modelHold, len(m.holds))
 	for id, h := range m.holds {
 		hc := *h
@@ -93,6 +99,25 @@ func (m *poolModel) clone() *poolModel {
 		c.holds[id] = &hc
 	}
 	return &c
+}
+
+// awaited records that shards just journaled an event whose ack waits
+// (inventory.Event.AckWaits): a crash rolls each of them back to here.
+func (m *poolModel) awaited(shards ...int) {
+	c := m.clone()
+	c.durable = nil
+	for _, si := range shards {
+		m.durable[si] = c
+	}
+}
+
+// allShards lists the shards, ascending.
+func (m *poolModel) allShards() []int {
+	all := make([]int, m.shards)
+	for si := range all {
+		all[si] = si
+	}
+	return all
 }
 
 // drop removes a hold once nothing holds it and no record names it.
@@ -161,6 +186,7 @@ func (m *poolModel) reserve(used map[int][]slots.Interval, ttl time.Duration) (s
 	}
 	m.c.Reserves += uint64(len(shards))
 	m.holds[id] = h
+	m.awaited(shards...)
 	return id, true
 }
 
@@ -187,6 +213,7 @@ func (m *poolModel) settle(id string, commit bool) bool {
 	if commit && live == len(h.shards) && h.client.After(m.now) {
 		m.c.Commits += uint64(live)
 		m.commits[id] = h.used
+		m.awaited(h.shards...)
 		return true
 	}
 	m.c.Releases += uint64(live)
@@ -215,6 +242,7 @@ func (m *poolModel) add(list slots.List) bool {
 		}
 		m.base[s.Node.ID] = slots.MergeIntervals(append(slices.Clone(m.base[s.Node.ID]), s.Interval))
 	}
+	m.awaited(sortedKeys(touched)...)
 	return true
 }
 
@@ -243,6 +271,7 @@ func (m *poolModel) withdraw(node int) ([]string, bool) {
 			m.settle(id, false)
 		}
 	}
+	m.awaited(si)
 	return cancelled, true
 }
 
@@ -287,6 +316,60 @@ func (m *poolModel) reopen() {
 			}
 		}
 	}
+	m.awaited(m.allShards()...) // a boot starts from what is on disk
+}
+
+// crashed is what a boot of the directory a kill left keeps: each shard as
+// of its last awaited event, and the counters less what the lost events
+// counted.
+func (m *poolModel) crashed(lost []inventory.Event) *poolModel {
+	r := m.clone()
+	r.base, r.holds, r.commits = map[int][]slots.Interval{}, map[string]*modelHold{}, map[string]map[int][]slots.Interval{}
+	for si, d := range m.durable {
+		for node, spans := range d.base {
+			if m.shardOf(node) == si {
+				r.base[node] = spans
+			}
+		}
+		for id, h := range d.holds {
+			if !h.parts[si] {
+				continue
+			}
+			rh := r.holds[id]
+			if rh == nil {
+				rh = &modelHold{used: map[int][]slots.Interval{}, parts: map[int]bool{}, shards: h.shards, deadline: h.deadline, client: h.client, routed: true}
+				r.holds[id] = rh
+			}
+			rh.parts[si] = true
+			for node, ivs := range h.used {
+				if m.shardOf(node) == si {
+					rh.used[node] = ivs
+				}
+			}
+		}
+		for id, used := range d.commits {
+			for node, ivs := range used {
+				if m.shardOf(node) == si {
+					if r.commits[id] == nil {
+						r.commits[id] = map[int][]slots.Interval{}
+					}
+					r.commits[id][node] = ivs
+				}
+			}
+		}
+	}
+	for _, ev := range lost {
+		switch {
+		case ev.Op == inventory.OpRelease && ev.OK:
+			r.c.Releases--
+		case ev.Op == inventory.OpExpire:
+			r.c.Expiries--
+		case ev.Op == inventory.OpReserve && !ev.OK:
+			r.c.Conflicts--
+		}
+	}
+	r.reopen()
+	return r
 }
 
 // free renders the free list: each base span minus what is allocated on
@@ -385,7 +468,7 @@ const (
 func parseModelOps(script []byte) []modelOp {
 	var ops []modelOp
 	for i := 0; i+modelOpBytes <= len(script) && len(ops) < maxModelOps; i += modelOpBytes {
-		ops = append(ops, modelOp{script[i] % 12, script[i+1], script[i+2], script[i+3], script[i+4]})
+		ops = append(ops, modelOp{script[i] % 13, script[i+1], script[i+2], script[i+3], script[i+4]})
 	}
 	return ops
 }
@@ -398,7 +481,7 @@ func (op modelOp) start() float64 {
 }
 
 func (op modelOp) String() string {
-	name := [...]string{"reserve", "reserve", "reserve", "commit", "commit", "release", "add", "withdraw", "sweep", "advance", "reopen", "race"}[op.kind]
+	name := [...]string{"reserve", "reserve", "reserve", "commit", "commit", "release", "add", "withdraw", "sweep", "advance", "reopen", "race", "crash"}[op.kind]
 	return fmt.Sprintf("%s(%d,%d,%d,%d)", name, op.a, op.b, op.c, op.d)
 }
 
@@ -458,16 +541,20 @@ func (p *modelPool) seed() slots.List {
 	return list
 }
 
+// shard is shard i of the pool; a flat pool is its own shard 0.
+func (p *modelPool) shard(i int) *inventory.Inventory {
+	if inv, ok := p.pool.(*inventory.Inventory); ok {
+		return inv
+	}
+	return p.pool.(*inventory.Sharded).Shard(i)
+}
+
 // reopen closes every store, after a snapshot of every shard when asked,
 // and boots the directory again.
 func (p *modelPool) reopen(snapshot bool) error {
 	for i, st := range p.stores {
 		if snapshot {
-			shard, ok := p.pool.(*inventory.Inventory)
-			if !ok {
-				shard = p.pool.(*inventory.Sharded).Shard(i)
-			}
-			if err := st.Snapshot(shard.ExportState()); err != nil {
+			if err := st.Snapshot(p.shard(i).ExportState()); err != nil {
 				return err
 			}
 		}
@@ -476,6 +563,89 @@ func (p *modelPool) reopen(snapshot bool) error {
 		}
 	}
 	return p.boot()
+}
+
+// crash copies the directory as it is on disk while the stores still run,
+// then closes them and boots the copy: what a kill leaves. It returns the
+// events the copy lost, which are the stores' queues — appended, never
+// written, because nothing waited for them.
+func (p *modelPool) crash() ([]inventory.Event, error) {
+	var lost []inventory.Event
+	for _, st := range p.stores {
+		st.mu.Lock()
+		queued := slices.Clone(st.queue)
+		st.mu.Unlock()
+		if stats := st.Stats(); stats.AppendedSeq-stats.DurableSeq != uint64(len(queued)) {
+			return nil, fmt.Errorf("store %+v is writing with %d events queued", stats, len(queued))
+		}
+		lost = append(lost, queued...)
+	}
+	dir, err := os.MkdirTemp(filepath.Dir(p.dir), "crash")
+	if err != nil {
+		return nil, err
+	}
+	err = filepath.WalkDir(p.dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(p.dir, path)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dir, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dir, rel), data, 0o644)
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, st := range p.stores {
+		if err := st.Close(); err != nil {
+			return nil, err
+		}
+	}
+	p.dir = dir
+	return lost, p.boot()
+}
+
+// checkCrash checks a crashed boot beyond what observe renders: the crash
+// undid no event whose ack waited, every hold kept the deadline the model
+// has for it (a resurrected one its original), and no two allocations of
+// a node overlap.
+func (p *modelPool) checkCrash(m *poolModel, lost []inventory.Event) error {
+	for _, ev := range lost {
+		if ev.AckWaits() {
+			return fmt.Errorf("the crash undid awaited event %d (%s %q)", ev.Seq, ev.Op, ev.ID)
+		}
+	}
+	alloc := map[int][]slots.Interval{}
+	for si := 0; si < p.shards; si++ {
+		st := p.shard(si).ExportState()
+		for _, h := range st.Holds {
+			if mh := m.holds[h.ID]; mh == nil || !h.Expires.Equal(mh.deadline) {
+				return fmt.Errorf("shard %d holds %s until %v; the model has %+v", si, h.ID, h.Expires, mh)
+			}
+			for node, ivs := range h.Window.UsedIntervals() {
+				alloc[node] = append(alloc[node], ivs...)
+			}
+		}
+		for _, c := range st.Committed {
+			for node, ivs := range c.Window.UsedIntervals() {
+				alloc[node] = append(alloc[node], ivs...)
+			}
+		}
+	}
+	for node, ivs := range alloc {
+		sort.Slice(ivs, func(i, j int) bool { return ivs[i].Start < ivs[j].Start })
+		for k := 1; k < len(ivs); k++ {
+			if ivs[k-1].Overlaps(ivs[k]) {
+				return fmt.Errorf("node %d is double-booked: %v and %v", node, ivs[k-1], ivs[k])
+			}
+		}
+	}
+	return nil
 }
 
 // window is a window of one placement per node, all starting at start.
@@ -544,8 +714,10 @@ func runModel(t *testing.T, shards int, ops []modelOp) (int, error) {
 	}()
 	m := &poolModel{shards: shards, now: p.now, base: map[int][]slots.Interval{}, holds: map[string]*modelHold{},
 		commits: map[string]map[int][]slots.Interval{}}
+	m.durable = make([]*poolModel, shards)
 	m.add(p.seed())
 	m.c.Adds = uint64(shards) // every shard journals its construction
+	m.awaited(m.allShards()...)
 	for i, op := range ops {
 		pick := "r99999999" // never minted
 		if k := int(op.a) % (len(m.ids) + 1); k < len(m.ids) {
@@ -629,6 +801,15 @@ func runModel(t *testing.T, shards int, ops []modelOp) (int, error) {
 			}
 			if want != got {
 				return i + 1, fmt.Errorf("%v: pool\n%s\nmatches neither order:\n%s", op, got, strings.Join(wants, "\n"))
+			}
+		case 12:
+			lost, err := p.crash()
+			if err != nil {
+				return i + 1, fmt.Errorf("crash: %w", err)
+			}
+			m = m.crashed(lost)
+			if err := p.checkCrash(m, lost); err != nil {
+				return i + 1, fmt.Errorf("crash: %w", err)
 			}
 		}
 		if got != want {

@@ -89,10 +89,12 @@ type Store struct {
 	fsyncs      atomic.Uint64
 
 	mu      sync.Mutex
-	cond    *sync.Cond
+	cond    *sync.Cond // broadcast when a batch is durable, a seal is done or the store fails
+	kick    *sync.Cond // wakes the writer: demand, a seal or Close
 	queue   []inventory.Event
-	sealing bool  // a snapshot asked the writer to seal the active segment
-	err     error // latched first I/O failure; permanent
+	demand  uint64 // the highest seq someone waits for
+	sealing bool   // a snapshot asked the writer to seal the active segment
+	err     error  // latched first I/O failure; permanent
 	closed  bool
 	done    chan struct{}
 
@@ -125,6 +127,7 @@ func createFS(fs fsys, dir string, lastSeq uint64, opts Options) (*Store, error)
 	s := &Store{dir: dir, opts: opts, fs: fs, done: make(chan struct{}), lastSeq: lastSeq,
 		sealBytes: min(opts.SegmentBytes, sealBytes)}
 	s.cond = sync.NewCond(&s.mu)
+	s.kick = sync.NewCond(&s.mu)
 	s.appendedSeq.Store(lastSeq)
 	s.durableSeq.Store(lastSeq)
 	// Resume the newest existing segment if it can still grow; otherwise
@@ -153,9 +156,13 @@ func createFS(fs fsys, dir string, lastSeq uint64, opts Options) (*Store, error)
 	return s, nil
 }
 
-// Append implements inventory.JournalSink: it enqueues the event and
-// returns a wait that blocks until the event is fsync'd. Called with the
-// inventory mutex held, so it must not perform I/O.
+// Append implements inventory.JournalSink: it enqueues the event and, when
+// the event's ack waits (inventory.Event.AckWaits), asks the writer for it
+// and returns a wait that blocks until it is fsync'd. Any other event
+// returns a nil wait and stays queued, unwritten, until the next demand
+// writes it with everything before it. A latched or closed store returns
+// the failing wait for every event, so it fail-stops releases too. Called
+// with the inventory mutex held, so it must not perform I/O.
 func (s *Store) Append(ev inventory.Event) (wait func() error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -172,15 +179,33 @@ func (s *Store) Append(ev inventory.Event) (wait func() error) {
 	}
 	s.queue = append(s.queue, ev)
 	s.appendedSeq.Store(ev.Seq)
+	if !ev.AckWaits() {
+		return nil
+	}
 	seq := ev.Seq
-	s.cond.Signal()
+	s.demandLocked(seq)
 	return func() error { return s.waitDurable(seq) }
 }
 
-// waitDurable blocks until seq is fsync'd or the store fails/closes.
+// demandLocked asks the writer to make everything through seq durable.
+func (s *Store) demandLocked(seq uint64) {
+	if seq > s.demand {
+		s.demand = seq
+		s.kick.Signal()
+	}
+}
+
+// demandedLocked reports whether someone waits for a queued event.
+func (s *Store) demandedLocked() bool {
+	return len(s.queue) > 0 && s.demand > s.durableSeq.Load()
+}
+
+// waitDurable demands seq and blocks until it is fsync'd or the store
+// fails/closes.
 func (s *Store) waitDurable(seq uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.demandLocked(seq)
 	for s.durableSeq.Load() < seq && s.err == nil && !s.closed {
 		s.cond.Wait()
 	}
@@ -193,16 +218,18 @@ func (s *Store) waitDurable(seq uint64) error {
 	return fmt.Errorf("wal: store closed before seq %d became durable", seq)
 }
 
-// writer is the single log-writing goroutine: it drains whatever is
-// queued into one write+fsync (group commit) and releases the waiters. A
-// seal a snapshot asked for runs first, so the next segment starts right
-// after the last frame written.
+// writer is the single log-writing goroutine: once someone waits for a
+// queued event, or a snapshot asks for a seal, or Close, it drains the
+// whole queue into one write+fsync (group commit) and releases the
+// waiters. Without demand it writes nothing, so the bytes on disk are
+// always the durable prefix. A seal runs before the batch, so the next
+// segment starts right after the last frame written.
 func (s *Store) writer() {
 	defer close(s.done)
 	for {
 		s.mu.Lock()
-		for len(s.queue) == 0 && !s.sealing && !s.closed && s.err == nil {
-			s.cond.Wait()
+		for !s.demandedLocked() && !s.sealing && !s.closed && s.err == nil {
+			s.kick.Wait()
 		}
 		if s.err != nil || (s.closed && len(s.queue) == 0) {
 			s.mu.Unlock()
@@ -336,6 +363,7 @@ func (s *Store) Snapshot(st *inventory.State) error {
 			s.err = err
 		}
 		s.cond.Broadcast()
+		s.kick.Signal()
 		s.mu.Unlock()
 		return err
 	}
@@ -355,7 +383,7 @@ func (s *Store) requestSeal() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sealing = true
-	s.cond.Broadcast()
+	s.kick.Signal()
 	for s.sealing && s.err == nil && !s.closed {
 		s.cond.Wait()
 	}
@@ -442,8 +470,8 @@ func (s *Store) Err() error {
 	return s.err
 }
 
-// Close drains the queue, fsyncs, and stops the writer. Appends after
-// Close fail immediately.
+// Close writes and fsyncs the whole queue, awaited or not, and stops the
+// writer. Appends after Close fail immediately.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -453,6 +481,7 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	s.cond.Broadcast()
+	s.kick.Signal()
 	s.mu.Unlock()
 	<-s.done
 	s.mu.Lock()

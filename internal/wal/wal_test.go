@@ -290,7 +290,7 @@ func TestGroupCommitUnderConcurrency(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := randx.New(11)
-		inv, err := inventory.New(testkit.RandomList(rng, 12, 3, 300), inventory.Options{MinSlotLength: minLen, Sink: store})
+		inv, err := inventory.New(testkit.RandomList(rng, 12, 3, 300), inventory.Options{MinSlotLength: minLen, Sink: store, Record: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,9 +303,17 @@ func TestGroupCommitUnderConcurrency(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
+		// Every awaited ack is durable; the unawaited events after the
+		// last one may still be queued.
+		var awaited uint64
+		for _, ev := range inv.Journal() {
+			if ev.AckWaits() {
+				awaited = ev.Seq
+			}
+		}
 		stats := store.Stats()
-		if stats.DurableSeq != inv.Seq() {
-			t.Fatalf("acked mutations not durable: durable %d, inventory seq %d", stats.DurableSeq, inv.Seq())
+		if stats.DurableSeq < awaited {
+			t.Fatalf("acked mutations not durable: durable %d, last awaited seq %d", stats.DurableSeq, awaited)
 		}
 		// Group commit must have batched: strictly fewer fsyncs than events.
 		if stats.Fsyncs >= stats.DurableSeq {
@@ -313,6 +321,9 @@ func TestGroupCommitUnderConcurrency(t *testing.T) {
 		}
 		if err := store.Close(); err != nil {
 			t.Fatal(err)
+		}
+		if got := store.Stats().DurableSeq; got != inv.Seq() {
+			t.Fatalf("Close left events unwritten: durable %d, inventory seq %d", got, inv.Seq())
 		}
 		rec, store2, _, err := Open(dir, inventory.Options{MinSlotLength: minLen}, Options{})
 		if err != nil {
@@ -527,6 +538,115 @@ func TestSnapshotWaitsForDurability(t *testing.T) {
 	st := &inventory.State{Seq: 99, Version: 1}
 	if err := store.Snapshot(st); err == nil {
 		t.Fatal("snapshot of never-durable seq succeeded")
+	}
+}
+
+// segmentBytes is the total size of dir's log segments.
+func segmentBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	segs, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for _, sg := range segs {
+		fi, err := os.Stat(sg.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += fi.Size()
+	}
+	return n
+}
+
+// TestUnawaitedEventsWriteOnDemand pins the demand-driven writer: releases,
+// expiries and refusals cost no fsync and no segment byte until an awaited
+// event makes them durable with one fsync of its own, and a snapshot over
+// a tail of them alone returns rather than waiting for a demand that never
+// comes.
+func TestUnawaitedEventsWriteOnDemand(t *testing.T) {
+	dir := t.TempDir()
+	_, store, _, err := Open(dir, inventory.Options{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	now := time.Unix(1_700_000_000, 0)
+	inv, err := inventory.New(testkit.RandomList(randx.New(3), 8, 3, 300),
+		inventory.Options{Sink: store, Clock: func() time.Time { return now }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := &job.Request{TaskCount: 1, Volume: 20, MaxCost: 5000}
+	var held []*inventory.Reservation
+	for i := 0; i < 6; i++ {
+		res, err := inv.Reserve(req, core.AMP{}, time.Duration(i+1)*time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, res)
+	}
+	fsyncs, size := store.Stats().Fsyncs, segmentBytes(t, dir)
+	quiet := func(what string) {
+		t.Helper()
+		if st := store.Stats(); st.Fsyncs != fsyncs || st.AppendedSeq != inv.Seq() || st.DurableSeq >= st.AppendedSeq {
+			t.Fatalf("after %s: %+v, want %d fsyncs and seq %d appended, not durable", what, st, fsyncs, inv.Seq())
+		}
+		if got := segmentBytes(t, dir); got != size {
+			t.Fatalf("after %s: segments hold %d bytes, want %d", what, got, size)
+		}
+	}
+	for _, res := range held[:3] {
+		if err := inv.Release(res.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	quiet("releases")
+	if _, err := inv.ReserveWindow(held[3].Window, time.Minute); err != inventory.ErrConflict {
+		t.Fatalf("reserve over a hold: %v, want a conflict", err)
+	}
+	if _, err := inv.Commit(held[0].ID); err != inventory.ErrUnknownReservation {
+		t.Fatalf("commit of a released hold: %v", err)
+	}
+	if err := inv.Release("r99999999"); err != inventory.ErrUnknownReservation {
+		t.Fatalf("release of an unknown hold: %v", err)
+	}
+	if _, err := inv.Withdraw(999); err != inventory.ErrUnknownNode {
+		t.Fatalf("withdraw of an unknown node: %v", err)
+	}
+	quiet("refusals")
+	now = now.Add(4*time.Minute + time.Second)
+	if n := inv.Sweep(); n != 1 {
+		t.Fatalf("swept %d holds, want 1", n)
+	}
+	quiet("an expiry")
+
+	// The next awaited event carries the whole tail in one fsync.
+	if _, err := inv.Commit(held[4].ID); err != nil {
+		t.Fatal(err)
+	}
+	if st := store.Stats(); st.Fsyncs != fsyncs+1 || st.DurableSeq != inv.Seq() {
+		t.Fatalf("after a commit: %+v, want %d fsyncs and seq %d durable", st, fsyncs+1, inv.Seq())
+	}
+	if segmentBytes(t, dir) <= size {
+		t.Fatal("the commit wrote nothing")
+	}
+
+	if err := inv.Release(held[5].ID); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- store.Snapshot(inv.ExportState()) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("snapshot over an unawaited tail did not return")
+	}
+	if st := store.Stats(); st.DurableSeq != inv.Seq() || st.SnapshotSeq != inv.Seq() {
+		t.Fatalf("after the snapshot: %+v, want seq %d durable and covered", st, inv.Seq())
 	}
 }
 
