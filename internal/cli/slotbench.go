@@ -22,6 +22,7 @@ import (
 	"slotsel/internal/randx"
 	"slotsel/internal/slots"
 	"slotsel/internal/testkit"
+	"slotsel/internal/wal"
 )
 
 // benchResult is one grid point of the harness, serialized into the
@@ -489,10 +490,11 @@ func benchChurnOps(seed uint64) ([]benchOp, error) {
 	}
 	var ops []benchOp
 	for _, nShards := range []int{1, 2, 4} {
-		pool, err := inventory.NewPool(list, inventory.Options{MinSlotLength: 1, Shards: nShards})
+		stack, err := wal.Boot("", func() (slots.List, error) { return list, nil }, inventory.Options{MinSlotLength: 1, Shards: nShards}, wal.Options{})
 		if err != nil {
 			return nil, err
 		}
+		pool := stack.Pool
 		// One window per node, on the node's first free slot: windows on
 		// distinct nodes never contend for capacity, so every reserve
 		// succeeds and parallel workers measure lock contention, not

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -103,90 +104,43 @@ func Slotserve(args []string, stdout, stderr io.Writer) int {
 		RequestLog:     reqLog,
 	}
 
-	var inv inventory.Pool
-	var stores []*wal.Store // -data-dir: the one store, or store i behind shard i
-	closeStores := func() {
-		for _, st := range stores {
-			st.Close()
-		}
+	var walOpts wal.Options
+	if *dataDir != "" {
+		walOpts.OnFsync = server.FsyncHistogram(reg)
 	}
-	switch {
-	case *dataDir != "" && *shards > 1:
-		walOpts := wal.Options{OnFsync: server.FsyncHistogram(reg)}
-		pool, sts, results, err := wal.OpenSharded(*dataDir, *shards, invOpts, walOpts)
-		if err != nil {
-			fmt.Fprintln(stderr, "slotserve:", err)
-			return 1
-		}
-		stores = sts
-		srvOpts.WALs = sts
-		if pool != nil {
-			inv = pool
-			if *slotFile != "" {
-				fmt.Fprintf(stderr, "slotserve: %s already holds state; -slots %s ignored (recovered state wins)\n", *dataDir, *slotFile)
-			}
-			events, truncated := 0, false
-			for _, res := range results {
-				events += len(res.Events)
-				truncated = truncated || res.Truncated
-			}
-			fmt.Fprintf(stderr, "slotserve: recovered %d shards from %s (%d events replayed, torn tail truncated: %v)\n",
-				*shards, *dataDir, events, truncated)
-		}
-
-	case *dataDir != "":
-		walOpts := wal.Options{OnFsync: server.FsyncHistogram(reg)}
-		recovered, store, res, err := wal.Open(*dataDir, invOpts, walOpts)
-		if err != nil {
-			fmt.Fprintln(stderr, "slotserve:", err)
-			return 1
-		}
-		stores = []*wal.Store{store}
-		srvOpts.WAL = store
-		if recovered != nil {
-			inv = recovered
-			if *slotFile != "" {
-				fmt.Fprintf(stderr, "slotserve: %s already holds state; -slots %s ignored (recovered state wins)\n", *dataDir, *slotFile)
-			}
-			fmt.Fprintf(stderr, "slotserve: recovered seq %d from %s (%d events replayed, torn tail truncated: %v)\n",
-				res.LastSeq, *dataDir, len(res.Events), res.Truncated)
-		}
-
-	default:
-		list, err := loadSlotFile(*slotFile)
-		if err != nil {
-			fmt.Fprintln(stderr, "slotserve:", err)
-			return 1
-		}
-		inv, err = inventory.NewPool(list, invOpts)
-		if err != nil {
-			fmt.Fprintln(stderr, "slotserve:", err)
-			return 1
-		}
-	}
-	if inv == nil {
-		// A fresh -data-dir: seed it from -slots, each store journaling
-		// the construction of its inventory.
+	seed := func() (slots.List, error) {
 		if *slotFile == "" {
-			closeStores()
-			fmt.Fprintf(stderr, "slotserve: %s is empty; -slots is required to seed a fresh durable inventory\n", *dataDir)
-			return 2
+			return nil, errNoSlots
 		}
-		list, err := loadSlotFile(*slotFile)
-		if err == nil && len(stores) > 1 {
-			inv, err = wal.SeedSharded(list, invOpts, stores)
-		} else if err == nil {
-			seedOpts := invOpts
-			seedOpts.Sink = stores[0]
-			inv, err = inventory.New(list, seedOpts)
-		}
-		if err != nil {
-			closeStores()
-			fmt.Fprintln(stderr, "slotserve:", err)
-			return 1
-		}
+		return loadSlotFile(*slotFile)
 	}
-	handler := server.New(inv, srvOpts)
+	stack, err := wal.Boot(*dataDir, seed, invOpts, walOpts)
+	if errors.Is(err, errNoSlots) {
+		fmt.Fprintf(stderr, "slotserve: %s is empty; -slots is required to seed a fresh durable inventory\n", *dataDir)
+		return 2
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "slotserve:", err)
+		return 1
+	}
+	srvOpts.WALs = stack.Stores
+	if stack.Results != nil {
+		if *slotFile != "" {
+			fmt.Fprintf(stderr, "slotserve: %s already holds state; -slots %s ignored (recovered state wins)\n", *dataDir, *slotFile)
+		}
+		events, truncated := 0, false
+		for _, res := range stack.Results {
+			events += len(res.Events)
+			truncated = truncated || res.Truncated
+		}
+		what := fmt.Sprintf("%d shards", len(stack.Results))
+		if len(stack.Results) == 1 {
+			what = fmt.Sprintf("seq %d", stack.Results[0].LastSeq)
+		}
+		fmt.Fprintf(stderr, "slotserve: recovered %s from %s (%d events replayed, torn tail truncated: %v)\n",
+			what, *dataDir, events, truncated)
+	}
+	handler := server.New(stack.Pool, srvOpts)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -201,27 +155,19 @@ func Slotserve(args []string, stdout, stderr io.Writer) int {
 		signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	}
 	fmt.Fprintf(stderr, "slotserve: %d free slots loaded, listening on http://%s\n",
-		len(inv.Snapshot().Slots), ln.Addr())
+		len(stack.Pool.Snapshot().Slots), ln.Addr())
 
-	// Background upkeep: one snapshotter per store, each snapshotting its
-	// own inventory's state on its own cadence. Stopped (and drained)
+	// Background upkeep: one snapshotter per store, each snapshotting the
+	// inventory it journals on its own cadence. Stopped (and drained)
 	// before the WAL stores close.
 	bgStop := make(chan struct{})
 	var bg sync.WaitGroup
-	// journaled(i) is the inventory whose journal stores[i] holds: the one
-	// pool, or shard i of a sharded one.
-	journaled := func(i int) *inventory.Inventory {
-		if sp, ok := inv.(*inventory.Sharded); ok {
-			return sp.Shard(i)
-		}
-		return inv.(*inventory.Inventory)
-	}
-	for i, st := range stores {
+	for i, st := range stack.Stores {
 		bg.Add(1)
 		go func(inv *inventory.Inventory, st *wal.Store) {
 			defer bg.Done()
 			snapshotLoop(inv, st, *snapIvl, *snapEvts, bgStop, stderr)
-		}(journaled(i), st)
+		}(stack.Shards[i], st)
 	}
 
 	srv := &http.Server{Handler: handler}
@@ -260,19 +206,15 @@ func Slotserve(args []string, stdout, stderr io.Writer) int {
 
 	close(bgStop)
 	bg.Wait()
-	// Final flush, store by store: a parting snapshot makes the next boot's
-	// replay instant, and Close drains any still-queued appends to disk.
-	for i, st := range stores {
-		if stats := st.Stats(); stats.AppendedSeq > stats.SnapshotSeq {
-			if err := st.Snapshot(journaled(i).ExportState()); err != nil {
-				fmt.Fprintf(stderr, "slotserve: final snapshot (store %d): %v\n", i, err)
-				code = 1
-			}
-		}
-		if err := st.Close(); err != nil {
-			fmt.Fprintf(stderr, "slotserve: wal close (store %d): %v\n", i, err)
-			code = 1
-		}
+	// Final flush: a parting snapshot makes the next boot's replay
+	// instant, and Close drains any still-queued appends to disk.
+	if err := stack.Snapshot(); err != nil {
+		fmt.Fprintln(stderr, "slotserve: final snapshot:", err)
+		code = 1
+	}
+	if err := stack.Close(); err != nil {
+		fmt.Fprintln(stderr, "slotserve: wal close:", err)
+		code = 1
 	}
 
 	if obsF.stats {
@@ -284,6 +226,9 @@ func Slotserve(args []string, stdout, stderr io.Writer) int {
 	}
 	return code
 }
+
+// errNoSlots is the seed error of a fresh -data-dir booted without -slots.
+var errNoSlots = errors.New("no -slots to seed from")
 
 // snapshotLoop writes periodic snapshots: once interval has passed since
 // the last one (or every journal events have accumulated, when every > 0)

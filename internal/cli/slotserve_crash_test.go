@@ -2,8 +2,8 @@ package cli
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -19,6 +19,10 @@ import (
 	"slotsel/internal/slots"
 	"slotsel/internal/wal"
 )
+
+// noState is the seed of an in-process boot that must recover state: a
+// directory with none fails it.
+func noState() (slots.List, error) { return nil, errors.New("recovery found no state at all") }
 
 // TestMain doubles the test binary as a slotserve executable: the SIGKILL
 // e2e needs a real separate process to kill (an in-process server cannot
@@ -40,24 +44,7 @@ func TestMain(m *testing.M) {
 type serveProc struct {
 	cmd    *exec.Cmd
 	addr   string
-	stderr *syncBuffer
-}
-
-type syncBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (b *syncBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *syncBuffer) String() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.String()
+	stderr *syncBuf
 }
 
 // startServeProc launches the test binary as slotserve and waits for its
@@ -77,7 +64,7 @@ func startServeProc(t *testing.T, args ...string) *serveProc {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	p := &serveProc{cmd: cmd, stderr: &syncBuffer{}}
+	p := &serveProc{cmd: cmd, stderr: &syncBuf{}}
 	t.Cleanup(func() {
 		if cmd.ProcessState == nil {
 			cmd.Process.Kill()
@@ -215,14 +202,12 @@ func TestSlotserveKillDuringChurn(t *testing.T) {
 	wg.Wait()
 
 	// Recover the directory in-process and check the contract.
-	inv, store, res, err := wal.Open(walDir, inventory.Options{}, wal.Options{})
+	stack, err := wal.Boot(walDir, noState, inventory.Options{}, wal.Options{})
 	if err != nil {
 		t.Fatalf("recovery after SIGKILL failed: %v", err)
 	}
+	inv, store, res := stack.Shards[0], stack.Stores[0], stack.Results[0]
 	defer store.Close()
-	if inv == nil {
-		t.Fatal("recovery found no state at all")
-	}
 	st := inv.ExportState()
 	committed := map[string]bool{}
 	for _, c := range st.Committed {
@@ -403,13 +388,11 @@ func TestSlotserveShardedKillDuringChurn(t *testing.T) {
 	wg.Wait()
 
 	// Recover the 4-shard layout in-process and check the contract.
-	pool, stores, results, err := wal.OpenSharded(walDir, nShards, inventory.Options{}, wal.Options{})
+	stack, err := wal.Boot(walDir, noState, inventory.Options{Shards: nShards}, wal.Options{})
 	if err != nil {
 		t.Fatalf("sharded recovery after SIGKILL failed: %v", err)
 	}
-	if pool == nil {
-		t.Fatal("sharded recovery found no state at all")
-	}
+	pool, stores, results := stack.Pool, stack.Stores, stack.Results
 	committed := pool.Committed()
 	mu.Lock()
 	for _, id := range acked {
@@ -444,7 +427,7 @@ func TestSlotserveShardedKillDuringChurn(t *testing.T) {
 		}
 	}
 	for i := 0; i < nShards; i++ {
-		st := pool.Shard(i).ExportState()
+		st := stack.Shards[i].ExportState()
 		for _, c := range st.Committed {
 			check(c.ID, c.Window.UsedIntervals())
 		}

@@ -43,23 +43,8 @@ func TestSlotserveTelemetry(t *testing.T) {
 		t.Fatalf("slotgen: exit %d, stderr %q", code, stderr)
 	}
 
-	addrc := make(chan string, 1)
-	var shutdown func()
-	slotserveTestHook = func(addr string, stop func()) {
-		shutdown = stop
-		addrc <- addr
-	}
-	t.Cleanup(func() { slotserveTestHook = nil })
-
-	var out, errBuf syncBuf
-	done := make(chan int, 1)
-	go func() {
-		done <- Slotserve([]string{
-			"-addr", "localhost:0", "-slots", file,
-			"-log-format", "json", "-pprof", "localhost:0",
-		}, &out, &errBuf)
-	}()
-	base := "http://" + <-addrc
+	srv := startSlotserve(t, "-slots", file, "-log-format", "json", "-pprof", "localhost:0")
+	base, out, errBuf := srv.base, &srv.stdout, &srv.stderr
 
 	resp, err := http.Post(base+"/v1/find", "application/json",
 		strings.NewReader(`{"request":{"tasks":2,"volume":20,"max_cost":100000},"alg":"mincost"}`))
@@ -125,8 +110,8 @@ func TestSlotserveTelemetry(t *testing.T) {
 		t.Errorf("pprof heap: status %d, body %.80q", resp.StatusCode, body)
 	}
 
-	shutdown()
-	if code := <-done; code != 0 {
+	srv.stop()
+	if code := <-srv.done; code != 0 {
 		t.Fatalf("slotserve exit %d, stderr %q", code, errBuf.String())
 	}
 

@@ -34,6 +34,36 @@ func TestSlotserveUsageErrors(t *testing.T) {
 	}
 }
 
+// served is a Slotserve run in-process on a free localhost port.
+type served struct {
+	base           string
+	stdout, stderr syncBuf
+	stop           func()   // takes the SIGTERM path
+	done           chan int // receives the exit code
+}
+
+// startSlotserve starts Slotserve with args. A run that exits before it
+// listens fails the test.
+func startSlotserve(t *testing.T, args ...string) *served {
+	t.Helper()
+	s := &served{done: make(chan int, 1)}
+	addrc := make(chan string, 1)
+	slotserveTestHook = func(addr string, stop func()) {
+		s.stop = stop
+		addrc <- addr
+	}
+	t.Cleanup(func() { slotserveTestHook = nil })
+	go func() { s.done <- Slotserve(append([]string{"-addr", "localhost:0"}, args...), &s.stdout, &s.stderr) }()
+	select {
+	case addr := <-addrc:
+		s.base = "http://" + addr
+		return s
+	case code := <-s.done:
+		t.Fatalf("slotserve %v exited %d before listening: %s", args, code, s.stderr.String())
+		return nil
+	}
+}
+
 // TestSlotservePipeline is the end-to-end CLI walkthrough: slotgen writes a
 // snapshot (both formats), slotserve loads it, and a reserve/commit cycle
 // runs over real HTTP before a clean shutdown.
@@ -53,29 +83,8 @@ func TestSlotservePipeline(t *testing.T) {
 				t.Fatalf("slotgen: exit %d, stderr %q", code, stderr)
 			}
 
-			addrc := make(chan string, 1)
-			var shutdown func()
-			slotserveTestHook = func(addr string, stop func()) {
-				shutdown = stop
-				addrc <- addr
-			}
-			t.Cleanup(func() { slotserveTestHook = nil })
-
-			done := make(chan struct {
-				code   int
-				stderr string
-			}, 1)
-			go func() {
-				var out, errBuf bytes.Buffer
-				code := Slotserve([]string{"-addr", "localhost:0", "-slots", file}, &out, &errBuf)
-				done <- struct {
-					code   int
-					stderr string
-				}{code, errBuf.String()}
-			}()
-
-			addr := <-addrc
-			base := "http://" + addr
+			srv := startSlotserve(t, "-slots", file)
+			base := srv.base
 
 			resp, err := http.Post(base+"/v1/reserve", "application/json",
 				strings.NewReader(`{"request":{"tasks":2,"volume":20,"max_cost":100000}}`))
@@ -122,13 +131,12 @@ func TestSlotservePipeline(t *testing.T) {
 				t.Fatalf("statusz commits = %d, want 1", status.Inventory.Counters.Commits)
 			}
 
-			shutdown()
-			r := <-done
-			if r.code != 0 {
-				t.Fatalf("slotserve exit %d, stderr %q", r.code, r.stderr)
+			srv.stop()
+			if code := <-srv.done; code != 0 {
+				t.Fatalf("slotserve exit %d, stderr %q", code, srv.stderr.String())
 			}
-			if !strings.Contains(r.stderr, "listening on") || !strings.Contains(r.stderr, "drained") {
-				t.Errorf("stderr missing lifecycle lines: %q", r.stderr)
+			if stderr := srv.stderr.String(); !strings.Contains(stderr, "listening on") || !strings.Contains(stderr, "drained") {
+				t.Errorf("stderr missing lifecycle lines: %q", stderr)
 			}
 		})
 	}
@@ -149,27 +157,8 @@ func TestSlotserveDrainMidCycle(t *testing.T) {
 		t.Fatalf("slotgen: exit %d, stderr %q", code, stderr)
 	}
 
-	addrc := make(chan string, 1)
-	var shutdown func()
-	slotserveTestHook = func(addr string, stop func()) {
-		shutdown = stop
-		addrc <- addr
-	}
-	t.Cleanup(func() { slotserveTestHook = nil })
-
-	done := make(chan struct {
-		code   int
-		stderr string
-	}, 1)
-	go func() {
-		var out, errBuf bytes.Buffer
-		code := Slotserve([]string{"-addr", "localhost:0", "-slots", file}, &out, &errBuf)
-		done <- struct {
-			code   int
-			stderr string
-		}{code, errBuf.String()}
-	}()
-	addr := <-addrc
+	srv := startSlotserve(t, "-slots", file)
+	addr := strings.TrimPrefix(srv.base, "http://")
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -189,7 +178,7 @@ func TestSlotserveDrainMidCycle(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 
 	// SIGTERM path fires mid-cycle.
-	shutdown()
+	srv.stop()
 	time.Sleep(50 * time.Millisecond)
 
 	// Complete the body; the drained server must still answer in full.
@@ -214,12 +203,74 @@ func TestSlotserveDrainMidCycle(t *testing.T) {
 		t.Fatal("mid-drain reserve completed without a reservation ID")
 	}
 
-	r := <-done
-	if r.code != 0 {
-		t.Fatalf("slotserve exit %d, stderr %q", r.code, r.stderr)
+	if code := <-srv.done; code != 0 {
+		t.Fatalf("slotserve exit %d, stderr %q", code, srv.stderr.String())
 	}
-	if !strings.Contains(r.stderr, "drained") {
-		t.Errorf("stderr missing drain line: %q", r.stderr)
+	if stderr := srv.stderr.String(); !strings.Contains(stderr, "drained") {
+		t.Errorf("stderr missing drain line: %q", stderr)
+	}
+}
+
+// TestSlotserveBootContract pins how slotserve boots a -data-dir: a fresh
+// one needs -slots to seed it; a populated one keeps its recovered state
+// over another -slots file, at 1 and 4 shards; and a flat boot of a
+// 4-shard directory is refused and leaves the directory as it was.
+func TestSlotserveBootContract(t *testing.T) {
+	dir := t.TempDir()
+	seedA, seedB := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")
+	for file, seed := range map[string]string{seedA: "7", seedB: "8"} {
+		if code, _, stderr := runSlotgen(t, "-nodes", "10", "-seed", seed, "-o", file); code != 0 {
+			t.Fatalf("slotgen: exit %d, stderr %q", code, stderr)
+		}
+	}
+
+	if code, _, stderr := runSlotserve(t, "-data-dir", filepath.Join(dir, "fresh")); code != 2 || !strings.Contains(stderr, "-slots is required to seed") {
+		t.Errorf("fresh -data-dir without -slots: exit %d, stderr %q, want 2", code, stderr)
+	}
+
+	freeSlots := func(base string) string {
+		t.Helper()
+		resp, err := http.Get(base + "/v1/slots")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("/v1/slots: status %d, %v", resp.StatusCode, err)
+		}
+		return string(body)
+	}
+	for _, shards := range []string{"1", "4"} {
+		data := filepath.Join(dir, "data-"+shards)
+		srv := startSlotserve(t, "-slots", seedA, "-data-dir", data, "-shards", shards)
+		before := freeSlots(srv.base)
+		srv.stop()
+		if code := <-srv.done; code != 0 {
+			t.Fatalf("shards=%s: first boot exit %d, stderr %q", shards, code, srv.stderr.String())
+		}
+
+		srv = startSlotserve(t, "-slots", seedB, "-data-dir", data, "-shards", shards)
+		after := freeSlots(srv.base)
+		srv.stop()
+		if code, stderr := <-srv.done, srv.stderr.String(); code != 0 || !strings.Contains(stderr, "recovered state wins") {
+			t.Errorf("shards=%s: second boot with -slots: exit %d, stderr %q", shards, code, stderr)
+		}
+		if after != before {
+			t.Errorf("shards=%s: the second boot serves other free slots than the first left:\n%s\nwant\n%s", shards, after, before)
+		}
+	}
+
+	// A flat boot that got past the layout check would listen: shut it
+	// down at once, so the test fails instead of hanging.
+	slotserveTestHook = func(_ string, stop func()) { stop() }
+	sharded := filepath.Join(dir, "data-4")
+	was, _ := filepath.Glob(filepath.Join(sharded, "*"))
+	if code, _, stderr := runSlotserve(t, "-addr", "localhost:0", "-slots", seedA, "-data-dir", sharded, "-shards", "1"); code != 1 || !strings.Contains(stderr, "shard-00") {
+		t.Errorf("-shards 1 on a 4-shard directory: exit %d, stderr %q, want 1 naming shard-00", code, stderr)
+	}
+	if now, _ := filepath.Glob(filepath.Join(sharded, "*")); fmt.Sprint(now) != fmt.Sprint(was) {
+		t.Errorf("a refused flat boot changed the directory: %v, was %v", now, was)
 	}
 }
 

@@ -46,7 +46,6 @@ package inventory
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -124,10 +123,10 @@ type Options struct {
 	// nil = time.Now.
 	Clock func() time.Time
 
-	// Shards partitions the pool (NewPool, NewSharded): slots are routed to
-	// shards by a stable hash of their node ID, each shard an independent
-	// Inventory with its own mutex, snapshot, journal and sweeper. 0 means
-	// GOMAXPROCS. There is no 1-shard router: below 2 shards NewPool returns
+	// Shards partitions the pool (NewSharded, wal.Boot): slots are routed
+	// to shards by a stable hash of their node ID, each shard an
+	// independent Inventory with its own mutex, snapshot, journal and
+	// sweeper. There is no 1-shard router: below 2 shards wal.Boot builds
 	// a plain Inventory and NewSharded refuses. Ignored by New.
 	Shards int
 }
@@ -296,26 +295,6 @@ func New(list slots.List, opts Options) (*Inventory, error) {
 		return nil, err
 	}
 	return inv, nil
-}
-
-// NewPool builds the pool opts.Shards asks for: the sharded router at two
-// or more shards, a single Inventory below that (0 means GOMAXPROCS).
-func NewPool(list slots.List, opts Options) (Pool, error) {
-	if opts.Shards == 0 {
-		opts.Shards = runtime.GOMAXPROCS(0)
-	}
-	if opts.Shards < 2 {
-		inv, err := New(list, opts)
-		if err != nil {
-			return nil, err
-		}
-		return inv, nil
-	}
-	s, err := NewSharded(list, opts)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // AttachSink installs the durable journal sink after construction — the

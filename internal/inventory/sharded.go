@@ -27,12 +27,11 @@
 // which NewShardedFrom re-seeds from the highest recovered NextID.
 //
 // There is no 1-shard router: a pool of one shard is a plain Inventory
-// (NewPool picks).
+// (wal.Boot picks).
 package inventory
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -46,8 +45,8 @@ import (
 
 // Pool is the interface shared by a standalone *Inventory and the sharded
 // router (*Sharded): everything the HTTP front end, the find cache and the
-// benchmarks need from a slot pool. NewPool builds whichever Options.Shards
-// asks for.
+// benchmarks need from a slot pool. wal.Boot builds whichever
+// Options.Shards asks for.
 type Pool interface {
 	Snapshot() *Snapshot
 	Reserve(req *job.Request, alg core.Algorithm, ttl time.Duration) (*Reservation, error)
@@ -234,16 +233,13 @@ type Sharded struct {
 }
 
 // NewSharded builds a partitioned pool over the initial slot list.
-// opts.Shards picks the partition count (0 = GOMAXPROCS) and must come to
-// at least 2 — a single pool is New's (NewPool chooses between the two).
+// opts.Shards is the partition count and must be at least 2 — a single
+// pool is New's (wal.Boot chooses between the two).
 // Every shard is constructed even when its partition is empty. opts.Sink
 // is rejected: shards cannot share one sequence-checked sink (a durable
 // sharded pool is built shard by shard, see wal.SeedSharded).
 func NewSharded(list slots.List, opts Options) (*Sharded, error) {
 	n := opts.Shards
-	if n == 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
 	if n < 2 {
 		return nil, fmt.Errorf("inventory: a sharded pool needs at least 2 shards, got %d (use New for a single pool)", n)
 	}

@@ -282,6 +282,11 @@ func driveShardedDiff(t *testing.T, seed uint64, nShards int, minSlotLength floa
 // (1..1000 here) — CSA cuts, remainders and the merged free list must agree
 // there too.
 func TestShardedDifferential(t *testing.T) {
+	for _, n := range []int{0, 1} {
+		if _, err := NewSharded(nil, Options{Shards: n}); err == nil {
+			t.Errorf("NewSharded accepted %d shards; a router needs at least 2", n)
+		}
+	}
 	const seeds, shortSeeds = 60, 12
 	for _, nShards := range []int{2, 4, 8} {
 		nShards := nShards

@@ -16,10 +16,10 @@
 //
 // # Durability
 //
-// With Options.WAL set the server reports the durability store's progress
-// (journal vs durable sequence, snapshot age, fsync count) in a
-// "durability" statusz section and as slotserve_wal_* metrics — both
-// sampled from the same store atomics.
+// With Options.WALs (or WAL) set the server reports the durability
+// stores' progress (journal vs durable sequence, snapshot age, fsync
+// count) in a "durability" statusz section and as slotserve_wal_* metrics
+// — both sampled from the same store atomics.
 //
 // # Event-driven finds
 //
@@ -122,12 +122,13 @@ type Options struct {
 	// atomics, so the two views cannot disagree.
 	WAL *wal.Store
 
-	// WALs, when non-empty, are the per-shard durability stores behind a
-	// sharded inventory (index i backs shard i). The slotserve_wal_*
-	// metric families and the statusz "durability" aggregate sum the
-	// per-store figures (snapshot age takes the oldest shard); statusz
-	// additionally lists every shard's own figures. Mutually exclusive
-	// with WAL.
+	// WALs, when non-empty, are the durability stores behind the
+	// inventory, index i backing shard i (wal.Stack.Stores): one store
+	// for a flat pool, which renders exactly as WAL does. The
+	// slotserve_wal_* metric families and the statusz "durability"
+	// aggregate sum the per-store figures (snapshot age takes the oldest
+	// shard); with more than one store statusz additionally lists every
+	// shard's own figures. Mutually exclusive with WAL.
 	WALs []*wal.Store
 
 	// FindCacheSize bounds the churn-aware /v1/find result cache:

@@ -43,11 +43,19 @@ func testShards() int {
 // matrix knob asks for it.
 func testPool(t *testing.T, list slots.List) inventory.Pool {
 	t.Helper()
-	pool, err := inventory.NewPool(list, inventory.Options{MinSlotLength: 1, Shards: testShards()})
+	return bootPool(t, "", list, inventory.Options{MinSlotLength: 1, Shards: testShards()}, wal.Options{}).Pool
+}
+
+// bootPool boots the pool invOpts asks for over list: in memory with
+// dir == "", else durable in dir, its stores closed at cleanup.
+func bootPool(t *testing.T, dir string, list slots.List, invOpts inventory.Options, walOpts wal.Options) *wal.Stack {
+	t.Helper()
+	stack, err := wal.Boot(dir, func() (slots.List, error) { return list, nil }, invOpts, walOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pool
+	t.Cleanup(func() { stack.Close() })
+	return stack
 }
 
 func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server, inventory.Pool) {
@@ -374,15 +382,12 @@ func TestCSAReserve(t *testing.T) {
 // must answer the same window, at 1 and 4 shards.
 func TestCSAFindMatchesReserve(t *testing.T) {
 	for _, shards := range []int{1, 4} {
-		pool, err := inventory.NewPool(testkit.SlotList(
+		pool := bootPool(t, "", testkit.SlotList(
 			testkit.Slot(testkit.Node(0, 1, 1), 0, 85),
 			testkit.Slot(testkit.Node(1, 1, 5), 0, 300),
 			testkit.Slot(testkit.Node(2, 1, 2), 40, 300),
 			testkit.Slot(testkit.Node(3, 1, 9), 0, 1000),
-		), inventory.Options{MinSlotLength: 50, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
+		), inventory.Options{MinSlotLength: 50, Shards: shards}, wal.Options{}).Pool
 		ts := httptest.NewServer(New(pool, Options{}))
 		defer ts.Close()
 
@@ -857,22 +862,12 @@ func getDurability(t *testing.T, base string) *durabilityStatus {
 // TestStatuszDurabilitySections checks the durability view a WAL-backed
 // server adds to /v1/statusz.
 func TestStatuszDurabilitySections(t *testing.T) {
-	invOpts := inventory.Options{MinSlotLength: 1, DefaultTTL: time.Hour}
-	_, store, _, err := wal.Open(t.TempDir(), invOpts, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { store.Close() })
-	seedOpts := invOpts
-	seedOpts.Sink = store
-	inv, err := inventory.New(testkit.SlotList(
+	stack := bootPool(t, t.TempDir(), testkit.SlotList(
 		testkit.Slot(testkit.Node(0, 5, 1), 0, 200),
 		testkit.Slot(testkit.Node(1, 4, 1), 0, 200),
-	), seedOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(New(inv, Options{WAL: store}))
+	), inventory.Options{MinSlotLength: 1, DefaultTTL: time.Hour}, wal.Options{})
+	inv, store := stack.Shards[0], stack.Stores[0]
+	ts := httptest.NewServer(New(inv, Options{WALs: stack.Stores}))
 	t.Cleanup(ts.Close)
 	if code, out := postJSON(t, ts.URL+"/v1/reserve", map[string]any{"request": requestJSON(t, 1, 30)}); code != http.StatusOK {
 		t.Fatalf("reserve: status %d: %v", code, out)
@@ -910,7 +905,6 @@ func TestLatchedStoreFailStops(t *testing.T) {
 		testkit.Slot(testkit.Node(1, 4, 1), 0, 200),
 		testkit.Slot(testkit.Node(2, 3, 1), 0, 200),
 	)
-	invOpts := inventory.Options{MinSlotLength: 1, DefaultTTL: time.Hour}
 	// SegmentBytes 1 rotates at every batch, so the first append after the
 	// directory is gone must create a file there and fail.
 	walOpts := wal.Options{SegmentBytes: 1}
@@ -918,43 +912,15 @@ func TestLatchedStoreFailStops(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			dir := t.TempDir()
 			reg := telemetry.NewRegistry()
-			opts := Options{Metrics: reg}
-			var pool inventory.Pool
-			var stores []*wal.Store
+			stack := bootPool(t, dir, list, inventory.Options{MinSlotLength: 1, DefaultTTL: time.Hour, Shards: shards}, walOpts)
 			failed := 0 // the store whose directory goes
-			if shards == 1 {
-				_, store, _, err := wal.Open(dir, invOpts, walOpts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				seedOpts := invOpts
-				seedOpts.Sink = store
-				if pool, err = inventory.New(list, seedOpts); err != nil {
-					t.Fatal(err)
-				}
-				stores, opts.WAL = []*wal.Store{store}, store
-			} else {
-				_, sts, _, err := wal.OpenSharded(dir, shards, invOpts, walOpts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if pool, err = wal.SeedSharded(list, invOpts, sts); err != nil {
-					t.Fatal(err)
-				}
-				stores, opts.WALs = sts, sts
-				for i, part := range inventory.PartitionByShard(list, shards) {
-					if len(part) > 0 {
-						failed = i
-						break
-					}
+			for i, part := range inventory.PartitionByShard(list, shards) {
+				if len(part) > 0 {
+					failed = i
+					break
 				}
 			}
-			t.Cleanup(func() {
-				for _, st := range stores {
-					st.Close()
-				}
-			})
-			ts := httptest.NewServer(New(pool, opts))
+			ts := httptest.NewServer(New(stack.Pool, Options{Metrics: reg, WALs: stack.Stores}))
 			t.Cleanup(ts.Close)
 
 			// Three tasks place on all three nodes, so a hold touches the

@@ -9,6 +9,7 @@ import (
 	"slotsel/internal/inventory"
 	"slotsel/internal/job"
 	"slotsel/internal/randx"
+	"slotsel/internal/slots"
 	"slotsel/internal/testkit"
 )
 
@@ -24,32 +25,15 @@ import (
 //	          floor, not a field measurement. It reports fsyncs/op: the
 //	          reserve's ack waits and the release's does not, so a cycle
 //	          costs one fsync, which carries the previous release too.
-func benchCycleInventory(b *testing.B, journaled bool, opts Options) (*inventory.Inventory, *Store) {
+func benchCycleStack(b *testing.B, dir string, opts Options) *Stack {
 	b.Helper()
-	rng := randx.New(9)
-	list := testkit.RandomList(rng, 24, 4, 2000)
-	invOpts := inventory.Options{MinSlotLength: 1}
-	if !journaled {
-		inv, err := inventory.New(list, invOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return inv, nil
-	}
-	inv, store, _, err := Open(b.TempDir(), invOpts, opts)
+	list := testkit.RandomList(randx.New(9), 24, 4, 2000)
+	stack, err := Boot(dir, func() (slots.List, error) { return list, nil }, inventory.Options{MinSlotLength: 1}, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if inv != nil {
-		b.Fatal("fresh directory should have no recovered state")
-	}
-	invOpts.Sink = store
-	inv, err = inventory.New(list, invOpts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { store.Close() })
-	return inv, store
+	b.Cleanup(func() { stack.Close() })
+	return stack
 }
 
 func benchCycle(b *testing.B, inv *inventory.Inventory) {
@@ -68,19 +52,18 @@ func benchCycle(b *testing.B, inv *inventory.Inventory) {
 }
 
 func BenchmarkReserveReleaseNoWAL(b *testing.B) {
-	inv, _ := benchCycleInventory(b, false, Options{})
-	benchCycle(b, inv)
+	benchCycle(b, benchCycleStack(b, "", Options{}).Shards[0])
 }
 
 func BenchmarkReserveReleaseWALNoSync(b *testing.B) {
-	inv, _ := benchCycleInventory(b, true, Options{NoSync: true})
-	benchCycle(b, inv)
+	benchCycle(b, benchCycleStack(b, b.TempDir(), Options{NoSync: true}).Shards[0])
 }
 
 func BenchmarkReserveReleaseWALFsync(b *testing.B) {
-	inv, store := benchCycleInventory(b, true, Options{})
+	stack := benchCycleStack(b, b.TempDir(), Options{})
+	store := stack.Stores[0]
 	before := store.Stats().Fsyncs
-	benchCycle(b, inv)
+	benchCycle(b, stack.Shards[0])
 	b.ReportMetric(float64(store.Stats().Fsyncs-before)/float64(b.N), "fsyncs/op")
 }
 
@@ -88,7 +71,7 @@ func BenchmarkReserveReleaseWALFsync(b *testing.B) {
 // OpCommit event (the smallest record whose ack waits, so the writer
 // frames it at once) into a NoSync store.
 func BenchmarkAppendEncode(b *testing.B) {
-	_, store, _, err := Open(b.TempDir(), inventory.Options{}, Options{NoSync: true})
+	store, err := Create(b.TempDir(), 0, Options{NoSync: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -121,73 +104,42 @@ func BenchmarkOpenMixedChurn(b *testing.B) { benchOpen(b, 1024, 1200, 200, 4) }
 func benchOpen(b *testing.B, nodes int, horizon float64, txns, shards int) {
 	dir := b.TempDir()
 	e := env.Generate(env.DefaultConfig().WithNodeCount(nodes).WithHorizon(horizon), randx.New(1))
-	var pool inventory.Pool
-	var stores []*Store
-	var shard func(i int) *inventory.Inventory
-	if shards == 1 {
-		_, store, _, err := Open(dir, inventory.Options{}, Options{NoSync: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		inv, err := inventory.New(e.Slots, inventory.Options{Sink: store})
-		if err != nil {
-			b.Fatal(err)
-		}
-		pool, stores, shard = inv, []*Store{store}, func(int) *inventory.Inventory { return inv }
-	} else {
-		_, sts, _, err := OpenSharded(dir, shards, inventory.Options{}, Options{NoSync: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		p, err := SeedSharded(e.Slots, inventory.Options{}, sts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pool, stores, shard = p, sts, p.Shard
+	invOpts := inventory.Options{Shards: shards}
+	stack, err := Boot(dir, func() (slots.List, error) { return e.Slots, nil }, invOpts, Options{NoSync: true})
+	if err != nil {
+		b.Fatal(err)
 	}
 	for t := 0; t < txns; t++ {
 		volume := 100 + 100*(float64(t%16)+0.5)/16
-		res, err := pool.Reserve(&job.Request{TaskCount: 5, Volume: volume, MaxCost: 25 * volume}, core.AMP{}, 0)
+		res, err := stack.Pool.Reserve(&job.Request{TaskCount: 5, Volume: volume, MaxCost: 25 * volume}, core.AMP{}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if t%8 == 0 {
-			_, err = pool.Commit(res.ID)
+			_, err = stack.Pool.Commit(res.ID)
 		} else {
-			err = pool.Release(res.ID)
+			err = stack.Pool.Release(res.ID)
 		}
 		if err != nil {
 			b.Fatal(err)
 		}
 		if t == txns/2 {
-			for i, store := range stores {
-				if err := store.Snapshot(shard(i).ExportState()); err != nil {
-					b.Fatal(err)
-				}
+			if err := stack.Snapshot(); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}
-	closeStores(b, stores)
+	if err := stack.Close(); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		if shards == 1 {
-			stores = stores[:1]
-			_, stores[0], _, err = Open(dir, inventory.Options{}, Options{NoSync: true})
-		} else {
-			_, stores, _, err = OpenSharded(dir, shards, inventory.Options{}, Options{NoSync: true})
-		}
+		stack, err := Boot(dir, noSeed, invOpts, Options{NoSync: true})
 		if err != nil {
 			b.Fatal(err)
 		}
-		closeStores(b, stores)
-	}
-}
-
-func closeStores(b *testing.B, stores []*Store) {
-	for _, store := range stores {
-		if err := store.Close(); err != nil {
+		if err := stack.Close(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -68,58 +68,36 @@ func TestEncodeStateBytesPinned(t *testing.T) {
 func writeCompatDir(t testing.TB, dir string, shards int) {
 	t.Helper()
 	list := testkit.RandomList(randx.New(42), 256, 3, 300)
-	var pool inventory.Pool
-	var stores []*Store
-	var shard func(i int) *inventory.Inventory
-	if shards == 1 {
-		_, store, _, err := Open(dir, compatOptions, Options{NoSync: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := compatOptions
-		opts.Sink = store
-		inv, err := inventory.New(list, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pool, stores, shard = inv, []*Store{store}, func(int) *inventory.Inventory { return inv }
-	} else {
-		_, sts, _, err := OpenSharded(dir, shards, compatOptions, Options{NoSync: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := SeedSharded(list, compatOptions, sts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pool, stores, shard = p, sts, p.Shard
+	opts := compatOptions
+	opts.Shards = shards
+	stack, err := Boot(dir, func() (slots.List, error) { return list, nil }, opts, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
 	}
 	for tx := 0; tx < 500; tx++ {
 		req := &job.Request{TaskCount: 2 + tx%3, Volume: float64(20 + tx%40), MaxCost: 5000}
-		res, err := pool.Reserve(req, core.AMP{}, 0)
+		res, err := stack.Pool.Reserve(req, core.AMP{}, 0)
 		if err != nil {
 			continue // booked out at this shape: the failed search journals nothing
 		}
 		if tx%8 == 0 {
-			_, err = pool.Commit(res.ID)
+			_, err = stack.Pool.Commit(res.ID)
 		} else {
-			err = pool.Release(res.ID)
+			err = stack.Pool.Release(res.ID)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		if tx == 250 {
-			for i, store := range stores {
-				if err := store.Snapshot(shard(i).ExportState()); err != nil {
-					t.Fatal(err)
-				}
+			// Every store has journaled at least its construction, so
+			// every store is snapshotted.
+			if err := stack.Snapshot(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
-	for _, store := range stores {
-		if err := store.Close(); err != nil {
-			t.Fatal(err)
-		}
+	if err := stack.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -127,30 +105,18 @@ func writeCompatDir(t testing.TB, dir string, shards int) {
 // state, in shard order.
 func bootDigest(t testing.TB, dir string, shards int) string {
 	t.Helper()
-	if shards == 1 {
-		inv, store, _, err := Open(dir, compatOptions, Options{NoSync: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer store.Close()
-		return digest(t, inv.ExportState())
-	}
-	pool, stores, _, err := OpenSharded(dir, shards, compatOptions, Options{NoSync: true})
+	opts := compatOptions
+	opts.Shards = shards
+	stack, err := Boot(dir, noSeed, opts, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer closeAll(stores)
+	defer stack.Close()
 	states := make([]*inventory.State, shards)
-	for i := range states {
-		states[i] = pool.Shard(i).ExportState()
+	for i, inv := range stack.Shards {
+		states[i] = inv.ExportState()
 	}
 	return digest(t, states...)
-}
-
-func closeAll(stores []*Store) {
-	for _, st := range stores {
-		st.Close()
-	}
 }
 
 // readTree returns every regular file under dir by its slash path.

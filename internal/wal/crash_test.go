@@ -78,19 +78,11 @@ func TestCrashInjectionEveryByteOffset(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
-			store, err := Create(dir, 0, Options{NoSync: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := randx.New(seed)
-			list := testkit.RandomList(rng, 6, 3, 300)
+			list := testkit.RandomList(randx.New(seed), 6, 3, 300)
 			if len(list) == 0 {
 				t.Skip("empty instance")
 			}
-			inv, err := inventory.New(list, inventory.Options{MinSlotLength: invOpts.MinSlotLength, Record: true, Sink: store})
-			if err != nil {
-				t.Fatal(err)
-			}
+			inv, store := seedFlat(t, dir, list, inventory.Options{MinSlotLength: invOpts.MinSlotLength, Record: true}, Options{NoSync: true})
 			drive(t, inv, seed, 10)
 			if err := store.Close(); err != nil {
 				t.Fatal(err)
@@ -170,19 +162,11 @@ func TestCrashInjectionAfterSnapshot(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
-			store, err := Create(dir, 0, Options{NoSync: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := randx.New(seed * 77)
-			list := testkit.RandomList(rng, 6, 3, 300)
+			list := testkit.RandomList(randx.New(seed*77), 6, 3, 300)
 			if len(list) == 0 {
 				t.Skip("empty instance")
 			}
-			inv, err := inventory.New(list, inventory.Options{MinSlotLength: invOpts.MinSlotLength, Record: true, Sink: store})
-			if err != nil {
-				t.Fatal(err)
-			}
+			inv, store := seedFlat(t, dir, list, inventory.Options{MinSlotLength: invOpts.MinSlotLength, Record: true}, Options{NoSync: true})
 			drive(t, inv, seed, 8)
 			if err := store.Snapshot(inv.ExportState()); err != nil {
 				t.Fatal(err)

@@ -485,51 +485,31 @@ func (op modelOp) String() string {
 	return fmt.Sprintf("%s(%d,%d,%d,%d)", name, op.a, op.b, op.c, op.d)
 }
 
-// modelPool is the pool under test, its stores and its clock.
+// modelPool is the pool under test, booted with its stores, and its clock.
 type modelPool struct {
 	dir    string
 	shards int
 	now    time.Time
 	nodes  []*nodes.Node
-	pool   inventory.Pool
-	stores []*Store
+	*Stack
 }
 
 func (p *modelPool) options() inventory.Options {
-	return inventory.Options{Clock: func() time.Time { return p.now }}
+	return inventory.Options{Clock: func() time.Time { return p.now }, Shards: p.shards}
 }
 
 // boot opens the directory, flat or sharded; an empty one is seeded with
 // nodes 0..7, each with [0, 50) and [60, 100).
 func (p *modelPool) boot() error {
-	var err error
-	if p.shards == 1 {
-		var inv *inventory.Inventory
-		var store *Store
-		if inv, store, _, err = Open(p.dir, p.options(), Options{NoSync: true}); err != nil {
-			return err
-		}
-		p.stores = []*Store{store}
-		if inv == nil {
-			opts := p.options()
-			opts.Sink = store
-			inv, err = inventory.New(p.seed(), opts)
-		}
-		p.pool = inv
-	} else {
-		var pool *inventory.Sharded
-		if pool, p.stores, _, err = OpenSharded(p.dir, p.shards, p.options(), Options{NoSync: true}); err != nil {
-			return err
-		}
-		if pool == nil {
-			pool, err = SeedSharded(p.seed(), p.options(), p.stores)
-		}
-		p.pool = pool
+	stack, err := Boot(p.dir, func() (slots.List, error) { return p.seed(), nil }, p.options(), Options{NoSync: true})
+	if err != nil {
+		return err
 	}
-	for _, st := range p.stores {
+	for _, st := range stack.Stores {
 		st.sealBytes = 1 // every snapshot seals its segment
 	}
-	return err
+	p.Stack = stack
+	return nil
 }
 
 func (p *modelPool) seed() slots.List {
@@ -541,26 +521,16 @@ func (p *modelPool) seed() slots.List {
 	return list
 }
 
-// shard is shard i of the pool; a flat pool is its own shard 0.
-func (p *modelPool) shard(i int) *inventory.Inventory {
-	if inv, ok := p.pool.(*inventory.Inventory); ok {
-		return inv
-	}
-	return p.pool.(*inventory.Sharded).Shard(i)
-}
-
-// reopen closes every store, after a snapshot of every shard when asked,
-// and boots the directory again.
+// reopen closes every store, after a parting snapshot when asked, and
+// boots the directory again.
 func (p *modelPool) reopen(snapshot bool) error {
-	for i, st := range p.stores {
-		if snapshot {
-			if err := st.Snapshot(p.shard(i).ExportState()); err != nil {
-				return err
-			}
-		}
-		if err := st.Close(); err != nil {
+	if snapshot {
+		if err := p.Snapshot(); err != nil {
 			return err
 		}
+	}
+	if err := p.Close(); err != nil {
+		return err
 	}
 	return p.boot()
 }
@@ -571,7 +541,7 @@ func (p *modelPool) reopen(snapshot bool) error {
 // written, because nothing waited for them.
 func (p *modelPool) crash() ([]inventory.Event, error) {
 	var lost []inventory.Event
-	for _, st := range p.stores {
+	for _, st := range p.Stores {
 		st.mu.Lock()
 		queued := slices.Clone(st.queue)
 		st.mu.Unlock()
@@ -601,10 +571,8 @@ func (p *modelPool) crash() ([]inventory.Event, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, st := range p.stores {
-		if err := st.Close(); err != nil {
-			return nil, err
-		}
+	if err := p.Close(); err != nil {
+		return nil, err
 	}
 	p.dir = dir
 	return lost, p.boot()
@@ -622,7 +590,7 @@ func (p *modelPool) checkCrash(m *poolModel, lost []inventory.Event) error {
 	}
 	alloc := map[int][]slots.Interval{}
 	for si := 0; si < p.shards; si++ {
-		st := p.shard(si).ExportState()
+		st := p.Shards[si].ExportState()
 		for _, h := range st.Holds {
 			if mh := m.holds[h.ID]; mh == nil || !h.Expires.Equal(mh.deadline) {
 				return fmt.Errorf("shard %d holds %s until %v; the model has %+v", si, h.ID, h.Expires, mh)
@@ -707,11 +675,7 @@ func runModel(t *testing.T, shards int, ops []modelOp) (int, error) {
 	if err := p.boot(); err != nil {
 		return 0, err
 	}
-	defer func() {
-		for _, st := range p.stores {
-			st.Close()
-		}
-	}()
+	defer func() { p.Close() }() // the stack of the last boot
 	m := &poolModel{shards: shards, now: p.now, base: map[int][]slots.Interval{}, holds: map[string]*modelHold{},
 		commits: map[string]map[int][]slots.Interval{}}
 	m.durable = make([]*poolModel, shards)
@@ -732,14 +696,14 @@ func runModel(t *testing.T, shards int, ops []modelOp) (int, error) {
 			}
 			ttl := time.Duration(1+int(op.b/3)%4) * time.Second
 			w, used := p.window(ids, op.start(), float64(1+op.d%8))
-			got, want = reserveOutcome(p.pool.ReserveWindow(w, ttl)), m.reserved(used, ttl)
+			got, want = reserveOutcome(p.Pool.ReserveWindow(w, ttl)), m.reserved(used, ttl)
 		case 3, 4, 5:
 			commit := op.kind < 5
 			var err error
 			if commit {
-				_, err = p.pool.Commit(pick)
+				_, err = p.Pool.Commit(pick)
 			} else {
-				err = p.pool.Release(pick)
+				err = p.Pool.Release(pick)
 			}
 			got, want = fmt.Sprint(err), fmt.Sprint(nil)
 			if !m.settle(pick, commit) {
@@ -757,12 +721,12 @@ func runModel(t *testing.T, shards int, ops []modelOp) (int, error) {
 				start := float64(op.d / 2 % 100)
 				list = append(list, &slots.Slot{Node: n, Interval: slots.Interval{Start: start, End: start + length}})
 			}
-			got, want = fmt.Sprint(p.pool.Add(list) == nil), fmt.Sprint(m.add(list))
+			got, want = fmt.Sprint(p.Pool.Add(list) == nil), fmt.Sprint(m.add(list))
 		case 7:
 			node := int(op.a) % modelNodes
-			got, want = withdrawOutcome(p.pool.Withdraw(node)), m.withdrawn(node)
+			got, want = withdrawOutcome(p.Pool.Withdraw(node)), m.withdrawn(node)
 		case 8:
-			got, want = fmt.Sprint(p.pool.Sweep()), fmt.Sprint(m.sweepAll())
+			got, want = fmt.Sprint(p.Pool.Sweep()), fmt.Sprint(m.sweepAll())
 		case 9:
 			d := time.Duration(op.a%5) * 700 * time.Millisecond
 			p.now, m.now = p.now.Add(d), m.now.Add(d)
@@ -778,10 +742,10 @@ func runModel(t *testing.T, shards int, ops []modelOp) (int, error) {
 			var res, wd string
 			var wg sync.WaitGroup
 			wg.Add(2)
-			go func() { defer wg.Done(); res = reserveOutcome(p.pool.ReserveWindow(w, ttl)) }()
-			go func() { defer wg.Done(); wd = withdrawOutcome(p.pool.Withdraw(node)) }()
+			go func() { defer wg.Done(); res = reserveOutcome(p.Pool.ReserveWindow(w, ttl)) }()
+			go func() { defer wg.Done(); wd = withdrawOutcome(p.Pool.Withdraw(node)) }()
 			wg.Wait()
-			got = res + " / " + wd + "\n" + observe(p.pool)
+			got = res + " / " + wd + "\n" + observe(p.Pool)
 			// Either order is a correct outcome.
 			var wants []string
 			for _, reserveFirst := range []bool{true, false} {
@@ -815,7 +779,7 @@ func runModel(t *testing.T, shards int, ops []modelOp) (int, error) {
 		if got != want {
 			return i + 1, fmt.Errorf("%v: pool says %q, model %q", op, got, want)
 		}
-		if got, want := observe(p.pool), m.expect(); got != want {
+		if got, want := observe(p.Pool), m.expect(); got != want {
 			return i + 1, fmt.Errorf("after %v: pool\n%s\nmodel\n%s", op, got, want)
 		}
 	}

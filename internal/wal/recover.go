@@ -168,17 +168,23 @@ func readSegment(fs fsys, path string) ([]inventory.Event, int64, error) {
 	}
 }
 
-// Open is the leader boot path: recover dir (repairing torn tails),
+// Open is the flat boot path: recover dir (repairing torn tails),
 // rebuild the inventory (snapshot restore + tail replay), then attach a
 // Store so every subsequent mutation streams to the log. A fresh or
 // absent directory yields a nil inventory: the caller seeds one from its
-// initial slot list and attaches the returned store itself.
+// initial slot list and attaches the returned store itself. A directory
+// holding a sharded layout (OpenSharded's shard subdirectories) is refused
+// before anything is read or written. Boot wraps Open, OpenSharded and
+// the seeding.
 func Open(dir string, invOpts inventory.Options, opts Options) (*inventory.Inventory, *Store, *RecoverResult, error) {
 	return openFS(osFS{}, dir, invOpts, opts)
 }
 
 // openFS is Open over the given filesystem.
 func openFS(fs fsys, dir string, invOpts inventory.Options, opts Options) (*inventory.Inventory, *Store, *RecoverResult, error) {
+	if err := checkShardLayout(fs, dir, 1); err != nil {
+		return nil, nil, nil, err
+	}
 	res, err := recoverFS(fs, dir, true)
 	if err != nil {
 		return nil, nil, nil, err

@@ -37,16 +37,9 @@ func (fs *readCountFS) OpenFile(name string, flag int, perm os.FileMode) (file, 
 // small it is.
 func sealedLeader(t *testing.T, dir string, seed uint64, nodes int, minLen float64, record bool) (*inventory.Inventory, *Store) {
 	t.Helper()
-	_, store, _, err := Open(dir, inventory.Options{}, Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	inv, store := seedFlat(t, dir, testkit.RandomList(randx.New(seed), nodes, 3, 300),
+		inventory.Options{MinSlotLength: minLen, Record: record}, Options{NoSync: true})
 	store.sealBytes = 1
-	list := testkit.RandomList(randx.New(seed), nodes, 3, 300)
-	inv, err := inventory.New(list, inventory.Options{MinSlotLength: minLen, Record: record, Sink: store})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return inv, store
 }
 
@@ -57,15 +50,8 @@ func sealedLeader(t *testing.T, dir string, seed uint64, nodes int, minLen float
 func TestBootReadsOnlyWhatTheSnapshotMisses(t *testing.T) {
 	forMinLens(t, func(t *testing.T, minLen float64) {
 		dir := t.TempDir()
-		_, store, _, err := Open(dir, inventory.Options{}, Options{NoSync: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		inv, err := inventory.New(testkit.RandomList(randx.New(23), 400, 3, 300),
-			inventory.Options{MinSlotLength: minLen, Sink: store})
-		if err != nil {
-			t.Fatal(err)
-		}
+		inv, store := seedFlat(t, dir, testkit.RandomList(randx.New(23), 400, 3, 300),
+			inventory.Options{MinSlotLength: minLen}, Options{NoSync: true})
 		drive(t, inv, 23, 40)
 		segs, _ := listSegments(dir)
 		if fi, err := os.Stat(segs[len(segs)-1].path); err != nil || fi.Size() < sealBytes {

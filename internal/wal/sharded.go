@@ -115,7 +115,8 @@ func SeedSharded(list slots.List, invOpts inventory.Options, stores []*Store) (*
 }
 
 // checkShardLayout rejects directories whose on-disk shape disagrees with
-// the requested shard count: a flat single-pool WAL at the top level, or
+// the requested shard count: at n = 1 (a flat boot) any shard
+// subdirectory; at n >= 2 a flat single-pool WAL at the top level, or
 // shard subdirectories at or beyond index n.
 func checkShardLayout(fs fsys, dir string, n int) error {
 	entries, err := fs.ReadDir(dir)
@@ -128,7 +129,7 @@ func checkShardLayout(fs fsys, dir string, n int) error {
 	for _, e := range entries {
 		name := e.Name()
 		if !e.IsDir() {
-			if strings.HasPrefix(name, "wal-") || strings.HasPrefix(name, "snap-") {
+			if n > 1 && (strings.HasPrefix(name, "wal-") || strings.HasPrefix(name, "snap-")) {
 				return fmt.Errorf("wal: %s holds a single-pool WAL (%s); a sharded layout needs a fresh directory", dir, name)
 			}
 			continue
@@ -139,6 +140,9 @@ func checkShardLayout(fs fsys, dir string, n int) error {
 		idx, err := strconv.Atoi(strings.TrimPrefix(name, "shard-"))
 		if err != nil {
 			continue
+		}
+		if n == 1 {
+			return fmt.Errorf("wal: %s holds a sharded layout (found %s); a flat boot needs a directory without shard subdirectories", dir, name)
 		}
 		if idx >= n {
 			return fmt.Errorf("wal: %s is laid out for more than %d shards (found %s); the shard count of an existing layout cannot change", dir, n, name)

@@ -13,26 +13,23 @@ import (
 	"slotsel/internal/inventory"
 	"slotsel/internal/job"
 	"slotsel/internal/randx"
+	"slotsel/internal/slots"
 	"slotsel/internal/testkit"
 )
 
 // seedSharded boots a fresh n-shard layout under dir and seeds it with a
 // deterministic instance.
-func seedSharded(t *testing.T, dir string, n int, seed uint64, invOpts inventory.Options, walOpts Options) (*inventory.Sharded, []*Store) {
+func seedSharded(t *testing.T, dir string, n int, seed uint64, invOpts inventory.Options, walOpts Options) *Stack {
 	t.Helper()
-	pool, stores, _, err := OpenSharded(dir, n, invOpts, walOpts)
+	invOpts.Shards = n
+	stack, err := Boot(dir, func() (slots.List, error) { return testkit.RandomList(randx.New(seed), 10, 3, 300), nil }, invOpts, walOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pool != nil {
+	if stack.Results != nil {
 		t.Fatal("expected a fresh layout, got a recovered pool")
 	}
-	rng := randx.New(seed)
-	pool, err = SeedSharded(testkit.RandomList(rng, 10, 3, 300), invOpts, stores)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pool, stores
+	return stack
 }
 
 // TestShardedSeedReopenRoundTrip: seed a 4-shard layout, churn it, close,
@@ -43,16 +40,14 @@ func TestShardedSeedReopenRoundTrip(t *testing.T) {
 	forMinLens(t, func(t *testing.T, minLen float64) {
 		const n = 4
 		dir := t.TempDir()
-		pool, stores := seedSharded(t, dir, n, 11, inventory.Options{MinSlotLength: minLen}, Options{NoSync: true})
-		drive(t, pool, 11, 20)
+		stack := seedSharded(t, dir, n, 11, inventory.Options{MinSlotLength: minLen}, Options{NoSync: true})
+		drive(t, stack.Pool, 11, 20)
 		wantSigs := make([]string, n)
 		for i := 0; i < n; i++ {
-			wantSigs[i] = stateSig(pool.Shard(i))
+			wantSigs[i] = stateSig(stack.Shards[i])
 		}
-		for _, st := range stores {
-			if err := st.Close(); err != nil {
-				t.Fatal(err)
-			}
+		if err := stack.Close(); err != nil {
+			t.Fatal(err)
 		}
 
 		re, stores2, results, err := OpenSharded(dir, n, inventory.Options{MinSlotLength: minLen}, Options{NoSync: true})
@@ -180,20 +175,18 @@ func TestLegacyGseqKeyIgnored(t *testing.T) {
 
 		const n = 4
 		dir := t.TempDir()
-		pool, stores := seedSharded(t, dir, n, 21, inventory.Options{MinSlotLength: minLen}, Options{NoSync: true})
-		drive(t, pool, 21, 12)
-		for i, st := range stores {
-			if err := st.Snapshot(pool.Shard(i).ExportState()); err != nil {
-				t.Fatal(err)
-			}
+		stack := seedSharded(t, dir, n, 21, inventory.Options{MinSlotLength: minLen}, Options{NoSync: true})
+		drive(t, stack.Pool, 21, 12)
+		if err := stack.Snapshot(); err != nil {
+			t.Fatal(err)
 		}
-		drive(t, pool, 22, 12)
+		drive(t, stack.Pool, 22, 12)
 		wantSigs := make([]string, n)
-		for i, st := range stores {
-			wantSigs[i] = stateSig(pool.Shard(i))
-			if err := st.Close(); err != nil {
-				t.Fatal(err)
-			}
+		for i, inv := range stack.Shards {
+			wantSigs[i] = stateSig(inv)
+		}
+		if err := stack.Close(); err != nil {
+			t.Fatal(err)
 		}
 		var g uint64
 		for i := 0; i < n; i++ {
@@ -238,28 +231,12 @@ func TestLegacyGseqKeyIgnored(t *testing.T) {
 	})
 }
 
-// TestOpenShardedRejectsFlatLayout: a directory holding a single-pool WAL
-// must not be silently reinterpreted as a sharded one.
-func TestOpenShardedRejectsFlatLayout(t *testing.T) {
-	dir := t.TempDir()
-	_, store := churnLeader(t, dir, 3, 5, 1, Options{NoSync: true})
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := OpenSharded(dir, 4, inventory.Options{MinSlotLength: 1}, Options{NoSync: true}); err == nil {
-		t.Fatal("flat single-pool WAL accepted as a sharded layout")
-	}
-}
-
 // TestOpenShardedRejectsShardCountChange: the shard count is part of the
 // on-disk contract; reopening at a different n must refuse.
 func TestOpenShardedRejectsShardCountChange(t *testing.T) {
 	forMinLens(t, func(t *testing.T, minLen float64) {
 		dir := t.TempDir()
-		_, stores := seedSharded(t, dir, 4, 5, inventory.Options{MinSlotLength: minLen}, Options{NoSync: true})
-		for _, st := range stores {
-			st.Close()
-		}
+		seedSharded(t, dir, 4, 5, inventory.Options{MinSlotLength: minLen}, Options{NoSync: true}).Close()
 		if _, _, _, err := OpenSharded(dir, 2, inventory.Options{MinSlotLength: minLen}, Options{NoSync: true}); err == nil {
 			t.Fatal("4-shard layout opened at 2 shards")
 		}
@@ -276,11 +253,9 @@ func TestOpenShardedRejectsShardCountChange(t *testing.T) {
 func TestOpenShardedRejectsMixedEmptiness(t *testing.T) {
 	forMinLens(t, func(t *testing.T, minLen float64) {
 		dir := t.TempDir()
-		pool, stores := seedSharded(t, dir, 4, 6, inventory.Options{MinSlotLength: minLen}, Options{NoSync: true})
-		drive(t, pool, 6, 6)
-		for _, st := range stores {
-			st.Close()
-		}
+		stack := seedSharded(t, dir, 4, 6, inventory.Options{MinSlotLength: minLen}, Options{NoSync: true})
+		drive(t, stack.Pool, 6, 6)
+		stack.Close()
 		victim := filepath.Join(dir, ShardDirName(2))
 		if err := os.RemoveAll(victim); err != nil {
 			t.Fatal(err)
@@ -307,16 +282,14 @@ func TestShardedCrashInjectionTornTailContained(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
-			pool, stores := seedSharded(t, dir, nShards, seed, invOpts, Options{NoSync: true})
-			drive(t, pool, seed, 12)
+			stack := seedSharded(t, dir, nShards, seed, invOpts, Options{NoSync: true})
+			drive(t, stack.Pool, seed, 12)
 			liveSigs := make([]string, nShards)
 			for i := range liveSigs {
-				liveSigs[i] = stateSig(pool.Shard(i))
+				liveSigs[i] = stateSig(stack.Shards[i])
 			}
-			for _, st := range stores {
-				if err := st.Close(); err != nil {
-					t.Fatal(err)
-				}
+			if err := stack.Close(); err != nil {
+				t.Fatal(err)
 			}
 
 			// Victim: the shard with the longest log (most frames to tear).

@@ -16,6 +16,7 @@ import (
 	"slotsel/internal/job"
 	"slotsel/internal/obs"
 	"slotsel/internal/randx"
+	"slotsel/internal/slots"
 	"slotsel/internal/testkit"
 )
 
@@ -53,20 +54,13 @@ func stateSig(inv *inventory.Inventory) string {
 // deterministic workload against it.
 func churnLeader(t *testing.T, dir string, seed uint64, ops int, minLen float64, walOpts Options) (*inventory.Inventory, *Store) {
 	t.Helper()
-	rec, store, _, err := Open(dir, inventory.Options{MinSlotLength: minLen}, walOpts)
+	stack, err := Boot(dir, func() (slots.List, error) { return testkit.RandomList(randx.New(seed), 10, 3, 300), nil },
+		inventory.Options{MinSlotLength: minLen}, walOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inv := rec
-	if inv == nil {
-		rng := randx.New(seed)
-		inv, err = inventory.New(testkit.RandomList(rng, 10, 3, 300), inventory.Options{MinSlotLength: minLen, Sink: store})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	drive(t, inv, seed, ops)
-	return inv, store
+	drive(t, stack.Pool, seed, ops)
+	return stack.Shards[0], stack.Stores[0]
 }
 
 // drive performs a deterministic op mix against inv (a plain inventory or
@@ -285,15 +279,8 @@ func TestSnapshotCompactionAndRecovery(t *testing.T) {
 func TestGroupCommitUnderConcurrency(t *testing.T) {
 	forMinLens(t, func(t *testing.T, minLen float64) {
 		dir := t.TempDir()
-		_, store, _, err := Open(dir, inventory.Options{MinSlotLength: minLen}, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := randx.New(11)
-		inv, err := inventory.New(testkit.RandomList(rng, 12, 3, 300), inventory.Options{MinSlotLength: minLen, Sink: store, Record: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		inv, store := seedFlat(t, dir, testkit.RandomList(randx.New(11), 12, 3, 300),
+			inventory.Options{MinSlotLength: minLen, Record: true}, Options{})
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
@@ -566,17 +553,10 @@ func segmentBytes(t *testing.T, dir string) int64 {
 // comes.
 func TestUnawaitedEventsWriteOnDemand(t *testing.T) {
 	dir := t.TempDir()
-	_, store, _, err := Open(dir, inventory.Options{}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
 	now := time.Unix(1_700_000_000, 0)
-	inv, err := inventory.New(testkit.RandomList(randx.New(3), 8, 3, 300),
-		inventory.Options{Sink: store, Clock: func() time.Time { return now }})
-	if err != nil {
-		t.Fatal(err)
-	}
+	inv, store := seedFlat(t, dir, testkit.RandomList(randx.New(3), 8, 3, 300),
+		inventory.Options{Clock: func() time.Time { return now }}, Options{})
+	defer store.Close()
 	req := &job.Request{TaskCount: 1, Volume: 20, MaxCost: 5000}
 	var held []*inventory.Reservation
 	for i := 0; i < 6; i++ {
