@@ -8,6 +8,7 @@ import (
 
 	"slotsel/internal/core"
 	"slotsel/internal/csa"
+	"slotsel/internal/generic"
 	"slotsel/internal/job"
 	"slotsel/internal/obs"
 	"slotsel/internal/randx"
@@ -379,20 +380,17 @@ func TestScheduleMatchesReference(t *testing.T) {
 // differential: searching and cutting the scanner's working copy must give
 // the plan of the clone + slots.Cut loop, window for window, for the two
 // algorithms the pipelines ship with and for one the scanner does not know
-// (MinCost's copy+sort twin, which takes the fallback path and is handed the
-// working copy itself), with and without a VO budget.
+// (the generic minimum-total-cost search, which takes the fallback path and
+// is handed the working copy itself), with and without a VO budget.
 func TestScheduleDirectedMatchesReference(t *testing.T) {
-	twin, ok := core.Oracle(core.MinCost{})
-	if !ok {
-		t.Fatal("no oracle twin for MinCost")
-	}
+	foreign := generic.Extreme{Weight: generic.WeightCost}
 	for seed := uint64(1); seed <= 60; seed++ {
 		rng := randx.New(seed)
 		list := testkit.HeteroList(rng, rng.IntRange(4, 12), 4, 300)
 		batch := testkit.RandomBatch(rng, rng.IntRange(2, 8))
 		budget := float64(rng.Intn(3)) * 800 // 0 = unconstrained
 		for _, minLen := range minSlotLengths {
-			for _, alg := range []core.Algorithm{core.AMP{}, core.MinCost{}, twin} {
+			for _, alg := range []core.Algorithm{core.AMP{}, core.MinCost{}, foreign} {
 				label := fmt.Sprintf("seed=%d min=%g budget=%g alg=%T", seed, minLen, budget, alg)
 				want, err := referenceDirected(list, batch, budget, alg, minLen)
 				if err != nil {

@@ -60,7 +60,8 @@ type MinRunTime struct {
 	Exact bool
 
 	// LiteralBudget reproduces the paper's pseudocode budget check verbatim
-	// (no refund of the replaced slot); see selectMinRuntimeGreedy.
+	// (no refund of the replaced slot), which is stricter than intended;
+	// the default checks the cost after the swap.
 	LiteralBudget bool
 }
 

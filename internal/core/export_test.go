@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // SetVisitWrapForTest installs (or, with nil, removes) the scan's visit
 // wrapper — the seam the aliasing regression tests use to interpose
@@ -71,4 +74,40 @@ func (ix *WindowIndex) CheckCostOrderForTest() error {
 		}
 	}
 	return nil
+}
+
+// ByCost returns a copy of the window in cost order: what the cost order
+// holds, then what its bound left out, sorted (equals in append order). It
+// is empty until a select that reads the cost order has run on this index,
+// and it changes nothing.
+func (ix *WindowIndex) ByCost() []Candidate {
+	if !ix.cost.active {
+		return nil
+	}
+	out := ix.cost.appendTo(make([]Candidate, 0, ix.live), ix.arena)
+	held := len(out)
+	for _, h := range ix.seq {
+		if h != none && !ix.cost.holds(&ix.arena[h]) {
+			out = append(out, ix.arena[h])
+		}
+	}
+	rest := out[held:]
+	sort.SliceStable(rest, func(i, j int) bool { return candLess(&rest[i], &rest[j], false) })
+	return out
+}
+
+// PrefixCost returns the total cost of the n cheapest candidates, summed
+// left to right in cost order. n must be within [0, len(ByCost())].
+func (ix *WindowIndex) PrefixCost(n int) float64 {
+	return sumCost(ix.ByCost()[:n])
+}
+
+// appendTo appends the set's candidates, in order, to dst.
+func (s *orderedSet) appendTo(dst []Candidate, arena []Candidate) []Candidate {
+	for _, blk := range s.dir {
+		for _, h := range s.h[blk.off : blk.off+blk.n] {
+			dst = append(dst, arena[h])
+		}
+	}
+	return dst
 }

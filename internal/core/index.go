@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"slotsel/internal/job"
 	"slotsel/internal/randx"
@@ -24,10 +23,10 @@ import (
 //     (effEnd − start >= Exec, which differs from effEnd − Exec >= start in
 //     the last ulp); one that still fits goes back on the heap.
 //
-//   - Selection order is one orderedSet in the (Cost, Exec, NodeID) order of
-//     cheapestN and, for the exact runtime kernel alone, one in the (Exec,
-//     Cost, NodeID) order. Both are activated lazily, by the first select of
-//     a scan that needs them.
+//   - Selection order is one orderedSet in the (Cost, Exec, NodeID) order
+//     and, for the exact runtime kernel alone, one in the (Exec, Cost,
+//     NodeID) order (candLess). Both are activated lazily, by the first
+//     select of a scan that needs them.
 //
 //   - Who reads what. The substitution kernels (MinRunTime, MinFinish,
 //     MinEnergy, MinProcTimeGreedy) walk the cost order past its front, so
@@ -50,7 +49,8 @@ import (
 //     an expired candidate leaves a tombstone in the append-order sequence,
 //     and the read squeezes them out while it copies. The readers that need
 //     the slice (the random MinProcTime step, the baselines, the copy+sort
-//     oracle twins) pay O(w) per visit, and nobody else does.
+//     oracle twins of oracle_test.go) pay O(w) per visit, and nobody else
+//     does.
 //
 // Lifetime: a WindowIndex handed to a VisitFunc is owned by the scan and
 // reused between visits; the slice returned by Cands is a live view, and
@@ -169,43 +169,6 @@ func (ix *WindowIndex) compact(view bool) {
 	if view {
 		ix.view, ix.viewStale = v, false
 	}
-}
-
-// ByCost returns a copy of the window in cost order: what the cost order
-// holds, then what its bound left out, sorted (equals in append order). It
-// is empty until a select that reads the cost order has run on this index,
-// and it changes nothing. For tests and tools: no search path calls it.
-func (ix *WindowIndex) ByCost() []Candidate {
-	if !ix.cost.active {
-		return nil
-	}
-	out := ix.cost.appendTo(make([]Candidate, 0, ix.live), ix.arena)
-	held := len(out)
-	for _, h := range ix.seq {
-		if h != none && !ix.cost.holds(&ix.arena[h]) {
-			out = append(out, ix.arena[h])
-		}
-	}
-	rest := out[held:]
-	sort.SliceStable(rest, func(i, j int) bool { return candLess(&rest[i], &rest[j], false) })
-	return out
-}
-
-// ByExec returns a copy of the window in execution-time order; it is empty
-// unless the exact runtime kernel has run on this index. For tests and
-// tools: no search path calls it.
-func (ix *WindowIndex) ByExec() []Candidate {
-	if !ix.exec.active {
-		return nil
-	}
-	return ix.exec.appendTo(make([]Candidate, 0, ix.live), ix.arena)
-}
-
-// PrefixCost returns the total cost of the n cheapest candidates, summed
-// left to right in cost order. n must be within [0, len(ByCost())]. For
-// tests and tools: no search path calls it.
-func (ix *WindowIndex) PrefixCost(n int) float64 {
-	return sumCost(ix.ByCost()[:n])
 }
 
 // add inserts a candidate whose slot's effective end is end: a cell in the
@@ -396,7 +359,7 @@ func (ix *WindowIndex) activate(s *orderedSet) {
 	}
 }
 
-// SelectMinCost is the incremental twin of the selectMinCost oracle: the n
+// SelectMinCost is the incremental twin of the copy+sort MinCost step: the n
 // cheapest candidates are the front of the cost order, and their total is
 // their costs summed left to right. The order is cut (see WindowIndex);
 // when it holds fewer than n, recut finds the n cheapest in one pass and
@@ -532,11 +495,11 @@ const (
 // refund the replaced slot). It returns the window in the scratch buffer
 // and its weights in ix.weights.
 //
-// The oracle loop looks at every remaining candidate and recomputes the
-// heaviest for each. A candidate that is not lighter than the heaviest
+// The copy+sort loop (oracle_test.go) looks at every remaining candidate
+// and recomputes the heaviest for each. A candidate that is not lighter than the heaviest
 // changes nothing in that loop — neither the window nor its cost — so this
 // one asks the cost order for the next candidate that is lighter (nextBelow
-// over the block minima decides which to look at; the oracle's own
+// over the block minima decides which to look at; the copy+sort loop's own
 // comparison on the weight itself decides the substitution) and recomputes
 // the heaviest only after a substitution: same trajectory, same float cost
 // accumulation, same tie-breaks. And once a lighter candidate does not fit
@@ -572,7 +535,7 @@ func (ix *WindowIndex) substitute(n int, budget float64, weight func(Candidate) 
 	heavy := heaviest(ws)
 	for {
 		// A threshold that is NaN or -Inf orders nothing: look at every
-		// candidate, as the oracle does.
+		// candidate, as the copy+sort loop does.
 		var more bool
 		if ws[heavy] > math.Inf(-1) {
 			b, j, more = ix.cost.nextBelow(b, j, ws[heavy])
@@ -619,9 +582,9 @@ func heaviest(ws []float64) int {
 // never allocates and always is the same function value.
 func execWeight(c Candidate) float64 { return c.Exec }
 
-// SelectMinRuntimeGreedy is the incremental twin of selectMinRuntimeGreedy:
-// the substitution loop with the execution time as the weight. The output
-// is candidate-for-candidate identical to the oracle's.
+// SelectMinRuntimeGreedy is the paper's runtime-minimizing step: the
+// substitution loop with the execution time as the weight. The output is
+// candidate-for-candidate identical to its copy+sort twin's.
 func (ix *WindowIndex) SelectMinRuntimeGreedy(n int, budget float64, literalBudget bool) (chosen []Candidate, runtime float64, ok bool) {
 	result, ok := ix.substitute(n, budget, execWeight, weightExec, literalBudget)
 	if !ok {
@@ -630,8 +593,8 @@ func (ix *WindowIndex) SelectMinRuntimeGreedy(n int, budget float64, literalBudg
 	return result, maxExec(result), true
 }
 
-// SelectMinAdditiveGreedy is the incremental twin of
-// selectMinAdditiveGreedy for an arbitrary additive per-slot weight, which
+// SelectMinAdditiveGreedy is the substitution loop for an arbitrary
+// additive per-slot weight (total processor time, energy, ...), which
 // must be a pure function of the candidate and the same function at every
 // call of one scan: the index keeps the weights it computed until it is
 // reset for the next scan.
@@ -646,12 +609,13 @@ func (ix *WindowIndex) SelectMinAdditiveGreedy(n int, budget float64, weight fun
 	return result, total, true
 }
 
-// SelectMinRuntimeExact is the incremental entry path of the exact
-// minimum-runtime oracle: the exec-ordered prefix walk and cost heap are
-// unchanged, but the exec ordering comes from the incrementally maintained
-// order instead of a per-visit sort. The first call of a scan builds the
-// order from the current window; later visits reuse it. The cost heap lives
-// in the scratch buffer.
+// SelectMinRuntimeExact is the exact minimum-runtime step (an extension
+// over the paper's greedy procedure): walk the candidates in exec order and
+// keep the n cheapest of the prefix in a max-heap on cost; the first prefix
+// whose n cheapest fit the budget is the optimum. The exec ordering comes
+// from the incrementally maintained order instead of a per-visit sort: the
+// first call of a scan builds it from the current window, and later visits
+// reuse it. The cost heap lives in the scratch buffer.
 func (ix *WindowIndex) SelectMinRuntimeExact(n int, budget float64) (chosen []Candidate, runtime float64, ok bool) {
 	if ix.live < n {
 		return nil, 0, false
@@ -690,7 +654,7 @@ func (ix *WindowIndex) SelectMinRuntimeExact(n int, budget float64) (chosen []Ca
 // random n-subset of the append-order window, rejected when over budget.
 // It reads Cands alone — no order is activated — and the sample stream
 // (drawn before the budget check) and the chosen order are identical to
-// the allocating selectRandom oracle's.
+// the allocating copy+sort twin's.
 func (ix *WindowIndex) SelectRandom(n int, budget float64, rng *randx.Rand) (chosen []Candidate, ok bool) {
 	if ix.live < n {
 		return nil, false

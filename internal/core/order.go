@@ -150,7 +150,7 @@ func (s *orderedSet) blockFor(arena []Candidate, c *Candidate, strict bool) int 
 func (s *orderedSet) less(a, b *Candidate) bool { return candLess(a, b, s.execFirst) }
 
 // candLess is the two strict total orders the selection kernels sort by:
-// (Cost, Exec, NodeID), the cheapestN order, and with execFirst (Exec, Cost,
+// (Cost, Exec, NodeID), the cost order, and with execFirst (Exec, Cost,
 // NodeID), the exact runtime kernel's. Node IDs are unique within a scan
 // window when every node's free slots are disjoint (every retained slot
 // contains the current start); candidates of a list where they are not
@@ -361,13 +361,3 @@ func (s *orderedSet) nextBelow(b, j int, t float64) (int, int, bool) {
 
 // handle returns the handle at a position at or nextBelow returned.
 func (s *orderedSet) handle(b, j int) int32 { return s.h[int(s.dir[b].off)+j] }
-
-// appendTo appends the set's candidates, in order, to dst.
-func (s *orderedSet) appendTo(dst []Candidate, arena []Candidate) []Candidate {
-	for _, blk := range s.dir {
-		for _, h := range s.h[blk.off : blk.off+blk.n] {
-			dst = append(dst, arena[h])
-		}
-	}
-	return dst
-}

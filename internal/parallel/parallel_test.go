@@ -129,12 +129,13 @@ func TestFindAllMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestFindAllIncrementalMatchesOracle runs the kernel differential under
-// the parallel engine: FindAll over the shipped (incremental WindowIndex)
-// algorithms must be value-identical to FindAll over their copy+sort oracle
-// twins, for every seed and worker count. Concurrent scans share the slot
-// list but each owns its index, so worker count must never leak into the
-// selected windows.
+// TestFindAllIncrementalMatchesOracle holds FindAll, whose workers each run
+// several algorithms on one reused scanner, to each algorithm's sequential
+// core.FindObserved, run last to first so that every search follows a
+// different one than it does in FindAll, for every seed and worker count.
+// Concurrent scans share the slot list but each owns its index, so neither
+// the worker count nor the search before must leak into a selected window.
+// (The core differential suite holds each search to its copy+sort twin.)
 func TestFindAllIncrementalMatchesOracle(t *testing.T) {
 	for seed := uint64(1); seed <= 60; seed++ {
 		rng := randx.New(seed)
@@ -142,27 +143,24 @@ func TestFindAllIncrementalMatchesOracle(t *testing.T) {
 		req := randomRequest(rng)
 		algs := findAllAlgs(seed)
 
-		oracles := make([]core.Algorithm, len(algs))
-		for i, alg := range algs {
-			twin, ok := core.Oracle(alg)
-			if !ok {
-				t.Fatalf("no oracle twin for %s", alg.Name())
-			}
-			oracles[i] = twin
+		want := make([]parallel.Result, len(algs))
+		for i := len(algs) - 1; i >= 0; i-- {
+			r := req
+			w, err := core.FindObserved(algs[i], list, &r, nil)
+			want[i] = parallel.Result{Algorithm: algs[i], Window: w, Err: err}
 		}
 
 		for _, workers := range workerCounts {
-			inc := parallel.FindAll(list, &req, algs, workers, nil)
-			orc := parallel.FindAll(list, &req, oracles, workers, nil)
+			got := parallel.FindAll(list, &req, algs, workers, nil)
 			for i := range algs {
-				if (inc[i].Err == nil) != (orc[i].Err == nil) {
-					t.Fatalf("seed=%d workers=%d alg=%s: feasibility diverged: incremental err=%v, oracle err=%v",
-						seed, workers, algs[i].Name(), inc[i].Err, orc[i].Err)
+				if (got[i].Err == nil) != (want[i].Err == nil) {
+					t.Fatalf("seed=%d workers=%d alg=%s: feasibility diverged: FindAll err=%v, sequential err=%v",
+						seed, workers, algs[i].Name(), got[i].Err, want[i].Err)
 				}
-				is, os := testkit.WindowSignature(inc[i].Window), testkit.WindowSignature(orc[i].Window)
-				if is != os {
-					t.Errorf("seed=%d workers=%d alg=%s: incremental and oracle windows diverged\nincremental: %s\noracle:      %s",
-						seed, workers, algs[i].Name(), is, os)
+				gs, ws := testkit.WindowSignature(got[i].Window), testkit.WindowSignature(want[i].Window)
+				if gs != ws {
+					t.Errorf("seed=%d workers=%d alg=%s: FindAll and sequential windows diverged\nFindAll:    %s\nsequential: %s",
+						seed, workers, algs[i].Name(), gs, ws)
 				}
 			}
 		}

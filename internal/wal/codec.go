@@ -31,10 +31,10 @@
 // segment once it holds 64 KiB (or SegmentBytes, when smaller): the
 // segment is closed and wal-<next seq>.log starts empty. Appends that race
 // the snapshot may land a few frames past N before the seal. Compaction
-// keeps the SnapshotKeep newest snapshots and deletes the segments that
-// the oldest of them covers, so a corrupt newest snapshot still leaves an
-// older one with its whole tail; until SnapshotKeep snapshots exist it
-// deletes no segment.
+// keeps the DefaultSnapshotKeep (2) newest snapshots and deletes the
+// segments that the oldest of them covers, so a corrupt newest snapshot
+// still leaves an older one with its whole tail; until that many snapshots
+// exist it deletes no segment.
 //
 // # Recovery
 //

@@ -8,6 +8,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"strings"
@@ -54,6 +55,11 @@ func FuzzPoolModel(f *testing.F) {
 		}
 	})
 }
+
+// modelOpTimeout bounds one op of a model script: an op that has not
+// returned by then has hung, and the script fails at it with its prefix
+// instead of running into the go test timeout.
+const modelOpTimeout = 10 * time.Second
 
 // crossShardGrace is inventory's pad on the shard deadline of a hold that
 // spans shards.
@@ -675,7 +681,12 @@ func runModel(t *testing.T, shards int, ops []modelOp) (int, error) {
 	if err := p.boot(); err != nil {
 		return 0, err
 	}
-	defer func() { p.Close() }() // the stack of the last boot
+	hung := false
+	defer func() { // the stack of the last boot
+		if !hung {
+			p.Close()
+		}
+	}()
 	m := &poolModel{shards: shards, now: p.now, base: map[int][]slots.Interval{}, holds: map[string]*modelHold{},
 		commits: map[string]map[int][]slots.Interval{}}
 	m.durable = make([]*poolModel, shards)
@@ -683,104 +694,129 @@ func runModel(t *testing.T, shards int, ops []modelOp) (int, error) {
 	m.c.Adds = uint64(shards) // every shard journals its construction
 	m.awaited(m.allShards()...)
 	for i, op := range ops {
-		pick := "r99999999" // never minted
-		if k := int(op.a) % (len(m.ids) + 1); k < len(m.ids) {
-			pick = m.ids[k]
-		}
-		var got, want string
-		switch op.kind {
-		case 0, 1, 2:
-			ids := []int{int(op.a) % modelNodes}
-			for k := 1; k <= int(op.b)%3; k++ {
-				ids = append(ids, (ids[0]+3*k)%modelNodes)
+		step := func() error {
+			pick := "r99999999" // never minted
+			if k := int(op.a) % (len(m.ids) + 1); k < len(m.ids) {
+				pick = m.ids[k]
 			}
-			ttl := time.Duration(1+int(op.b/3)%4) * time.Second
-			w, used := p.window(ids, op.start(), float64(1+op.d%8))
-			got, want = reserveOutcome(p.Pool.ReserveWindow(w, ttl)), m.reserved(used, ttl)
-		case 3, 4, 5:
-			commit := op.kind < 5
-			var err error
-			if commit {
-				_, err = p.Pool.Commit(pick)
-			} else {
-				err = p.Pool.Release(pick)
-			}
-			got, want = fmt.Sprint(err), fmt.Sprint(nil)
-			if !m.settle(pick, commit) {
-				want = inventory.ErrUnknownReservation.Error()
-			}
-		case 6:
-			n := p.nodes[int(op.a)%modelNodes]
-			iv := slots.Interval{Start: float64(op.b % 100), End: float64(op.b%100 + 1 + op.c%30)}
-			if op.b < 128 { // a seeded span back
-				iv = slots.Interval{Start: float64(op.b % 2 * 60), End: float64(50 + op.b%2*50)}
-			}
-			length := iv.Length()
-			list := slots.List{{Node: n, Interval: iv}}
-			if op.d%2 == 1 {
-				start := float64(op.d / 2 % 100)
-				list = append(list, &slots.Slot{Node: n, Interval: slots.Interval{Start: start, End: start + length}})
-			}
-			got, want = fmt.Sprint(p.Pool.Add(list) == nil), fmt.Sprint(m.add(list))
-		case 7:
-			node := int(op.a) % modelNodes
-			got, want = withdrawOutcome(p.Pool.Withdraw(node)), m.withdrawn(node)
-		case 8:
-			got, want = fmt.Sprint(p.Pool.Sweep()), fmt.Sprint(m.sweepAll())
-		case 9:
-			d := time.Duration(op.a%5) * 700 * time.Millisecond
-			p.now, m.now = p.now.Add(d), m.now.Add(d)
-		case 10:
-			if err := p.reopen(op.b%2 == 1); err != nil {
-				return i + 1, fmt.Errorf("reopen: %w", err)
-			}
-			m.reopen()
-		case 11:
-			node := int(op.a) % modelNodes
-			ttl := time.Duration(1+int(op.b)%4) * time.Second
-			w, used := p.window([]int{node}, op.start(), float64(1+op.d%8))
-			var res, wd string
-			var wg sync.WaitGroup
-			wg.Add(2)
-			go func() { defer wg.Done(); res = reserveOutcome(p.Pool.ReserveWindow(w, ttl)) }()
-			go func() { defer wg.Done(); wd = withdrawOutcome(p.Pool.Withdraw(node)) }()
-			wg.Wait()
-			got = res + " / " + wd + "\n" + observe(p.Pool)
-			// Either order is a correct outcome.
-			var wants []string
-			for _, reserveFirst := range []bool{true, false} {
-				mm := m.clone()
-				var r, x string
-				if reserveFirst {
-					r, x = mm.reserved(used, ttl), mm.withdrawn(node)
+			var got, want string
+			switch op.kind {
+			case 0, 1, 2:
+				ids := []int{int(op.a) % modelNodes}
+				for k := 1; k <= int(op.b)%3; k++ {
+					ids = append(ids, (ids[0]+3*k)%modelNodes)
+				}
+				ttl := time.Duration(1+int(op.b/3)%4) * time.Second
+				w, used := p.window(ids, op.start(), float64(1+op.d%8))
+				got, want = reserveOutcome(p.Pool.ReserveWindow(w, ttl)), m.reserved(used, ttl)
+			case 3, 4, 5:
+				commit := op.kind < 5
+				var err error
+				if commit {
+					_, err = p.Pool.Commit(pick)
 				} else {
-					x = mm.withdrawn(node)
-					r = mm.reserved(used, ttl)
+					err = p.Pool.Release(pick)
 				}
-				if want = r + " / " + x + "\n" + mm.expect(); want == got {
-					m = mm
-					break
+				got, want = fmt.Sprint(err), fmt.Sprint(nil)
+				if !m.settle(pick, commit) {
+					want = inventory.ErrUnknownReservation.Error()
 				}
-				wants = append(wants, want)
+			case 6:
+				n := p.nodes[int(op.a)%modelNodes]
+				iv := slots.Interval{Start: float64(op.b % 100), End: float64(op.b%100 + 1 + op.c%30)}
+				if op.b < 128 { // a seeded span back
+					iv = slots.Interval{Start: float64(op.b % 2 * 60), End: float64(50 + op.b%2*50)}
+				}
+				length := iv.Length()
+				list := slots.List{{Node: n, Interval: iv}}
+				if op.d%2 == 1 {
+					start := float64(op.d / 2 % 100)
+					list = append(list, &slots.Slot{Node: n, Interval: slots.Interval{Start: start, End: start + length}})
+				}
+				got, want = fmt.Sprint(p.Pool.Add(list) == nil), fmt.Sprint(m.add(list))
+			case 7:
+				node := int(op.a) % modelNodes
+				got, want = withdrawOutcome(p.Pool.Withdraw(node)), m.withdrawn(node)
+			case 8:
+				got, want = fmt.Sprint(p.Pool.Sweep()), fmt.Sprint(m.sweepAll())
+			case 9:
+				d := time.Duration(op.a%5) * 700 * time.Millisecond
+				p.now, m.now = p.now.Add(d), m.now.Add(d)
+			case 10:
+				if err := p.reopen(op.b%2 == 1); err != nil {
+					return fmt.Errorf("reopen: %w", err)
+				}
+				m.reopen()
+			case 11:
+				node := int(op.a) % modelNodes
+				ttl := time.Duration(1+int(op.b)%4) * time.Second
+				w, used := p.window([]int{node}, op.start(), float64(1+op.d%8))
+				var res, wd string
+				var wg sync.WaitGroup
+				wg.Add(2)
+				go func() { defer wg.Done(); res = reserveOutcome(p.Pool.ReserveWindow(w, ttl)) }()
+				go func() { defer wg.Done(); wd = withdrawOutcome(p.Pool.Withdraw(node)) }()
+				wg.Wait()
+				got = res + " / " + wd + "\n" + observe(p.Pool)
+				// Either order is a correct outcome.
+				var wants []string
+				for _, reserveFirst := range []bool{true, false} {
+					mm := m.clone()
+					var r, x string
+					if reserveFirst {
+						r, x = mm.reserved(used, ttl), mm.withdrawn(node)
+					} else {
+						x = mm.withdrawn(node)
+						r = mm.reserved(used, ttl)
+					}
+					if want = r + " / " + x + "\n" + mm.expect(); want == got {
+						m = mm
+						break
+					}
+					wants = append(wants, want)
+				}
+				if want != got {
+					return fmt.Errorf("%v: pool\n%s\nmatches neither order:\n%s", op, got, strings.Join(wants, "\n"))
+				}
+			case 12:
+				lost, err := p.crash()
+				if err != nil {
+					return fmt.Errorf("crash: %w", err)
+				}
+				m = m.crashed(lost)
+				if err := p.checkCrash(m, lost); err != nil {
+					return fmt.Errorf("crash: %w", err)
+				}
 			}
-			if want != got {
-				return i + 1, fmt.Errorf("%v: pool\n%s\nmatches neither order:\n%s", op, got, strings.Join(wants, "\n"))
+			if got != want {
+				return fmt.Errorf("%v: pool says %q, model %q", op, got, want)
 			}
-		case 12:
-			lost, err := p.crash()
+			if got, want := observe(p.Pool), m.expect(); got != want {
+				return fmt.Errorf("after %v: pool\n%s\nmodel\n%s", op, got, want)
+			}
+			return nil
+		}
+		done := make(chan error, 1)
+		go func() {
+			defer func() {
+				if r := recover(); r != nil {
+					done <- fmt.Errorf("%v panics: %v\n%s", op, r, debug.Stack())
+				}
+			}()
+			done <- step()
+		}()
+		watchdog := time.NewTimer(modelOpTimeout)
+		select {
+		case err := <-done:
+			watchdog.Stop()
 			if err != nil {
-				return i + 1, fmt.Errorf("crash: %w", err)
+				return i + 1, err
 			}
-			m = m.crashed(lost)
-			if err := p.checkCrash(m, lost); err != nil {
-				return i + 1, fmt.Errorf("crash: %w", err)
-			}
-		}
-		if got != want {
-			return i + 1, fmt.Errorf("%v: pool says %q, model %q", op, got, want)
-		}
-		if got, want := observe(p.Pool), m.expect(); got != want {
-			return i + 1, fmt.Errorf("after %v: pool\n%s\nmodel\n%s", op, got, want)
+		case <-watchdog.C:
+			// The op still holds the pool: leave the stack open rather
+			// than hang again in its Close.
+			hung = true
+			return i + 1, fmt.Errorf("%v did not return within %v", op, modelOpTimeout)
 		}
 	}
 	return len(ops), nil

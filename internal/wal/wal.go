@@ -19,7 +19,9 @@ const (
 	// DefaultSegmentBytes is the segment rotation threshold.
 	DefaultSegmentBytes = 64 << 20
 
-	// DefaultSnapshotKeep is how many snapshots survive compaction.
+	// DefaultSnapshotKeep is how many snapshots survive compaction. The
+	// latest snapshot alone is enough for recovery; keeping one more
+	// guards against a snapshot that turns out corrupt on read.
 	DefaultSnapshotKeep = 2
 
 	// sealBytes is the least a segment holds before a snapshot seals it
@@ -35,12 +37,6 @@ type Options struct {
 	// size (checked between batches); a snapshot seals it sooner (see the
 	// package doc). 0 = DefaultSegmentBytes.
 	SegmentBytes int64
-
-	// SnapshotKeep is how many recent snapshots to retain; older ones are
-	// deleted by compaction. 0 = DefaultSnapshotKeep. The latest
-	// snapshot alone is enough for recovery; keeping one more guards
-	// against a snapshot that turns out corrupt on read.
-	SnapshotKeep int
 
 	// NoSync skips fsync (tests and benchmarks of the framing path only:
 	// it voids the durability contract).
@@ -117,9 +113,6 @@ func Create(dir string, lastSeq uint64, opts Options) (*Store, error) {
 func createFS(fs fsys, dir string, lastSeq uint64, opts Options) (*Store, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
-	}
-	if opts.SnapshotKeep <= 0 {
-		opts.SnapshotKeep = DefaultSnapshotKeep
 	}
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
@@ -201,7 +194,8 @@ func (s *Store) demandedLocked() bool {
 }
 
 // waitDurable demands seq and blocks until it is fsync'd or the store
-// fails/closes.
+// fails/closes. seq must have been appended: nothing pending reaches a
+// later one, so the wait would never end (Snapshot refuses such a state).
 func (s *Store) waitDurable(seq uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -343,13 +337,19 @@ func (s *Store) rotate(firstSeq uint64) error {
 }
 
 // Snapshot persists a full state, seals the active segment and compacts the
-// log: all but the SnapshotKeep newest snapshots are deleted, and so are
-// the segments the oldest snapshot kept covers. It first waits for the log
-// to be durable through state.Seq — a snapshot claiming to cover events the
-// log has not fsync'd yet would let a crash lose them invisibly. An I/O
-// failure latches the store like a failed append: a directory that cannot
-// take a snapshot is not trusted with the log either.
+// log: all but the DefaultSnapshotKeep newest snapshots are deleted, and so
+// are the segments the oldest snapshot kept covers. It first waits for the
+// log to be durable through state.Seq — a snapshot claiming to cover events
+// the log has not fsync'd yet would let a crash lose them invisibly. A state
+// ahead of everything appended (the state of another inventory than the one
+// this store journals) is refused with an error that does not latch the
+// store: it is the caller's mistake, not an I/O fault. An I/O failure
+// latches the store like a failed append: a directory that cannot take a
+// snapshot is not trusted with the log either.
 func (s *Store) Snapshot(st *inventory.State) error {
+	if appended := s.appendedSeq.Load(); st.Seq > appended {
+		return fmt.Errorf("wal: snapshot of seq %d is ahead of the log, which ends at seq %d", st.Seq, appended)
+	}
 	if err := s.waitDurable(st.Seq); err != nil {
 		return err
 	}
@@ -379,6 +379,12 @@ func (s *Store) Snapshot(st *inventory.State) error {
 // requestSeal has the writer goroutine, which owns the active segment, seal
 // it, and waits until it has. Appends racing the snapshot may land in the
 // sealed segment first; a boot reads those frames until the next snapshot.
+//
+// A Close that wins the race ends the wait with the seal perhaps not run,
+// and returns nil: the snapshot is already published and durable, and an
+// unsealed segment only costs the next boot a read of the frames the
+// snapshot covers, which recovery skips. The writer latching an error ends
+// the wait too, and that error is returned.
 func (s *Store) requestSeal() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -425,18 +431,18 @@ func (s *Store) writeSnapshot(seq uint64, payload []byte) error {
 // compact deletes snapshots beyond the retention count and the segments
 // whose every event is covered by the oldest snapshot kept, so that if the
 // newer ones turn out corrupt it still has its whole tail. Until there are
-// SnapshotKeep snapshots the log from its first event stands in for the
-// missing older one, and no segment goes. Best-effort: compaction failures
-// never fail the snapshot that triggered them.
+// DefaultSnapshotKeep snapshots the log from its first event stands in for
+// the missing older one, and no segment goes. Best-effort: compaction
+// failures never fail the snapshot that triggered them.
 func (s *Store) compact() {
 	snaps, err := snapshotsIn(s.fs, s.dir)
-	if err != nil || len(snaps) < s.opts.SnapshotKeep {
+	if err != nil || len(snaps) < DefaultSnapshotKeep {
 		return
 	}
-	for _, sn := range snaps[:len(snaps)-s.opts.SnapshotKeep] {
+	for _, sn := range snaps[:len(snaps)-DefaultSnapshotKeep] {
 		s.fs.Remove(sn.path)
 	}
-	oldest := snaps[len(snaps)-s.opts.SnapshotKeep].seq
+	oldest := snaps[len(snaps)-DefaultSnapshotKeep].seq
 	segs, err := segmentsIn(s.fs, s.dir)
 	if err != nil {
 		return

@@ -615,15 +615,8 @@ func TestUnawaitedEventsWriteOnDemand(t *testing.T) {
 	if err := inv.Release(held[5].ID); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() { done <- store.Snapshot(inv.ExportState()) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("snapshot over an unawaited tail did not return")
+	if err := snapshotWithin(t, func() error { return store.Snapshot(inv.ExportState()) }); err != nil {
+		t.Fatal(err)
 	}
 	if st := store.Stats(); st.DurableSeq != inv.Seq() || st.SnapshotSeq != inv.Seq() {
 		t.Fatalf("after the snapshot: %+v, want seq %d durable and covered", st, inv.Seq())
@@ -632,3 +625,93 @@ func TestUnawaitedEventsWriteOnDemand(t *testing.T) {
 
 // frameReader wraps a byte slice for readFrame.
 func frameReader(b []byte) *bufio.Reader { return bufio.NewReader(bytes.NewReader(b)) }
+
+// snapshotWithin runs snap and fails the test if it has not returned
+// within 10 s: a snapshot that waits for a sequence nothing pending
+// can reach never returns.
+func snapshotWithin(t *testing.T, snap func() error) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- snap() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatal("snapshot did not return")
+		return nil
+	}
+}
+
+// TestSnapshotAheadOfLog: a state whose Seq is ahead of everything the
+// store appended is refused with an error naming both sequences, on a fresh
+// store and on one with a log, and the refusal leaves the store healthy:
+// not latched, and a true snapshot still goes through. Before the check the
+// snapshot waited forever for a sequence no append would bring.
+// Over a Stack whose stores are paired with the wrong shards, Snapshot
+// returns the same refusal for the store handed a state ahead of its log.
+func TestSnapshotAheadOfLog(t *testing.T) {
+	fresh, err := Create(t.TempDir(), 0, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	err = snapshotWithin(t, func() error { return fresh.Snapshot(&inventory.State{Seq: 5}) })
+	if err == nil || !strings.Contains(err.Error(), "seq 5") || !strings.Contains(err.Error(), "seq 0") {
+		t.Fatalf("snapshot at seq 5 of an empty log: %v, want an error naming seq 5 and seq 0", err)
+	}
+
+	dir := t.TempDir()
+	inv, store := seedFlat(t, dir, testkit.RandomList(randx.New(5), 8, 3, 300), inventory.Options{}, Options{NoSync: true})
+	defer store.Close()
+	drive(t, inv, 5, 40)
+	st := inv.ExportState()
+	appended := st.Seq
+	st.Seq += 1000
+	err = snapshotWithin(t, func() error { return store.Snapshot(st) })
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("seq %d", st.Seq)) || !strings.Contains(err.Error(), fmt.Sprintf("seq %d", appended)) {
+		t.Fatalf("snapshot at seq %d of a log at seq %d: %v, want an error naming both", st.Seq, appended, err)
+	}
+	if err := store.Err(); err != nil {
+		t.Fatalf("the refusal latched the store: %v", err)
+	}
+	if stats := store.Stats(); stats.SnapshotSeq != 0 {
+		t.Fatalf("the refusal recorded snapshot seq %d", stats.SnapshotSeq)
+	}
+	if err := snapshotWithin(t, func() error { return store.Snapshot(inv.ExportState()) }); err != nil {
+		t.Fatalf("a true snapshot after the refusal: %v", err)
+	}
+
+	stack, err := Boot(t.TempDir(), func() (slots.List, error) { return testkit.RandomList(randx.New(6), 12, 3, 300), nil },
+		inventory.Options{Shards: 4}, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stack.Close()
+	drive(t, stack.Pool, 6, 60)
+	hi, lo := 0, 0
+	for i := range stack.Shards {
+		if stack.Shards[i].Seq() > stack.Shards[hi].Seq() {
+			hi = i
+		}
+		if stack.Stores[i].Stats().AppendedSeq < stack.Stores[lo].Stats().AppendedSeq {
+			lo = i
+		}
+	}
+	if stack.Shards[hi].Seq() <= stack.Stores[lo].Stats().AppendedSeq {
+		t.Fatalf("every shard is at seq %d: nothing to mis-pair", stack.Shards[hi].Seq())
+	}
+	stack.Stores[hi], stack.Stores[lo] = stack.Stores[lo], stack.Stores[hi]
+	err = snapshotWithin(t, stack.Snapshot)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("store %d: wal: snapshot of seq %d is ahead", hi, stack.Shards[hi].Seq())) {
+		t.Fatalf("Stack.Snapshot with store %d journaling shard %d: %v, want store %d's refusal", lo, hi, err, hi)
+	}
+	stack.Stores[hi], stack.Stores[lo] = stack.Stores[lo], stack.Stores[hi]
+	for i, s := range stack.Stores {
+		if err := s.Err(); err != nil {
+			t.Fatalf("store %d latched: %v", i, err)
+		}
+	}
+	if err := snapshotWithin(t, stack.Snapshot); err != nil {
+		t.Fatalf("Stack.Snapshot once paired again: %v", err)
+	}
+}
