@@ -132,11 +132,9 @@ func FuzzReadOwnedWindow(f *testing.F) {
 	req := testkit.SmallRequest(2, 300)
 	var valid []byte
 	if w, err := (core.AMP{}).Find(e.Slots, &req); err == nil {
-		var buf bytes.Buffer
-		if err := WriteOwnedWindow(&buf, w); err != nil {
+		if valid, err = new(Encoder).AppendOwnedWindow(nil, w); err != nil {
 			f.Fatal(err)
 		}
-		valid = buf.Bytes()
 	}
 	seedCorpus(f, valid)
 	f.Add([]byte(`{"version":1,"start":0,"nodes":[{"id":1}],"nodes":[],"placements":[{"node":1,"exec":1,"slot_end":2}]}`))
@@ -146,11 +144,11 @@ func FuzzReadOwnedWindow(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var out bytes.Buffer
-		if err := WriteOwnedWindow(&out, w); err != nil {
+		out, err := new(Encoder).AppendOwnedWindow(nil, w)
+		if err != nil {
 			t.Fatalf("accepted window fails to re-encode: %v", err)
 		}
-		w2, err := ParseOwnedWindow(out.Bytes())
+		w2, err := ParseOwnedWindow(out)
 		if err != nil {
 			t.Fatalf("re-encoded window fails to re-read: %v", err)
 		}

@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"bytes"
 	"testing"
 
 	"slotsel/internal/core"
@@ -15,11 +14,11 @@ func TestOwnedWindowRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Skip("no window on this seed")
 	}
-	var buf bytes.Buffer
-	if err := WriteOwnedWindow(&buf, w); err != nil {
+	doc, err := new(Encoder).AppendOwnedWindow(nil, w)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseOwnedWindow(buf.Bytes())
+	got, err := ParseOwnedWindow(doc)
 	if err != nil {
 		t.Fatal(err)
 	}

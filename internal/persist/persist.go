@@ -10,13 +10,10 @@ package persist
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
 	"slices"
-	"sort"
-	"strconv"
 
 	"slotsel/internal/core"
 	"slotsel/internal/env"
@@ -223,43 +220,25 @@ func decodeFirst[T any](b []byte, v *T, scan func(*Scanner) bool) error {
 
 // slotListJSON is the serialized bare slot list: the environment format
 // minus the horizon. It is the wire format shared by cmd/slotgen
-// (-slots-only) and the scheduling server's /v1/slots endpoint.
+// (-slots-only), the scheduling server's /v1/slots endpoint and the
+// durable log; it defines what decodes, and Encoder.AppendSlotList writes
+// it.
 type slotListJSON struct {
 	Version int        `json:"version"`
 	Nodes   []nodeJSON `json:"nodes"`
 	Slots   []slotJSON `json:"slots"`
 }
 
-// WriteSlotList serializes a bare slot list as indented JSON. The distinct
-// nodes referenced by the slots are embedded (sorted by ID) so the list is
-// self-contained.
+// WriteSlotList writes a bare slot list as indented JSON and a newline:
+// Encoder.AppendSlotList's document, whose embedded nodes (sorted by ID)
+// make the list self-contained.
 func WriteSlotList(w io.Writer, l slots.List) error {
-	out := slotListJSON{Version: FormatVersion}
-	seen := make(map[int]bool)
-	var ns []*nodes.Node
-	for _, s := range l {
-		if s == nil || s.Node == nil {
-			return fmt.Errorf("persist: slot list contains a nil slot or node")
-		}
-		if !seen[s.Node.ID] {
-			seen[s.Node.ID] = true
-			ns = append(ns, s.Node)
-		}
+	b, err := new(Encoder).AppendSlotList(nil, l, true)
+	if err != nil {
+		return err
 	}
-	sort.Slice(ns, func(i, j int) bool { return ns[i].ID < ns[j].ID })
-	for _, n := range ns {
-		out.Nodes = append(out.Nodes, nodeJSON{
-			ID: n.ID, Perf: n.Perf, Price: n.Price,
-			RAMMB: n.RAMMB, DiskGB: n.DiskGB,
-			OS: string(n.OS), Arch: string(n.Arch),
-		})
-	}
-	for _, s := range l {
-		out.Slots = append(out.Slots, slotJSON{Node: s.Node.ID, Start: s.Start, End: s.End})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	_, err = w.Write(append(b, '\n'))
+	return err
 }
 
 // ReadSlotList is ParseSlotList over a reader.
@@ -478,34 +457,28 @@ type windowJSON struct {
 // document of its own, 1 inside a service reply — and indents every line
 // but the first; no newline follows the closing brace. A non-finite number
 // is ErrNonFinite, and dst comes back unchanged. It is the one window
-// encoder.
+// encoder of replies; the durable log writes owned windows
+// (Encoder.AppendOwnedWindow) on the same appender.
 func AppendWindow(dst []byte, win *core.Window, depth int) ([]byte, error) {
-	e := windowEncoder{buf: slices.Grow(dst, 192+160*len(win.Placements)), indent: 2 * depth}
-	e.buf = append(e.buf, '{')
-	e.indent += 2
-	e.float("start", win.Start, ',')
-	e.float("runtime", win.Runtime, ',')
-	e.float("finish", win.Finish(), ',')
-	e.float("cost", win.Cost, ',')
-	e.float("proc_time", win.ProcTime, ',')
-	e.key("placements")
+	e := appender{buf: slices.Grow(dst, 192+160*len(win.Placements)), depth: depth, pretty: true}
+	e.open('{')
+	e.float("start", win.Start)
+	e.float("runtime", win.Runtime)
+	e.float("finish", win.Finish())
+	e.float("cost", win.Cost)
+	e.float("proc_time", win.ProcTime)
 	if len(win.Placements) == 0 {
-		e.buf = append(e.buf, "null"...)
+		e.null("placements")
 	} else {
-		e.buf = append(e.buf, '[')
-		e.indent += 2
-		for i, p := range win.Placements {
-			if i > 0 {
-				e.buf = append(e.buf, ',')
-			}
-			e.line()
-			e.buf = append(e.buf, '{')
-			e.indent += 2
-			e.key("node")
-			e.buf = append(strconv.AppendInt(e.buf, int64(p.Node().ID), 10), ',')
-			e.float("start", p.Start, ',')
-			e.float("exec", p.Exec, ',')
-			e.float("cost", p.Cost, 0)
+		e.key("placements")
+		e.open('[')
+		for _, p := range win.Placements {
+			e.elem()
+			e.open('{')
+			e.int("node", p.Node().ID)
+			e.float("start", p.Start)
+			e.float("exec", p.Exec)
+			e.float("cost", p.Cost)
 			e.close('}')
 		}
 		e.close(']')
@@ -515,63 +488,6 @@ func AppendWindow(dst []byte, win *core.Window, depth int) ([]byte, error) {
 		return dst, fmt.Errorf("persist: encoding window: %w", ErrNonFinite)
 	}
 	return e.buf, nil
-}
-
-// ErrNonFinite reports a window holding a NaN or an infinity, which JSON
-// cannot carry.
-var ErrNonFinite = errors.New("unsupported value: NaN or infinite number")
-
-// windowEncoder is AppendWindow's output with the current indent.
-type windowEncoder struct {
-	buf    []byte
-	indent int
-	bad    bool // a non-finite float was met
-}
-
-const indentSpaces = "                "
-
-// line starts a new line at the current indent.
-func (e *windowEncoder) line() {
-	e.buf = append(e.buf, '\n')
-	for n := e.indent; n > 0; n -= len(indentSpaces) {
-		e.buf = append(e.buf, indentSpaces[:min(n, len(indentSpaces))]...)
-	}
-}
-
-func (e *windowEncoder) key(k string) {
-	e.line()
-	e.buf = append(e.buf, '"')
-	e.buf = append(e.buf, k...)
-	e.buf = append(e.buf, `": `...)
-}
-
-// close ends an object or array on a line of its own.
-func (e *windowEncoder) close(c byte) {
-	e.indent -= 2
-	e.line()
-	e.buf = append(e.buf, c)
-}
-
-// float appends "k": f with encoding/json's formatting — ES6-style, 'e'
-// only below 1e-6 and from 1e21, a two-digit negative exponent trimmed to
-// one — followed by sep unless it is 0.
-func (e *windowEncoder) float(k string, f float64, sep byte) {
-	e.key(k)
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		e.bad = true
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	e.buf = strconv.AppendFloat(e.buf, f, format, -1, 64)
-	if n := len(e.buf); format == 'e' && e.buf[n-4] == 'e' && e.buf[n-3] == '-' && e.buf[n-2] == '0' {
-		e.buf[n-2] = e.buf[n-1]
-		e.buf = e.buf[:n-1]
-	}
-	if sep != 0 {
-		e.buf = append(e.buf, sep)
-	}
 }
 
 // WriteWindow writes AppendWindow's document and a newline.
@@ -621,43 +537,13 @@ type ownedPlacementJSON struct {
 // nodes are embedded (like the slot-list format) and every placement
 // carries its hosting slot's interval, so ParseOwnedWindow needs no
 // environment to re-link against. This is the encoding the durable journal
-// (internal/wal) frames into its records and snapshots.
+// (internal/wal) frames into its records and snapshots; it defines what
+// decodes, and Encoder.AppendOwnedWindow writes it.
 type ownedWindowJSON struct {
 	Version    int                  `json:"version"`
 	Start      float64              `json:"start"`
 	Nodes      []nodeJSON           `json:"nodes"`
 	Placements []ownedPlacementJSON `json:"placements"`
-}
-
-// WriteOwnedWindow serializes a window self-contained (embedded nodes and
-// slot intervals), as compact JSON: unlike WriteWindow the result can be
-// decoded with no environment at hand, which is what a write-ahead log
-// replayed on a cold boot needs. Aggregates (runtime, cost, proc time) are
-// not stored: ParseOwnedWindow recomputes them with the exact NewWindow
-// accumulation, so a round trip is value-identical.
-func WriteOwnedWindow(w io.Writer, win *core.Window) error {
-	out := ownedWindowJSON{Version: FormatVersion, Start: win.Start}
-	seen := make(map[int]bool, len(win.Placements))
-	for _, p := range win.Placements {
-		if p.Slot == nil || p.Slot.Node == nil {
-			return fmt.Errorf("persist: window placement has a nil slot or node")
-		}
-		n := p.Slot.Node
-		if !seen[n.ID] {
-			seen[n.ID] = true
-			out.Nodes = append(out.Nodes, nodeJSON{
-				ID: n.ID, Perf: n.Perf, Price: n.Price,
-				RAMMB: n.RAMMB, DiskGB: n.DiskGB,
-				OS: string(n.OS), Arch: string(n.Arch),
-			})
-		}
-		out.Placements = append(out.Placements, ownedPlacementJSON{
-			Node: n.ID, Start: p.Start, Exec: p.Exec, Cost: p.Cost,
-			SlotStart: p.Slot.Start, SlotEnd: p.Slot.End,
-		})
-	}
-	sort.Slice(out.Nodes, func(i, j int) bool { return out.Nodes[i].ID < out.Nodes[j].ID })
-	return json.NewEncoder(w).Encode(out)
 }
 
 // ParseOwnedWindow deserializes a self-contained window — the first JSON

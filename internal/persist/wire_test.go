@@ -438,8 +438,8 @@ func TestParseOwnedWindowMatchesEncodingJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var written bytes.Buffer
-	if err := WriteOwnedWindow(&written, w); err != nil {
+	written, err := new(Encoder).AppendOwnedWindow(nil, w)
+	if err != nil {
 		t.Fatal(err)
 	}
 	const n = `"nodes":[{"id":1,"perf":2,"price":1,"os":"linux"}]`
@@ -448,8 +448,8 @@ func TestParseOwnedWindowMatchesEncodingJSON(t *testing.T) {
 		in      string
 		scanned bool
 	}{
-		{written.String(), true},
-		{written.String() + " trailing", true}, // the first value is the window, as for a Decoder
+		{string(written), true},
+		{string(written) + " trailing", true}, // the first value is the window, as for a Decoder
 		{`{"version":1,"start":0,` + n + `,` + p + `}`, true},
 		{`{"version":1,"start":1,` + n + `,` + p + `}`, true}, // scanned, then refused
 		{`{"version":2,"start":0,` + n + `,` + p + `}`, true},

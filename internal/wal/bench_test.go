@@ -68,19 +68,54 @@ func BenchmarkReserveReleaseWALFsync(b *testing.B) {
 }
 
 // BenchmarkAppendEncode isolates the journal framing itself — encode one
-// OpCommit event (the smallest record whose ack waits, so the writer
-// frames it at once) into a NoSync store.
+// awaited event, so the writer frames it at once, into a NoSync store:
+// an OpCommit (the smallest such record) and an accepted 5-task OpReserve
+// (the record a booking writes, its window nested).
 func BenchmarkAppendEncode(b *testing.B) {
-	store, err := Create(b.TempDir(), 0, Options{NoSync: true})
+	reserve, _ := reserveEvent(b)
+	for _, tc := range []struct {
+		name string
+		ev   inventory.Event
+	}{
+		{"commit", inventory.Event{Op: inventory.OpCommit, ID: "h-000001", OK: true}},
+		{"reserve", reserve},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			store, err := Create(b.TempDir(), 0, Options{NoSync: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer store.Close()
+			ev := tc.ev
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ev.Seq = uint64(i + 1)
+				if err := store.Append(ev)(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEncodeStateBookDeep prices a snapshot's encoding: EncodeState
+// of the base the benchmark's book_deep workload boots from — 1 024
+// generated nodes over a 6 000 horizon, seed 1: 48 267 slots.
+func BenchmarkEncodeStateBookDeep(b *testing.B) {
+	e := env.Generate(env.DefaultConfig().WithNodeCount(1024).WithHorizon(6000), randx.New(1))
+	inv, err := inventory.New(e.Slots, inventory.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer store.Close()
+	st := inv.ExportState()
+	if len(st.Base) != 48267 {
+		b.Fatalf("the base holds %d slots, want 48267", len(st.Base))
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		wait := store.Append(inventory.Event{Seq: uint64(i + 1), Op: inventory.OpCommit, ID: "h-000001", OK: true})
-		if err := wait(); err != nil {
+		if _, err := EncodeState(st); err != nil {
 			b.Fatal(err)
 		}
 	}

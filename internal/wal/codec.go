@@ -13,13 +13,18 @@
 //
 //	uint32 LE payload length | uint32 LE CRC-32C of payload | payload
 //
-// The payload is compact JSON built on the internal/persist encodings
-// (owned windows, slot lists), so records are self-contained and humanly
-// inspectable with standard tools. The decoders read the envelope, the
-// windows and slot lists nested in it, with the persist Scanner — a
-// snapshot's base in the envelope's own pass — and hand anything outside
-// its subset to encoding/json, which stays the definition of what decodes
-// and of every error. Frames make tail damage
+// The payload is compact JSON — an envelope with the persist owned-window
+// and slot-list documents nested in it — so records are self-contained and
+// humanly inspectable with standard tools. It is appended in place: the
+// writer reserves a frame's header in its batch buffer, appends the
+// envelope behind it with the documents that a persist.Encoder appends
+// inline, then fills the header in. No reflection and no intermediate
+// buffer is involved, and the bytes are those encoding/json wrote for the
+// same structs (eventJSON, stateFields), which the decoders still read.
+// The decoders read the envelope, the windows and slot lists nested in it,
+// with the persist Scanner — a snapshot's base in the envelope's own pass —
+// and hand anything outside its subset to encoding/json, which stays the
+// definition of what decodes and of every error. Frames make tail damage
 // classifiable: an incomplete header or payload is a torn write (the
 // expected shape of a crash mid-append, truncated silently on recovery),
 // while a complete frame whose checksum fails is corruption (recovery
@@ -65,13 +70,14 @@ package wal
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
+	"strconv"
 	"time"
 
 	"slotsel/internal/inventory"
@@ -106,13 +112,16 @@ var (
 	errCorrupt = errors.New("wal: corrupt record")
 )
 
-// appendFrame appends one framed payload to buf and returns the result.
-func appendFrame(buf []byte, payload []byte) []byte {
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+// beginFrame reserves the header of a record at the end of buf: the payload
+// is appended after it, and endFrame fills the header in.
+func beginFrame(buf []byte) []byte { return append(buf, 0, 0, 0, 0, 0, 0, 0, 0) }
+
+// endFrame fills in the header of the record that starts at buf[at:], whose
+// payload runs to the end of buf.
+func endFrame(buf []byte, at int) {
+	payload := buf[at+frameHeaderSize:]
+	binary.LittleEndian.PutUint32(buf[at:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[at+4:], crc32.Checksum(payload, castagnoli))
 }
 
 // readFrame reads the next record from r. It returns io.EOF at a clean
@@ -147,8 +156,9 @@ func readFrame(r *bufio.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// eventJSON is the serialized inventory.Event. Window and Slots embed the
-// persist owned-window and slot-list encodings as nested documents.
+// eventJSON is the serialized inventory.Event, as DecodeEvent's
+// encoding/json half reads it and appendEvent writes it. Window and Slots
+// are the persist owned-window and slot-list documents, nested.
 // Directories written before the global event order was dropped carry a
 // "gseq" key here and in stateJSON; decoding ignores it.
 type eventJSON struct {
@@ -162,32 +172,40 @@ type eventJSON struct {
 	Slots   json.RawMessage `json:"slots,omitempty"`
 }
 
-// EncodeEvent serializes one journal event to its record payload.
-func EncodeEvent(ev inventory.Event) ([]byte, error) {
-	out := eventJSON{Seq: ev.Seq, Op: int(ev.Op), ID: ev.ID, Node: ev.Node, OK: ev.OK}
-	if !ev.Expires.IsZero() {
-		out.Expires = ev.Expires.UnixNano()
+// appendEvent appends ev's record payload to dst: the envelope in
+// eventJSON's key order and omit rules, with the window or slot list that
+// enc appends nested inline. A window or slot list that cannot be encoded
+// is an error naming the seq, and dst comes back unchanged.
+func appendEvent(dst []byte, ev inventory.Event, enc *persist.Encoder) ([]byte, error) {
+	b := strconv.AppendUint(append(dst, `{"seq":`...), ev.Seq, 10)
+	b = strconv.AppendInt(append(b, `,"op":`...), int64(ev.Op), 10)
+	if ev.ID != "" {
+		b = persist.AppendString(append(b, `,"id":`...), ev.ID)
 	}
+	if ev.Node != 0 {
+		b = strconv.AppendInt(append(b, `,"node":`...), int64(ev.Node), 10)
+	}
+	b = strconv.AppendBool(append(b, `,"ok":`...), ev.OK)
+	if !ev.Expires.IsZero() && ev.Expires.UnixNano() != 0 {
+		b = strconv.AppendInt(append(b, `,"expires":`...), ev.Expires.UnixNano(), 10)
+	}
+	var err error
 	if ev.Window != nil {
-		var buf bytes.Buffer
-		if err := persist.WriteOwnedWindow(&buf, ev.Window); err != nil {
-			return nil, fmt.Errorf("wal: encoding event %d window: %w", ev.Seq, err)
+		if b, err = enc.AppendOwnedWindow(append(b, `,"window":`...), ev.Window); err != nil {
+			return dst, fmt.Errorf("wal: encoding event %d window: %w", ev.Seq, err)
 		}
-		out.Window = json.RawMessage(bytes.TrimSpace(buf.Bytes()))
 	}
 	if len(ev.Slots) > 0 {
-		var buf bytes.Buffer
-		if err := persist.WriteSlotList(&buf, ev.Slots); err != nil {
-			return nil, fmt.Errorf("wal: encoding event %d slots: %w", ev.Seq, err)
+		if b, err = enc.AppendSlotList(append(b, `,"slots":`...), ev.Slots, false); err != nil {
+			return dst, fmt.Errorf("wal: encoding event %d slots: %w", ev.Seq, err)
 		}
-		out.Slots = json.RawMessage(bytes.TrimSpace(buf.Bytes()))
 	}
-	return json.Marshal(out)
+	return append(b, '}'), nil
 }
 
 // DecodeEvent deserializes one record payload back into a journal event.
 // The envelope is read with the persist Scanner's pass when the payload is
-// in its subset (everything EncodeEvent writes), and with encoding/json
+// in its subset (everything appendEvent writes), and with encoding/json
 // otherwise and for every decode error.
 func DecodeEvent(payload []byte) (inventory.Event, error) {
 	var in eventJSON
@@ -274,8 +292,8 @@ type commitJSON struct {
 }
 
 // stateFields is the serialized inventory.State — the snapshot payload —
-// over the type of its base: EncodeState writes the base as the bytes
-// persist.WriteSlotList renders, and the decoders read it as a document.
+// over the type of its base, which the decoders read as a document;
+// appendState writes the same keys.
 type stateFields[B any] struct {
 	Format    int                `json:"format"`
 	Version   uint64             `json:"snapshot_version"`
@@ -292,41 +310,75 @@ type stateFields[B any] struct {
 type stateJSON stateFields[*persist.SlotListDoc]
 
 // EncodeState serializes a full inventory state to its snapshot payload.
-func EncodeState(st *inventory.State) ([]byte, error) {
-	out := stateFields[json.RawMessage]{
-		Format:   persist.FormatVersion,
-		Version:  st.Version,
-		Seq:      st.Seq,
-		NextID:   st.NextID,
-		Counters: st.Counters,
-	}
+func EncodeState(st *inventory.State) ([]byte, error) { return appendState(nil, st) }
+
+// appendState appends st's snapshot payload to dst: stateFields' key order
+// and omit rules, with the base and the hold and commit windows nested
+// inline. It uses an Encoder of its own, so it may run beside the writer.
+func appendState(dst []byte, st *inventory.State) ([]byte, error) {
+	var enc persist.Encoder
+	b := slices.Grow(dst, 512+72*len(st.Base)+1536*(len(st.Holds)+len(st.Committed)))
+	b = append(b, `{"format":`...)
+	b = strconv.AppendInt(b, persist.FormatVersion, 10)
+	b = strconv.AppendUint(append(b, `,"snapshot_version":`...), st.Version, 10)
+	b = strconv.AppendUint(append(b, `,"seq":`...), st.Seq, 10)
+	b = strconv.AppendUint(append(b, `,"next_id":`...), st.NextID, 10)
+	b = appendCounters(append(b, `,"counters":`...), &st.Counters)
+	var err error
 	if len(st.Base) > 0 {
-		var buf bytes.Buffer
-		if err := persist.WriteSlotList(&buf, st.Base); err != nil {
-			return nil, fmt.Errorf("wal: encoding state base: %w", err)
+		if b, err = enc.AppendSlotList(append(b, `,"base":`...), st.Base, false); err != nil {
+			return dst, fmt.Errorf("wal: encoding state base: %w", err)
 		}
-		out.Base = json.RawMessage(bytes.TrimSpace(buf.Bytes()))
 	}
-	for _, h := range st.Holds {
-		var buf bytes.Buffer
-		if err := persist.WriteOwnedWindow(&buf, h.Window); err != nil {
-			return nil, fmt.Errorf("wal: encoding state hold %q: %w", h.ID, err)
+	for i, h := range st.Holds {
+		b = persist.AppendString(append(element(b, "holds", i), `{"id":`...), h.ID)
+		b = strconv.AppendInt(append(b, `,"expires":`...), h.Expires.UnixNano(), 10)
+		if b, err = enc.AppendOwnedWindow(append(b, `,"window":`...), h.Window); err != nil {
+			return dst, fmt.Errorf("wal: encoding state hold %q: %w", h.ID, err)
 		}
-		out.Holds = append(out.Holds, holdJSON{
-			ID: h.ID, Expires: h.Expires.UnixNano(),
-			Window: json.RawMessage(bytes.TrimSpace(buf.Bytes())),
-		})
+		b = append(b, '}')
 	}
-	for _, c := range st.Committed {
-		var buf bytes.Buffer
-		if err := persist.WriteOwnedWindow(&buf, c.Window); err != nil {
-			return nil, fmt.Errorf("wal: encoding state commit %q: %w", c.ID, err)
+	if len(st.Holds) > 0 {
+		b = append(b, ']')
+	}
+	for i, c := range st.Committed {
+		b = persist.AppendString(append(element(b, "committed", i), `{"id":`...), c.ID)
+		if b, err = enc.AppendOwnedWindow(append(b, `,"window":`...), c.Window); err != nil {
+			return dst, fmt.Errorf("wal: encoding state commit %q: %w", c.ID, err)
 		}
-		out.Committed = append(out.Committed, commitJSON{
-			ID: c.ID, Window: json.RawMessage(bytes.TrimSpace(buf.Bytes())),
-		})
+		b = append(b, '}')
 	}
-	return json.Marshal(out)
+	if len(st.Committed) > 0 {
+		b = append(b, ']')
+	}
+	return append(b, '}'), nil
+}
+
+// element starts element i of the array that member key of the snapshot
+// envelope holds: the member itself before the first.
+func element(b []byte, key string, i int) []byte {
+	if i > 0 {
+		return append(b, ',')
+	}
+	return append(append(append(b, `,"`...), key...), `":[`...)
+}
+
+// appendCounters appends c as encoding/json renders inventory.Counters.
+func appendCounters(b []byte, c *inventory.Counters) []byte {
+	sep := byte('{')
+	for _, f := range [...]struct {
+		key string
+		v   uint64
+	}{
+		{"reserves", c.Reserves}, {"conflicts", c.Conflicts}, {"no_window", c.NoWindow},
+		{"commits", c.Commits}, {"releases", c.Releases}, {"expiries", c.Expiries},
+		{"adds", c.Adds}, {"withdrawals", c.Withdrawals}, {"cancelled_holds", c.Cancelled},
+	} {
+		b = append(append(b, sep, '"'), f.key...)
+		b = strconv.AppendUint(append(b, '"', ':'), f.v, 10)
+		sep = ','
+	}
+	return append(b, '}')
 }
 
 // DecodeState deserializes a snapshot payload back into a full state. Like

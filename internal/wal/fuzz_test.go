@@ -28,7 +28,7 @@ func realPayloads(tb testing.TB) (events [][]byte, state []byte) {
 	}
 	drive(tb, inv, 5, 40)
 	for _, ev := range inv.Journal() {
-		p, err := EncodeEvent(ev)
+		p, err := encodeEvent(ev)
 		if err != nil {
 			tb.Fatal(err)
 		}

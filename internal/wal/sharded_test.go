@@ -143,7 +143,7 @@ func TestLegacyGseqKeyIgnored(t *testing.T) {
 		}
 		drive(t, inv, 5, 40)
 		for i, ev := range inv.Journal() {
-			payload, err := EncodeEvent(ev)
+			payload, err := encodeEvent(ev)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,7 +151,7 @@ func TestLegacyGseqKeyIgnored(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seq %d with gseq: %v", ev.Seq, err)
 			}
-			if again, err := EncodeEvent(back); err != nil || !bytes.Equal(again, payload) {
+			if again, err := encodeEvent(back); err != nil || !bytes.Equal(again, payload) {
 				t.Fatalf("seq %d: the gseq key changed the decoded event (%v):\n got %s\nwant %s", ev.Seq, err, again, payload)
 			}
 		}

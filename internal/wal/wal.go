@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"slotsel/internal/inventory"
+	"slotsel/internal/persist"
 )
 
 // Default tuning for Options zero values.
@@ -97,9 +98,10 @@ type Store struct {
 	// Writer-goroutine state (no lock needed: single owner).
 	f         file
 	size      int64
-	sealBytes int64 // a segment smaller than this (>= 1) is not sealed
-	buf       []byte
-	lastSeq   uint64 // last seq handed to the writer, for ordering checks
+	sealBytes int64           // a segment smaller than this (>= 1) is not sealed
+	buf       []byte          // the batch being written, framed
+	enc       persist.Encoder // the scratch its windows and slot lists are encoded with
+	lastSeq   uint64          // last seq handed to the writer, for ordering checks
 }
 
 // Create opens a Store over dir, appending after lastSeq (0 for a fresh
@@ -261,8 +263,10 @@ func (s *Store) writer() {
 	}
 }
 
-// writeBatch encodes and appends one batch, rotating and fsyncing as
-// needed. Writer goroutine only.
+// writeBatch frames the batch in s.buf, each event encoded in place behind
+// its header, and appends it to the active segment in one write, rotating
+// and fsyncing as needed. An event that cannot be framed fails the whole
+// batch before any byte of it is written. Writer goroutine only.
 func (s *Store) writeBatch(batch []inventory.Event) error {
 	s.buf = s.buf[:0]
 	for _, ev := range batch {
@@ -270,14 +274,9 @@ func (s *Store) writeBatch(batch []inventory.Event) error {
 			return fmt.Errorf("out-of-order append: seq %d after %d", ev.Seq, s.lastSeq)
 		}
 		s.lastSeq = ev.Seq
-		payload, err := EncodeEvent(ev)
-		if err != nil {
+		if err := s.frame(ev); err != nil {
 			return err
 		}
-		if len(payload) > MaxRecordBytes {
-			return fmt.Errorf("event %d encodes to %d bytes (max %d)", ev.Seq, len(payload), MaxRecordBytes)
-		}
-		s.buf = appendFrame(s.buf, payload)
 	}
 	if s.f == nil || s.size >= s.opts.SegmentBytes {
 		if err := s.rotate(batch[0].Seq); err != nil {
@@ -298,6 +297,23 @@ func (s *Store) writeBatch(batch []inventory.Event) error {
 		}
 	}
 	s.fsyncs.Add(1)
+	return nil
+}
+
+// frame appends ev's record to s.buf: the header reserved, the payload
+// encoded behind it, then the header filled in. A payload that cannot be
+// encoded or exceeds MaxRecordBytes is an error naming the seq. Writer
+// goroutine only.
+func (s *Store) frame(ev inventory.Event) error {
+	at := len(s.buf)
+	var err error
+	if s.buf, err = appendEvent(beginFrame(s.buf), ev, &s.enc); err != nil {
+		return err
+	}
+	if n := len(s.buf) - at - frameHeaderSize; n > MaxRecordBytes {
+		return fmt.Errorf("event %d encodes to %d bytes (max %d)", ev.Seq, n, MaxRecordBytes)
+	}
+	endFrame(s.buf, at)
 	return nil
 }
 
@@ -353,11 +369,12 @@ func (s *Store) Snapshot(st *inventory.State) error {
 	if err := s.waitDurable(st.Seq); err != nil {
 		return err
 	}
-	payload, err := EncodeState(st)
+	frame, err := appendState(beginFrame(nil), st)
 	if err != nil {
 		return err
 	}
-	if err := s.writeSnapshot(st.Seq, payload); err != nil {
+	endFrame(frame, 0)
+	if err := s.writeSnapshot(st.Seq, frame); err != nil {
 		s.mu.Lock()
 		if s.err == nil {
 			s.err = err
@@ -396,16 +413,16 @@ func (s *Store) requestSeal() error {
 	return s.err
 }
 
-// writeSnapshot writes the snapshot file of seq under a temporary name,
-// fsyncs it and renames it into place.
-func (s *Store) writeSnapshot(seq uint64, payload []byte) error {
+// writeSnapshot writes the snapshot file of seq, one framed record, under
+// a temporary name, fsyncs it and renames it into place.
+func (s *Store) writeSnapshot(seq uint64, frame []byte) error {
 	final := filepath.Join(s.dir, snapshotName(seq))
 	tmp := final + ".tmp"
 	f, err := s.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	_, werr := f.Write(appendFrame(nil, payload))
+	_, werr := f.Write(frame)
 	if werr == nil && !s.opts.NoSync {
 		werr = f.Sync()
 	}

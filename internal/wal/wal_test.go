@@ -143,7 +143,7 @@ func TestEventCodecRoundTrip(t *testing.T) {
 		decoded := make([]inventory.Event, 0, len(events))
 		for _, ev := range events {
 			ops[ev.Op] = true
-			payload, err := EncodeEvent(ev)
+			payload, err := encodeEvent(ev)
 			if err != nil {
 				t.Fatalf("encode seq %d: %v", ev.Seq, err)
 			}
