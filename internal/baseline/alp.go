@@ -23,17 +23,17 @@ func (ALP) Name() string { return "ALP" }
 
 // Find implements core.Algorithm.
 func (a ALP) Find(list slots.List, req *job.Request) (*core.Window, error) {
-	return a.FindObserved(list, req, nil)
+	return a.FindObserved(list.Cursor(), req, nil)
 }
 
 // FindObserved implements core.ObservedFinder.
-func (ALP) FindObserved(list slots.List, req *job.Request, col obs.Collector) (*core.Window, error) {
+func (ALP) FindObserved(cur slots.Cursor, req *job.Request, col obs.Collector) (*core.Window, error) {
 	localLimit := 0.0
 	if req.MaxCost > 0 && req.TaskCount > 0 {
 		localLimit = req.MaxCost / float64(req.TaskCount)
 	}
 	var best *core.Window
-	err := core.Scan(list, req, func(start float64, win *core.WindowIndex) bool {
+	err := core.Scan(cur, req, func(start float64, win *core.WindowIndex) bool {
 		var chosen []core.Candidate
 		for _, c := range win.Cands() {
 			if localLimit > 0 && c.Cost > localLimit {

@@ -35,13 +35,13 @@ func (FirstFit) Name() string { return "FirstFit" }
 
 // Find implements core.Algorithm.
 func (a FirstFit) Find(list slots.List, req *job.Request) (*core.Window, error) {
-	return a.FindObserved(list, req, nil)
+	return a.FindObserved(list.Cursor(), req, nil)
 }
 
 // FindObserved implements core.ObservedFinder.
-func (FirstFit) FindObserved(list slots.List, req *job.Request, col obs.Collector) (*core.Window, error) {
+func (FirstFit) FindObserved(cur slots.Cursor, req *job.Request, col obs.Collector) (*core.Window, error) {
 	var best *core.Window
-	err := core.Scan(list, req, func(start float64, win *core.WindowIndex) bool {
+	err := core.Scan(cur, req, func(start float64, win *core.WindowIndex) bool {
 		chosen := win.Cands()[:req.TaskCount]
 		cost := 0.0
 		for _, c := range chosen {

@@ -65,7 +65,7 @@ func FindAlternatives(list slots.List, batch *job.Batch, opts Options) ([]JobAlt
 	st := obs.BatchStats{Jobs: len(ordered)}
 	sc := core.AcquireScanner()
 	defer core.ReleaseScanner(sc)
-	sc.LoadWork(list)
+	sc.LoadWork(list.Cursor())
 	out := make([]JobAlternatives, len(ordered))
 	for i, j := range ordered {
 		alts, err := sc.WorkAlternatives(&j.Request, opts.CSA.MaxAlternatives, opts.CSA.MinSlotLength, col)
@@ -265,7 +265,7 @@ func ScheduleOpts(list slots.List, batch *job.Batch, opts Options, sel SelectCon
 func ScheduleDirected(list slots.List, batch *job.Batch, voBudget float64, alg core.Algorithm, minSlotLength float64, col obs.Collector) (*Plan, error) {
 	sc := core.AcquireScanner()
 	defer core.ReleaseScanner(sc)
-	sc.LoadWork(list)
+	sc.LoadWork(list.Cursor())
 	plan := &Plan{}
 	remaining := voBudget
 	for _, j := range batch.ByPriority() {

@@ -56,7 +56,7 @@ func referenceDirected(list slots.List, batch *job.Batch, voBudget float64, alg 
 			req.MaxCost = remaining
 		}
 		a := Assignment{Job: j}
-		w, err := core.FindObserved(alg, work, &req, nil)
+		w, err := core.FindObserved(alg, work.Cursor(), &req, nil)
 		if err != nil && !errors.Is(err, core.ErrNoWindow) {
 			return nil, fmt.Errorf("batchsched: directed pipeline, job %v: %w", j, err)
 		}
@@ -309,7 +309,7 @@ func TestBatchesDoNotLeakThroughThePool(t *testing.T) {
 		var held []*core.Scanner
 		for i := 0; i < 4; i++ {
 			sc := core.AcquireScanner()
-			sc.LoadWork(testkit.RandomList(junkRng, 12, 4, 500))
+			sc.LoadWork(testkit.RandomList(junkRng, 12, 4, 500).Cursor())
 			r := job.Request{TaskCount: 2, Volume: 50}
 			_, _ = sc.WorkAlternatives(&r, 0, 0, nil)
 			_, _ = sc.Find(core.MinProcTime{Seed: seed}, sc.WorkCursor(), &r, nil)

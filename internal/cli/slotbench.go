@@ -319,12 +319,11 @@ func benchGridOps(seed uint64, nodeCounts, taskCounts []int) ([]benchOp, error) 
 			}{
 				{"cached", func() {
 					_, _, _ = cache.Find(ckey, func(snap *inventory.Snapshot) (*core.Window, error) {
-						return core.FindObserved(core.AMP{}, snap.Slots, &rc, nil)
+						return snap.Find(core.AMP{}, &rc, nil)
 					})
 				}},
 				{"uncached", func() {
-					snap := inv.Snapshot()
-					_, _ = core.FindObserved(core.AMP{}, snap.Slots, &ru, nil)
+					_, _ = inventory.Latest(inv).Find(core.AMP{}, &ru, nil)
 				}},
 			} {
 				meta := benchResult{

@@ -135,7 +135,7 @@ func Slotfind(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	w, err := core.FindObserved(alg, e.Slots, &req, col)
+	w, err := core.FindObserved(alg, e.Slots.Cursor(), &req, col)
 	if errors.Is(err, core.ErrNoWindow) {
 		fmt.Fprintln(stdout, "no feasible window")
 		return finish(1)

@@ -155,7 +155,7 @@ func Slotserve(args []string, stdout, stderr io.Writer) int {
 		signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	}
 	fmt.Fprintf(stderr, "slotserve: %d free slots loaded, listening on http://%s\n",
-		len(stack.Pool.Snapshot().Slots), ln.Addr())
+		inventory.Latest(stack.Pool).Len(), ln.Addr())
 
 	// Background upkeep: one snapshotter per store, each snapshotting the
 	// inventory it journals on its own cadence. Stopped (and drained)
@@ -235,6 +235,11 @@ var errNoSlots = errors.New("no -slots to seed from")
 // and at least one new event exists. The check granule is one second —
 // snapshot timing does not need to be finer, and the checks are two
 // atomic loads.
+//
+// A snapshot the store refuses without latching an error (a state too
+// large to frame) is logged and tried again an interval later, not at the
+// next event-count trigger: the log stays the record meanwhile. A latched
+// store ends the loop.
 func snapshotLoop(inv *inventory.Inventory, store *wal.Store, interval time.Duration, every uint64, stop <-chan struct{}, stderr io.Writer) {
 	granule := time.Second
 	if interval > 0 && interval < granule {
@@ -242,7 +247,7 @@ func snapshotLoop(inv *inventory.Inventory, store *wal.Store, interval time.Dura
 	}
 	tick := time.NewTicker(granule)
 	defer tick.Stop()
-	last := time.Now()
+	last, refused := time.Now(), false
 	for {
 		select {
 		case <-stop:
@@ -254,14 +259,17 @@ func snapshotLoop(inv *inventory.Inventory, store *wal.Store, interval time.Dura
 		if pending == 0 {
 			continue
 		}
-		if time.Since(last) < interval && (every == 0 || pending < every) {
+		if time.Since(last) < interval && (refused || every == 0 || pending < every) {
 			continue
 		}
-		if err := store.Snapshot(inv.ExportState()); err != nil {
+		err := store.Snapshot(inv.ExportState())
+		if err != nil {
 			fmt.Fprintln(stderr, "slotserve: snapshot:", err)
-			return // the store has latched an error; retrying cannot help
+			if store.Err() != nil {
+				return // the store has latched an error; retrying cannot help
+			}
 		}
-		last = time.Now()
+		last, refused = time.Now(), err != nil
 	}
 }
 

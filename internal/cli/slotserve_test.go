@@ -13,6 +13,14 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"slotsel/internal/core"
+	"slotsel/internal/inventory"
+	"slotsel/internal/job"
+	"slotsel/internal/randx"
+	"slotsel/internal/slots"
+	"slotsel/internal/testkit"
+	"slotsel/internal/wal"
 )
 
 func runSlotserve(t *testing.T, args ...string) (int, string, string) {
@@ -298,5 +306,55 @@ func TestSlotgenSlotsOnlyFormat(t *testing.T) {
 	}
 	if len(l) == 0 {
 		t.Fatal("empty slot list")
+	}
+}
+
+// TestSnapshotLoopOutlivesRefusal: a snapshot the store refuses without
+// latching an error is logged and tried again an interval later; the loop
+// ends when it is stopped, not at the refusal.
+func TestSnapshotLoopOutlivesRefusal(t *testing.T) {
+	boot := func(cycles int) *wal.Stack {
+		st, err := wal.Boot(t.TempDir(), func() (slots.List, error) { return testkit.RandomList(randx.New(3), 8, 3, 300), nil },
+			inventory.Options{}, wal.Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		req := job.Request{TaskCount: 1, Volume: 10}
+		for i := 0; i < cycles; i++ {
+			res, err := st.Pool.Reserve(&req, core.AMP{}, time.Hour)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Pool.Release(res.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return st
+	}
+	// ahead's state is past the end of behind's log, so behind's store
+	// refuses it every time, and latches nothing.
+	ahead, behind := boot(5), boot(1)
+	var log syncBuf
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		snapshotLoop(ahead.Shards[0], behind.Stores[0], 5*time.Millisecond, 0, stop, &log)
+		close(done)
+	}()
+	for deadline := time.Now().Add(10 * time.Second); strings.Count(log.String(), "slotserve: snapshot:") < 2; time.Sleep(5 * time.Millisecond) {
+		select {
+		case <-done:
+			t.Fatalf("the loop ended at a refusal that latched nothing:\n%s", log.String())
+		default:
+		}
+		if time.Now().After(deadline) {
+			close(stop)
+			t.Fatalf("no second attempt within 10 s:\n%s", log.String())
+		}
+	}
+	close(stop)
+	<-done
+	if err := behind.Stores[0].Err(); err != nil {
+		t.Fatalf("the refusal latched the store: %v", err)
 	}
 }

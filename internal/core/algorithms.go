@@ -30,7 +30,7 @@ func (AMP) Name() string { return "AMP" }
 
 // Find implements Algorithm.
 func (a AMP) Find(list slots.List, req *job.Request) (*Window, error) {
-	return FindObserved(a, list, req, nil)
+	return FindObserved(a, list.Cursor(), req, nil)
 }
 
 // MinCost searches for the window with the minimum total allocation cost on
@@ -43,7 +43,7 @@ func (MinCost) Name() string { return "MinCost" }
 
 // Find implements Algorithm.
 func (a MinCost) Find(list slots.List, req *job.Request) (*Window, error) {
-	return FindObserved(a, list, req, nil)
+	return FindObserved(a, list.Cursor(), req, nil)
 }
 
 // MinRunTime searches for the window with the minimum execution runtime
@@ -75,7 +75,7 @@ func (a MinRunTime) Name() string {
 
 // Find implements Algorithm.
 func (a MinRunTime) Find(list slots.List, req *job.Request) (*Window, error) {
-	return FindObserved(a, list, req, nil)
+	return FindObserved(a, list.Cursor(), req, nil)
 }
 
 // MinFinish searches for the window with the earliest finish time. At every
@@ -102,7 +102,7 @@ func (a MinFinish) Name() string {
 
 // Find implements Algorithm.
 func (a MinFinish) Find(list slots.List, req *job.Request) (*Window, error) {
-	return FindObserved(a, list, req, nil)
+	return FindObserved(a, list.Cursor(), req, nil)
 }
 
 // MinProcTime is the paper's *simplified* total-processor-time minimizer:
@@ -122,7 +122,7 @@ func (MinProcTime) Name() string { return "MinProcTime" }
 
 // Find implements Algorithm.
 func (a MinProcTime) Find(list slots.List, req *job.Request) (*Window, error) {
-	return FindObserved(a, list, req, nil)
+	return FindObserved(a, list.Cursor(), req, nil)
 }
 
 // MinProcTimeGreedy is an extension: the additive greedy substitution
@@ -136,7 +136,7 @@ func (MinProcTimeGreedy) Name() string { return "MinProcTimeGreedy" }
 
 // Find implements Algorithm.
 func (a MinProcTimeGreedy) Find(list slots.List, req *job.Request) (*Window, error) {
-	return FindObserved(a, list, req, nil)
+	return FindObserved(a, list.Cursor(), req, nil)
 }
 
 // EnergyModel maps a placement (its node performance and execution time) to
@@ -173,5 +173,5 @@ func (a MinEnergy) Energy(w *Window) float64 {
 
 // Find implements Algorithm.
 func (a MinEnergy) Find(list slots.List, req *job.Request) (*Window, error) {
-	return FindObserved(a, list, req, nil)
+	return FindObserved(a, list.Cursor(), req, nil)
 }

@@ -100,7 +100,7 @@ func TestAMPReturnsEarliestStart(t *testing.T) {
 		l := randomSmallList(rng, 7)
 		req := job.Request{TaskCount: 3, Volume: 60, MaxCost: 200}
 		var feasibleStarts []float64
-		if err := Scan(l, &req, func(start float64, win *WindowIndex) bool {
+		if err := Scan(l.Cursor(), &req, func(start float64, win *WindowIndex) bool {
 			if _, _, ok := selectMinCost(win.Cands(), req.TaskCount, req.MaxCost); ok {
 				feasibleStarts = append(feasibleStarts, start)
 			}
@@ -139,7 +139,7 @@ func TestMinCostIsGloballyOptimal(t *testing.T) {
 		l := randomSmallList(rng, 7)
 		req := job.Request{TaskCount: 3, Volume: 60, MaxCost: 300}
 		best := math.Inf(1)
-		if err := Scan(l, &req, func(start float64, win *WindowIndex) bool {
+		if err := Scan(l.Cursor(), &req, func(start float64, win *WindowIndex) bool {
 			if _, cost, ok := selectMinCost(win.Cands(), req.TaskCount, req.MaxCost); ok && cost < best {
 				best = cost
 			}
@@ -171,7 +171,7 @@ func TestMinRunTimeExactIsOptimalPerScan(t *testing.T) {
 		l := randomSmallList(rng, 6)
 		req := job.Request{TaskCount: 3, Volume: 60, MaxCost: 200}
 		best := math.Inf(1)
-		if err := Scan(l, &req, func(start float64, win *WindowIndex) bool {
+		if err := Scan(l.Cursor(), &req, func(start float64, win *WindowIndex) bool {
 			if r, ok := bruteMinRuntime(win.Cands(), req.TaskCount, req.MaxCost); ok && r < best {
 				best = r
 			}
@@ -220,7 +220,7 @@ func TestMinFinishExactIsOptimal(t *testing.T) {
 		l := randomSmallList(rng, 6)
 		req := job.Request{TaskCount: 3, Volume: 60, MaxCost: 200}
 		best := math.Inf(1)
-		if err := Scan(l, &req, func(start float64, win *WindowIndex) bool {
+		if err := Scan(l.Cursor(), &req, func(start float64, win *WindowIndex) bool {
 			if r, ok := bruteMinRuntime(win.Cands(), req.TaskCount, req.MaxCost); ok && start+r < best {
 				best = start + r
 			}

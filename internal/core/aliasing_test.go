@@ -80,7 +80,7 @@ func TestPoisonVisitCatchesAliasing(t *testing.T) {
 	buggyFind := func() *core.Window {
 		var keptStart float64
 		var kept []core.Candidate
-		_ = core.Scan(list, &req, func(start float64, win *core.WindowIndex) bool {
+		_ = core.Scan(list.Cursor(), &req, func(start float64, win *core.WindowIndex) bool {
 			keptStart, kept = start, win.Cands() // BUG: aliases the scan's view
 			return true
 		}, nil)

@@ -42,7 +42,7 @@ func byCostStable(cs []core.Candidate) {
 // equal candidates in one window, and the index keeps them in append order.
 func stableFind(list slots.List, req job.Request, amp bool) (*core.Window, error) {
 	var best *core.Window
-	err := core.Scan(list, &req, func(start float64, win *core.WindowIndex) bool {
+	err := core.Scan(list.Cursor(), &req, func(start float64, win *core.WindowIndex) bool {
 		cands := append([]core.Candidate(nil), win.Cands()...)
 		byCostStable(cands)
 		chosen := cands[:req.TaskCount]
@@ -79,7 +79,7 @@ type cutTrace struct {
 // cost order is driven through all of it.
 func plainMinCost(list slots.List, req job.Request, col obs.Collector) (*core.Window, error) {
 	var best *core.Window
-	err := core.Scan(list, &req, func(start float64, win *core.WindowIndex) bool {
+	err := core.Scan(list.Cursor(), &req, func(start float64, win *core.WindowIndex) bool {
 		chosen, cost, ok := win.SelectMinCost(req.TaskCount, req.MaxCost)
 		if ok && (best == nil || cost < best.Cost) {
 			best = core.NewWindow(start, chosen)

@@ -120,7 +120,7 @@ func TestDifferentialIncrementalVsOracle(t *testing.T) {
 				// window as it stood, maintained by add/expire since).
 				j, visits := int(seed%4), 0
 				r := req
-				if err := core.Scan(list, &r, func(_ float64, win *core.WindowIndex) bool {
+				if err := core.Scan(list.Cursor(), &r, func(_ float64, win *core.WindowIndex) bool {
 					if visits >= j {
 						win.SelectMinCost(r.TaskCount, r.MaxCost)
 					}

@@ -16,22 +16,24 @@ import (
 type ObservedFinder interface {
 	Algorithm
 
-	// FindObserved is Find with scan-level instrumentation delivered to
-	// col. col == nil must behave exactly like Find.
-	FindObserved(list slots.List, req *job.Request, col obs.Collector) (*Window, error)
+	// FindObserved is Find over the slots the cursor walks, with
+	// scan-level instrumentation delivered to col. col == nil must behave
+	// exactly like Find.
+	FindObserved(cur slots.Cursor, req *job.Request, col obs.Collector) (*Window, error)
 }
 
 // FindObserved is the caller-owned search entry — what every shipped
 // algorithm's Find forwards to with a nil collector: borrow a pooled
-// Scanner, run Scanner.Find over the list (a SelectDone event, a "select"
+// Scanner, run Scanner.Find over the cursor — a caller's list.Cursor() or a
+// published sequence's seq.Cursor() (a SelectDone event, a "select"
 // span and the scan's counters go to col; nil = off, zero added work), and
 // detach the result so the caller owns it after the scanner returns to the
 // pool. The detach costs two small allocations per successful search;
 // zero-allocation callers hold a Scanner and call its Find.
-func FindObserved(alg Algorithm, list slots.List, req *job.Request, col obs.Collector) (*Window, error) {
+func FindObserved(alg Algorithm, cur slots.Cursor, req *job.Request, col obs.Collector) (*Window, error) {
 	sc := AcquireScanner()
 	defer ReleaseScanner(sc)
-	w, err := sc.Find(alg, list.Cursor(), req, col)
+	w, err := sc.Find(alg, cur, req, col)
 	if err != nil {
 		return nil, err
 	}

@@ -83,7 +83,7 @@ func TestMinCostWindowDump(t *testing.T) {
 				oracle, _ := core.Oracle(alg)
 				var orec statsRecorder
 				r := req
-				ow, oerr := oracle.(core.ObservedFinder).FindObserved(list, &r, &orec)
+				ow, oerr := oracle.(core.ObservedFinder).FindObserved(list.Cursor(), &r, &orec)
 				want := testkit.WindowSignature(ow)
 				for _, c := range cursors {
 					var rec statsRecorder

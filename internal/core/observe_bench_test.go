@@ -90,7 +90,7 @@ func BenchmarkScanCollectorOverhead(b *testing.B) {
 	b.Run("nil", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := Scan(l, &req, visit, nil); err != nil {
+			if err := Scan(l.Cursor(), &req, visit, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -99,7 +99,7 @@ func BenchmarkScanCollectorOverhead(b *testing.B) {
 		var stats obs.Stats
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := Scan(l, &req, visit, &stats); err != nil {
+			if err := Scan(l.Cursor(), &req, visit, &stats); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -108,7 +108,7 @@ func BenchmarkScanCollectorOverhead(b *testing.B) {
 		col := obs.Combine(&obs.Stats{}, obs.NewTrace(obs.DefaultTraceCapacity))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := Scan(l, &req, visit, col); err != nil {
+			if err := Scan(l.Cursor(), &req, visit, col); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -154,7 +154,7 @@ func BenchmarkFindObservedDisabled(b *testing.B) {
 	b.Run("nil", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			r := req
-			if _, err := FindObserved(MinCost{}, l, &r, nil); err != nil {
+			if _, err := FindObserved(MinCost{}, l.Cursor(), &r, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -18,7 +18,7 @@ func TestScanCounters(t *testing.T) {
 	req := job.Request{TaskCount: 2, Volume: 60, MinPerf: 3}
 
 	var stats obs.Stats
-	if err := Scan(l, &req, func(float64, *WindowIndex) bool { return false }, &stats); err != nil {
+	if err := Scan(l.Cursor(), &req, func(float64, *WindowIndex) bool { return false }, &stats); err != nil {
 		t.Fatal(err)
 	}
 	snap := stats.Snapshot()
@@ -56,7 +56,7 @@ func TestScanCountsEarlyStop(t *testing.T) {
 	req := job.Request{TaskCount: 1, Volume: 60}
 
 	var stats obs.Stats
-	if err := Scan(l, &req, func(float64, *WindowIndex) bool { return true }, &stats); err != nil {
+	if err := Scan(l.Cursor(), &req, func(float64, *WindowIndex) bool { return true }, &stats); err != nil {
 		t.Fatal(err)
 	}
 	snap := stats.Snapshot()
@@ -82,13 +82,13 @@ func TestScanCollectorDoesNotSteer(t *testing.T) {
 	req := job.Request{TaskCount: 1, Volume: 60}
 
 	var a, b []float64
-	if err := Scan(l, &req, func(start float64, _ *WindowIndex) bool {
+	if err := Scan(l.Cursor(), &req, func(start float64, _ *WindowIndex) bool {
 		a = append(a, start)
 		return false
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := Scan(l, &req, func(start float64, _ *WindowIndex) bool {
+	if err := Scan(l.Cursor(), &req, func(start float64, _ *WindowIndex) bool {
 		b = append(b, start)
 		return false
 	}, &obs.Stats{}); err != nil {
@@ -115,7 +115,7 @@ func TestFindObservedEmitsSelect(t *testing.T) {
 	tr := obs.NewTrace(16)
 	col := obs.Combine(stats, tr)
 
-	w, err := FindObserved(MinCost{}, l, &req, col)
+	w, err := FindObserved(MinCost{}, l.Cursor(), &req, col)
 	if err != nil || w == nil {
 		t.Fatalf("FindObserved: %v, %v", w, err)
 	}
@@ -147,7 +147,7 @@ func TestFindObservedNotFound(t *testing.T) {
 	req := job.Request{TaskCount: 1, Volume: 60}
 
 	stats := &obs.Stats{}
-	if _, err := FindObserved(AMP{}, l, &req, stats); err != ErrNoWindow {
+	if _, err := FindObserved(AMP{}, l.Cursor(), &req, stats); err != ErrNoWindow {
 		t.Fatalf("err = %v, want ErrNoWindow", err)
 	}
 	sel := stats.Snapshot().Selects["AMP"]
@@ -164,7 +164,7 @@ func TestObservedSpanTimeline(t *testing.T) {
 	req := job.Request{TaskCount: 1, Volume: 60}
 
 	tr := obs.NewTrace(16)
-	if _, err := FindObserved(AMP{}, l, &req, tr); err != nil {
+	if _, err := FindObserved(AMP{}, l.Cursor(), &req, tr); err != nil {
 		t.Fatal(err)
 	}
 	for _, sp := range tr.Spans() {

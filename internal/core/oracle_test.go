@@ -32,8 +32,8 @@ func (o oracleAlg) Find(list slots.List, req *job.Request) (*Window, error) {
 }
 
 // FindObserved implements ObservedFinder.
-func (o oracleAlg) FindObserved(list slots.List, req *job.Request, col obs.Collector) (*Window, error) {
-	return o.find(list, req, col)
+func (o oracleAlg) FindObserved(cur slots.Cursor, req *job.Request, col obs.Collector) (*Window, error) {
+	return o.find(cur.List(), req, col)
 }
 
 // Oracle returns the copy+sort reference twin of a shipped algorithm, or
@@ -64,7 +64,7 @@ func Oracle(alg Algorithm) (Algorithm, bool) {
 
 func oracleAMP(list slots.List, req *job.Request, col obs.Collector) (*Window, error) {
 	var best *Window
-	err := Scan(list, req, func(start float64, win *WindowIndex) bool {
+	err := Scan(list.Cursor(), req, func(start float64, win *WindowIndex) bool {
 		chosen, _, ok := selectMinCost(win.Cands(), req.TaskCount, req.MaxCost)
 		if !ok {
 			return false
@@ -77,7 +77,7 @@ func oracleAMP(list slots.List, req *job.Request, col obs.Collector) (*Window, e
 
 func oracleMinCost(list slots.List, req *job.Request, col obs.Collector) (*Window, error) {
 	var best *Window
-	err := Scan(list, req, func(start float64, win *WindowIndex) bool {
+	err := Scan(list.Cursor(), req, func(start float64, win *WindowIndex) bool {
 		chosen, cost, ok := selectMinCost(win.Cands(), req.TaskCount, req.MaxCost)
 		if !ok {
 			return false
@@ -93,7 +93,7 @@ func oracleMinCost(list slots.List, req *job.Request, col obs.Collector) (*Windo
 func oracleMinRunTime(a MinRunTime) func(slots.List, *job.Request, obs.Collector) (*Window, error) {
 	return func(list slots.List, req *job.Request, col obs.Collector) (*Window, error) {
 		var best *Window
-		err := Scan(list, req, func(start float64, win *WindowIndex) bool {
+		err := Scan(list.Cursor(), req, func(start float64, win *WindowIndex) bool {
 			cands := win.Cands()
 			var chosen []Candidate
 			var runtime float64
@@ -118,7 +118,7 @@ func oracleMinRunTime(a MinRunTime) func(slots.List, *job.Request, obs.Collector
 func oracleMinFinish(a MinFinish) func(slots.List, *job.Request, obs.Collector) (*Window, error) {
 	return func(list slots.List, req *job.Request, col obs.Collector) (*Window, error) {
 		var best *Window
-		err := Scan(list, req, func(start float64, win *WindowIndex) bool {
+		err := Scan(list.Cursor(), req, func(start float64, win *WindowIndex) bool {
 			cands := win.Cands()
 			var chosen []Candidate
 			var ok bool
@@ -144,7 +144,7 @@ func oracleMinProcTime(a MinProcTime) func(slots.List, *job.Request, obs.Collect
 	return func(list slots.List, req *job.Request, col obs.Collector) (*Window, error) {
 		rng := randx.New(a.Seed)
 		var best *Window
-		err := Scan(list, req, func(start float64, win *WindowIndex) bool {
+		err := Scan(list.Cursor(), req, func(start float64, win *WindowIndex) bool {
 			chosen, ok := selectRandom(win.Cands(), req.TaskCount, req.MaxCost, rng)
 			if !ok {
 				return false
@@ -161,7 +161,7 @@ func oracleMinProcTime(a MinProcTime) func(slots.List, *job.Request, obs.Collect
 
 func oracleMinProcTimeGreedy(list slots.List, req *job.Request, col obs.Collector) (*Window, error) {
 	var best *Window
-	err := Scan(list, req, func(start float64, win *WindowIndex) bool {
+	err := Scan(list.Cursor(), req, func(start float64, win *WindowIndex) bool {
 		chosen, total, ok := selectMinAdditiveGreedy(win.Cands(), req.TaskCount, req.MaxCost,
 			func(c Candidate) float64 { return c.Exec })
 		if !ok {
@@ -183,7 +183,7 @@ func oracleMinEnergy(a MinEnergy) func(slots.List, *job.Request, obs.Collector) 
 		}
 		var best *Window
 		var bestEnergy float64
-		err := Scan(list, req, func(start float64, win *WindowIndex) bool {
+		err := Scan(list.Cursor(), req, func(start float64, win *WindowIndex) bool {
 			chosen, total, ok := selectMinAdditiveGreedy(win.Cands(), req.TaskCount, req.MaxCost,
 				func(c Candidate) float64 { return model(c.Slot.Node.Perf, c.Exec) })
 			if !ok {

@@ -41,7 +41,7 @@ func TestOverlappingSlotsOnOneNode(t *testing.T) {
 		}
 		peak := 0
 		r := req
-		if err := core.Scan(list, &r, func(_ float64, win *core.WindowIndex) bool {
+		if err := core.Scan(list.Cursor(), &r, func(_ float64, win *core.WindowIndex) bool {
 			if win.Len() > peak {
 				peak = win.Len()
 			}

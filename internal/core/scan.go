@@ -56,9 +56,11 @@ var visitWrap func(VisitFunc) VisitFunc
 // suitable for a window starting at the current position, and invoking
 // visit whenever a window of the requested size could be formed.
 //
-// The list must be sorted by start time (slots.List.SortByStart); Scan
-// returns an error otherwise, because an unsorted list silently breaks the
-// linear-scan correctness argument of §2.1.
+// The slots arrive through a cursor: a caller's list (list.Cursor()) must
+// be sorted by start time (slots.List.SortByStart), and Scan returns an
+// error otherwise, because an unsorted list silently breaks the
+// linear-scan correctness argument of §2.1; a published sequence
+// (seq.Cursor()) is walked leaf by leaf, its order verified when built.
 //
 // The pass accumulates obs.ScanStats in locals and publishes them to col —
 // together with a "scan" span — once it completes. col == nil means
@@ -71,11 +73,11 @@ var visitWrap func(VisitFunc) VisitFunc
 // local to the call. Any number of Scans may therefore run concurrently
 // over one shared list, provided callers uphold the slots.List contract of
 // not mutating a published list during searches.
-func Scan(list slots.List, req *job.Request, visit VisitFunc, col obs.Collector) error {
+func Scan(cur slots.Cursor, req *job.Request, visit VisitFunc, col obs.Collector) error {
 	sc := AcquireScanner()
 	defer ReleaseScanner(sc)
 	sc.win.reset()
-	return scanLoop(list.Cursor(), req, col, &sc.win, visit)
+	return scanLoop(cur, req, col, &sc.win, visit)
 }
 
 // Found is the epilogue of a search built on Scan: a scan error passes

@@ -30,7 +30,7 @@ func TestScanRejectsUnsortedList(t *testing.T) {
 	n := testNode(1, 4, 1)
 	l := slots.List{slot(n, 50, 100), slot(n, 0, 40)}
 	req := job.Request{TaskCount: 1, Volume: 40}
-	err := Scan(l, &req, func(float64, *WindowIndex) bool { return false }, nil)
+	err := Scan(l.Cursor(), &req, func(float64, *WindowIndex) bool { return false }, nil)
 	if err == nil {
 		t.Fatal("unsorted list accepted")
 	}
@@ -38,7 +38,7 @@ func TestScanRejectsUnsortedList(t *testing.T) {
 
 func TestScanRejectsInvalidRequest(t *testing.T) {
 	req := job.Request{TaskCount: 0, Volume: 40}
-	if err := Scan(nil, &req, func(float64, *WindowIndex) bool { return false }, nil); err == nil {
+	if err := Scan(slots.Cursor{}, &req, func(float64, *WindowIndex) bool { return false }, nil); err == nil {
 		t.Fatal("invalid request accepted")
 	}
 }
@@ -50,7 +50,7 @@ func TestScanVisitsWithEnoughCandidates(t *testing.T) {
 	l := sorted(slot(n1, 0, 200), slot(n2, 50, 200))
 	req := job.Request{TaskCount: 2, Volume: 60} // exec 15 on both
 	var starts []float64
-	if err := Scan(l, &req, func(start float64, win *WindowIndex) bool {
+	if err := Scan(l.Cursor(), &req, func(start float64, win *WindowIndex) bool {
 		cands := win.Cands()
 		starts = append(starts, start)
 		if len(cands) < 2 {
@@ -73,7 +73,7 @@ func TestScanStartsNonDecreasing(t *testing.T) {
 	)
 	req := job.Request{TaskCount: 2, Volume: 60}
 	prev := -1.0
-	if err := Scan(l, &req, func(start float64, win *WindowIndex) bool {
+	if err := Scan(l.Cursor(), &req, func(start float64, win *WindowIndex) bool {
 		if start < prev {
 			t.Errorf("starts decreased: %g after %g", start, prev)
 		}
@@ -91,7 +91,7 @@ func TestScanCandidatesAlwaysFit(t *testing.T) {
 		slot(n2, 60, 200), slot(n1, 140, 180),
 	)
 	req := job.Request{TaskCount: 2, Volume: 60}
-	if err := Scan(l, &req, func(start float64, win *WindowIndex) bool {
+	if err := Scan(l.Cursor(), &req, func(start float64, win *WindowIndex) bool {
 		for _, c := range win.Cands() {
 			if !c.Slot.FitsAt(start, req.Volume) {
 				t.Errorf("candidate %v does not fit at %g", c.Slot, start)
@@ -115,7 +115,7 @@ func TestScanSkipsNonMatchingNodes(t *testing.T) {
 	l := sorted(slot(fast, 0, 100), slot(slow, 0, 100))
 	req := job.Request{TaskCount: 1, Volume: 60, MinPerf: 5}
 	visited := false
-	if err := Scan(l, &req, func(start float64, win *WindowIndex) bool {
+	if err := Scan(l.Cursor(), &req, func(start float64, win *WindowIndex) bool {
 		visited = true
 		for _, c := range win.Cands() {
 			if c.Slot.Node.Perf < 5 {
@@ -136,7 +136,7 @@ func TestScanDeadlineFiltering(t *testing.T) {
 	l := sorted(slot(n1, 0, 200), slot(n2, 0, 200))
 	req := job.Request{TaskCount: 2, Volume: 60, Deadline: 10}
 	count := 0
-	if err := Scan(l, &req, func(float64, *WindowIndex) bool {
+	if err := Scan(l.Cursor(), &req, func(float64, *WindowIndex) bool {
 		count++
 		return false
 	}, nil); err != nil {
@@ -147,7 +147,7 @@ func TestScanDeadlineFiltering(t *testing.T) {
 	}
 
 	req.Deadline = 15
-	if err := Scan(l, &req, func(start float64, win *WindowIndex) bool {
+	if err := Scan(l.Cursor(), &req, func(start float64, win *WindowIndex) bool {
 		cands := win.Cands()
 		count++
 		if start != 0 {
@@ -170,7 +170,7 @@ func TestScanStopEarly(t *testing.T) {
 	l := sorted(slot(n1, 0, 100), slot(n2, 0, 100), slot(n1, 150, 300), slot(n2, 150, 300))
 	req := job.Request{TaskCount: 1, Volume: 60}
 	visits := 0
-	if err := Scan(l, &req, func(float64, *WindowIndex) bool {
+	if err := Scan(l.Cursor(), &req, func(float64, *WindowIndex) bool {
 		visits++
 		return true
 	}, nil); err != nil {
@@ -186,7 +186,7 @@ func TestScanWindowDropsExpiredSlots(t *testing.T) {
 	n1, n2, n3 := testNode(1, 4, 1), testNode(2, 4, 1), testNode(3, 4, 1)
 	l := sorted(slot(n1, 0, 30), slot(n2, 20, 100), slot(n3, 40, 100))
 	req := job.Request{TaskCount: 2, Volume: 60}
-	if err := Scan(l, &req, func(start float64, win *WindowIndex) bool {
+	if err := Scan(l.Cursor(), &req, func(start float64, win *WindowIndex) bool {
 		if start == 40 {
 			for _, c := range win.Cands() {
 				if c.Slot.Node.ID == 1 {
@@ -223,7 +223,7 @@ func TestHostsAdditionForm(t *testing.T) {
 		t.Fatal("hosts rejects a slot with end >= start+exec")
 	}
 	var counts scanCounts
-	if err := Scan(sorted(s), &req, func(float64, *WindowIndex) bool { return false }, &counts); err != nil {
+	if err := Scan(sorted(s).Cursor(), &req, func(float64, *WindowIndex) bool { return false }, &counts); err != nil {
 		t.Fatal(err)
 	}
 	if counts.st.Candidates != 1 {

@@ -209,9 +209,11 @@ func (sc *Scanner) search(alg Algorithm, cur slots.Cursor, req *job.Request, col
 	default:
 		// Unknown algorithm: no visitor dispatch; run its own search. Its
 		// result is already caller-owned, which Detach treats as a plain
-		// copy, so the calling convention stays uniform.
+		// copy, so the calling convention stays uniform. An ObservedFinder
+		// walks the cursor itself; only a plain Algorithm needs the slots
+		// as one list (a copy, when the cursor walks a sequence).
 		if of, ok := alg.(ObservedFinder); ok {
-			return of.FindObserved(cur.List(), req, col)
+			return of.FindObserved(cur, req, col)
 		}
 		return alg.Find(cur.List(), req)
 	}
@@ -681,15 +683,16 @@ func keyFloat(k uint64) float64 {
 
 // ---- CSA: alternatives over a scanner-private working copy ----
 
-// Alternatives is the CSA search over a caller's list: LoadWork, then
-// WorkAlternatives. The input list is not modified.
-func (sc *Scanner) Alternatives(list slots.List, req *job.Request, maxAlts int, minSlotLength float64, col obs.Collector) ([]*Window, error) {
+// Alternatives is the CSA search over what the cursor walks — a caller's
+// list (list.Cursor()) or a published sequence (seq.Cursor()): LoadWork,
+// then WorkAlternatives. The input is not modified.
+func (sc *Scanner) Alternatives(cur slots.Cursor, req *job.Request, maxAlts int, minSlotLength float64, col obs.Collector) ([]*Window, error) {
 	// Validate before the load so rejecting an invalid request copies
 	// nothing.
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	sc.LoadWork(list)
+	sc.LoadWork(cur)
 	return sc.WorkAlternatives(req, maxAlts, minSlotLength, col)
 }
 
@@ -738,19 +741,21 @@ func (sc *Scanner) WorkAlternatives(req *job.Request, maxAlts int, minSlotLength
 	return alts, nil
 }
 
-// LoadWork loads a mutable working copy of the list into the scanner:
-// slot values are copied into arena-recycled structs (the input list and
-// its slots are never touched), so repeated CutWork calls edit
-// scanner-private memory and successive loads reuse the same backing
+// LoadWork loads a mutable working copy of what the cursor walks into the
+// scanner, leaf by leaf: slot values are copied into arena-recycled structs
+// (the input and its slots are never touched), so repeated CutWork calls
+// edit scanner-private memory and successive loads reuse the same backing
 // arrays instead of cloning the list. The copy lives until the next
 // LoadWork, Reset or release; WorkCursor searches it.
-func (sc *Scanner) LoadWork(list slots.List) {
+func (sc *Scanner) LoadWork(cur slots.Cursor) {
 	sc.slotUsed = 0
 	sc.work = sc.work[:0]
-	for _, s := range list {
-		ns := sc.newSlot()
-		*ns = *s
-		sc.work = append(sc.work, ns)
+	for leaf := cur.Next(); leaf != nil; leaf = cur.Next() {
+		for _, s := range leaf {
+			ns := sc.newSlot()
+			*ns = *s
+			sc.work = append(sc.work, ns)
+		}
 	}
 }
 

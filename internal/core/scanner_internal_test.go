@@ -202,7 +202,7 @@ func TestScannerDirtyReset(t *testing.T) {
 func TestScannerWorkDirtyReset(t *testing.T) {
 	steps := func(sc *Scanner, list slots.List, reqs [2]job.Request, minLen float64) string {
 		var b strings.Builder
-		sc.LoadWork(list)
+		sc.LoadWork(list.Cursor())
 		for i := range reqs {
 			alts, err := sc.WorkAlternatives(&reqs[i], 3, minLen, nil)
 			fmt.Fprintf(&b, "job %d err=%v\n", i, err)

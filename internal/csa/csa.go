@@ -43,7 +43,7 @@ type Options struct {
 func Search(list slots.List, req *job.Request, opts Options, col obs.Collector) ([]*core.Window, error) {
 	sc := core.AcquireScanner()
 	defer core.ReleaseScanner(sc)
-	return sc.Alternatives(list, req, opts.MaxAlternatives, opts.MinSlotLength, col)
+	return sc.Alternatives(list.Cursor(), req, opts.MaxAlternatives, opts.MinSlotLength, col)
 }
 
 // Criterion identifies the window characteristic by which the best

@@ -294,7 +294,7 @@ func TestSearchEntriesEventContract(t *testing.T) {
 		csa     int
 	}{
 		{"core.FindObserved", func(col obs.Collector) error {
-			_, err := core.FindObserved(core.MinCost{}, e.Slots, &req, col)
+			_, err := core.FindObserved(core.MinCost{}, e.Slots.Cursor(), &req, col)
 			return err
 		}, 1, func() int { return 1 }, 0},
 		{"Scanner.Find over a list", func(col obs.Collector) error {
@@ -311,7 +311,7 @@ func TestSearchEntriesEventContract(t *testing.T) {
 			return err
 		}, 0, func() int { return k + 1 }, 1},
 		{"Scanner.Alternatives", func(col obs.Collector) error {
-			alts, err := sc.Alternatives(e.Slots, &req, opts.MaxAlternatives, opts.MinSlotLength, col)
+			alts, err := sc.Alternatives(e.Slots.Cursor(), &req, opts.MaxAlternatives, opts.MinSlotLength, col)
 			k = len(alts)
 			return err
 		}, 0, func() int { return k + 1 }, 1},

@@ -53,7 +53,7 @@ func TestSearchScannerMatchesCloneCut(t *testing.T) {
 		}()
 
 		sc := core.AcquireScanner()
-		gotAlts, gotErr := sc.Alternatives(list, &req, opts.MaxAlternatives, opts.MinSlotLength, nil)
+		gotAlts, gotErr := sc.Alternatives(list.Cursor(), &req, opts.MaxAlternatives, opts.MinSlotLength, nil)
 		core.ReleaseScanner(sc)
 
 		if (refErr == nil) != (gotErr == nil) || (refErr != nil && !errors.Is(gotErr, refErr)) {
@@ -80,7 +80,7 @@ func TestSearchScannerRepeatedReuse(t *testing.T) {
 		opts := Options{MinSlotLength: 5}
 
 		wantAlts, wantErr := Search(list, &req, opts, nil)
-		gotAlts, gotErr := shared.Alternatives(list, &req, opts.MaxAlternatives, opts.MinSlotLength, nil)
+		gotAlts, gotErr := shared.Alternatives(list.Cursor(), &req, opts.MaxAlternatives, opts.MinSlotLength, nil)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("seed %d: errors diverged: %v vs %v", seed, wantErr, gotErr)
 		}
@@ -113,7 +113,7 @@ func TestSearchValidatesBeforeWork(t *testing.T) {
 		if _, err := Search(list, &r, Options{}, nil); err == nil || err.Error() != wantErr.Error() {
 			t.Errorf("case %d: Search error = %v, want %v", i, err, wantErr)
 		}
-		if _, err := sc.Alternatives(list, &r, 0, 0, nil); err == nil || err.Error() != wantErr.Error() {
+		if _, err := sc.Alternatives(list.Cursor(), &r, 0, 0, nil); err == nil || err.Error() != wantErr.Error() {
 			t.Errorf("case %d: Scanner.Alternatives error = %v, want %v", i, err, wantErr)
 		}
 	}
@@ -135,7 +135,7 @@ func TestSearchScannerAllocs(t *testing.T) {
 	sc := core.AcquireScanner()
 	defer core.ReleaseScanner(sc)
 	r := req
-	alts, err := sc.Alternatives(list, &r, opts.MaxAlternatives, opts.MinSlotLength, nil)
+	alts, err := sc.Alternatives(list.Cursor(), &r, opts.MaxAlternatives, opts.MinSlotLength, nil)
 	if err != nil {
 		t.Fatalf("warm-up search failed: %v", err)
 	}
@@ -144,7 +144,7 @@ func TestSearchScannerAllocs(t *testing.T) {
 	// structs (DetachDeep). Plus ~log2 slice growth for the result slice.
 	budget := float64(nAlts*(2+req.TaskCount) + 8)
 	got := testing.AllocsPerRun(30, func() {
-		_, _ = sc.Alternatives(list, &r, opts.MaxAlternatives, opts.MinSlotLength, nil)
+		_, _ = sc.Alternatives(list.Cursor(), &r, opts.MaxAlternatives, opts.MinSlotLength, nil)
 	})
 	if got > budget {
 		t.Errorf("Scanner.Alternatives: %v allocs/op for %d alternatives, budget %v", got, nAlts, budget)

@@ -54,7 +54,7 @@ func RunQualityParallel(cfg QualityConfig, workers int) (*QualityResult, error) 
 			e := env.Generate(cfg.Env, rng)
 			req := cfg.Request
 			for _, a := range algs {
-				w, err := core.FindObserved(a, e.Slots, &req, cfg.Collector)
+				w, err := core.FindObserved(a, e.Slots.Cursor(), &req, cfg.Collector)
 				if errors.Is(err, core.ErrNoWindow) {
 					stats[a.Name()].Missed++
 					continue

@@ -155,7 +155,7 @@ func RunQuality(cfg QualityConfig) (*QualityResult, error) {
 		e := env.Generate(cfg.Env, rng)
 		req := cfg.Request // copy: algorithms must not mutate the request
 		for _, a := range algs {
-			w, err := core.FindObserved(a, e.Slots, &req, cfg.Collector)
+			w, err := core.FindObserved(a, e.Slots.Cursor(), &req, cfg.Collector)
 			if errors.Is(err, core.ErrNoWindow) {
 				stats[a.Name()].Missed++
 				continue

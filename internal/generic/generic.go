@@ -75,11 +75,11 @@ func (e Extreme) Name() string {
 
 // Find implements core.Algorithm.
 func (e Extreme) Find(list slots.List, req *job.Request) (*core.Window, error) {
-	return e.FindObserved(list, req, nil)
+	return e.FindObserved(list.Cursor(), req, nil)
 }
 
 // FindObserved implements core.ObservedFinder.
-func (e Extreme) FindObserved(list slots.List, req *job.Request, col obs.Collector) (*core.Window, error) {
+func (e Extreme) FindObserved(cur slots.Cursor, req *job.Request, col obs.Collector) (*core.Window, error) {
 	if e.Weight == nil {
 		e.Weight = WeightProcTime
 	}
@@ -89,7 +89,7 @@ func (e Extreme) FindObserved(list slots.List, req *job.Request, col obs.Collect
 	}
 	var best *core.Window
 	bestWeight := math.Inf(1)
-	err := core.Scan(list, req, func(start float64, win *core.WindowIndex) bool {
+	err := core.Scan(cur, req, func(start float64, win *core.WindowIndex) bool {
 		var chosen []core.Candidate
 		var total float64
 		var ok bool

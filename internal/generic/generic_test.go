@@ -69,7 +69,7 @@ func TestExactProcTimeBeatsPerStepOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		best := math.Inf(1)
-		if err := core.Scan(e.Slots, &req, func(start float64, win *core.WindowIndex) bool {
+		if err := core.Scan(e.Slots.Cursor(), &req, func(start float64, win *core.WindowIndex) bool {
 			cands := win.Cands()
 			// Exhaustive per-step optimum.
 			var rec func(i int, left int, cost, weight float64)

@@ -12,10 +12,10 @@ import (
 	"slotsel/internal/testkit"
 )
 
-// This file tests the merged snapshot by splice: every assembly must read
+// This file tests the merged snapshot by edit: every assembly must read
 // exactly as a from-scratch merge of the shard sequences it was cut from,
-// however many publications it skipped, and cost the merged list plus a
-// constant number of small objects.
+// however many publications it skipped, and cost what the shards changed,
+// not the merged list.
 
 // remerge is the merged list built from scratch: every shard's sequence
 // flattened, concatenated and sorted.
@@ -29,33 +29,37 @@ func remerge(seqs []*slots.Seq) slots.List {
 }
 
 // assemblyErr checks an assembly against remerge of the sequences it was
-// cut from, pointer for pointer: its flat list, and the leaves reservation
-// searches walk.
+// cut from, pointer for pointer: the leaves every search walks, and the
+// flat list Pool.Snapshot() builds of them.
 func assemblyErr(c *combined) error {
 	want := remerge(c.seqs)
-	if got := c.snap.Slots; len(got) != len(want) {
-		return fmt.Errorf("version %d: %d slots, a re-merge has %d", c.version, len(got), len(want))
+	flat := c.snapshot()
+	if flat.Version != c.view.Version || flat.seq != c.view.seq {
+		return fmt.Errorf("version %d: the flat snapshot is of another version", c.view.Version)
 	}
-	for i, s := range c.snap.Slots {
+	if got := flat.Slots; len(got) != len(want) {
+		return fmt.Errorf("version %d: %d slots, a re-merge has %d", c.view.Version, len(got), len(want))
+	}
+	for i, s := range flat.Slots {
 		if s != want[i] {
-			return fmt.Errorf("version %d: slot %d is %v, a re-merge has %v", c.version, i, s, want[i])
+			return fmt.Errorf("version %d: slot %d is %v, a re-merge has %v", c.view.Version, i, s, want[i])
 		}
 	}
-	cur := c.seq.Cursor()
+	cur := c.view.seq.Cursor()
 	if !cur.Ordered() {
-		return fmt.Errorf("version %d: the merged sequence is not ordered", c.version)
+		return fmt.Errorf("version %d: the merged sequence is not ordered", c.view.Version)
 	}
 	i := 0
 	for leaf := cur.Next(); leaf != nil; leaf = cur.Next() {
 		for _, s := range leaf {
 			if i >= len(want) || s != want[i] {
-				return fmt.Errorf("version %d: the merged sequence differs from its list at slot %d", c.version, i)
+				return fmt.Errorf("version %d: the merged sequence differs from its list at slot %d", c.view.Version, i)
 			}
 			i++
 		}
 	}
-	if i != len(want) {
-		return fmt.Errorf("version %d: the merged sequence holds %d slots, its list %d", c.version, i, len(want))
+	if i != len(want) || c.view.Len() != len(want) {
+		return fmt.Errorf("version %d: the merged sequence holds %d slots (Len %d), its list %d", c.view.Version, i, c.view.Len(), len(want))
 	}
 	return nil
 }
@@ -64,28 +68,28 @@ func assemblyErr(c *combined) error {
 func shardSeqs(p *Sharded) []*slots.Seq {
 	seqs := make([]*slots.Seq, len(p.shards))
 	for i, sh := range p.shards {
-		seqs[i] = sh.pub.Load().seq
+		seqs[i] = sh.pub.Load().view.seq
 	}
 	return seqs
 }
 
-// spliceChurn applies one random mutation to the pool without reading its
+// assemblyChurn applies one random mutation to the pool without reading its
 // merged snapshot: windows are found over a from-scratch merge of the
 // shards, so the router assembles only when the test reads it.
-type spliceChurn struct {
+type assemblyChurn struct {
 	rng      *randx.Rand
 	clk      *manualClock
 	live     []string
 	nextNode int
 }
 
-func (m *spliceChurn) step(t testing.TB, p *Sharded) {
+func (m *assemblyChurn) step(t testing.TB, p *Sharded) {
 	rng := m.rng
 	switch rng.Intn(8) {
 	case 0, 1, 2: // reserve, often across shards
 		req := diffRequest(rng)
 		alg := []core.Algorithm{core.AMP{}, core.MinCost{}, core.MinFinish{}}[rng.Intn(3)]
-		w, err := core.FindObserved(alg, remerge(shardSeqs(p)), &req, nil)
+		w, err := core.FindObserved(alg, remerge(shardSeqs(p)).Cursor(), &req, nil)
 		if err != nil {
 			return
 		}
@@ -129,20 +133,20 @@ func (m *spliceChurn) step(t testing.TB, p *Sharded) {
 // is the assembly of the shards' current sequences, and reads pointer for
 // pointer as their from-scratch merge. Half-way, the router is rebuilt over
 // the same shards by NewShardedFrom, as recovery builds it: its first
-// assembly splices edited, non-empty shards into an empty list.
+// assembly inserts edited, non-empty shards into an empty sequence.
 func TestShardedSnapshotMatchesRemerge(t *testing.T) {
 	for _, nShards := range []int{2, 4, 8} {
 		for _, minLen := range []float64{1, 7, 30} {
 			t.Run(fmt.Sprintf("shards=%d/minlen=%g", nShards, minLen), func(t *testing.T) {
 				for seed := uint64(1); seed <= 8; seed++ {
-					driveSnapshotSplice(t, seed, nShards, minLen)
+					driveSnapshotAssembly(t, seed, nShards, minLen)
 				}
 			})
 		}
 	}
 }
 
-func driveSnapshotSplice(t *testing.T, seed uint64, nShards int, minLen float64) {
+func driveSnapshotAssembly(t *testing.T, seed uint64, nShards int, minLen float64) {
 	rng := randx.New(seed)
 	clk := newManualClock()
 	opts := Options{MinSlotLength: minLen, DefaultTTL: time.Hour, Clock: clk.Now, Shards: nShards}
@@ -150,7 +154,7 @@ func driveSnapshotSplice(t *testing.T, seed uint64, nShards int, minLen float64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	churn := &spliceChurn{rng: rng, clk: clk, nextNode: 100}
+	churn := &assemblyChurn{rng: rng, clk: clk, nextNode: 100}
 	for read := 0; read < 80; read++ {
 		if read == 40 {
 			pool, err = NewShardedFrom(pool.shards, opts)
@@ -162,10 +166,10 @@ func driveSnapshotSplice(t *testing.T, seed uint64, nShards int, minLen float64)
 		for k := rng.Intn(6); k > 0; k-- {
 			churn.step(t, pool)
 		}
-		snap := pool.Snapshot()
+		view, snap := Latest(pool), pool.Snapshot()
 		c := pool.cur.Load()
-		if c.snap != snap {
-			t.Fatalf("seed %d read %d: Snapshot() is not the current assembly", seed, read)
+		if c.snap != snap || view != &c.view {
+			t.Fatalf("seed %d read %d: Snapshot() or Latest() is not the current assembly", seed, read)
 		}
 		for i, q := range shardSeqs(pool) {
 			if c.seqs[i] != q {
@@ -175,10 +179,12 @@ func driveSnapshotSplice(t *testing.T, seed uint64, nShards int, minLen float64)
 		if err := assemblyErr(c); err != nil {
 			t.Fatalf("seed %d read %d: %v", seed, read, err)
 		}
-		// Status counts the distinct IDs Holds and Committed list.
-		if st := pool.Status(); st.Holds != len(pool.Holds()) || st.Committed != len(pool.Committed()) || st.Version != c.version {
-			t.Fatalf("seed %d read %d: Status %+v; Holds() %d, Committed() %d, version %d",
-				seed, read, st, len(pool.Holds()), len(pool.Committed()), c.version)
+		// Status counts the distinct IDs Holds and Committed list, and
+		// reads the merged sequence: the flat list's figures.
+		if st := pool.Status(); st.Holds != len(pool.Holds()) || st.Committed != len(pool.Committed()) || st.Version != c.view.Version ||
+			st.FreeSlots != len(snap.Slots) || st.FreeSpan != snap.Slots.TotalSpan() {
+			t.Fatalf("seed %d read %d: Status %+v; Holds() %d, Committed() %d, version %d, %d slots, span %v",
+				seed, read, st, len(pool.Holds()), len(pool.Committed()), c.view.Version, len(snap.Slots), snap.Slots.TotalSpan())
 		}
 	}
 }
@@ -202,8 +208,6 @@ func TestShardedSnapshotConcurrentReaders(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			sc := core.AcquireScanner()
-			defer core.ReleaseScanner(sc)
 			for {
 				select {
 				case <-done:
@@ -215,11 +219,11 @@ func TestShardedSnapshotConcurrentReaders(t *testing.T) {
 					return
 				}
 				req := diffRequest(randx.New(uint64(g)))
-				_, _ = sc.Find(core.AMP{}, pool.freeCursor(), &req, nil)
+				_, _ = Latest(pool).Find(core.AMP{}, &req, nil)
 			}
 		}(g)
 	}
-	churn := &spliceChurn{rng: rng, clk: clk, nextNode: 100}
+	churn := &assemblyChurn{rng: rng, clk: clk, nextNode: 100}
 	for i := 0; i < 300; i++ {
 		churn.step(t, pool)
 	}
@@ -230,19 +234,17 @@ func TestShardedSnapshotConcurrentReaders(t *testing.T) {
 	}
 }
 
-// assemblyAllocs is what one assembly allocates besides scratch it reuses:
-// the merged list, its leaves (one block) and spine, the sequence, the
-// Snapshot, the combined and its two per-shard vectors.
-const assemblyAllocs = 8
-
-// TestShardedSnapshotAllocs pins one assembly after a booking to the merged
-// list plus a constant number of small objects, at two pool sizes: the diff
-// buffers are reused, and nothing is allocated per shard, leaf or slot.
+// TestShardedSnapshotAllocs pins one assembly after a booking to what the
+// booking touched: the bytes it allocates at horizon 1200 are at most 1.5x
+// those at horizon 600, where the merged list is about half as long, and
+// less than a quarter of one flat merged list. The diff buffers are reused
+// and nothing is flattened.
 func TestShardedSnapshotAllocs(t *testing.T) {
 	if testkit.RaceEnabled {
 		t.Skip("allocation counts are unreliable under the race detector")
 	}
-	for _, horizon := range []float64{600, 1200} {
+	var bytes [2]float64
+	for i, horizon := range []float64{600, 1200} {
 		list, req := testkit.DeepPool(horizon)
 		pool, err := NewSharded(list, Options{Shards: 4})
 		if err != nil {
@@ -253,44 +255,54 @@ func TestShardedSnapshotAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Assemble the booking's version from the one before it, again and
-		// again: the same diff and splice every run.
+		// again: the same diff and edit every run.
 		assemble := func() {
 			pool.mergeMu.Lock()
 			pool.assembleLocked(prev)
 			pool.mergeMu.Unlock()
 		}
 		allocs := testing.AllocsPerRun(50, assemble)
-		bytes := bytesPerRun(50, assemble)
-		flat := float64(8 * len(pool.Snapshot().Slots))
-		t.Logf("%d free slots: %.0f allocs, %.0f B per assembly (flat list %.0f B)", len(pool.Snapshot().Slots), allocs, bytes, flat)
-		if allocs > assemblyAllocs {
-			t.Errorf("an assembly allocates %.0f objects, want at most %d", allocs, assemblyAllocs)
+		bytes[i] = bytesPerRun(50, assemble)
+		n := pool.Status().FreeSlots
+		flat := float64(8 * n)
+		t.Logf("%d free slots: %.0f allocs, %.0f B per assembly (flat list %.0f B)", n, allocs, bytes[i], flat)
+		if horizon == 1200 && bytes[i] > flat/4 {
+			t.Errorf("an assembly over %d slots allocates %.0f B; a quarter of the merged list is %.0f B", n, bytes[i], flat/4)
 		}
-		if bytes > 1.1*flat+1024 {
-			t.Errorf("an assembly allocates %.0f B; the merged list is %.0f B", bytes, flat)
-		}
+	}
+	if bytes[1] > 1.5*bytes[0] {
+		t.Errorf("an assembly allocates %.0f B on the deep pool, %.0f B on the small one: more than 1.5x", bytes[1], bytes[0])
 	}
 }
 
 // BenchmarkShardedSnapshot is one booking (a reserve and its release) on a
-// 4-shard book_deep pool of about 9.5 k slots, then the Snapshot() a reader
-// takes of the result.
+// 4-shard book_deep pool of about 9.5 k slots, then a read of the result:
+// /view as a search reads it (Latest: the assembly, nothing flattened),
+// /flat as a caller of Pool.Snapshot() does (the assembly and its flat
+// list).
 func BenchmarkShardedSnapshot(b *testing.B) {
-	list, req := testkit.DeepPool(1200)
-	pool, err := NewSharded(list, Options{Shards: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := pool.Reserve(&req, core.AMP{}, time.Hour)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := pool.Release(res.ID); err != nil {
-			b.Fatal(err)
-		}
-		pool.Snapshot()
+	for _, read := range []struct {
+		name string
+		read func(Pool) *Snapshot
+	}{{"view", Latest}, {"flat", Pool.Snapshot}} {
+		b.Run(read.name, func(b *testing.B) {
+			list, req := testkit.DeepPool(1200)
+			pool, err := NewSharded(list, Options{Shards: 4})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := pool.Reserve(&req, core.AMP{}, time.Hour)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := pool.Release(res.ID); err != nil {
+					b.Fatal(err)
+				}
+				read.read(pool)
+			}
+		})
 	}
 }

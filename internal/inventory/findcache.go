@@ -160,12 +160,12 @@ func (c *FindCache) Stats() CacheStats {
 }
 
 // Find returns the memoized result for key, or runs search against the
-// current snapshot and memoizes its outcome. The snapshot the result is
-// valid against is returned alongside. search errors other than
-// core.ErrNoWindow are returned uncached.
+// pool's latest version (Latest: no flat list) and memoizes its outcome.
+// The snapshot the result is valid against is returned alongside. search
+// errors other than core.ErrNoWindow are returned uncached.
 //
-// The hit path performs no allocation: load snapshot, one map lookup,
-// a ring walk, counter increments.
+// The hit path performs no allocation: load the view, one map lookup, a
+// ring walk, counter increments.
 func (c *FindCache) Find(key CacheKey, search func(*Snapshot) (*core.Window, error)) (*core.Window, *Snapshot, error) {
 	win, _, snap, err := c.FindEncoded(key, search, nil)
 	return win, snap, err
@@ -180,7 +180,7 @@ func (c *FindCache) Find(key CacheKey, search func(*Snapshot) (*core.Window, err
 // asks for twice is never held in two forms. Callers must not modify enc,
 // and every caller of one cache must pass the same encoding.
 func (c *FindCache) FindEncoded(key CacheKey, search func(*Snapshot) (*core.Window, error), encode func(*core.Window) ([]byte, error)) (win *core.Window, enc []byte, snap *Snapshot, err error) {
-	snap = c.inv.Snapshot()
+	snap = Latest(c.inv)
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		if !c.inv.InvalidatedSince(e.version, snap.Version, e.lo, e.hi) {

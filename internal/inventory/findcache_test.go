@@ -10,13 +10,15 @@ import (
 	"slotsel/internal/core"
 	"slotsel/internal/job"
 	"slotsel/internal/randx"
+	"slotsel/internal/slots"
 	"slotsel/internal/testkit"
 )
 
-// cacheSearch binds an algorithm into the FindCache search callback.
+// cacheSearch binds an algorithm into the FindCache search callback: a
+// search of the version the cache hands it, as that version was published.
 func cacheSearch(alg core.Algorithm, req *job.Request) func(*Snapshot) (*core.Window, error) {
 	return func(snap *Snapshot) (*core.Window, error) {
-		return alg.Find(snap.Slots, req)
+		return snap.Find(alg, req, nil)
 	}
 }
 
@@ -26,9 +28,20 @@ func signatureBytes(w *core.Window) ([]byte, error) {
 	return []byte(testkit.WindowSignature(w)), nil
 }
 
-// oracleFind is the stateless full scan the cached path is compared to.
+// oracleFind is the stateless full scan the cached path is compared to:
+// the algorithm over the snapshot's version as one flat list.
 func oracleFind(alg core.Algorithm, snap *Snapshot, req *job.Request) (*core.Window, error) {
-	return alg.Find(snap.Slots, req)
+	return alg.Find(flatList(snap), req)
+}
+
+// flatList is the snapshot's version as one list, whichever form the
+// snapshot carries: Slots on a Pool.Snapshot(), the flattened sequence on
+// a search view.
+func flatList(snap *Snapshot) slots.List {
+	if snap.seq == nil {
+		return snap.Slots
+	}
+	return snap.seq.Flatten()
 }
 
 // requestShapes builds a deterministic pool of request shapes, some with

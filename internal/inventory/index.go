@@ -220,24 +220,28 @@ func (inv *Inventory) recutLocked(nid int, spans []slots.Interval, del, ins *slo
 	inv.free[nid] = slices.Replace(free, a, a+len(old), cur...)
 }
 
-// published is one version of the free pool: the persistent sequence every
-// mutation edits and every reservation searches, plus the flat Snapshot
-// the Pool interface promises, built at most once — by the first
-// Snapshot() call that observes this version — and reachable from nowhere
-// else. A version nobody reads (the reserve half of a booking, every
-// release and expiry under write load) is superseded without ever being
-// flattened.
+// published is one version of the free pool: the search view (the
+// persistent sequence every mutation edits and every search walks), plus
+// the flat Snapshot the Pool interface promises, built by the first
+// Snapshot() call that observes this version, if any: a version only
+// searches, bookings, releases and expiries read is never flattened.
 type published struct {
-	version uint64
-	seq     *slots.Seq
+	view Snapshot // Slots nil: Latest hands out its address
 
 	once sync.Once
 	snap *Snapshot
 }
 
-func (p *published) snapshot(minSlotLength float64) *Snapshot {
+func (inv *Inventory) newPublished(version uint64, seq *slots.Seq) *published {
+	return &published{view: Snapshot{Version: version, MinSlotLength: inv.opts.MinSlotLength, seq: seq}}
+}
+
+// snapshot returns the version with its flat list.
+func (p *published) snapshot() *Snapshot {
 	p.once.Do(func() {
-		p.snap = &Snapshot{Version: p.version, Slots: p.seq.Flatten(), MinSlotLength: minSlotLength}
+		flat := p.view
+		flat.Slots = p.view.seq.Flatten()
+		p.snap = &flat
 	})
 	return p.snap
 }
@@ -286,15 +290,15 @@ func (inv *Inventory) publishLocked(dirty map[int][]slots.Interval) {
 	}
 	del.SortByStart()
 	ins.SortByStart()
-	seq, err := prev.seq.Edit(del, ins)
+	seq, err := prev.view.seq.Edit(del, ins)
 	if err != nil {
 		// The per-node index and the sequence are written together, here
 		// and in resetLocked; only a bug can make them disagree.
 		panic(fmt.Sprintf("inventory: free index out of step with the published sequence: %v", err))
 	}
-	c := Change{Version: prev.version + 1, Lo: lo, Hi: hi}
+	c := Change{Version: prev.view.Version + 1, Lo: lo, Hi: hi}
 	inv.inval.append(c)
-	inv.pub.Store(&published{version: c.Version, seq: seq})
+	inv.pub.Store(inv.newPublished(c.Version, seq))
 	inv.pending = append(inv.pending, c)
 }
 

@@ -131,32 +131,81 @@ type Options struct {
 	Shards int
 }
 
-// Snapshot is an immutable published view of the free pool. The slot list
-// follows the slots.List immutability contract: safe to search from any
-// number of goroutines, never mutated after publication.
+// Snapshot is one immutable version of the free pool, safe to search from
+// any number of goroutines. Find and BestAlternative walk the version as it
+// was published, a verified slots.Seq, so a search neither copies the pool
+// nor checks its order again; a snapshot built by hand from Slots alone
+// searches Slots, order-checked on every search. Slots is set only on what
+// Pool.Snapshot() returns, built at most once per version.
 type Snapshot struct {
 	// Version increases with every republication of the free list.
 	Version uint64
 
-	// Slots is the free list, sorted by start time (AEP scan ready).
+	// Slots is the free list, sorted by start time (AEP scan ready). Set
+	// only on what Pool.Snapshot() returns; nil on a search view (Latest).
+	// It stays while the benchmark module reads it (ROADMAP item 10).
 	Slots slots.List
 
 	// MinSlotLength is the publishing pool's Options.MinSlotLength: the
 	// shortest remainder the pool would publish after an allocation.
 	MinSlotLength float64
+
+	// seq is the version as published; nil on a snapshot built by hand.
+	seq *slots.Seq
+}
+
+// Len returns the number of free slots.
+func (s *Snapshot) Len() int {
+	if s.seq != nil {
+		return s.seq.Len()
+	}
+	return len(s.Slots)
+}
+
+// cursor walks the version: the published sequence, or Slots when the
+// snapshot was built by hand.
+func (s *Snapshot) cursor() slots.Cursor {
+	if s.seq != nil {
+		return s.seq.Cursor()
+	}
+	return s.Slots.Cursor()
+}
+
+// Find runs one AEP search over the snapshot and returns a caller-owned
+// window: core.FindObserved, over the version as it was published. The
+// window's placements reference the published slots.
+func (s *Snapshot) Find(alg core.Algorithm, req *job.Request, col obs.Collector) (*core.Window, error) {
+	return core.FindObserved(alg, s.cursor(), req, col)
 }
 
 // BestAlternative is the CSA search every caller runs over a snapshot —
 // /v1/find, /v1/watch and ReserveBest alike, so what a find shows is what a
 // reserve holds: alternatives are cut with the pool's own MinSlotLength (a
 // remainder the pool would never publish is never offered) and the extreme
-// one by crit is returned, caller-owned. maxAlts <= 0 means unbounded.
-func (s *Snapshot) BestAlternative(sc *core.Scanner, req *job.Request, crit csa.Criterion, maxAlts int, col obs.Collector) (*core.Window, error) {
-	alts, err := sc.Alternatives(s.Slots, req, maxAlts, s.MinSlotLength, col)
+// one by crit is returned, caller-owned. maxAlts <= 0 means unbounded. A
+// pooled scanner's working copy is loaded from the snapshot leaf by leaf.
+func (s *Snapshot) BestAlternative(req *job.Request, crit csa.Criterion, maxAlts int, col obs.Collector) (*core.Window, error) {
+	sc := core.AcquireScanner()
+	defer core.ReleaseScanner(sc)
+	alts, err := sc.Alternatives(s.cursor(), req, maxAlts, s.MinSlotLength, col)
 	if err != nil {
 		return nil, err
 	}
 	return csa.Best(alts, crit), nil
+}
+
+// Latest returns the pool's current version as a search reads it. The pools
+// of this package hand out the view the version was published as, with no
+// flat list and no allocation; any other Pool is read through its
+// Snapshot().
+func Latest(p Pool) *Snapshot {
+	switch p := p.(type) {
+	case *Inventory:
+		return &p.pub.Load().view
+	case *Sharded:
+		return &p.current().view
+	}
+	return p.Snapshot()
 }
 
 // Reservation is a live hold on a window's slots.
@@ -280,7 +329,7 @@ func newEmpty(opts Options) *Inventory {
 		free:      make(map[int]slots.List),
 	}
 	empty, _ := slots.SeqOf(nil) // no slots, nothing to be out of order
-	inv.pub.Store(&published{seq: empty})
+	inv.pub.Store(inv.newPublished(0, empty))
 	return inv
 }
 
@@ -333,21 +382,15 @@ func (inv *Inventory) Seq() uint64 {
 // (Part of the Pool interface shared with the sharded router.)
 func (inv *Inventory) Shards() int { return 1 }
 
-// Snapshot returns the current free pool. Lock-free: the returned value is
-// immutable and stays valid (as a stale snapshot) forever. The first call
-// that observes a version flattens its sequence into Slots; later calls,
-// from any goroutine, share that one list.
-func (inv *Inventory) Snapshot() *Snapshot {
-	return inv.pub.Load().snapshot(inv.opts.MinSlotLength)
-}
-
-// freeCursor walks the current free pool as the sequence it is published as.
-func (inv *Inventory) freeCursor() slots.Cursor { return inv.pub.Load().seq.Cursor() }
+// Snapshot returns the current free pool with its flat list, lock-free and
+// valid forever. The first call that observes a version flattens it into
+// Slots; later calls share that list. A search wants Latest instead.
+func (inv *Inventory) Snapshot() *Snapshot { return inv.pub.Load().snapshot() }
 
 // reserveRetries bounds the optimistic re-validation loop of one Reserve:
 // a search that loses the race to concurrent allocations is retried
-// against a fresh snapshot (on the same recycled scanner) this many times
-// before ErrConflict is surfaced to the caller.
+// against a fresh snapshot this many times before ErrConflict is surfaced
+// to the caller.
 const reserveRetries = 3
 
 // query is one reservation search: an AEP algorithm, or (alg == nil) a CSA
@@ -359,41 +402,29 @@ type query struct {
 	maxAlts int
 }
 
-// find runs the query over the pool's current free slots and returns a
-// caller-owned window. An AEP algorithm scans the published sequence as it
-// is; CSA carves up a working copy of the whole list anyway, so it takes
-// the flat snapshot.
-func (q query) find(sc *core.Scanner, p searchPool, opts *Options) (*core.Window, error) {
+// find runs the query over the pool's latest version, as it was published,
+// and returns a caller-owned window.
+func (q query) find(p Pool, opts *Options) (*core.Window, error) {
 	if q.alg == nil {
-		return p.Snapshot().BestAlternative(sc, q.req, q.crit, q.maxAlts, opts.Collector)
+		return Latest(p).BestAlternative(q.req, q.crit, q.maxAlts, opts.Collector)
 	}
-	w, err := sc.Find(q.alg, p.freeCursor(), q.req, opts.Collector)
-	if err != nil {
-		return nil, err
-	}
-	// Detach: the hold table and the journal retain the window beyond
-	// the scanner's reuse horizon. The placements keep referencing the
-	// published slots.
-	return w.Detach(), nil
+	return Latest(p).Find(q.alg, q.req, opts.Collector)
 }
 
 // searchPool is what the reservation loop needs of either pool type.
 type searchPool interface {
 	Pool
-	freeCursor() slots.Cursor
 	countNoWindow()
 }
 
 // reserveFound is the optimistic reservation loop, written once for both
 // kernels and both pool types: search the pool's current version, place a
 // hold on the winner, and search again when that version was stale
-// (ErrConflict) — on one scanner, so the retries allocate only the
-// detached result windows.
+// (ErrConflict). Each search runs on a pooled scanner, so the retries
+// allocate only the detached result windows.
 func reserveFound(p searchPool, opts *Options, q query, ttl time.Duration) (*Reservation, error) {
-	sc := core.AcquireScanner()
-	defer core.ReleaseScanner(sc)
 	for attempt := 1; ; attempt++ {
-		w, err := q.find(sc, p, opts)
+		w, err := q.find(p, opts)
 		if err != nil {
 			if errors.Is(err, core.ErrNoWindow) {
 				p.countNoWindow()
@@ -532,7 +563,7 @@ func (inv *Inventory) Status() Status {
 	inv.mu.Lock()
 	p := inv.pub.Load()
 	st := Status{
-		Version:    p.version,
+		Version:    p.view.Version,
 		Nodes:      len(inv.base),
 		Holds:      len(inv.holds),
 		Committed:  len(inv.committed),
@@ -540,8 +571,8 @@ func (inv *Inventory) Status() Status {
 		Counters:   inv.counters,
 	}
 	inv.mu.Unlock()
-	st.FreeSlots = p.seq.Len()
-	st.FreeSpan = p.seq.TotalSpan()
+	st.FreeSlots = p.view.seq.Len()
+	st.FreeSpan = p.view.seq.TotalSpan()
 	return st
 }
 
@@ -626,7 +657,7 @@ func (inv *Inventory) reserveLocked(id string, w *core.Window, ttl time.Duration
 		return nil
 	}
 	inv.spanLocked("inventory.Reserve", begin, id)
-	return &Reservation{ID: id, Window: w, Version: inv.pub.Load().version, Expires: expires}
+	return &Reservation{ID: id, Window: w, Version: inv.pub.Load().view.Version, Expires: expires}
 }
 
 // settleLocked runs the commit or release transition on a hold and

@@ -1,13 +1,16 @@
 package inventory
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"slotsel/internal/baseline"
 	"slotsel/internal/core"
+	"slotsel/internal/csa"
 	"slotsel/internal/job"
 	"slotsel/internal/obs"
 	"slotsel/internal/randx"
@@ -16,9 +19,10 @@ import (
 )
 
 // This file tests publication by edit: what a mutation costs (flat in the
-// pool size), when a version's flat Snapshot is built (once, on first
-// read, and never for a version nobody reads), and that the published
-// sequence, the per-node index and the from-scratch oracle stay one pool.
+// pool size), when a version's flat Snapshot is built (once, on the first
+// Snapshot() call, and never for a version only searches read), and that
+// the published sequence, the per-node index, the from-scratch oracle and a
+// search of the flat list stay one pool.
 
 // bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes one
 // call of f allocates, after a warm-up call.
@@ -92,7 +96,7 @@ func TestUnreadVersionAllocs(t *testing.T) {
 	cycle()
 	for _, p := range unread {
 		if p.snap != nil {
-			t.Fatalf("version %d was flattened though nobody read it", p.version)
+			t.Fatalf("version %d was flattened though nobody read it", p.view.Version)
 		}
 	}
 
@@ -102,6 +106,114 @@ func TestUnreadVersionAllocs(t *testing.T) {
 		inv.Snapshot()
 	}); got < flat || got > 2*flat {
 		t.Errorf("a cycle whose last version is read twice allocates %.0f B; want one flat list of %.0f B and little else", got, flat)
+	}
+}
+
+// TestShardedUnreadVersionAllocs is TestUnreadVersionAllocs for the router:
+// an assembly that only searches and bookings read — Reserve, the find
+// cache, a Find over Latest — is never flattened, so a booking cycle that
+// assembles three versions allocates less than one flat merged list; a
+// reader of Pool.Snapshot() pays one flat list for the version it reads,
+// however often it reads it.
+func TestShardedUnreadVersionAllocs(t *testing.T) {
+	if testkit.RaceEnabled {
+		t.Skip("allocation counts are unreliable under the race detector")
+	}
+	list, req := testkit.DeepPool(1200)
+	pool, err := NewSharded(list, Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewFindCache(pool, 8)
+	key, search := NewCacheKey(&req, "AMP"), cacheSearch(core.AMP{}, &req)
+	flat := float64(8 * pool.Status().FreeSlots)
+	cycle := func() {
+		res, err := pool.Reserve(&req, core.AMP{}, time.Hour)
+		if err != nil {
+			t.Fatalf("reserve: %v", err)
+		}
+		if _, _, err := cache.Find(key, search); err != nil {
+			t.Fatalf("cached find: %v", err)
+		}
+		if err := pool.Release(res.ID); err != nil {
+			t.Fatalf("release: %v", err)
+		}
+		if _, err := Latest(pool).Find(core.AMP{}, &req, nil); err != nil {
+			t.Fatalf("find: %v", err)
+		}
+	}
+
+	var unread []*combined
+	unreadCost := bytesPerRun(20, func() {
+		cycle()
+		unread = append(unread, pool.cur.Load())
+	})
+	if unreadCost > flat {
+		t.Errorf("a cycle nobody flattens allocates %.0f B; one flat list is %.0f B", unreadCost, flat)
+	}
+	for _, c := range unread {
+		if c.snap != nil {
+			t.Fatalf("assembly %d was flattened though nobody asked for its list", c.view.Version)
+		}
+	}
+
+	readCost := bytesPerRun(20, func() {
+		cycle()
+		pool.Snapshot()
+		pool.Snapshot()
+	})
+	if extra := readCost - unreadCost; extra < 0.9*flat || extra > 1.2*flat {
+		t.Errorf("reading the last assembly twice adds %.0f B to a cycle; want one flat list of %.0f B", extra, flat)
+	}
+}
+
+// TestFallbackFindAllocs: an algorithm the scanner does not dispatch
+// itself (ALP and FirstFit, which /v1/find accepts by name) walks the
+// published sequence leaf by leaf too: a miss over a pool of several
+// leaves, single or routed, allocates what the same miss over the flat
+// list allocates (the algorithm's own visit closure), never a copy of the
+// version.
+func TestFallbackFindAllocs(t *testing.T) {
+	if testkit.RaceEnabled {
+		t.Skip("allocation counts are unreliable under the race detector")
+	}
+	list := testkit.RandomList(randx.New(43), 450, 6, 600)
+	// More tasks than nodes: the scan walks every slot and never visits.
+	req := &job.Request{TaskCount: 451, Volume: 40}
+	for _, shards := range []int{1, 4} {
+		var p Pool
+		var err error
+		if shards == 1 {
+			p, err = New(list, Options{})
+		} else {
+			p, err = NewSharded(list, Options{Shards: shards})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		view := Latest(p)
+		leaves := 0
+		for cur := view.seq.Cursor(); cur.Next() != nil; {
+			leaves++
+		}
+		if leaves < 2 {
+			t.Fatalf("shards=%d: the view is %d leaf of %d slots", shards, leaves, view.Len())
+		}
+		byHand := &Snapshot{Slots: p.Snapshot().Slots}
+		flat := float64(8 * view.Len())
+		for _, alg := range []core.Algorithm{baseline.ALP{}, baseline.FirstFit{}} {
+			if _, err := view.Find(alg, req, nil); !errors.Is(err, core.ErrNoWindow) {
+				t.Fatalf("shards=%d %s: %v, want no window", shards, alg.Name(), err)
+			}
+			overView := testing.AllocsPerRun(50, func() { view.Find(alg, req, nil) })
+			overList := testing.AllocsPerRun(50, func() { byHand.Find(alg, req, nil) })
+			if overView != overList {
+				t.Errorf("shards=%d %s: a miss allocates %v times over the view, %v over the flat list", shards, alg.Name(), overView, overList)
+			}
+			if b := bytesPerRun(50, func() { view.Find(alg, req, nil) }); b > flat/4 {
+				t.Errorf("shards=%d %s: a miss over the view allocates %.0f B; one flat list is %.0f B", shards, alg.Name(), b, flat)
+			}
+		}
 	}
 }
 
@@ -230,47 +342,111 @@ func TestPublishedSequenceMatchesOracleAcrossLeaves(t *testing.T) {
 	}
 }
 
-// TestSequenceSearchMatchesSnapshotSearch: for every algorithm, the search
-// a reservation runs over the published sequence returns the window and
-// the ScanStats that a search over Snapshot().Slots of the same version
-// returns. (The router searches its merged Snapshot().Slots itself.)
+// TestSequenceSearchMatchesSnapshotSearch: over a single pool and a 4-shard
+// router, for every algorithm and for each CSA criterion (one per op), a
+// search of the latest version as it was published — Latest(p), and through
+// a FindCache — returns the window and the ScanStats that a search over
+// Pool.Snapshot().Slots of the same version returns, across bookings, a
+// Withdraw and an Add. The flat side is also what a snapshot built by hand
+// from Slots alone searches.
 func TestSequenceSearchMatchesSnapshotSearch(t *testing.T) {
 	algs := []core.Algorithm{
 		core.AMP{}, core.MinCost{}, core.MinRunTime{}, core.MinRunTime{Exact: true}, core.MinFinish{},
 		core.MinFinish{Exact: true}, core.MinProcTime{Seed: 7}, core.MinProcTimeGreedy{}, core.MinEnergy{},
 	}
-	rng := randx.New(41)
-	inv, err := New(testkit.RandomList(rng, 450, 6, 600), Options{MinSlotLength: 1})
-	if err != nil {
-		t.Fatal(err)
+	crits := []csa.Criterion{csa.ByStart, csa.ByFinish, csa.ByCost, csa.ByRuntime, csa.ByProcTime}
+	sig := func(w *core.Window, err error) string {
+		if err != nil {
+			return err.Error()
+		}
+		return testkit.WindowSignature(w)
 	}
-	sc := core.NewScanner()
-	for op := 0; op < 4; op++ {
-		req := &job.Request{TaskCount: rng.IntRange(1, 4), Volume: float64(rng.IntRange(20, 90)), MaxCost: 4000}
-		if res, err := inv.Reserve(req, core.AMP{}, time.Hour); err == nil && rng.Intn(2) == 0 {
-			inv.Release(res.ID)
-		}
-		cur, snap := inv.freeCursor(), inv.Snapshot()
-		if len(cur.List()) != len(snap.Slots) {
-			t.Fatalf("op %d: sequence and snapshot are different versions", op)
-		}
-		for _, alg := range algs {
-			var overSeq, overList obs.Stats
-			r1, r2 := *req, *req
-			sig := func(w *core.Window, err error) string {
-				if err != nil {
-					return err.Error()
+	for _, shards := range []int{1, 4} {
+		shards := shards
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			t.Parallel()
+			rng := randx.New(41)
+			list := testkit.RandomList(rng, 450, 6, 600)
+			opts := Options{MinSlotLength: 1}
+			var p Pool
+			var err error
+			if shards == 1 {
+				p, err = New(list, opts)
+			} else {
+				opts.Shards = shards
+				p, err = NewSharded(list, opts)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			cache := NewFindCache(p, 64)
+			for op := 0; op < 6; op++ {
+				req := &job.Request{TaskCount: rng.IntRange(1, 4), Volume: float64(rng.IntRange(20, 90)), MaxCost: 4000}
+				switch op {
+				case 3:
+					if _, err := p.Withdraw(list[rng.Intn(len(list))].Node.ID); err != nil {
+						t.Fatal(err)
+					}
+				case 4:
+					n := testkit.Node(9000, 5, 1)
+					if err := p.Add(testkit.SlotList(testkit.Slot(n, 10, 400))); err != nil {
+						t.Fatal(err)
+					}
+				default:
+					if res, err := p.Reserve(req, core.AMP{}, time.Hour); err == nil && rng.Intn(2) == 0 {
+						p.Release(res.ID)
+					}
 				}
-				return testkit.WindowSignature(w)
+				view, snap := Latest(p), p.Snapshot()
+				if view.Slots != nil || view.Version != snap.Version || view.Len() != len(snap.Slots) {
+					t.Fatalf("op %d: Latest is version %d of %d slots (Slots set: %v), Snapshot() version %d of %d",
+						op, view.Version, view.Len(), view.Slots != nil, snap.Version, len(snap.Slots))
+				}
+				leaves := 0
+				for cur := view.seq.Cursor(); cur.Next() != nil; {
+					leaves++
+				}
+				if leaves < 2 {
+					t.Fatalf("op %d: the view is %d leaf of %d slots; the search must cross a leaf boundary", op, leaves, view.Len())
+				}
+				byHand := &Snapshot{Version: snap.Version, Slots: snap.Slots, MinSlotLength: snap.MinSlotLength}
+				// compare runs a search over the view and over the flat list,
+				// with ScanStats, and the same search through the cache. An AEP
+				// search is one scan; CSA runs one per alternative.
+				compare := func(name string, oneScan bool, search func(*Snapshot, obs.Collector) (*core.Window, error)) {
+					var overView, overList obs.Stats
+					got, want := sig(search(view, &overView)), sig(search(byHand, &overList))
+					if got != want {
+						t.Errorf("op %d %s: window over the view %s, over the flat list %s", op, name, got, want)
+					}
+					g, w := overView.Snapshot().Scan, overList.Snapshot().Scan
+					if g != w || g.Scans == 0 || (oneScan && g.Scans != 1) {
+						t.Errorf("op %d %s: ScanStats %+v over the view, %+v over the flat list", op, name, g, w)
+					}
+					cached, at, err := cache.Find(NewCacheKey(req, name), func(s *Snapshot) (*core.Window, error) {
+						return search(s, nil)
+					})
+					if at.Version != snap.Version {
+						t.Fatalf("op %d %s: the cache searched version %d, not %d", op, name, at.Version, snap.Version)
+					}
+					if got := sig(cached, err); got != want {
+						t.Errorf("op %d %s: cached window %s, over the flat list %s", op, name, got, want)
+					}
+				}
+				for _, alg := range algs {
+					compare(alg.Name(), true, func(s *Snapshot, col obs.Collector) (*core.Window, error) {
+						r := *req
+						return s.Find(alg, &r, col)
+					})
+				}
+				// One criterion per op, in turn: the alternatives a criterion
+				// picks from are the same scans for all five.
+				crit := crits[op%len(crits)]
+				compare("csa:"+crit.String(), false, func(s *Snapshot, col obs.Collector) (*core.Window, error) {
+					r := *req
+					return s.BestAlternative(&r, crit, 0, col)
+				})
 			}
-			got := sig(sc.Find(alg, cur, &r1, &overSeq))
-			want := sig(sc.Find(alg, snap.Slots.Cursor(), &r2, &overList))
-			if got != want {
-				t.Errorf("op %d %s: window over the sequence %s, over the snapshot %s", op, alg.Name(), got, want)
-			}
-			if g, w := overSeq.Snapshot().Scan, overList.Snapshot().Scan; g != w || g.Scans != 1 {
-				t.Errorf("op %d %s: ScanStats %+v over the sequence, %+v over the snapshot", op, alg.Name(), g, w)
-			}
-		}
+		})
 	}
 }

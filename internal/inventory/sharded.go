@@ -10,8 +10,8 @@
 //     list and co-allocation windows span arbitrary nodes — per-shard
 //     searches stitched together afterwards would not be byte-identical to
 //     the unsharded scan. The merged snapshot is cached and revalidated by
-//     per-shard versions, so quiet pools pay nothing, and a new one is
-//     spliced from the last at the cost of what the shards changed.
+//     per-shard versions, so quiet pools pay nothing, and a new one is an
+//     edit of the last, at the cost of what the shards changed.
 //
 //   - A window is held under the mutexes of every shard it touches, taken
 //     in ascending shard order: the router checks every part fits before
@@ -32,6 +32,7 @@ package inventory
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -122,26 +123,24 @@ type liveStripe struct {
 	committed map[string]*core.Window // original windows of settled holds
 }
 
-// combined is one assembled global snapshot: the merged free list, the
-// per-shard versions and sequences it was cut from, and its own
-// (router-level) version.
+// combined is one assembled global snapshot: a version of the merged free
+// list, published like a shard's, plus the per-shard versions and
+// sequences it was cut from.
 type combined struct {
-	version uint64
-	vec     []uint64     // per-shard snapshot versions at assembly
-	seqs    []*slots.Seq // per-shard sequences at assembly: what the next one diffs against
-	seq     *slots.Seq   // the merged list, as verified leaves over snap.Slots
-	snap    *Snapshot
+	published
+	vec  []uint64     // per-shard snapshot versions at assembly
+	seqs []*slots.Seq // per-shard sequences at assembly: what the next one diffs against
 }
 
-// spliceScratch bounds the scratch lists assembly keeps between calls: a
+// assemblyScratch bounds the scratch lists assembly keeps between calls: a
 // booking changes a few slots, while boot and bulk changes diff whole shards
 // and should not pin lists that size.
-const spliceScratch = 256
+const assemblyScratch = 256
 
-// splicer is assembleLocked's scratch, reused under mergeMu: each shard's
+// assembler is assembleLocked's scratch, reused under mergeMu: each shard's
 // diff against the previous assembly, the merges of those, and the merge
 // cursors.
-type splicer struct {
+type assembler struct {
 	dels, inss []slots.List
 	del, ins   slots.List
 	heads      []slots.List
@@ -149,7 +148,7 @@ type splicer struct {
 
 // merge appends the merge of the ordered parts to out, in Before order.
 // Shards partition the nodes, so no two parts hold an equal key.
-func (sp *splicer) merge(out slots.List, parts []slots.List) slots.List {
+func (sp *assembler) merge(out slots.List, parts []slots.List) slots.List {
 	heads := append(sp.heads[:0], parts...)
 	for {
 		best := -1
@@ -170,8 +169,8 @@ func (sp *splicer) merge(out slots.List, parts []slots.List) slots.List {
 }
 
 // reset empties the scratch for the next assembly, dropping the slots it
-// points at and any list grown past spliceScratch.
-func (sp *splicer) reset() {
+// points at and any list grown past assemblyScratch.
+func (sp *assembler) reset() {
 	for i := range sp.dels {
 		sp.dels[i], sp.inss[i] = emptied(sp.dels[i]), emptied(sp.inss[i])
 	}
@@ -179,7 +178,7 @@ func (sp *splicer) reset() {
 }
 
 func emptied(l slots.List) slots.List {
-	if cap(l) > spliceScratch {
+	if cap(l) > assemblyScratch {
 		return nil
 	}
 	clear(l)
@@ -224,7 +223,7 @@ type Sharded struct {
 	// cur is the latest assembly, revalidated lock-free against the live
 	// shard versions.
 	mergeMu sync.Mutex
-	splice  splicer
+	asm     assembler
 	mergeV  atomic.Uint64
 	cur     atomic.Pointer[combined]
 	vers    vecRing
@@ -315,11 +314,12 @@ func newRouter(shards []*Inventory, opts Options) *Sharded {
 		s.stripes[i].m = make(map[string]*liveRes)
 		s.stripes[i].committed = make(map[string]*core.Window)
 	}
-	s.splice.dels = make([]slots.List, len(shards))
-	s.splice.inss = make([]slots.List, len(shards))
-	// The first assembly splices every shard into an empty list.
+	s.asm.dels = make([]slots.List, len(shards))
+	s.asm.inss = make([]slots.List, len(shards))
+	// The first assembly inserts every shard into an empty sequence.
 	empty, _ := slots.SeqOf(nil)
-	boot := &combined{seqs: make([]*slots.Seq, len(shards)), seq: empty}
+	boot := &combined{seqs: make([]*slots.Seq, len(shards))}
+	boot.view.seq = empty
 	for i := range boot.seqs {
 		boot.seqs[i] = empty
 	}
@@ -350,18 +350,15 @@ func (s *Sharded) Shard(i int) *Inventory { return s.shards[i] }
 
 // Snapshot returns the merged global free list: the cached assembly is
 // revalidated against the live per-shard versions (n atomic loads, no
-// allocation) and reassembled only when some shard has published since.
+// allocation), reassembled only when some shard has published since, and
+// flattened by the first Snapshot() that reads it (Latest never flattens).
 //
 // The merged list is in the same canonical (start, node, end) order the
 // single-pool snapshot uses — shards partition the node space, so the
 // k-way merge of their individually sorted lists is exactly the globally
 // sorted list, and any search over it sees the byte-identical candidate
 // stream the unsharded scan would see.
-func (s *Sharded) Snapshot() *Snapshot { return s.current().snap }
-
-// freeCursor walks the merged free list as verified leaves: no search
-// re-checks its order.
-func (s *Sharded) freeCursor() slots.Cursor { return s.current().seq.Cursor() }
+func (s *Sharded) Snapshot() *Snapshot { return s.current().snapshot() }
 
 // current returns the assembly of the shards' latest versions.
 func (s *Sharded) current() *combined {
@@ -384,7 +381,7 @@ func (s *Sharded) current() *combined {
 // it is on.
 func (s *Sharded) fresh(c *combined) bool {
 	for i, sh := range s.shards {
-		if sh.pub.Load().version != c.vec[i] {
+		if sh.pub.Load().view.Version != c.vec[i] {
 			return false
 		}
 	}
@@ -395,30 +392,35 @@ func (s *Sharded) fresh(c *combined) bool {
 // at the cost of what the shards changed since prev was cut: each shard's
 // published sequence is diffed against the one prev was cut from (leaves
 // they share are skipped unread), the per-shard diffs are merged into Before
-// order, and the merge is spliced into prev's list. No shard flattens
-// anything. Each shard's sequence is individually consistent; the assembly
+// order, and the merge is applied to prev's sequence as one Edit, which
+// rebuilds and re-verifies only the leaves it lands in. Nothing is
+// flattened. Each shard's sequence is individually consistent; the assembly
 // is the scatter-gather read point, revalidated per shard on the reserve
 // path exactly like a stale single-pool snapshot would be.
 func (s *Sharded) assembleLocked(prev *combined) *combined {
-	sp := &s.splice
+	sp := &s.asm
 	c := &combined{vec: make([]uint64, len(s.shards)), seqs: make([]*slots.Seq, len(s.shards))}
 	for i, sh := range s.shards {
 		p := sh.pub.Load()
-		c.vec[i], c.seqs[i] = p.version, p.seq
-		sp.dels[i], sp.inss[i] = p.seq.Diff(prev.seqs[i], sp.dels[i], sp.inss[i])
+		c.vec[i], c.seqs[i] = p.view.Version, p.view.seq
+		sp.dels[i], sp.inss[i] = p.view.seq.Diff(prev.seqs[i], sp.dels[i], sp.inss[i])
 	}
 	sp.del, sp.ins = sp.merge(sp.del, sp.dels), sp.merge(sp.ins, sp.inss)
-	seq, err := prev.seq.Splice(sp.del, sp.ins)
+	ins := sp.ins
+	if prev.view.seq.Len() == 0 {
+		// Filling an empty sequence keeps ins as its leaves, and ins is
+		// scratch that reset clears: the boot assembly gets its own copy.
+		ins = slices.Clone(ins)
+	}
+	seq, err := prev.view.seq.Edit(sp.del, ins)
 	if err != nil {
 		// Each diff is exact and the shards' nodes are disjoint; only a bug
 		// can make the merged list disagree with them.
 		panic(fmt.Sprintf("inventory: merged snapshot out of step with its shards: %v", err))
 	}
 	sp.reset()
-	c.seq = seq
-	c.version = s.mergeV.Add(1)
-	c.snap = &Snapshot{Version: c.version, Slots: seq.Flatten(), MinSlotLength: s.opts.MinSlotLength}
-	s.vers.put(c.version, c.vec)
+	c.view = Snapshot{Version: s.mergeV.Add(1), MinSlotLength: s.opts.MinSlotLength, seq: seq}
+	s.vers.put(c.view.Version, c.vec)
 	return c
 }
 
@@ -540,7 +542,7 @@ func (s *Sharded) ReserveWindow(w *core.Window, ttl time.Duration) (*Reservation
 			res = s.shards[si].reserveLocked(id, parts[si], 0, shardExpires, begin)
 		}
 		if len(order) > 1 {
-			res = &Reservation{ID: id, Window: w, Version: s.cur.Load().version, Expires: expires}
+			res = &Reservation{ID: id, Window: w, Version: s.cur.Load().view.Version, Expires: expires}
 		}
 		st := s.stripe(id)
 		st.mu.Lock()
@@ -783,15 +785,15 @@ func AggregateCounters(cs ...Counters) Counters {
 // Status aggregates across every shard: counters are summed (a cold shard
 // adds zeros), hold/commit counts are distinct IDs (a cross-shard hold has
 // a part under its one ID on every shard it touches, and counts once), and
-// the version/free figures come from the merged snapshot. The IDs are
-// counted straight from the shards' tables: no list is sorted and no
-// window regrouped.
+// the version/free figures come from the merged sequence, which no scrape
+// flattens. The IDs are counted straight from the shards' tables: no list
+// is sorted and no window regrouped.
 func (s *Sharded) Status() Status {
-	snap := s.Snapshot()
+	c := s.current()
 	st := Status{
-		Version:   snap.Version,
-		FreeSlots: len(snap.Slots),
-		FreeSpan:  snap.Slots.TotalSpan(),
+		Version:   c.view.Version,
+		FreeSlots: c.view.seq.Len(),
+		FreeSpan:  c.view.seq.TotalSpan(),
 	}
 	holds, commits := make(map[string]struct{}), make(map[string]struct{})
 	for _, sh := range s.shards {

@@ -134,8 +134,8 @@ func driveShardedDiff(t *testing.T, seed uint64, nShards int, minSlotLength floa
 			req := diffRequest(rng)
 			alg := algs[rng.Intn(len(algs))]
 			r1, r2 := req, req
-			w1, e1 := core.FindObserved(alg, oracle.Snapshot().Slots, &r1, nil)
-			w2, e2 := core.FindObserved(alg, sharded.Snapshot().Slots, &r2, nil)
+			w1, e1 := core.FindObserved(alg, oracle.Snapshot().Slots.Cursor(), &r1, nil)
+			w2, e2 := core.FindObserved(alg, sharded.Snapshot().Slots.Cursor(), &r2, nil)
 			if (e1 == nil) != (e2 == nil) {
 				t.Fatalf("step %d: find err diverged: oracle %v, sharded %v", step, e1, e2)
 			}

@@ -78,7 +78,7 @@ func (inv *Inventory) ExportState() *State {
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
 	st := &State{
-		Version:  inv.pub.Load().version,
+		Version:  inv.pub.Load().view.Version,
 		Seq:      inv.seq,
 		NextID:   inv.nextID,
 		Counters: inv.counters,
@@ -171,7 +171,7 @@ func (inv *Inventory) resetLocked(st *State) error {
 	}
 	c := Change{Version: st.Version, Lo: math.Inf(-1), Hi: math.Inf(1)}
 	inv.inval.append(c)
-	inv.pub.Store(&published{version: st.Version, seq: seq})
+	inv.pub.Store(inv.newPublished(st.Version, seq))
 	inv.pending = append(inv.pending, c)
 	return nil
 }

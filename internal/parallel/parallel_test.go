@@ -146,7 +146,7 @@ func TestFindAllIncrementalMatchesOracle(t *testing.T) {
 		want := make([]parallel.Result, len(algs))
 		for i := len(algs) - 1; i >= 0; i-- {
 			r := req
-			w, err := core.FindObserved(algs[i], list, &r, nil)
+			w, err := core.FindObserved(algs[i], list.Cursor(), &r, nil)
 			want[i] = parallel.Result{Algorithm: algs[i], Window: w, Err: err}
 		}
 

@@ -792,23 +792,22 @@ type searchInputs struct {
 }
 
 // runSearch is the stateless search against one snapshot — the oracle
-// path every cached result is provably equal to.
+// path every cached result is provably equal to. It walks the version as
+// it was published: no copy of the pool, no second check of its order.
 func (s *Server) runSearch(in *searchInputs, snap *inventory.Snapshot) (*core.Window, error) {
 	if in.useCSA {
-		sc := core.AcquireScanner()
-		defer core.ReleaseScanner(sc)
-		return snap.BestAlternative(sc, in.req, in.crit, 0, s.opts.Collector)
+		return snap.BestAlternative(in.req, in.crit, 0, s.opts.Collector)
 	}
-	return core.FindObserved(in.alg, snap.Slots, in.req, s.opts.Collector)
+	return snap.Find(in.alg, in.req, s.opts.Collector)
 }
 
 // search resolves a find through the churn-aware cache when enabled; with
-// the cache disabled it is exactly the stateless scan. Either way the
-// snapshot the result is valid against is returned alongside, and a cache
-// hit comes with the window's wire bytes.
+// the cache disabled it is exactly the stateless scan of the latest
+// version. Either way the snapshot the result is valid against is returned
+// alongside, and a cache hit comes with the window's wire bytes.
 func (s *Server) search(in *searchInputs) (*core.Window, []byte, *inventory.Snapshot, error) {
 	if s.cache == nil {
-		snap := s.inv.Snapshot()
+		snap := inventory.Latest(s.inv)
 		win, err := s.runSearch(in, snap)
 		return win, nil, snap, err
 	}

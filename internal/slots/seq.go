@@ -52,7 +52,7 @@ type Seq struct {
 	leaves []*leaf // the spine
 	n      int
 	bound  int  // leaf bound: leafSize outside tests
-	whole  List // the list SeqOf or Splice cut the leaves from; nil once edited
+	whole  List // the list SeqOf cut the leaves from; nil once edited
 }
 
 // leaf is one immutable, non-empty run of the sequence. The spine points at
@@ -113,8 +113,8 @@ func appendChunks(out []*leaf, l List, bound int) []*leaf {
 func (s *Seq) Len() int { return s.n }
 
 // Flatten returns the sequence as one list (immutable, like the sequence):
-// a copy, leaf by leaf — or, while no edit has happened since SeqOf or
-// Splice, the very list the leaves were cut from.
+// a copy, leaf by leaf — or, while no edit has happened since SeqOf, the
+// very list the leaves were cut from.
 func (s *Seq) Flatten() List {
 	if s.whole != nil {
 		return s.whole
@@ -300,61 +300,6 @@ func diffLeaves(a, b []*leaf, del, ins List) (List, List) {
 			ins, y = append(ins, y[0]), y[1:]
 		}
 	}
-}
-
-// Splice returns l without the slots of del and with the slots of ins, both
-// given in Before order, as a new list; l is left untouched. A deleted slot
-// is matched by identity. Each edit point is found by binary search and the
-// runs between edit points are copied without being read; each inserted
-// slot is checked to sort strictly after what precedes it and before the
-// slot that follows. So when l is strictly ordered, so is the result — what
-// lets Seq.Splice publish it without a second pass.
-//
-// An error means the arguments do not fit l: a del slot l does not hold, or
-// an insertion out of order.
-func (l List) Splice(del, ins List) (List, error) {
-	out := make(List, 0, len(l)-len(del)+len(ins))
-	pos := 0 // the first slot of l not yet copied
-	for len(del) > 0 || len(ins) > 0 {
-		key := firstOf(del, ins) // on equal keys, the deletion goes first
-		k, hi := pos, len(l)
-		for k < hi {
-			mid := int(uint(k+hi) >> 1)
-			if Before(l[mid], key) {
-				k = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		out = append(out, l[pos:k]...)
-		pos = k
-		if len(del) > 0 && key == del[0] {
-			if k == len(l) || l[k] != key {
-				return nil, fmt.Errorf("slots: splice deletes %v, which the list does not hold", key)
-			}
-			pos, del = k+1, del[1:]
-			continue
-		}
-		if key == nil || key.Node == nil ||
-			(len(out) > 0 && !Before(out[len(out)-1], key)) || (k < len(l) && !Before(key, l[k])) {
-			return nil, fmt.Errorf("slots: splice inserts %v out of order", key)
-		}
-		out, ins = append(out, key), ins[1:]
-	}
-	return append(out, l[pos:]...), nil
-}
-
-// Splice is List.Splice over the sequence's slots, returned as a sequence
-// whose leaves alias the spliced list and whose Flatten is that list,
-// uncopied. The result is not re-verified: it needs no check that Splice
-// did not already make. It costs the flat list of s (a copy, unless s was
-// itself cut from one) plus one pass over the new list.
-func (s *Seq) Splice(del, ins List) (*Seq, error) {
-	l, err := s.Flatten().Splice(del, ins)
-	if err != nil {
-		return nil, err
-	}
-	return &Seq{leaves: appendChunks(nil, l, s.bound), n: len(l), bound: s.bound, whole: l}, nil
 }
 
 // firstOf returns the earlier head of two ordered lists (not both empty).

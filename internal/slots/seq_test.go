@@ -117,13 +117,13 @@ func FuzzSeqEdit(f *testing.F) {
 			seq = next
 			versions = append(versions, version{seq, want})
 			// Diff against the version just before and one several edits
-			// back, then Splice the older flat list: the newer one, pointer
-			// for pointer.
+			// back, then Edit the older version by the diff: the newer one,
+			// pointer for pointer.
 			for _, back := range []int{2, 5} {
 				if back > len(versions) {
 					continue
 				}
-				checkDiffSplice(t, versions[len(versions)-back].seq, next, want)
+				checkDiffEdit(t, versions[len(versions)-back].seq, next, want)
 			}
 		}
 		for i, v := range versions {
@@ -134,10 +134,10 @@ func FuzzSeqEdit(f *testing.F) {
 	})
 }
 
-// checkDiffSplice checks that next.Diff(old) is what turns old's flat list
-// into want (next's) by Splice, and that Splice refuses arguments that do
-// not fit the list.
-func checkDiffSplice(t *testing.T, old, next *Seq, want List) {
+// checkDiffEdit checks that next.Diff(old) is what turns old into want
+// (next's flat list) by Edit, and that Edit refuses arguments that do not
+// fit the sequence.
+func checkDiffEdit(t *testing.T, old, next *Seq, want List) {
 	t.Helper()
 	del, ins := next.Diff(old, nil, nil)
 	for _, l := range []List{del, ins} {
@@ -145,36 +145,29 @@ func checkDiffSplice(t *testing.T, old, next *Seq, want List) {
 			t.Fatalf("Diff returned a list out of order: %v", err)
 		}
 	}
+	edited, err := old.Edit(del, ins)
+	if err != nil {
+		t.Fatalf("Edit(Diff) of %v: %v", old.Flatten(), err)
+	}
+	checkSeq(t, edited)
+	if got := edited.Flatten(); !sameSlots(got, want) {
+		t.Fatalf("Edit(%v, %v) of %v:\n got %v\nwant %v", del, ins, old.Flatten(), got, want)
+	}
 	flat := old.Flatten()
-	got, err := flat.Splice(del, ins)
-	if err != nil {
-		t.Fatalf("Splice(Diff) of %v: %v", flat, err)
-	}
-	if !sameSlots(got, want) {
-		t.Fatalf("Splice(%v, %v) of %v:\n got %v\nwant %v", del, ins, flat, got, want)
-	}
-	spliced, err := old.Splice(del, ins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSeq(t, spliced)
-	if g := spliced.Flatten(); !sameSlots(g, want) || (len(g) > 0 && &g[0] != &spliced.leaves[0].slots[0]) {
-		t.Fatal("a spliced sequence does not flatten to the list its leaves alias")
-	}
 	if len(flat) == 0 {
 		return
 	}
 	twin := *flat[0] // equal key, different pointer: deletion is by identity
-	if _, err := flat.Splice(List{&twin}, nil); err == nil {
-		t.Error("Splice deleted a slot the list does not hold")
+	if _, err := old.Edit(List{&twin}, nil); err == nil {
+		t.Error("Edit deleted a slot the sequence does not hold")
 	}
-	if _, err := flat.Splice(nil, List{flat[len(flat)/2]}); err == nil {
-		t.Error("Splice inserted a slot the list already holds")
+	if _, err := old.Edit(nil, List{flat[len(flat)/2]}); err == nil {
+		t.Error("Edit inserted a slot the sequence already holds")
 	}
 	late := &Slot{Node: node(9), Interval: Interval{flat[len(flat)-1].Start + 1, 99}}
 	early := &Slot{Node: node(9), Interval: Interval{flat[0].Start - 1, 99}}
-	if _, err := flat.Splice(nil, List{late, early}); err == nil {
-		t.Error("Splice accepted insertions out of order")
+	if _, err := old.Edit(nil, List{late, early}); err == nil {
+		t.Error("Edit accepted insertions out of order")
 	}
 }
 

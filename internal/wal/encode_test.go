@@ -283,6 +283,45 @@ func TestAppendEventAllocs(t *testing.T) {
 	}
 }
 
+// TestAppendAllocs: once the writer's two queue slices are warm, an awaited
+// append costs one allocation, the wait it returns, and an unawaited one
+// none: the writer hands each batch's slice back as a later queue instead
+// of leaving the next Append to grow a new one.
+func TestAppendAllocs(t *testing.T) {
+	if testkit.RaceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	store, err := Create(t.TempDir(), 0, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	var seq uint64
+	awaited := func() {
+		seq++
+		if err := store.Append(inventory.Event{Seq: seq, Op: inventory.OpCommit, ID: "r00000001", OK: true})(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unawaited := func() {
+		seq++
+		if wait := store.Append(inventory.Event{Seq: seq, Op: inventory.OpRelease, ID: "r00000001", OK: true}); wait != nil {
+			t.Fatal("an unawaited append returned a wait")
+		}
+	}
+	if n := testing.AllocsPerRun(200, awaited); n > 1 {
+		t.Errorf("an awaited append: %v allocs/op, want at most 1", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		unawaited()
+		unawaited()
+		unawaited()
+		awaited()
+	}); n > 1 {
+		t.Errorf("three unawaited appends and an awaited one: %v allocs/op, want at most 1 (the wait)", n)
+	}
+}
+
 // reserveEvent is an accepted 5-task reserve over a book_deep-like
 // environment, and the release of its hold.
 func reserveEvent(tb testing.TB) (reserve, release inventory.Event) {

@@ -30,6 +30,11 @@ const (
 	// covered frames in well under a millisecond, which is less than the
 	// file create and directory fsync a seal costs.
 	sealBytes = 64 << 10
+
+	// spareEvents bounds the queue slice the writer keeps for reuse: a
+	// batch is a few events under booking load, while a burst of unawaited
+	// events should not pin a slice that size.
+	spareEvents = 1024
 )
 
 // Options tunes a Store. The zero value is usable.
@@ -89,9 +94,10 @@ type Store struct {
 	cond    *sync.Cond // broadcast when a batch is durable, a seal is done or the store fails
 	kick    *sync.Cond // wakes the writer: demand, a seal or Close
 	queue   []inventory.Event
-	demand  uint64 // the highest seq someone waits for
-	sealing bool   // a snapshot asked the writer to seal the active segment
-	err     error  // latched first I/O failure; permanent
+	spare   []inventory.Event // an earlier batch's slice, emptied: the next queue
+	demand  uint64            // the highest seq someone waits for
+	sealing bool              // a snapshot asked the writer to seal the active segment
+	err     error             // latched first I/O failure; permanent
 	closed  bool
 	done    chan struct{}
 
@@ -231,8 +237,10 @@ func (s *Store) writer() {
 			s.mu.Unlock()
 			return
 		}
+		// The queue and the spare swap: appends during the write fill the
+		// slice an earlier batch was written from.
 		batch, seal := s.queue, s.sealing
-		s.queue = nil
+		s.queue, s.spare = s.spare, nil
 		s.mu.Unlock()
 
 		var err error
@@ -253,6 +261,10 @@ func (s *Store) writer() {
 			}
 		} else if len(batch) > 0 {
 			s.durableSeq.Store(batch[len(batch)-1].Seq)
+		}
+		if cap(batch) <= spareEvents {
+			clear(batch) // the spare pins no window
+			s.spare = batch[:0]
 		}
 		s.cond.Broadcast()
 		stop := s.err != nil
@@ -356,12 +368,13 @@ func (s *Store) rotate(firstSeq uint64) error {
 // log: all but the DefaultSnapshotKeep newest snapshots are deleted, and so
 // are the segments the oldest snapshot kept covers. It first waits for the
 // log to be durable through state.Seq — a snapshot claiming to cover events
-// the log has not fsync'd yet would let a crash lose them invisibly. A state
-// ahead of everything appended (the state of another inventory than the one
-// this store journals) is refused with an error that does not latch the
-// store: it is the caller's mistake, not an I/O fault. An I/O failure
-// latches the store like a failed append: a directory that cannot take a
-// snapshot is not trusted with the log either.
+// the log has not fsync'd yet would let a crash lose them invisibly. Two
+// states are refused before any file is made, with an error that does not
+// latch the store: one ahead of everything appended (the state of another
+// inventory: the caller's mistake, not an I/O fault), and one whose payload
+// exceeds MaxRecordBytes, which every boot would reject as corrupt. An I/O
+// failure latches the store like a failed append: a directory that cannot
+// take a snapshot is not trusted with the log either.
 func (s *Store) Snapshot(st *inventory.State) error {
 	if appended := s.appendedSeq.Load(); st.Seq > appended {
 		return fmt.Errorf("wal: snapshot of seq %d is ahead of the log, which ends at seq %d", st.Seq, appended)
@@ -372,6 +385,9 @@ func (s *Store) Snapshot(st *inventory.State) error {
 	frame, err := appendState(beginFrame(nil), st)
 	if err != nil {
 		return err
+	}
+	if n := len(frame) - frameHeaderSize; n > MaxRecordBytes {
+		return fmt.Errorf("wal: snapshot of seq %d encodes to %d bytes, over the %d-byte record bound: not written", st.Seq, n, MaxRecordBytes)
 	}
 	endFrame(frame, 0)
 	if err := s.writeSnapshot(st.Seq, frame); err != nil {

@@ -715,3 +715,88 @@ func TestSnapshotAheadOfLog(t *testing.T) {
 		t.Fatalf("Stack.Snapshot once paired again: %v", err)
 	}
 }
+
+// TestOversizedSnapshotRefused: a state whose snapshot payload exceeds
+// MaxRecordBytes — a base of 300 001 slots — is refused before any file is
+// made, because every boot would reject such a snapshot as corrupt, and
+// once two existed compaction would delete the segments they cover. Both
+// refusals name the size and the bound, the directory is left as it was,
+// the store is not latched, and a boot recovers the same free list from
+// the log alone.
+func TestOversizedSnapshotRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("encodes and replays a 300 001-slot pool")
+	}
+	const nodeCount, perNode = 1000, 300
+	list := make(slots.List, 0, nodeCount*perNode+1)
+	for i := 0; i < nodeCount; i++ {
+		n := testkit.Node(i, 4.125, 1.0625)
+		for j := 0; j < perNode; j++ {
+			start := float64(j)*10 + 0.123456789 // keep the encoding long
+			list = append(list, testkit.Slot(n, start, start+5.987654321))
+		}
+	}
+	list = append(list, testkit.Slot(testkit.Node(nodeCount, 4, 1), 0, 100))
+
+	dir := t.TempDir()
+	seed := func() (slots.List, error) { return nil, nil }
+	stack, err := Boot(dir, seed, inventory.Options{}, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Added in parts, so that every event frames under the bound.
+	for lo := 0; lo < len(list); lo += 100000 {
+		if err := stack.Pool.Add(list[lo:min(lo+100000, len(list))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inv, store := stack.Shards[0], stack.Stores[0]
+	st := inv.ExportState()
+	if len(st.Base) != len(list) {
+		t.Fatalf("the base holds %d slots, want %d", len(st.Base), len(list))
+	}
+	listing := func() string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, e := range entries {
+			info, err := e.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, "%s %d\n", e.Name(), info.Size())
+		}
+		return b.String()
+	}
+	before := listing()
+	for i := 0; i < 2; i++ {
+		err := store.Snapshot(st)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d-byte record bound", MaxRecordBytes)) {
+			t.Fatalf("snapshot %d of a %d-slot base: %v, want a refusal naming the bound", i+1, len(list), err)
+		}
+		t.Log(err)
+	}
+	if after := listing(); after != before {
+		t.Fatalf("the refusals changed the directory:\nbefore %s\nafter %s", before, after)
+	}
+	if err := store.Err(); err != nil {
+		t.Fatalf("the refusal latched the store: %v", err)
+	}
+	want := stateSig(inv)
+	if err := stack.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rebooted, err := Boot(dir, seed, inventory.Options{}, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rebooted.Close()
+	if rebooted.Results == nil {
+		t.Fatal("the boot seeded a fresh pool instead of recovering")
+	}
+	if got := stateSig(rebooted.Shards[0]); got != want {
+		t.Fatal("the boot recovered another free list than the pool had")
+	}
+}

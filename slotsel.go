@@ -185,7 +185,7 @@ func CombineCollectors(cs ...Collector) Collector { return obs.Combine(cs...) }
 // FindObserved runs one algorithm search with instrumentation delivered to
 // col; col == nil runs the plain search with zero added work.
 func FindObserved(alg Algorithm, list SlotList, req *Request, col Collector) (*Window, error) {
-	return core.FindObserved(alg, list, req, col)
+	return core.FindObserved(alg, list.Cursor(), req, col)
 }
 
 // ErrNoWindow is returned when no feasible window exists.
