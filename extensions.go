@@ -1,9 +1,7 @@
 package slotsel
 
 import (
-	"fmt"
 	"io"
-	"strings"
 
 	"slotsel/internal/baseline"
 	"slotsel/internal/execsim"
@@ -72,27 +70,7 @@ type ALP = baseline.ALP
 // minproctimegreedy, minenergy, firstfit. seed feeds the randomized
 // MinProcTime variant.
 func AlgorithmByName(name string, seed uint64) (Algorithm, error) {
-	switch strings.ToLower(name) {
-	case "amp":
-		return AMP{}, nil
-	case "alp":
-		return ALP{}, nil
-	case "minfinish":
-		return MinFinish{}, nil
-	case "mincost":
-		return MinCost{}, nil
-	case "minruntime":
-		return MinRunTime{}, nil
-	case "minproctime":
-		return MinProcTime{Seed: seed}, nil
-	case "minproctimegreedy":
-		return MinProcTimeGreedy{}, nil
-	case "minenergy":
-		return MinEnergy{}, nil
-	case "firstfit":
-		return FirstFit{}, nil
-	}
-	return nil, fmt.Errorf("slotsel: unknown algorithm %q", name)
+	return baseline.AlgorithmByName(name, seed)
 }
 
 // Generic weights for Extreme.

@@ -25,6 +25,9 @@ const (
 	OpExpire
 	// OpWithdraw removes a node's capacity; OK false = unknown node.
 	OpWithdraw
+	// OpBoot starts the epoch Epoch: a durable boot journals one before the
+	// pool serves, and the reservation IDs minted after it name the epoch.
+	OpBoot
 )
 
 // String implements fmt.Stringer.
@@ -42,6 +45,8 @@ func (op Op) String() string {
 		return "expire"
 	case OpWithdraw:
 		return "withdraw"
+	case OpBoot:
+		return "boot"
 	}
 	return fmt.Sprintf("op(%d)", int(op))
 }
@@ -79,23 +84,37 @@ type Event struct {
 	// original wall-clock deadline from it, so a hold that was due to
 	// lapse still lapses after a restart.
 	Expires time.Time
+
+	// Parts is the number of shards a cross-shard hold was placed on
+	// (OpReserve of a router part only; 0 for a hold on one shard). A
+	// recovery that finds fewer parts than this knows a crash lost one.
+	Parts int
+
+	// Epoch is the epoch an OpBoot starts.
+	Epoch uint64
 }
 
 // AckWaits reports whether the acknowledgement of ev waits until ev is
-// durable — the durability contract, stated once. An accepted reserve,
-// commit, add or withdraw waits: a crash that forgot an acked hold would
-// rewind the ID mint and hand its ID to another client's hold, and one
-// that forgot a commit, an add or a withdraw would lose what the caller
-// was told is permanent. A release, an expiry and every refused operation
-// (OK false) do not wait. A crash may undo them: an undone release or
-// expiry brings its hold back with its original Expires, to lapse at that
-// deadline, and an undone refusal changed nothing but a counter. Neither
-// can double-book, because every later transition that reuses the spans
-// or mints an ID is journaled after them, and its own wait makes them
-// durable first.
+// durable — the durability contract, stated once. A commit, an add, a
+// withdraw and a boot record wait: a crash that forgot one would lose what
+// the caller was told is permanent, or (a boot record) let the next boot
+// mint the IDs this one hands out. Everything else acks before its fsync:
+// a reserve, a release, an expiry and every refused operation (OK false).
+//
+// A crash keeps a prefix of each log: the writer fsyncs a store's queue in
+// order, so the recovered state is the serialization order cut at some
+// event no earlier than the last awaited one. A hold that is cut off is
+// forgotten: its spans are free again, and its ID is never minted again,
+// because the boot record the reboot journals starts a new epoch before
+// anything is minted. A commit of it answers ErrUnknownReservation, as
+// after an expiry. An undone release or expiry brings its hold back with
+// its original Expires, to lapse at that deadline, and an undone refusal
+// changed nothing but a counter. None of it can double-book: the recovered
+// state is one the live pool passed through, and a commit sits after the
+// hold it settles, so a recovered commit always has its hold.
 func (ev Event) AckWaits() bool {
 	switch ev.Op {
-	case OpAdd, OpReserve, OpCommit, OpWithdraw:
+	case OpAdd, OpCommit, OpWithdraw, OpBoot:
 		return ev.OK
 	}
 	return false
@@ -232,6 +251,8 @@ func (inv *Inventory) apply(ev Event) error {
 		ok = inv.holds[ev.ID] != nil
 	case OpWithdraw:
 		_, ok = inv.base[ev.Node]
+	case OpBoot:
+		ok = ev.Epoch > inv.epoch // an epoch is never started twice
 	default:
 		return fmt.Errorf("unknown op %v", ev.Op)
 	}
@@ -247,7 +268,7 @@ func (inv *Inventory) apply(ev Event) error {
 			return err
 		}
 	case OpReserve:
-		inv.holdLocked(ev.ID, ev.Window, 0, ev.Expires)
+		inv.holdLocked(ev.ID, ev.Window, 0, ev.Expires, ev.Parts)
 	case OpCommit:
 		inv.commitLocked(ev.ID)
 	case OpRelease:
@@ -256,6 +277,8 @@ func (inv *Inventory) apply(ev Event) error {
 		inv.releaseLocked(ev.ID, &inv.counters.Expiries)
 	case OpWithdraw:
 		inv.withdrawLocked(ev.Node)
+	case OpBoot:
+		inv.startEpochLocked(ev.Epoch)
 	}
 	if ev.Seq > inv.seq {
 		inv.seq = ev.Seq

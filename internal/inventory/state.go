@@ -22,6 +22,9 @@ type HoldRecord struct {
 
 	// Expires is the hold's wall-clock deadline.
 	Expires time.Time
+
+	// Parts is the Event.Parts of the reserve that placed the hold.
+	Parts int
 }
 
 // CommitRecord is one permanent allocation in an exported State.
@@ -49,7 +52,11 @@ type State struct {
 	// this state.
 	Seq uint64
 
-	// NextID is the reservation ID counter.
+	// Epoch is the epoch the last boot record started (0: none, as in a
+	// snapshot written before epochs existed).
+	Epoch uint64
+
+	// NextID is the reservation ID counter of the epoch.
 	NextID uint64
 
 	// Counters are the lifecycle totals. NoWindow is the one counter that
@@ -80,6 +87,7 @@ func (inv *Inventory) ExportState() *State {
 	st := &State{
 		Version:  inv.pub.Load().view.Version,
 		Seq:      inv.seq,
+		Epoch:    inv.epoch,
 		NextID:   inv.nextID,
 		Counters: inv.counters,
 	}
@@ -95,7 +103,7 @@ func (inv *Inventory) ExportState() *State {
 		}
 	}
 	for id, h := range inv.holds {
-		st.Holds = append(st.Holds, HoldRecord{ID: id, Window: h.window, Expires: h.expires})
+		st.Holds = append(st.Holds, HoldRecord{ID: id, Window: h.window, Expires: h.expires, Parts: h.parts})
 	}
 	sort.Slice(st.Holds, func(i, j int) bool { return st.Holds[i].ID < st.Holds[j].ID })
 	for id, w := range inv.committed {
@@ -142,7 +150,7 @@ func (inv *Inventory) resetLocked(st *State) error {
 		if inv.holds[h.ID] != nil {
 			return fmt.Errorf("inventory: restore: duplicate hold %q", h.ID)
 		}
-		inv.holds[h.ID] = &hold{window: h.Window, expires: h.Expires}
+		inv.holds[h.ID] = &hold{window: h.Window, expires: h.Expires, parts: h.Parts}
 		inv.allocateLocked(h.Window.UsedIntervals())
 	}
 	for _, c := range st.Committed {
@@ -155,7 +163,7 @@ func (inv *Inventory) resetLocked(st *State) error {
 		inv.committed[c.ID] = c.Window
 		inv.allocateLocked(c.Window.UsedIntervals())
 	}
-	inv.nextID = st.NextID
+	inv.epoch, inv.nextID = st.Epoch, st.NextID
 	inv.seq = st.Seq
 	inv.counters = st.Counters
 	inv.journal = nil

@@ -69,20 +69,18 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
-	"runtime"
 	"strconv"
 	"sync/atomic"
 	"time"
 
-	"slotsel"
+	"slotsel/internal/baseline"
 	"slotsel/internal/core"
 	"slotsel/internal/csa"
 	"slotsel/internal/inventory"
+	"slotsel/internal/job"
 	"slotsel/internal/obs"
 	"slotsel/internal/persist"
 	"slotsel/internal/telemetry"
@@ -189,234 +187,6 @@ type Server struct {
 	// every request — the seam the overload tests use to keep handlers
 	// busy deterministically.
 	testHook func()
-}
-
-// serverMetrics are the per-request instruments updated on the serving
-// path. The cumulative admission counters and the inventory view are
-// sampled at scrape time instead (see registerMetrics) — sampling the same
-// atomics /v1/statusz reads is what makes the two views agree exactly.
-type serverMetrics struct {
-	// requests counts finished requests by normalized path and status.
-	requests *telemetry.CounterVec
-
-	// latency is the handler wall time of admitted requests by path.
-	latency *telemetry.HistogramVec
-
-	// queueWait is the admission-queue wait of admitted requests.
-	queueWait *telemetry.Histogram
-}
-
-// registerMetrics registers the server families on reg. Counters that back
-// /v1/statusz fields are sampled from the identical atomics; inventory
-// gauges are sampled from one inventory.Status read at scrape time.
-func (s *Server) registerMetrics(reg *telemetry.Registry) *serverMetrics {
-	m := &serverMetrics{
-		requests: reg.CounterVec("slotserve_http_requests_total",
-			"Finished HTTP requests by endpoint and status (shed and expired included).", "path", "status"),
-		latency: reg.HistogramVec("slotserve_request_duration_seconds",
-			"Handler wall time of admitted requests by endpoint.",
-			telemetry.LatencyBucketsSeconds(), "path"),
-		queueWait: reg.Histogram("slotserve_queue_wait_seconds",
-			"Admission-queue wait of admitted requests.",
-			telemetry.LatencyBucketsSeconds()),
-	}
-	reg.SampledCounter("slotserve_requests_total",
-		"Requests received, including shed ones (statusz server.requests).",
-		func() float64 { return float64(s.requests.Load()) })
-	reg.SampledCounter("slotserve_completed_total",
-		"Admitted requests whose handler finished (statusz server.completed).",
-		func() float64 { return float64(s.completed.Load()) })
-	reg.SampledCounter("slotserve_shed_total",
-		"Requests shed with 429 because the admission queue was full.",
-		func() float64 { return float64(s.shed.Load()) })
-	reg.SampledCounter("slotserve_deadline_expired_total",
-		"Requests answered 503 because their deadline expired while queued.",
-		func() float64 { return float64(s.deadlineExpired.Load()) })
-	reg.SampledGauge("slotserve_inflight",
-		"Requests currently executing.",
-		func() float64 { return float64(len(s.inflight)) })
-	reg.SampledGauge("slotserve_queued",
-		"Requests currently waiting in the admission queue.",
-		func() float64 { return float64(s.queued.Load()) })
-
-	// One Status per scrape backs every inventory family, so the families of
-	// one scrape describe one version (on the router, one merged snapshot
-	// and one count of its hold and commit IDs).
-	inv := s.inv
-	var st inventory.Status
-	reg.OnScrape(func() { st = inv.Status() })
-	reg.SampledGauge("slotsel_inventory_free_slots",
-		"Free slots in the published snapshot.",
-		func() float64 { return float64(st.FreeSlots) })
-	reg.SampledGauge("slotsel_inventory_free_span",
-		"Total time span of the free slots.",
-		func() float64 { return st.FreeSpan })
-	reg.SampledGauge("slotsel_inventory_holds",
-		"Live TTL'd reservations.",
-		func() float64 { return float64(st.Holds) })
-	reg.SampledGauge("slotsel_inventory_committed",
-		"Permanent allocations.",
-		func() float64 { return float64(st.Committed) })
-	reg.SampledGauge("slotsel_inventory_nodes",
-		"Nodes with registered capacity.",
-		func() float64 { return float64(st.Nodes) })
-	reg.SampledGauge("slotsel_inventory_snapshot_version",
-		"Version of the published free-list snapshot.",
-		func() float64 { return float64(st.Version) })
-	reg.SampledGauge("slotsel_inventory_journal_len",
-		"Events retained in the inventory journal.",
-		func() float64 { return float64(st.JournalLen) })
-	reg.SampledCounter("slotsel_inventory_reserves_total",
-		"Accepted holds.",
-		func() float64 { return float64(st.Counters.Reserves) })
-	reg.SampledCounter("slotsel_inventory_conflicts_total",
-		"Reserves rejected by re-validation.",
-		func() float64 { return float64(st.Counters.Conflicts) })
-	reg.SampledCounter("slotsel_inventory_no_window_total",
-		"Reserve searches that found no feasible window.",
-		func() float64 { return float64(st.Counters.NoWindow) })
-	reg.SampledCounter("slotsel_inventory_commits_total",
-		"Holds made permanent.",
-		func() float64 { return float64(st.Counters.Commits) })
-	reg.SampledCounter("slotsel_inventory_releases_total",
-		"Holds released by the caller.",
-		func() float64 { return float64(st.Counters.Releases) })
-	reg.SampledCounter("slotsel_inventory_expiries_total",
-		"Holds swept after their TTL lapsed.",
-		func() float64 { return float64(st.Counters.Expiries) })
-
-	if c := s.cache; c != nil {
-		reg.SampledCounter("slotserve_find_cache_hits_total",
-			"Find results served from the churn-aware cache (statusz find_cache.hits).",
-			func() float64 { return float64(c.Stats().Hits) })
-		reg.SampledCounter("slotserve_find_cache_misses_total",
-			"Find results computed by a full scan (statusz find_cache.misses).",
-			func() float64 { return float64(c.Stats().Misses) })
-		reg.SampledCounter("slotserve_find_cache_invalidated_total",
-			"Cache entries dropped because churn overlapped their horizon.",
-			func() float64 { return float64(c.Stats().Invalidated) })
-		reg.SampledCounter("slotserve_find_cache_evicted_total",
-			"Cache entries evicted by the capacity bound.",
-			func() float64 { return float64(c.Stats().Evicted) })
-		reg.SampledGauge("slotserve_find_cache_entries",
-			"Memoized request shapes currently cached.",
-			func() float64 { return float64(c.Stats().Entries) })
-	}
-	hub := s.watch
-	reg.SampledGauge("slotserve_watch_active",
-		"Watch subscribers currently parked on /v1/watch.",
-		func() float64 { return float64(hub.active()) })
-	reg.SampledCounter("slotserve_watch_delivered_total",
-		"Watches answered with a satisfying window.",
-		func() float64 { return float64(hub.delivered.Load()) })
-	reg.SampledCounter("slotserve_watch_expired_total",
-		"Watches that timed out without a window (404).",
-		func() float64 { return float64(hub.expired.Load()) })
-	reg.SampledCounter("slotserve_watch_rejected_total",
-		"Watches rejected because the subscriber limit was reached (429).",
-		func() float64 { return float64(hub.rejected.Load()) })
-
-	if n := s.inv.Shards(); n > 1 {
-		reg.SampledGauge("slotserve_shards",
-			"Inventory shards behind this server (1 = unsharded).",
-			func() float64 { return float64(n) })
-	}
-	if ws := s.walList(); len(ws) > 0 {
-		// With one store these sample it directly; with per-shard stores
-		// the sums (and oldest snapshot age) describe the layout as a
-		// whole — the same aggregates the statusz "durability" section
-		// reports, from the same atomics.
-		reg.SampledGauge("slotserve_wal_journal_seq",
-			"Last sequence handed to the WAL (appended, not necessarily durable; summed over shards).",
-			func() float64 { return float64(aggregateWALStats(ws).AppendedSeq) })
-		reg.SampledGauge("slotserve_wal_durable_seq",
-			"Last sequence confirmed on stable storage by fsync (summed over shards).",
-			func() float64 { return float64(aggregateWALStats(ws).DurableSeq) })
-		reg.SampledGauge("slotserve_wal_snapshot_seq",
-			"Sequence covered by the latest snapshot (0 = log-only; summed over shards).",
-			func() float64 { return float64(aggregateWALStats(ws).SnapshotSeq) })
-		reg.SampledGauge("slotserve_wal_snapshot_age_seconds",
-			"Seconds since the latest snapshot was written (-1 = none this process; oldest shard).",
-			func() float64 { return snapshotAgeSeconds(aggregateWALStats(ws)) })
-		reg.SampledCounter("slotserve_wal_fsyncs_total",
-			"Group commits flushed to stable storage (summed over shards).",
-			func() float64 { return float64(aggregateWALStats(ws).Fsyncs) })
-		reg.SampledGauge("slotserve_wal_failed_stores",
-			"WAL stores that latched an I/O failure; mutations they journal answer 503 until restart.",
-			func() float64 { n, _ := walFailures(ws); return float64(n) })
-	}
-	return m
-}
-
-// FsyncHistogram registers the WAL fsync-latency histogram on reg and
-// returns an observer to hand to wal.Options.OnFsync. It lives apart from
-// registerMetrics because the store — and therefore its OnFsync callback —
-// must exist before the server does.
-func FsyncHistogram(reg *telemetry.Registry) func(time.Duration) {
-	h := reg.Histogram("slotserve_wal_fsync_seconds",
-		"WAL fsync latency (one observation per group commit).",
-		telemetry.LatencyBucketsSeconds())
-	return func(d time.Duration) { h.Observe(d.Seconds()) }
-}
-
-// snapshotAgeSeconds is the age of the latest snapshot, or -1 when none
-// has been written in this process's lifetime — an age of 0 would read as
-// "snapshotted just now", the opposite of the truth.
-func snapshotAgeSeconds(st wal.Stats) float64 {
-	if st.SnapshotUnixNano == 0 {
-		return -1
-	}
-	return time.Since(time.Unix(0, st.SnapshotUnixNano)).Seconds()
-}
-
-// walList is the durability stores behind the server: Options.WALs for a
-// sharded layout, a one-element list for Options.WAL, nil for none.
-func (s *Server) walList() []*wal.Store {
-	if len(s.opts.WALs) > 0 {
-		return s.opts.WALs
-	}
-	if s.opts.WAL != nil {
-		return []*wal.Store{s.opts.WAL}
-	}
-	return nil
-}
-
-// aggregateWALStats folds per-shard store stats into one layout-wide view:
-// sequences and fsyncs sum (each shard numbers its own log), and the
-// snapshot timestamp takes the *oldest* shard with one — the layout is only
-// as freshly snapshotted as its most stale member. Zero timestamps (no
-// snapshot yet) dominate for the same reason.
-func aggregateWALStats(ws []*wal.Store) wal.Stats {
-	if len(ws) == 1 {
-		return ws[0].Stats()
-	}
-	var out wal.Stats
-	for i, w := range ws {
-		st := w.Stats()
-		out.AppendedSeq += st.AppendedSeq
-		out.DurableSeq += st.DurableSeq
-		out.SnapshotSeq += st.SnapshotSeq
-		out.Fsyncs += st.Fsyncs
-		if i == 0 || st.SnapshotUnixNano < out.SnapshotUnixNano {
-			out.SnapshotUnixNano = st.SnapshotUnixNano
-		}
-	}
-	return out
-}
-
-// walFailures counts the stores that have latched an I/O failure and
-// returns the first one's error ("" when none has) — the statusz
-// "durability.error" and the slotserve_wal_failed_stores gauge.
-func walFailures(ws []*wal.Store) (failed int, first string) {
-	for _, w := range ws {
-		if err := w.Err(); err != nil {
-			if failed == 0 {
-				first = err.Error()
-			}
-			failed++
-		}
-	}
-	return failed, first
 }
 
 // New builds the handler over a pool — a single *inventory.Inventory or
@@ -642,60 +412,6 @@ func (s *Server) admit(r *http.Request) admitResult {
 	}
 }
 
-// retryAfter computes the Retry-After hint for a shed request from the
-// current queue depth and the observed mean service time.
-func (s *Server) retryAfter() int {
-	return retryAfterSeconds(s.queued.Load(), s.opts.MaxInflight, s.avgService())
-}
-
-// avgService is the observed mean handler wall time of non-watch
-// requests; zero until the first one completes.
-func (s *Server) avgService() time.Duration {
-	n := s.serviced.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(s.busyNanos.Load() / n)
-}
-
-// Retry-After clamps: never tell a client to come back sooner than 1s
-// (sub-second retry storms defeat the point of shedding) or later than 30s
-// (the estimate is too noisy to justify parking clients for minutes).
-const (
-	minRetryAfterSeconds = 1
-	maxRetryAfterSeconds = 30
-)
-
-// retryAfterSeconds estimates how long a shed client should wait: the time
-// for the current queue (plus this request) to drain at the observed
-// drain rate — maxInflight executors retiring one request every avgService
-// — rounded up to whole seconds and clamped to [1, 30].
-//
-// The rate is guarded explicitly: with no service-time observation yet
-// (fresh boot) or a degenerate executor count, the drain rate is zero or
-// undefined, and the estimate falls back to the 1-second floor rather
-// than dividing by zero or reporting a clamp derived from stale state. A
-// post-drain idle server (queue emptied after a burst) takes the same
-// floor by arithmetic: zero waiters drain within one mean service time.
-func retryAfterSeconds(queued int64, maxInflight int, avgService time.Duration) int {
-	if queued < 0 {
-		queued = 0 // the gauge can transiently undershoot during admits
-	}
-	svc := avgService.Seconds()
-	if svc <= 0 || maxInflight <= 0 {
-		return minRetryAfterSeconds
-	}
-	rate := float64(maxInflight) / svc // requests retired per second
-	secs := int(math.Ceil(float64(queued+1) / rate))
-	if secs < minRetryAfterSeconds {
-		return minRetryAfterSeconds
-	}
-	if secs > maxRetryAfterSeconds {
-		return maxRetryAfterSeconds
-	}
-	return secs
-}
-
 // handler is a route's function: the request's scope, which is also its
 // http.ResponseWriter, and the request.
 type handler func(sc *reqScope, r *http.Request)
@@ -750,7 +466,7 @@ func (s *Server) decodeSearch(sc *reqScope, r *http.Request) (*searchInputs, boo
 // when csaName is set, else the algorithm algName (default "amp") — and
 // keys it for the find cache. Shared by the /v1/find and /v1/reserve body
 // and the /v1/watch query string.
-func resolveSearch(sc *reqScope, req *slotsel.Request, algName, csaName string) (*searchInputs, bool) {
+func resolveSearch(sc *reqScope, req *job.Request, algName, csaName string) (*searchInputs, bool) {
 	in := &sc.search
 	*in = searchInputs{req: req}
 	if csaName != "" {
@@ -767,7 +483,7 @@ func resolveSearch(sc *reqScope, req *slotsel.Request, algName, csaName string) 
 	if algName == "" {
 		algName = "amp"
 	}
-	alg, err := slotsel.AlgorithmByName(algName, 1)
+	alg, err := baseline.AlgorithmByName(algName, 1)
 	if err != nil {
 		sc.error(http.StatusBadRequest, err.Error())
 		return nil, false
@@ -779,7 +495,7 @@ func resolveSearch(sc *reqScope, req *slotsel.Request, algName, csaName string) 
 }
 
 type searchInputs struct {
-	req    *slotsel.Request
+	req    *job.Request
 	alg    core.Algorithm
 	useCSA bool
 	crit   csa.Criterion
@@ -954,93 +670,4 @@ func (s *Server) handleSlots(sc *reqScope, r *http.Request) {
 		// Headers are out; nothing to do but drop the connection.
 		return
 	}
-}
-
-func (s *Server) handleStatusz(sc *reqScope, r *http.Request) {
-	s.inv.Sweep()
-	// go_memstats-style runtime figures, so the service's steady-state
-	// allocation discipline (the scanner pool's whole point) is observable
-	// in production, not just in the regression suite. ReadMemStats
-	// stops the world briefly; statusz is low-frequency monitoring traffic.
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	// One Status() call backs both the inventory section and the top-level
-	// snapshot_version, so a monitor diffing two statusz reads can
-	// correlate every counter delta with the exact inventory-version range
-	// [before.snapshot_version, after.snapshot_version] it happened in.
-	st := s.inv.Status()
-	body := map[string]any{
-		"snapshot_version": st.Version,
-		"inventory":        st,
-		"server": map[string]any{
-			"requests":         s.requests.Load(),
-			"completed":        s.completed.Load(),
-			"shed":             s.shed.Load(),
-			"deadline_expired": s.deadlineExpired.Load(),
-			"inflight":         len(s.inflight),
-			"queued":           s.queued.Load(),
-			"avg_service_ns":   s.avgService().Nanoseconds(),
-			"retry_after_hint": s.retryAfter(),
-		},
-		"watch": map[string]any{
-			"active":    s.watch.active(),
-			"limit":     s.opts.WatchLimit,
-			"delivered": s.watch.delivered.Load(),
-			"expired":   s.watch.expired.Load(),
-			"rejected":  s.watch.rejected.Load(),
-		},
-		"runtime": map[string]any{
-			"heap_alloc_bytes":  ms.HeapAlloc,
-			"heap_inuse_bytes":  ms.HeapInuse,
-			"gc_cycles":         ms.NumGC,
-			"gc_pause_total_ns": ms.PauseTotalNs,
-		},
-	}
-	if s.cache != nil {
-		body["find_cache"] = s.cache.Stats()
-	}
-	// A sharded pool additionally exposes each shard's own Status, so an
-	// operator can see skew (one hot shard, one cold) that the merged
-	// inventory section averages away.
-	if sp, ok := s.inv.(interface{ ShardStatuses() []inventory.Status }); ok && s.inv.Shards() > 1 {
-		body["shards"] = sp.ShardStatuses()
-	}
-	// The durability figures come from the same store atomics the
-	// slotserve_wal_* metrics sample, so statusz and /metricsz agree.
-	// Single store: the exact historical shape. Per-shard stores: the
-	// same shape holds the layout-wide aggregate, plus a per-shard list.
-	if ws := s.walList(); len(ws) > 0 {
-		wst := aggregateWALStats(ws)
-		_, walErr := walFailures(ws)
-		dur := map[string]any{
-			"journal_seq":          wst.AppendedSeq,
-			"durable_seq":          wst.DurableSeq,
-			"last_snapshot_seq":    wst.SnapshotSeq,
-			"snapshot_age_seconds": snapshotAgeSeconds(wst),
-			"fsyncs":               wst.Fsyncs,
-			"error":                walErr,
-		}
-		if len(ws) > 1 {
-			perShard := make([]map[string]any, len(ws))
-			for i, w := range ws {
-				sst := w.Stats()
-				_, shardErr := walFailures(ws[i : i+1])
-				perShard[i] = map[string]any{
-					"shard":                i,
-					"journal_seq":          sst.AppendedSeq,
-					"durable_seq":          sst.DurableSeq,
-					"last_snapshot_seq":    sst.SnapshotSeq,
-					"snapshot_age_seconds": snapshotAgeSeconds(sst),
-					"fsyncs":               sst.Fsyncs,
-					"error":                shardErr,
-				}
-			}
-			dur["shards"] = perShard
-		}
-		body["durability"] = dur
-	}
-	sc.Header()["Content-Type"] = contentTypeJSON
-	enc := json.NewEncoder(sc)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(body) // a monitor that went away is not the handler's to report
 }

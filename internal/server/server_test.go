@@ -961,13 +961,15 @@ func TestLatchedStoreFailStops(t *testing.T) {
 					t.Errorf("%s: reply leaks the data directory: %s", what, raw)
 				}
 			}
+			// The commit waits for an fsync, so it is the write that finds
+			// the directory gone and latches the store.
+			failStopped("commit", "/v1/commit", `{"id":"`+held[1]+`"}`)
+			// A reserve's and a release's ack do not wait for an fsync, but a
+			// latched store fails them like any other mutation.
 			for i := 0; i < 2; i++ {
 				failStopped(fmt.Sprintf("reserve %d", i), "/v1/reserve", body)
 			}
-			// A release's ack does not wait for an fsync, but a latched
-			// store fails it like any other mutation.
 			failStopped("release", "/v1/release", `{"id":"`+held[0]+`"}`)
-			failStopped("commit", "/v1/commit", `{"id":"`+held[1]+`"}`)
 			if code, out := postJSON(t, ts.URL+"/v1/find", map[string]any{"request": requestJSON(t, 1, 30)}); code != http.StatusOK {
 				t.Fatalf("find after the latch: status %d: %v", code, out)
 			}

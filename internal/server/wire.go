@@ -215,7 +215,7 @@ type searchBody struct {
 	// Request is the resource request in the persist wire encoding.
 	Request requestField `json:"request"`
 
-	// Alg names the selection algorithm (slotsel.AlgorithmByName);
+	// Alg names the selection algorithm (baseline.AlgorithmByName);
 	// default "amp". Ignored when CSA is set.
 	Alg string `json:"alg,omitempty"`
 

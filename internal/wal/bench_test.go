@@ -68,9 +68,10 @@ func BenchmarkReserveReleaseWALFsync(b *testing.B) {
 }
 
 // BenchmarkAppendEncode isolates the journal framing itself — encode one
-// awaited event, so the writer frames it at once, into a NoSync store:
-// an OpCommit (the smallest such record) and an accepted 5-task OpReserve
-// (the record a booking writes, its window nested).
+// event and wait for it, so the writer frames it at once, into a NoSync
+// store: an OpCommit (the smallest such record) and an accepted 5-task
+// OpReserve (the record a booking writes, its window nested), which does
+// not wait on its own and is waited for by sequence.
 func BenchmarkAppendEncode(b *testing.B) {
 	reserve, _ := reserveEvent(b)
 	for _, tc := range []struct {
@@ -91,7 +92,13 @@ func BenchmarkAppendEncode(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ev.Seq = uint64(i + 1)
-				if err := store.Append(ev)(); err != nil {
+				var err error
+				if wait := store.Append(ev); wait != nil {
+					err = wait()
+				} else {
+					err = store.waitDurable(ev.Seq)
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,19 +2,24 @@ package wal
 
 import (
 	"archive/tar"
+	"bufio"
 	"bytes"
 	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
 	"io"
 	"os"
+	"path"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"slotsel/internal/core"
 	"slotsel/internal/inventory"
 	"slotsel/internal/job"
+	"slotsel/internal/persist"
 	"slotsel/internal/randx"
 	"slotsel/internal/slots"
 	"slotsel/internal/testkit"
@@ -101,10 +106,37 @@ func writeCompatDir(t testing.TB, dir string, shards int) {
 	}
 }
 
-// bootDigest boots dir (flat at shards == 1) and digests every shard's
-// state, in shard order.
+// shardDirs lists the WAL directories of a layout, in shard order.
+func shardDirs(dir string, shards int) []string {
+	if shards == 1 {
+		return []string{dir}
+	}
+	dirs := make([]string, shards)
+	for i := range dirs {
+		dirs[i] = filepath.Join(dir, ShardDirName(i))
+	}
+	return dirs
+}
+
+// bootDigest digests every shard's state as a boot of dir (flat at
+// shards == 1) recovers it, in shard order, before the boot record the
+// boot journals. Then it boots dir and checks that the boot record is the
+// one event the boot added: every shard's state is the one recovered, one
+// event further on and in the next epoch.
 func bootDigest(t testing.TB, dir string, shards int) string {
 	t.Helper()
+	var states []*inventory.State
+	for _, d := range shardDirs(dir, shards) {
+		res, err := Recover(d, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inv, err := rebuild(res, compatOptions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		states = append(states, inv.ExportState())
+	}
 	opts := compatOptions
 	opts.Shards = shards
 	stack, err := Boot(dir, noSeed, opts, Options{NoSync: true})
@@ -112,11 +144,97 @@ func bootDigest(t testing.TB, dir string, shards int) string {
 		t.Fatal(err)
 	}
 	defer stack.Close()
-	states := make([]*inventory.State, shards)
 	for i, inv := range stack.Shards {
-		states[i] = inv.ExportState()
+		booted, want := *inv.ExportState(), *states[i]
+		want.Seq++
+		want.Epoch, want.NextID = want.Epoch+1, 0
+		if digest(t, &booted) != digest(t, &want) {
+			t.Errorf("shard %d boots to seq %d epoch %d next %d, want the recovered state at seq %d epoch %d next 0",
+				i, booted.Seq, booted.Epoch, booted.NextID, want.Seq, want.Epoch)
+		}
 	}
 	return digest(t, states...)
+}
+
+// withoutEpochs renders a WAL directory as the build before epochs wrote
+// it: per shard directory, every event of its segments and every snapshot,
+// re-encoded with the boot records left out, the epoch cut off every ID,
+// no part count on a cross-shard hold, and the sequence numbers closed up
+// behind the boot records.
+func withoutEpochs(t testing.TB, files map[string][]byte) map[string]string {
+	t.Helper()
+	names := make([]string, 0, len(files))
+	for name := range files {
+		names = append(names, name)
+	}
+	sort.Strings(names) // segments in log order within each directory
+	bare := func(id string) string { id, _, _ = strings.Cut(id, "."); return id }
+	out := map[string]string{}
+	boots := map[string][]uint64{} // by directory: the seqs of its boot records
+	for _, name := range names {
+		d, base := path.Split(name)
+		if !strings.HasPrefix(base, "wal-") {
+			continue
+		}
+		r := bufio.NewReader(bytes.NewReader(files[name]))
+		for {
+			payload, err := readFrame(r)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			ev, err := DecodeEvent(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ev.Op == inventory.OpBoot {
+				boots[d] = append(boots[d], ev.Seq)
+				continue
+			}
+			ev.Seq -= uint64(len(boots[d]))
+			ev.ID, ev.Parts = bare(ev.ID), 0
+			var enc persist.Encoder
+			b, err := appendEvent(nil, ev, &enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[d+"events"] += string(b) + "\n"
+		}
+	}
+	for _, name := range names {
+		d, base := path.Split(name)
+		if !strings.HasPrefix(base, "snap-") {
+			continue
+		}
+		payload, err := readFrame(bufio.NewReader(bytes.NewReader(files[name])))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		st, err := DecodeState(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seq := range boots[d] {
+			if seq <= st.Seq {
+				st.Seq--
+			}
+		}
+		st.Epoch = 0
+		for i := range st.Holds {
+			st.Holds[i].ID, st.Holds[i].Parts = bare(st.Holds[i].ID), 0
+		}
+		for i := range st.Committed {
+			st.Committed[i].ID = bare(st.Committed[i].ID)
+		}
+		b, err := EncodeState(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[d+"snapshots"] += string(b) + "\n"
+	}
+	return out
 }
 
 // readTree returns every regular file under dir by its slash path.
@@ -168,8 +286,9 @@ func untar(t testing.TB, path string) map[string][]byte {
 }
 
 // TestParentDirectoryBoots: a directory the build before the one-pass boot
-// wrote — flat and at 4 shards — boots to the state that build booted it
-// to, and this build writes the same directory byte for byte.
+// wrote — flat and at 4 shards — recovers to the state that build booted it
+// to, and boots one boot record further on; and this build writes the same
+// directory but for its boot records and the epoch in its IDs.
 func TestParentDirectoryBoots(t *testing.T) {
 	for _, tc := range []struct {
 		shards  int
@@ -200,9 +319,13 @@ func TestParentDirectoryBoots(t *testing.T) {
 		if len(written) != len(parent) {
 			t.Errorf("%s: wrote %d files, the archive holds %d", tc.archive, len(written), len(parent))
 		}
-		for name, b := range parent {
-			if !bytes.Equal(written[name], b) {
-				t.Errorf("%s: %s differs from the archived file (%d bytes written, %d archived)", tc.archive, name, len(written[name]), len(b))
+		got, want := withoutEpochs(t, written), withoutEpochs(t, parent)
+		if len(got) != len(want) {
+			t.Errorf("%s: %d logs and snapshot chains written, %d archived", tc.archive, len(got), len(want))
+		}
+		for name, b := range want {
+			if got[name] != b {
+				t.Errorf("%s: %s differs from the archive (%d bytes written, %d archived)", tc.archive, name, len(got[name]), len(b))
 			}
 		}
 	}

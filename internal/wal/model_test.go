@@ -33,8 +33,11 @@ import (
 // not), a Withdraw raced against a Reserve of the same node, which may
 // land in either order, and a crash (boot a copy of the directory as it is
 // on disk, with no Close), after which each shard is back at its last
-// awaited event. A failing script is cut to its shortest failing prefix
-// and printed with its seed.
+// awaited event. A reserve does not wait, so a crash may forget an acked
+// hold: the hold must be gone, a commit of it must answer
+// ErrUnknownReservation, and no ID the pool mints may equal one it minted
+// before, forgotten ones included. A failing script is cut to its shortest
+// failing prefix and printed with its seed.
 func FuzzPoolModel(f *testing.F) {
 	for seed := uint64(1); seed <= 64; seed++ {
 		rng := randx.New(seed)
@@ -70,7 +73,7 @@ const crossShardGrace = 2 * time.Second
 type modelHold struct {
 	used     map[int][]slots.Interval
 	parts    map[int]bool
-	shards   []int     // the record's shards, ascending
+	shards   []int     // the shards the reserve placed parts on, ascending
 	deadline time.Time // the shards' deadline
 	client   time.Time // the record's deadline
 	routed   bool      // the record exists (a flat pool's hold is its own)
@@ -87,6 +90,8 @@ type poolModel struct {
 	holds   map[string]*modelHold
 	commits map[string]map[int][]slots.Interval
 	ids     []string // every ID minted, in order
+	epoch   uint64   // every boot journals a boot record that starts the next
+	next    uint64   // IDs minted in the epoch
 	c       inventory.Counters
 	durable []*poolModel // by shard: the model as of the shard's last awaited event
 }
@@ -181,7 +186,8 @@ func (m *poolModel) reserve(used map[int][]slots.Interval, ttl time.Duration) (s
 			}
 		}
 	}
-	id := fmt.Sprintf("r%08d", len(m.ids)+1)
+	m.next++
+	id := fmt.Sprintf("r%08d.%d", m.next, m.epoch)
 	m.ids = append(m.ids, id)
 	h := &modelHold{used: used, parts: map[int]bool{}, shards: shards, client: m.now.Add(ttl), routed: true}
 	for _, si := range shards {
@@ -192,7 +198,6 @@ func (m *poolModel) reserve(used map[int][]slots.Interval, ttl time.Duration) (s
 	}
 	m.c.Reserves += uint64(len(shards))
 	m.holds[id] = h
-	m.awaited(shards...)
 	return id, true
 }
 
@@ -310,19 +315,34 @@ func (m *poolModel) sweepAll() (n int) {
 }
 
 // reopen is what a boot keeps: the holds some shard still holds, with
-// records rebuilt from their parts.
+// records rebuilt from their parts when every part the reserve placed is
+// there (a hold missing one keeps its parts until their deadline, and no
+// record), in the next epoch.
 func (m *poolModel) reopen() {
 	for id, h := range m.holds {
 		if len(h.parts) == 0 {
 			delete(m.holds, id)
 		} else if m.shards > 1 {
-			h.routed, h.shards = true, sortedKeys(h.parts)
-			if h.client = h.deadline; len(h.shards) > 1 {
-				h.client = h.deadline.Add(-crossShardGrace)
+			if h.routed = len(h.parts) == len(h.shards); h.routed {
+				if h.client = h.deadline; len(h.shards) > 1 {
+					h.client = h.deadline.Add(-crossShardGrace)
+				}
 			}
 		}
 	}
+	m.epoch, m.next = m.epoch+1, 0
 	m.awaited(m.allShards()...) // a boot starts from what is on disk
+}
+
+// unsettleable lists the holds a commit can no longer reach: gone, or with
+// no record.
+func (m *poolModel) unsettleable(ids []string) (out []string) {
+	for _, id := range ids {
+		if h := m.holds[id]; h == nil || !h.routed {
+			out = append(out, id)
+		}
+	}
+	return out
 }
 
 // crashed is what a boot of the directory a kill left keeps: each shard as
@@ -366,6 +386,8 @@ func (m *poolModel) crashed(lost []inventory.Event) *poolModel {
 	}
 	for _, ev := range lost {
 		switch {
+		case ev.Op == inventory.OpReserve && ev.OK:
+			r.c.Reserves--
 		case ev.Op == inventory.OpRelease && ev.OK:
 			r.c.Releases--
 		case ev.Op == inventory.OpExpire:
@@ -692,7 +714,9 @@ func runModel(t *testing.T, shards int, ops []modelOp) (int, error) {
 	m.durable = make([]*poolModel, shards)
 	m.add(p.seed())
 	m.c.Adds = uint64(shards) // every shard journals its construction
+	m.epoch = 1               // and a boot record
 	m.awaited(m.allShards()...)
+	minted := map[string]bool{} // every ID the pool handed out
 	for i, op := range ops {
 		step := func() error {
 			pick := "r99999999" // never minted
@@ -779,6 +803,13 @@ func runModel(t *testing.T, shards int, ops []modelOp) (int, error) {
 					return fmt.Errorf("%v: pool\n%s\nmatches neither order:\n%s", op, got, strings.Join(wants, "\n"))
 				}
 			case 12:
+				var held []string
+				for id, h := range m.holds {
+					if h.routed {
+						held = append(held, id)
+					}
+				}
+				sort.Strings(held)
 				lost, err := p.crash()
 				if err != nil {
 					return fmt.Errorf("crash: %w", err)
@@ -786,6 +817,25 @@ func runModel(t *testing.T, shards int, ops []modelOp) (int, error) {
 				m = m.crashed(lost)
 				if err := p.checkCrash(m, lost); err != nil {
 					return fmt.Errorf("crash: %w", err)
+				}
+				for _, id := range m.unsettleable(held) {
+					if _, err := p.Pool.Commit(id); !errors.Is(err, inventory.ErrUnknownReservation) {
+						return fmt.Errorf("crash: the acked hold %s is lost, and its commit answers %v", id, err)
+					}
+					m.settle(id, true)
+				}
+			}
+			if id, ok := strings.CutPrefix(strings.SplitN(got, " / ", 2)[0], "reserved "); ok {
+				if minted[id] {
+					return fmt.Errorf("%v: the pool minted %s again", op, id)
+				}
+				minted[id] = true
+			}
+			// A store with nothing queued has written everything: the
+			// model's durable view of its shard is the model now.
+			for si, st := range p.Stores {
+				if s := st.Stats(); s.AppendedSeq == s.DurableSeq {
+					m.awaited(si)
 				}
 			}
 			if got != want {

@@ -1,11 +1,13 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 
 	"slotsel/internal/inventory"
 	"slotsel/internal/slots"
@@ -20,8 +22,8 @@ import (
 // events of that shard's nodes. Recovery replays each directory on its
 // own: shards partition the nodes, and a cross-shard hold is placed and
 // settled under all its shards' locks, so no shard's history depends on
-// another's order. The router's ID mint resumes past the highest NextID
-// recovered on any shard (inventory.NewShardedFrom).
+// another's order. Each shard journals its own boot record, and the router
+// mints in the largest epoch of its shards (inventory.NewShardedFrom).
 //
 // Every shard directory is seeded at construction (SeedSharded journals an
 // OpAdd on every shard, even an empty partition), so a healthy
@@ -35,9 +37,9 @@ import (
 func ShardDirName(i int) string { return fmt.Sprintf("shard-%02d", i) }
 
 // OpenSharded is the sharded leader boot path: recover every shard's WAL
-// under dir and assemble the router. Like Open, a nil *inventory.Sharded
-// with open stores means the directory is fresh — seed it with
-// SeedSharded. The shard count is part of the layout: opening an existing
+// under dir, journal every shard's boot record and assemble the router.
+// Like Open, a nil *inventory.Sharded with open stores means the directory
+// is fresh — seed it with SeedSharded. The shard count is part of the layout: opening an existing
 // layout with a different n (or a directory holding a flat single-pool
 // WAL) is an error, never a silent rehash.
 func OpenSharded(dir string, n int, invOpts inventory.Options, walOpts Options) (*inventory.Sharded, []*Store, []*RecoverResult, error) {
@@ -65,7 +67,7 @@ func openShardedFS(fs fsys, dir string, n int, invOpts inventory.Options, walOpt
 	}
 	recovered := 0
 	for i := 0; i < n; i++ {
-		inv, st, res, err := openFS(fs, filepath.Join(dir, ShardDirName(i)), invOpts, walOpts)
+		inv, st, res, err := reopenFS(fs, filepath.Join(dir, ShardDirName(i)), invOpts, walOpts)
 		if err != nil {
 			closeAll()
 			return nil, nil, nil, fmt.Errorf("wal: shard %d: %w", i, err)
@@ -83,6 +85,24 @@ func openShardedFS(fs fsys, dir string, n int, invOpts inventory.Options, walOpt
 	if recovered != n {
 		closeAll()
 		return nil, nil, nil, fmt.Errorf("wal: %d of %d shard directories are empty — every shard journals its construction, so an empty shard next to recovered ones means lost data", n-recovered, n)
+	}
+	// The shards journal their boot records at once, so the boot waits for
+	// one round of fsyncs, not one per shard.
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i, inv := range invs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := inv.AttachSink(stores[i]); err != nil {
+				errs[i] = fmt.Errorf("wal: shard %d: %w", i, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		closeAll()
+		return nil, nil, nil, err
 	}
 	pool, err := inventory.NewShardedFrom(invs, invOpts)
 	if err != nil {

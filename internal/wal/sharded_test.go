@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -35,7 +36,8 @@ func seedSharded(t *testing.T, dir string, n int, seed uint64, invOpts inventory
 // TestShardedSeedReopenRoundTrip: seed a 4-shard layout, churn it, close,
 // reopen — every shard must come back byte-identical, and the first
 // reservation after recovery must get an ID no recovered hold or commit
-// carries on any shard: IDs are one namespace across the shards.
+// carries on any shard, in a later epoch than all of them: IDs are one
+// namespace across the shards.
 func TestShardedSeedReopenRoundTrip(t *testing.T) {
 	forMinLens(t, func(t *testing.T, minLen float64) {
 		const n = 4
@@ -72,9 +74,9 @@ func TestShardedSeedReopenRoundTrip(t *testing.T) {
 				t.Errorf("shard %d state diverged across reopen:\n got %s\nwant %s", i, got, wantSigs[i])
 			}
 		}
-		// IDs are zero-padded, so string order is mint order: a fresh ID
-		// must sort after every recovered one, not only differ from them
-		// (a released ID handed out again is a reuse too).
+		// A fresh ID must name a later epoch than every recovered one, not
+		// only differ from them (a released ID handed out again is a reuse
+		// too, and the seed boot minted every ID the churn released).
 		var recovered []string
 		for i := 0; i < n; i++ {
 			recovered = append(recovered, re.Shard(i).Holds()...)
@@ -89,9 +91,10 @@ func TestShardedSeedReopenRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("post-recovery reserve: %v", err)
 		}
+		epoch := func(id string) string { _, e, _ := strings.Cut(id, "."); return e }
 		for _, id := range recovered {
-			if res.ID <= id {
-				t.Errorf("post-recovery reserve got ID %s, not past recovered hold or commit %s", res.ID, id)
+			if epoch(res.ID) <= epoch(id) || res.ID == id {
+				t.Errorf("post-recovery reserve got ID %s, not in an epoch past recovered hold or commit %s", res.ID, id)
 			}
 		}
 	})

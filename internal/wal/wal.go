@@ -33,7 +33,10 @@ const (
 
 	// spareEvents bounds the queue slice the writer keeps for reuse: a
 	// batch is a few events under booking load, while a burst of unawaited
-	// events should not pin a slice that size.
+	// events should not pin a slice that size. A queue this long is also
+	// written without a waiter, so a stream of holds and releases with no
+	// commit between them neither grows it without bound nor leaves that
+	// much for a crash to forget.
 	spareEvents = 1024
 )
 
@@ -158,12 +161,14 @@ func createFS(fs fsys, dir string, lastSeq uint64, opts Options) (*Store, error)
 }
 
 // Append implements inventory.JournalSink: it enqueues the event and, when
-// the event's ack waits (inventory.Event.AckWaits), asks the writer for it
-// and returns a wait that blocks until it is fsync'd. Any other event
+// the event's ack waits (inventory.Event.AckWaits: a commit, add, withdraw
+// or boot record), asks the writer for it and returns a wait that blocks
+// until it is fsync'd. Any other event, an accepted reserve included,
 // returns a nil wait and stays queued, unwritten, until the next demand
-// writes it with everything before it. A latched or closed store returns
-// the failing wait for every event, so it fail-stops releases too. Called
-// with the inventory mutex held, so it must not perform I/O.
+// writes it with everything before it; a queue of spareEvents demands a
+// write of itself. A latched or closed store returns the failing wait for
+// every event, so it fail-stops releases too. Called with the inventory
+// mutex held, so it must not perform I/O.
 func (s *Store) Append(ev inventory.Event) (wait func() error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -181,6 +186,9 @@ func (s *Store) Append(ev inventory.Event) (wait func() error) {
 	s.queue = append(s.queue, ev)
 	s.appendedSeq.Store(ev.Seq)
 	if !ev.AckWaits() {
+		if len(s.queue) >= spareEvents {
+			s.demandLocked(ev.Seq)
+		}
 		return nil
 	}
 	seq := ev.Seq
@@ -221,11 +229,11 @@ func (s *Store) waitDurable(seq uint64) error {
 }
 
 // writer is the single log-writing goroutine: once someone waits for a
-// queued event, or a snapshot asks for a seal, or Close, it drains the
-// whole queue into one write+fsync (group commit) and releases the
-// waiters. Without demand it writes nothing, so the bytes on disk are
-// always the durable prefix. A seal runs before the batch, so the next
-// segment starts right after the last frame written.
+// queued event (or the queue reaches spareEvents), or a snapshot asks for
+// a seal, or Close, it drains the whole queue into one write+fsync (group
+// commit) and releases the waiters. Without demand it writes nothing, so
+// the bytes on disk are always the durable prefix. A seal runs before the
+// batch, so the next segment starts right after the last frame written.
 func (s *Store) writer() {
 	defer close(s.done)
 	for {
