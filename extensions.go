@@ -1,12 +1,9 @@
 package slotsel
 
 import (
-	"io"
-
 	"slotsel/internal/baseline"
 	"slotsel/internal/execsim"
 	"slotsel/internal/generic"
-	"slotsel/internal/persist"
 	"slotsel/internal/strategy"
 	"slotsel/internal/vosim"
 )
@@ -82,44 +79,9 @@ var (
 	WeightCost = generic.WeightCost
 )
 
-// WeightEnergy builds a weight from an energy model (nil = perf^2 x time).
-func WeightEnergy(model func(perf, exec float64) float64) Weight {
-	return generic.WeightEnergy(model)
-}
-
 // Replay verifies that the windows are executable on the environment (every
 // task inside a published slot, no node double-booking) and returns the
 // event trace and realized metrics.
 func Replay(e *Environment, windows []*Window) (*ExecReport, error) {
 	return execsim.Replay(e, windows)
-}
-
-// WriteEnvironment snapshots an environment as JSON (see cmd/slotgen).
-func WriteEnvironment(w io.Writer, e *Environment) error {
-	return persist.WriteEnvironment(w, e)
-}
-
-// ReadEnvironment loads an environment snapshot written by WriteEnvironment.
-func ReadEnvironment(r io.Reader) (*Environment, error) {
-	return persist.ReadEnvironment(r)
-}
-
-// WriteWindow serializes a window as JSON.
-func WriteWindow(w io.Writer, win *Window) error {
-	return persist.WriteWindow(w, win)
-}
-
-// ReadWindow loads a window against the environment it was found on.
-func ReadWindow(r io.Reader, e *Environment) (*Window, error) {
-	return persist.ReadWindow(r, e)
-}
-
-// WriteRequest serializes a resource request as JSON.
-func WriteRequest(w io.Writer, req *Request) error {
-	return persist.WriteRequest(w, req)
-}
-
-// ReadRequest loads and validates a resource request.
-func ReadRequest(r io.Reader) (*Request, error) {
-	return persist.ReadRequest(r)
 }

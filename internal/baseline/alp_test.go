@@ -20,7 +20,7 @@ func TestALPReturnsValidWindows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if verr := w.Validate(&req); verr != nil {
+		if verr := testkit.ValidateWindow(w, &req); verr != nil {
 			t.Fatalf("seed %d: invalid window: %v", seed, verr)
 		}
 		// The defining ALP constraint: every slot within the local share.
@@ -93,7 +93,7 @@ func TestALPUnconstrained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if verr := w.Validate(&req); verr != nil {
+	if verr := testkit.ValidateWindow(w, &req); verr != nil {
 		t.Fatal(verr)
 	}
 }

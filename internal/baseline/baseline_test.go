@@ -27,7 +27,7 @@ func TestFirstFitReturnsValidWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if verr := w.Validate(&req); verr != nil {
+		if verr := testkit.ValidateWindow(w, &req); verr != nil {
 			t.Fatalf("seed %d: invalid window: %v", seed, verr)
 		}
 	}
@@ -83,7 +83,7 @@ func TestBruteForceAgainstHandInstance(t *testing.T) {
 	)
 	req := job.Request{TaskCount: 2, Volume: 60, MaxCost: 100}
 
-	cheapest, err := (BruteForce{Obj: ObjCost}).Find(l, &req)
+	cheapest, err := (testkit.BruteForce{Obj: testkit.ObjCost}).Find(l, &req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestBruteForceAgainstHandInstance(t *testing.T) {
 		t.Errorf("brute-force min cost %g, want 30", cheapest.Cost)
 	}
 
-	fastest, err := (BruteForce{Obj: ObjRuntime}).Find(l, &req)
+	fastest, err := (testkit.BruteForce{Obj: testkit.ObjRuntime}).Find(l, &req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestBruteForceAgainstHandInstance(t *testing.T) {
 		t.Errorf("brute-force min runtime %g, want 20", fastest.Runtime)
 	}
 
-	earliest, err := (BruteForce{Obj: ObjStart}).Find(l, &req)
+	earliest, err := (testkit.BruteForce{Obj: testkit.ObjStart}).Find(l, &req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,18 +116,18 @@ func TestBruteForceMatchesCoreOptimizers(t *testing.T) {
 		type pair struct {
 			name   string
 			algo   core.Algorithm
-			obj    Objective
+			obj    testkit.Objective
 			metric func(*core.Window) float64
 		}
 		pairs := []pair{
-			{"MinCost", core.MinCost{}, ObjCost, func(w *core.Window) float64 { return w.Cost }},
-			{"MinRunTimeExact", core.MinRunTime{Exact: true}, ObjRuntime, func(w *core.Window) float64 { return w.Runtime }},
-			{"MinFinishExact", core.MinFinish{Exact: true}, ObjFinish, func(w *core.Window) float64 { return w.Finish() }},
-			{"AMP", core.AMP{}, ObjStart, func(w *core.Window) float64 { return w.Start }},
+			{"MinCost", core.MinCost{}, testkit.ObjCost, func(w *core.Window) float64 { return w.Cost }},
+			{"MinRunTimeExact", core.MinRunTime{Exact: true}, testkit.ObjRuntime, func(w *core.Window) float64 { return w.Runtime }},
+			{"MinFinishExact", core.MinFinish{Exact: true}, testkit.ObjFinish, func(w *core.Window) float64 { return w.Finish() }},
+			{"AMP", core.AMP{}, testkit.ObjStart, func(w *core.Window) float64 { return w.Start }},
 		}
 		for _, p := range pairs {
 			got, errG := p.algo.Find(e.Slots, &req)
-			want, errW := (BruteForce{Obj: p.obj}).Find(e.Slots, &req)
+			want, errW := (testkit.BruteForce{Obj: p.obj}).Find(e.Slots, &req)
 			if errors.Is(errG, core.ErrNoWindow) != errors.Is(errW, core.ErrNoWindow) {
 				t.Fatalf("seed %d %s: feasibility disagreement", seed, p.name)
 			}
@@ -144,7 +144,7 @@ func TestBruteForceMatchesCoreOptimizers(t *testing.T) {
 func TestForEachSubsetCount(t *testing.T) {
 	cands := make([]core.Candidate, 6)
 	count := 0
-	forEachSubset(cands, 3, func(s []core.Candidate) {
+	testkit.ForEachSubset(cands, 3, func(s []core.Candidate) {
 		if len(s) != 3 {
 			t.Fatalf("subset size %d", len(s))
 		}
@@ -154,12 +154,12 @@ func TestForEachSubsetCount(t *testing.T) {
 		t.Fatalf("enumerated %d subsets, want 20", count)
 	}
 	count = 0
-	forEachSubset(cands, 7, func([]core.Candidate) { count++ })
+	testkit.ForEachSubset(cands, 7, func([]core.Candidate) { count++ })
 	if count != 0 {
 		t.Fatal("k > n enumerated subsets")
 	}
 	count = 0
-	forEachSubset(cands, 6, func([]core.Candidate) { count++ })
+	testkit.ForEachSubset(cands, 6, func([]core.Candidate) { count++ })
 	if count != 1 {
 		t.Fatalf("k == n enumerated %d subsets", count)
 	}
@@ -169,7 +169,7 @@ func TestForEachSubsetCount(t *testing.T) {
 func bruteMinWeight(cands []core.Candidate, k int, budget float64, weight func(core.Candidate) float64) (float64, bool) {
 	best := math.Inf(1)
 	found := false
-	forEachSubset(cands, k, func(s []core.Candidate) {
+	testkit.ForEachSubset(cands, k, func(s []core.Candidate) {
 		cost, w := 0.0, 0.0
 		for _, c := range s {
 			cost += c.Cost
@@ -243,7 +243,7 @@ func TestMinWeightSubsetUnconstrained(t *testing.T) {
 }
 
 func TestBaselineNames(t *testing.T) {
-	if (FirstFit{}).Name() == "" || (EarliestStartQuadratic{}).Name() == "" || (BruteForce{}).Name() == "" {
+	if (FirstFit{}).Name() == "" || (EarliestStartQuadratic{}).Name() == "" || (testkit.BruteForce{}).Name() == "" {
 		t.Error("empty baseline names")
 	}
 }
@@ -253,7 +253,7 @@ func TestBaselinesRejectInvalidRequest(t *testing.T) {
 	if _, err := (EarliestStartQuadratic{}).Find(nil, &bad); err == nil || errors.Is(err, core.ErrNoWindow) {
 		t.Error("quadratic accepted invalid request")
 	}
-	if _, err := (BruteForce{}).Find(nil, &bad); err == nil || errors.Is(err, core.ErrNoWindow) {
+	if _, err := (testkit.BruteForce{}).Find(nil, &bad); err == nil || errors.Is(err, core.ErrNoWindow) {
 		t.Error("brute force accepted invalid request")
 	}
 }

@@ -30,7 +30,7 @@ func TestFindAlternativesDisjointAcrossJobs(t *testing.T) {
 	for _, ja := range alts {
 		all = append(all, ja.Alts...)
 		for i, w := range ja.Alts {
-			if verr := w.Validate(&ja.Job.Request); verr != nil {
+			if verr := testkit.ValidateWindow(w, &ja.Job.Request); verr != nil {
 				t.Fatalf("job %v alternative %d invalid: %v", ja.Job, i, verr)
 			}
 		}
@@ -38,7 +38,7 @@ func TestFindAlternativesDisjointAcrossJobs(t *testing.T) {
 	if len(all) == 0 {
 		t.Skip("no alternatives at all on this seed")
 	}
-	if !csa.Disjoint(all) {
+	if !testkit.Disjoint(all) {
 		t.Fatal("alternatives overlap across jobs")
 	}
 }
@@ -224,19 +224,19 @@ func TestScheduleDirected(t *testing.T) {
 		var chosen []*core.Window
 		for _, a := range plan.Assignments {
 			if a.Chosen != nil {
-				if verr := a.Chosen.Validate(&a.Job.Request); verr != nil {
+				if verr := testkit.ValidateWindow(a.Chosen, &a.Job.Request); verr != nil {
 					// The per-job budget may have been tightened to the
 					// remaining VO budget; validate against that instead.
 					req := a.Job.Request
 					req.MaxCost = 0
-					if verr2 := a.Chosen.Validate(&req); verr2 != nil {
+					if verr2 := testkit.ValidateWindow(a.Chosen, &req); verr2 != nil {
 						t.Fatalf("%s: invalid window: %v", alg.Name(), verr2)
 					}
 				}
 				chosen = append(chosen, a.Chosen)
 			}
 		}
-		if len(chosen) >= 2 && !csa.Disjoint(chosen) {
+		if len(chosen) >= 2 && !testkit.Disjoint(chosen) {
 			t.Fatalf("%s: directed plan windows overlap", alg.Name())
 		}
 	}
@@ -294,7 +294,7 @@ func TestScheduledWindowsAreDisjoint(t *testing.T) {
 			chosen = append(chosen, a.Chosen)
 		}
 	}
-	if len(chosen) >= 2 && !csa.Disjoint(chosen) {
+	if len(chosen) >= 2 && !testkit.Disjoint(chosen) {
 		t.Fatal("plan windows overlap")
 	}
 	_ = slots.List{}

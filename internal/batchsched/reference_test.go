@@ -155,7 +155,7 @@ func TestFindAlternativesMatchesReference(t *testing.T) {
 			for _, ja := range got {
 				all = append(all, ja.Alts...)
 			}
-			if !csa.Disjoint(all) {
+			if !testkit.Disjoint(all) {
 				t.Errorf("%s: alternatives are not pairwise disjoint across jobs", label)
 			}
 			if listValues(list) != before {

@@ -2,11 +2,14 @@ package cli
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"slotsel/internal/obs"
 )
 
 // genEnv writes a small environment snapshot and returns its path.
@@ -121,6 +124,44 @@ func TestSlotfindTraceOutput(t *testing.T) {
 	}
 	if !sawScan || !sawSelect {
 		t.Errorf("trace missing scan/select spans (scan=%v select=%v)", sawScan, sawSelect)
+	}
+}
+
+// TestTraceDropNotice: a -trace ring that overflows still writes its file,
+// and the tool says on stderr how many of the earliest spans are missing; a
+// ring that holds every span says nothing.
+func TestTraceDropNotice(t *testing.T) {
+	const ring = 4
+	for _, spans := range []int{ring, ring + 3} {
+		fs := flag.NewFlagSet("slotsim", flag.ContinueOnError)
+		o := registerObsFlags(fs)
+		o.traceCap = ring
+		path := filepath.Join(t.TempDir(), "trace.json")
+		if err := fs.Parse([]string{"-trace", path}); err != nil {
+			t.Fatal(err)
+		}
+		var stderr strings.Builder
+		col, err := o.setup("slotsim", nil, &stderr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < spans; i++ {
+			col.Span(obs.Span{Name: "scan", Cat: "scan"})
+		}
+		if err := o.finish(); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(readChromeTrace(t, path)); got != ring {
+			t.Errorf("%d spans: trace holds %d events, want %d", spans, got, ring)
+		}
+		want := ""
+		if spans > ring {
+			want = fmt.Sprintf("slotsim: the trace ring holds %d spans: %d earlier spans were dropped from %s\n",
+				ring, spans-ring, path)
+		}
+		if stderr.String() != want {
+			t.Errorf("%d spans: stderr %q, want %q", spans, stderr.String(), want)
+		}
 	}
 }
 

@@ -18,13 +18,16 @@ type obsFlags struct {
 	trace string
 	pprof string
 
-	tr   *obs.Trace
-	stop func() error
+	traceCap int // span capacity of the -trace ring
+	name     string
+	stderr   io.Writer
+	tr       *obs.Trace
+	stop     func() error
 }
 
 // registerObsFlags declares the three observability flags on fs.
 func registerObsFlags(fs *flag.FlagSet) *obsFlags {
-	o := &obsFlags{}
+	o := &obsFlags{traceCap: obs.DefaultTraceCapacity}
 	fs.BoolVar(&o.stats, "stats", false, "print instrumentation counters after the run")
 	fs.StringVar(&o.trace, "trace", "", "write a Chrome trace_event JSON timeline to this `file` (load in chrome://tracing or ui.perfetto.dev)")
 	fs.StringVar(&o.pprof, "pprof", "", "serve net/http/pprof on this `address` (e.g. localhost:0) while the tool runs")
@@ -35,12 +38,13 @@ func registerObsFlags(fs *flag.FlagSet) *obsFlags {
 // sink with the trace sink. It returns nil when no sink is enabled, so the
 // hot paths skip instrumentation entirely.
 func (o *obsFlags) setup(name string, statsSink obs.Collector, stderr io.Writer) (obs.Collector, error) {
+	o.name, o.stderr = name, stderr
 	var cols []obs.Collector
 	if o.stats {
 		cols = append(cols, statsSink)
 	}
 	if o.trace != "" {
-		o.tr = obs.NewTrace(obs.DefaultTraceCapacity)
+		o.tr = obs.NewTrace(o.traceCap)
 		cols = append(cols, o.tr)
 	}
 	if o.pprof != "" {
@@ -55,7 +59,9 @@ func (o *obsFlags) setup(name string, statsSink obs.Collector, stderr io.Writer)
 }
 
 // finish writes the trace file when requested and stops the pprof server.
-// The caller renders its own stats sink.
+// A trace whose ring overflowed is written all the same, and a notice on
+// stderr says how many of its earliest spans are missing. The caller renders
+// its own stats sink.
 func (o *obsFlags) finish() error {
 	if o.stop != nil {
 		defer o.stop()
@@ -71,5 +77,12 @@ func (o *obsFlags) finish() error {
 		f.Close()
 		return err
 	}
-	return f.Close()
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if n := o.tr.Dropped(); n > 0 {
+		fmt.Fprintf(o.stderr, "%s: the trace ring holds %d spans: %d earlier spans were dropped from %s\n",
+			o.name, o.traceCap, n, o.trace)
+	}
+	return nil
 }

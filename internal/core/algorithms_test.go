@@ -48,26 +48,6 @@ func allAlgorithms() []Algorithm {
 	}
 }
 
-func TestAllAlgorithmsReturnValidWindows(t *testing.T) {
-	rng := randx.New(100)
-	for trial := 0; trial < 50; trial++ {
-		l := randomSmallList(rng, 8)
-		req := job.Request{TaskCount: 3, Volume: 60, MaxCost: 200}
-		for _, alg := range allAlgorithms() {
-			w, err := alg.Find(l, &req)
-			if errors.Is(err, ErrNoWindow) {
-				continue
-			}
-			if err != nil {
-				t.Fatalf("trial %d, %s: %v", trial, alg.Name(), err)
-			}
-			if verr := w.Validate(&req); verr != nil {
-				t.Fatalf("trial %d, %s returned invalid window: %v", trial, alg.Name(), verr)
-			}
-		}
-	}
-}
-
 func TestAllAlgorithmsAgreeOnFeasibility(t *testing.T) {
 	// The deterministic algorithms search the same space; if one finds a
 	// window, all must (the budget-feasible choice at some step exists for

@@ -6,7 +6,9 @@ import (
 
 	"slotsel/internal/core"
 	"slotsel/internal/job"
+	"slotsel/internal/nodes"
 	"slotsel/internal/randx"
+	"slotsel/internal/slots"
 	"slotsel/internal/testkit"
 )
 
@@ -30,7 +32,7 @@ func catalogue(seed uint64) []core.Algorithm {
 // TestAlgorithmsCopyWhatTheyKeep proves the VisitFunc contract ("the index
 // and its slices are reused between calls: copy what you keep") for all six
 // algorithm families: each algorithm is run twice on the same instance, once
-// plain and once with testkit.PoisonVisit interposed, which hands the
+// plain and once with poisonVisit interposed, which hands the
 // selection a private rebuild of the scan's WindowIndex and poisons its live
 // views (NaN fields, node -1) the moment the visit returns. An
 // implementation that retains a view instead of copying builds its window
@@ -50,7 +52,7 @@ func TestAlgorithmsCopyWhatTheyKeep(t *testing.T) {
 			r1 := req
 			cleanW, cleanErr := alg.Find(list, &r1)
 
-			core.SetVisitWrapForTest(testkit.PoisonVisit)
+			core.SetVisitWrapForTest(poisonVisit)
 			r2 := req
 			poisonW, poisonErr := alg.Find(list, &r2)
 			core.SetVisitWrapForTest(nil)
@@ -88,7 +90,7 @@ func TestPoisonVisitCatchesAliasing(t *testing.T) {
 	}
 
 	clean := buggyFind()
-	core.SetVisitWrapForTest(testkit.PoisonVisit)
+	core.SetVisitWrapForTest(poisonVisit)
 	poisoned := buggyFind()
 	core.SetVisitWrapForTest(nil)
 
@@ -97,5 +99,33 @@ func TestPoisonVisitCatchesAliasing(t *testing.T) {
 	}
 	if !math.IsNaN(poisoned.Cost) && poisoned.Placements[0].Node().ID != -1 {
 		t.Fatalf("aliasing selection was not caught: %s", testkit.WindowSignature(poisoned))
+	}
+}
+
+var poisonedNode = &nodes.Node{ID: -1, Perf: math.NaN(), Price: math.NaN()}
+
+// poisonVisit is the aliasing detector for core.Scan's copy-what-you-keep
+// contract: it wraps a visit function so that every call receives a private
+// rebuild of the scan's WindowIndex (same candidates in the same append
+// order, and therefore the same selection orders), and poisons the private
+// index's live view (NaN exec/cost, a node -1 slot) the moment the inner
+// visit returns. A selection procedure that keeps the view it was handed —
+// instead of copying what it keeps, as the VisitFunc contract demands —
+// ends up building its window from poisoned candidates, so comparing a
+// poisoned run against a clean run exposes the aliasing.
+// Install it with core.SetVisitWrapForTest(poisonVisit).
+func poisonVisit(visit core.VisitFunc) core.VisitFunc {
+	return func(start float64, win *core.WindowIndex) bool {
+		private := core.NewWindowIndex(win.Cands())
+		stop := visit(start, private)
+		view := private.Cands()
+		for i := range view {
+			view[i] = core.Candidate{
+				Slot: &slots.Slot{Node: poisonedNode, Interval: slots.Interval{Start: math.NaN(), End: math.NaN()}},
+				Exec: math.NaN(),
+				Cost: math.NaN(),
+			}
+		}
+		return stop
 	}
 }

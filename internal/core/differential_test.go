@@ -84,7 +84,7 @@ func TestDifferentialIncrementalVsOracle(t *testing.T) {
 				}
 			}
 		}},
-		{"poisoned", func(*testing.T, core.Algorithm) func(core.VisitFunc) core.VisitFunc { return testkit.PoisonVisit }},
+		{"poisoned", func(*testing.T, core.Algorithm) func(core.VisitFunc) core.VisitFunc { return poisonVisit }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer core.SetVisitWrapForTest(nil)

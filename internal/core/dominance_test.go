@@ -56,7 +56,7 @@ func TestAlgorithmDominanceProperty(t *testing.T) {
 			return false // exact optimizers must agree on feasibility
 		}
 		for _, w := range []*core.Window{amp, minCost, minRun, minFin} {
-			if w.Validate(&req) != nil {
+			if testkit.ValidateWindow(w, &req) != nil {
 				return false
 			}
 		}

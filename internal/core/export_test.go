@@ -2,15 +2,23 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
 // SetVisitWrapForTest installs (or, with nil, removes) the scan's visit
 // wrapper — the seam the aliasing regression tests use to interpose
-// testkit.PoisonVisit between the scan loop and the algorithms' selection
+// poisonVisit between the scan loop and the algorithms' selection
 // procedures. Tests must restore the previous wrapper when done and must
 // not run in parallel with other tests while a wrapper is installed.
 func SetVisitWrapForTest(w func(VisitFunc) VisitFunc) { visitWrap = w }
+
+// RandomSmallListForTest and AllAlgorithmsForTest hand this package's
+// oracle-test fixtures to its external tests.
+var (
+	RandomSmallListForTest = randomSmallList
+	AllAlgorithmsForTest   = allAlgorithms
+)
 
 // SetOrderBlockCapForTest shrinks (or restores) the block capacity of the
 // selection orders of every index reset from now on, so a window of a
@@ -110,4 +118,18 @@ func (s *orderedSet) appendTo(dst []Candidate, arena []Candidate) []Candidate {
 		}
 	}
 	return dst
+}
+
+// NewWindowIndex builds an index over a snapshot of the given candidates
+// (the slice is copied) with the cost order already active: the incremental
+// kernels outside a scan, for the differential tests and the aliasing
+// detector.
+func NewWindowIndex(cands []Candidate) *WindowIndex {
+	ix := &WindowIndex{}
+	ix.reset()
+	for _, c := range cands {
+		ix.add(c, math.Inf(1)) // outside a scan nothing expires
+	}
+	ix.activate(&ix.cost)
+	return ix
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"slotsel/internal/baseline"
 	"slotsel/internal/core"
 	"slotsel/internal/job"
 	"slotsel/internal/randx"
@@ -12,7 +11,7 @@ import (
 )
 
 // FuzzScanWindow cross-checks the Scan-based AMP against the exhaustive
-// enumerator of internal/baseline on small random instances: both must
+// enumerator of internal/testkit on small random instances: both must
 // agree on feasibility, on the exact minimal window start, and every window
 // AMP returns must validate against the request. The instance is derived
 // from the fuzzed seed; the remaining arguments steer the request into the
@@ -40,7 +39,7 @@ func FuzzScanWindow(f *testing.F) {
 		req := job.Request{TaskCount: taskCount, Volume: volume, Deadline: deadline, MaxCost: budget}
 
 		ampW, ampErr := core.AMP{}.Find(list, &req)
-		bfW, bfErr := baseline.BruteForce{Obj: baseline.ObjStart}.Find(list, &req)
+		bfW, bfErr := testkit.BruteForce{Obj: testkit.ObjStart}.Find(list, &req)
 
 		if (ampErr == nil) != (bfErr == nil) {
 			t.Fatalf("seed=%d req=%+v: feasibility diverged: AMP err=%v, brute force err=%v",
@@ -53,7 +52,7 @@ func FuzzScanWindow(f *testing.F) {
 			t.Fatalf("seed=%d req=%+v: AMP start %x, brute-force minimal start %x",
 				seed, req, ampW.Start, bfW.Start)
 		}
-		if err := ampW.Validate(&req); err != nil {
+		if err := testkit.ValidateWindow(ampW, &req); err != nil {
 			t.Fatalf("seed=%d req=%+v: AMP window invalid: %v\n%s",
 				seed, req, err, testkit.WindowSignature(ampW))
 		}

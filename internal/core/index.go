@@ -120,21 +120,6 @@ const none int32 = -1
 // expires, one kept past its expiry would be a wrong window.
 const expirySlack = 1.0 / (1 << 40)
 
-// NewWindowIndex builds an index over a snapshot of the given candidates
-// (the slice is copied) with the cost order already active. It is the
-// entry point for tests and tools that want the incremental kernels outside
-// a scan; inside a scan the index is maintained incrementally and this
-// constructor is never on the hot path.
-func NewWindowIndex(cands []Candidate) *WindowIndex {
-	ix := &WindowIndex{}
-	ix.reset()
-	for _, c := range cands {
-		ix.add(c, math.Inf(1)) // outside a scan nothing expires
-	}
-	ix.activate(&ix.cost)
-	return ix
-}
-
 // Len returns the current window size.
 func (ix *WindowIndex) Len() int { return ix.live }
 

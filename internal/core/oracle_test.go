@@ -364,7 +364,7 @@ func selectRandom(cands []Candidate, n int, budget float64, rng *randx.Rand) (ch
 	if len(cands) < n {
 		return nil, false
 	}
-	idx := rng.Sample(len(cands), n)
+	idx := rng.SampleInto(nil, len(cands), n)
 	chosen = make([]Candidate, 0, n)
 	cost := 0.0
 	for _, i := range idx {

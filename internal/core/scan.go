@@ -41,12 +41,12 @@ type Candidate struct {
 // Candidate values may be copied freely — a Candidate aliases its *Slot,
 // which is immutable for the duration of the search (see the slots.List
 // contract) — but retaining one of the index's slices is an aliasing bug
-// that the testkit.PoisonVisit detector exists to catch.
+// that the poisonVisit detector of the aliasing tests exists to catch.
 type VisitFunc func(start float64, win *WindowIndex) (stop bool)
 
 // visitWrap, when non-nil, wraps every visit function before the scan loop
 // uses it. It is a test-only seam (set via SetVisitWrapForTest) that lets
-// the aliasing regression tests interpose testkit.PoisonVisit between the
+// the aliasing regression tests interpose their poisonVisit between the
 // scan and the per-algorithm selection procedures; production builds pay
 // one nil check per scan.
 var visitWrap func(VisitFunc) VisitFunc

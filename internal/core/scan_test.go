@@ -93,7 +93,7 @@ func TestScanCandidatesAlwaysFit(t *testing.T) {
 	req := job.Request{TaskCount: 2, Volume: 60}
 	if err := Scan(l.Cursor(), &req, func(start float64, win *WindowIndex) bool {
 		for _, c := range win.Cands() {
-			if !c.Slot.FitsAt(start, req.Volume) {
+			if !(c.Slot.Start <= start && start+req.ExecTime(c.Slot.Node) <= c.Slot.End) {
 				t.Errorf("candidate %v does not fit at %g", c.Slot, start)
 			}
 			if c.Exec != req.ExecTime(c.Slot.Node) {

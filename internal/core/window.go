@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"sort"
 
-	"slotsel/internal/job"
 	"slotsel/internal/nodes"
 	"slotsel/internal/slots"
 )
@@ -157,74 +156,6 @@ func (w *Window) UsedIntervals() map[int][]slots.Interval {
 func (w *Window) String() string {
 	return fmt.Sprintf("window{start=%.2f finish=%.2f runtime=%.2f cost=%.2f proc=%.2f n=%d}",
 		w.Start, w.Finish(), w.Runtime, w.Cost, w.ProcTime, len(w.Placements))
-}
-
-// Validate checks that the window is a feasible answer for the request on
-// the environment it was built from: exactly n placements on matching,
-// pairwise distinct nodes, each placement inside its slot, correct derived
-// quantities, budget and deadline respected.
-func (w *Window) Validate(req *job.Request) error {
-	if len(w.Placements) != req.TaskCount {
-		return fmt.Errorf("core: window has %d placements, want %d", len(w.Placements), req.TaskCount)
-	}
-	seen := make(map[int]bool, len(w.Placements))
-	var cost, proc, runtime float64
-	for i, p := range w.Placements {
-		n := p.Node()
-		if n == nil {
-			return fmt.Errorf("core: placement %d has nil node", i)
-		}
-		if seen[n.ID] {
-			return fmt.Errorf("core: node %d used by two placements", n.ID)
-		}
-		seen[n.ID] = true
-		if !req.Matches(n) {
-			return fmt.Errorf("core: node %d does not match the request", n.ID)
-		}
-		if p.Start != w.Start {
-			return fmt.Errorf("core: placement %d starts at %.4f, window at %.4f", i, p.Start, w.Start)
-		}
-		wantExec := req.ExecTime(n)
-		if !approxEq(p.Exec, wantExec) {
-			return fmt.Errorf("core: placement %d exec %.6f, want %.6f", i, p.Exec, wantExec)
-		}
-		if !p.Slot.FitsAt(p.Start, req.Volume) {
-			return fmt.Errorf("core: placement %d does not fit its slot %v", i, p.Slot)
-		}
-		if !approxEq(p.Cost, p.Exec*n.Price) {
-			return fmt.Errorf("core: placement %d cost %.6f, want %.6f", i, p.Cost, p.Exec*n.Price)
-		}
-		cost += p.Cost
-		proc += p.Exec
-		if p.Exec > runtime {
-			runtime = p.Exec
-		}
-	}
-	if !approxEq(cost, w.Cost) || !approxEq(proc, w.ProcTime) || !approxEq(runtime, w.Runtime) {
-		return fmt.Errorf("core: window aggregates inconsistent: %v", w)
-	}
-	if req.MaxCost > 0 && w.Cost > req.MaxCost*(1+1e-9) {
-		return fmt.Errorf("core: window cost %.4f exceeds budget %.4f", w.Cost, req.MaxCost)
-	}
-	if req.Deadline > 0 && w.Finish() > req.Deadline*(1+1e-9) {
-		return fmt.Errorf("core: window finish %.4f exceeds deadline %.4f", w.Finish(), req.Deadline)
-	}
-	return nil
-}
-
-func approxEq(a, b float64) bool {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	scale := 1.0
-	if a > scale {
-		scale = a
-	}
-	if b > scale {
-		scale = b
-	}
-	return d <= 1e-9*scale
 }
 
 // SortPlacementsByNode orders the placements by node ID, a convenience for

@@ -1,23 +1,27 @@
-package core
+package core_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"slotsel/internal/core"
 	"slotsel/internal/job"
+	"slotsel/internal/randx"
+	"slotsel/internal/testkit"
 )
 
-func buildTestWindow() (*Window, job.Request) {
-	n1 := testNode(1, 5, 2) // exec 30, cost 60
-	n2 := testNode(2, 3, 1) // exec 50, cost 50
-	s1 := slot(n1, 0, 100)
-	s2 := slot(n2, 0, 100)
+func buildTestWindow() (*core.Window, job.Request) {
+	n1 := testkit.Node(1, 5, 2) // exec 30, cost 60
+	n2 := testkit.Node(2, 3, 1) // exec 50, cost 50
+	s1 := testkit.Slot(n1, 0, 100)
+	s2 := testkit.Slot(n2, 0, 100)
 	req := job.Request{TaskCount: 2, Volume: 150, MaxCost: 200}
-	cands := []Candidate{
+	cands := []core.Candidate{
 		{Slot: s1, Exec: 30, Cost: 60},
 		{Slot: s2, Exec: 50, Cost: 50},
 	}
-	return NewWindow(10, cands), req
+	return core.NewWindow(10, cands), req
 }
 
 func TestNewWindowAggregates(t *testing.T) {
@@ -44,7 +48,7 @@ func TestNewWindowAggregates(t *testing.T) {
 
 func TestWindowValidateAccepts(t *testing.T) {
 	w, req := buildTestWindow()
-	if err := w.Validate(&req); err != nil {
+	if err := testkit.ValidateWindow(w, &req); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -53,56 +57,56 @@ func TestWindowValidateRejects(t *testing.T) {
 	t.Run("wrong task count", func(t *testing.T) {
 		w, req := buildTestWindow()
 		req.TaskCount = 3
-		if err := w.Validate(&req); err == nil {
+		if err := testkit.ValidateWindow(w, &req); err == nil {
 			t.Error("accepted wrong task count")
 		}
 	})
 	t.Run("duplicate node", func(t *testing.T) {
 		w, req := buildTestWindow()
 		w.Placements[1] = w.Placements[0]
-		if err := w.Validate(&req); err == nil {
+		if err := testkit.ValidateWindow(w, &req); err == nil {
 			t.Error("accepted duplicate node")
 		}
 	})
 	t.Run("budget violation", func(t *testing.T) {
 		w, req := buildTestWindow()
 		req.MaxCost = 100
-		if err := w.Validate(&req); err == nil {
+		if err := testkit.ValidateWindow(w, &req); err == nil {
 			t.Error("accepted budget violation")
 		}
 	})
 	t.Run("deadline violation", func(t *testing.T) {
 		w, req := buildTestWindow()
 		req.Deadline = 55
-		if err := w.Validate(&req); err == nil {
+		if err := testkit.ValidateWindow(w, &req); err == nil {
 			t.Error("accepted deadline violation")
 		}
 	})
 	t.Run("requirement mismatch", func(t *testing.T) {
 		w, req := buildTestWindow()
 		req.MinPerf = 4 // node 2 has perf 3
-		if err := w.Validate(&req); err == nil {
+		if err := testkit.ValidateWindow(w, &req); err == nil {
 			t.Error("accepted non-matching node")
 		}
 	})
 	t.Run("placement outside slot", func(t *testing.T) {
 		w, req := buildTestWindow()
 		w.Placements[0].Slot.End = 35 // task runs [10,40)
-		if err := w.Validate(&req); err == nil {
+		if err := testkit.ValidateWindow(w, &req); err == nil {
 			t.Error("accepted overhanging placement")
 		}
 	})
 	t.Run("desynchronized start", func(t *testing.T) {
 		w, req := buildTestWindow()
 		w.Placements[0].Start = 12
-		if err := w.Validate(&req); err == nil {
+		if err := testkit.ValidateWindow(w, &req); err == nil {
 			t.Error("accepted desynchronized placement")
 		}
 	})
 	t.Run("wrong exec", func(t *testing.T) {
 		w, req := buildTestWindow()
 		w.Placements[0].Exec = 31
-		if err := w.Validate(&req); err == nil {
+		if err := testkit.ValidateWindow(w, &req); err == nil {
 			t.Error("accepted wrong exec time")
 		}
 	})
@@ -153,5 +157,25 @@ func TestPlacementAccessors(t *testing.T) {
 	}
 	if u := p.Used(); u.Start != 10 || u.End != 40 {
 		t.Errorf("Used() = %v", u)
+	}
+}
+
+func TestAllAlgorithmsReturnValidWindows(t *testing.T) {
+	rng := randx.New(100)
+	for trial := 0; trial < 50; trial++ {
+		l := core.RandomSmallListForTest(rng, 8)
+		req := job.Request{TaskCount: 3, Volume: 60, MaxCost: 200}
+		for _, alg := range core.AllAlgorithmsForTest() {
+			w, err := alg.Find(l, &req)
+			if errors.Is(err, core.ErrNoWindow) {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("trial %d, %s: %v", trial, alg.Name(), err)
+			}
+			if verr := testkit.ValidateWindow(w, &req); verr != nil {
+				t.Fatalf("trial %d, %s returned invalid window: %v", trial, alg.Name(), verr)
+			}
+		}
 	}
 }

@@ -107,25 +107,3 @@ func Best(alts []*core.Window, c Criterion) *core.Window {
 	}
 	return best
 }
-
-// Disjoint reports whether the alternatives are pairwise non-overlapping in
-// their node-time usage — the defining property of the CSA alternative set.
-func Disjoint(alts []*core.Window) bool {
-	type usage struct {
-		node int
-		iv   slots.Interval
-	}
-	var all []usage
-	for _, w := range alts {
-		for _, p := range w.Placements {
-			u := usage{node: p.Node().ID, iv: p.Used()}
-			for _, prev := range all {
-				if prev.node == u.node && prev.iv.Overlaps(u.iv) {
-					return false
-				}
-			}
-			all = append(all, u)
-		}
-	}
-	return true
-}

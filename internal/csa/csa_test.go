@@ -31,11 +31,11 @@ func TestSearchFindsDisjointAlternatives(t *testing.T) {
 		if len(alts) == 0 {
 			t.Fatal("empty alternative set without ErrNoWindow")
 		}
-		if !Disjoint(alts) {
+		if !testkit.Disjoint(alts) {
 			t.Fatalf("seed %d: alternatives overlap", seed)
 		}
 		for i, w := range alts {
-			if verr := w.Validate(&req); verr != nil {
+			if verr := testkit.ValidateWindow(w, &req); verr != nil {
 				t.Fatalf("seed %d: alternative %d invalid: %v", seed, i, verr)
 			}
 		}
@@ -210,11 +210,11 @@ func TestDisjointDetectsOverlap(t *testing.T) {
 	s := testkit.Slot(n, 0, 1000)
 	w1 := core.NewWindow(0, []core.Candidate{{Slot: s, Exec: 30, Cost: 60}})
 	w2 := core.NewWindow(20, []core.Candidate{{Slot: s, Exec: 30, Cost: 60}})
-	if Disjoint([]*core.Window{w1, w2}) {
+	if testkit.Disjoint([]*core.Window{w1, w2}) {
 		t.Error("overlapping windows reported disjoint")
 	}
 	w3 := core.NewWindow(30, []core.Candidate{{Slot: s, Exec: 30, Cost: 60}})
-	if !Disjoint([]*core.Window{w1, w3}) {
+	if !testkit.Disjoint([]*core.Window{w1, w3}) {
 		t.Error("touching windows reported overlapping")
 	}
 }

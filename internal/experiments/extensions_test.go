@@ -179,8 +179,8 @@ func TestDeadlineSweepShape(t *testing.T) {
 			}
 			prevFound = p.Found
 			// Every found window respects its deadline.
-			if p.Found > 0 && p.Finish.Max() > p.Param+1e-9 {
-				t.Errorf("%s: max finish %g exceeds deadline %g", r.Algorithm, p.Finish.Max(), p.Param)
+			if p.Found > 0 && p.Finish.Summary().Max > p.Param+1e-9 {
+				t.Errorf("%s: max finish %g exceeds deadline %g", r.Algorithm, p.Finish.Summary().Max, p.Param)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"sort"
@@ -120,30 +119,4 @@ func (o *ObsAgg) Render(w io.Writer) {
 	}
 	t.Render(w)
 	fmt.Fprintln(w)
-}
-
-// WriteCSV emits the aggregates as rows of
-// (metric, count, mean, stddev, min, max).
-func (o *ObsAgg) WriteCSV(w io.Writer) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"metric", "count", "mean", "stddev", "min", "max"}); err != nil {
-		return err
-	}
-	for _, r := range o.rows() {
-		rec := []string{
-			r.name,
-			fmt.Sprintf("%d", r.s.Count),
-			fmt.Sprintf("%.6f", r.s.Mean),
-			fmt.Sprintf("%.6f", r.s.StdDev),
-			fmt.Sprintf("%.6f", r.s.Min),
-			fmt.Sprintf("%.6f", r.s.Max),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

@@ -35,14 +35,6 @@ var (
 	WeightCost Weight = func(c core.Candidate) float64 { return c.Cost }
 )
 
-// WeightEnergy builds a weight from an energy model.
-func WeightEnergy(model core.EnergyModel) Weight {
-	if model == nil {
-		model = core.DefaultEnergyModel
-	}
-	return func(c core.Candidate) float64 { return model(c.Slot.Node.Perf, c.Exec) }
-}
-
 // Extreme is the generic AEP algorithm minimizing the total weight of the
 // selected window over the whole scheduling interval.
 type Extreme struct {
@@ -111,18 +103,4 @@ func (e Extreme) FindObserved(cur slots.Cursor, req *job.Request, col obs.Collec
 		return false
 	}, col)
 	return core.Found(best, err)
-}
-
-// TotalWeight returns the window's total weight under the algorithm's
-// characteristic.
-func (e Extreme) TotalWeight(w *core.Window) float64 {
-	weight := e.Weight
-	if weight == nil {
-		weight = WeightProcTime
-	}
-	total := 0.0
-	for _, p := range w.Placements {
-		total += weight(core.Candidate{Slot: p.Slot, Exec: p.Exec, Cost: p.Cost})
-	}
-	return total
 }

@@ -10,13 +10,14 @@ import (
 )
 
 func TestExtremeReturnsValidWindows(t *testing.T) {
+	energy := func(c core.Candidate) float64 { return core.DefaultEnergyModel(c.Slot.Node.Perf, c.Exec) }
 	for seed := uint64(1); seed <= 15; seed++ {
 		e := testkit.SmallEnv(seed, 15, 300)
 		req := testkit.SmallRequest(3, 300)
 		for _, alg := range []Extreme{
 			{Label: "greedy-proc", Weight: WeightProcTime},
 			{Label: "exact-proc", Weight: WeightProcTime, Exact: true},
-			{Label: "exact-energy", Weight: WeightEnergy(nil), Exact: true},
+			{Label: "exact-energy", Weight: energy, Exact: true},
 			{Label: "greedy-cost", Weight: WeightCost},
 		} {
 			w, err := alg.Find(e.Slots, &req)
@@ -26,7 +27,7 @@ func TestExtremeReturnsValidWindows(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, alg.Name(), err)
 			}
-			if verr := w.Validate(&req); verr != nil {
+			if verr := testkit.ValidateWindow(w, &req); verr != nil {
 				t.Fatalf("seed %d %s: invalid window: %v", seed, alg.Name(), verr)
 			}
 		}
@@ -114,7 +115,7 @@ func TestExtremeDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Validate(&req); err != nil {
+	if err := testkit.ValidateWindow(w, &req); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -139,11 +140,16 @@ func TestExactCandidateCapFallsBackToGreedy(t *testing.T) {
 	}
 }
 
-func TestWeightEnergyDefaultsModel(t *testing.T) {
-	w := WeightEnergy(nil)
-	n := testkit.Node(1, 4, 1)
-	c := core.Candidate{Slot: testkit.Slot(n, 0, 100), Exec: 10, Cost: 10}
-	if got := w(c); got != 160 { // 4^2 * 10
-		t.Errorf("default energy weight = %g, want 160", got)
+// TotalWeight returns the window's total weight under the algorithm's
+// characteristic.
+func (e Extreme) TotalWeight(w *core.Window) float64 {
+	weight := e.Weight
+	if weight == nil {
+		weight = WeightProcTime
 	}
+	total := 0.0
+	for _, p := range w.Placements {
+		total += weight(core.Candidate{Slot: p.Slot, Exec: p.Exec, Cost: p.Cost})
+	}
+	return total
 }

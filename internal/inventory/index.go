@@ -12,8 +12,8 @@ import (
 )
 
 // This file is the event-driven half of the inventory: instead of
-// rebuilding the whole free list on every mutation (freeLocked — retained
-// as the differential oracle), the inventory maintains a persistent
+// rebuilding the whole free list on every mutation (freeLocked — the tests'
+// differential oracle), the inventory maintains a persistent
 // per-node index of free slots, re-cuts only the nodes a mutation touched
 // and publishes the difference as an edit of a persistent sequence
 // (slots.Seq), so a mutation costs what it touched, not the pool. Each
@@ -304,7 +304,8 @@ func (inv *Inventory) publishLocked(dirty map[int][]slots.Interval) {
 
 // rebuildAllLocked recomputes every node's free list into the (empty)
 // index and returns the assembled global list — identical, by
-// construction, to freeLocked() (same slot calculus, same final order).
+// construction, to the tests' freeLocked() (same slot calculus, same final
+// order).
 func (inv *Inventory) rebuildAllLocked() slots.List {
 	n := 0
 	for _, base := range inv.base {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 	"time"
 
@@ -323,4 +324,26 @@ func TestInvalRingWrapsInPlace(t *testing.T) {
 	if r.invalidatedSince(last+50, last+51, 1, 2) || !r.invalidatedSince(last+50, last+51, 3, 4) {
 		t.Error("a restarted ring must serve the versions appended after the restart")
 	}
+}
+
+// freeLocked recomputes the free list from scratch: base minus
+// allocations. Node iteration is sorted so the result is a deterministic
+// function of base+alloc — the property the differential replay suite
+// checks. The live path publishes through the incremental index
+// (publishLocked, index.go); this full rebuild stays as the stateless
+// differential oracle the index is checked against.
+func (inv *Inventory) freeLocked() slots.List {
+	ids := make([]int, 0, len(inv.base))
+	for id := range inv.base {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	var l slots.List
+	for _, id := range ids {
+		n := inv.nodes[id]
+		for _, iv := range inv.base[id] {
+			l = append(l, &slots.Slot{Node: n, Interval: iv})
+		}
+	}
+	return slots.Cut(l, inv.alloc, inv.opts.MinSlotLength)
 }

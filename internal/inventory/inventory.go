@@ -281,9 +281,9 @@ type Inventory struct {
 	counters  Counters
 
 	// free is the persistent per-node free-slot index: the incremental
-	// counterpart of freeLocked. Mutations re-cut only the base spans they
-	// touch and publish the difference as an edit of the previous
-	// version's sequence (see index.go).
+	// counterpart of the tests' freeLocked oracle. Mutations re-cut only the
+	// base spans they touch and publish the difference as an edit of the
+	// previous version's sequence (see index.go).
 	free map[int]slots.List
 
 	// pending are Change notifications accumulated by publications in the
@@ -398,14 +398,6 @@ func (inv *Inventory) SetClock(clock func() time.Time) {
 		clock = time.Now
 	}
 	inv.opts.Clock = clock
-}
-
-// Seq returns the sequence number of the last journaled (or applied)
-// event; zero when nothing has ever been journaled.
-func (inv *Inventory) Seq() uint64 {
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	return inv.seq
 }
 
 // Shards reports the partition count: always 1 for a standalone Inventory.
@@ -924,28 +916,6 @@ func (inv *Inventory) withdrawLocked(nodeID int) (cancelled []string, known bool
 	inv.counters.Withdrawals++
 	inv.publishLocked(dirty)
 	return cancelled, true
-}
-
-// freeLocked recomputes the free list from scratch: base minus
-// allocations. Node iteration is sorted so the result is a deterministic
-// function of base+alloc — the property the differential replay suite
-// checks. The live path publishes through the incremental index
-// (publishLocked, index.go); this full rebuild stays as the stateless
-// differential oracle the index is checked against.
-func (inv *Inventory) freeLocked() slots.List {
-	ids := make([]int, 0, len(inv.base))
-	for id := range inv.base {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	var l slots.List
-	for _, id := range ids {
-		n := inv.nodes[id]
-		for _, iv := range inv.base[id] {
-			l = append(l, &slots.Slot{Node: n, Interval: iv})
-		}
-	}
-	return slots.Cut(l, inv.alloc, inv.opts.MinSlotLength)
 }
 
 // fitsLocked is the conflict check: every placement span must lie inside

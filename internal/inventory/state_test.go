@@ -68,7 +68,7 @@ func assertSameState(t *testing.T, got, want *Inventory) {
 	if g, w := got.Snapshot().Version, want.Snapshot().Version; g != w {
 		t.Errorf("snapshot versions differ: got %d, want %d", g, w)
 	}
-	if g, w := got.Seq(), want.Seq(); g != w {
+	if g, w := got.ExportState().Seq, want.ExportState().Seq; g != w {
 		t.Errorf("sequence numbers differ: got %d, want %d", g, w)
 	}
 }

@@ -55,12 +55,6 @@ func (a *Accumulator) Variance() float64 {
 // StdDev returns the sample standard deviation.
 func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
 
-// Min returns the smallest observation (0 if empty).
-func (a *Accumulator) Min() float64 { return a.min }
-
-// Max returns the largest observation (0 if empty).
-func (a *Accumulator) Max() float64 { return a.max }
-
 // Merge folds another accumulator into this one (parallel Welford merge).
 func (a *Accumulator) Merge(b *Accumulator) {
 	if b.n == 0 {
@@ -142,10 +136,6 @@ func (s *Sample) Add(x float64) {
 // reservoir no longer retains.
 func (s *Sample) Count() int { return s.seen }
 
-// Retained returns the number of observations currently held (equal to
-// Count for an unbounded sample, at most the capacity for a reservoir).
-func (s *Sample) Retained() int { return len(s.xs) }
-
 // Quantile returns the q-quantile (0 <= q <= 1) by linear interpolation
 // between order statistics; 0 for an empty sample.
 func (s *Sample) Quantile(q float64) float64 {
@@ -170,64 +160,4 @@ func (s *Sample) Quantile(q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
-}
-
-// Median returns the 0.5-quantile.
-func (s *Sample) Median() float64 { return s.Quantile(0.5) }
-
-// Mean returns the sample mean.
-func (s *Sample) Mean() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range s.xs {
-		sum += x
-	}
-	return sum / float64(len(s.xs))
-}
-
-// Histogram counts observations into fixed-width buckets over [Lo, Hi);
-// observations outside the range land in the under/overflow counters.
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int
-	Under   int
-	Over    int
-}
-
-// NewHistogram creates a histogram with the given bucket count over
-// [lo, hi). It panics on a non-positive bucket count or an empty range.
-func NewHistogram(lo, hi float64, buckets int) *Histogram {
-	if buckets <= 0 || hi <= lo {
-		panic("metrics: invalid histogram parameters")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int, buckets)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	if x < h.Lo {
-		h.Under++
-		return
-	}
-	if x >= h.Hi {
-		h.Over++
-		return
-	}
-	i := int(float64(len(h.Buckets)) * (x - h.Lo) / (h.Hi - h.Lo))
-	if i >= len(h.Buckets) {
-		i = len(h.Buckets) - 1
-	}
-	h.Buckets[i]++
-}
-
-// Total returns the total number of recorded observations, including
-// under/overflow.
-func (h *Histogram) Total() int {
-	t := h.Under + h.Over
-	for _, b := range h.Buckets {
-		t += b
-	}
-	return t
 }

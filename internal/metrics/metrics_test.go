@@ -52,8 +52,8 @@ func TestAccumulatorMinMax(t *testing.T) {
 	for _, x := range []float64{3, -1, 7, 2} {
 		acc.Add(x)
 	}
-	if acc.Min() != -1 || acc.Max() != 7 {
-		t.Errorf("min/max = %g/%g", acc.Min(), acc.Max())
+	if acc.Summary().Min != -1 || acc.Summary().Max != 7 {
+		t.Errorf("min/max = %g/%g", acc.Summary().Min, acc.Summary().Max)
 	}
 }
 
@@ -67,7 +67,7 @@ func TestAccumulatorEmpty(t *testing.T) {
 func TestAccumulatorSingle(t *testing.T) {
 	var acc Accumulator
 	acc.Add(5)
-	if acc.Mean() != 5 || acc.Variance() != 0 || acc.Min() != 5 || acc.Max() != 5 {
+	if acc.Mean() != 5 || acc.Variance() != 0 || acc.Summary().Min != 5 || acc.Summary().Max != 5 {
 		t.Errorf("single-observation stats wrong: %v", acc.Summary())
 	}
 }
@@ -90,7 +90,7 @@ func TestMergeMatchesSequential(t *testing.T) {
 		return a.Count() == all.Count() &&
 			math.Abs(a.Mean()-all.Mean()) < 1e-9 &&
 			math.Abs(a.Variance()-all.Variance()) < 1e-6 &&
-			a.Min() == all.Min() && a.Max() == all.Max()
+			a.Summary().Min == all.Summary().Min && a.Summary().Max == all.Summary().Max
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -135,12 +135,6 @@ func TestSampleQuantiles(t *testing.T) {
 			t.Errorf("Quantile(%g) = %g, want %g", tc.q, got, tc.want)
 		}
 	}
-	if s.Median() != 50.5 {
-		t.Errorf("Median = %g", s.Median())
-	}
-	if s.Mean() != 50.5 {
-		t.Errorf("Mean = %g", s.Mean())
-	}
 	if s.Count() != 100 {
 		t.Errorf("Count = %d", s.Count())
 	}
@@ -148,7 +142,7 @@ func TestSampleQuantiles(t *testing.T) {
 
 func TestSampleEmpty(t *testing.T) {
 	var s Sample
-	if s.Quantile(0.5) != 0 || s.Mean() != 0 {
+	if s.Quantile(0.5) != 0 {
 		t.Error("empty sample not zero")
 	}
 }
@@ -156,42 +150,11 @@ func TestSampleEmpty(t *testing.T) {
 func TestSampleInterleavedAddQuery(t *testing.T) {
 	var s Sample
 	s.Add(5)
-	if s.Median() != 5 {
+	if s.Quantile(0.5) != 5 {
 		t.Fatal("median of one element")
 	}
 	s.Add(1) // forces re-sort on next query
 	if s.Quantile(0) != 1 {
 		t.Fatal("re-sort after Add failed")
 	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 15} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Errorf("under/over = %d/%d", h.Under, h.Over)
-	}
-	if h.Buckets[0] != 2 { // 0 and 1.9
-		t.Errorf("bucket 0 = %d", h.Buckets[0])
-	}
-	if h.Buckets[1] != 1 { // 2
-		t.Errorf("bucket 1 = %d", h.Buckets[1])
-	}
-	if h.Buckets[4] != 1 { // 9.99
-		t.Errorf("bucket 4 = %d", h.Buckets[4])
-	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d", h.Total())
-	}
-}
-
-func TestHistogramPanicsOnBadParams(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid histogram did not panic")
-		}
-	}()
-	NewHistogram(5, 5, 3)
 }

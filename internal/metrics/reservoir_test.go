@@ -137,3 +137,7 @@ func TestNewReservoirPanicsOnBadCapacity(t *testing.T) {
 		}()
 	}
 }
+
+// Retained returns the number of observations currently held (equal to
+// Count for an unbounded sample, at most the capacity for a reservoir).
+func (s *Sample) Retained() int { return len(s.xs) }

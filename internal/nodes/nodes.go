@@ -77,12 +77,6 @@ func (n *Node) ExecTime(volume float64) float64 {
 	return volume / n.Perf
 }
 
-// SlotCost returns the cost of reserving the node for the given time span:
-// span * price-per-unit.
-func (n *Node) SlotCost(span float64) float64 {
-	return span * n.Price
-}
-
 // PricingModel controls how per-unit node prices are derived from node
 // performance. The paper specifies that "the resource usage cost was formed
 // proportionally to their performance with an element of normally

@@ -158,9 +158,6 @@ func TestExecTimeAndSlotCost(t *testing.T) {
 	if got := n.ExecTime(100); got != 25 {
 		t.Errorf("ExecTime = %g, want 25", got)
 	}
-	if got := n.SlotCost(25); got != 62.5 {
-		t.Errorf("SlotCost = %g, want 62.5", got)
-	}
 }
 
 func TestNodeString(t *testing.T) {

@@ -189,22 +189,6 @@ func TestWriteChromeTraceEmpty(t *testing.T) {
 	}
 }
 
-func TestWriteSummary(t *testing.T) {
-	tr := NewTrace(8)
-	tr.Span(Span{Name: "scan", Cat: "scan", Dur: 4 * time.Microsecond})
-	tr.Span(Span{Name: "scan", Cat: "scan", Dur: 6 * time.Microsecond})
-	tr.Span(Span{Name: "AMP", Cat: "select", Dur: time.Microsecond})
-	var buf bytes.Buffer
-	tr.WriteSummary(&buf)
-	out := buf.String()
-	if !strings.Contains(out, "3 spans retained, 0 dropped") {
-		t.Errorf("summary header wrong:\n%s", out)
-	}
-	if !strings.Contains(out, "count=2") || !strings.Contains(out, "mean=5µs") {
-		t.Errorf("scan aggregate wrong:\n%s", out)
-	}
-}
-
 func TestNewTracePanicsOnBadCapacity(t *testing.T) {
 	defer func() {
 		if recover() == nil {

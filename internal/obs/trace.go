@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -127,41 +126,4 @@ func (t *Trace) WriteChromeTrace(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(events)
-}
-
-// WriteSummary renders a plain-text per-(category, name) aggregate of the
-// retained spans: count, total and mean duration.
-func (t *Trace) WriteSummary(w io.Writer) {
-	type key struct{ cat, name string }
-	type agg struct {
-		count int
-		total time.Duration
-	}
-	sums := make(map[key]*agg)
-	for _, sp := range t.Spans() {
-		k := key{sp.Cat, sp.Name}
-		a := sums[k]
-		if a == nil {
-			a = &agg{}
-			sums[k] = a
-		}
-		a.count++
-		a.total += sp.Dur
-	}
-	keys := make([]key, 0, len(sums))
-	for k := range sums {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].cat != keys[j].cat {
-			return keys[i].cat < keys[j].cat
-		}
-		return keys[i].name < keys[j].name
-	})
-	fmt.Fprintf(w, "trace summary: %d spans retained, %d dropped\n", len(t.Spans()), t.Dropped())
-	for _, k := range keys {
-		a := sums[k]
-		fmt.Fprintf(w, "  %-8s %-20s count=%-6d total=%-12v mean=%v\n",
-			k.cat, k.name, a.count, a.total, a.total/time.Duration(a.count))
-	}
 }

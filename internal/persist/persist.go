@@ -500,28 +500,6 @@ func WriteWindow(w io.Writer, win *core.Window) error {
 	return err
 }
 
-// ReadWindow deserializes a window against the given environment: placements
-// are re-linked to the environment's slots (the slot containing the
-// placement's span on the referenced node).
-func ReadWindow(r io.Reader, e *env.Environment) (*core.Window, error) {
-	var in windowJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("persist: decoding window: %w", err)
-	}
-	var cands []core.Candidate
-	for _, pj := range in.Placements {
-		slot := findSlot(e, pj.Node, pj.Start, pj.Start+pj.Exec)
-		if slot == nil {
-			return nil, fmt.Errorf("persist: no slot on node %d covering [%g, %g)", pj.Node, pj.Start, pj.Start+pj.Exec)
-		}
-		cands = append(cands, core.Candidate{Slot: slot, Exec: pj.Exec, Cost: pj.Cost})
-	}
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("persist: window has no placements")
-	}
-	return core.NewWindow(in.Start, cands), nil
-}
-
 // ownedPlacementJSON extends placementJSON with the hosting slot's own
 // interval, so a window can be reconstructed without an environment.
 type ownedPlacementJSON struct {
@@ -660,13 +638,4 @@ func (in *ownedWindowJSON) window() (*core.Window, error) {
 		})
 	}
 	return core.NewWindow(in.Start, cands), nil
-}
-
-func findSlot(e *env.Environment, nodeID int, start, end float64) *slots.Slot {
-	for _, s := range e.Slots {
-		if s.Node.ID == nodeID && s.Start <= start && end <= s.End {
-			return s
-		}
-	}
-	return nil
 }

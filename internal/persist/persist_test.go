@@ -2,12 +2,17 @@ package persist
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
 	"slotsel/internal/core"
+	"slotsel/internal/env"
 	"slotsel/internal/job"
 	"slotsel/internal/nodes"
+	"slotsel/internal/slots"
 	"slotsel/internal/testkit"
 )
 
@@ -138,7 +143,7 @@ func TestWindowRoundTrip(t *testing.T) {
 	if got.Start != w.Start || got.Cost != w.Cost || got.Runtime != w.Runtime || got.Size() != w.Size() {
 		t.Fatalf("window differs after round trip: %v vs %v", got, w)
 	}
-	if err := got.Validate(&req); err != nil {
+	if err := testkit.ValidateWindow(got, &req); err != nil {
 		t.Fatalf("deserialized window invalid: %v", err)
 	}
 }
@@ -238,4 +243,36 @@ func TestReadSlotListRejectsBadInput(t *testing.T) {
 			}
 		})
 	}
+}
+
+// ReadWindow deserializes a window written by WriteWindow against the given
+// environment: placements are re-linked to the environment's slots (the slot
+// containing the placement's span on the referenced node). No binary reads a
+// window back, so this reader lives with the tests that round-trip one.
+func ReadWindow(r io.Reader, e *env.Environment) (*core.Window, error) {
+	var in windowJSON
+	if err := json.NewDecoder(r).Decode(&in); err != nil {
+		return nil, fmt.Errorf("persist: decoding window: %w", err)
+	}
+	var cands []core.Candidate
+	for _, pj := range in.Placements {
+		slot := findSlot(e, pj.Node, pj.Start, pj.Start+pj.Exec)
+		if slot == nil {
+			return nil, fmt.Errorf("persist: no slot on node %d covering [%g, %g)", pj.Node, pj.Start, pj.Start+pj.Exec)
+		}
+		cands = append(cands, core.Candidate{Slot: slot, Exec: pj.Exec, Cost: pj.Cost})
+	}
+	if len(cands) == 0 {
+		return nil, fmt.Errorf("persist: window has no placements")
+	}
+	return core.NewWindow(in.Start, cands), nil
+}
+
+func findSlot(e *env.Environment, nodeID int, start, end float64) *slots.Slot {
+	for _, s := range e.Slots {
+		if s.Node.ID == nodeID && s.Start <= start && end <= s.End {
+			return s
+		}
+	}
+	return nil
 }

@@ -51,12 +51,6 @@ func (r *Rand) Seed(seed uint64) {
 	r.hasSpare = false
 }
 
-// Split derives an independent generator from the current one. The derived
-// stream is decorrelated from the parent by reseeding through SplitMix64.
-func (r *Rand) Split() *Rand {
-	return New(r.Uint64() ^ 0xa0761d6478bd642f)
-}
-
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
 
 // Uint64 returns the next 64 uniformly distributed bits.
@@ -224,30 +218,13 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
-// Sample returns k distinct indices drawn uniformly from [0, n) in random
-// order. It panics if k > n or k < 0.
-func (r *Rand) Sample(n, k int) []int {
-	if k < 0 || k > n {
-		panic("randx: Sample called with k out of range")
-	}
-	// Partial Fisher-Yates over an index table.
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	for i := 0; i < k; i++ {
-		j := i + r.Intn(n-i)
-		idx[i], idx[j] = idx[j], idx[i]
-	}
-	return idx[:k]
-}
-
-// SampleInto is Sample drawing into the caller's buffer: dst is grown (or
-// reused) to hold the n-element index table and the first k entries are
-// returned. The generator consumption — and therefore the sampled stream —
-// is identical to Sample's for equal (n, k), which is what lets recycled
-// search state replay the exact windows a fresh search would pick. It
-// panics if k > n or k < 0.
+// SampleInto returns k distinct indices drawn uniformly from [0, n) in
+// random order (a partial Fisher-Yates), drawing into the caller's buffer:
+// dst is grown (or reused) to hold the n-element index table and the first k
+// entries are returned. The generator consumption — and therefore the
+// sampled stream — depends only on (n, k), never on dst, which is what lets
+// recycled search state replay the exact windows a fresh search would pick.
+// It panics if k > n or k < 0.
 func (r *Rand) SampleInto(dst []int, n, k int) []int {
 	if k < 0 || k > n {
 		panic("randx: Sample called with k out of range")

@@ -42,20 +42,6 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	}
 }
 
-func TestSplitDecorrelates(t *testing.T) {
-	parent := New(9)
-	child := parent.Split()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if parent.Uint64() == child.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("split stream tracks parent: %d/100 identical", same)
-	}
-}
-
 func TestIntnBounds(t *testing.T) {
 	r := New(7)
 	for _, n := range []int{1, 2, 3, 10, 1000, 1 << 30} {
@@ -397,16 +383,6 @@ func TestShuffle(t *testing.T) {
 	}
 }
 
-func TestSplitDeterministic(t *testing.T) {
-	a, b := New(21), New(21)
-	ca, cb := a.Split(), b.Split()
-	for i := 0; i < 100; i++ {
-		if ca.Uint64() != cb.Uint64() {
-			t.Fatalf("split streams from equal parents diverge at %d", i)
-		}
-	}
-}
-
 func TestZeroSeedUsable(t *testing.T) {
 	r := New(0)
 	var nonzero bool
@@ -418,4 +394,23 @@ func TestZeroSeedUsable(t *testing.T) {
 	if !nonzero {
 		t.Fatal("zero-seeded generator is stuck at zero")
 	}
+}
+
+// Sample returns k distinct indices drawn uniformly from [0, n) in random
+// order, allocating a fresh index table: the oracle SampleInto is held to.
+// It panics if k > n or k < 0.
+func (r *Rand) Sample(n, k int) []int {
+	if k < 0 || k > n {
+		panic("randx: Sample called with k out of range")
+	}
+	// Partial Fisher-Yates over an index table.
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	for i := 0; i < k; i++ {
+		j := i + r.Intn(n-i)
+		idx[i], idx[j] = idx[j], idx[i]
+	}
+	return idx[:k]
 }

@@ -880,8 +880,8 @@ func TestStatuszDurabilitySections(t *testing.T) {
 	if dur == nil {
 		t.Fatal("statusz missing durability section")
 	}
-	if dur.JournalSeq != inv.Seq() || dur.DurableSeq != inv.Seq() {
-		t.Errorf("durability seqs %d/%d, want both %d (every ack is post-fsync)", dur.JournalSeq, dur.DurableSeq, inv.Seq())
+	if dur.JournalSeq != inv.ExportState().Seq || dur.DurableSeq != inv.ExportState().Seq {
+		t.Errorf("durability seqs %d/%d, want both %d (every ack is post-fsync)", dur.JournalSeq, dur.DurableSeq, inv.ExportState().Seq)
 	}
 	if dur.LastSnapshotSeq == 0 || dur.SnapshotAge < 0 {
 		t.Errorf("snapshot not reflected: seq %d, age %f", dur.LastSnapshotSeq, dur.SnapshotAge)

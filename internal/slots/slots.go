@@ -56,24 +56,6 @@ func (s *Slot) String() string {
 	return fmt.Sprintf("slot{node=%d %s}", s.Node.ID, s.Interval)
 }
 
-// ExecTime returns the execution time of a task of the given volume when
-// placed on this slot's node.
-func (s *Slot) ExecTime(volume float64) float64 {
-	return s.Node.ExecTime(volume)
-}
-
-// CostFor returns the reservation cost of running a task of the given volume
-// on this slot's node: exec time x per-unit price.
-func (s *Slot) CostFor(volume float64) float64 {
-	return s.Node.ExecTime(volume) * s.Node.Price
-}
-
-// FitsAt reports whether a task of the given volume can run on the slot
-// starting exactly at time start (synchronous co-allocation start point).
-func (s *Slot) FitsAt(start, volume float64) bool {
-	return s.Start <= start && start+s.ExecTime(volume) <= s.End
-}
-
 // List is a collection of slots. The AEP algorithms require the list to be
 // ordered by non-decreasing start time; SortByStart establishes and
 // IsSortedByStart verifies that invariant.

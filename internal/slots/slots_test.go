@@ -253,32 +253,6 @@ func TestValidateCatchesBadSlots(t *testing.T) {
 	}
 }
 
-func TestSlotFitsAt(t *testing.T) {
-	s := &Slot{Node: node(1), Interval: Interval{10, 40}} // perf 4
-	// volume 60 -> exec 15
-	if !s.FitsAt(10, 60) {
-		t.Error("task should fit at slot start")
-	}
-	if !s.FitsAt(25, 60) {
-		t.Error("task should fit ending exactly at slot end")
-	}
-	if s.FitsAt(26, 60) {
-		t.Error("task must not overhang the slot end")
-	}
-	if s.FitsAt(9, 60) {
-		t.Error("task must not start before the slot")
-	}
-}
-
-func TestSlotCostFor(t *testing.T) {
-	n := node(1)
-	n.Price = 2
-	s := &Slot{Node: n, Interval: Interval{0, 100}}
-	if got := s.CostFor(60); got != 30 { // exec 15 x price 2
-		t.Errorf("CostFor = %g, want 30", got)
-	}
-}
-
 func TestSubtract(t *testing.T) {
 	n := node(1)
 	s := &Slot{Node: n, Interval: Interval{10, 50}}

@@ -1,11 +1,6 @@
 package slots
 
-import (
-	"fmt"
-	"sort"
-
-	"slotsel/internal/nodes"
-)
+import "slotsel/internal/nodes"
 
 // Timetable tracks per-node reservations over an absolute timeline and
 // publishes the remaining free slots for any lookahead window. It is the
@@ -38,40 +33,6 @@ func (t *Timetable) ReserveAll(used map[int][]Interval) {
 			t.Reserve(nodeID, iv)
 		}
 	}
-}
-
-// Busy returns the merged busy intervals of a node (nil when idle). The
-// returned slice must not be modified.
-func (t *Timetable) Busy(nodeID int) []Interval {
-	return t.busy[nodeID]
-}
-
-// BusyWithin returns the node's busy time inside [lo, hi).
-func (t *Timetable) BusyWithin(nodeID int, lo, hi float64) float64 {
-	total := 0.0
-	for _, iv := range t.busy[nodeID] {
-		s, e := iv.Start, iv.End
-		if s < lo {
-			s = lo
-		}
-		if e > hi {
-			e = hi
-		}
-		if e > s {
-			total += e - s
-		}
-	}
-	return total
-}
-
-// IsFree reports whether the node is fully free over [iv.Start, iv.End).
-func (t *Timetable) IsFree(nodeID int, iv Interval) bool {
-	for _, b := range t.busy[nodeID] {
-		if b.Overlaps(iv) {
-			return false
-		}
-	}
-	return true
 }
 
 // FreeSlots publishes the free slots of the given nodes over the window
@@ -107,32 +68,4 @@ func (t *Timetable) FreeSlots(ns []*nodes.Node, lo, hi, minLength float64) List 
 	}
 	out.SortByStart()
 	return out
-}
-
-// Clone returns an independent copy of the timetable.
-func (t *Timetable) Clone() *Timetable {
-	c := NewTimetable()
-	for id, ivs := range t.busy {
-		c.busy[id] = append([]Interval(nil), ivs...)
-	}
-	return c
-}
-
-// Validate checks the structural invariants: merged (sorted, disjoint,
-// non-touching) positive-length intervals per node.
-func (t *Timetable) Validate() error {
-	for id, ivs := range t.busy {
-		if !sort.SliceIsSorted(ivs, func(i, j int) bool { return ivs[i].Start < ivs[j].Start }) {
-			return fmt.Errorf("slots: timetable node %d intervals unsorted", id)
-		}
-		for i, iv := range ivs {
-			if iv.Length() <= 0 {
-				return fmt.Errorf("slots: timetable node %d has empty interval %v", id, iv)
-			}
-			if i > 0 && ivs[i-1].End >= iv.Start {
-				return fmt.Errorf("slots: timetable node %d has unmerged intervals %v, %v", id, ivs[i-1], iv)
-			}
-		}
-	}
-	return nil
 }

@@ -1,6 +1,8 @@
 package slots
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -215,4 +217,69 @@ func TestTimetableFreeComplementProperty(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// The accessors and the invariant check below read a Timetable for the
+// tests; the scheduling path only reserves and publishes.
+
+// Busy returns the merged busy intervals of a node (nil when idle). The
+// returned slice must not be modified.
+func (t *Timetable) Busy(nodeID int) []Interval {
+	return t.busy[nodeID]
+}
+
+// BusyWithin returns the node's busy time inside [lo, hi).
+func (t *Timetable) BusyWithin(nodeID int, lo, hi float64) float64 {
+	total := 0.0
+	for _, iv := range t.busy[nodeID] {
+		s, e := iv.Start, iv.End
+		if s < lo {
+			s = lo
+		}
+		if e > hi {
+			e = hi
+		}
+		if e > s {
+			total += e - s
+		}
+	}
+	return total
+}
+
+// IsFree reports whether the node is fully free over [iv.Start, iv.End).
+func (t *Timetable) IsFree(nodeID int, iv Interval) bool {
+	for _, b := range t.busy[nodeID] {
+		if b.Overlaps(iv) {
+			return false
+		}
+	}
+	return true
+}
+
+// Clone returns an independent copy of the timetable.
+func (t *Timetable) Clone() *Timetable {
+	c := NewTimetable()
+	for id, ivs := range t.busy {
+		c.busy[id] = append([]Interval(nil), ivs...)
+	}
+	return c
+}
+
+// Validate checks the structural invariants: merged (sorted, disjoint,
+// non-touching) positive-length intervals per node.
+func (t *Timetable) Validate() error {
+	for id, ivs := range t.busy {
+		if !sort.SliceIsSorted(ivs, func(i, j int) bool { return ivs[i].Start < ivs[j].Start }) {
+			return fmt.Errorf("slots: timetable node %d intervals unsorted", id)
+		}
+		for i, iv := range ivs {
+			if iv.Length() <= 0 {
+				return fmt.Errorf("slots: timetable node %d has empty interval %v", id, iv)
+			}
+			if i > 0 && ivs[i-1].End >= iv.Start {
+				return fmt.Errorf("slots: timetable node %d has unmerged intervals %v, %v", id, ivs[i-1], iv)
+			}
+		}
+	}
+	return nil
 }

@@ -56,7 +56,7 @@ func TestStrategyReturnsValidWindows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if verr := w.Validate(&req); verr != nil {
+		if verr := testkit.ValidateWindow(w, &req); verr != nil {
 			t.Fatalf("seed %d: invalid window: %v", seed, verr)
 		}
 	}

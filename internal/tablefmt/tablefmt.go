@@ -28,21 +28,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
 
-// AddRowf appends a row formatting each value with the given verb (e.g.
-// "%.2f"); strings are passed through.
-func (t *Table) AddRowf(verb string, values ...interface{}) {
-	cells := make([]string, len(values))
-	for i, v := range values {
-		switch x := v.(type) {
-		case string:
-			cells[i] = x
-		default:
-			cells[i] = fmt.Sprintf(verb, v)
-		}
-	}
-	t.AddRow(cells...)
-}
-
 // Render writes the table to w.
 func (t *Table) Render(w io.Writer) {
 	cols := len(t.header)

@@ -39,14 +39,6 @@ func TestTableRaggedRows(t *testing.T) {
 	}
 }
 
-func TestTableAddRowf(t *testing.T) {
-	tab := New("name", "value")
-	tab.AddRowf("%.2f", "pi", 3.14159)
-	if !strings.Contains(tab.String(), "3.14") {
-		t.Errorf("AddRowf formatting lost: %q", tab.String())
-	}
-}
-
 func TestBarChartRendering(t *testing.T) {
 	c := NewBarChart("title", " ms")
 	c.Add("fast", 1)

@@ -27,12 +27,6 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set replaces the value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adds d (which may be negative).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
 // SetMax raises the gauge to v when v exceeds the current value — a
 // high-watermark tracker (peak window size, peak queue depth).
 func (g *Gauge) SetMax(v int64) {

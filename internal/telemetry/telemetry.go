@@ -246,22 +246,15 @@ func (f *family) histogram(k labelKey) *Histogram {
 // CounterVec is a labelled counter family.
 type CounterVec struct{ f *family }
 
-// With returns the child counter for the given label values (one per
-// declared label). Children are created on first use. The variadic form
-// may allocate its argument slice; hot paths with a known arity use
-// With1/With2, whose hit path is one RLock-guarded map lookup with no
+// With1 returns the child counter of a one-label vector. Children are
+// created on first use; the hit path is one RLock-guarded map lookup with no
 // allocation.
-func (v *CounterVec) With(values ...string) *Counter {
-	return v.f.counter(keyFor(v.f, values))
-}
-
-// With1 is the allocation-free fast path for one-label vectors.
 func (v *CounterVec) With1(a string) *Counter {
 	v.f.checkArity(1)
 	return v.f.counter(labelKey{a})
 }
 
-// With2 is the allocation-free fast path for two-label vectors.
+// With2 is With1 for two-label vectors.
 func (v *CounterVec) With2(a, b string) *Counter {
 	v.f.checkArity(2)
 	return v.f.counter(labelKey{a, b})
@@ -270,36 +263,17 @@ func (v *CounterVec) With2(a, b string) *Counter {
 // HistogramVec is a labelled histogram family.
 type HistogramVec struct{ f *family }
 
-// With returns the child histogram for the given label values.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	return v.f.histogram(keyFor(v.f, values))
-}
-
-// With1 is the allocation-free fast path for one-label vectors.
+// With1 returns the child histogram of a one-label vector, created on first
+// use.
 func (v *HistogramVec) With1(a string) *Histogram {
 	v.f.checkArity(1)
 	return v.f.histogram(labelKey{a})
-}
-
-// With2 is the allocation-free fast path for two-label vectors.
-func (v *HistogramVec) With2(a, b string) *Histogram {
-	v.f.checkArity(2)
-	return v.f.histogram(labelKey{a, b})
 }
 
 func (f *family) checkArity(n int) {
 	if len(f.labels) != n {
 		panic(fmt.Sprintf("telemetry: %s: got %d label values, want %d", f.name, n, len(f.labels)))
 	}
-}
-
-func keyFor(f *family, values []string) labelKey {
-	if len(values) != len(f.labels) {
-		panic(fmt.Sprintf("telemetry: %s: got %d label values, want %d", f.name, len(values), len(f.labels)))
-	}
-	var k labelKey
-	copy(k[:], values)
-	return k
 }
 
 // ---- exposition ----

@@ -13,8 +13,7 @@ func TestCounterGaugeExposition(t *testing.T) {
 	c.Add(41)
 	c.Inc()
 	g := reg.Gauge("test_depth", "Depth.")
-	g.Set(7)
-	g.Add(-2)
+	g.SetMax(5)
 
 	var b strings.Builder
 	if err := reg.WriteText(&b); err != nil {
@@ -37,9 +36,9 @@ func TestCounterGaugeExposition(t *testing.T) {
 func TestCounterVecExpositionSortedAndEscaped(t *testing.T) {
 	reg := NewRegistry()
 	v := reg.CounterVec("test_req_total", "Requests.", "path", "status")
-	v.With("/v1/find", "200").Add(3)
-	v.With("/v1/find", "404").Inc()
-	v.With(`/odd"path`, "200").Inc()
+	v.With2("/v1/find", "200").Add(3)
+	v.With2("/v1/find", "404").Inc()
+	v.With2(`/odd"path`, "200").Inc()
 
 	var b strings.Builder
 	if err := reg.WriteText(&b); err != nil {
@@ -184,11 +183,11 @@ func TestInvalidNamePanics(t *testing.T) {
 func TestExpositionParsesRoundTrip(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("test_a_total", "A.").Add(5)
-	reg.Gauge("test_b", "B.").Set(-3)
+	reg.SampledGauge("test_b", "B.", func() float64 { return -3 })
 	v := reg.CounterVec("test_c_total", "C.", "path", "status")
-	v.With("/v1/find", "200").Add(2)
+	v.With2("/v1/find", "200").Add(2)
 	h := reg.HistogramVec("test_d_seconds", "D.", LatencyBucketsSeconds(), "path")
-	h.With("/v1/reserve").Observe(0.04)
+	h.With1("/v1/reserve").Observe(0.04)
 	reg.SampledGauge("test_e", "E.", func() float64 { return 1.5 })
 
 	var b strings.Builder
@@ -262,9 +261,8 @@ func TestConcurrentUse(t *testing.T) {
 			keys := []string{"a", "b", "c"}
 			for i := 0; i < 2000; i++ {
 				c.Inc()
-				g.Add(1)
 				g.SetMax(int64(i))
-				vec.With(keys[i%3]).Inc()
+				vec.With1(keys[i%3]).Inc()
 				h.Observe(float64(i % 5))
 			}
 		}(w)

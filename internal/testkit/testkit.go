@@ -1,11 +1,10 @@
 // Package testkit provides the shared fixtures of the test suite: compact
 // random environments, hand-built slot lists and requests sized so that the
-// exhaustive oracles in internal/baseline stay fast.
+// exhaustive oracles (oracle.go) stay fast.
 package testkit
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"slotsel/internal/core"
@@ -67,34 +66,6 @@ func SlotList(ss ...*slots.Slot) slots.List {
 // poisonedNode backs the slot PoisonVisit writes into released index
 // views: any algorithm that reads it produces NaN-tainted, node -1
 // windows that the aliasing regression tests cannot miss.
-var poisonedNode = &nodes.Node{ID: -1, Perf: math.NaN(), Price: math.NaN()}
-
-// PoisonVisit is the aliasing detector for core.Scan's copy-what-you-keep
-// contract: it wraps a visit function so that every call receives a private
-// rebuild of the scan's WindowIndex (same candidates in the same append
-// order, and therefore the same selection orders), and poisons the private
-// index's live view (NaN exec/cost, a node -1 slot) the moment the inner
-// visit returns. A selection procedure that keeps the view it was handed —
-// instead of copying what it keeps, as the VisitFunc contract demands —
-// ends up building its window from poisoned candidates, so comparing a
-// poisoned run against a clean run exposes the aliasing.
-// Install it with core.SetVisitWrapForTest(testkit.PoisonVisit).
-func PoisonVisit(visit core.VisitFunc) core.VisitFunc {
-	return func(start float64, win *core.WindowIndex) bool {
-		private := core.NewWindowIndex(win.Cands())
-		stop := visit(start, private)
-		view := private.Cands()
-		for i := range view {
-			view[i] = core.Candidate{
-				Slot: &slots.Slot{Node: poisonedNode, Interval: slots.Interval{Start: math.NaN(), End: math.NaN()}},
-				Exec: math.NaN(),
-				Cost: math.NaN(),
-			}
-		}
-		return stop
-	}
-}
-
 // WindowSignature renders every field of a window (including each
 // placement's node and exact slot interval) into a canonical string, so
 // two windows are value-identical iff their signatures are equal. The

@@ -61,7 +61,7 @@ func TestBoot(t *testing.T) {
 			}
 			drive(t, stack.Pool, 3, 60)
 			for i, st := range stack.Stores {
-				if got, want := st.Stats().AppendedSeq, stack.Shards[i].Seq(); got != want {
+				if got, want := st.Stats().AppendedSeq, stack.Shards[i].ExportState().Seq; got != want {
 					t.Fatalf("store %d appended seq %d, shard %d is at seq %d", i, got, i, want)
 				}
 			}

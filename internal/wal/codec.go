@@ -356,9 +356,6 @@ type stateFields[B any] struct {
 // decoded in the envelope's own pass, so a boot tokenises it once.
 type stateJSON stateFields[*persist.SlotListDoc]
 
-// EncodeState serializes a full inventory state to its snapshot payload.
-func EncodeState(st *inventory.State) ([]byte, error) { return appendState(nil, st) }
-
 // appendState appends st's snapshot payload to dst: stateFields' key order
 // and omit rules, with the base and the hold and commit windows nested
 // inline. It uses an Encoder of its own, so it may run beside the writer.

@@ -171,7 +171,7 @@ func TestCrashInjectionAfterSnapshot(t *testing.T) {
 			if err := store.Snapshot(inv.ExportState()); err != nil {
 				t.Fatal(err)
 			}
-			snapSeq := inv.Seq()
+			snapSeq := inv.ExportState().Seq
 			drive(t, inv, seed+500, 8)
 			if err := store.Close(); err != nil {
 				t.Fatal(err)

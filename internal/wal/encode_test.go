@@ -443,3 +443,6 @@ func segmentContent(t *testing.T, dir string) []byte {
 	}
 	return all
 }
+
+// EncodeState serializes a full inventory state to its snapshot payload.
+func EncodeState(st *inventory.State) ([]byte, error) { return appendState(nil, st) }

@@ -229,7 +229,7 @@ func TestFaultShortWriteLeavesHalfAFrame(t *testing.T) {
 	}}
 	var add uint64
 	run := provokeFault(t, fs, Options{}, func(inv *inventory.Inventory, _ *Store) {
-		add = inv.Seq() + 1
+		add = inv.ExportState().Seq + 1
 		inv.Add(testkit.SlotList(testkit.Slot(testkit.Node(99, 2, 1), 0, 50)))
 	})
 	// The batch carried the unawaited events queued before the add, so the

@@ -34,22 +34,17 @@ type RecoverResult struct {
 	SkippedSnapshots int
 }
 
-// Recover reads a WAL directory back into memory. With repair set (the
-// boot path) a torn tail is physically truncated and any segments after
-// the damage are deleted, so the next append continues a clean log;
-// without it the directory is only read, which lets the crash sweeps
-// recover one damaged copy at many offsets.
+// recoverFS reads the WAL directory dir of fs back into memory. With
+// repair set (the boot path) a torn tail is physically truncated and any
+// segments after the damage are deleted, so the next append continues a
+// clean log; without it the directory is only read, which lets the crash
+// sweeps recover one damaged copy at many offsets.
 //
 // A torn record (incomplete header or payload at the end of input) is
 // expected crash damage and recovery simply stops there. A corrupt record
 // (checksum failure) mid-log, a sequence gap, or a snapshot newer than
 // any decodable log position are real damage and fail recovery rather
 // than silently serving a diverged state.
-func Recover(dir string, repair bool) (*RecoverResult, error) {
-	return recoverFS(osFS{}, dir, repair)
-}
-
-// recoverFS is Recover over the given filesystem.
 func recoverFS(fs fsys, dir string, repair bool) (*RecoverResult, error) {
 	res := &RecoverResult{}
 	snaps, err := snapshotsIn(fs, dir)

@@ -60,7 +60,7 @@ func TestBootReadsOnlyWhatTheSnapshotMisses(t *testing.T) {
 		if err := store.Snapshot(inv.ExportState()); err != nil {
 			t.Fatal(err)
 		}
-		snapSeq := inv.Seq()
+		snapSeq := inv.ExportState().Seq
 		drive(t, inv, 24, 40)
 		if err := store.Close(); err != nil {
 			t.Fatal(err)
@@ -81,7 +81,7 @@ func TestBootReadsOnlyWhatTheSnapshotMisses(t *testing.T) {
 		if !reflect.DeepEqual(fs.reads, want) {
 			t.Errorf("boot read %v, want %v", fs.reads, want)
 		}
-		if want := int(inv.Seq() - snapSeq); len(res.Events) != want {
+		if want := int(inv.ExportState().Seq - snapSeq); len(res.Events) != want {
 			t.Errorf("boot decoded %d events, want the %d after the snapshot", len(res.Events), want)
 		}
 		if got, want := stateSig(rec), stateSig(inv); got != want {
@@ -167,7 +167,7 @@ func TestCrashInjectionSealedTail(t *testing.T) {
 			if err := store.Snapshot(inv.ExportState()); err != nil {
 				t.Fatal(err)
 			}
-			snapSeq := inv.Seq()
+			snapSeq := inv.ExportState().Seq
 			drive(t, inv, seed+500, 8)
 			if err := store.Close(); err != nil {
 				t.Fatal(err)

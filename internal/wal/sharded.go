@@ -142,7 +142,7 @@ func checkShardLayout(fs fsys, dir string, n int) error {
 	entries, err := fs.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil // Create will make it
+			return nil // createFS will make it
 		}
 		return fmt.Errorf("wal: %w", err)
 	}

@@ -113,14 +113,9 @@ type Store struct {
 	lastSeq   uint64          // last seq handed to the writer, for ordering checks
 }
 
-// Create opens a Store over dir, appending after lastSeq (0 for a fresh
-// log). The directory is created if missing. Most callers want Open,
-// which recovers existing state first and derives lastSeq from it.
-func Create(dir string, lastSeq uint64, opts Options) (*Store, error) {
-	return createFS(osFS{}, dir, lastSeq, opts)
-}
-
-// createFS is Create over the given filesystem.
+// createFS opens a Store over dir in fs, appending after lastSeq (0 for a
+// fresh log). The directory is created if missing. Callers want Open, which
+// recovers existing state first and derives lastSeq from it.
 func createFS(fs fsys, dir string, lastSeq uint64, opts Options) (*Store, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes

@@ -328,8 +328,8 @@ func TestGroupCommitUnderConcurrency(t *testing.T) {
 		if err := store.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if got := store.Stats().DurableSeq; got != inv.Seq() {
-			t.Fatalf("Close left events unwritten: durable %d, inventory seq %d", got, inv.Seq())
+		if got := store.Stats().DurableSeq; got != inv.ExportState().Seq {
+			t.Fatalf("Close left events unwritten: durable %d, inventory seq %d", got, inv.ExportState().Seq)
 		}
 		rec, store2, _, err := Open(dir, inventory.Options{MinSlotLength: minLen}, Options{})
 		if err != nil {
@@ -635,8 +635,8 @@ func TestUnawaitedEventsWriteOnDemand(t *testing.T) {
 	fsyncs, size := store.Stats().Fsyncs, segmentBytes(t, dir)
 	quiet := func(what string) {
 		t.Helper()
-		if st := store.Stats(); st.Fsyncs != fsyncs || st.AppendedSeq != inv.Seq() || st.DurableSeq >= st.AppendedSeq {
-			t.Fatalf("after %s: %+v, want %d fsyncs and seq %d appended, not durable", what, st, fsyncs, inv.Seq())
+		if st := store.Stats(); st.Fsyncs != fsyncs || st.AppendedSeq != inv.ExportState().Seq || st.DurableSeq >= st.AppendedSeq {
+			t.Fatalf("after %s: %+v, want %d fsyncs and seq %d appended, not durable", what, st, fsyncs, inv.ExportState().Seq)
 		}
 		if got := segmentBytes(t, dir); got != size {
 			t.Fatalf("after %s: segments hold %d bytes, want %d", what, got, size)
@@ -671,8 +671,8 @@ func TestUnawaitedEventsWriteOnDemand(t *testing.T) {
 	if _, err := inv.Commit(held[4].ID); err != nil {
 		t.Fatal(err)
 	}
-	if st := store.Stats(); st.Fsyncs != fsyncs+1 || st.DurableSeq != inv.Seq() {
-		t.Fatalf("after a commit: %+v, want %d fsyncs and seq %d durable", st, fsyncs+1, inv.Seq())
+	if st := store.Stats(); st.Fsyncs != fsyncs+1 || st.DurableSeq != inv.ExportState().Seq {
+		t.Fatalf("after a commit: %+v, want %d fsyncs and seq %d durable", st, fsyncs+1, inv.ExportState().Seq)
 	}
 	if segmentBytes(t, dir) <= size {
 		t.Fatal("the commit wrote nothing")
@@ -684,8 +684,8 @@ func TestUnawaitedEventsWriteOnDemand(t *testing.T) {
 	if err := snapshotWithin(t, func() error { return store.Snapshot(inv.ExportState()) }); err != nil {
 		t.Fatal(err)
 	}
-	if st := store.Stats(); st.DurableSeq != inv.Seq() || st.SnapshotSeq != inv.Seq() {
-		t.Fatalf("after the snapshot: %+v, want seq %d durable and covered", st, inv.Seq())
+	if st := store.Stats(); st.DurableSeq != inv.ExportState().Seq || st.SnapshotSeq != inv.ExportState().Seq {
+		t.Fatalf("after the snapshot: %+v, want seq %d durable and covered", st, inv.ExportState().Seq)
 	}
 }
 
@@ -756,19 +756,19 @@ func TestSnapshotAheadOfLog(t *testing.T) {
 	drive(t, stack.Pool, 6, 60)
 	hi, lo := 0, 0
 	for i := range stack.Shards {
-		if stack.Shards[i].Seq() > stack.Shards[hi].Seq() {
+		if stack.Shards[i].ExportState().Seq > stack.Shards[hi].ExportState().Seq {
 			hi = i
 		}
 		if stack.Stores[i].Stats().AppendedSeq < stack.Stores[lo].Stats().AppendedSeq {
 			lo = i
 		}
 	}
-	if stack.Shards[hi].Seq() <= stack.Stores[lo].Stats().AppendedSeq {
-		t.Fatalf("every shard is at seq %d: nothing to mis-pair", stack.Shards[hi].Seq())
+	if stack.Shards[hi].ExportState().Seq <= stack.Stores[lo].Stats().AppendedSeq {
+		t.Fatalf("every shard is at seq %d: nothing to mis-pair", stack.Shards[hi].ExportState().Seq)
 	}
 	stack.Stores[hi], stack.Stores[lo] = stack.Stores[lo], stack.Stores[hi]
 	err = snapshotWithin(t, stack.Snapshot)
-	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("store %d: wal: snapshot of seq %d is ahead", hi, stack.Shards[hi].Seq())) {
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("store %d: wal: snapshot of seq %d is ahead", hi, stack.Shards[hi].ExportState().Seq)) {
 		t.Fatalf("Stack.Snapshot with store %d journaling shard %d: %v, want store %d's refusal", lo, hi, err, hi)
 	}
 	stack.Stores[hi], stack.Stores[lo] = stack.Stores[lo], stack.Stores[hi]
@@ -865,4 +865,14 @@ func TestOversizedSnapshotRefused(t *testing.T) {
 	if got := stateSig(rebooted.Shards[0]); got != want {
 		t.Fatal("the boot recovered another free list than the pool had")
 	}
+}
+
+// Create is createFS over the real filesystem.
+func Create(dir string, lastSeq uint64, opts Options) (*Store, error) {
+	return createFS(osFS{}, dir, lastSeq, opts)
+}
+
+// Recover is recoverFS over the real filesystem.
+func Recover(dir string, repair bool) (*RecoverResult, error) {
+	return recoverFS(osFS{}, dir, repair)
 }

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 
 	"slotsel/internal/job"
@@ -36,7 +35,8 @@ type Stream struct {
 	// Shape, when non-nil, maps a time in [0, horizon) to a rate
 	// multiplier in [0, 1]; arrivals are thinned accordingly, so the
 	// instantaneous rate at time t is Rate*Shape(t). nil means the
-	// constant peak rate.
+	// constant peak rate. Next draws the unthinned process: a real-time
+	// driver thins by its own clock, as slotlab's diurnal scenario does.
 	Shape func(t float64) float64
 }
 
@@ -51,49 +51,9 @@ type Arrival struct {
 	Job *job.Job
 }
 
-// Validate reports structural problems with the stream.
-func (s Stream) Validate() error {
-	if err := s.Mix.Validate(); err != nil {
-		return err
-	}
-	if s.Rate <= 0 || math.IsNaN(s.Rate) || math.IsInf(s.Rate, 0) {
-		return fmt.Errorf("workload: invalid arrival rate %g", s.Rate)
-	}
-	if s.DeadlineMin < 0 || s.DeadlineMax < s.DeadlineMin {
-		return fmt.Errorf("workload: invalid deadline range [%g, %g]", s.DeadlineMin, s.DeadlineMax)
-	}
-	return nil
-}
-
-// Arrivals draws the stream over [0, horizon). Generation is deterministic
-// given rng's state. Thinning uses the standard acceptance draw, so a
-// Shape changes which arrivals survive but not the underlying process.
-func (s Stream) Arrivals(rng *randx.Rand, horizon float64) []Arrival {
-	if horizon <= 0 {
-		return nil
-	}
-	var out []Arrival
-	t := 0.0
-	for id := 1; ; id++ {
-		t += rng.Exp(s.Rate)
-		if t >= horizon {
-			return out
-		}
-		if s.Shape != nil && !rng.Bernoulli(clamp01(s.Shape(t))) {
-			continue
-		}
-		j := s.Mix.Job(rng, id)
-		if s.DeadlineMax > 0 {
-			j.Request.Deadline = t + rng.FloatRange(s.DeadlineMin, s.DeadlineMax)
-		}
-		out = append(out, Arrival{At: t, Job: j})
-	}
-}
-
-// Next draws a single interarrival gap and job (the streaming form of
-// Arrivals, for drivers that pace themselves in real time rather than
-// materializing a whole trace). The returned gap is the wait before the
-// job arrives at virtual time `at`.
+// Next draws a single interarrival gap and job, for drivers that pace
+// themselves in real time rather than materializing a whole trace. The
+// returned gap is the wait before the job arrives at virtual time `at`.
 func (s Stream) Next(rng *randx.Rand, at float64, id int) (gap float64, a Arrival) {
 	gap = rng.Exp(s.Rate)
 	at += gap

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -206,5 +207,44 @@ func TestStreamNextMatchesDistributions(t *testing.T) {
 	mean := gapSum / float64(n)
 	if math.Abs(mean-1/s.Rate) > 0.05/s.Rate {
 		t.Fatalf("mean gap %g, want %g +- 5%%", mean, 1/s.Rate)
+	}
+}
+
+// Validate reports structural problems with the stream.
+func (s Stream) Validate() error {
+	if err := s.Mix.Validate(); err != nil {
+		return err
+	}
+	if s.Rate <= 0 || math.IsNaN(s.Rate) || math.IsInf(s.Rate, 0) {
+		return fmt.Errorf("workload: invalid arrival rate %g", s.Rate)
+	}
+	if s.DeadlineMin < 0 || s.DeadlineMax < s.DeadlineMin {
+		return fmt.Errorf("workload: invalid deadline range [%g, %g]", s.DeadlineMin, s.DeadlineMax)
+	}
+	return nil
+}
+
+// Arrivals draws the stream over [0, horizon). Generation is deterministic
+// given rng's state. Thinning uses the standard acceptance draw, so a
+// Shape changes which arrivals survive but not the underlying process.
+func (s Stream) Arrivals(rng *randx.Rand, horizon float64) []Arrival {
+	if horizon <= 0 {
+		return nil
+	}
+	var out []Arrival
+	t := 0.0
+	for id := 1; ; id++ {
+		t += rng.Exp(s.Rate)
+		if t >= horizon {
+			return out
+		}
+		if s.Shape != nil && !rng.Bernoulli(clamp01(s.Shape(t))) {
+			continue
+		}
+		j := s.Mix.Job(rng, id)
+		if s.DeadlineMax > 0 {
+			j.Request.Deadline = t + rng.FloatRange(s.DeadlineMin, s.DeadlineMax)
+		}
+		out = append(out, Arrival{At: t, Job: j})
 	}
 }

@@ -5,8 +5,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"slotsel/internal/job"
 	"slotsel/internal/randx"
 )
@@ -44,23 +42,6 @@ func DefaultMix() JobMix {
 		ReservationPerf: 4,
 		PriorityMin:     1, PriorityMax: 3,
 	}
-}
-
-// Validate reports structural problems with the mix.
-func (m JobMix) Validate() error {
-	if m.TasksMin <= 0 || m.TasksMax < m.TasksMin {
-		return fmt.Errorf("workload: invalid task range [%d, %d]", m.TasksMin, m.TasksMax)
-	}
-	if m.VolumeMin <= 0 || m.VolumeMax < m.VolumeMin {
-		return fmt.Errorf("workload: invalid volume range [%d, %d]", m.VolumeMin, m.VolumeMax)
-	}
-	if m.PriceCapMin <= 0 || m.PriceCapMax < m.PriceCapMin {
-		return fmt.Errorf("workload: invalid price cap range [%g, %g]", m.PriceCapMin, m.PriceCapMax)
-	}
-	if m.ReservationPerf <= 0 {
-		return fmt.Errorf("workload: invalid reservation performance %g", m.ReservationPerf)
-	}
-	return nil
 }
 
 // Job draws one job with the given ID.

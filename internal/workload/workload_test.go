@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -78,4 +79,21 @@ func TestFixedPriorityMix(t *testing.T) {
 	if j.Priority != 5 {
 		t.Errorf("priority %d, want 5", j.Priority)
 	}
+}
+
+// Validate reports structural problems with the mix.
+func (m JobMix) Validate() error {
+	if m.TasksMin <= 0 || m.TasksMax < m.TasksMin {
+		return fmt.Errorf("workload: invalid task range [%d, %d]", m.TasksMin, m.TasksMax)
+	}
+	if m.VolumeMin <= 0 || m.VolumeMax < m.VolumeMin {
+		return fmt.Errorf("workload: invalid volume range [%d, %d]", m.VolumeMin, m.VolumeMax)
+	}
+	if m.PriceCapMin <= 0 || m.PriceCapMax < m.PriceCapMin {
+		return fmt.Errorf("workload: invalid price cap range [%g, %g]", m.PriceCapMin, m.PriceCapMax)
+	}
+	if m.ReservationPerf <= 0 {
+		return fmt.Errorf("workload: invalid reservation performance %g", m.ReservationPerf)
+	}
+	return nil
 }

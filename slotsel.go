@@ -14,9 +14,12 @@
 //   - a complete simulation substrate: heterogeneous node generation,
 //     free-market pricing, non-dedicated initial load, slot publication;
 //   - the two-stage batch scheduling scheme the algorithms plug into;
-//   - baselines (first-fit, quadratic earliest-start, exhaustive search)
-//     and an experiment harness reproducing every figure and table of the
-//     paper's evaluation.
+//   - the first-fit and ALP baselines, and an experiment harness
+//     reproducing every figure and table of the paper's evaluation.
+//
+// The test oracles are test code: the exhaustive search and the window
+// validator live in internal/testkit, the quadratic earliest-start search
+// in internal/baseline's tests.
 //
 // # Quick start
 //
@@ -145,10 +148,6 @@ type (
 	// SelectConfig parametrizes the stage-2 combination selection.
 	SelectConfig = batchsched.SelectConfig
 
-	// BatchOptions configures the stage-1 alternative search: the CSA
-	// options and a Collector.
-	BatchOptions = batchsched.Options
-
 	// FindResult is one algorithm's outcome in a concurrent FindAllWindows
 	// search.
 	FindResult = parallel.Result
@@ -230,12 +229,6 @@ func BestAlternative(alts []*Window, c Criterion) *Window { return csa.Best(alts
 // VO budget (stage 2).
 func ScheduleBatch(list SlotList, batch *Batch, csaOpts CSAOptions, sel SelectConfig) (*Plan, error) {
 	return batchsched.Schedule(list, batch, csaOpts, sel)
-}
-
-// ScheduleBatchOpts is ScheduleBatch with full stage-1 options: the same
-// plan, with the stage-1 searches reporting to BatchOptions.Collector.
-func ScheduleBatchOpts(list SlotList, batch *Batch, opts BatchOptions, sel SelectConfig) (*Plan, error) {
-	return batchsched.ScheduleOpts(list, batch, opts, sel)
 }
 
 // FindAllWindows runs several algorithms concurrently over one shared slot

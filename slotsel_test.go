@@ -1,16 +1,17 @@
 package slotsel_test
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 
 	"slotsel"
+	"slotsel/internal/testkit"
 )
 
 // The facade tests double as end-to-end integration tests: they exercise the
-// full pipeline (environment generation -> slot publication -> selection ->
-// validation) through the public API only.
+// full pipeline (environment generation -> slot publication -> selection)
+// through the public API only, and check each window with the test kit's
+// validator.
 
 func TestQuickstartFlow(t *testing.T) {
 	rng := slotsel.NewRand(42)
@@ -36,7 +37,7 @@ func TestQuickstartFlow(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", alg.Name(), err)
 		}
-		if err := w.Validate(&req); err != nil {
+		if err := testkit.ValidateWindow(w, &req); err != nil {
 			t.Fatalf("%s: invalid window: %v", alg.Name(), err)
 		}
 	}
@@ -119,52 +120,16 @@ func TestReplayFlow(t *testing.T) {
 	}
 }
 
-func TestPersistenceFlow(t *testing.T) {
-	rng := slotsel.NewRand(13)
-	e := slotsel.GenerateEnvironment(slotsel.DefaultEnvConfig(), rng)
-	req := slotsel.DefaultRequest()
-
-	var envBuf, reqBuf, winBuf bytes.Buffer
-	if err := slotsel.WriteEnvironment(&envBuf, e); err != nil {
-		t.Fatal(err)
-	}
-	if err := slotsel.WriteRequest(&reqBuf, &req); err != nil {
-		t.Fatal(err)
-	}
-	e2, err := slotsel.ReadEnvironment(&envBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req2, err := slotsel.ReadRequest(&reqBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := slotsel.MinCost{}.Find(e2.Slots, req2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := slotsel.WriteWindow(&winBuf, w); err != nil {
-		t.Fatal(err)
-	}
-	w2, err := slotsel.ReadWindow(&winBuf, e2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w2.Cost != w.Cost || w2.Start != w.Start {
-		t.Fatalf("window changed through persistence: %v vs %v", w2, w)
-	}
-}
-
 func TestGenericExtremeFlow(t *testing.T) {
 	rng := slotsel.NewRand(17)
 	e := slotsel.GenerateEnvironment(slotsel.DefaultEnvConfig(), rng)
 	req := slotsel.DefaultRequest()
-	alg := slotsel.Extreme{Label: "energy", Weight: slotsel.WeightEnergy(nil)}
+	alg := slotsel.Extreme{Label: "cost", Weight: slotsel.WeightCost}
 	w, err := alg.Find(e.Slots, &req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Validate(&req); err != nil {
+	if err := testkit.ValidateWindow(w, &req); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -178,7 +143,7 @@ func TestStrategyFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Validate(&req); err != nil {
+	if err := testkit.ValidateWindow(w, &req); err != nil {
 		t.Fatal(err)
 	}
 	// A custom weighted strategy through the facade types.
